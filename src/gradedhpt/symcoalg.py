@@ -35,17 +35,12 @@ def canonical_word(base, keys: Iterable) -> tuple[SymWord, int] | None:
     """Sort ``keys`` ascending; return (word, Koszul sign), or None if an odd key repeats."""
     keys = tuple(keys)
     degs = tuple(base.degree(k) for k in keys)
-    order = tuple(sorted(range(len(keys)), key=lambda i: (_sort_key(keys[i]), i)))
+    order = tuple(sorted(range(len(keys)), key=keys.__getitem__))
     word = tuple(keys[i] for i in order)
     for a, b in zip(word, word[1:]):
         if a == b and base.degree(a) % 2:
             return None
     return word, koszul_sign(order, degs)
-
-
-def _sort_key(k):
-    # ints and tuples never mix within one space; tuples sort lexicographically
-    return k
 
 
 class SymSpace:
@@ -70,7 +65,7 @@ class SymSpace:
 
     def keys(self) -> tuple[SymWord, ...]:
         if self._keys is None:
-            base_keys = sorted(self.base.keys(), key=_sort_key)
+            base_keys = sorted(self.base.keys())
             pos = {k: i for i, k in enumerate(base_keys)}
             words: list[SymWord] = [()]
             frontier: list[SymWord] = [()]

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 
-from gradedhpt.core import ConvergenceFault, GradedBasis, LinOp, RouteDisagreement, Vector
+from gradedhpt.core import ConvergenceFault, GradedBasis, LinOp, RouteDisagreement, Vector, koszul_sign
 from gradedhpt.commalg import GuardedFreeAlgebra, SymWordAlgebra, cumulant_recursion, exp_endomorphism, kos_lift
 from gradedhpt.fixtures import (
     SCALARS,
@@ -12,6 +14,8 @@ from gradedhpt.fixtures import (
     fix2_mid,
     fix2_mid_perturbation,
     fix3,
+    fix3_extended,
+    fix4,
 )
 from gradedhpt.hpt import (
     Contraction,
@@ -28,7 +32,7 @@ from gradedhpt.hpt import (
     words_over,
 )
 from gradedhpt.randgen import random_homogeneous
-from gradedhpt.symcoalg import CofreeCoalgebra, SymSpace, TaylorCoderivation
+from gradedhpt.symcoalg import CofreeCoalgebra, SymSpace, TaylorCoderivation, assemble_word
 
 
 def small_complex():
@@ -167,6 +171,38 @@ class TestSemifullStability:
             _, pert = perturb(f.contraction, Perturbation(delta, A.length_bound + 1))
             rep = check_semifull_algebra(pert, A, SCALARS, keys_A=keys, dg_identities=False)
             assert rep.ok, (trial, rep.first_failure())
+
+
+def _hat_homotopy_oracle(C, space, word):
+    """h^ by its definition: the 1/n! sum over all n!*n placements, tau-sigma factors
+    to the left of the single h slot (h counts as an odd symbol)."""
+    tau_sigma = C.tau @ C.sigma
+    n = len(word)
+    degs = (-1,) + tuple(space.base.degree(k) for k in word)
+    out = Vector.zero()
+    for perm in itertools.permutations(range(1, n + 1)):
+        for j in range(1, n + 1):
+            hv = C.h.on_key(word[perm[j - 1] - 1])
+            if hv.is_zero():
+                continue
+            s = koszul_sign(perm[:j - 1] + (0,) + perm[j - 1:], degs)
+            factors = [tau_sigma.on_key(word[p - 1]) for p in perm[:j - 1]]
+            factors.append(hv)
+            factors.extend(Vector.basis(word[p - 1]) for p in perm[j:])
+            out = out + assemble_word(space.base, factors, space.weight_bound).scale(Q(s, factorial(n)))
+    return out
+
+
+@pytest.mark.parametrize("make, W", [(lambda: fix3_extended().contraction, 5),
+                                     (lambda: fix4().contraction, 6),
+                                     (small_complex, 4)],
+                         ids=["FIX-3X", "FIX-4", "small_complex"])
+def test_hat_homotopy_matches_placement_oracle(make, W):
+    C = make()
+    space = SymSpace(C.space_A, W)
+    hat = hat_homotopy(C, space)
+    for w in space.keys():
+        assert hat.on_key(w) == _hat_homotopy_oracle(C, space, w), w
 
 
 class TestSymmetrizedContraction:
@@ -308,6 +344,17 @@ class TestLinfTransfer:
             assert res.g.component(1, (k,)) == C.sigma.on_key(k)
         # known value: f_2(w o w) = h(q_2(tau w, tau w)) = h(c) = -x'
         assert res.f.component(2, (0, 0)) == Vector.basis(1, -1)
+
+    def test_fix3_extended_weight_seven(self):
+        # route agreement at W=7 is a runtime invariant: linf_transfer raises if it fails
+        fx = fix3_extended()
+        res = linf_transfer(fx.Q, fx.contraction, 7)
+        C = fx.contraction
+        for k in C.space_B.keys():
+            assert res.f.component(1, (k,)) == C.tau.on_key(k)
+            assert res.r.component(1, (k,)) == C.d_B.on_key(k)
+        for k in C.space_A.keys():
+            assert res.g.component(1, (k,)) == C.sigma.on_key(k)
 
     def test_fix3_linear_solve_oracle(self):
         """Solve the morphism equation degree by degree with the gauge
