@@ -8,7 +8,6 @@ from .core import (
     Q,
     RouteDisagreement,
     Vector,
-    compose_maps,
     koszul_sign,
     multi_unshuffles,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "Q",
     "RouteDisagreement",
     "Vector",
-    "compose_maps",
     "koszul_sign",
     "multi_unshuffles",
 ]

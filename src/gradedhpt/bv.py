@@ -9,7 +9,9 @@ yield UNDETERMINED, never PASS.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import factorial
 
 from .core import GradedBasis, LinOp, Overflow, Q, RouteDisagreement, ShiftedSpace, Vector
@@ -20,7 +22,7 @@ from .commalg import (
     koszul_recursion,
     koszul_vanishes,
 )
-from .hpt import Contraction, check_semifull_algebra, linf_transfer, words_over
+from .hpt import Contraction, check_semifull_algebra, linf_transfer
 from .report import Report
 from .symcoalg import (
     FiniteCoalgebra,
@@ -30,6 +32,7 @@ from .symcoalg import (
     koszul_cobracket_tilde,
     star_exp,
     star_log,
+    words_over,
 )
 from .tseries import (
     LaurentVec,
@@ -124,19 +127,16 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
 
     # route B: K(Delta)_m = 0 mod t^{m-1}, computed in the truncated quotient
     At = TruncatedTAlgebra(A, N, td)
-    Dflat = flatten_top(TOp(Delta.coeffs, A.space, A.space, Delta.degree, td), N) \
-        if Delta.is_exact() or (reliable is not None and reliable >= N) else None
+    Dflat = flatten_top(Delta, N) if reliable is None or reliable >= N else None
     for m in range(2, arity_bound + 1):
         if N < m - 1 or Dflat is None:
             rep.add(f"K(Delta)_{m} = 0 mod t^{m - 1}", None, f"needs N >= {m - 1}")
             continue
-        Dflat_at = LinOp(At.space, At.space, Delta.degree, Dflat.on_key, "Delta~")
         witness = None
         skipped = 0
-        for tup in _arg_multisets(keys, m):
+        for tup in combinations_with_replacement(keys, m):
             try:
-                val = koszul_recursion(At, Dflat_at, args := tuple(
-                    Vector.basis((0, kk)) for kk in tup))
+                val = koszul_recursion(At, Dflat, tuple(Vector.basis((0, kk)) for kk in tup))
             except Overflow:
                 skipped += 1
                 continue
@@ -148,19 +148,6 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
         rep.add(f"K(Delta)_{m} = 0 mod t^{m - 1}", witness is None,
                 note if witness is None else f"witness {witness}")
     return rep
-
-
-def _arg_multisets(keys, n):
-    keys = tuple(keys)
-
-    def rec(start, acc):
-        if len(acc) == n:
-            yield tuple(acc)
-            return
-        for i in range(start, len(keys)):
-            yield from rec(i, acc + [keys[i]])
-
-    yield from rec(0, [])
 
 
 def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, DeltaB: TOp,
@@ -192,7 +179,7 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
             rep.add(f"kappa(f)_{m} = 0 mod t^{m - 1}", None, f"needs N >= {m - 1}")
             continue
         witness = None
-        for tup in _arg_multisets(keys, m):
+        for tup in combinations_with_replacement(keys, m):
             args = tuple(Vector.basis(kk) for kk in tup)
             val = cumulant_recursion(A, Bt, f_flat, args)
             bad_keys = [key for key in val.keys() if key[0] < m - 1]
@@ -248,7 +235,7 @@ def verify_poisson(A: CommAlgebra, Delta: TOp, k: int, arity_bound: int,
     rep.add("P(Delta)^2 = 0", w is None, "" if w is None else f"witness {w}")
     for n in range(1, arity_bound + 1):
         bad = None
-        for tup in _arg_multisets(keys, n + 1):
+        for tup in combinations_with_replacement(keys, n + 1):
             head, b, c = tup[:-2], tup[-2], tup[-1]
             args = tuple(Vector.basis(kk) for kk in head)
             bc = A.mul_keys(b, c)
@@ -355,7 +342,7 @@ def bv_mc_residual(A: CommAlgebra, Delta: TOp, a: LaurentVec, arity_cap: int) ->
     powers = sorted(a.coeffs)
     for n in range(1, arity_cap + 1):
         coeff = Q(1, factorial(n))
-        for combo in _power_combos(powers, n):
+        for combo in combinations_with_replacement(powers, n):
             shift = sum(combo)
             args = tuple(a.coeffs[i] for i in combo)
             mult = _multiset_count(combo)
@@ -366,19 +353,8 @@ def bv_mc_residual(A: CommAlgebra, Delta: TOp, a: LaurentVec, arity_cap: int) ->
     return out
 
 
-def _power_combos(powers, n):
-    def rec(start, acc):
-        if len(acc) == n:
-            yield tuple(acc)
-            return
-        for i in range(start, len(powers)):
-            yield from rec(i, acc + [powers[i]])
-    yield from rec(0, [])
-
-
 def _multiset_count(combo) -> int:
     """Number of ordered tuples realizing the multiset (multinomial)."""
-    from collections import Counter
     c = Counter(combo)
     total = factorial(len(combo))
     for v in c.values():
@@ -416,7 +392,7 @@ def bv_mc_pushforward(f: TOp, A: CommAlgebra, B: CommAlgebra, a: LaurentVec, k: 
     powers = sorted(a.coeffs)
     for n in range(1, arity_cap + 1):
         coeff = Q(1, factorial(n))
-        for combo in _power_combos(powers, n):
+        for combo in combinations_with_replacement(powers, n):
             shift = sum(combo)
             args = tuple(a.coeffs[i] for i in combo)
             mult = _multiset_count(combo)
@@ -467,7 +443,7 @@ def morphism_congruence_defect(F: LinOp, SU_alg: CommAlgebra, Bt: TruncatedTAlge
     for m in range(2, arity_bound + 1):
         if Bt.N < m - 1:
             return ("undetermined", m)
-        for tup in _arg_multisets(letters, m):
+        for tup in combinations_with_replacement(letters, m):
             args = tuple(Vector.basis(w) for w in tup)
             val = cumulant_recursion(SU_alg, Bt, F, args)
             bad = [key for key in val.keys() if key[0] < m - 1]
@@ -662,27 +638,27 @@ def bv_kuranishi_report(A: CommAlgebra, B: CommAlgebra, Delta: TOp, result: BVTr
     """The correspondence MC(B) <-> MC(A) n Ker(h) on sampled Maurer-Cartan elements."""
     rep = Report("derived BV Maurer-Cartan correspondence",
                  bounds={"N": N, "arity_cap": arity_cap})
-    for b in samples_B:
+    for i, b in enumerate(samples_B):
         ok_b, _ = bv_mc_check(B, result.delta_B, b, k, N, arity_cap)
         if not ok_b:
             continue
         a = bv_mc_pushforward(result.tau, B, A, b, k, N, arity_cap)
         ok_a, res = bv_mc_check(A, Delta, a, k, N, arity_cap)
-        rep.add(f"push-forward of {sorted(b.coeffs)} is Maurer-Cartan", ok_a,
+        rep.add(f"push-forward of B sample {i} is Maurer-Cartan", ok_a,
                 "" if ok_a else f"residual {res.support()}")
-        hker = all(laurent_apply(result.h, a).coeff(i).is_zero() for i in range(-1, N + 1))
-        rep.add(f"push-forward of {sorted(b.coeffs)} lies in Ker(h)", hker)
+        hker = all(laurent_apply(result.h, a).coeff(j).is_zero() for j in range(-1, N + 1))
+        rep.add(f"push-forward of B sample {i} lies in Ker(h)", hker)
         back = laurent_apply(result.sigma, a)
-        rep.add(f"sigma recovers {sorted(b.coeffs)}", back == b)
-    for a in samples_A:
+        rep.add(f"sigma recovers B sample {i}", back == b)
+    for i, a in enumerate(samples_A):
         ok_a, _ = bv_mc_check(A, Delta, a, k, N, arity_cap)
         in_ker = laurent_apply(result.h, a).is_zero()
         if not (ok_a and in_ker):
             continue
         b = laurent_apply(result.sigma, a)
         ok_b, res = bv_mc_check(B, result.delta_B, b, k, N, arity_cap)
-        rep.add(f"sigma image of sample is Maurer-Cartan", ok_b,
+        rep.add(f"sigma image of A sample {i} is Maurer-Cartan", ok_b,
                 "" if ok_b else f"residual {res.support()}")
         round_trip = bv_mc_pushforward(result.tau, B, A, b, k, N, arity_cap)
-        rep.add(f"tau push-forward returns the sample", round_trip == a)
+        rep.add(f"tau push-forward returns A sample {i}", round_trip == a)
     return rep

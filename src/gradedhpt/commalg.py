@@ -11,7 +11,7 @@ the routes is a standing internal-consistency requirement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -20,6 +20,7 @@ from .core import (
     ONE,
     Overflow,
     Q,
+    RouteDisagreement,
     Vector,
     ZERO,
     expand_homogeneous,
@@ -29,7 +30,7 @@ from .core import (
     unshuffle_sign,
     vector_degree,
 )
-from .symcoalg import SymSpace, SymWord, TaylorCoderivation, TaylorMorphism, canonical_word
+from .symcoalg import SymSpace, TaylorCoderivation, TaylorMorphism, assemble_word, canonical_word
 
 
 class AlgebraSpace:
@@ -326,7 +327,7 @@ def cumulant_composite(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
         Sf = TaylorMorphism.from_linear(f)
         if cache is not None:
             cache[key] = (E, L, Sf, SA, SB)
-    word_el = _word_element(A.space, args)
+    word_el = assemble_word(A.space, args, n)
     out = Vector.zero()
     for w, c in word_el.items():
         y = E.apply_word(w, n)
@@ -336,28 +337,6 @@ def cumulant_composite(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
         for u, cu in z.items():
             img = L.apply_word(u, n)
             out = out + Vector({v[0]: cv for v, cv in img.items() if len(v) == 1}).scale(c * cu)
-    return out
-
-
-def _word_element(space, args: tuple[Vector, ...]) -> Vector:
-    """a_1 o ... o a_n as an element of S(V), expanded multilinearly."""
-    out = Vector()
-
-    def rec(i, keys, coeff):
-        if i == len(args):
-            cw = canonical_word(space, keys)
-            if cw is not None:
-                w, s = cw
-                v = out.c.get(w, ZERO) + coeff * s
-                if v:
-                    out.c[w] = v
-                else:
-                    out.c.pop(w, None)
-            return
-        for k, c in args[i].items():
-            rec(i + 1, keys + (k,), coeff * c)
-
-    rec(0, (), ONE)
     return out
 
 
@@ -379,7 +358,6 @@ def cumulants(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]
     vals = list(results.values())
     for other in vals[1:]:
         if other != vals[0]:
-            from .core import RouteDisagreement
             raise RouteDisagreement(f"cumulant routes disagree: {sorted(results)}")
     return vals[0]
 
@@ -444,7 +422,7 @@ def koszul_composite(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
         if cache is not None:
             cache[key] = (E, L)
     tilde = TaylorCoderivation.from_linear(delta)
-    word_el = _word_element(A.space, args)
+    word_el = assemble_word(A.space, args, n)
     out = Vector.zero()
     for w, c in word_el.items():
         y = E.apply_word(w, n)
@@ -473,7 +451,6 @@ def koszul_brackets(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
     vals = list(results.values())
     for other in vals[1:]:
         if other != vals[0]:
-            from .core import RouteDisagreement
             raise RouteDisagreement(f"Koszul bracket routes disagree: {sorted(results)}")
     return vals[0]
 
@@ -492,24 +469,11 @@ def derivation_defect(A: CommAlgebra, delta: LinOp, keys=None):
 # -- order filtration --------------------------------------------------------------
 
 
-def _arg_tuples(keys, n):
-    """Canonical multisets of size n over keys (symmetry makes these spanning)."""
-    keys = tuple(keys)
-
-    def rec(start, acc):
-        if len(acc) == n:
-            yield tuple(acc)
-            return
-        for i in range(start, len(keys)):
-            yield from rec(i, acc + [keys[i]])
-
-    yield from rec(0, [])
-
-
 def koszul_vanishes(A: CommAlgebra, delta: LinOp, n: int, keys=None) -> tuple | None:
     """Witness tuple where K(delta)_n != 0 on the checking corpus, else None."""
     keys = A.order_check_keys() if keys is None else keys
-    for tup in _arg_tuples(keys, n):
+    # canonical multisets of size n span the arguments, by symmetry
+    for tup in combinations_with_replacement(keys, n):
         args = tuple(Vector.basis(k) for k in tup)
         cw = canonical_word(A.space, tup)
         if cw is None:
@@ -614,6 +578,5 @@ def mc_koszul_eval(A: CommAlgebra, delta: LinOp, a: Vector, nilpotency: int) -> 
     e_minus_a = algebra_exponential(A, -1 * a, nilpotency)
     direct = A.mul(e_minus_a, delta(ea))
     if series != direct:
-        from .core import RouteDisagreement
         raise RouteDisagreement("Koszul MC series != e^{-a} delta(e^a)")
     return series

@@ -8,7 +8,7 @@ ever enters any computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -404,9 +404,14 @@ class LinOp:
         return f"LinOp({self.label or 'anon'}, degree={self.degree})"
 
 
-def compose_maps(g: LinOp, f: LinOp) -> LinOp:
-    """Exact composition g o f; degrees add, bases must match."""
-    return g @ f
+def multilinear_terms(args) -> list[tuple[tuple, Q]]:
+    """(keys, coeff) for each choice of one basis key from every vector in
+    ``args``, in lexicographic order, with the product of their coefficients
+    (each prefix product is formed once)."""
+    terms = [((), ONE)]
+    for v in args:
+        terms = [(keys + (k,), coeff * c) for keys, coeff in terms for k, c in v.items()]
+    return terms
 
 
 def expand_multilinear(args: tuple[Vector, ...], kernel: Callable[..., Vector]) -> Vector:
@@ -415,18 +420,8 @@ def expand_multilinear(args: tuple[Vector, ...], kernel: Callable[..., Vector]) 
     Coefficients are degree-0 scalars, so no Koszul signs arise here.
     """
     out = Vector()
-    if not args:
-        return kernel()
-
-    def rec(i: int, keys: tuple, coeff: Q):
-        nonlocal out
-        if i == len(args):
-            out = out + kernel(*keys).scale(coeff)
-            return
-        for k, c in args[i].items():
-            rec(i + 1, keys + (k,), coeff * c)
-
-    rec(0, (), ONE)
+    for keys, coeff in multilinear_terms(args):
+        out = out + kernel(*keys).scale(coeff)
     return out
 
 

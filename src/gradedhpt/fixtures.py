@@ -21,7 +21,9 @@ from itertools import product as iproduct
 from .core import GradedBasis, LinOp, Q, Vector
 from .commalg import ExplicitFDAlgebra, GuardedFreeAlgebra, exp_endomorphism
 from .hpt import Contraction
+from .ibl import IBLStructure
 from .symcoalg import SymSpace, TaylorCoderivation, hat_extension
+from .tseries import TOp
 
 SCALARS = ExplicitFDAlgebra(GradedBasis.make([("1", 0)]), {}, 0)
 
@@ -108,7 +110,6 @@ class Fix2:
 
     def delta_series(self):
         """Delta = d + t [d, P] as an exact t-series (k = -1, so |t| = 2)."""
-        from .tseries import TOp
         return TOp({0: self.d, 1: self.delta1}, self.A.space, self.A.space, 1, 2)
 
     def low_keys(self, max_len: int = 2):
@@ -329,7 +330,6 @@ class Fix4:
         return hat_extension(space, 1, lambda w: self.p.get(w[0], Vector.zero()), -1, "p^")
 
     def structure(self, W: int = 4, N: int = 2):
-        from .ibl import IBLStructure
         space = SymSpace(self.basis, W)
         return IBLStructure.from_components(
             self.basis, W, N,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable
 
 from .core import (
     ConvergenceFault,
@@ -31,31 +30,12 @@ from .symcoalg import (
     TaylorCoderivation,
     TaylorMorphism,
     assemble_word,
-    canonical_word,
     coalgebra_morphism_defect,
     coderivation_defect,
     taylor_coderivation_from_map,
     taylor_morphism_from_map,
+    words_over,
 )
-
-
-def words_over(base, keys, max_weight: int, min_weight: int = 0) -> list:
-    """Canonical words of bounded weight with letters from a key subset."""
-    keys = sorted(keys)
-    out = [()] if min_weight == 0 else []
-    frontier = [()]
-    for w in range(1, max_weight + 1):
-        nxt = []
-        for word in frontier:
-            start = keys.index(word[-1]) if word else 0
-            for k in keys[start:]:
-                if word and k == word[-1] and base.degree(k) % 2:
-                    continue
-                nxt.append(word + (k,))
-        if w >= min_weight:
-            out.extend(nxt)
-        frontier = nxt
-    return out
 
 
 @dataclass

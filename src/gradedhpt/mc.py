@@ -12,9 +12,9 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
-from .core import ConvergenceFault, LinOp, Q, Vector, expand_multilinear
-from .hpt import Contraction, LinfTransfer, words_over
-from .symcoalg import TaylorCoderivation, TaylorMorphism
+from .core import ConvergenceFault, Q, Vector, expand_multilinear
+from .hpt import Contraction, LinfTransfer
+from .symcoalg import TaylorCoderivation, TaylorMorphism, words_over
 
 
 @dataclass

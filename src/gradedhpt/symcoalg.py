@@ -10,6 +10,7 @@ cobracket recursions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from typing import Callable, Iterable
 
@@ -24,6 +25,7 @@ from .core import (
     expand_multilinear,
     koszul_sign,
     multi_unshuffles,
+    multilinear_terms,
     set_partitions,
     unshuffle_sign,
 )
@@ -41,6 +43,34 @@ def canonical_word(base, keys: Iterable) -> tuple[SymWord, int] | None:
         if a == b and base.degree(a) % 2:
             return None
     return word, koszul_sign(order, degs)
+
+
+def canonical_sum(base, terms: Iterable) -> Vector:
+    """Sum of (keys, coeff) terms as canonical words: each key tuple is sorted
+    with its Koszul sign, and a tuple repeating an odd key drops out."""
+    out = Vector()
+    for keys, coeff in terms:
+        cw = canonical_word(base, keys)
+        if cw is None:
+            continue
+        word, s = cw
+        v = out.c.get(word, ZERO) + coeff * s
+        if v:
+            out.c[word] = v
+        else:
+            out.c.pop(word, None)
+    return out
+
+
+def words_over(base, keys, max_weight: int, min_weight: int = 0) -> list:
+    """Canonical words with letters from a key subset, in increasing weight from
+    min_weight to max_weight and lexicographic within a weight (scopes, samples
+    and witnesses rely on this order): multisets of the sorted keys in which no
+    odd letter repeats."""
+    keys = sorted(keys)
+    return [w for n in range(min_weight, max_weight + 1)
+            for w in combinations_with_replacement(keys, n)
+            if not any(a == b and base.degree(a) % 2 for a, b in zip(w, w[1:]))]
 
 
 class SymSpace:
@@ -65,21 +95,7 @@ class SymSpace:
 
     def keys(self) -> tuple[SymWord, ...]:
         if self._keys is None:
-            base_keys = sorted(self.base.keys())
-            pos = {k: i for i, k in enumerate(base_keys)}
-            words: list[SymWord] = [()]
-            frontier: list[SymWord] = [()]
-            for _ in range(self.weight_bound):
-                nxt: list[SymWord] = []
-                for w in frontier:
-                    start = pos[w[-1]] if w else 0
-                    for k in base_keys[start:]:
-                        if w and k == w[-1] and self.base.degree(k) % 2:
-                            continue
-                        nxt.append(w + (k,))
-                words.extend(nxt)
-                frontier = nxt
-            self._keys = tuple(words)
+            self._keys = tuple(words_over(self.base, self.base.keys(), self.weight_bound))
         return self._keys
 
     def words_of_weight(self, n: int) -> tuple[SymWord, ...]:
@@ -120,19 +136,12 @@ class SymSpace:
         return canonical_word(self.base, w1 + w2)
 
     def product(self, a: Vector, b: Vector) -> Vector:
-        out = Vector()
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                cw = self.product_words(w1, w2)
-                if cw is None:
-                    continue
-                word, s = cw
-                v = out.c.get(word, ZERO) + c1 * c2 * s
-                if v:
-                    out.c[word] = v
-                else:
-                    out.c.pop(word, None)
-        return out
+        if a and b:
+            weight = max(map(len, a.keys())) + max(map(len, b.keys()))
+            if weight > self.weight_bound:
+                raise Overflow(f"word weight {weight} exceeds bound {self.weight_bound}")
+        return canonical_sum(self.base, ((w1 + w2, c1 * c2)
+                                         for w1, c1 in a.items() for w2, c2 in b.items()))
 
 
 def _space_token(base) -> object:
@@ -142,33 +151,11 @@ def _space_token(base) -> object:
     return base if base.__hash__ else id(base)
 
 
-def unshuffle_coproduct(space: SymSpace, word: SymWord):
-    """Spec-level alias: formal sum of word pairs with Koszul signs."""
-    return space.coproduct_terms(word)
-
-
 def assemble_word(base, factors: list[Vector], bound: int) -> Vector:
     """Symmetric product of weight-1 vectors: canonical weight-k words with signs."""
     if len(factors) > bound:
         raise Overflow(f"assembled word weight {len(factors)} exceeds bound {bound}")
-    out = Vector()
-
-    def rec(i: int, keys: tuple, coeff):
-        if i == len(factors):
-            cw = canonical_word(base, keys)
-            if cw is not None:
-                word, s = cw
-                v = out.c.get(word, ZERO) + coeff * s
-                if v:
-                    out.c[word] = v
-                else:
-                    out.c.pop(word, None)
-            return
-        for k, c in factors[i].items():
-            rec(i + 1, keys + (k,), coeff * c)
-
-    rec(0, (), ONE)
-    return out
+    return canonical_sum(base, multilinear_terms(factors))
 
 
 class TaylorMorphism:
@@ -283,16 +270,6 @@ class TaylorMorphism:
         return TaylorMorphism(inner.dom_base, self.cod_base, fn, bound,
                               self.exact_beyond and inner.exact_beyond,
                               f"({self.label})o({inner.label})")
-
-
-def coalg_morphism_apply(F: TaylorMorphism, space: SymSpace, x: Vector,
-                         cod_space: SymSpace | None = None) -> Vector:
-    """Apply the coalgebra morphism determined by Taylor data to an element of S(V)."""
-    cod = cod_space if cod_space is not None else space
-    out = Vector()
-    for w, c in x.items():
-        out = out + F.apply_word(w, cod.weight_bound).scale(c)
-    return out
 
 
 class TaylorCoderivation:
@@ -417,17 +394,6 @@ class TaylorCoderivation:
         q0 = q.eval_mixed(r.q0, ()) - r.eval_mixed(q.q0, ()).scale(sign) if (q.q0 or r.q0) else Vector.zero()
         return TaylorCoderivation(q.base, fn, q.arity_bound + r.arity_bound - 1,
                                   q.degree + r.degree, q0, True, f"[{q.label},{r.label}]")
-
-
-def coder_bracket(q: TaylorCoderivation, r: TaylorCoderivation) -> TaylorCoderivation:
-    return q.bracket(r)
-
-
-def coderivation_apply(Qd: TaylorCoderivation, space: SymSpace, x: Vector) -> Vector:
-    out = Vector()
-    for w, c in x.items():
-        out = out + Qd.apply_word(w, space.weight_bound).scale(c)
-    return out
 
 
 def taylor_morphism_from_map(F: LinOp, arity_bound: int, exact_beyond: bool = False,
@@ -743,10 +709,6 @@ class FiniteCoalgebra:
                 raise ValueError(f"coalgebra not cocomplete at {k}")
 
 
-def _slot_degree(coalg, tup: tuple, upto: int) -> int:
-    return sum(coalg.degree(k) for k in tup[:upto])
-
-
 def cocumulant_tilde(C, D, f: LinOp, n: int, op_degree: int = 0, _memo=None) -> Callable:
     """Tensor-valued cocumulant recursion (reduced coproducts); returns key -> tensor dict."""
     memo = _memo if _memo is not None else {}
@@ -800,9 +762,8 @@ def cocumulant_tilde(C, D, f: LinOp, n: int, op_degree: int = 0, _memo=None) -> 
 
 def _shuffles(k: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Permutations of 0..k+m-1 interleaving block [0..k) with block [k..k+m)."""
-    from itertools import combinations as _comb
     out = []
-    for pos in _comb(range(k + m), k):
+    for pos in combinations(range(k + m), k):
         left = list(range(k))
         right = list(range(k, k + m))
         perm = []
@@ -815,17 +776,7 @@ def _shuffles(k: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 def project_tensor_to_sym(base, tensor: dict) -> Vector:
     """Natural projection C^{(x)n} -> C^{on}: canonicalize each tensor word."""
-    out = Vector()
-    for tup, c in tensor.items():
-        cw = canonical_word(base, tup)
-        if cw is not None:
-            word, s = cw
-            v = out.c.get(word, ZERO) + c * s
-            if v:
-                out.c[word] = v
-            else:
-                out.c.pop(word, None)
-    return out
+    return canonical_sum(base, tensor.items())
 
 
 def cocumulants_cofree(C, D, f: LinOp, n: int, memo=None) -> Callable:

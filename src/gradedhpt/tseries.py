@@ -4,15 +4,20 @@ The central variable t is even; a series knows either its exact finite support
 (``known_to is None``) or the last order up to which its coefficients are
 reliable.  Congruence claims beyond the reliable order are the caller's
 responsibility to report UNDETERMINED.
+
+``TOp.flat_image`` is the one flattening of an operator series onto the
+truncated spaces of (order, key) pairs; ``flatten_top`` and
+``flat_unital_map`` are built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from math import factorial
 
-from .core import LinOp, ONE, Overflow, Q, Vector, ZERO
+from .core import LinOp, Overflow, Q, Vector, ZERO
 from .commalg import CommAlgebra
+from .symcoalg import _space_token
 
 
 @dataclass
@@ -111,6 +116,19 @@ class TOp:
                 out[n] = out.get(n, Vector.zero()) + v
         return {n: v for n, v in out.items() if not v.is_zero()}
 
+    def flat_image(self, n: int, key, N: int) -> Vector:
+        """Image of t^n key on the flattened spaces: the sum over m of
+        t^(n+m) op_m(key) for n + m <= N.  A coefficient whose order is cut
+        is never evaluated."""
+        out = Vector()
+        for m, op in self.coeffs.items():
+            if n + m > N:
+                continue
+            for k2, c in op.on_key(key).items():
+                out.c[(n + m, k2)] = out.c.get((n + m, k2), ZERO) + c
+        out.c = {kk: c for kk, c in out.c.items() if c}
+        return out
+
     def is_zero_on(self, keys, max_order: int) -> bool:
         return all(not self.apply_key(k, max_order) for k in keys)
 
@@ -184,7 +202,6 @@ def laurent_apply(op: TOp, x: LaurentVec) -> LaurentVec:
 
 def laurent_exp(A: CommAlgebra, a: LaurentVec, nilpotency: int) -> LaurentVec:
     """e^a for a with vanishing a^m, m <= nilpotency (verified)."""
-    from math import factorial
     out = LaurentVec({0: A.unit()})
     term = LaurentVec({0: A.unit()})
     for j in range(1, nilpotency + 1):
@@ -219,7 +236,7 @@ class TSpace:
                 and self.t_degree == other.t_degree and self.min_power == other.min_power)
 
     def __hash__(self):
-        return hash(("TSpace", id(self.base), self.N, self.t_degree, self.min_power))
+        return hash(("TSpace", _space_token(self.base), self.N, self.t_degree, self.min_power))
 
 
 class TruncatedTAlgebra(CommAlgebra):
@@ -250,38 +267,15 @@ class TruncatedTAlgebra(CommAlgebra):
 
 def flatten_top(op: TOp, N: int) -> LinOp:
     """K[[t]]-linear extension of a t-series of operators to the flattened spaces."""
-    dom = TSpace(op.domain, N, op.t_degree)
-    cod = TSpace(op.codomain, N, op.t_degree)
     if op.known_to is not None and op.known_to < N:
         raise ValueError("series not reliable up to the requested order")
-
-    def fn(key):
-        n, k = key
-        out = Vector()
-        for m, f in op.coeffs.items():
-            if n + m > N:
-                continue
-            for k2, c in f.on_key(k).items():
-                out.c[(n + m, k2)] = out.c.get((n + m, k2), ZERO) + c
-        out.c = {kk: c for kk, c in out.c.items() if c}
-        return out
-
-    return LinOp(dom, cod, op.degree, fn, "flat")
+    return LinOp(TSpace(op.domain, N, op.t_degree), TSpace(op.codomain, N, op.t_degree),
+                 op.degree, lambda key: op.flat_image(*key, N), "flat")
 
 
 def flat_unital_map(f: TOp, Bt: TruncatedTAlgebra) -> LinOp:
     """Restrict a degree-0 t-series map A[[t]] -> B[[t]] to A, landing in B[t]/t^{N+1}."""
-    def fn(key):
-        out = Vector()
-        for m, op in f.coeffs.items():
-            if m > Bt.N:
-                continue
-            for k2, c in op.on_key(key).items():
-                out.c[(m, k2)] = out.c.get((m, k2), ZERO) + c
-        out.c = {kk: c for kk, c in out.c.items() if c}
-        return out
-
-    return LinOp(f.domain, Bt.space, f.degree, fn, "f~")
+    return LinOp(f.domain, Bt.space, f.degree, lambda key: f.flat_image(0, key, Bt.N), "f~")
 
 
 def spl_t(C, delta_plus: TOp, N: int, corpus=None):

@@ -27,7 +27,7 @@ from gradedhpt.bv import (
 )
 from gradedhpt.commalg import SymWordAlgebra, diff_order, koszul_recursion
 from gradedhpt.fixtures import fix2
-from gradedhpt.symcoalg import SymSpace, coder_bracket
+from gradedhpt.symcoalg import SymSpace
 from gradedhpt.tseries import LaurentVec, TOp, TruncatedTAlgebra, laurent_apply
 
 
@@ -159,7 +159,7 @@ class TestPoisson:
         P_br = bv_to_poisson(A, br.scale(Q(1, 1)), -1, 3)
         P1 = bv_to_poisson(A, D1, -1, 3)
         P2 = bv_to_poisson(A, D2, -1, 3)
-        lhs_tables = coder_bracket(P1, P2)
+        lhs_tables = P1.bracket(P2)
         from gradedhpt.hpt import words_over
         for word in words_over(P1.base, keys2, 3, min_weight=1):
             n = len(word)
@@ -231,6 +231,8 @@ class TestBVMC:
         samples_B = [LaurentVec({0: f2.B.unit().scale(c)}) for c in (0, 1, -1, 3)]
         rep = bv_kuranishi_report(f2.A, f2.B, D, res, -1, 3, 2, samples_B, samples_A)
         assert rep.ok, rep.to_text()
+        names = [item.name for item in rep.items]
+        assert len(names) == len(set(names)), names
         # nontrivial exclusion: the top-form direction is not in Ker(h)
         a = laurent_top_form(f2, {}, 1)
         ok, _ = bv_mc_check(f2.A, D, a, -1, 3, 2)

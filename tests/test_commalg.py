@@ -35,7 +35,7 @@ from gradedhpt.randgen import (
     random_unital_map,
     random_unital_operator,
 )
-from gradedhpt.symcoalg import SymSpace, coder_bracket
+from gradedhpt.symcoalg import SymSpace
 
 
 def exterior_two() -> ExplicitFDAlgebra:
@@ -241,7 +241,7 @@ class TestKoszulBrackets:
         d2 = random_unital_operator(rng, A, -1)
         lift1, lift2 = kos_lift(A, d1, 4), kos_lift(A, d2, 4)
         lift_br = kos_lift(A, d1.bracket(d2), 4)
-        br = coder_bracket(lift1, lift2)
+        br = lift1.bracket(lift2)
         S = SymSpace(A.space, 3)
         for n in range(1, 4):
             for w in S.words_of_weight(n):

@@ -8,7 +8,6 @@ from gradedhpt.core import (
     GradedBasis,
     LinOp,
     Vector,
-    compose_maps,
     compositions,
     koszul_sign,
     multi_unshuffles,
@@ -146,9 +145,9 @@ class TestVectorAndLinOp:
     def test_compose_identity_and_zero(self):
         b = two_dim_basis()
         f = LinOp.from_dict(b, b, 1, {b.index("x"): b.el("xi", 2)})
-        assert compose_maps(LinOp.identity(b), f).equal_on(f, b.keys())
-        assert compose_maps(f, LinOp.zero(b)).is_zero_on(b.keys())
-        g = compose_maps(f, LinOp.identity(b))
+        assert (LinOp.identity(b) @ f).equal_on(f, b.keys())
+        assert (f @ LinOp.zero(b)).is_zero_on(b.keys())
+        g = f @ LinOp.identity(b)
         assert g.degree == 1
 
     def test_compose_mismatch(self):
@@ -157,7 +156,7 @@ class TestVectorAndLinOp:
         f = LinOp.identity(b)
         g = LinOp.identity(c)
         with pytest.raises(ValueError):
-            compose_maps(g, f)
+            g @ f
 
     def test_homogeneity_check(self):
         b = two_dim_basis()
@@ -171,5 +170,5 @@ class TestVectorAndLinOp:
         h = LinOp.from_dict(b, b, -1, {b.index("xi"): b.el("x")})
         # both odd: [d, h] = dh + hd
         dh = d.bracket(h)
-        expect = compose_maps(d, h) + compose_maps(h, d)
+        expect = d @ h + h @ d
         assert dh.equal_on(expect, b.keys())

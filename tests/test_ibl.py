@@ -231,6 +231,8 @@ class TestIBLMC:
             samples_V.append(IBLElement({0: Vector.basis((0,), c)}))
         rep = ibl_kuranishi_report(ibl4, res, 4, samples_U, samples_V)
         assert rep.ok, rep.to_text()
+        names = [item.name for item in rep.items]
+        assert len(names) == len(set(names)), names
         for side, samples in (("U", samples_U), ("V", samples_V)):
             assert (rep.bounds[f"{side} samples evaluated"]
                     + rep.bounds[f"{side} samples undetermined"] == len(samples)), side

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from gradedhpt.core import GradedBasis, LinOp, Overflow, Vector, koszul_sign, multi_unshuffles
+from gradedhpt.hpt import words_over
 from gradedhpt.symcoalg import (
     CofreeCoalgebra,
     SymSpace,
@@ -14,12 +15,9 @@ from gradedhpt.symcoalg import (
     antipode,
     assemble_word,
     canonical_word,
-    coalg_morphism_apply,
     coalgebra_morphism_defect,
     cocumulant_tilde,
     cocumulants_cofree,
-    coder_bracket,
-    coderivation_apply,
     coderivation_defect,
     convolution,
     counit_map,
@@ -29,7 +27,6 @@ from gradedhpt.symcoalg import (
     star_log,
     taylor_coderivation_from_map,
     taylor_morphism_from_map,
-    unshuffle_coproduct,
 )
 
 BASIS = GradedBasis.make([("x", 0), ("xi", 1), ("eta", 1)])
@@ -80,6 +77,21 @@ class TestWords:
         for w in words:
             assert canonical_word(BASIS, w) == (w, 1)
 
+    def test_word_order(self):
+        # scopes read the words in increasing weight; samples and witnesses
+        # rely on the lexicographic order within a weight
+        base = GradedBasis.make([("a", 0), ("xi", 1), ("b", 2), ("eta", 1)])
+
+        def brute(keys, W, min_weight=0):
+            words = [w for n in range(min_weight, W + 1)
+                     for w in itertools.product(sorted(keys), repeat=n)
+                     if list(w) == sorted(w)
+                     and not any(a == b and base.degree(a) % 2 for a, b in zip(w, w[1:]))]
+            return sorted(words, key=lambda w: (len(w), w))
+
+        assert list(SymSpace(base, 4).keys()) == brute(base.keys(), 4)
+        assert words_over(base, (3, 0, 1), 4, min_weight=2) == brute((0, 1, 3), 4, 2)
+
     def test_product_overflow(self):
         S = SymSpace(BASIS, 2)
         with pytest.raises(Overflow):
@@ -89,8 +101,8 @@ class TestWords:
 class TestCoproduct:
     def test_unit_and_primitives(self):
         S = SymSpace(BASIS, 3)
-        assert unshuffle_coproduct(S, ()) == ((() , (), 1),)
-        terms = unshuffle_coproduct(S, (XI,))
+        assert S.coproduct_terms(()) == ((() , (), 1),)
+        terms = S.coproduct_terms((XI,))
         assert set(terms) == {((), (XI,), 1), ((XI,), (), 1)}
 
     def test_counital(self):
@@ -153,7 +165,7 @@ class TestMorphismReconstruction:
         S = SymSpace(BASIS, 3)
         f = LinOp.from_dict(BASIS, BASIS, 0, {X: Vector({X: 2}), XI: Vector({ETA: 1})})
         Sf = TaylorMorphism.from_linear(f)
-        out = coalg_morphism_apply(Sf, S, Vector.basis((X, X, XI)))
+        out = Sf.as_map(S, S)(Vector.basis((X, X, XI)))
         assert out == Vector.basis((X, X, ETA), 4)
 
 
@@ -203,7 +215,7 @@ class TestCoderBracket:
     def test_square_zero_linear(self):
         d = LinOp.from_dict(BASIS, BASIS, 1, {X: Vector.basis(XI)})
         Qd = TaylorCoderivation.from_linear(d)
-        br = coder_bracket(Qd, Qd)
+        br = Qd.bracket(Qd)
         S = SymSpace(BASIS, 3)
         assert br.as_map(S).is_zero_on(S.keys())
 
@@ -212,7 +224,7 @@ class TestCoderBracket:
         S = SymSpace(BASIS, 3)
         q = rand_taylor_coderivation(rng, BASIS, 2, S, degree=1)
         r = rand_taylor_coderivation(rng, BASIS, 2, S, degree=-1)
-        br = coder_bracket(q, r)
+        br = q.bracket(r)
         for k in BASIS.keys():
             lhs = br.component(1, (k,))
             rhs = q.eval_mixed(r.component(1, (k,)), ()) - (-1) ** (q.degree * r.degree) * r.eval_mixed(
@@ -224,7 +236,7 @@ class TestCoderBracket:
         S = SymSpace(BASIS, 3)
         q = rand_taylor_coderivation(rng, BASIS, 2, S, degree=1)
         r = rand_taylor_coderivation(rng, BASIS, 2, S, degree=1)
-        br = coder_bracket(q, r)
+        br = q.bracket(r)
         lhs = br.as_map(S)
         rhs = q.as_map(S).bracket(r.as_map(S))
         words = [w for w in S.keys() if len(w) <= 2]
@@ -237,9 +249,9 @@ class TestCoderBracket:
         b = rand_taylor_coderivation(rng, BASIS, 2, S, degree=0)
         c = rand_taylor_coderivation(rng, BASIS, 2, S, degree=-1)
         # [a,[b,c]] = [[a,b],c] + (-1)^{|a||b|}[b,[a,c]]
-        lhs = coder_bracket(a, coder_bracket(b, c))
-        rhs1 = coder_bracket(coder_bracket(a, b), c)
-        rhs2 = coder_bracket(b, coder_bracket(a, c))
+        lhs = a.bracket(b.bracket(c))
+        rhs1 = a.bracket(b).bracket(c)
+        rhs2 = b.bracket(a.bracket(c))
         sign = (-1) ** (a.degree * b.degree)
         words = [w for w in S.keys() if len(w) <= 2]
         for w in words:

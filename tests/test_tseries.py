@@ -1,0 +1,62 @@
+"""Flattening of operator t-series onto the truncated spaces of (order, key) pairs."""
+
+import pytest
+
+from gradedhpt.commalg import ExplicitFDAlgebra
+from gradedhpt.core import GradedBasis, LinOp, Overflow, Vector
+from gradedhpt.symcoalg import SymSpace
+from gradedhpt.tseries import TOp, TSpace, TruncatedTAlgebra, flat_unital_map, flatten_top
+
+# 1, x with x^2 = 0; t has degree 2, so the order-n coefficient of a degree-0
+# series lowers degree by 2n
+BASIS = GradedBasis.make([("1", 0), ("x", 2)])
+ONE_KEY, X = 0, 1
+B = ExplicitFDAlgebra(BASIS, {(X, X): Vector.zero()}, ONE_KEY)
+
+
+def _overflowing(key):
+    raise Overflow("order-2 coefficient evaluated")
+
+
+def series() -> TOp:
+    """id + t (x -> 1) + t^2 (a coefficient that raises when evaluated)."""
+    lower = LinOp.from_dict(BASIS, BASIS, -2, {X: Vector.basis(ONE_KEY)})
+    raising = LinOp(BASIS, BASIS, -4, _overflowing)
+    return TOp({0: LinOp.identity(BASIS), 1: lower, 2: raising}, BASIS, BASIS, 0, 2)
+
+
+def test_cut_order_is_never_evaluated():
+    flat = flatten_top(series(), 2)
+    assert flat.on_key((1, X)) == Vector({(1, X): 1, (2, ONE_KEY): 1})
+    assert flat.on_key((2, X)) == Vector.basis((2, X))
+    with pytest.raises(Overflow):
+        flat.on_key((0, X))
+
+
+def test_unital_map_is_the_order_zero_restriction():
+    Bt = TruncatedTAlgebra(B, 1, 2)
+    f = series()
+    restricted = flat_unital_map(f, Bt)
+    flat = flatten_top(f, Bt.N)
+    for k in BASIS.keys():
+        assert restricted.on_key(k) == flat.on_key((0, k))
+    assert restricted.on_key(X) == Vector({(0, X): 1, (1, ONE_KEY): 1})
+
+
+def test_reliability_guard():
+    f = TOp({0: LinOp.identity(BASIS)}, BASIS, BASIS, 0, 2, known_to=0)
+    with pytest.raises(ValueError):
+        flatten_top(f, 1)
+    # bv_morphism_to_poisson flattens tau into B[t]/t^(max(N, arity_bound)+1),
+    # past its reliable order, so the order-zero restriction must not refuse
+    restricted = flat_unital_map(f, TruncatedTAlgebra(B, 1, 2))
+    assert restricted.on_key(X) == Vector.basis((0, X))
+
+
+def test_tspace_hash_agrees_with_equality():
+    a1 = TSpace(SymSpace(BASIS, 3), 2, 2)
+    a2 = TSpace(SymSpace(BASIS, 3), 2, 2)
+    assert a1 == a2
+    assert hash(a1) == hash(a2)
+    assert {a1: 1}.get(a2) == 1
+    assert TSpace(SymSpace(BASIS, 3), 3, 2) != a1
