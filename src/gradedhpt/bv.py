@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .core import GradedBasis, LinOp, Overflow, Q, RouteDisagreement, ShiftedSpace, Vector
+from .core import GradedBasis, LinOp, Q, RouteDisagreement, ShiftedSpace, Vector
 from .commalg import (
     CommAlgebra,
     ExplicitFDAlgebra,
@@ -23,7 +23,7 @@ from .commalg import (
     koszul_vanishes,
 )
 from .hpt import Contraction, check_semifull_algebra, linf_transfer
-from .report import Report
+from .report import Report, scan, witness_verdict
 from .symcoalg import (
     FiniteCoalgebra,
     SymSpace,
@@ -67,6 +67,13 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
     all orders when the series is exact); the order condition is verified by
     two independent routes: per-coefficient operator order, and the mod-t
     congruence of the Koszul brackets computed in A[t]/(t^{N+1}).
+
+    Scope rule (see ``report.scan``): both routes evaluate arity by arity on the
+    order corpus and stop at the first witness or after the first arity that
+    leaves the algebra's guard.  Each claim is decided on the arities evaluated
+    below that, recorded in the bounds as ``scope: <claim>``; a claim with no
+    arity of its own in scope is UNDETERMINED, never PASS, and no Overflow
+    escapes.
     """
     _require_odd(k)
     rep = Report(title, bounds={"N": N, "arity_bound": arity_bound, "k": k})
@@ -108,45 +115,36 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
     for n in range(0, N + 1):
         if Delta.is_exact() and n not in Delta.coeffs:
             continue
+        name = f"order(Delta_{n}) <= {n + 1}"
         if not Delta.is_exact() and reliable is not None and n > reliable:
-            rep.add(f"order(Delta_{n}) <= {n + 1}", None, "coefficient beyond reliable order")
+            rep.add(name, None, "coefficient beyond reliable order")
             continue
-        witness = None
-        scope_note = ""
-        for m in range(n + 2, max(arity_bound + 1, n + 2) + 1):
-            try:
-                witness = koszul_vanishes(A, Delta.coeff(n), m, keys)
-            except Overflow:
-                scope_note = f"arities >= {m} beyond guard on this corpus"
-                break
-            if witness is not None:
-                witness = (m, witness)
-                break
-        rep.add(f"order(Delta_{n}) <= {n + 1}", witness is None,
-                scope_note if witness is None else f"K_{witness[0]} != 0 at {witness[1]}")
+        op = Delta.coeff(n)
+        scope, witness = scan(((m, (m,)) for m in range(n + 2, max(arity_bound + 1, n + 2) + 1)),
+                              lambda m: koszul_vanishes(A, op, m, keys))
+        rep.claim(name, scope, lambda: (witness is None, "" if witness is None
+                                        else f"K_{scope} != 0 at {witness}"), least=n + 2)
 
-    # route B: K(Delta)_m = 0 mod t^{m-1}, computed in the truncated quotient
+    # route B: K(Delta)_m = 0 mod t^{m-1}, computed in the truncated quotient;
+    # one scan over the arities, each a claim of its own
     At = TruncatedTAlgebra(A, N, td)
     Dflat = flatten_top(Delta, N) if reliable is None or reliable >= N else None
+    top_m = min(arity_bound, N + 1) if Dflat is not None else 1
+
+    def congruence_witness(tup):
+        val = koszul_recursion(At, Dflat, tuple(Vector.basis((0, kk)) for kk in tup))
+        bad = [key for key in val.keys() if key[0] < len(tup) - 1]
+        return (tup, bad[0]) if bad else None
+
+    scope, witness = scan(((m, combinations_with_replacement(keys, m))
+                           for m in range(2, top_m + 1)), congruence_witness)
     for m in range(2, arity_bound + 1):
-        if N < m - 1 or Dflat is None:
-            rep.add(f"K(Delta)_{m} = 0 mod t^{m - 1}", None, f"needs N >= {m - 1}")
-            continue
-        witness = None
-        skipped = 0
-        for tup in combinations_with_replacement(keys, m):
-            try:
-                val = koszul_recursion(At, Dflat, tuple(Vector.basis((0, kk)) for kk in tup))
-            except Overflow:
-                skipped += 1
-                continue
-            bad = [key for key in val.keys() if key[0] < m - 1]
-            if bad:
-                witness = (tup, bad[0])
-                break
-        note = f"{skipped} tuples beyond guard" if skipped else ""
-        rep.add(f"K(Delta)_{m} = 0 mod t^{m - 1}", witness is None,
-                note if witness is None else f"witness {witness}")
+        name = f"K(Delta)_{m} = 0 mod t^{m - 1}"
+        if m > top_m:
+            rep.add(name, None, f"needs N >= {m - 1}")
+        else:
+            rep.claim(name, scope, lambda: witness_verdict(witness if scope == m else None),
+                      least=m)
     return rep
 
 
@@ -279,9 +277,10 @@ def bv_transfer(A: CommAlgebra, B: CommAlgebra, Delta: TOp, C: Contraction, k: i
     if C.d_A.first_difference(Delta.coeff(0), A.space.keys()) is not None:
         raise ValueError("Delta_0 must be the contraction differential")
     semifull = check_semifull_algebra(C, A, B, keys_A, keys_B)
-    rep.add("input contraction is semifull", semifull.ok,
-            "" if semifull.ok else str(semifull.first_failure()))
-    rep.add("d_A is an algebra derivation", semifull.dg_strength is True)
+    rep.merge(semifull, prefix="semifull: ")
+    strength = semifull.bounds["dg_strength"]
+    rep.add("d_A is an algebra derivation",
+            None if strength == "beyond the guard" else strength == "checked")
 
     delta_plus = TOp({n: op for n, op in Delta.coeffs.items() if n >= 1},
                      A.space, A.space, Delta.degree, td, Delta.known_to)
@@ -452,8 +451,7 @@ def morphism_congruence_defect(F: LinOp, SU_alg: CommAlgebra, Bt: TruncatedTAlge
     return None
 
 
-def cl_intertwine_defect(F: LinOp, Delta_U: TOp, Delta_B: TOp, SU: SymSpace,
-                         Bt: TruncatedTAlgebra, N: int):
+def cl_intertwine_defect(F: LinOp, Delta_U: TOp, Delta_B: TOp, Bt: TruncatedTAlgebra, N: int):
     """exp-side chain condition F Delta = Delta' F on the flattened spaces."""
     DU = flatten_top(Delta_U, N)
     DB = flatten_top(Delta_B, N)
@@ -491,7 +489,7 @@ def cl_bijection(phi: LinOp, SU: SymSpace, SU_alg: CommAlgebra, Bt: TruncatedTAl
         raise ValueError("comparison data must kill the coalgebra unit")
     F = cl_exp(phi, Bt)
     cl_ok = cl_vanishing_defect(phi, SU, N) is None
-    inter = cl_intertwine_defect(F, Delta_U, Delta_B, SU, Bt, N)
+    inter = cl_intertwine_defect(F, Delta_U, Delta_B, Bt, N)
     rep.add("chain condition for exp data", inter is None,
             "" if inter is None else f"witness {inter}")
     cong = morphism_congruence_defect(F, SU_alg, Bt, arity_bound)

@@ -11,20 +11,20 @@ enumeration impossible; certificates record the corpus they were checked on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 from .core import (
     ConvergenceFault,
     LinOp,
     ONE,
-    Overflow,
     Q,
     RouteDisagreement,
     Vector,
     koszul_sign,
 )
 from .commalg import CommAlgebra, cumulant_lift, derivation_defect, kos_lift, koszul_closed
+from .report import PASS, Report, scan, witness_verdict
 from .symcoalg import (
     SymSpace,
     TaylorCoderivation,
@@ -149,121 +149,89 @@ def perturb(C: Contraction, p: Perturbation, verify_input=None,
 # -- semifullness ------------------------------------------------------------------
 
 
-@dataclass
-class SemifullReport:
-    ok: bool
-    failures: list = field(default_factory=list)
-    checked: int = 0
-    skipped: int = 0
-    dg_strength: bool | None = None
-
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
+def _identity(rep: Report, name: str, cases, defect) -> None:
+    """Claim that ``defect(*case)`` vanishes on every case, all or nothing: a case
+    beyond the guard leaves the claim UNDETERMINED unless another is a witness."""
+    scope, witness = scan([(0, cases)], lambda case: case if defect(*case) else None)
+    rep.claim(name, scope, lambda: witness_verdict(witness), least=0)
 
 
-def _run_check(rep: SemifullReport, name, witness, fn) -> None:
-    try:
-        val = fn()
-    except Overflow:
-        rep.skipped += 1
-        return
-    rep.checked += 1
-    if not val.is_zero():
-        rep.ok = False
-        rep.failures.append((name, witness, val))
+def _bis_identities(rep: Report, C: Contraction, alg_A: CommAlgebra, alg_B: CommAlgebra,
+                    keys_A, keys_B, names, k2) -> None:
+    """The four bis-identities on basis pairs, each corrected by (h or sigma) of
+    ``k2`` on homotopy/section images: the DG identities when k2 is zero, the
+    failure identities when k2 is K(d_A)_2."""
+    sigma, tau, h, mul = C.sigma, C.tau, C.h, alg_A.mul
+    hA = {a: h(Vector.basis(a)) for a in keys_A}
+    tB = {x: tau(Vector.basis(x)) for x in keys_B}
+    sign = {a: Q((-1) ** (alg_A.space.degree(a) + 1)) for a in keys_A}
+    squares = [(a, b) for a in keys_A for b in keys_A]
+    pairs_AB = [(a, x) for a in keys_A for x in keys_B]
+
+    def bis(a, b):
+        return mul(hA[a], Vector.basis(b)).scale(sign[a]) + mul(Vector.basis(a), hA[b])
+
+    _identity(rep, names[0], squares, lambda a, b: h(bis(a, b)) - mul(hA[a], hA[b])
+              - h(k2(hA[a], hA[b])))
+    _identity(rep, names[1], pairs_AB, lambda a, x: h(mul(Vector.basis(a), tB[x]))
+              - mul(hA[a], tB[x]) - h(k2(hA[a], tB[x])))
+    _identity(rep, names[2], squares, lambda a, b: sigma(bis(a, b)) - sigma(k2(hA[a], hA[b])))
+    _identity(rep, names[3], pairs_AB, lambda a, x: sigma(mul(Vector.basis(a), tB[x]))
+              - alg_B.mul(sigma(Vector.basis(a)), Vector.basis(x)) - sigma(k2(hA[a], tB[x])))
 
 
 def check_semifull_algebra(C: Contraction, alg_A: CommAlgebra, alg_B: CommAlgebra,
-                           keys_A=None, keys_B=None, dg_identities: bool = True) -> SemifullReport:
-    """Verify the eight semifull-algebra identities on basis pairs.
+                           keys_A=None, keys_B=None) -> Report:
+    """Verify the eight semifull-algebra identities on basis pairs, one claim each.
 
-    Pairs whose products leave a guarded regime are recorded as skipped, never
-    silently ignored.  When d_A is an algebra derivation, the four stronger
-    DG identities are verified as well.
+    Scope rule (see ``report.scan``): an identity is decided on all of its pairs
+    or not at all; when the products of some pair leave the guard and no other
+    pair is a witness, it is UNDETERMINED.  The bound ``dg_strength`` says whether
+    the four stronger DG identities were in scope: "checked" (d_A is an algebra
+    derivation on the corpus, and they are claims too), "d_A not a derivation on
+    the corpus" or "beyond the guard".  A non-derivation d_A is no failure.
     """
     keys_A = tuple(alg_A.space.keys() if keys_A is None else keys_A)
     keys_B = tuple(alg_B.space.keys() if keys_B is None else keys_B)
-    sigma, tau, h = C.sigma, C.tau, C.h
-    rep = SemifullReport(ok=True)
+    sigma, tau, h, mul = C.sigma, C.tau, C.h, alg_A.mul
+    rep = Report("semifull algebra contraction", bounds={"corpus": (len(keys_A), len(keys_B))})
+    hA = {a: h(Vector.basis(a)) for a in keys_A}
+    tB = {x: tau(Vector.basis(x)) for x in keys_B}
+    pairs_AA = [(a, b) for i, a in enumerate(keys_A) for b in keys_A[i:]]
+    pairs_AB = [(a, x) for a in keys_A for x in keys_B]
+    pairs_BB = [(x, y) for i, x in enumerate(keys_B) for y in keys_B[i:]]
 
     uA = alg_A.unit()
-    _run_check(rep, "h(1_A) = 0", (), lambda: h(uA))
-    _run_check(rep, "sigma(1_A) = 1_B", (), lambda: sigma(uA) - alg_B.unit())
-    for i, a in enumerate(keys_A):
-        ha = h(Vector.basis(a))
-        for b in keys_A[i:]:
-            hb = h(Vector.basis(b))
-            _run_check(rep, "h(h(a)h(b)) = 0", (a, b), lambda ha=ha, hb=hb: h(alg_A.mul(ha, hb)))
-            _run_check(rep, "sigma(h(a)h(b)) = 0", (a, b),
-                       lambda ha=ha, hb=hb: sigma(alg_A.mul(ha, hb)))
-        for x in keys_B:
-            tx = tau(Vector.basis(x))
-            _run_check(rep, "h(h(a)tau(x)) = 0", (a, x), lambda ha=ha, tx=tx: h(alg_A.mul(ha, tx)))
-            _run_check(rep, "sigma(h(a)tau(x)) = 0", (a, x),
-                       lambda ha=ha, tx=tx: sigma(alg_A.mul(ha, tx)))
-    for i, x in enumerate(keys_B):
-        tx = tau(Vector.basis(x))
-        for y in keys_B[i:]:
-            ty = tau(Vector.basis(y))
-            _run_check(rep, "h(tau(x)tau(y)) = 0", (x, y), lambda tx=tx, ty=ty: h(alg_A.mul(tx, ty)))
-            _run_check(rep, "sigma(tau(x)tau(y)) = xy", (x, y),
-                       lambda tx=tx, ty=ty, x=x, y=y: sigma(alg_A.mul(tx, ty)) - alg_B.mul_keys(x, y))
+    _identity(rep, "h(1_A) = 0", [()], lambda: h(uA))
+    _identity(rep, "sigma(1_A) = 1_B", [()], lambda: sigma(uA) - alg_B.unit())
+    _identity(rep, "h(h(a)h(b)) = 0", pairs_AA, lambda a, b: h(mul(hA[a], hA[b])))
+    _identity(rep, "sigma(h(a)h(b)) = 0", pairs_AA, lambda a, b: sigma(mul(hA[a], hA[b])))
+    _identity(rep, "h(h(a)tau(x)) = 0", pairs_AB, lambda a, x: h(mul(hA[a], tB[x])))
+    _identity(rep, "sigma(h(a)tau(x)) = 0", pairs_AB, lambda a, x: sigma(mul(hA[a], tB[x])))
+    _identity(rep, "h(tau(x)tau(y)) = 0", pairs_BB, lambda x, y: h(mul(tB[x], tB[y])))
+    _identity(rep, "sigma(tau(x)tau(y)) = xy", pairs_BB,
+              lambda x, y: sigma(mul(tB[x], tB[y])) - alg_B.mul_keys(x, y))
 
-    if dg_identities:
-        try:
-            is_derivation = derivation_defect(alg_A, C.d_A, keys_A) is None
-        except Overflow:
-            is_derivation = None
-        rep.dg_strength = bool(is_derivation) if is_derivation is not None else None
-        if is_derivation:
-            for a in keys_A:
-                va = Vector.basis(a)
-                ha = h(va)
-                sa = Q((-1) ** (alg_A.space.degree(a) + 1))
-                for b in keys_A:
-                    vb = Vector.basis(b)
-                    _run_check(rep, "A1bis", (a, b), lambda va=va, vb=vb, ha=ha, sa=sa: h(
-                        alg_A.mul(ha, vb).scale(sa) + alg_A.mul(va, h(vb))) - alg_A.mul(ha, h(vb)))
-                    _run_check(rep, "A3bis", (a, b), lambda va=va, vb=vb, ha=ha, sa=sa: sigma(
-                        alg_A.mul(ha, vb).scale(sa) + alg_A.mul(va, h(vb))))
-                for x in keys_B:
-                    tx = tau(Vector.basis(x))
-                    _run_check(rep, "A2bis", (a, x),
-                               lambda va=va, ha=ha, tx=tx: h(alg_A.mul(va, tx)) - alg_A.mul(ha, tx))
-                    _run_check(rep, "A4bis", (a, x), lambda va=va, tx=tx, x=x: sigma(
-                        alg_A.mul(va, tx)) - alg_B.mul(sigma(va), Vector.basis(x)))
+    scope, not_derivation = scan([(0, [None])], lambda _: derivation_defect(alg_A, C.d_A, keys_A))
+    rep.bounds["dg_strength"] = ("beyond the guard" if scope < 0 else "checked" if
+                                 not_derivation is None else "d_A not a derivation on the corpus")
+    if rep.bounds["dg_strength"] == "checked":
+        _bis_identities(rep, C, alg_A, alg_B, keys_A, keys_B,
+                        ("A1bis", "A2bis", "A3bis", "A4bis"), lambda u, v: Vector.zero())
     return rep
 
 
 def semifull_failure_identities(C: Contraction, alg_A: CommAlgebra, alg_B: CommAlgebra,
-                                keys_A=None, keys_B=None) -> SemifullReport:
+                                keys_A=None, keys_B=None) -> Report:
     """The four defect identities: each bis-defect equals (h or sigma) applied to
-    K(d_A)_2 on homotopy/section images.  Holds for every semifull algebra contraction."""
+    K(d_A)_2 on homotopy/section images.  Holds for every semifull algebra contraction.
+    One claim per identity, under the scope rule of ``check_semifull_algebra``."""
     keys_A = tuple(alg_A.space.keys() if keys_A is None else keys_A)
     keys_B = tuple(alg_B.space.keys() if keys_B is None else keys_B)
-    sigma, tau, h = C.sigma, C.tau, C.h
-    rep = SemifullReport(ok=True)
-
-    def k2(u, v):
-        return koszul_closed(alg_A, C.d_A, (u, v))
-
-    for a in keys_A:
-        va = Vector.basis(a)
-        ha = h(va)
-        sa = Q((-1) ** (alg_A.space.degree(a) + 1))
-        for b in keys_A:
-            vb = Vector.basis(b)
-            _run_check(rep, "failureA1", (a, b), lambda va=va, vb=vb, ha=ha, sa=sa: h(
-                alg_A.mul(ha, vb).scale(sa) + alg_A.mul(va, h(vb))) - alg_A.mul(ha, h(vb))
-                - h(k2(ha, h(vb))))
-            _run_check(rep, "failureA3", (a, b), lambda va=va, vb=vb, ha=ha, sa=sa: sigma(
-                alg_A.mul(ha, vb).scale(sa) + alg_A.mul(va, h(vb))) - sigma(k2(ha, h(vb))))
-        for x in keys_B:
-            tx = tau(Vector.basis(x))
-            _run_check(rep, "failureA2", (a, x), lambda va=va, ha=ha, tx=tx: h(
-                alg_A.mul(va, tx)) - alg_A.mul(ha, tx) - h(k2(ha, tx)))
-            _run_check(rep, "failureA4", (a, x), lambda va=va, ha=ha, tx=tx, x=x: sigma(
-                alg_A.mul(va, tx)) - alg_B.mul(sigma(va), Vector.basis(x)) - sigma(k2(ha, tx)))
+    rep = Report("semifull failure identities", bounds={"corpus": (len(keys_A), len(keys_B))})
+    _bis_identities(rep, C, alg_A, alg_B, keys_A, keys_B,
+                    ("failureA1", "failureA2", "failureA3", "failureA4"),
+                    lambda u, v: koszul_closed(alg_A, C.d_A, (u, v)))
     return rep
 
 
@@ -294,44 +262,41 @@ def _tensor_of(coalg, op_left: LinOp, op_right: LinOp, v: Vector) -> dict:
 
 
 def check_semifull_coalgebra(C: Contraction, coalg_C, coalg_D,
-                             keys_C=None, keys_D=None) -> SemifullReport:
-    """Verify the semifull-coalgebra identities plus counit/coaugmentation conditions."""
+                             keys_C=None, keys_D=None) -> Report:
+    """Verify the semifull-coalgebra identities plus counit/coaugmentation
+    conditions, one claim each, with the first witness in the detail."""
     keys_C = tuple(coalg_C.keys() if keys_C is None else keys_C)
     keys_D = tuple(coalg_D.keys() if keys_D is None else keys_D)
     sigma, tau, h = C.sigma, C.tau, C.h
-    rep = SemifullReport(ok=True)
-
-    def run(name, witness, bad):
-        rep.checked += 1
-        if bad:
-            rep.ok = False
-            rep.failures.append((name, witness, bad))
+    rep = Report("semifull coalgebra contraction", bounds={"corpus": (len(keys_C), len(keys_D))})
+    on_C = [(k,) for k in keys_C]
+    on_D = [(k,) for k in keys_D]
 
     uC, uD = coalg_C.unit_key(), coalg_D.unit_key()
-    run("sigma(1_C) = 1_D", (), sigma.on_key(uC) != Vector.basis(uD))
-    run("tau(1_D) = 1_C", (), tau.on_key(uD) != Vector.basis(uC))
-    run("h(1_C) = 0", (), not h.on_key(uC).is_zero())
-    for k in keys_C:
-        run("eps sigma = eps", k, sigma.on_key(k)[uD] != (ONE if k == uC else 0))
-        run("eps h = 0", k, h.on_key(k)[uC] != 0)
-    for k in keys_D:
-        run("eps tau = eps", k, tau.on_key(k)[uC] != (ONE if k == uD else 0))
+    _identity(rep, "sigma(1_C) = 1_D", [()], lambda: sigma.on_key(uC) != Vector.basis(uD))
+    _identity(rep, "tau(1_D) = 1_C", [()], lambda: tau.on_key(uD) != Vector.basis(uC))
+    _identity(rep, "h(1_C) = 0", [()], lambda: h.on_key(uC))
+    _identity(rep, "eps sigma = eps", on_C,
+              lambda k: sigma.on_key(k)[uD] != (ONE if k == uC else 0))
+    _identity(rep, "eps h = 0", on_C, lambda k: h.on_key(k)[uC])
+    _identity(rep, "eps tau = eps", on_D, lambda k: tau.on_key(k)[uC] != (ONE if k == uD else 0))
 
-    for k in keys_C:
-        hv = h.on_key(k)
-        run("(h(x)h) Delta h = 0", k, bool(_tensor_of(coalg_C, h, h, hv)))
-        run("(h(x)sigma) Delta h = 0", k, bool(_tensor_of(coalg_C, h, sigma, hv)))
-        run("(sigma(x)sigma) Delta h = 0", k, bool(_tensor_of(coalg_C, sigma, sigma, hv)))
-    for k in keys_D:
-        tv = tau.on_key(k)
-        run("(h(x)h) Delta tau = 0", k, bool(_tensor_of(coalg_C, h, h, tv)))
-        run("(h(x)sigma) Delta tau = 0", k, bool(_tensor_of(coalg_C, h, sigma, tv)))
-        got = _tensor_of(coalg_C, sigma, sigma, tv)
+    pairs = (("h(x)h", h, h), ("h(x)sigma", h, sigma), ("sigma(x)sigma", sigma, sigma))
+    for label, left, right in pairs:
+        _identity(rep, f"({label}) Delta h = 0", on_C,
+                  lambda k: _tensor_of(coalg_C, left, right, h.on_key(k)))
+    for label, left, right in pairs[:2]:
+        _identity(rep, f"({label}) Delta tau = 0", on_D,
+                  lambda k: _tensor_of(coalg_C, left, right, tau.on_key(k)))
+
+    def coproduct_D(k):
         expect: dict = {}
         for l, r, s in coalg_D.coproduct(k):
             expect[(l, r)] = expect.get((l, r), 0) + s
-        expect = {p: v for p, v in expect.items() if v}
-        run("(sigma(x)sigma) Delta tau = Delta_D", k, got != expect)
+        return {p: v for p, v in expect.items() if v}
+
+    _identity(rep, "(sigma(x)sigma) Delta tau = Delta_D", on_D,
+              lambda k: _tensor_of(coalg_C, sigma, sigma, tau.on_key(k)) != coproduct_D(k))
     return rep
 
 
@@ -549,7 +514,7 @@ def linf_transfer(Qd: TaylorCoderivation, C: Contraction, arity_bound: int,
 @dataclass
 class PropTransferReport:
     ok: bool
-    semifull: SemifullReport
+    semifull: Report
     mismatches: list
     words_checked: int = 0
 
@@ -562,7 +527,8 @@ def verify_prop_transfer(alg_A: CommAlgebra, alg_B: CommAlgebra, C: Contraction,
     keys_B = tuple(alg_B.space.keys() if keys_B is None else keys_B)
     semifull = check_semifull_algebra(C, alg_A, alg_B, keys_A, keys_B)
     if not semifull.ok:
-        return PropTransferReport(False, semifull, [("semifull", semifull.first_failure())])
+        first = next(i for i in semifull.items if i.verdict != PASS)
+        return PropTransferReport(False, semifull, [("semifull", first.line())])
     Qd = kos_lift(alg_A, C.d_A, arity_bound)
     res = linf_transfer(Qd, C, arity_bound, corpus_A=keys_A, corpus_B=keys_B)
     expect_r = kos_lift(alg_B, C.d_B, arity_bound)

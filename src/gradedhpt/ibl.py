@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Callable
 
 from .core import GradedBasis, LinOp, Overflow, Q, RouteDisagreement, Vector
 from .commalg import SymWordAlgebra, cumulant_recursion, koszul_recursion
 from .hpt import Contraction, LinfTransfer, linf_transfer
-from .report import Report
+from .report import Report, evaluable_scope, witness_verdict
 from .symcoalg import (
     SymSpace,
     antipode,
@@ -55,44 +54,8 @@ class IBLStructure:
         return TruncatedTAlgebra(self.algebra(), self.N, T_DEGREE)
 
 
-def evaluable_scope(space: SymSpace, evaluate: Callable, top: int | None = None) -> int:
-    """Weight-closed evaluable scope: the largest k <= top (default: the word
-    bound) such that ``evaluate(word)`` raises no Overflow on any word of weight
-    <= k; -1 if it fails on the empty word.
-
-    Words are tried weight by weight, so an operator that leaves the word bound
-    only on some words of a weight is scoped below that whole weight.  The
-    images land in the LinOp caches, so a claim evaluated on the scope
-    afterwards recomputes nothing.
-    """
-    top = space.weight_bound if top is None else top
-    for word in space.keys():  # canonical words come in increasing weight
-        if len(word) > top:
-            break
-        try:
-            evaluate(word)
-        except Overflow:
-            return len(word) - 1
-    return top
-
-
 def _upto(space: SymSpace, k: int) -> list:
     return [w for w in space.keys() if len(w) <= k]
-
-
-def _witness(bad) -> tuple[bool, str]:
-    return bad is None, "" if bad is None else f"witness {bad}"
-
-
-def _claim(rep: Report, name: str, scope: int, decide: Callable) -> None:
-    """Add the claim ``name`` decided by ``decide() -> (ok, detail)`` on words of
-    weight <= scope, and record the scope in the bounds.  A scope holding no
-    reduced word leaves the claim UNDETERMINED."""
-    rep.bounds[f"scope: {name}"] = scope
-    if scope < 1:
-        rep.add(name, None, "no reduced word within the evaluable scope")
-    else:
-        rep.add(name, *decide())
 
 
 def _sampled_tuples(space: SymSpace, arity_bound: int, scope: int, limit: int):
@@ -145,7 +108,7 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> R
         scope = scopes[n] = evaluable_scope(S, op.on_key)
         words = _upto(S, scope)
         rep.add(f"delta_{n}(1) = 0", op.on_key(()).is_zero() if scope >= 0 else None)
-        _claim(rep, f"counit kills delta_{n}", scope, lambda: _witness(
+        rep.claim(f"counit kills delta_{n}", scope, lambda: witness_verdict(
             next((w for w in words if op.on_key(w)[()] != 0), None)))
 
         def degree_ok():
@@ -155,7 +118,7 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> R
                 return False, str(exc)
             return op.degree == 1 - 2 * n, ""
 
-        _claim(rep, f"degree of delta_{n} is {1 - 2 * n}", scope, degree_ok)
+        rep.claim(f"degree of delta_{n} is {1 - 2 * n}", scope, degree_ok)
     rep.bounds["scope: delta"] = min(scopes.values(), default=S.weight_bound)
 
     flat_top = 2 * max(delta.support(), default=0) if delta.is_exact() else ibl.N
@@ -165,7 +128,7 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> R
             term = delta.coeff(i).bracket(delta.coeff(n - i))
             acc = term if acc is None else acc + term
         scope = evaluable_scope(S, acc.on_key)
-        _claim(rep, f"flatness at order {n}", scope, lambda: _witness(
+        rep.claim(f"flatness at order {n}", scope, lambda: witness_verdict(
             next((w for w in _upto(S, scope) if not acc.on_key(w).is_zero()), None)))
 
     s_map = antipode(S)
@@ -173,10 +136,10 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> R
     for n, op in sorted(delta.coeffs.items()):
         phi_n = convolution(op, s_map, S.product)
         scope = evaluable_scope(S, phi_n.on_key)
-        _claim(rep, f"(b) image of delta_{n} * s in weights <= {n + 1} (inputs <= {scope})",
-               scope, lambda: _witness(next(
-                   (w for w in _upto(S, scope)
-                    if any(len(u) > n + 1 for u in phi_n.on_key(w).keys())), None)))
+        rep.claim(f"(b) image of delta_{n} * s in weights <= {n + 1} (inputs <= {scope})",
+                  scope, lambda: witness_verdict(next(
+                      (w for w in _upto(S, scope)
+                       if any(len(u) > n + 1 for u in phi_n.on_key(w).keys())), None)))
 
         # (c) on weight-one letters, including exact agreement with route (b)
         def route_c():
@@ -184,13 +147,13 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> R
                 for word in S.words_of_weight(k):
                     val = koszul_recursion(alg, op, tuple(Vector.basis((x,)) for x in word))
                     if any(len(u) > n + 1 for u in val.keys()):
-                        return _witness(("weight", word))
+                        return witness_verdict(("weight", word))
                     if val != phi_n.on_key(word):
-                        return _witness(("route", word))
-            return _witness(None)
+                        return witness_verdict(("route", word))
+            return witness_verdict(None)
 
-        _claim(rep, f"(c) Koszul brackets of delta_{n} on letters match (b), weights <= {n + 1}",
-               scope, route_c)
+        rep.claim(f"(c) Koszul brackets of delta_{n} on letters match (b), weights <= {n + 1}",
+                  scope, route_c)
 
         # (d) sampled higher-weight arguments
         def route_d():
@@ -198,10 +161,10 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> R
             for tup, total in drawn:
                 val = koszul_recursion(alg, op, tuple(Vector.basis(w) for w in tup))
                 if any(len(u) > total - len(tup) + n + 1 for u in val.keys()):
-                    return _witness(tup)
+                    return witness_verdict(tup)
             return True, _sample_detail(len(drawn), beyond)
 
-        _claim(rep, f"(d) sampled weighted bound for delta_{n}", scope, route_d)
+        rep.claim(f"(d) sampled weighted bound for delta_{n}", scope, route_d)
 
     _component_square_checks(rep, ibl)
     return rep
@@ -227,7 +190,7 @@ def _component_square_checks(rep: Report, ibl: IBLStructure, max_block: int = 3)
                     continue
                 bad = next((w for w in S.words_of_weight(i)
                             if any(len(u) == j for u in op.on_key(w).keys())), None)
-                rep.add(f"square block (in {i}, out {j}, order {m}) vanishes", *_witness(bad))
+                rep.add(f"square block (in {i}, out {j}, order {m}) vanishes", *witness_verdict(bad))
 
 
 # -- component extraction -------------------------------------------------------------
@@ -320,7 +283,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
     rep.add("f(1) = 1", f.coeff(0).on_key(()) == Vector.basis(())
             and all(f.coeff(n).on_key(()).is_zero() for n in f.support() if n >= 1)
             if scope_f >= 0 else None)
-    _claim(rep, "counit compatibility", scope_f, lambda: _witness(next(
+    rep.claim("counit compatibility", scope_f, lambda: witness_verdict(next(
         ((n, w) for n in f.support() for w in _upto(SU, scope_f)
          if w and f.coeff(n).on_key(w)[()] != 0), None)))
 
@@ -329,17 +292,17 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
 
     def intertwines():
         bad = inter.first_nonzero(_upto(SU, scope_i), N)
-        return _witness(None if bad is None else bad[0])
+        return witness_verdict(None if bad is None else bad[0])
 
-    _claim(rep, f"f delta = delta' f (orders <= {N}, weights <= {scope_i})", scope_i,
-           intertwines)
+    rep.claim(f"f delta = delta' f (orders <= {N}, weights <= {scope_i})", scope_i,
+              intertwines)
 
     Vt = target.quotient()
     f_flat = flat_unital_map(f, Vt)
     # (b): log of f lands in the shifted weight bound
     logf = star_log(f_flat, Vt.mul, Vt.unit())
     scope = evaluable_scope(SU, logf.on_key)
-    _claim(rep, "(b) log_* of f lands in t^m S_{<=m+1}", scope, lambda: _witness(next(
+    rep.claim("(b) log_* of f lands in t^m S_{<=m+1}", scope, lambda: witness_verdict(next(
         ((w, m) for w in _upto(SU, scope) for (m, u) in logf.on_key(w).keys()
          if len(u) > m + 1), None)))
 
@@ -352,12 +315,12 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
                 val = cumulant_recursion(SU_alg, Vt, f_flat,
                                          tuple(Vector.basis((x,)) for x in word))
                 if any(len(u) > m + 1 for (m, u) in val.keys()):
-                    return _witness(("weight", word))
+                    return witness_verdict(("weight", word))
                 if val != logf.on_key(word):
-                    return _witness(("route", word))
-        return _witness(None)
+                    return witness_verdict(("route", word))
+        return witness_verdict(None)
 
-    _claim(rep, "(c) cumulants on letters match (b) and the weight bound", scope, route_c)
+    rep.claim("(c) cumulants on letters match (b) and the weight bound", scope, route_c)
 
     # (d): sampled words of higher weight
     def route_d():
@@ -365,10 +328,10 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
         for tup, total in drawn:
             val = cumulant_recursion(SU_alg, Vt, f_flat, tuple(Vector.basis(w) for w in tup))
             if any(len(u) > total - len(tup) + m + 1 for (m, u) in val.keys()):
-                return _witness(tup)
+                return witness_verdict(tup)
         return True, _sample_detail(len(drawn), beyond)
 
-    _claim(rep, "(d) sampled weighted cumulant bound", scope, route_d)
+    rep.claim("(d) sampled weighted cumulant bound", scope, route_d)
     return rep
 
 
@@ -402,8 +365,8 @@ def ibl_transfer(ibl: IBLStructure, C: Contraction, arity_bound: int = 3) -> IBL
     W = S.weight_bound
     delta0 = ibl.delta.coeff(0)
     scope = evaluable_scope(S, delta0.on_key)
-    _claim(rep, "order-zero part is a coderivation", scope,
-           lambda: (coderivation_defect(delta0, _upto(S, scope)) is None, ""))
+    rep.claim("order-zero part is a coderivation", scope,
+              lambda: (coderivation_defect(delta0, _upto(S, scope)) is None, ""))
     Qd = taylor_coderivation_from_map(delta0, W, exact_beyond=True, label="delta0")
     stage1 = linf_transfer(Qd, C, W)
     word_con = stage1.word_contraction
@@ -435,7 +398,7 @@ def _shift_claim(rep: Report, name: str, S: SymSpace, series: TOp) -> None:
     """Each t^n coefficient of ``series`` raises word weight by at most n, checked
     on its own evaluable scope; the claim's scope is the least of these."""
     scopes = {n: evaluable_scope(S, op.on_key) for n, op in series.coeffs.items()}
-    _claim(rep, name, min(scopes.values(), default=S.weight_bound), lambda: _witness(next(
+    rep.claim(name, min(scopes.values(), default=S.weight_bound), lambda: witness_verdict(next(
         ((n, w) for n, op in series.coeffs.items() for w in _upto(S, scopes[n])
          if any(len(u) > len(w) + n for u in op.on_key(w).keys())), None)))
 

@@ -21,12 +21,14 @@ from gradedhpt.bv import (
     cl_vanishing_defect,
     coalgebra_dual_algebra,
     cobv_check,
+    cobv_transfer,
     dual_linop,
     morphism_congruence_defect,
     verify_poisson,
 )
 from gradedhpt.commalg import SymWordAlgebra, diff_order, koszul_recursion
 from gradedhpt.fixtures import fix2
+from gradedhpt.hpt import Contraction
 from gradedhpt.symcoalg import SymSpace
 from gradedhpt.tseries import LaurentVec, TOp, TruncatedTAlgebra, laurent_apply
 
@@ -111,6 +113,23 @@ class TestBVCheck:
         und = [i.name for i in rep.items if i.verdict == "UNDETERMINED"]
         assert any("K(Delta)_3" in n for n in und)
         assert not rep.has_fail
+
+    def test_scope_rule_under_a_low_guard(self):
+        # at length bound 3, products of two length-2 keys leave the guard, and so
+        # do products of four letters: what was not evaluated is never PASS
+        f = fix2(3)
+        orders = ("order(Delta_0) <= 1", "order(Delta_1) <= 2")
+        congruences = [f"K(Delta)_{m} = 0 mod t^{m - 1}" for m in (2, 3, 4)]
+        rep = bv_check(f.A, f.delta_series(), -1, 3, 4, order_keys=f.low_keys(2))
+        verdicts = {i.name: i.verdict for i in rep.items}
+        assert all(verdicts[n] == "UNDETERMINED" for n in orders + tuple(congruences))
+        assert not rep.has_fail, rep.to_text()
+        rep = bv_check(f.A, f.delta_series(), -1, 3, 4, order_keys=f.low_keys(1))
+        verdicts = {i.name: i.verdict for i in rep.items}
+        for name in orders:
+            assert verdicts[name] == "PASS" and rep.bounds[f"scope: {name}"] == 3
+        assert [verdicts[n] for n in congruences] == ["PASS", "PASS", "UNDETERMINED"]
+        assert not rep.has_fail, rep.to_text()
 
 
 class TestBVMorphism:
@@ -409,6 +428,35 @@ class TestCoBV:
         dual_fails = {i.name for i in rep.items if i.verdict == "FAIL"}
         assert any("order(Delta_1)" in n for n in dual_fails)
         assert any("coorder(delta_1)" in n for n in dual_fails), rep.to_text()
+
+    def cobv_identity_transfer(self, images):
+        # identity contraction of the dual coalgebra: sigma = tau = id, h = 0 and
+        # zero differentials; delta_1 is the dual of the given degree -1 map
+        alg = self.exterior_three()
+        C = algebra_dual_coalgebra(alg)
+        dual = C.basis
+        idm = LinOp.identity(dual)
+        con = Contraction(idm, idm, LinOp.zero(dual, degree=-1), LinOp.zero(dual, degree=1),
+                          LinOp.zero(dual, degree=1))
+        delta1 = LinOp.from_dict(alg.basis, alg.basis, -1, images, "delta1")
+        delta = TOp({1: dual_linop(delta1, dual, dual)}, dual, dual, 1, 2)
+        delta_D, _, _, _, rep = cobv_transfer(C, C, delta, con, -1, 2, 3)
+        return delta, delta_D, rep
+
+    def test_cobv_transfer_along_identity(self):
+        # w -> uv: the transferred structure is the input, and all checks pass
+        delta, delta_D, rep = self.cobv_identity_transfer({3: Vector.basis(4)})
+        keys = delta.domain.keys()
+        assert all(delta_D.coeff(n).equal_on(delta.coeff(n), keys) for n in range(3))
+        assert rep.ok and len(rep.items) == 22, rep.to_text()
+
+    def test_cobv_transfer_detects_order_violation(self):
+        # adding uvw -> uw (order three) fails both order routes and the cobracket route
+        _, _, rep = self.cobv_identity_transfer({3: Vector.basis(4), 7: Vector.basis(5)})
+        fails = {i.name for i in rep.items if i.verdict == "FAIL"}
+        assert "transferred: order(Delta_1) <= 2" in fails
+        assert "transferred: K(Delta)_3 = 0 mod t^2" in fails
+        assert "transferred: coorder(delta_1) <= 2 (direct recursion)" in fails, rep.to_text()
 
     def test_cobv_truncation_dual_agrees(self, f2):
         # the naive length-2 quotient of the two-variable fixture is NOT a valid

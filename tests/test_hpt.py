@@ -68,8 +68,9 @@ class TestSemifullAlgebra:
         f = fix1()
         keys = [k for k in f.A.space.keys() if f.A.key_length(k) <= 3]
         rep = check_semifull_algebra(f.contraction, f.A, SCALARS, keys_A=keys)
-        assert rep.ok and rep.dg_strength is True
-        assert rep.checked > 0
+        assert rep.ok and rep.bounds["dg_strength"] == "checked"
+        # the eight identities and the four DG identities, each evaluated
+        assert len(rep.items) == 12
 
     def test_identity_contraction_passes(self):
         f = fix1()
@@ -88,9 +89,9 @@ class TestSemifullAlgebra:
         bad_h = C.h + LinOp.from_dict(A.space, A.space, -1, {dy: A.unit()})
         broken = Contraction(C.sigma, C.tau, bad_h, C.d_A, C.d_B, verify_on_init=False)
         keys = [k for k in A.space.keys() if A.key_length(k) <= 2]
-        rep = check_semifull_algebra(broken, A, SCALARS, keys_A=keys, dg_identities=False)
+        rep = check_semifull_algebra(broken, A, SCALARS, keys_A=keys)
         assert not rep.ok
-        assert rep.first_failure() is not None
+        assert any(i.verdict == "FAIL" and i.detail.startswith("witness") for i in rep.items)
 
     def test_failure_identities_nonderivation(self):
         # after a flat non-derivation perturbation the bis-defects equal h/sigma of K_2
@@ -99,7 +100,7 @@ class TestSemifullAlgebra:
         _, pert = perturb(f.contraction, Perturbation(delta, cert))
         keys = [k for k in f.A.space.keys() if f.A.key_length(k) <= 2]
         rep = semifull_failure_identities(pert, f.A, SCALARS, keys_A=keys)
-        assert rep.ok and rep.checked > 0
+        assert rep.ok and len(rep.items) == 4
 
     def test_perturbed_contraction_stays_semifull(self):
         f = fix1()
@@ -109,7 +110,15 @@ class TestSemifullAlgebra:
         rep = check_semifull_algebra(pert, f.A, SCALARS, keys_A=keys)
         assert rep.ok
         # the perturbed differential is no longer a derivation
-        assert rep.dg_strength is False
+        assert rep.bounds["dg_strength"] == "d_A not a derivation on the corpus"
+
+    def test_guard_leaves_identities_undetermined(self):
+        # at length bound 3 some products of pairs leave the guard: those
+        # identities are undetermined, never passed, and nothing fails
+        f = fix1(3)
+        rep = check_semifull_algebra(f.contraction, f.A, SCALARS)
+        assert not rep.ok and not rep.has_fail, rep.to_text()
+        assert rep.has_undetermined
 
 
 class TestSPL:
@@ -169,8 +178,8 @@ class TestSemifullStability:
             e_inv = exp_endomorphism(A, nu.scale(-1), A.length_bound + 1)
             delta = ((e_inv @ f.d) @ e) - f.d
             _, pert = perturb(f.contraction, Perturbation(delta, A.length_bound + 1))
-            rep = check_semifull_algebra(pert, A, SCALARS, keys_A=keys, dg_identities=False)
-            assert rep.ok, (trial, rep.first_failure())
+            rep = check_semifull_algebra(pert, A, SCALARS, keys_A=keys)
+            assert rep.ok, (trial, rep.to_text())
 
 
 def _hat_homotopy_oracle(C, space, word):
@@ -260,7 +269,7 @@ class TestSymmetrizedContraction:
         keysU = [w for w in SU.keys() if len(w) <= 2]
         keysV = [w for w in SV.keys() if len(w) <= 2]
         rep = check_semifull_algebra(self.sym, algU, algV, keys_A=keysU, keys_B=keysV)
-        assert rep.ok and rep.dg_strength is True
+        assert rep.ok and rep.bounds["dg_strength"] == "checked"
         repc = check_semifull_coalgebra(self.sym, CofreeCoalgebra(SU), CofreeCoalgebra(SV),
                                         keys_C=keysU, keys_D=keysV)
         assert repc.ok

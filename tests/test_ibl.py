@@ -9,7 +9,6 @@ from gradedhpt.ibl import (
     IBLElement,
     IBLStructure,
     degree_audit,
-    evaluable_scope,
     extract_p_components,
     ibl_check,
     ibl_kuranishi_report,
@@ -19,6 +18,7 @@ from gradedhpt.ibl import (
     ibl_transfer,
     reassemble_defect,
 )
+from gradedhpt.report import evaluable_scope
 from gradedhpt.symcoalg import SymSpace, TaylorCoderivation, hat_extension
 from gradedhpt.commalg import SymWordAlgebra, koszul_recursion
 from gradedhpt.tseries import TOp, flatten_top

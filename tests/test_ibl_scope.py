@@ -10,13 +10,12 @@ from gradedhpt.fixtures import fix4
 from gradedhpt.hpt import Contraction
 from gradedhpt.ibl import (
     IBLElement,
-    evaluable_scope,
     extract_p_components,
     ibl_check,
     ibl_mc_check,
     ibl_transfer,
 )
-from gradedhpt.report import Report
+from gradedhpt.report import Report, evaluable_scope
 
 
 @pytest.fixture(scope="module")

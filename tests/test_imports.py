@@ -1,5 +1,6 @@
-"""Import lint over the package sources, using only the standard library:
-every module-level import is used, and no function or class imports locally."""
+"""Lint over the package sources, using only the standard library: every
+module-level import is used, no function or class imports locally, and an
+Overflow is caught only where the allowlist below says."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,46 @@ def test_no_local_imports(path):
     local = sorted(n.lineno for n in ast.walk(tree)
                    if isinstance(n, (ast.Import, ast.ImportFrom)) and id(n) not in top)
     assert not local, f"{path.name}: imports inside functions or classes at lines {local}"
+
+
+# The functions that may catch an Overflow: the scope rule's scan, the t-adic
+# perturbation series (whose exactness test must not leave the word bound), and
+# the IBL Maurer-Cartan samples, which count an undetermined sample.  Every
+# other checker decides its scope through ``report.scan``.
+OVERFLOW_CATCHERS = {"report.scan", "tseries.spl_t", "ibl.ibl_mc_check",
+                     "ibl.ibl_kuranishi_report"}
+
+
+def _catches_overflow(handler: ast.ExceptHandler) -> bool:
+    """Whether the handler catches Overflow: it names it, or it is bare or broad."""
+    if handler.type is None:
+        return True
+    names = {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(handler.type) if isinstance(n, ast.Attribute)}
+    return bool(names & {"Overflow", "Exception", "BaseException"})
+
+
+def overflow_handlers(path: Path) -> list:
+    """(owner, line) of each handler that catches Overflow; the owner is the
+    module-level function or method it sits in, nested functions included."""
+    found = []
+
+    def walk(node, owner, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and _catches_overflow(child):
+                found.append((owner, child.lineno))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not in_function:
+                walk(child, f"{owner}.{child.name}", not isinstance(child, ast.ClassDef))
+            else:
+                walk(child, owner, in_function)
+
+    walk(_tree(path), path.stem, False)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_overflow_caught_only_on_the_allowlist(path):
+    stray = [(owner, line) for owner, line in overflow_handlers(path)
+             if owner not in OVERFLOW_CATCHERS]
+    assert not stray, f"{path.name}: Overflow caught outside the scope rule at {stray}"
