@@ -3,8 +3,13 @@ the derived Poisson image, homotopy transfer along semifull DG algebra
 contractions, Maurer-Cartan theory over Laurent candidates, the convolution
 exp/log comparison of morphism notions, and the dual coalgebra picture.
 
-Every mod-t^{n-1} claim is scoped by the truncation order: insufficient bounds
-yield UNDETERMINED, never PASS.
+Scope rule (see ``report.scan``): every checker here evaluates a claim level by
+level (arity or word weight) and decides it on the levels evaluated before the
+first witness or the first level that leaves the algebra's guard; that scope
+goes in the bounds.  The congruences K(Delta)_m = 0 and kappa(f)_m = 0 mod
+t^{m-1} are written once (``_congruence_claims``) and computed to the order the
+series is reliable to.  A claim with nothing of its own evaluated, or beyond
+that order, is UNDETERMINED, never PASS, and no Overflow escapes a checker.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 
-from .core import GradedBasis, LinOp, Q, RouteDisagreement, ShiftedSpace, Vector
+from .core import GradedBasis, LinOp, Q, RouteDisagreement, ShiftedSpace, Vector, exp_series
 from .commalg import (
     CommAlgebra,
     ExplicitFDAlgebra,
@@ -125,33 +130,50 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
         rep.claim(name, scope, lambda: (witness is None, "" if witness is None
                                         else f"K_{scope} != 0 at {witness}"), least=n + 2)
 
-    # route B: K(Delta)_m = 0 mod t^{m-1}, computed in the truncated quotient;
-    # one scan over the arities, each a claim of its own
-    At = TruncatedTAlgebra(A, N, td)
-    Dflat = flatten_top(Delta, N) if reliable is None or reliable >= N else None
-    top_m = min(arity_bound, N + 1) if Dflat is not None else 1
+    # route B: K(Delta)_m = 0 mod t^{m-1}, computed in the truncated quotient
+    # to the order the series is reliable to
+    order = N if reliable is None else min(N, reliable)
+    At = TruncatedTAlgebra(A, order, td)
+    Dflat = flatten_top(Delta, order)
+    _congruence_claims(rep, "K(Delta)", keys, arity_bound, order, lambda tup: koszul_recursion(
+        At, Dflat, tuple(Vector.basis((0, kk)) for kk in tup)))
+    return rep
 
-    def congruence_witness(tup):
-        val = koszul_recursion(At, Dflat, tuple(Vector.basis((0, kk)) for kk in tup))
-        bad = [key for key in val.keys() if key[0] < len(tup) - 1]
+
+def _congruence_claims(rep: Report, label: str, keys, arity_bound: int, order: int,
+                       value) -> None:
+    """The claims ``label_m = 0 mod t^{m-1}`` for m = 2..arity_bound, where
+    ``value(tup)`` is the flattened value of the family (Koszul brackets of a
+    structure, cumulants of a morphism) on a tuple of keys, computed to order
+    ``order``.  One ``scan`` over the arities m <= order + 1, with the key
+    multisets as cases, decides each arity as a claim of its own; an arity
+    above ``order + 1`` is UNDETERMINED, its detail naming the order it needs."""
+    def witness(tup):
+        bad = [key for key in value(tup).keys() if key[0] < len(tup) - 1]
         return (tup, bad[0]) if bad else None
 
-    scope, witness = scan(((m, combinations_with_replacement(keys, m))
-                           for m in range(2, top_m + 1)), congruence_witness)
+    top = min(arity_bound, order + 1)
+    scope, found = scan(((m, combinations_with_replacement(keys, m))
+                         for m in range(2, top + 1)), witness)
     for m in range(2, arity_bound + 1):
-        name = f"K(Delta)_{m} = 0 mod t^{m - 1}"
-        if m > top_m:
-            rep.add(name, None, f"needs N >= {m - 1}")
+        name = f"{label}_{m} = 0 mod t^{m - 1}"
+        if m > top:
+            rep.add(name, None, f"needs order {m - 1}, have {order}")
         else:
-            rep.claim(name, scope, lambda: witness_verdict(witness if scope == m else None),
+            rep.claim(name, scope, lambda: witness_verdict(found if scope == m else None),
                       least=m)
-    return rep
 
 
 def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, DeltaB: TOp,
                       k: int, N: int, arity_bound: int, keys=None,
                       title: str = "derived BV morphism") -> Report:
-    """Certify f = sum t^n f_n as a morphism (A, Delta) -> (B, Delta')."""
+    """Certify f = sum t^n f_n as a morphism (A, Delta) -> (B, Delta').
+
+    Scope rule as in ``bv_check``: the congruences kappa(f)_m = 0 mod t^{m-1}
+    are computed to the order f is reliable to and decided by one
+    ``report.scan`` over the arities; an arity beyond the guard or beyond that
+    order is UNDETERMINED, never PASS, and no Overflow escapes.
+    """
     _require_odd(k)
     td = _t_degree(k)
     rep = Report(title, bounds={"N": N, "arity_bound": arity_bound, "k": k})
@@ -170,22 +192,11 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
     if rel is not None and rel < N:
         rep.add(f"f Delta = Delta' f beyond order {rel}", None, "series truncated")
 
-    Bt = TruncatedTAlgebra(B, N, td)
+    reliable = f.reliable_to()
+    Bt = TruncatedTAlgebra(B, N if reliable is None else min(N, reliable), td)
     f_flat = flat_unital_map(f, Bt)
-    for m in range(2, arity_bound + 1):
-        if N < m - 1:
-            rep.add(f"kappa(f)_{m} = 0 mod t^{m - 1}", None, f"needs N >= {m - 1}")
-            continue
-        witness = None
-        for tup in combinations_with_replacement(keys, m):
-            args = tuple(Vector.basis(kk) for kk in tup)
-            val = cumulant_recursion(A, Bt, f_flat, args)
-            bad_keys = [key for key in val.keys() if key[0] < m - 1]
-            if bad_keys:
-                witness = (tup, bad_keys[0])
-                break
-        rep.add(f"kappa(f)_{m} = 0 mod t^{m - 1}", witness is None,
-                "" if witness is None else f"witness {witness}")
+    _congruence_claims(rep, "kappa(f)", keys, arity_bound, Bt.N, lambda tup: cumulant_recursion(
+        A, Bt, f_flat, tuple(Vector.basis(kk) for kk in tup)))
     return rep
 
 
@@ -221,33 +232,41 @@ def bv_morphism_to_poisson(f: TOp, A: CommAlgebra, B: CommAlgebra, k: int,
 
 def verify_poisson(A: CommAlgebra, Delta: TOp, k: int, arity_bound: int,
                    keys=None) -> Report:
-    """The Poisson image squares to zero and its brackets are multiderivations."""
+    """The Poisson image squares to zero and its brackets are multiderivations.
+
+    Scope rule as in ``bv_check``: the square is decided by one ``report.scan``
+    over word weights, and the multiderivation claims by one scan over the
+    arities n, each a claim of its own (the key tuples of n + 1 letters are the
+    cases).  A claim with no level of its own in scope is UNDETERMINED, never
+    PASS, and no Overflow escapes.
+    """
     rep = Report("derived Poisson image", bounds={"arity_bound": arity_bound, "k": k})
     keys = tuple(A.order_check_keys() if keys is None else keys)
     P = bv_to_poisson(A, Delta, k, arity_bound)
     S = SymSpace(P.base, arity_bound)
-    words = words_over(P.base, keys, arity_bound)
     Pm = P.as_map(S)
     sq = Pm @ Pm
-    w = next((word for word in words if not sq.on_key(word).is_zero()), None)
-    rep.add("P(Delta)^2 = 0", w is None, "" if w is None else f"witness {w}")
+    scope, w = scan(((m, words_over(P.base, keys, m, min_weight=m))
+                     for m in range(1, arity_bound + 1)),
+                    lambda word: None if sq.on_key(word).is_zero() else word)
+    rep.claim("P(Delta)^2 = 0", scope, lambda: witness_verdict(w))
+
+    def multiderivation_witness(tup):
+        head, b, c = tup[:-2], tup[-2], tup[-1]
+        args = tuple(Vector.basis(kk) for kk in head)
+        op = Delta.coeff(len(tup) - 2)
+        lhs = koszul_recursion(A, op, args + (A.mul_keys(b, c),))
+        sign = -1 if (A.space.degree(b) % 2 and A.space.degree(c) % 2) else 1
+        rhs = (A.mul(koszul_recursion(A, op, args + (Vector.basis(b),)), Vector.basis(c))
+               + A.mul(koszul_recursion(A, op, args + (Vector.basis(c),)),
+                       Vector.basis(b)).scale(sign))
+        return None if lhs == rhs else tup
+
+    scope, bad = scan(((n, combinations_with_replacement(keys, n + 1))
+                       for n in range(1, arity_bound + 1)), multiderivation_witness)
     for n in range(1, arity_bound + 1):
-        bad = None
-        for tup in combinations_with_replacement(keys, n + 1):
-            head, b, c = tup[:-2], tup[-2], tup[-1]
-            args = tuple(Vector.basis(kk) for kk in head)
-            bc = A.mul_keys(b, c)
-            lhs = koszul_recursion(A, Delta.coeff(n - 1), args + (bc,))
-            sign = -1 if (A.space.degree(b) % 2 and A.space.degree(c) % 2) else 1
-            rhs = (A.mul(koszul_recursion(A, Delta.coeff(n - 1), args + (Vector.basis(b),)),
-                         Vector.basis(c))
-                   + A.mul(koszul_recursion(A, Delta.coeff(n - 1), args + (Vector.basis(c),)),
-                           Vector.basis(b)).scale(sign))
-            if lhs != rhs:
-                bad = tup
-                break
-        rep.add(f"P(Delta)_{n} is a multiderivation", bad is None,
-                "" if bad is None else f"witness {bad}")
+        rep.claim(f"P(Delta)_{n} is a multiderivation", scope,
+                  lambda: witness_verdict(bad if scope == n else None), least=n)
     return rep
 
 
@@ -338,27 +357,25 @@ def bv_mc_residual(A: CommAlgebra, Delta: TOp, a: LaurentVec, arity_cap: int) ->
     if not Delta.is_exact():
         raise ValueError("Maurer-Cartan residuals need an exact structure series")
     out = LaurentVec({})
-    powers = sorted(a.coeffs)
-    for n in range(1, arity_cap + 1):
-        coeff = Q(1, factorial(n))
-        for combo in combinations_with_replacement(powers, n):
-            shift = sum(combo)
-            args = tuple(a.coeffs[i] for i in combo)
-            mult = _multiset_count(combo)
-            for j, op in Delta.coeffs.items():
-                val = koszul_recursion(A, op, args)
-                if val:
-                    out = out + LaurentVec({shift + j: val.scale(coeff * mult)})
+    for shift, args, weight in _laurent_terms(a, arity_cap):
+        for j, op in Delta.coeffs.items():
+            val = koszul_recursion(A, op, args)
+            if val:
+                out = out + LaurentVec({shift + j: val.scale(weight)})
     return out
 
 
-def _multiset_count(combo) -> int:
-    """Number of ordered tuples realizing the multiset (multinomial)."""
-    c = Counter(combo)
-    total = factorial(len(combo))
-    for v in c.values():
-        total //= factorial(v)
-    return total
+def _laurent_terms(a: LaurentVec, arity_cap: int):
+    """The Laurent multinomial expansion of sum_{n <= arity_cap} phi_n(a,...,a)/n!
+    for a multilinear symmetric family phi: one ``(shift, args, weight)`` per
+    multiset of the powers of a, with ``args`` its components, ``shift`` their
+    total power and ``weight`` = (ordered tuples realizing it) / n! =
+    1 / prod(multiplicity!)."""
+    powers = sorted(a.coeffs)
+    for n in range(1, arity_cap + 1):
+        for combo in combinations_with_replacement(powers, n):
+            yield (sum(combo), tuple(a.coeffs[i] for i in combo),
+                   Q(1, prod(factorial(v) for v in Counter(combo).values())))
 
 
 def bv_mc_check(A: CommAlgebra, Delta: TOp, a: LaurentVec, k: int, N: int,
@@ -388,17 +405,11 @@ def bv_mc_pushforward(f: TOp, A: CommAlgebra, B: CommAlgebra, a: LaurentVec, k: 
     Bt = TruncatedTAlgebra(B, N + slack, td)
     f_flat = flat_unital_map(f, Bt)
     out = LaurentVec({})
-    powers = sorted(a.coeffs)
-    for n in range(1, arity_cap + 1):
-        coeff = Q(1, factorial(n))
-        for combo in combinations_with_replacement(powers, n):
-            shift = sum(combo)
-            args = tuple(a.coeffs[i] for i in combo)
-            mult = _multiset_count(combo)
-            val = cumulant_recursion(A, Bt, f_flat, args)
-            for (m, key), c in val.items():
-                if shift + m <= N:
-                    out = out + LaurentVec({shift + m: Vector.basis(key, c * coeff * mult)})
+    for shift, args, weight in _laurent_terms(a, arity_cap):
+        val = cumulant_recursion(A, Bt, f_flat, args)
+        for (m, key), c in val.items():
+            if shift + m <= N:
+                out = out + LaurentVec({shift + m: Vector.basis(key, c * weight)})
     return out
 
 
@@ -406,12 +417,9 @@ def bv_leading_term_identity(A: CommAlgebra, Delta: TOp, a: LaurentVec, k: int,
                              arity_cap: int) -> bool:
     """The t^{-1} coefficient of the residual equals the Poisson residual of a_{-1}."""
     res = bv_mc_residual(A, Delta, a, arity_cap)
-    lead = res.coeff(-1)
-    a1 = a.coeff(-1)
-    expect = Vector.zero()
-    for n in range(1, arity_cap + 1):
-        expect = expect + koszul_recursion(A, Delta.coeff(n - 1), (a1,) * n).scale(Q(1, factorial(n)))
-    return lead == expect
+    expect = exp_series(lambda xs: koszul_recursion(A, Delta.coeff(len(xs) - 1), xs),
+                        a.coeff(-1), range(1, arity_cap + 1))
+    return res.coeff(-1) == expect
 
 
 # -- comparison of morphism notions (free source) ---------------------------------------
@@ -433,22 +441,6 @@ def cl_exp(phi: LinOp, Bt: TruncatedTAlgebra) -> LinOp:
 
 def cl_log(F: LinOp, Bt: TruncatedTAlgebra) -> LinOp:
     return star_log(F, Bt.mul, Bt.unit())
-
-
-def morphism_congruence_defect(F: LinOp, SU_alg: CommAlgebra, Bt: TruncatedTAlgebra,
-                               arity_bound: int, letters=None):
-    """First failure of kappa(F)_m = 0 mod t^{m-1} on words with the given letters."""
-    letters = tuple(SU_alg.space.words_of_weight(1)) if letters is None else letters
-    for m in range(2, arity_bound + 1):
-        if Bt.N < m - 1:
-            return ("undetermined", m)
-        for tup in combinations_with_replacement(letters, m):
-            args = tuple(Vector.basis(w) for w in tup)
-            val = cumulant_recursion(SU_alg, Bt, F, args)
-            bad = [key for key in val.keys() if key[0] < m - 1]
-            if bad:
-                return (tup, bad[0])
-    return None
 
 
 def cl_intertwine_defect(F: LinOp, Delta_U: TOp, Delta_B: TOp, Bt: TruncatedTAlgebra, N: int):
@@ -482,7 +474,13 @@ class CLReport:
 
 def cl_bijection(phi: LinOp, SU: SymSpace, SU_alg: CommAlgebra, Bt: TruncatedTAlgebra,
                  Delta_U: TOp, Delta_B: TOp, arity_bound: int) -> CLReport:
-    """Both directions of the exp/log correspondence between the two morphism notions."""
+    """Both directions of the exp/log correspondence between the two morphism notions.
+
+    Scope rule as in ``bv_check``: the congruences kappa(F)_m = 0 mod t^{m-1}
+    on letters are decided arity by arity into a side report, and the
+    equivalence claim is UNDETERMINED, never FAIL, when no arity fails there
+    and some arity is undecided (beyond the guard or beyond the order N).
+    """
     N = Bt.N
     rep = Report("morphism-notion comparison", bounds={"N": N, "arity_bound": arity_bound})
     if not phi.on_key(()).is_zero():
@@ -492,10 +490,13 @@ def cl_bijection(phi: LinOp, SU: SymSpace, SU_alg: CommAlgebra, Bt: TruncatedTAl
     inter = cl_intertwine_defect(F, Delta_U, Delta_B, Bt, N)
     rep.add("chain condition for exp data", inter is None,
             "" if inter is None else f"witness {inter}")
-    cong = morphism_congruence_defect(F, SU_alg, Bt, arity_bound)
-    cong_ok = cong is None
+    kappa = Report("cumulant congruence")
+    _congruence_claims(kappa, "kappa(F)", SU_alg.order_check_keys(), arity_bound, N,
+                       lambda tup: cumulant_recursion(SU_alg, Bt, F,
+                                                      tuple(Vector.basis(w) for w in tup)))
+    cong_ok = False if kappa.has_fail else (True if kappa.ok else None)
     rep.add("vanishing condition <=> cumulant congruence",
-            cl_ok == cong_ok, f"cl={cl_ok}, kappa={cong_ok}")
+            None if cong_ok is None else cl_ok == cong_ok, f"cl={cl_ok}, kappa={cong_ok}")
     back = cl_log(F, Bt)
     round1 = next((w for w in SU.keys() if back.on_key(w) != phi.on_key(w)), None)
     rep.add("log(exp(phi)) = phi", round1 is None,

@@ -6,7 +6,13 @@ Cumulants measure the failure of a unital map to be an algebra morphism; Koszul
 brackets measure the failure of an operator to be a derivation.  Both are
 computed here by (a) a closed partition/unshuffle formula, (b) a two-slot
 recursion, and (c) the composite through the symmetric coalgebra; agreement of
-the routes is a standing internal-consistency requirement.
+the routes is a standing internal-consistency requirement, checked by one
+dispatch (``_agreeing_routes``) for both families.  Route (c) is one
+corestriction ``L o middle o E`` (``_corestriction``), with middle the
+coalgebra morphism S(f) for cumulants and the coderivation lift of delta for
+Koszul brackets: cumulants are the exponential version of Koszul brackets.
+The closed formulas ``cumulant_partition`` and ``koszul_closed`` stay the
+independent oracles.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .core import (
     RouteDisagreement,
     Vector,
     ZERO,
+    exp_series,
     expand_homogeneous,
     koszul_sign,
     multi_unshuffles,
@@ -313,31 +320,49 @@ def cumulant_recursion(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
     return expand_homogeneous(A.space, args, lambda *parts: rec(parts))
 
 
-def cumulant_composite(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...],
-                       cache: dict | None = None) -> Vector:
-    """Definition route: corestriction of L o S(f) o E applied to a_1 o ... o a_n."""
+def _corestriction(A: CommAlgebra, B: CommAlgebra, middle, args: tuple[Vector, ...],
+                   cache: dict | None) -> Vector:
+    """The definition route of both families: the corestriction of L o middle o E
+    applied to a_1 o ... o a_n, with E the exponential automorphism of A, L the
+    logarithmic one of B, and middle a map S(A) -> S(B) given by ``apply_word``.
+    ``cache`` keeps E and L by arity, for one pair (A, B)."""
     n = len(args)
-    key = ("cum", n)
-    if cache is not None and key in cache:
-        E, L, Sf, SA, SB = cache[key]
+    if cache is not None and n in cache:
+        E, L = cache[n]
     else:
-        SA, SB = SymSpace(A.space, n), SymSpace(B.space, n)
-        E = exp_automorphism(A, n)
-        L = log_automorphism(B, n)
-        Sf = TaylorMorphism.from_linear(f)
+        E, L = exp_automorphism(A, n), log_automorphism(B, n)
         if cache is not None:
-            cache[key] = (E, L, Sf, SA, SB)
-    word_el = assemble_word(A.space, args, n)
+            cache[n] = (E, L)
     out = Vector.zero()
-    for w, c in word_el.items():
-        y = E.apply_word(w, n)
+    for w, c in assemble_word(A.space, args, n).items():
         z = Vector.zero()
-        for u, cu in y.items():
-            z = z + Sf.apply_word(u, n).scale(cu)
+        for u, cu in E.apply_word(w, n).items():
+            z = z + middle.apply_word(u, n).scale(cu)
         for u, cu in z.items():
             img = L.apply_word(u, n)
             out = out + Vector({v[0]: cv for v, cv in img.items() if len(v) == 1}).scale(c * cu)
     return out
+
+
+def _agreeing_routes(family: str, routes: tuple[str, ...], evaluate: dict) -> Vector:
+    """Evaluate each requested route (``evaluate`` maps a route name to a thunk)
+    and require exact agreement."""
+    results = {}
+    for route in routes:
+        if route not in evaluate:
+            raise ValueError(f"unknown route {route!r}")
+        results[route] = evaluate[route]()
+    vals = list(results.values())
+    for other in vals[1:]:
+        if other != vals[0]:
+            raise RouteDisagreement(f"{family} routes disagree: {sorted(results)}")
+    return vals[0]
+
+
+def cumulant_composite(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...],
+                       cache: dict | None = None) -> Vector:
+    """Definition route: corestriction of L o S(f) o E applied to a_1 o ... o a_n."""
+    return _corestriction(A, B, TaylorMorphism.from_linear(f), args, cache)
 
 
 def cumulants(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...],
@@ -345,21 +370,10 @@ def cumulants(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]
     """Evaluate kappa(f)_n on args by the requested routes; exact agreement required."""
     if f(A.unit()) != B.unit():
         raise ValueError("cumulants need a unital map: f(1_A) = 1_B")
-    results = {}
-    for route in routes:
-        if route == "partition":
-            results[route] = cumulant_partition(A, B, f, args)
-        elif route == "recursion":
-            results[route] = cumulant_recursion(A, B, f, args)
-        elif route == "composite":
-            results[route] = cumulant_composite(A, B, f, args, cache)
-        else:
-            raise ValueError(f"unknown route {route!r}")
-    vals = list(results.values())
-    for other in vals[1:]:
-        if other != vals[0]:
-            raise RouteDisagreement(f"cumulant routes disagree: {sorted(results)}")
-    return vals[0]
+    return _agreeing_routes("cumulant", routes, {
+        "partition": lambda: cumulant_partition(A, B, f, args),
+        "recursion": lambda: cumulant_recursion(A, B, f, args),
+        "composite": lambda: cumulant_composite(A, B, f, args, cache)})
 
 
 # -- Koszul brackets ---------------------------------------------------------------
@@ -412,47 +426,16 @@ def koszul_composite(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
     """Definition route: corestriction of L o delta~ o E (requires delta(1) = 0)."""
     if not delta(A.unit()).is_zero():
         raise ValueError("composite Koszul route needs delta(1) = 0")
-    n = len(args)
-    key = ("kos", n)
-    if cache is not None and key in cache:
-        E, L = cache[key]
-    else:
-        E = exp_automorphism(A, n)
-        L = log_automorphism(A, n)
-        if cache is not None:
-            cache[key] = (E, L)
-    tilde = TaylorCoderivation.from_linear(delta)
-    word_el = assemble_word(A.space, args, n)
-    out = Vector.zero()
-    for w, c in word_el.items():
-        y = E.apply_word(w, n)
-        z = Vector.zero()
-        for u, cu in y.items():
-            z = z + tilde.apply_word(u, n).scale(cu)
-        for u, cu in z.items():
-            img = L.apply_word(u, n)
-            out = out + Vector({v[0]: cv for v, cv in img.items() if len(v) == 1}).scale(c * cu)
-    return out
+    return _corestriction(A, A, TaylorCoderivation.from_linear(delta), args, cache)
 
 
 def koszul_brackets(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
                     routes: tuple[str, ...] = ("closed", "recursion"), cache: dict | None = None) -> Vector:
     """Evaluate K(delta)_n on args by the requested routes; exact agreement required."""
-    results = {}
-    for route in routes:
-        if route == "closed":
-            results[route] = koszul_closed(A, delta, args)
-        elif route == "recursion":
-            results[route] = koszul_recursion(A, delta, args)
-        elif route == "composite":
-            results[route] = koszul_composite(A, delta, args, cache)
-        else:
-            raise ValueError(f"unknown route {route!r}")
-    vals = list(results.values())
-    for other in vals[1:]:
-        if other != vals[0]:
-            raise RouteDisagreement(f"Koszul bracket routes disagree: {sorted(results)}")
-    return vals[0]
+    return _agreeing_routes("Koszul bracket", routes, {
+        "closed": lambda: koszul_closed(A, delta, args),
+        "recursion": lambda: koszul_recursion(A, delta, args),
+        "composite": lambda: koszul_composite(A, delta, args, cache)})
 
 
 def derivation_defect(A: CommAlgebra, delta: LinOp, keys=None):
@@ -570,10 +553,7 @@ def mc_koszul_eval(A: CommAlgebra, delta: LinOp, a: Vector, nilpotency: int) -> 
     """
     if vector_degree(A.space, a) not in (None, 0):
         raise ValueError("Maurer-Cartan evaluation needs a degree-0 element")
-    series = Vector.zero()
-    for n in range(1, 2 * nilpotency - 1):
-        term = koszul_recursion(A, delta, (a,) * n)
-        series = series + term.scale(Q(1, factorial(n)))
+    series = exp_series(lambda xs: koszul_recursion(A, delta, xs), a, range(1, 2 * nilpotency - 1))
     ea = algebra_exponential(A, a, nilpotency)
     e_minus_a = algebra_exponential(A, -1 * a, nilpotency)
     direct = A.mul(e_minus_a, delta(ea))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping
 
 Q = Fraction
@@ -243,11 +244,6 @@ class GradedBasis:
     def el(self, symbol: str, coeff=ONE) -> Vector:
         return Vector.basis(self.index(symbol), coeff)
 
-    def show(self, v: Vector) -> str:
-        if v.is_zero():
-            return "0"
-        return " + ".join(f"({c})*{self.symbols[k]}" for k, c in sorted(v.items()))
-
 
 @dataclass(frozen=True)
 class ShiftedSpace:
@@ -440,3 +436,14 @@ def expand_homogeneous(spaces, args: tuple[Vector, ...], kernel: Callable[..., V
 
     rec(0, ())
     return out
+
+
+def exp_series(evaluate: Callable[[tuple], Vector], x, arities: Iterable[int]) -> Vector:
+    """sum over n in ``arities`` of evaluate((x,)*n)/n!: the Maurer-Cartan sum of a
+    family of multilinear operations (Koszul brackets, cumulants, Taylor
+    coefficients), or of a push-forward along one, on the diagonal of x."""
+    out = None
+    for n in arities:
+        term = evaluate((x,) * n).scale(Q(1, factorial(n)))
+        out = term if out is None else out + term
+    return Vector() if out is None else out

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import factorial
 
-from .core import GradedBasis, LinOp, Overflow, Q, RouteDisagreement, Vector
+from .core import ConvergenceFault, GradedBasis, LinOp, Overflow, Vector, exp_series
 from .commalg import SymWordAlgebra, cumulant_recursion, koszul_recursion
 from .hpt import Contraction, LinfTransfer, linf_transfer
 from .report import Report, evaluable_scope, witness_verdict
@@ -78,8 +77,37 @@ def _sampled_tuples(space: SymSpace, arity_bound: int, scope: int, limit: int):
     return drawn, beyond
 
 
-def _sample_detail(drawn: int, beyond: int) -> str:
-    return f"{drawn} sampled" + (f", {beyond} passed over beyond the scope" if beyond else "")
+def _routes_c_d(rep: Report, S: SymSpace, bracket, reference: LinOp, excess, scope: int,
+                arity_bound: int, d_samples: int, name_c: str, name_d: str) -> None:
+    """Routes (c) and (d), one for structures and morphisms alike.  ``bracket``
+    is the family the claims are about on tuples of word vectors (the Koszul
+    brackets of delta_n, or the cumulants of f), ``reference`` its route-(b)
+    operator, and ``excess(key)`` how far an output key lies beyond the weight
+    bound for weight-one arguments.  (c) evaluates the family on letters and
+    matches ``reference`` exactly; (d) samples words of higher weight, whose
+    bound rises by the extra weight of the arguments.  Both are decided on
+    ``scope``."""
+    def route_c():
+        for k in range(1, min(arity_bound, scope) + 1):
+            for word in S.words_of_weight(k):
+                val = bracket(tuple(Vector.basis((x,)) for x in word))
+                if any(excess(key) > 0 for key in val.keys()):
+                    return witness_verdict(("weight", word))
+                if val != reference.on_key(word):
+                    return witness_verdict(("route", word))
+        return witness_verdict(None)
+
+    def route_d():
+        drawn, beyond = _sampled_tuples(S, arity_bound, scope, d_samples)
+        for tup, total in drawn:
+            val = bracket(tuple(Vector.basis(w) for w in tup))
+            if any(excess(key) > total - len(tup) for key in val.keys()):
+                return witness_verdict(tup)
+        return True, f"{len(drawn)} sampled" + (
+            f", {beyond} passed over beyond the scope" if beyond else "")
+
+    rep.claim(name_c, scope, route_c)
+    rep.claim(name_d, scope, route_d)
 
 
 def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> Report:
@@ -140,31 +168,10 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> R
                   scope, lambda: witness_verdict(next(
                       (w for w in _upto(S, scope)
                        if any(len(u) > n + 1 for u in phi_n.on_key(w).keys())), None)))
-
-        # (c) on weight-one letters, including exact agreement with route (b)
-        def route_c():
-            for k in range(1, min(arity_bound, scope) + 1):
-                for word in S.words_of_weight(k):
-                    val = koszul_recursion(alg, op, tuple(Vector.basis((x,)) for x in word))
-                    if any(len(u) > n + 1 for u in val.keys()):
-                        return witness_verdict(("weight", word))
-                    if val != phi_n.on_key(word):
-                        return witness_verdict(("route", word))
-            return witness_verdict(None)
-
-        rep.claim(f"(c) Koszul brackets of delta_{n} on letters match (b), weights <= {n + 1}",
-                  scope, route_c)
-
-        # (d) sampled higher-weight arguments
-        def route_d():
-            drawn, beyond = _sampled_tuples(S, arity_bound, scope, d_samples)
-            for tup, total in drawn:
-                val = koszul_recursion(alg, op, tuple(Vector.basis(w) for w in tup))
-                if any(len(u) > total - len(tup) + n + 1 for u in val.keys()):
-                    return witness_verdict(tup)
-            return True, _sample_detail(len(drawn), beyond)
-
-        rep.claim(f"(d) sampled weighted bound for delta_{n}", scope, route_d)
+        _routes_c_d(rep, S, lambda args: koszul_recursion(alg, op, args), phi_n,
+                    lambda u: len(u) - n - 1, scope, arity_bound, d_samples,
+                    f"(c) Koszul brackets of delta_{n} on letters match (b), weights <= {n + 1}",
+                    f"(d) sampled weighted bound for delta_{n}")
 
     _component_square_checks(rep, ibl)
     return rep
@@ -306,32 +313,11 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
         ((w, m) for w in _upto(SU, scope) for (m, u) in logf.on_key(w).keys()
          if len(u) > m + 1), None)))
 
-    # (c): cumulants on letters; exact agreement with the log route
     SU_alg = SymWordAlgebra(SU)
-
-    def route_c():
-        for k in range(1, min(arity_bound, scope) + 1):
-            for word in SU.words_of_weight(k):
-                val = cumulant_recursion(SU_alg, Vt, f_flat,
-                                         tuple(Vector.basis((x,)) for x in word))
-                if any(len(u) > m + 1 for (m, u) in val.keys()):
-                    return witness_verdict(("weight", word))
-                if val != logf.on_key(word):
-                    return witness_verdict(("route", word))
-        return witness_verdict(None)
-
-    rep.claim("(c) cumulants on letters match (b) and the weight bound", scope, route_c)
-
-    # (d): sampled words of higher weight
-    def route_d():
-        drawn, beyond = _sampled_tuples(SU, arity_bound, scope, d_samples)
-        for tup, total in drawn:
-            val = cumulant_recursion(SU_alg, Vt, f_flat, tuple(Vector.basis(w) for w in tup))
-            if any(len(u) > total - len(tup) + m + 1 for (m, u) in val.keys()):
-                return witness_verdict(tup)
-        return True, _sample_detail(len(drawn), beyond)
-
-    rep.claim("(d) sampled weighted cumulant bound", scope, route_d)
+    _routes_c_d(rep, SU, lambda args: cumulant_recursion(SU_alg, Vt, f_flat, args), logf,
+                lambda key: len(key[1]) - key[0] - 1, scope, arity_bound, d_samples,
+                "(c) cumulants on letters match (b) and the weight bound",
+                "(d) sampled weighted cumulant bound")
     return rep
 
 
@@ -453,12 +439,8 @@ def ibl_shape_defect(ibl_space: SymSpace, x: IBLElement):
 def ibl_mc_residual(ibl: IBLStructure, x: IBLElement, arity_cap: int) -> IBLElement:
     St = ibl.quotient()
     dflat = flatten_top(ibl.delta, ibl.N)
-    xf = x.flatten()
-    out = Vector()
-    for m in range(1, arity_cap + 1):
-        val = koszul_recursion(St, dflat, (xf,) * m)
-        out = out + val.scale(Q(1, factorial(m)))
-    return IBLElement.from_flat(out)
+    return IBLElement.from_flat(exp_series(lambda xs: koszul_recursion(St, dflat, xs),
+                                           x.flatten(), range(1, arity_cap + 1)))
 
 
 def ibl_mc_check(ibl: IBLStructure, x: IBLElement,
@@ -479,15 +461,11 @@ def ibl_mc_check(ibl: IBLStructure, x: IBLElement,
 def ibl_mc_pushforward(f: TOp, source: IBLStructure, target: IBLStructure,
                        x: IBLElement, arity_cap: int) -> IBLElement:
     Vt = target.quotient()
-    xf = x.flatten()
     # arguments live in the source quotient; cumulants are K[[t]]-multilinear
     St = source.quotient()
     f_t = flatten_top(f, Vt.N)
-    out = Vector()
-    for m in range(1, arity_cap + 1):
-        val = cumulant_recursion(St, Vt, f_t, (xf,) * m)
-        out = out + val.scale(Q(1, factorial(m)))
-    return IBLElement.from_flat(out)
+    return IBLElement.from_flat(exp_series(lambda xs: cumulant_recursion(St, Vt, f_t, xs),
+                                           x.flatten(), range(1, arity_cap + 1)))
 
 
 def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
@@ -513,19 +491,18 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
         return (ibl_mc_pushforward(res.G, ibl, target, x, arity_cap),
                 IBLElement.from_flat(Hflat(x.flatten())))
 
+    def correction(xs):
+        return Hflat(koszul_recursion(St, dflat, xs)) - Fflat(cumulant_recursion(St, Vt, Gflat, xs))
+
     def rho_inverse(y: IBLElement, hv: IBLElement, steps: int = 12) -> IBLElement:
         head = Fflat(y.flatten()) - dflat(hv.flatten())
         x = Vector()
         for _ in range(steps + 1):
-            nxt = head
-            for i in range(2, arity_cap + 1):
-                hq = Hflat(koszul_recursion(St, dflat, (x,) * i))
-                fg = Fflat(cumulant_recursion(St, Vt, Gflat, (x,) * i))
-                nxt = nxt + (hq - fg).scale(Q(1, factorial(i)))
+            nxt = exp_series(correction, x, range(2, arity_cap + 1)) + head
             if nxt == x:
                 return IBLElement.from_flat(x)
             x = nxt
-        raise RouteDisagreement("fixed-point recursion did not stabilize")
+        raise ConvergenceFault("fixed-point recursion did not stabilize within the bound")
 
     counts = {side: dict.fromkeys(("evaluated", "Maurer-Cartan", "undetermined"), 0)
               for side in "UV"}

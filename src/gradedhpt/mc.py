@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial
 
-from .core import ConvergenceFault, Q, Vector, expand_multilinear
+from .core import ConvergenceFault, Q, Vector, exp_series, expand_multilinear
 from .hpt import Contraction, LinfTransfer
 from .symcoalg import TaylorCoderivation, TaylorMorphism, words_over
 
@@ -55,11 +54,8 @@ class NilpotentFiltration:
 
 def mc_residual(Qd: TaylorCoderivation, x: Vector, arity_cap: int) -> Vector:
     """sum_{n=1}^{cap} q_n(x,...,x)/n!."""
-    out = Vector.zero()
-    for n in range(1, arity_cap + 1):
-        term = expand_multilinear((x,) * n, lambda *keys: Qd.eval_keys(keys))
-        out = out + term.scale(Q(1, factorial(n)))
-    return out
+    return exp_series(lambda xs: expand_multilinear(xs, lambda *keys: Qd.eval_keys(keys)),
+                      x, range(1, arity_cap + 1))
 
 
 def mc_check(Qd: TaylorCoderivation, filt: NilpotentFiltration, x: Vector,
@@ -83,11 +79,8 @@ def mc_check(Qd: TaylorCoderivation, filt: NilpotentFiltration, x: Vector,
 
 def mc_pushforward(F: TaylorMorphism, x: Vector, arity_cap: int) -> Vector:
     """sum_n f_n(x,...,x)/n! (finite in the nilpotent regime)."""
-    out = Vector.zero()
-    for n in range(1, arity_cap + 1):
-        term = expand_multilinear((x,) * n, lambda *keys: F.eval_keys(keys))
-        out = out + term.scale(Q(1, factorial(n)))
-    return out
+    return exp_series(lambda xs: expand_multilinear(xs, lambda *keys: F.eval_keys(keys)),
+                      x, range(1, arity_cap + 1))
 
 
 def mc_pushforward_checked(F: TaylorMorphism, x: Vector, arity_cap: int,
@@ -127,13 +120,14 @@ def kuranishi_inverse(data: KuranishiData, y: Vector, hv: Vector,
     C, Qd, g = data.contraction, data.Q, data.transfer.g
     steps = max_steps if max_steps is not None else data.filt.vanishing + 1
     head = C.tau(y) - C.d_A(hv)
+
+    def correction(xs):
+        return (C.h(expand_multilinear(xs, lambda *keys: Qd.eval_keys(keys)))
+                - C.tau(expand_multilinear(xs, lambda *keys: g.eval_keys(keys))))
+
     x = Vector.zero()
     for _ in range(steps + 1):
-        nxt = head
-        for i in range(2, data.cap + 1):
-            qterm = expand_multilinear((x,) * i, lambda *keys: Qd.eval_keys(keys))
-            gterm = expand_multilinear((x,) * i, lambda *keys: g.eval_keys(keys))
-            nxt = nxt + (C.h(qterm) - C.tau(gterm)).scale(Q(1, factorial(i)))
+        nxt = exp_series(correction, x, range(2, data.cap + 1)) + head
         if nxt == x:
             return x
         x = nxt

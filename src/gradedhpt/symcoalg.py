@@ -22,7 +22,6 @@ from .core import (
     Vector,
     ZERO,
     compositions,
-    expand_multilinear,
     koszul_sign,
     multi_unshuffles,
     multilinear_terms,
@@ -214,9 +213,6 @@ class TaylorMorphism:
             return Vector.zero()
         word, s = cw
         return self.component(len(word), word).scale(s)
-
-    def eval(self, args: tuple[Vector, ...]) -> Vector:
-        return expand_multilinear(args, lambda *keys: self.eval_keys(keys))
 
     def apply_word(self, word: SymWord, cod_bound: int) -> Vector:
         """Reconstruction of the full morphism on a canonical word."""

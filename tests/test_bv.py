@@ -23,7 +23,6 @@ from gradedhpt.bv import (
     cobv_check,
     cobv_transfer,
     dual_linop,
-    morphism_congruence_defect,
     verify_poisson,
 )
 from gradedhpt.commalg import SymWordAlgebra, diff_order, koszul_recursion
@@ -130,6 +129,52 @@ class TestBVCheck:
             assert verdicts[name] == "PASS" and rep.bounds[f"scope: {name}"] == 3
         assert [verdicts[n] for n in congruences] == ["PASS", "PASS", "UNDETERMINED"]
         assert not rep.has_fail, rep.to_text()
+
+    def test_congruences_computed_to_the_reliable_order(self):
+        # a series reliable only to order 1 still decides the arity-2 congruence
+        # mod t, which needs order 1; the higher arities name the order they
+        # need, for a structure and for a morphism alike
+        f = fix2(3)
+        D = f.delta_series()
+        truncated = TOp(D.coeffs, D.domain, D.codomain, D.degree, D.t_degree, known_to=1)
+        ident = TOp({0: LinOp.identity(f.A.space)}, f.A.space, f.A.space, 0, 2, known_to=1)
+        for label, rep in (
+                ("K(Delta)", bv_check(f.A, truncated, -1, 3, 4, order_keys=f.low_keys(1))),
+                ("kappa(f)", bv_morphism_check(ident, f.A, f.A, D, D, -1, 3, 4,
+                                               keys=f.low_keys(1)))):
+            items = {i.name: i for i in rep.items}
+            assert items[f"{label}_2 = 0 mod t^1"].verdict == "PASS"
+            for m in (3, 4):
+                item = items[f"{label}_{m} = 0 mod t^{m - 1}"]
+                assert (item.verdict, item.detail) == ("UNDETERMINED",
+                                                       f"needs order {m - 1}, have 1")
+            assert not rep.has_fail, rep.to_text()
+
+
+class TestScopeRule:
+    """The scope rule of the BV checkers, as ``tests/test_ibl_scope.py`` states it
+    for the IBL layer: at guard 3, products of four letters leave the algebra,
+    so no checker may raise, fail, or pass a claim it could not evaluate."""
+
+    def test_no_overflow_escapes_and_nothing_fails(self):
+        f = fix2(3)
+        keys = f.low_keys(1)
+        D = f.delta_series()
+        ident = TOp({0: LinOp.identity(f.A.space)}, f.A.space, f.A.space, 0, 2)
+        structure = bv_check(f.A, D, -1, 3, 4, order_keys=keys)
+        morphism = bv_morphism_check(ident, f.A, f.A, D, D, -1, 3, 4, keys=keys)
+        poisson = verify_poisson(f.A, D, -1, 4, keys=keys)
+        for rep in (structure, morphism, poisson):
+            assert not rep.has_fail, rep.to_text()
+        verdicts = {i.name: i.verdict for i in structure.items + morphism.items}
+        assert verdicts["K(Delta)_4 = 0 mod t^3"] == "UNDETERMINED"
+        assert [verdicts[f"kappa(f)_{m} = 0 mod t^{m - 1}"] for m in (2, 3, 4)] == \
+            ["PASS", "PASS", "UNDETERMINED"]
+        assert morphism.bounds["scope: kappa(f)_4 = 0 mod t^3"] == 3
+        # P(Delta)_n is checked on n + 1 letters, so n = 3 already leaves the guard
+        assert [i.verdict for i in poisson.items] == \
+            ["PASS", "PASS", "PASS", "UNDETERMINED", "UNDETERMINED"]
+        assert poisson.bounds["scope: P(Delta)^2 = 0"] == 3
 
 
 class TestBVMorphism:
@@ -304,7 +349,7 @@ class TestCLBijection:
             out = cl_bijection(phi, self.SU, self.SU_alg, self.Bt, self.DU, self.DB, 4)
             assert out.report.ok, (trial, out.report.to_text())
             assert cl_vanishing_defect(phi, self.SU, 3) is None
-            assert morphism_congruence_defect(out.exp_map, self.SU_alg, self.Bt, 4) is None
+            assert "kappa=True" in self.equivalence(out).detail
 
     def test_corrupted_data_fails_both_routes(self):
         rng = random.Random(307)
@@ -315,9 +360,24 @@ class TestCLBijection:
             out = cl_bijection(phi, self.SU, self.SU_alg, self.Bt, self.DU, self.DB, 4)
             # equivalence item must still PASS (both sides false together)
             assert out.report.ok, (trial, out.report.to_text())
-            assert morphism_congruence_defect(out.exp_map, self.SU_alg, self.Bt, 4) is not None
+            assert "kappa=False" in self.equivalence(out).detail
             return
         pytest.skip("no corrupted draw")
+
+    @staticmethod
+    def equivalence(out):
+        return next(i for i in out.report.items
+                    if i.name == "vanishing condition <=> cumulant congruence")
+
+    def test_undecided_congruence_is_undetermined(self):
+        # at N = 2 the arity-4 congruence needs order 3: the equivalence cannot
+        # be decided, though the arities it can decide agree with cl
+        Bt = TruncatedTAlgebra(self.B_alg, 2, 2)
+        phi = LinOp.zero(self.SU, Bt.space, 0)
+        out = cl_bijection(phi, self.SU, self.SU_alg, Bt, self.DU, self.DB, 4)
+        item = self.equivalence(out)
+        assert (item.verdict, item.detail) == ("UNDETERMINED", "cl=True, kappa=None")
+        assert not out.report.has_fail, out.report.to_text()
 
     def test_chain_map_instance(self):
         # exp data of S(g) for a chain map g intertwines the induced structures

@@ -1,6 +1,7 @@
 """Lint over the package sources, using only the standard library: every
-module-level import is used, no function or class imports locally, and an
-Overflow is caught only where the allowlist below says."""
+module-level import is used, no function or class imports locally, an
+Overflow is caught only where the allowlist below says, and the diagonal
+(x,) * n of a Maurer-Cartan sum is written only in ``core.exp_series``."""
 
 import ast
 from pathlib import Path
@@ -66,23 +67,27 @@ def _catches_overflow(handler: ast.ExceptHandler) -> bool:
     return bool(names & {"Overflow", "Exception", "BaseException"})
 
 
-def overflow_handlers(path: Path) -> list:
-    """(owner, line) of each handler that catches Overflow; the owner is the
-    module-level function or method it sits in, nested functions included."""
-    found = []
-
+def owned_nodes(path: Path) -> list:
+    """(owner, node) for every node of a module; the owner is the module-level
+    function or method the node sits in, nested functions included, else the
+    module."""
     def walk(node, owner, in_function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ExceptHandler) and _catches_overflow(child):
-                found.append((owner, child.lineno))
+            yield owner, child
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
                     and not in_function:
-                walk(child, f"{owner}.{child.name}", not isinstance(child, ast.ClassDef))
+                yield from walk(child, f"{owner}.{child.name}",
+                                not isinstance(child, ast.ClassDef))
             else:
-                walk(child, owner, in_function)
+                yield from walk(child, owner, in_function)
 
-    walk(_tree(path), path.stem, False)
-    return found
+    return list(walk(_tree(path), path.stem, False))
+
+
+def overflow_handlers(path: Path) -> list:
+    """(owner, line) of each handler that catches Overflow."""
+    return [(owner, node.lineno) for owner, node in owned_nodes(path)
+            if isinstance(node, ast.ExceptHandler) and _catches_overflow(node)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -90,3 +95,35 @@ def test_overflow_caught_only_on_the_allowlist(path):
     stray = [(owner, line) for owner, line in overflow_handlers(path)
              if owner not in OVERFLOW_CATCHERS]
     assert not stray, f"{path.name}: Overflow caught outside the scope rule at {stray}"
+
+
+# Every sum over the diagonal, sum_n phi((x,) * n)/n!, goes through this one
+# function, so the Maurer-Cartan sums of structures (Koszul brackets) and their
+# push-forwards (cumulants) are written once.
+DIAGONAL_SUMS = {"core.exp_series"}
+
+
+def diagonal_sites(path: Path) -> list:
+    """(owner, line) of each one-element tuple multiplied by a name that its
+    owner binds as a loop variable (a ``for`` or comprehension target)."""
+    nodes = owned_nodes(path)
+    loop_vars: dict = {}
+    for owner, node in nodes:
+        if isinstance(node, (ast.For, ast.comprehension)):
+            loop_vars.setdefault(owner, set()).update(
+                n.id for n in ast.walk(node.target) if isinstance(n, ast.Name))
+
+    def diagonal(owner, node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+            isinstance(a, ast.Tuple) and len(a.elts) == 1 and isinstance(b, ast.Name)
+            and b.id in loop_vars.get(owner, ())
+            for a, b in ((node.left, node.right), (node.right, node.left)))
+
+    return [(owner, node.lineno) for owner, node in nodes if diagonal(owner, node)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_diagonal_sums_only_in_exp_series(path):
+    stray = [(owner, line) for owner, line in diagonal_sites(path)
+             if owner not in DIAGONAL_SUMS]
+    assert not stray, f"{path.name}: a diagonal (x,) * n outside core.exp_series at {stray}"
