@@ -266,7 +266,7 @@ def exp_automorphism(A: CommAlgebra, arity_bound: int) -> TaylorMorphism:
 def log_automorphism(A: CommAlgebra, arity_bound: int) -> TaylorMorphism:
     """Taylor data l_n(a_1,...,a_n) = (-1)^{n-1} (n-1)! a_1...a_n; inverse of E."""
     def fn(n, word):
-        coeff = Q((-1) ** (n - 1) * factorial(n - 1))
+        coeff = (-1 if (n - 1) % 2 else 1) * factorial(n - 1)
         return A.product_keys(word).scale(coeff)
     return TaylorMorphism(A.space, A.space, fn, arity_bound, label="L")
 
@@ -288,10 +288,9 @@ def cumulant_partition(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
             flat = tuple(p for block in part for p in block)
             s = koszul_sign(flat, degs)
             k = len(part)
-            coeff = Q((-1) ** (k - 1) * factorial(k - 1)) * s
+            coeff = (-1 if (k - 1) % 2 else 1) * factorial(k - 1) * s
             images = [f(A.product_list([parts[p] for p in block])) for block in part]
-            term = B.product_list(images)
-            out = out + term.scale(coeff)
+            out.add_scaled(B.product_list(images), coeff)
         return out
 
     return expand_homogeneous(A.space, args, kernel)
@@ -304,7 +303,7 @@ def cumulant_recursion(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
         if n == 1:
             return f(parts[0])
         rest, b, c = parts[:-2], parts[-2], parts[-1]
-        out = rec(rest + (A.mul(b, c),))
+        out = Vector().add_scaled(rec(rest + (A.mul(b, c),)))
         m = len(rest)
         degs = _args_degrees(A.space, rest) + (vector_degree(A.space, b) or 0,
                                                vector_degree(A.space, c) or 0)
@@ -314,7 +313,7 @@ def cumulant_recursion(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
                 s = koszul_sign(perm, degs)
                 left = rec(tuple(rest[p] for p in unsh[0]) + (b,))
                 right = rec(tuple(rest[p] for p in unsh[1]) + (c,))
-                out = out - B.mul(left, right).scale(s)
+                out.add_scaled(B.mul(left, right), -s)
         return out
 
     return expand_homogeneous(A.space, args, lambda *parts: rec(parts))
@@ -337,10 +336,10 @@ def _corestriction(A: CommAlgebra, B: CommAlgebra, middle, args: tuple[Vector, .
     for w, c in assemble_word(A.space, args, n).items():
         z = Vector.zero()
         for u, cu in E.apply_word(w, n).items():
-            z = z + middle.apply_word(u, n).scale(cu)
+            z.add_scaled(middle.apply_word(u, n), cu)
         for u, cu in z.items():
             img = L.apply_word(u, n)
-            out = out + Vector({v[0]: cv for v, cv in img.items() if len(v) == 1}).scale(c * cu)
+            out.add_scaled(Vector({v[0]: cv for v, cv in img.items() if len(v) == 1}), c * cu)
     return out
 
 
@@ -388,14 +387,14 @@ def koszul_closed(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vec
         degs = _args_degrees(A.space, parts)
         out = Vector.zero()
         for i in range(0, n + 1):
-            sign_i = Q((-1) ** (n - i))
+            sign_i = -1 if (n - i) % 2 else 1
             for unsh in multi_unshuffles((i, n - i)):
                 s = unshuffle_sign(unsh, degs)
                 head = delta(A.product_list([parts[p] for p in unsh[0]])) if i else du
                 if head.is_zero():
                     continue
                 tail = A.product_list([parts[p] for p in unsh[1]])
-                out = out + A.mul(head, tail).scale(sign_i * s)
+                out.add_scaled(A.mul(head, tail), sign_i * s)
         return out
 
     return expand_homogeneous(A.space, args, kernel)
@@ -412,10 +411,10 @@ def koszul_recursion(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> 
         rest, b, c = parts[:-2], parts[-2], parts[-1]
         db = vector_degree(A.space, b) or 0
         dc = vector_degree(A.space, c) or 0
-        out = rec(rest + (A.mul(b, c),))
-        out = out - A.mul(rec(rest + (b,)), c)
+        out = Vector().add_scaled(rec(rest + (A.mul(b, c),)))
+        out.add_scaled(A.mul(rec(rest + (b,)), c), -1)
         sign = -1 if (db % 2 and dc % 2) else 1
-        out = out - A.mul(rec(rest + (c,)), b).scale(sign)
+        out.add_scaled(A.mul(rec(rest + (c,)), b), -sign)
         return out
 
     return expand_homogeneous(A.space, args, lambda *parts: rec(parts))
@@ -526,7 +525,7 @@ def exp_endomorphism(A: CommAlgebra, delta: LinOp, certificate: int) -> LinOp:
         term = Vector.basis(key)
         for j in range(1, certificate):
             term = delta(term)
-            out = out + term.scale(Q(1, factorial(j)))
+            out.add_scaled(term, Q(1, factorial(j)))
         return out
 
     return LinOp(A.space, A.space, 0, fn, f"exp({delta.label})")
@@ -542,7 +541,7 @@ def algebra_exponential(A: CommAlgebra, a: Vector, nilpotency: int) -> Vector:
             break
         if j == nilpotency:
             raise ValueError(f"element not nilpotent within {nilpotency}")
-        out = out + term.scale(Q(1, factorial(j)))
+        out.add_scaled(term, Q(1, factorial(j)))
     return out
 
 

@@ -2,8 +2,16 @@
 
 Everything downstream (symmetric coalgebras, cumulants, perturbation theory)
 is built on the three primitives defined here: `koszul_sign`, `multi_unshuffles`
-and the `Vector`/`LinOp` pair.  All scalars are `fractions.Fraction`; no float
-ever enters any computation.
+and the `Vector`/`LinOp` pair.
+
+Scalars are exact and int-first: `Q` returns an ``int`` when a value is
+integral and a `fractions.Fraction` otherwise, and it raises `TypeError` on a
+float, so no float ever enters any computation.  Every scalar that enters a
+`Vector` or a scaling passes through `Q`; sums and products of stored
+coefficients stay ``int`` or ``Fraction`` by closure.  The coefficients, signs
+and factorials of the paper's formulas are integers, so almost all arithmetic
+here is on ints.  A scalar handed out to a caller (`Vector.__getitem__`) is a
+``Fraction``, so that a caller's own ``/`` stays exact.
 """
 
 from __future__ import annotations
@@ -15,10 +23,24 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping
 
-Q = Fraction
 
-ZERO = Q(0)
-ONE = Q(1)
+def Q(value, denominator=None) -> int | Fraction:
+    """The exact scalar ``value`` (or ``value / denominator``): an ``int`` when
+    it is integral, a ``Fraction`` otherwise.  A float raises TypeError."""
+    if denominator is None:
+        if type(value) is int:
+            return value
+        if type(value) is not Fraction:
+            if isinstance(value, float):
+                raise TypeError(f"float scalar {value!r}: exact arithmetic only")
+            value = Fraction(value)
+    else:
+        value = Fraction(value, denominator)
+    return value.numerator if value.denominator == 1 else value
+
+
+ZERO = 0
+ONE = 1
 
 
 class Overflow(Exception):
@@ -114,7 +136,14 @@ def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 class Vector:
-    """Sparse exact vector: mapping basis-key -> nonzero Fraction."""
+    """Sparse exact vector: mapping basis-key -> nonzero scalar.
+
+    A stored coefficient is an ``int`` or a ``Fraction`` (see `Q`), never a
+    float; an integral value may be stored either way and compares and hashes
+    equal.  ``v[key]`` hands the coefficient out as a ``Fraction``.
+    ``add_scaled`` is the one accumulate loop, in place; every other
+    operation returns a new vector.
+    """
 
     __slots__ = ("c",)
 
@@ -148,29 +177,36 @@ class Vector:
     def __bool__(self) -> bool:
         return bool(self.c)
 
-    def __add__(self, other: "Vector") -> "Vector":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, ZERO) + v
-            if w:
-                out[k] = w
+    def add_scaled(self, other: "Vector", a=ONE) -> "Vector":
+        """self += a * other, in place; returns self.  Call it only on a vector
+        the caller created: ``LinOp.on_key`` hands out cached, shared vectors."""
+        a = Q(a)
+        if not a:
+            return self
+        c = self.c
+        items = other.c.items() if a == 1 else [(k, a * v) for k, v in other.c.items()]
+        for k, v in items:
+            w = c.get(k)
+            if w is None:
+                c[k] = v
             else:
-                out.pop(k, None)
+                w += v
+                if w:
+                    c[k] = w
+                else:
+                    del c[k]
+        return self
+
+    def _copy(self) -> "Vector":
         r = Vector()
-        r.c = out
+        r.c = dict(self.c)
         return r
 
+    def __add__(self, other: "Vector") -> "Vector":
+        return self._copy().add_scaled(other)
+
     def __sub__(self, other: "Vector") -> "Vector":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, ZERO) - v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        r = Vector()
-        r.c = out
-        return r
+        return self._copy().add_scaled(other, -1)
 
     def __neg__(self) -> "Vector":
         r = Vector()
@@ -199,8 +235,8 @@ class Vector:
     def keys(self):
         return self.c.keys()
 
-    def __getitem__(self, key) -> Q:
-        return self.c.get(key, ZERO)
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self.c.get(key, ZERO))
 
     def __repr__(self) -> str:
         if not self.c:
@@ -400,7 +436,7 @@ class LinOp:
         return f"LinOp({self.label or 'anon'}, degree={self.degree})"
 
 
-def multilinear_terms(args) -> list[tuple[tuple, Q]]:
+def multilinear_terms(args) -> list[tuple[tuple, int | Fraction]]:
     """(keys, coeff) for each choice of one basis key from every vector in
     ``args``, in lexicographic order, with the product of their coefficients
     (each prefix product is formed once)."""
@@ -417,7 +453,7 @@ def expand_multilinear(args: tuple[Vector, ...], kernel: Callable[..., Vector]) 
     """
     out = Vector()
     for keys, coeff in multilinear_terms(args):
-        out = out + kernel(*keys).scale(coeff)
+        out.add_scaled(kernel(*keys), coeff)
     return out
 
 
@@ -426,9 +462,8 @@ def expand_homogeneous(spaces, args: tuple[Vector, ...], kernel: Callable[..., V
     out = Vector()
 
     def rec(i: int, parts: tuple):
-        nonlocal out
         if i == len(args):
-            out = out + kernel(*parts)
+            out.add_scaled(kernel(*parts))
             return
         space = spaces[i] if isinstance(spaces, (list, tuple)) else spaces
         for part in homogeneous_parts(space, args[i]).values():
@@ -442,8 +477,7 @@ def exp_series(evaluate: Callable[[tuple], Vector], x, arities: Iterable[int]) -
     """sum over n in ``arities`` of evaluate((x,)*n)/n!: the Maurer-Cartan sum of a
     family of multilinear operations (Koszul brackets, cumulants, Taylor
     coefficients), or of a push-forward along one, on the diagonal of x."""
-    out = None
+    out = Vector()
     for n in arities:
-        term = evaluate((x,) * n).scale(Q(1, factorial(n)))
-        out = term if out is None else out + term
-    return Vector() if out is None else out
+        out.add_scaled(evaluate((x,) * n), Q(1, factorial(n)))
+    return out

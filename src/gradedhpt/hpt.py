@@ -164,7 +164,7 @@ def _bis_identities(rep: Report, C: Contraction, alg_A: CommAlgebra, alg_B: Comm
     sigma, tau, h, mul = C.sigma, C.tau, C.h, alg_A.mul
     hA = {a: h(Vector.basis(a)) for a in keys_A}
     tB = {x: tau(Vector.basis(x)) for x in keys_B}
-    sign = {a: Q((-1) ** (alg_A.space.degree(a) + 1)) for a in keys_A}
+    sign = {a: -1 if (alg_A.space.degree(a) + 1) % 2 else 1 for a in keys_A}
     squares = [(a, b) for a in keys_A for b in keys_A]
     pairs_AB = [(a, x) for a in keys_A for x in keys_B]
 

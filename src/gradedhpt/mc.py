@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .core import ConvergenceFault, Q, Vector, exp_series, expand_multilinear
+from .core import ConvergenceFault, Vector, exp_series, expand_multilinear
 from .hpt import Contraction, LinfTransfer
 from .symcoalg import TaylorCoderivation, TaylorMorphism, words_over
 
@@ -135,10 +135,12 @@ def kuranishi_inverse(data: KuranishiData, y: Vector, hv: Vector,
 
 
 def lattice_coefficients(height: int) -> tuple[Fraction, ...]:
-    vals = {Q(0)}
+    """The rationals p/q with |p| <= height and 1 <= q <= height, ascending, as
+    Fractions: they are handed to callers, whose own arithmetic must stay exact."""
+    vals = {Fraction(0)}
     for p in range(-height, height + 1):
         for q in range(1, height + 1):
-            vals.add(Q(p, q))
+            vals.add(Fraction(p, q))
     return tuple(sorted(vals))
 
 

@@ -515,7 +515,7 @@ def star_log(F: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vector
             powers.append(convolution(powers[-1], G, mul))
         out = Vector.zero()
         for k in range(1, n + 1):
-            out = out + powers[k].on_key(word).scale(Q((-1) ** (k - 1), k))
+            out = out + powers[k].on_key(word).scale(Q(-1 if (k - 1) % 2 else 1, k))
         return out
 
     return LinOp(dom, F.codomain, 0, fn, f"log*({F.label})")

@@ -25,11 +25,11 @@ from gradedhpt.bv import (
     dual_linop,
     verify_poisson,
 )
-from gradedhpt.commalg import SymWordAlgebra, diff_order, koszul_recursion
+from gradedhpt.commalg import GuardedFreeAlgebra, SymWordAlgebra, diff_order, koszul_recursion
 from gradedhpt.fixtures import fix2
 from gradedhpt.hpt import Contraction
 from gradedhpt.symcoalg import SymSpace
-from gradedhpt.tseries import LaurentVec, TOp, TruncatedTAlgebra, laurent_apply
+from gradedhpt.tseries import LaurentVec, TOp, TruncatedTAlgebra, laurent_apply, laurent_exp
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +283,37 @@ class TestBVMC:
             bv_mc_check(f2.A, f2.delta_series(),
                         LaurentVec({-1: f2.A.monomial({"y": 1})}), -1, 3, 2)
 
+    def test_repeated_power_weights(self):
+        # K[x]/(x^3) (x) Lambda(eta), |x| = 0, |eta| = -1, Delta = t eta d^2/dx^2 and
+        # a = c x: every term of the residual repeats the power t^0 of a, and
+        # K_2(x, x) = 2 eta, K_3(x, x, x) = -6 x eta, K_4(x, x, x, x) = 12 x^2 eta
+        # are nonzero, so each multinomial weight 1/m! shows in the result
+        A = GuardedFreeAlgebra([("x", 0, 3), ("eta", -1, None)], 4)
+
+        def d2_fn(key):
+            e, eta = key
+            if e >= 2 and eta == 0:
+                return A.monomial({"x": e - 2, "eta": 1}, e * (e - 1))
+            return Vector.zero()
+
+        Delta = TOp({1: LinOp(A.space, A.space, -1, d2_fn, "eta d2")}, A.space, A.space, 1, 2)
+        f0 = LinOp(A.space, A.space, 0, lambda k: Vector.basis(k, 2 if k == (2, 0) else 1), "f")
+        f = TOp({0: f0}, A.space, A.space, 0, 2)
+        for c in (1, 3):
+            a = LaurentVec({0: A.monomial({"x": 1}, c)})
+            # e^{-a} Delta(e^a) = t (c^2 eta - c^3 x eta + c^4/2 x^2 eta), cross-checked
+            ok, res = bv_mc_check(A, Delta, a, -1, 3, 4, nilpotency=3)
+            assert not ok
+            assert res == LaurentVec({1: A.monomial({"eta": 1}, c ** 2)
+                                      + A.monomial({"x": 1, "eta": 1}, -c ** 3)
+                                      + A.monomial({"x": 2, "eta": 1}, Q(c ** 4, 2))})
+            assert bv_mc_residual(A, Delta, a, 4) == res
+            # kappa(f0)_2(x, x) = x^2: the push-forward is b = c x + c^2/2 x^2, with
+            # e^b = f0(e^a)
+            b = bv_mc_pushforward(f, A, A, a, -1, 3, 4)
+            assert b == LaurentVec({0: A.monomial({"x": 1}, c) + A.monomial({"x": 2}, Q(c ** 2, 2))})
+            assert laurent_exp(A, b, 3) == LaurentVec({0: f0(laurent_exp(A, a, 3).coeff(0))})
+
     def test_pushforward_and_kuranishi(self, f2, keys2):
         D = f2.delta_series()
         res = bv_transfer(f2.A, f2.B, D, f2.contraction, -1, 3, 3, keys_A=keys2)
@@ -424,7 +455,7 @@ class TestCoBV:
         gf = g @ f
         fd = dual_linop(f, dual, dual)
         gd = dual_linop(g, dual, dual)
-        sign = (-1) ** (f.degree * g.degree)
+        sign = -1 if (f.degree * g.degree) % 2 else 1
         lhs = dual_linop(gf, dual, dual)
         rhs = (fd @ gd).scale(sign)
         assert lhs.equal_on(rhs, dual.keys())

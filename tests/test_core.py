@@ -1,9 +1,13 @@
 import itertools
+import random
+from fractions import Fraction
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from gradedhpt import core
+from gradedhpt.commalg import cumulants, koszul_brackets
 from gradedhpt.core import (
     GradedBasis,
     LinOp,
@@ -13,6 +17,12 @@ from gradedhpt.core import (
     multi_unshuffles,
     set_partitions,
     unshuffle_sign,
+)
+from gradedhpt.randgen import (
+    random_algebra_pair,
+    random_homogeneous,
+    random_unital_map,
+    random_unital_operator,
 )
 
 
@@ -172,3 +182,98 @@ class TestVectorAndLinOp:
         dh = d.bracket(h)
         expect = d @ h + h @ d
         assert dh.equal_on(expect, b.keys())
+
+
+# -- the scalar contract: int-first exact scalars, Fractions at the boundary --------
+
+
+def random_vector(rng, space) -> Vector:
+    """A randgen vector on all of ``space``, one homogeneous part per degree;
+    its coefficients mix ints and half-integer Fractions."""
+    return Vector([kc for d in sorted({space.degree(k) for k in space.keys()})
+                   for kc in random_homogeneous(rng, space, d).items()])
+
+
+def as_fractions(v: Vector) -> dict:
+    return {k: Fraction(c) for k, c in v.items()}
+
+
+def fraction_reference(*terms) -> dict:
+    """sum of a * v over the (a, v) terms, computed on Fraction coefficients."""
+    out: dict = {}
+    for a, v in terms:
+        for k, c in as_fractions(v).items():
+            out[k] = out.get(k, Fraction(0)) + Fraction(a) * c
+    return {k: c for k, c in out.items() if c}
+
+
+class TestScalarContract:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_arithmetic_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        A, B = random_algebra_pair(rng)
+        f = random_unital_map(rng, A, B)
+        x, y = random_vector(rng, A.space), random_vector(rng, A.space)
+        a = core.Q(rng.randint(-3, 3), rng.choice([1, 2]))
+        x_before = as_fractions(x)
+        cases = {
+            "x + y": (x + y, fraction_reference((1, x), (1, y))),
+            "x - y": (x - y, fraction_reference((1, x), (-1, y))),
+            "a x": (x.scale(a), fraction_reference((a, x))),
+            "x += a y": (Vector(x.items()).add_scaled(y, a), fraction_reference((1, x), (a, y))),
+            "x += a x": ((lambda w: w.add_scaled(w, a))(Vector(x.items())),
+                         fraction_reference((1 + a, x))),
+            "f(x)": (f(x), fraction_reference(*((c, f.on_key(k)) for k, c in x.items()))),
+            "x y": (A.mul(x, y), fraction_reference(*(
+                (c1 * c2, A.mul_keys(k1, k2)) for k1, c1 in x.items() for k2, c2 in y.items()))),
+        }
+        for name, (got, expect) in cases.items():
+            assert as_fractions(got) == expect, name
+            assert all(type(c) in (int, Fraction) and c for c in got.c.values()), name
+        assert as_fractions(x) == x_before
+
+    def test_floats_are_rejected(self):
+        v = Vector.basis(0)
+        b = two_dim_basis()
+        for make in (lambda: core.Q(0.5), lambda: core.Q(2.0), lambda: core.Q(1.5, 2),
+                     lambda: Vector({0: 0.5}), lambda: Vector.basis(0, -1.0),
+                     lambda: v.scale(2.0), lambda: Vector().add_scaled(v, 1.0),
+                     lambda: LinOp.identity(b).scale(0.5)):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_integral_scalars_are_ints(self):
+        assert type(core.Q(4, 2)) is int and core.Q(4, 2) == 2
+        assert type(core.Q(Fraction(6, 3))) is int
+        assert core.Q(1, 2) == Fraction(1, 2)
+        v = Vector({0: Fraction(3), 1: core.Q(1, 2)})
+        assert type(v.c[0]) is int
+
+    def test_getitem_hands_out_fractions(self):
+        v = Vector({0: 3, 1: core.Q(1, 2)})
+        for k in (0, 1, 2):
+            assert type(v[k]) is Fraction
+        assert v[0] / 2 == Fraction(3, 2)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_routes_leave_shared_images_alone(self, seed):
+        # add_scaled accumulates in place: every route must accumulate into a
+        # vector it created, never into a cached LinOp image or a product table
+        rng = random.Random(seed)
+        A, B = random_algebra_pair(rng)
+        f = random_unital_map(rng, A, B)
+        delta = random_unital_operator(rng, A, rng.choice([-1, 0, 1]))
+        args = tuple(random_vector(rng, A.space) for _ in range(rng.randint(1, 3)))
+        shared = {"f": {k: f.on_key(k) for k in A.space.keys()},
+                  "delta": {k: delta.on_key(k) for k in A.space.keys()},
+                  "A.table": dict(A.table), "B.table": dict(B.table)}
+        snapshot = {name: {k: dict(v.items()) for k, v in images.items()}
+                    for name, images in shared.items()}
+        koszul_brackets(A, delta, args, routes=("closed", "recursion", "composite"))
+        cumulants(A, B, f, args, routes=("partition", "recursion", "composite"))
+        assert all(f.on_key(k) is v for k, v in shared["f"].items())
+        assert all(delta.on_key(k) is v for k, v in shared["delta"].items())
+        assert {name: {k: dict(v.items()) for k, v in images.items()}
+                for name, images in shared.items()} == snapshot

@@ -112,6 +112,32 @@ class TestSemifullAlgebra:
         # the perturbed differential is no longer a derivation
         assert rep.bounds["dg_strength"] == "d_A not a derivation on the corpus"
 
+    def test_negative_degree_keys(self):
+        # FIX-1 moved to |y| = -2, |dy| = -1: the bis-identity sign (-1)^(|a|+1)
+        # of the keys y, y^2, y^3 has a negative exponent
+        A = GuardedFreeAlgebra([("y", -2, None), ("dy", -1, None)], 8)
+
+        def d_fn(key):
+            e, c = key
+            return A.monomial({"y": e - 1, "dy": 1}, e) if e >= 1 and c == 0 else Vector.zero()
+
+        def h_fn(key):
+            e, c = key
+            return A.monomial({"y": e + 1}, Q(-1, e + 1)) if c == 1 else Vector.zero()
+
+        unit = A.unit_key
+        C = Contraction(
+            LinOp(A.space, SCALARS.space, 0,
+                  lambda k: Vector.basis(0) if k == unit else Vector.zero(), "sigma"),
+            LinOp(SCALARS.space, A.space, 0, lambda k: A.unit(), "tau"),
+            LinOp(A.space, A.space, -1, h_fn, "h"), LinOp(A.space, A.space, 1, d_fn, "d"),
+            LinOp.zero(SCALARS.space, degree=1))
+        keys = [k for k in A.space.keys() if A.key_length(k) <= 3]
+        assert min(A.space.degree(k) for k in keys) == -6
+        rep = check_semifull_algebra(C, A, SCALARS, keys_A=keys)
+        assert rep.ok and rep.bounds["dg_strength"] == "checked", rep.to_text()
+        assert len(rep.items) == 12
+
     def test_guard_leaves_identities_undetermined(self):
         # at length bound 3 some products of pairs leave the guard: those
         # identities are undetermined, never passed, and nothing fails

@@ -1,7 +1,8 @@
 """Lint over the package sources, using only the standard library: every
 module-level import is used, no function or class imports locally, an
-Overflow is caught only where the allowlist below says, and the diagonal
-(x,) * n of a Maurer-Cartan sum is written only in ``core.exp_series``."""
+Overflow is caught only where the allowlist below says, the diagonal
+(x,) * n of a Maurer-Cartan sum is written only in ``core.exp_series``, and
+no scalar is formed by true division or by a power of -1."""
 
 import ast
 from pathlib import Path
@@ -127,3 +128,32 @@ def test_diagonal_sums_only_in_exp_series(path):
     stray = [(owner, line) for owner, line in diagonal_sites(path)
              if owner not in DIAGONAL_SUMS]
     assert not stray, f"{path.name}: a diagonal (x,) * n outside core.exp_series at {stray}"
+
+
+# Scalars are exact and int-first (``core.Q``): ``/`` on ints makes a float, and
+# so does (-1) ** e for a negative e, as a degree can be.  ``Q(p, q)`` is the
+# only way to divide, and a sign is a parity, ``-1 if e % 2 else 1``.
+
+
+def _minus_one(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+        return isinstance(node, ast.Constant) and node.value == 1
+    return isinstance(node, ast.Constant) and node.value == -1
+
+
+def float_scalar_sites(path: Path) -> list:
+    """(owner, line, operator) of each true division and each power of -1."""
+    sites = []
+    for owner, node in owned_nodes(path):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            sites.append((owner, node.lineno, "/"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _minus_one(node.left):
+            sites.append((owner, node.lineno, "(-1) **"))
+    return sites
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_true_division_or_sign_powers(path):
+    sites = float_scalar_sites(path)
+    assert not sites, f"{path.name}: use Q(p, q) to divide and a parity for a sign at {sites}"
