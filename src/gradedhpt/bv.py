@@ -286,7 +286,9 @@ def bv_transfer(A: CommAlgebra, B: CommAlgebra, Delta: TOp, C: Contraction, k: i
                 N: int, arity_bound: int, keys_A=None, keys_B=None) -> BVTransfer:
     """Transfer a derived BV structure along a semifull DG algebra contraction,
     re-certify everything, and verify that the Poisson image commutes with the
-    L-infinity[1] transfer."""
+    L-infinity[1] transfer.  That last claim is decided by one ``report.scan``
+    over word weights, the transfer itself at weight 0: beyond the guard it is
+    UNDETERMINED."""
     _require_odd(k)
     td = _t_degree(k)
     keys_A = tuple(A.space.keys() if keys_A is None else keys_A)
@@ -310,25 +312,30 @@ def bv_transfer(A: CommAlgebra, B: CommAlgebra, Delta: TOp, C: Contraction, k: i
     rep.merge(bv_morphism_check(tau_new, B, A, DeltaB, Delta, k, N, arity_bound, keys_B),
               prefix="tau: ")
 
-    # Poisson image commutes with transfer
     shifted = Contraction(
         _reshift(C.sigma, 1 - k), _reshift(C.tau, 1 - k), _reshift(C.h, 1 - k),
         _reshift(C.d_A, 1 - k), _reshift(C.d_B, 1 - k), verify_on_init=False)
     P_A = bv_to_poisson(A, Delta, k, arity_bound)
-    res = linf_transfer(P_A, shifted, arity_bound, corpus_A=keys_A, corpus_B=keys_B)
     P_B = bv_to_poisson(B, DeltaB, k, arity_bound)
     P_tau = bv_morphism_to_poisson(tau_new, B, A, k, arity_bound, N)
-    bad = None
-    for word in words_over(B.space, keys_B, arity_bound, min_weight=1):
-        n = len(word)
+    transfer = []
+
+    def commutes(word):
+        # the empty word, at weight 0, computes the transfer: when that leaves
+        # the guard, no word is compared and the claim is UNDETERMINED
+        if not word:
+            transfer.append(linf_transfer(P_A, shifted, arity_bound, corpus_A=keys_A, corpus_B=keys_B))
+            return None
+        res, n = transfer[0], len(word)
         if P_B.component(n, word) != res.r.component(n, word):
-            bad = ("structure", word)
-            break
+            return ("structure", word)
         if P_tau.component(n, word) != res.f.component(n, word):
-            bad = ("morphism", word)
-            break
-    rep.add("Poisson image commutes with transfer", bad is None,
-            "" if bad is None else f"witness {bad}")
+            return ("morphism", word)
+        return None
+
+    scope, bad = scan(((m, words_over(B.space, keys_B, m, min_weight=m))
+                       for m in range(arity_bound + 1)), commutes)
+    rep.claim("Poisson image commutes with transfer", scope, lambda: witness_verdict(bad))
     return BVTransfer(DeltaB, tau_new, sigma_new, h_new, rep)
 
 
@@ -450,11 +457,7 @@ def cl_intertwine_defect(F: LinOp, Delta_U: TOp, Delta_B: TOp, Bt: TruncatedTAlg
 
     def F_t(key):
         n, word = key
-        out = Vector()
-        for (m, kk), c in F.on_key(word).items():
-            if n + m <= N:
-                out.c[(n + m, kk)] = c
-        return out
+        return Vector(((n + m, kk), c) for (m, kk), c in F.on_key(word).items() if n + m <= N)
 
     Ft = LinOp(DU.domain, Bt.space, 0, F_t, "F~")
     lhs = Ft @ DU
@@ -520,12 +523,7 @@ def dual_linop(f: LinOp, dual_dom: GradedBasis, dual_cod: GradedBasis) -> LinOp:
     """f': W' -> V' with <f'(w'), v> = (-1)^{|f||w'|} <w', f(v)>."""
     def fn(j):
         sign = -1 if (f.degree % 2 and dual_dom.degree(j) % 2) else 1
-        out = Vector()
-        for i in f.domain.keys():
-            c = f.on_key(i)[j]
-            if c:
-                out.c[i] = sign * c
-        return out
+        return Vector((i, sign * f.on_key(i)[j]) for i in f.domain.keys())
 
     return LinOp(dual_dom, dual_cod, f.degree, fn, f.label + "'")
 
@@ -552,14 +550,9 @@ def coalgebra_dual_algebra(C: FiniteCoalgebra) -> ExplicitFDAlgebra:
     keys = list(C.basis.keys())
     for j in keys:
         for kk in keys:
-            out = Vector()
             sign = -1 if (C.basis.degree(j) % 2 and C.basis.degree(kk) % 2) else 1
-            for i in keys:
-                for l, r, c in C.coproduct(i):
-                    if l == j and r == kk:
-                        out.c[i] = out.c.get(i, 0) + sign * c
-            out.c = {a: b for a, b in out.c.items() if b}
-            prods[(j, kk)] = out
+            prods[(j, kk)] = Vector((i, sign * c) for i in keys for l, r, c in C.coproduct(i)
+                                    if l == j and r == kk)
     return ExplicitFDAlgebra(basis, prods, C.unit_key)
 
 

@@ -28,7 +28,6 @@ from .core import (
     Q,
     RouteDisagreement,
     Vector,
-    ZERO,
     exp_series,
     expand_homogeneous,
     koszul_sign,
@@ -77,13 +76,7 @@ class CommAlgebra:
         out = Vector()
         for k1, c1 in a.items():
             for k2, c2 in b.items():
-                prod = self.mul_keys(k1, k2)
-                for k, c in prod.items():
-                    v = out.c.get(k, ZERO) + c1 * c2 * c
-                    if v:
-                        out.c[k] = v
-                    else:
-                        out.c.pop(k, None)
+                out.add_scaled(self.mul_keys(k1, k2), c1 * c2)
         return out
 
     def product_list(self, vectors: Sequence[Vector]) -> Vector:

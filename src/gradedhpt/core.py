@@ -12,6 +12,11 @@ coefficients stay ``int`` or ``Fraction`` by closure.  The coefficients, signs
 and factorials of the paper's formulas are integers, so almost all arithmetic
 here is on ints.  A scalar handed out to a caller (`Vector.__getitem__`) is a
 ``Fraction``, so that a caller's own ``/`` stays exact.
+
+`Vector` owns its coefficient dict: no other code reads or writes it, and
+coefficients are summed in two places only, ``Vector(terms)`` for
+``(key, scalar)`` terms and ``Vector.add_scaled`` for a scaled vector.  A
+tensor is a Vector too, keyed by tuples of keys.
 """
 
 from __future__ import annotations
@@ -141,8 +146,12 @@ class Vector:
     A stored coefficient is an ``int`` or a ``Fraction`` (see `Q`), never a
     float; an integral value may be stored either way and compares and hashes
     equal.  ``v[key]`` hands the coefficient out as a ``Fraction``.
-    ``add_scaled`` is the one accumulate loop, in place; every other
-    operation returns a new vector.
+
+    The dict ``c`` is private to this class.  The two accumulate entry points
+    are ``Vector(terms)``, which sums ``(key, scalar)`` terms with repeated
+    keys, and ``add_scaled``, which adds a scaled vector in place; every other
+    operation returns a new vector.  Callers read through ``items()``,
+    ``keys()`` and ``v[key]``.
     """
 
     __slots__ = ("c",)
@@ -152,11 +161,18 @@ class Vector:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
             for k, v in items:
-                v = Q(v)
+                if type(v) is not int:
+                    v = Q(v)
                 if v:
-                    c[k] = c.get(k, ZERO) + v
-                    if not c[k]:
-                        del c[k]
+                    w = c.get(k)
+                    if w is None:
+                        c[k] = v
+                    else:
+                        w += v
+                        if w:
+                            c[k] = w
+                        else:
+                            del c[k]
         self.c = c
 
     @staticmethod
@@ -180,12 +196,16 @@ class Vector:
     def add_scaled(self, other: "Vector", a=ONE) -> "Vector":
         """self += a * other, in place; returns self.  Call it only on a vector
         the caller created: ``LinOp.on_key`` hands out cached, shared vectors."""
-        a = Q(a)
+        if type(a) is not int:
+            a = Q(a)
         if not a:
             return self
         c = self.c
-        items = other.c.items() if a == 1 else [(k, a * v) for k, v in other.c.items()]
-        for k, v in items:
+        scaled = a != 1
+        # a snapshot when other is self: the loop writes to the dict it reads
+        for k, v in (tuple(c.items()) if other is self else other.c.items()):
+            if scaled:
+                v = a * v
             w = c.get(k)
             if w is None:
                 c[k] = v
@@ -355,13 +375,7 @@ class LinOp:
     def __call__(self, v: Vector) -> Vector:
         out = Vector()
         for k, c in v.items():
-            img = self.on_key(k)
-            for k2, c2 in img.items():
-                w = out.c.get(k2, ZERO) + c * c2
-                if w:
-                    out.c[k2] = w
-                else:
-                    out.c.pop(k2, None)
+            out.add_scaled(self.on_key(k), c)
         return out
 
     # -- operator algebra --------------------------------------------------------

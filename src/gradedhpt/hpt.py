@@ -235,30 +235,18 @@ def semifull_failure_identities(C: Contraction, alg_A: CommAlgebra, alg_B: CommA
     return rep
 
 
-def _tensor_of(coalg, op_left: LinOp, op_right: LinOp, v: Vector) -> dict:
-    """(op_left (x) op_right) applied to the coproduct of v, as a tensor dict."""
-    out: dict = {}
+def _tensor_of(coalg, op_left: LinOp, op_right: LinOp, v: Vector) -> Vector:
+    """(op_left (x) op_right) applied to the coproduct of v, as a tensor on pairs."""
+    terms = []
     rdeg = op_right.degree
     for key, c in v.items():
         for l, r, s in coalg.coproduct(key):
-            sgn = c * s
-            if rdeg % 2 and coalg.degree(l) % 2:
-                sgn = -sgn
             lv = op_left.on_key(l)
-            if lv.is_zero():
-                continue
-            rv = op_right.on_key(r)
-            if rv.is_zero():
-                continue
-            for k1, c1 in lv.items():
-                for k2, c2 in rv.items():
-                    pair = (k1, k2)
-                    w = out.get(pair, 0) + sgn * c1 * c2
-                    if w:
-                        out[pair] = w
-                    else:
-                        out.pop(pair, None)
-    return out
+            if lv:
+                sgn = -c * s if rdeg % 2 and coalg.degree(l) % 2 else c * s
+                rv = op_right.on_key(r)
+                terms += [((k1, k2), sgn * c1 * c2) for k1, c1 in lv.items() for k2, c2 in rv.items()]
+    return Vector(terms)
 
 
 def check_semifull_coalgebra(C: Contraction, coalg_C, coalg_D,
@@ -290,10 +278,7 @@ def check_semifull_coalgebra(C: Contraction, coalg_C, coalg_D,
                   lambda k: _tensor_of(coalg_C, left, right, tau.on_key(k)))
 
     def coproduct_D(k):
-        expect: dict = {}
-        for l, r, s in coalg_D.coproduct(k):
-            expect[(l, r)] = expect.get((l, r), 0) + s
-        return {p: v for p, v in expect.items() if v}
+        return Vector(((l, r), s) for l, r, s in coalg_D.coproduct(k))
 
     _identity(rep, "(sigma(x)sigma) Delta tau = Delta_D", on_D,
               lambda k: _tensor_of(coalg_C, sigma, sigma, tau.on_key(k)) != coproduct_D(k))
@@ -328,7 +313,7 @@ def hat_homotopy(C: Contraction, space: SymSpace) -> LinOp:
     def fn(word):
         n = len(word)
         degs = (-1,) + tuple(base.degree(k) for k in word)
-        out = Vector.zero()
+        out = Vector()
         for i in range(1, n + 1):
             hv = h.on_key(word[i - 1])
             if hv.is_zero():
@@ -341,7 +326,7 @@ def hat_homotopy(C: Contraction, space: SymSpace) -> LinOp:
                     s = koszul_sign(S + (0, i) + R, degs)
                     factors = ([tau_sigma.on_key(word[p - 1]) for p in S] + [hv]
                                + [Vector.basis(word[p - 1]) for p in R])
-                    out = out + assemble_word(base, factors, space.weight_bound).scale(coeff * s)
+                    out.add_scaled(assemble_word(base, factors, space.weight_bound), coeff * s)
         return out
 
     return LinOp(space, space, -1, fn, "h^")
@@ -398,11 +383,10 @@ def _transfer_recursions(Qd: TaylorCoderivation, C: Contraction, bound: int,
         F_part = TaylorMorphism.from_tables(Wb, V, f_tables, i - 1, label="F<")
         f_tables[i], r_tables[i] = {}, {}
         for word in by_weight.get(i, []):
-            img = F_part.apply_word(word, i)
-            acc = Vector.zero()
-            for u, c in img.items():
+            acc = Vector()
+            for u, c in F_part.apply_word(word, i).items():
                 if len(u) >= 2:
-                    acc = acc + Qd.component(len(u), u).scale(c)
+                    acc.add_scaled(Qd.component(len(u), u), c)
             f_tables[i][word] = C.h(acc)
             r_tables[i][word] = C.sigma(acc)
 
@@ -414,14 +398,12 @@ def _transfer_recursions(Qd: TaylorCoderivation, C: Contraction, bound: int,
         got = g_cache.get(word)
         if got is not None:
             return got
-        hv = hat.on_key(word)
-        acc = Vector.zero()
-        for u, c in hv.items():
-            img = Qd.apply_word(u, bound)
-            for u2, c2 in img.items():
+        acc = Vector()
+        for u, c in hat.on_key(word).items():
+            for u2, c2 in Qd.apply_word(u, bound).items():
                 k = len(u2)
                 if 1 <= k <= n - 1:
-                    acc = acc + g_component(k, u2).scale(c * c2)
+                    acc.add_scaled(g_component(k, u2), c * c2)
         g_cache[word] = acc
         return acc
 

@@ -234,11 +234,10 @@ def extract_p_components(ibl: IBLStructure, max_inputs: int | None = None) -> PC
                     g = n + 1 - j
                     if g < 0:
                         raise ValueError(f"weight bound violated at {word}")
-                    entry = table.setdefault((i, j, g), {})
-                    entry.setdefault(word, Vector())
-                    entry[word] = entry[word] + Vector.basis(u, c)
-    return PComponents({key: {w: v for w, v in entry.items() if not v.is_zero()}
-                        for key, entry in table.items() if any(entry.values())})
+                    table.setdefault((i, j, g), {}).setdefault(word, []).append((u, c))
+    # the keys u of one image are distinct, so no entry sums to zero
+    return PComponents({key: {w: Vector(t) for w, t in entry.items()}
+                        for key, entry in table.items()})
 
 
 def reassemble_defect(ibl: IBLStructure, comps: PComponents):
@@ -409,18 +408,14 @@ class IBLElement:
         self.coeffs = {n: v for n, v in self.coeffs.items() if not v.is_zero()}
 
     def flatten(self) -> Vector:
-        out = Vector()
-        for n, v in self.coeffs.items():
-            for w, c in v.items():
-                out.c[(n, w)] = c
-        return out
+        return Vector(((n, w), c) for n, v in self.coeffs.items() for w, c in v.items())
 
     @staticmethod
     def from_flat(v: Vector) -> "IBLElement":
-        coeffs: dict = {}
+        terms: dict = {}
         for (n, w), c in v.items():
-            coeffs.setdefault(n, Vector()).c[w] = c
-        return IBLElement(coeffs)
+            terms.setdefault(n, []).append((w, c))
+        return IBLElement({n: Vector(t) for n, t in terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, IBLElement) and self.coeffs == other.coeffs

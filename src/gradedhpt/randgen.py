@@ -8,12 +8,13 @@ still re-checked exhaustively by the ExplicitFD constructor.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .core import GradedBasis, LinOp, Q, Vector
 from .commalg import CommAlgebra, ExplicitFDAlgebra
 
 
-def _rand_coeff(rng: random.Random) -> Q:
+def _rand_coeff(rng: random.Random) -> int | Fraction:
     return Q(rng.randint(-3, 3), rng.choice([1, 1, 1, 2]))
 
 

@@ -5,6 +5,10 @@ coefficients (corestrictions); the two reconstruction formulas, the coderivation
 bracket, the unshuffle coproduct and the convolution Hopf calculus (star product,
 exp/log, antipode) all live here, together with the dual cocumulant / Koszul
 cobracket recursions.
+
+A tensor (an element of C^{(x)n}, such as a coproduct image or a tilde
+recursion's value) is a `Vector` keyed by tuples of keys; ``canonical_sum``
+projects one to canonical words of S(V).
 """
 
 from __future__ import annotations
@@ -46,19 +50,10 @@ def canonical_word(base, keys: Iterable) -> tuple[SymWord, int] | None:
 
 def canonical_sum(base, terms: Iterable) -> Vector:
     """Sum of (keys, coeff) terms as canonical words: each key tuple is sorted
-    with its Koszul sign, and a tuple repeating an odd key drops out."""
-    out = Vector()
-    for keys, coeff in terms:
-        cw = canonical_word(base, keys)
-        if cw is None:
-            continue
-        word, s = cw
-        v = out.c.get(word, ZERO) + coeff * s
-        if v:
-            out.c[word] = v
-        else:
-            out.c.pop(word, None)
-    return out
+    with its Koszul sign, and a tuple repeating an odd key drops out.  This is
+    also the projection of a tensor (a Vector on key tuples) to S(base)."""
+    return Vector((cw[0], coeff * cw[1]) for keys, coeff in terms
+                  if (cw := canonical_word(base, keys)) is not None)
 
 
 def words_over(base, keys, max_weight: int, min_weight: int = 0) -> list:
@@ -240,7 +235,7 @@ class TaylorMorphism:
                     factors.append(fv)
                 if dead:
                     continue
-                out = out + assemble_word(self.cod_base, factors, cod_bound).scale(coeff * s)
+                out.add_scaled(assemble_word(self.cod_base, factors, cod_bound), coeff * s)
         return out
 
     def as_map(self, dom_space: SymSpace, cod_space: SymSpace) -> LinOp:
@@ -257,10 +252,9 @@ class TaylorMorphism:
             raise ValueError("composition base mismatch")
 
         def fn(n, word):
-            mid = inner.apply_word(word, n)
-            out = Vector.zero()
-            for w, c in mid.items():
-                out = out + self.component(len(w), w).scale(c)
+            out = Vector()
+            for w, c in inner.apply_word(word, n).items():
+                out.add_scaled(self.component(len(w), w), c)
             return out
 
         return TaylorMorphism(inner.dom_base, self.cod_base, fn, bound,
@@ -323,42 +317,30 @@ class TaylorCoderivation:
         """q_{1+len(rest)} evaluated on (lead, rest...) with lead a vector."""
         out = Vector()
         for k, c in lead.items():
-            out = out + self.eval_keys((k,) + rest).scale(c)
+            out.add_scaled(self.eval_keys((k,) + rest), c)
         return out
 
     def apply_word(self, word: SymWord, bound: int) -> Vector:
+        """sum over (i, n-i)-unshuffles of q_i(block) o rest, q0 o word included."""
         n = len(word)
+        if self.q0 and n + 1 > bound:
+            raise Overflow(f"coderivation output weight {n + 1} exceeds bound {bound}")
         degs = tuple(self.base.degree(k) for k in word)
-        out = Vector()
         top = min(n, self.arity_bound) if self.exact_beyond else n
-        for i in range(top + 1):
-            if i == 0:
-                if self.q0.is_zero():
-                    continue
-                if n + 1 > bound:
-                    raise Overflow(f"coderivation output weight {n + 1} exceeds bound {bound}")
-                for k, c in self.q0.items():
-                    cw = canonical_word(self.base, (k,) + word)
-                    if cw is not None:
-                        w2, s = cw
-                        out = out + Vector.basis(w2, c * s)
-                continue
-            for unsh in multi_unshuffles((i, n - i)):
-                s = unshuffle_sign(unsh, degs)
-                qv = self.component(i, tuple(word[p] for p in unsh[0]))
-                if qv.is_zero():
-                    continue
-                rest = tuple(word[p] for p in unsh[1])
-                for k, c in qv.items():
-                    cw = canonical_word(self.base, (k,) + rest)
-                    if cw is not None:
-                        w2, s2 = cw
-                        v = out.c.get(w2, ZERO) + c * s * s2
-                        if v:
-                            out.c[w2] = v
-                        else:
-                            out.c.pop(w2, None)
-        return out
+
+        def terms():
+            for k, c in self.q0.items():
+                yield (k,) + word, c
+            for i in range(1, top + 1):
+                for unsh in multi_unshuffles((i, n - i)):
+                    s = unshuffle_sign(unsh, degs)
+                    qv = self.component(i, tuple(word[p] for p in unsh[0]))
+                    if qv:
+                        rest = tuple(word[p] for p in unsh[1])
+                        for k, c in qv.items():
+                            yield (k,) + rest, c * s
+
+        return canonical_sum(self.base, terms())
 
     def as_map(self, space: SymSpace) -> LinOp:
         return LinOp(space, space, self.degree,
@@ -381,10 +363,10 @@ class TaylorCoderivation:
                     rest = tuple(word[p] for p in unsh[1])
                     rv = r.component(i, block) if i else r.q0
                     if not rv.is_zero():
-                        out = out + q.eval_mixed(rv, rest).scale(s)
+                        out.add_scaled(q.eval_mixed(rv, rest), s)
                     qv = q.component(i, block) if i else q.q0
                     if not qv.is_zero():
-                        out = out - r.eval_mixed(qv, rest).scale(s * sign)
+                        out.add_scaled(r.eval_mixed(qv, rest), -s * sign)
             return out
 
         q0 = q.eval_mixed(r.q0, ()) - r.eval_mixed(q.q0, ()).scale(sign) if (q.q0 or r.q0) else Vector.zero()
@@ -428,14 +410,14 @@ def hat_extension(space: SymSpace, arity: int, table_fn: Callable[[SymWord], Vec
         if k < arity:
             return Vector.zero()
         degs = tuple(base.degree(x) for x in word)
-        out = Vector.zero()
+        out = Vector()
         for unsh in multi_unshuffles((arity, k - arity)):
             s = unshuffle_sign(unsh, degs)
             val = table_fn(tuple(word[p] for p in unsh[0]))
             if val.is_zero():
                 continue
             rest = Vector.basis(tuple(word[p] for p in unsh[1]))
-            out = out + space.product(val, rest).scale(s)
+            out.add_scaled(space.product(val, rest), s)
         return out
 
     return LinOp(space, space, degree, fn, label or "hat")
@@ -458,7 +440,7 @@ def convolution(F: LinOp, G: LinOp, mul: Callable[[Vector, Vector], Vector]) -> 
     gdeg = G.degree
 
     def fn(word):
-        out = Vector.zero()
+        out = Vector()
         for left, right, s in dom.coproduct_terms(word):
             sgn = s
             if gdeg % 2 and dom.degree(left) % 2:
@@ -469,7 +451,7 @@ def convolution(F: LinOp, G: LinOp, mul: Callable[[Vector, Vector], Vector]) -> 
             gv = G.on_key(right)
             if gv.is_zero():
                 continue
-            out = out + mul(fv, gv).scale(sgn)
+            out.add_scaled(mul(fv, gv), sgn)
         return out
 
     return LinOp(dom, F.codomain, F.degree + G.degree, fn, f"({F.label})*({G.label})")
@@ -492,9 +474,11 @@ def star_exp(phi: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vect
         n = len(word)
         while len(powers) <= n:
             powers.append(convolution(powers[-1], phi, mul))
-        out = unit_vec if n == 0 else Vector.zero()
+        if n == 0:
+            return unit_vec
+        out = Vector()
         for k in range(1, n + 1):
-            out = out + powers[k].on_key(word).scale(Q(1, factorial(k)))
+            out.add_scaled(powers[k].on_key(word), Q(1, factorial(k)))
         return out
 
     return LinOp(dom, phi.codomain, phi.degree, fn, f"exp*({phi.label})")
@@ -513,9 +497,9 @@ def star_log(F: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vector
         n = len(word)
         while len(powers) <= n:
             powers.append(convolution(powers[-1], G, mul))
-        out = Vector.zero()
+        out = Vector()
         for k in range(1, n + 1):
-            out = out + powers[k].on_key(word).scale(Q(-1 if (k - 1) % 2 else 1, k))
+            out.add_scaled(powers[k].on_key(word), Q(-1 if (k - 1) % 2 else 1, k))
         return out
 
     return LinOp(dom, F.codomain, 0, fn, f"log*({F.label})")
@@ -524,12 +508,9 @@ def star_log(F: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vector
 # -- morphism / coderivation certification ---------------------------------------
 
 
-def _tensor_add(acc: dict, pair: tuple, coeff) -> None:
-    v = acc.get(pair, ZERO) + coeff
-    if v:
-        acc[pair] = v
-    else:
-        acc.pop(pair, None)
+def _coproduct_of(space: SymSpace, v: Vector) -> Vector:
+    """Delta(v) as a tensor on pairs of words."""
+    return Vector(((l, r), c * s) for u, c in v.items() for l, r, s in space.coproduct_terms(u))
 
 
 def coalgebra_morphism_defect(F: LinOp, words=None):
@@ -537,16 +518,9 @@ def coalgebra_morphism_defect(F: LinOp, words=None):
     dom: SymSpace = F.domain
     cod: SymSpace = F.codomain
     for w in (dom.keys() if words is None else words):
-        lhs: dict = {}
-        for u, c in F.on_key(w).items():
-            for l, r, s in cod.coproduct_terms(u):
-                _tensor_add(lhs, (l, r), c * s)
-        rhs: dict = {}
-        for l, r, s in dom.coproduct_terms(w):
-            for u1, c1 in F.on_key(l).items():
-                for u2, c2 in F.on_key(r).items():
-                    _tensor_add(rhs, (u1, u2), s * c1 * c2)
-        if lhs != rhs:
+        lhs = _coproduct_of(cod, F.on_key(w))
+        if lhs != Vector(((u1, u2), s * c1 * c2) for l, r, s in dom.coproduct_terms(w)
+                         for u1, c1 in F.on_key(l).items() for u2, c2 in F.on_key(r).items()):
             return w
     return None
 
@@ -556,18 +530,13 @@ def coderivation_defect(Qm: LinOp, words=None):
     space: SymSpace = Qm.domain
     qdeg = Qm.degree
     for w in (space.keys() if words is None else words):
-        lhs: dict = {}
-        for u, c in Qm.on_key(w).items():
-            for l, r, s in space.coproduct_terms(u):
-                _tensor_add(lhs, (l, r), c * s)
-        rhs: dict = {}
+        lhs = _coproduct_of(space, Qm.on_key(w))
+        rhs = []
         for l, r, s in space.coproduct_terms(w):
-            for u1, c1 in Qm.on_key(l).items():
-                _tensor_add(rhs, (u1, r), s * c1)
+            rhs += [((u1, r), s * c1) for u1, c1 in Qm.on_key(l).items()]
             sgn = -s if (qdeg % 2 and space.degree(l) % 2) else s
-            for u2, c2 in Qm.on_key(r).items():
-                _tensor_add(rhs, (l, u2), sgn * c2)
-        if lhs != rhs:
+            rhs += [((l, u2), sgn * c2) for u2, c2 in Qm.on_key(r).items()]
+        if lhs != Vector(rhs):
             return w
     return None
 
@@ -581,14 +550,14 @@ def morphism_partition_oracle(F: TaylorMorphism, word: SymWord, cod_bound: int) 
     if n == 0:
         return Vector.basis(())
     degs = tuple(F.dom_base.degree(k) for k in word)
-    out = Vector.zero()
+    out = Vector()
     for part in set_partitions(n):
         flat = tuple(p for block in part for p in block)
         s = koszul_sign(flat, degs)
         factors = [F.component(len(block), tuple(word[p] for p in block)) for block in part]
         if any(f.is_zero() for f in factors):
             continue
-        out = out + assemble_word(F.cod_base, factors, cod_bound).scale(s)
+        out.add_scaled(assemble_word(F.cod_base, factors, cod_bound), s)
     return out
 
 
@@ -633,6 +602,7 @@ class FiniteCoalgebra:
     unit_key: object
 
     def __post_init__(self):
+        self.cop = {k: tuple((l, r, Q(c)) for l, r, c in terms) for k, terms in self.cop.items()}
         self.verify()
 
     def keys(self):
@@ -654,18 +624,15 @@ class FiniteCoalgebra:
         """Reduced coproduct on the complement of the coaugmentation."""
         if key == self.unit_key:
             return ()
-        acc: dict = {}
-        for l, r, c in self.coproduct(key):
-            _tensor_add(acc, (l, r), c)
-        _tensor_add(acc, (self.unit_key, key), -ONE)
-        _tensor_add(acc, (key, self.unit_key), -ONE)
+        u = self.unit_key
+        acc = Vector([((l, r), c) for l, r, c in self.coproduct(key)] + [((u, key), -1), ((key, u), -1)])
         return tuple((l, r, c) for (l, r), c in acc.items())
 
     def verify(self):
         if self.basis.degree(self.unit_key) != 0:
             raise ValueError("coaugmentation must have degree 0")
         u = self.unit_key
-        if dict(((l, r), c) for l, r, c in self.coproduct(u)) != {(u, u): ONE}:
+        if Vector(((l, r), c) for l, r, c in self.coproduct(u)) != Vector.basis((u, u)):
             raise ValueError("unit key must be grouplike")
         for k in self.keys():
             # counit axiom: (eps (x) id) Delta = id = (id (x) eps) Delta
@@ -673,55 +640,47 @@ class FiniteCoalgebra:
             right = Vector([(l, c) for l, r, c in self.coproduct(k) if r == u])
             if left != Vector.basis(k) or right != Vector.basis(k):
                 raise ValueError(f"counit axiom fails on {k}")
+            cop = self.coproduct(k)
             # cocommutativity
-            acc: dict = {}
-            for l, r, c in self.coproduct(k):
-                _tensor_add(acc, (l, r), c)
-                s = -1 if (self.degree(l) % 2 and self.degree(r) % 2) else 1
-                _tensor_add(acc, (r, l), -s * c)
-            if acc:
+            flipped = Vector(((r, l), -c if (self.degree(l) % 2 and self.degree(r) % 2) else c)
+                             for l, r, c in cop)
+            if Vector(((l, r), c) for l, r, c in cop) != flipped:
                 raise ValueError(f"coproduct not cocommutative on {k}")
             # coassociativity
-            acc2: dict = {}
-            for l, r, c in self.coproduct(k):
-                for l2, r2, c2 in self.coproduct(l):
-                    _tensor_add(acc2, (l2, r2, r), c * c2)
-                for l2, r2, c2 in self.coproduct(r):
-                    _tensor_add(acc2, (l, l2, r2), -c * c2)
-            if acc2:
+            left = Vector(((l2, r2, r), c * c2) for l, r, c in cop for l2, r2, c2 in self.coproduct(l))
+            right = Vector(((l, l2, r2), c * c2) for l, r, c in cop for l2, r2, c2 in self.coproduct(r))
+            if left != right:
                 raise ValueError(f"coproduct not coassociative on {k}")
         # cocompleteness: iterated reduced coproducts vanish
         for k in self.reduced_keys():
-            layer = {(k,): ONE}
+            layer = Vector.basis((k,))
             for _ in range(len(list(self.keys())) + 1):
                 if not layer:
                     break
-                nxt: dict = {}
-                for word, c in layer.items():
-                    for l, r, c2 in self.reduced_coproduct(word[-1]):
-                        _tensor_add(nxt, word[:-1] + (l, r), c * c2)
-                layer = nxt
+                layer = Vector((word[:-1] + (l, r), c * c2) for word, c in layer.items()
+                               for l, r, c2 in self.reduced_coproduct(word[-1]))
             if layer:
                 raise ValueError(f"coalgebra not cocomplete at {k}")
 
 
+def _last_slot_coproduct(D, tensor: Vector) -> list:
+    """(id^{m-2} (x) Delta_D) on the last slot of a tensor, as (key tuple, coeff) terms."""
+    return [(tup[:-1] + (l, r), c * s) for tup, c in tensor.items()
+            for l, r, s in D.reduced_coproduct(tup[-1])]
+
+
 def cocumulant_tilde(C, D, f: LinOp, n: int, op_degree: int = 0, _memo=None) -> Callable:
-    """Tensor-valued cocumulant recursion (reduced coproducts); returns key -> tensor dict."""
+    """Tensor-valued cocumulant recursion (reduced coproducts); returns key -> tensor."""
     memo = _memo if _memo is not None else {}
 
-    def kt(m: int, key) -> dict:
+    def kt(m: int, key) -> Vector:
         got = memo.get((m, key))
         if got is not None:
             return got
         if m == 1:
-            out = {(k,): c for k, c in f.on_key(key).items()}
+            out = Vector(((k,), c) for k, c in f.on_key(key).items())
         else:
-            out = {}
-            prev = kt(m - 1, key)
-            # (id^{m-2} (x) Delta_D) applied to the last slot
-            for tup, c in prev.items():
-                for l, r, s in D.reduced_coproduct(tup[-1]):
-                    _tensor_add(out, tup[:-1] + (l, r), c * s)
+            terms = _last_slot_coproduct(D, kt(m - 1, key))
             # subtract shuffled products of lower cocumulants
             for k in range(m - 1):
                 for l, r, s in C.reduced_coproduct(key):
@@ -749,7 +708,8 @@ def cocumulant_tilde(C, D, f: LinOp, n: int, op_degree: int = 0, _memo=None) -> 
                             for positions in _shuffles(k, m - 2 - k):
                                 s2 = koszul_sign(positions + (m - 2, m - 1), degs1)
                                 tup2 = tuple(tup1[p] for p in positions) + tup1[m - 2:]
-                                _tensor_add(out, tup2, -sgn0 * ca * cb * s1 * s2)
+                                terms.append((tup2, -sgn0 * ca * cb * s1 * s2))
+            out = Vector(terms)
         memo[(m, key)] = out
         return out
 
@@ -770,50 +730,35 @@ def _shuffles(k: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def project_tensor_to_sym(base, tensor: dict) -> Vector:
-    """Natural projection C^{(x)n} -> C^{on}: canonicalize each tensor word."""
-    return canonical_sum(base, tensor.items())
+def _projected(base, kt: Callable, n: int) -> Callable:
+    """key -> (1/n!) pi kt(key): the natural projection of a tensor recursion to S(base)."""
+    return lambda key: canonical_sum(base, kt(key).items()).scale(Q(1, factorial(n)))
 
 
 def cocumulants_cofree(C, D, f: LinOp, n: int, memo=None) -> Callable:
     """kappa^co(f)_n = (1/n!) pi ktilde_n; zero for all n >= 2 iff f is a coalgebra morphism."""
-    kt = cocumulant_tilde(C, D, f, n, 0, memo)
-
-    def comp(key) -> Vector:
-        return project_tensor_to_sym(D, kt(key)).scale(Q(1, factorial(n)))
-
-    return comp
+    return _projected(D, cocumulant_tilde(C, D, f, n, 0, memo), n)
 
 
 def koszul_cobracket_tilde(C, delta: LinOp, n: int, _memo=None) -> Callable:
     """Tensor-valued Koszul cobracket recursion (reduced coproducts)."""
     memo = _memo if _memo is not None else {}
-    ddeg = delta.degree
 
-    def kt(m: int, key) -> dict:
+    def kt(m: int, key) -> Vector:
         got = memo.get((m, key))
         if got is not None:
             return got
         if m == 1:
-            out = {(k,): c for k, c in delta.on_key(key).items()}
+            out = Vector(((k,), c) for k, c in delta.on_key(key).items())
         else:
-            out = {}
-            prev = kt(m - 1, key)
-            for tup, c in prev.items():
-                for l, r, s in C.reduced_coproduct(tup[-1]):
-                    _tensor_add(out, tup[:-1] + (l, r), c * s)
+            terms = _last_slot_coproduct(C, kt(m - 1, key))
+            perm = tuple(range(m - 2)) + (m - 1, m - 2)
             for l, r, s in C.reduced_coproduct(key):
-                a = kt(m - 1, l)
-                if not a:
-                    continue
-                sgn0 = s
-                for ta, ca in a.items():
+                for ta, ca in kt(m - 1, l).items():
                     tup = ta + (r,)
-                    _tensor_add(out, tup, -sgn0 * ca)
-                    degs = tuple(C.degree(x) for x in tup)
-                    perm = tuple(range(m - 2)) + (m - 1, m - 2)
-                    s1 = koszul_sign(perm, degs)
-                    _tensor_add(out, tuple(tup[p] for p in perm), -sgn0 * ca * s1)
+                    s1 = koszul_sign(perm, tuple(C.degree(x) for x in tup))
+                    terms += [(tup, -s * ca), (tuple(tup[p] for p in perm), -s * ca * s1)]
+            out = Vector(terms)
         memo[(m, key)] = out
         return out
 
@@ -822,9 +767,4 @@ def koszul_cobracket_tilde(C, delta: LinOp, n: int, _memo=None) -> Callable:
 
 def koszul_cobrackets_cofree(C, delta: LinOp, n: int, memo=None) -> Callable:
     """K^co(delta)_n = (1/n!) pi Ktilde_n; zero for all n >= 2 iff delta is a coderivation."""
-    kt = koszul_cobracket_tilde(C, delta, n, _memo=memo)
-
-    def comp(key) -> Vector:
-        return project_tensor_to_sym(C, kt(key)).scale(Q(1, factorial(n)))
-
-    return comp
+    return _projected(C, koszul_cobracket_tilde(C, delta, n, _memo=memo), n)

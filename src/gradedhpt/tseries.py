@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial
 
-from .core import LinOp, Overflow, Q, Vector, ZERO
+from .core import LinOp, Overflow, Q, Vector
 from .commalg import CommAlgebra
 from .symcoalg import _space_token
 
@@ -106,28 +106,16 @@ class TOp:
         return self.compose(other, max_order) - other.compose(self, max_order).scale(sign)
 
     def apply_key(self, key, max_order: int) -> dict:
-        """Orderwise image of a basis key, as {n: Vector}."""
-        out: dict = {}
-        for n, op in self.coeffs.items():
-            if n > max_order:
-                continue
-            v = op.on_key(key)
-            if v:
-                out[n] = out.get(n, Vector.zero()) + v
-        return {n: v for n, v in out.items() if not v.is_zero()}
+        """Orderwise image of a basis key, as {n: Vector} over its nonzero
+        orders n <= max_order; the vectors are the coefficients' cached images."""
+        return {n: v for n, op in self.coeffs.items() if n <= max_order and (v := op.on_key(key))}
 
     def flat_image(self, n: int, key, N: int) -> Vector:
         """Image of t^n key on the flattened spaces: the sum over m of
         t^(n+m) op_m(key) for n + m <= N.  A coefficient whose order is cut
         is never evaluated."""
-        out = Vector()
-        for m, op in self.coeffs.items():
-            if n + m > N:
-                continue
-            for k2, c in op.on_key(key).items():
-                out.c[(n + m, k2)] = out.c.get((n + m, k2), ZERO) + c
-        out.c = {kk: c for kk, c in out.c.items() if c}
-        return out
+        return Vector(((n + m, k2), c) for m, op in self.coeffs.items() if n + m <= N
+                      for k2, c in op.on_key(key).items())
 
     def is_zero_on(self, keys, max_order: int) -> bool:
         return all(not self.apply_key(k, max_order) for k in keys)

@@ -25,10 +25,17 @@ from gradedhpt.bv import (
     dual_linop,
     verify_poisson,
 )
-from gradedhpt.commalg import GuardedFreeAlgebra, SymWordAlgebra, diff_order, koszul_recursion
+from gradedhpt.commalg import (
+    ExplicitFDAlgebra,
+    GuardedFreeAlgebra,
+    SymWordAlgebra,
+    derivation_defect,
+    diff_order,
+    koszul_recursion,
+)
 from gradedhpt.fixtures import fix2
-from gradedhpt.hpt import Contraction
-from gradedhpt.symcoalg import SymSpace
+from gradedhpt.hpt import Contraction, words_over
+from gradedhpt.symcoalg import SymSpace, TaylorCoderivation
 from gradedhpt.tseries import LaurentVec, TOp, TruncatedTAlgebra, laurent_apply, laurent_exp
 
 
@@ -164,7 +171,8 @@ class TestScopeRule:
         structure = bv_check(f.A, D, -1, 3, 4, order_keys=keys)
         morphism = bv_morphism_check(ident, f.A, f.A, D, D, -1, 3, 4, keys=keys)
         poisson = verify_poisson(f.A, D, -1, 4, keys=keys)
-        for rep in (structure, morphism, poisson):
+        transfer = bv_transfer(f.A, f.B, D, f.contraction, -1, 3, 4, keys_A=keys).report
+        for rep in (structure, morphism, poisson, transfer):
             assert not rep.has_fail, rep.to_text()
         verdicts = {i.name: i.verdict for i in structure.items + morphism.items}
         assert verdicts["K(Delta)_4 = 0 mod t^3"] == "UNDETERMINED"
@@ -175,6 +183,9 @@ class TestScopeRule:
         assert [i.verdict for i in poisson.items] == \
             ["PASS", "PASS", "PASS", "UNDETERMINED", "UNDETERMINED"]
         assert poisson.bounds["scope: P(Delta)^2 = 0"] == 3
+        # the L-infinity[1] transfer of P(Delta) itself leaves the guard
+        assert transfer.items[-1].name == "Poisson image commutes with transfer"
+        assert transfer.items[-1].verdict == "UNDETERMINED"
 
 
 class TestBVMorphism:
@@ -224,7 +235,6 @@ class TestPoisson:
         P1 = bv_to_poisson(A, D1, -1, 3)
         P2 = bv_to_poisson(A, D2, -1, 3)
         lhs_tables = P1.bracket(P2)
-        from gradedhpt.hpt import words_over
         for word in words_over(P1.base, keys2, 3, min_weight=1):
             n = len(word)
             # [Delta, Delta'] has total degree 2 = even, so P of it needs the
@@ -341,7 +351,6 @@ class TestCLBijection:
         self.SU = SymSpace(self.U, 4)
         self.SU_alg = SymWordAlgebra(self.SU)
         self.B = GradedBasis.make([("1", 0), ("m", 0), ("n", 1)])
-        from gradedhpt.commalg import ExplicitFDAlgebra
         self.B_alg = ExplicitFDAlgebra(self.B, {(1, 1): Vector.zero(), (1, 2): Vector.zero(),
                                                 (2, 2): Vector.zero()}, 0)
         self.Bt = TruncatedTAlgebra(self.B_alg, 3, 2)
@@ -416,11 +425,9 @@ class TestCLBijection:
         SU = SymSpace(U, 3)
         SU_alg = SymWordAlgebra(SU)
         V = GradedBasis.make([("1", 0), ("abar", 0)])
-        from gradedhpt.commalg import ExplicitFDAlgebra
         V_alg = ExplicitFDAlgebra(V, {(1, 1): Vector.zero()}, 0)
         Vt = TruncatedTAlgebra(V_alg, 2, 2)
         d = LinOp.from_dict(U, U, 1, {0: Vector.basis(1)}, "d")
-        from gradedhpt.symcoalg import TaylorCoderivation
         DU = TOp({0: TaylorCoderivation.from_linear(d).as_map(SU)}, SU, SU, 1, 2)
         DV = TOp({}, V_alg.space, V_alg.space, 1, 2)
         g = LinOp.from_dict(U, V, 0, {}, "g")  # kills everything (only H^0 trivial here)
@@ -460,10 +467,26 @@ class TestCoBV:
         rhs = (fd @ gd).scale(sign)
         assert lhs.equal_on(rhs, dual.keys())
 
+    def test_dual_of_integral_data_is_integral(self, f2):
+        # int-first scalars: dualizing integral structure constants and an
+        # integral map stores ints, not the Fractions that v[key] hands out
+        alg, keys, index = f2.truncation(2)
+        C = algebra_dual_coalgebra(alg)
+        cop = [c for terms in C.cop.values() for _, _, c in terms]
+        assert cop and all(type(c) is int for c in cop)
+        f = LinOp.from_dict(alg.basis, alg.basis, 1,
+                            {index[(1, 0, 0, 0)]: Vector.basis(index[(0, 0, 1, 0)], 2)}, "f")
+        fd = dual_linop(f, C.basis, C.basis)
+        images = [c for j in C.basis.keys() for _, c in fd.on_key(j).items()]
+        assert [abs(c) for c in images] == [2] and all(type(c) is int for c in images)
+        back = coalgebra_dual_algebra(C)
+        prods = [c for i in back.basis.keys() for j in back.basis.keys()
+                 for _, c in back.mul_keys(i, j).items()]
+        assert prods and all(type(c) is int for c in prods)
+
     def exterior_three(self):
         basis = GradedBasis.make([("1", 0), ("u", 1), ("v", 1), ("w", 3), ("uv", 2),
                                   ("uw", 4), ("vw", 4), ("uvw", 5)])
-        from gradedhpt.commalg import ExplicitFDAlgebra
         prods = {
             (1, 1): Vector.zero(), (2, 2): Vector.zero(), (3, 3): Vector.zero(),
             (1, 2): Vector.basis(4), (1, 3): Vector.basis(5), (2, 3): Vector.basis(6),
@@ -487,7 +510,6 @@ class TestCoBV:
         alg = self.exterior_three()
         basis = alg.basis
         delta1 = LinOp.from_dict(basis, basis, -1, {3: Vector.basis(4)}, "dw")
-        from gradedhpt.commalg import derivation_defect
         assert derivation_defect(alg, delta1) is None
         D = TOp({1: delta1}, basis, basis, 1, 2)
         primal = bv_check(alg, D, -1, 2, 3)
@@ -507,7 +529,6 @@ class TestCoBV:
         # valid part: the derivation w -> uv; corruption: uvw -> uw (order 3)
         delta1 = LinOp.from_dict(basis, basis, -1,
                                  {3: Vector.basis(4), 7: Vector.basis(5)}, "du")
-        from gradedhpt.commalg import derivation_defect
         assert derivation_defect(alg, delta1) is not None
         D = TOp({1: delta1}, basis, basis, 1, 2)
         primal = bv_check(alg, D, -1, 2, 3)

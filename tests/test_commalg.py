@@ -39,6 +39,16 @@ from gradedhpt.randgen import (
 from gradedhpt.symcoalg import SymSpace
 
 
+def random_args(rng, space, n: int) -> tuple:
+    """n random arguments, each a sum of random_homogeneous parts of one or two
+    degrees, so that the routes see combinations with int and Fraction
+    coefficients, not only basis vectors."""
+    degrees = sorted({space.degree(k) for k in space.keys()})
+    return tuple(Vector([kc for d in rng.sample(degrees, rng.randint(1, min(2, len(degrees))))
+                         for kc in random_homogeneous(rng, space, d).items()])
+                 for _ in range(n))
+
+
 def exterior_two() -> ExplicitFDAlgebra:
     basis = GradedBasis.make([("1", 0), ("u", 1), ("v", 1), ("uv", 2)])
     prods = {(1, 1): Vector.zero(), (2, 2): Vector.zero(), (1, 2): Vector.basis(3),
@@ -152,16 +162,16 @@ class TestCumulants:
                 args = tuple(Vector.basis(k) for k in keys)
                 assert cumulants(A, A, f, args, ("partition", "recursion", "composite")).is_zero()
 
-    def test_triple_route_random(self):
-        rng = random.Random(11)
-        for _ in range(8):
-            A, B = random_algebra_pair(rng)
-            f = random_unital_map(rng, A, B)
-            cache = {}
-            for n in (2, 3, 4):
-                keys = [rng.choice(list(A.space.keys())) for _ in range(n)]
-                args = tuple(Vector.basis(k) for k in keys)
-                cumulants(A, B, f, args, ("partition", "recursion", "composite"), cache)
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_triple_route_random(self, seed):
+        rng = random.Random(seed)
+        A, B = random_algebra_pair(rng)
+        f = random_unital_map(rng, A, B)
+        cache = {}
+        for n in (2, 3, 4):
+            cumulants(A, B, f, random_args(rng, A.space, n),
+                      ("partition", "recursion", "composite"), cache)
 
     def test_route_disagreement_raises(self):
         # a deliberately broken route comparison: tamper with f between routes is not
@@ -215,16 +225,16 @@ class TestKoszulBrackets:
         assert derivation_defect(A, d, keys) is None
         assert diff_order(A, d, 3) == 1
 
-    def test_triple_route_random(self):
-        rng = random.Random(19)
-        for _ in range(8):
-            A = random_algebra(rng)
-            delta = random_unital_operator(rng, A, rng.choice([-1, 0, 1]))
-            cache = {}
-            for n in (2, 3, 4):
-                keys = [rng.choice(list(A.space.keys())) for _ in range(n)]
-                args = tuple(Vector.basis(k) for k in keys)
-                koszul_brackets(A, delta, args, ("closed", "recursion", "composite"), cache)
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_triple_route_random(self, seed):
+        rng = random.Random(seed)
+        A = random_algebra(rng)
+        delta = random_unital_operator(rng, A, rng.choice([-1, 0, 1]))
+        cache = {}
+        for n in (2, 3, 4):
+            koszul_brackets(A, delta, random_args(rng, A.space, n),
+                            ("closed", "recursion", "composite"), cache)
 
     def test_unit_corrected_multiplication_operator(self):
         A = exterior_two()

@@ -1,8 +1,9 @@
 """Lint over the package sources, using only the standard library: every
 module-level import is used, no function or class imports locally, an
 Overflow is caught only where the allowlist below says, the diagonal
-(x,) * n of a Maurer-Cartan sum is written only in ``core.exp_series``, and
-no scalar is formed by true division or by a power of -1."""
+(x,) * n of a Maurer-Cartan sum is written only in ``core.exp_series``, no
+scalar is formed by true division or by a power of -1, and only ``core``
+touches a Vector's coefficient dict (the attribute ``.c``)."""
 
 import ast
 from pathlib import Path
@@ -157,3 +158,20 @@ def float_scalar_sites(path: Path) -> list:
 def test_no_true_division_or_sign_powers(path):
     sites = float_scalar_sites(path)
     assert not sites, f"{path.name}: use Q(p, q) to divide and a parity for a sign at {sites}"
+
+
+# Coefficients are summed in two places, both in ``core.Vector``: ``Vector(terms)``
+# for (key, scalar) terms and ``Vector.add_scaled`` for a vector.  Every other
+# module reads a vector through ``items()`` and ``keys()``.
+
+
+def coefficient_sites(path: Path) -> list:
+    """(owner, line) of each attribute access ``.c``."""
+    return [(owner, node.lineno) for owner, node in owned_nodes(path)
+            if isinstance(node, ast.Attribute) and node.attr == "c"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_coefficients_only_in_core(path):
+    sites = coefficient_sites(path)
+    assert not sites, f"{path.name}: a coefficient dict touched outside core at {sites}"
