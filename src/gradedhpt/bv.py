@@ -165,8 +165,7 @@ def _congruence_claims(rep: Report, label: str, keys, arity_bound: int, order: i
 
 
 def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, DeltaB: TOp,
-                      k: int, N: int, arity_bound: int, keys=None,
-                      title: str = "derived BV morphism") -> Report:
+                      k: int, N: int, arity_bound: int, keys=None) -> Report:
     """Certify f = sum t^n f_n as a morphism (A, Delta) -> (B, Delta').
 
     Scope rule as in ``bv_check``: the congruences kappa(f)_m = 0 mod t^{m-1}
@@ -176,7 +175,7 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
     """
     _require_odd(k)
     td = _t_degree(k)
-    rep = Report(title, bounds={"N": N, "arity_bound": arity_bound, "k": k})
+    rep = Report("derived BV morphism", bounds={"N": N, "arity_bound": arity_bound, "k": k})
     keys = tuple(A.space.keys() if keys is None else keys)
 
     rep.add("f_0(1_A) = 1_B", f.coeff(0).on_key(A.unit_key) == B.unit())
@@ -290,7 +289,6 @@ def bv_transfer(A: CommAlgebra, B: CommAlgebra, Delta: TOp, C: Contraction, k: i
     over word weights, the transfer itself at weight 0: beyond the guard it is
     UNDETERMINED."""
     _require_odd(k)
-    td = _t_degree(k)
     keys_A = tuple(A.space.keys() if keys_A is None else keys_A)
     keys_B = tuple(B.space.keys() if keys_B is None else keys_B)
     rep = Report("derived BV transfer", bounds={"N": N, "arity_bound": arity_bound, "k": k})
@@ -303,10 +301,7 @@ def bv_transfer(A: CommAlgebra, B: CommAlgebra, Delta: TOp, C: Contraction, k: i
     rep.add("d_A is an algebra derivation",
             None if strength == "beyond the guard" else strength == "checked")
 
-    delta_plus = TOp({n: op for n, op in Delta.coeffs.items() if n >= 1},
-                     A.space, A.space, Delta.degree, td, Delta.known_to)
-    dB, sigma_new, tau_new, h_new = spl_t(C, delta_plus, N, corpus=A.space.keys())
-    DeltaB = TOp.lift(C.d_B, td) + dB
+    DeltaB, sigma_new, tau_new, h_new = spl_t(C, Delta, N, corpus=A.space.keys())
 
     rep.merge(bv_check(B, DeltaB, k, N, arity_bound, keys_B), prefix="transferred: ")
     rep.merge(bv_morphism_check(tau_new, B, A, DeltaB, Delta, k, N, arity_bound, keys_B),
@@ -363,13 +358,11 @@ def bv_mc_residual(A: CommAlgebra, Delta: TOp, a: LaurentVec, arity_cap: int) ->
     """sum_n K(Delta)_n(a,...,a)/n! as an exact Laurent element."""
     if not Delta.is_exact():
         raise ValueError("Maurer-Cartan residuals need an exact structure series")
-    out = LaurentVec({})
+    out: dict = {}
     for shift, args, weight in _laurent_terms(a, arity_cap):
         for j, op in Delta.coeffs.items():
-            val = koszul_recursion(A, op, args)
-            if val:
-                out = out + LaurentVec({shift + j: val.scale(weight)})
-    return out
+            out.setdefault(shift + j, Vector()).add_scaled(koszul_recursion(A, op, args), weight)
+    return LaurentVec(out)
 
 
 def _laurent_terms(a: LaurentVec, arity_cap: int):
@@ -411,13 +404,12 @@ def bv_mc_pushforward(f: TOp, A: CommAlgebra, B: CommAlgebra, a: LaurentVec, k: 
     slack = arity_cap
     Bt = TruncatedTAlgebra(B, N + slack, td)
     f_flat = flat_unital_map(f, Bt)
-    out = LaurentVec({})
+    terms: dict = {}
     for shift, args, weight in _laurent_terms(a, arity_cap):
-        val = cumulant_recursion(A, Bt, f_flat, args)
-        for (m, key), c in val.items():
+        for (m, key), c in cumulant_recursion(A, Bt, f_flat, args).items():
             if shift + m <= N:
-                out = out + LaurentVec({shift + m: Vector.basis(key, c * weight)})
-    return out
+                terms.setdefault(shift + m, []).append((key, c * weight))
+    return LaurentVec({n: Vector(t) for n, t in terms.items()})
 
 
 def bv_leading_term_identity(A: CommAlgebra, Delta: TOp, a: LaurentVec, k: int,
@@ -556,17 +548,19 @@ def coalgebra_dual_algebra(C: FiniteCoalgebra) -> ExplicitFDAlgebra:
     return ExplicitFDAlgebra(basis, prods, C.unit_key)
 
 
-def cobv_check(C: FiniteCoalgebra, delta: TOp, k: int, N: int, arity_bound: int,
-               title: str = "derived BV coalgebra") -> Report:
+def _dual_series(op: TOp, dual_dom: GradedBasis, dual_cod: GradedBasis) -> TOp:
+    """The t-series of the duals of op's coefficients (see ``dual_linop``)."""
+    return TOp({n: dual_linop(f, dual_dom, dual_cod) for n, f in op.coeffs.items()},
+               dual_dom, dual_cod, op.degree, op.t_degree, op.known_to)
+
+
+def cobv_check(C: FiniteCoalgebra, delta: TOp, k: int, N: int, arity_bound: int) -> Report:
     """Dualize to the opposite algebra and certify there; cross-check the order
     condition with the direct Koszul-cobracket recursion on C."""
     _require_odd(k)
-    td = _t_degree(k)
     A_dual = coalgebra_dual_algebra(C)
-    dual_coeffs = {n: dual_linop(op, A_dual.basis, A_dual.basis)
-                   for n, op in delta.coeffs.items()}
-    Delta_dual = TOp(dual_coeffs, A_dual.basis, A_dual.basis, delta.degree, td, delta.known_to)
-    rep = bv_check(A_dual, Delta_dual, k, N, arity_bound, title=title)
+    rep = bv_check(A_dual, _dual_series(delta, A_dual.basis, A_dual.basis), k, N, arity_bound,
+                   title="derived BV coalgebra")
     # counit-killing membership, then the independent cobracket-recursion route
     for n in sorted(delta.coeffs):
         op = delta.coeffs[n]
@@ -597,27 +591,15 @@ def cobv_transfer(C: FiniteCoalgebra, D: FiniteCoalgebra, delta: TOp, contractio
     """Transfer a derived BV coalgebra structure along a semifull DG coalgebra
     contraction; the output and the projection-side morphism are re-certified."""
     _require_odd(k)
-    td = _t_degree(k)
     rep = Report("derived BV coalgebra transfer", bounds={"N": N, "arity_bound": arity_bound})
-    delta_plus = TOp({n: op for n, op in delta.coeffs.items() if n >= 1},
-                     contraction.space_A, contraction.space_A, delta.degree, td, delta.known_to)
-    dD, sigma_new, tau_new, h_new = spl_t(contraction, delta_plus, N,
-                                          corpus=contraction.space_A.keys())
-    delta_D = TOp.lift(contraction.d_B, td) + dD
+    delta_D, sigma_new, tau_new, h_new = spl_t(contraction, delta, N,
+                                               corpus=contraction.space_A.keys())
     rep.merge(cobv_check(D, delta_D, k, N, arity_bound), prefix="transferred: ")
     # sigma-side morphism certificate, on the dual algebras
-    A_dual = coalgebra_dual_algebra(C)
-    D_dual = coalgebra_dual_algebra(D)
-    sigma_dual = TOp({n: dual_linop(op, D_dual.basis, A_dual.basis)
-                      for n, op in sigma_new.coeffs.items()},
-                     D_dual.basis, A_dual.basis, 0, td, sigma_new.known_to)
-    delta_dual = TOp({n: dual_linop(op, A_dual.basis, A_dual.basis)
-                      for n, op in delta.coeffs.items()},
-                     A_dual.basis, A_dual.basis, 1, td, delta.known_to)
-    deltaD_dual = TOp({n: dual_linop(op, D_dual.basis, D_dual.basis)
-                       for n, op in delta_D.coeffs.items()},
-                      D_dual.basis, D_dual.basis, 1, td, delta_D.known_to)
-    rep.merge(bv_morphism_check(sigma_dual, D_dual, A_dual, deltaD_dual, delta_dual,
+    A_dual, D_dual = coalgebra_dual_algebra(C), coalgebra_dual_algebra(D)
+    a, d = A_dual.basis, D_dual.basis
+    rep.merge(bv_morphism_check(_dual_series(sigma_new, d, a), D_dual, A_dual,
+                                _dual_series(delta_D, d, d), _dual_series(delta, a, a),
                                 k, N, arity_bound), prefix="sigma (dual): ")
     return delta_D, sigma_new, tau_new, h_new, rep
 

@@ -102,7 +102,7 @@ class CommAlgebra:
 class ExplicitFDAlgebra(CommAlgebra):
     """Finite-dimensional backend: structure constants verified at construction."""
 
-    def __init__(self, basis, products: dict, unit_index: int, verify: bool = True):
+    def __init__(self, basis, products: dict, unit_index: int):
         self.basis = basis
         self.unit_key = unit_index
         self.space = basis
@@ -117,8 +117,7 @@ class ExplicitFDAlgebra(CommAlgebra):
             table[(unit_index, k)] = Vector.basis(k)
             table[(k, unit_index)] = Vector.basis(k)
         self.table = table
-        if verify:
-            self._verify()
+        self._verify()
 
     def mul_keys(self, k1, k2) -> Vector:
         return self.table.get((k1, k2), Vector.zero())

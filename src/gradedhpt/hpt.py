@@ -222,12 +222,13 @@ def check_semifull_algebra(C: Contraction, alg_A: CommAlgebra, alg_B: CommAlgebr
 
 
 def semifull_failure_identities(C: Contraction, alg_A: CommAlgebra, alg_B: CommAlgebra,
-                                keys_A=None, keys_B=None) -> Report:
+                                keys_A=None) -> Report:
     """The four defect identities: each bis-defect equals (h or sigma) applied to
-    K(d_A)_2 on homotopy/section images.  Holds for every semifull algebra contraction.
-    One claim per identity, under the scope rule of ``check_semifull_algebra``."""
+    K(d_A)_2 on homotopy/section images, on all of B's basis.  Holds for every
+    semifull algebra contraction.  One claim per identity, under the scope rule
+    of ``check_semifull_algebra``."""
     keys_A = tuple(alg_A.space.keys() if keys_A is None else keys_A)
-    keys_B = tuple(alg_B.space.keys() if keys_B is None else keys_B)
+    keys_B = tuple(alg_B.space.keys())
     rep = Report("semifull failure identities", bounds={"corpus": (len(keys_A), len(keys_B))})
     _bis_identities(rep, C, alg_A, alg_B, keys_A, keys_B,
                     ("failureA1", "failureA2", "failureA3", "failureA4"),
@@ -414,7 +415,7 @@ def _transfer_recursions(Qd: TaylorCoderivation, C: Contraction, bound: int,
 
 
 def linf_transfer(Qd: TaylorCoderivation, C: Contraction, arity_bound: int,
-                  check_routes: bool = True, corpus_A=None, corpus_B=None) -> LinfTransfer:
+                  corpus_A=None, corpus_B=None) -> LinfTransfer:
     """Transfer the L-infinity[1] structure Q along the contraction C.
 
     Computes (R, F, G) by the explicit recursions and independently by the
@@ -450,45 +451,44 @@ def linf_transfer(Qd: TaylorCoderivation, C: Contraction, arity_bound: int,
     # route 1: explicit recursions
     r1, f1, g1 = _transfer_recursions(Qd, C, arity_bound, words_W, sym.h)
 
-    if check_routes:
-        for w in words_W:
-            if not w:
-                continue
-            n = len(w)
-            if r1.component(n, w) != r2.component(n, w):
-                raise RouteDisagreement(f"transferred structure differs at arity {n}, {w}")
-            if f1.component(n, w) != f2.component(n, w):
-                raise RouteDisagreement(f"transferred morphism F differs at arity {n}, {w}")
-        for w in words_U:
-            if not w:
-                continue
-            if g1.component(len(w), w) != g2.component(len(w), w):
-                raise RouteDisagreement(f"transferred morphism G differs at arity {len(w)}, {w}")
-        R_map = pert.d_B
-        if not (R_map @ R_map).is_zero_on(words_W):
-            raise RouteDisagreement("[R, R] != 0")
-        if coalgebra_morphism_defect(pert.tau, words_W) is not None:
-            raise RouteDisagreement("F is not a coalgebra morphism")
-        if coalgebra_morphism_defect(pert.sigma, words_U) is not None:
-            raise RouteDisagreement("G is not a coalgebra morphism")
-        if coderivation_defect(R_map, words_W) is not None:
-            raise RouteDisagreement("R is not a coderivation")
-        lhs, rhs = Qm @ pert.tau, pert.tau @ R_map
-        w = lhs.first_difference(rhs, words_W)
-        if w is not None:
-            raise RouteDisagreement(f"QF != FR at {w}")
-        lhs, rhs = pert.sigma @ Qm, R_map @ pert.sigma
-        w = lhs.first_difference(rhs, words_U)
-        if w is not None:
-            raise RouteDisagreement(f"GQ != RG at {w}")
-        # Remark-level facts: H preserves the weight filtration and restricts to h
-        for word in words_U:
-            img = pert.h.on_key(word)
-            if any(len(u) > len(word) for u in img.keys()):
-                raise RouteDisagreement("perturbed homotopy does not preserve weights")
-        for k in corpus_A:
-            if pert.h.on_key((k,)) != Vector({(k2,): c for k2, c in C.h.on_key(k).items()}):
-                raise RouteDisagreement("perturbed homotopy does not restrict to h on V")
+    for w in words_W:
+        if not w:
+            continue
+        n = len(w)
+        if r1.component(n, w) != r2.component(n, w):
+            raise RouteDisagreement(f"transferred structure differs at arity {n}, {w}")
+        if f1.component(n, w) != f2.component(n, w):
+            raise RouteDisagreement(f"transferred morphism F differs at arity {n}, {w}")
+    for w in words_U:
+        if not w:
+            continue
+        if g1.component(len(w), w) != g2.component(len(w), w):
+            raise RouteDisagreement(f"transferred morphism G differs at arity {len(w)}, {w}")
+    R_map = pert.d_B
+    if not (R_map @ R_map).is_zero_on(words_W):
+        raise RouteDisagreement("[R, R] != 0")
+    if coalgebra_morphism_defect(pert.tau, words_W) is not None:
+        raise RouteDisagreement("F is not a coalgebra morphism")
+    if coalgebra_morphism_defect(pert.sigma, words_U) is not None:
+        raise RouteDisagreement("G is not a coalgebra morphism")
+    if coderivation_defect(R_map, words_W) is not None:
+        raise RouteDisagreement("R is not a coderivation")
+    lhs, rhs = Qm @ pert.tau, pert.tau @ R_map
+    w = lhs.first_difference(rhs, words_W)
+    if w is not None:
+        raise RouteDisagreement(f"QF != FR at {w}")
+    lhs, rhs = pert.sigma @ Qm, R_map @ pert.sigma
+    w = lhs.first_difference(rhs, words_U)
+    if w is not None:
+        raise RouteDisagreement(f"GQ != RG at {w}")
+    # Remark-level facts: H preserves the weight filtration and restricts to h
+    for word in words_U:
+        img = pert.h.on_key(word)
+        if any(len(u) > len(word) for u in img.keys()):
+            raise RouteDisagreement("perturbed homotopy does not preserve weights")
+    for k in corpus_A:
+        if pert.h.on_key((k,)) != Vector({(k2,): c for k2, c in C.h.on_key(k).items()}):
+            raise RouteDisagreement("perturbed homotopy does not restrict to h on V")
 
     return LinfTransfer(r1, f1, g1, pert, arity_bound)
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .core import ConvergenceFault, GradedBasis, LinOp, Overflow, Vector, exp_series
+from .core import GradedBasis, LinOp, Overflow, Vector, exp_series
 from .commalg import SymWordAlgebra, cumulant_recursion, koszul_recursion
 from .hpt import Contraction, LinfTransfer, linf_transfer
+from .mc import fixed_point
 from .report import Report, evaluable_scope, witness_verdict
 from .symcoalg import (
     SymSpace,
@@ -110,13 +111,13 @@ def _routes_c_d(rep: Report, S: SymSpace, bracket, reference: LinOp, excess, sco
     rep.claim(name_d, scope, route_d)
 
 
-def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> Report:
+def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
     """Certify an IBL-infinity[1] structure by all equivalent routes.
 
     (b) the convolution with the antipode has image in bounded weights,
     (c) the Koszul brackets of each coefficient on weight-one words agree with
         (b) and land in bounded weights,
-    (d) sampled higher-weight arguments respect the shifted weight bound,
+    (d) 12 sampled higher-weight arguments respect the shifted weight bound,
     plus flatness, unit/counit conditions, degrees, and componentwise vanishing
     of the square (the quadratic relations for small input/output/genus).
 
@@ -169,7 +170,7 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> R
                       (w for w in _upto(S, scope)
                        if any(len(u) > n + 1 for u in phi_n.on_key(w).keys())), None)))
         _routes_c_d(rep, S, lambda args: koszul_recursion(alg, op, args), phi_n,
-                    lambda u: len(u) - n - 1, scope, arity_bound, d_samples,
+                    lambda u: len(u) - n - 1, scope, arity_bound, 12,
                     f"(c) Koszul brackets of delta_{n} on letters match (b), weights <= {n + 1}",
                     f"(d) sampled weighted bound for delta_{n}")
 
@@ -177,10 +178,11 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3, d_samples: int = 12) -> R
     return rep
 
 
-def _component_square_checks(rep: Report, ibl: IBLStructure, max_block: int = 3) -> None:
-    """Componentwise vanishing of delta^2: for small (inputs i, outputs j, order m),
-    the (weight i -> weight j, t^m) block of delta o delta vanishes.  The blocks
-    of order m are checked for inputs up to the evaluable scope of that order."""
+def _component_square_checks(rep: Report, ibl: IBLStructure) -> None:
+    """Componentwise vanishing of delta^2: for inputs i, outputs j and orders m
+    up to 3, the (weight i -> weight j, t^m) block of delta o delta vanishes.  The
+    blocks of order m are checked for inputs up to the evaluable scope of that order."""
+    max_block = 3
     S = ibl.space
     sq = ibl.delta.compose(ibl.delta)
     ops = {m: sq.coeff(m) for m in range(0, min(ibl.N, max_block) + 1)}
@@ -214,16 +216,16 @@ class PComponents:
         return sorted(self.table)
 
 
-def extract_p_components(ibl: IBLStructure, max_inputs: int | None = None) -> PComponents:
+def extract_p_components(ibl: IBLStructure) -> PComponents:
     """Read off p_{i,j,g} from delta_n * s via the t^{j+g-1} grading and weight-j
     projection; requires a certified structure (weights <= n+1).  Inputs run up
-    to the evaluable scope of delta_n * s, capped at ``max_inputs``."""
+    to the evaluable scope of delta_n * s."""
     S = ibl.space
     s_map = antipode(S)
     table: dict = {}
     for n, op in sorted(ibl.delta.coeffs.items()):
         phi_n = convolution(op, s_map, S.product)
-        top = evaluable_scope(S, phi_n.on_key, max_inputs)
+        top = evaluable_scope(S, phi_n.on_key)
         for i in range(1, top + 1):
             for word in S.words_of_weight(i):
                 val = phi_n.on_key(word)
@@ -272,10 +274,9 @@ def degree_audit(ibl: IBLStructure, comps: PComponents):
 
 
 def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
-                       arity_bound: int = 3, d_samples: int = 8,
-                       title: str = "IBL morphism") -> Report:
+                       arity_bound: int = 3, title: str = "IBL morphism") -> Report:
     """Certify f: (U, delta) -> (V, delta') through the log route (b), the cumulant
-    route (c) with exact route agreement, and sampled (d).
+    route (c) with exact route agreement, and 8 sampled arguments (d).
 
     Scope rule as in ``ibl_check``: the counit claim runs on the evaluable scope
     of f, the intertwining claim on that of f delta - delta' f (named in the
@@ -314,7 +315,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
 
     SU_alg = SymWordAlgebra(SU)
     _routes_c_d(rep, SU, lambda args: cumulant_recursion(SU_alg, Vt, f_flat, args), logf,
-                lambda key: len(key[1]) - key[0] - 1, scope, arity_bound, d_samples,
+                lambda key: len(key[1]) - key[0] - 1, scope, arity_bound, 8,
                 "(c) cumulants on letters match (b) and the weight bound",
                 "(d) sampled weighted cumulant bound")
     return rep
@@ -358,12 +359,10 @@ def ibl_transfer(ibl: IBLStructure, C: Contraction, arity_bound: int = 3) -> IBL
     SV: SymSpace = word_con.space_B
 
     # Remark-level: the positive part preserves the weight-shifted subspace
-    delta_plus = TOp({n: op for n, op in ibl.delta.coeffs.items() if n >= 1},
-                     S, S, 1, T_DEGREE, ibl.delta.known_to)
+    delta_plus = TOp({n: op for n, op in ibl.delta.coeffs.items() if n >= 1}, S, S, 1, T_DEGREE)
     _shift_claim(rep, "positive part preserves the weight-shifted subspace", S, delta_plus)
 
-    dB, G, F, H = spl_t(word_con, delta_plus, ibl.N, corpus=S.keys())
-    deltaV = TOp.lift(word_con.d_B, T_DEGREE) + dB
+    deltaV, G, F, H = spl_t(word_con, ibl.delta, ibl.N, corpus=S.keys())
     target = IBLStructure(_cod_basis(C), SV, deltaV, ibl.N)
     rep.merge(ibl_check(target, arity_bound), prefix="transferred: ")
     rep.merge(ibl_morphism_check(F, target, ibl, arity_bound, title="F"), prefix="F: ")
@@ -489,15 +488,9 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
     def correction(xs):
         return Hflat(koszul_recursion(St, dflat, xs)) - Fflat(cumulant_recursion(St, Vt, Gflat, xs))
 
-    def rho_inverse(y: IBLElement, hv: IBLElement, steps: int = 12) -> IBLElement:
+    def rho_inverse(y: IBLElement, hv: IBLElement) -> IBLElement:
         head = Fflat(y.flatten()) - dflat(hv.flatten())
-        x = Vector()
-        for _ in range(steps + 1):
-            nxt = exp_series(correction, x, range(2, arity_cap + 1)) + head
-            if nxt == x:
-                return IBLElement.from_flat(x)
-            x = nxt
-        raise ConvergenceFault("fixed-point recursion did not stabilize within the bound")
+        return IBLElement.from_flat(fixed_point(head, correction, arity_cap, 12))
 
     counts = {side: dict.fromkeys(("evaluated", "Maurer-Cartan", "undetermined"), 0)
               for side in "UV"}

@@ -31,25 +31,23 @@ class NilpotentFiltration:
             return self.vanishing
         return min(self.level(k) for k in v.keys())
 
-    def check_element(self, v: Vector, min_level: int = 1) -> None:
-        if self.vector_level(v) < min_level:
-            raise ValueError(f"element not in filtration level >= {min_level}")
+    def check_element(self, v: Vector) -> None:
+        if self.vector_level(v) < 1:
+            raise ValueError("element not in filtration level >= 1")
 
     def verify_coderivation(self, Qd: TaylorCoderivation, base, max_arity: int) -> None:
         """q_i(F^{p_1},...,F^{p_i}) in F^{p_1+...+p_i}, on canonical basis words."""
-        for word in words_over(base, base.keys(), max_arity, min_weight=1):
-            need = sum(self.level(k) for k in word)
-            val = Qd.component(len(word), word)
-            if self.vector_level(val) < min(need, self.vanishing):
-                raise ValueError(f"filtration violated by q_{len(word)} at {word}")
+        self.verify_morphism(Qd, base, self, max_arity)
 
-    def verify_morphism(self, F: TaylorMorphism, base, target: "NilpotentFiltration",
-                        max_arity: int) -> None:
+    def verify_morphism(self, F: TaylorMorphism | TaylorCoderivation, base,
+                        target: "NilpotentFiltration", max_arity: int) -> None:
+        """f_i(F^{p_1},...,F^{p_i}) in the target's F^{p_1+...+p_i}, on canonical
+        basis words; a coderivation's target is its own filtration."""
         for word in words_over(base, base.keys(), max_arity, min_weight=1):
             need = sum(self.level(k) for k in word)
             val = F.component(len(word), word)
             if target.vector_level(val) < min(need, target.vanishing):
-                raise ValueError(f"filtration violated by f_{len(word)} at {word}")
+                raise ValueError(f"filtration violated in arity {len(word)} at {word}")
 
 
 def mc_residual(Qd: TaylorCoderivation, x: Vector, arity_cap: int) -> Vector:
@@ -119,15 +117,22 @@ def kuranishi_inverse(data: KuranishiData, y: Vector, hv: Vector,
     """
     C, Qd, g = data.contraction, data.Q, data.transfer.g
     steps = max_steps if max_steps is not None else data.filt.vanishing + 1
-    head = C.tau(y) - C.d_A(hv)
 
     def correction(xs):
         return (C.h(expand_multilinear(xs, lambda *keys: Qd.eval_keys(keys)))
                 - C.tau(expand_multilinear(xs, lambda *keys: g.eval_keys(keys))))
 
+    return fixed_point(C.tau(y) - C.d_A(hv), correction, data.cap, steps)
+
+
+def fixed_point(head: Vector, correction, cap: int, steps: int) -> Vector:
+    """The solution of x = head + sum_{2 <= i <= cap} correction((x,)*i)/i!,
+    iterated from x = 0.  It stops when an iterate equals the one before it
+    exactly, and raises ConvergenceFault when ``steps`` steps have not reached
+    such an iterate: a solution reached in s steps needs ``steps >= s``."""
     x = Vector.zero()
     for _ in range(steps + 1):
-        nxt = exp_series(correction, x, range(2, data.cap + 1)) + head
+        nxt = exp_series(correction, x, range(2, cap + 1)) + head
         if nxt == x:
             return x
         x = nxt

@@ -1,10 +1,15 @@
 """Truncated symmetric coalgebra S_{<=W}(V): words, coproduct, Taylor calculus, convolution.
 
-Coalgebra morphisms and coderivations of S(V) are handled through their Taylor
-coefficients (corestrictions); the two reconstruction formulas, the coderivation
-bracket, the unshuffle coproduct and the convolution Hopf calculus (star product,
-exp/log, antipode) all live here, together with the dual cocumulant / Koszul
-cobracket recursions.
+Coalgebra morphisms and coderivations of S(V) are both determined by their
+Taylor coefficients (corestrictions), and share one store of them: the domain
+base, a cached component function, the arity bound with whether coefficients
+beyond it vanish, a label, and ``q0``, the coefficient on the empty word (the
+constant term of a coderivation, zero for a morphism).  Component functions are
+built from tables, from a linear map, or by corestriction of a word-level map
+(the weight-one part of F(word)).  The two reconstruction formulas, the
+coderivation bracket, the unshuffle coproduct and the convolution Hopf calculus
+(star product, exp/log, antipode) all live here, together with the dual
+cocumulant / Koszul cobracket recursions.
 
 A tensor (an element of C^{(x)n}, such as a coproduct image or a tilde
 recursion's value) is a `Vector` keyed by tuples of keys; ``canonical_sum``
@@ -24,7 +29,6 @@ from .core import (
     Overflow,
     Q,
     Vector,
-    ZERO,
     compositions,
     koszul_sign,
     multi_unshuffles,
@@ -152,69 +156,96 @@ def assemble_word(base, factors: list[Vector], bound: int) -> Vector:
     return canonical_sum(base, multilinear_terms(factors))
 
 
-class TaylorMorphism:
-    """Degree-0 coalgebra-morphism data: graded-symmetric tables f_n : V^{on} -> W.
+def _table_fn(tables: dict[int, dict[SymWord, Vector]]) -> Callable[[int, SymWord], Vector]:
+    """Component function read off tables {n: {word: value}}, zero where absent."""
+    return lambda n, word: tables.get(n, {}).get(word, Vector.zero())
 
-    ``component_fn(n, word)`` must return the value on a canonical word; values on
-    permuted tuples follow by the Koszul sign.  ``exact_beyond`` asserts f_n = 0
-    for n > arity_bound (as opposed to merely unknown).
+
+def _linear_fn(f: LinOp) -> Callable[[int, SymWord], Vector]:
+    """Component function of the linear extension of f: f on letters, zero above."""
+    return lambda n, word: f.on_key(word[0]) if n == 1 else Vector.zero()
+
+
+def _corestriction(F: LinOp, word: SymWord) -> Vector:
+    """The weight-one part of F(word), as a vector over the base."""
+    return Vector((w[0], c) for w, c in F.on_key(word).items() if len(w) == 1)
+
+
+class _TaylorData:
+    """Taylor coefficients of a coalgebra morphism or coderivation of S(V).
+
+    ``component_fn(n, word)`` gives the coefficient of arity n >= 1 on a
+    canonical word over ``base`` (the domain base); it is cached per word.
+    ``q0`` is the coefficient on the empty word: the constant term of a
+    coderivation, zero for a morphism.  ``exact_beyond`` asserts that every
+    coefficient above ``arity_bound`` vanishes (as opposed to merely unknown).
     """
 
-    def __init__(self, dom_base, cod_base, component_fn: Callable[[int, SymWord], Vector],
-                 arity_bound: int, exact_beyond: bool = True, label: str = ""):
-        self.dom_base = dom_base
-        self.cod_base = cod_base
+    def __init__(self, base, component_fn: Callable[[int, SymWord], Vector], arity_bound: int,
+                 exact_beyond: bool, label: str, q0: Vector):
+        self.base = base
         self._fn = component_fn
         self._cache: dict = {}
         self.arity_bound = arity_bound
         self.exact_beyond = exact_beyond
         self.label = label
-
-    @staticmethod
-    def from_tables(dom_base, cod_base, tables: dict[int, dict[SymWord, Vector]],
-                    arity_bound: int, exact_beyond: bool = True, label: str = "") -> "TaylorMorphism":
-        def fn(n, word):
-            return tables.get(n, {}).get(word, Vector.zero())
-        return TaylorMorphism(dom_base, cod_base, fn, arity_bound, exact_beyond, label)
-
-    @staticmethod
-    def from_linear(f: LinOp, arity_bound: int = 1, label: str = "") -> "TaylorMorphism":
-        """S(f): the coalgebra morphism with f_1 = f and no higher coefficients."""
-        def fn(n, word):
-            return f.on_key(word[0]) if n == 1 else Vector.zero()
-        return TaylorMorphism(f.domain, f.codomain, fn, max(arity_bound, 1), True, label or f"S({f.label})")
-
-    @staticmethod
-    def identity(base, arity_bound: int = 1) -> "TaylorMorphism":
-        return TaylorMorphism.from_linear(LinOp.identity(base), arity_bound, "id")
+        self.q0 = q0
 
     def component(self, n: int, word: SymWord) -> Vector:
         if n != len(word):
             raise ValueError("arity/word mismatch")
+        if n == 0:
+            return self.q0
         if n > self.arity_bound:
             if self.exact_beyond:
                 return Vector.zero()
-            raise Overflow(f"Taylor coefficient f_{n} beyond arity bound {self.arity_bound}")
-        key = word
-        v = self._cache.get(key)
+            raise Overflow(f"Taylor coefficient of arity {n} beyond arity bound {self.arity_bound}")
+        v = self._cache.get(word)
         if v is None:
             v = self._fn(n, word)
-            self._cache[key] = v
+            self._cache[word] = v
         return v
 
     def eval_keys(self, keys: tuple) -> Vector:
-        cw = canonical_word(self.dom_base, keys)
+        """The coefficient on any tuple of keys: the canonical word's, with the
+        Koszul sign of sorting (zero if an odd key repeats)."""
+        cw = canonical_word(self.base, keys)
         if cw is None:
             return Vector.zero()
         word, s = cw
         return self.component(len(word), word).scale(s)
+
+
+class TaylorMorphism(_TaylorData):
+    """Degree-0 coalgebra-morphism data: graded-symmetric tables f_n : V^{on} -> W,
+    with ``cod_base`` the base of W and no constant term."""
+
+    def __init__(self, dom_base, cod_base, component_fn: Callable[[int, SymWord], Vector],
+                 arity_bound: int, exact_beyond: bool = True, label: str = ""):
+        super().__init__(dom_base, component_fn, arity_bound, exact_beyond, label, Vector.zero())
+        self.cod_base = cod_base
+
+    @staticmethod
+    def from_tables(dom_base, cod_base, tables: dict[int, dict[SymWord, Vector]],
+                    arity_bound: int, label: str = "") -> "TaylorMorphism":
+        return TaylorMorphism(dom_base, cod_base, _table_fn(tables), arity_bound, True, label)
+
+    @staticmethod
+    def from_linear(f: LinOp, arity_bound: int = 1, label: str = "") -> "TaylorMorphism":
+        """S(f): the coalgebra morphism with f_1 = f and no higher coefficients."""
+        return TaylorMorphism(f.domain, f.codomain, _linear_fn(f), max(arity_bound, 1), True,
+                              label or f"S({f.label})")
+
+    @staticmethod
+    def identity(base) -> "TaylorMorphism":
+        return TaylorMorphism.from_linear(LinOp.identity(base), 1, "id")
 
     def apply_word(self, word: SymWord, cod_bound: int) -> Vector:
         """Reconstruction of the full morphism on a canonical word."""
         n = len(word)
         if n == 0:
             return Vector.basis(())
-        degs = tuple(self.dom_base.degree(k) for k in word)
+        degs = tuple(self.base.degree(k) for k in word)
         out = Vector()
         for comp in compositions(n):
             k = len(comp)
@@ -239,7 +270,7 @@ class TaylorMorphism:
         return out
 
     def as_map(self, dom_space: SymSpace, cod_space: SymSpace) -> LinOp:
-        if dom_space.base != self.dom_base or cod_space.base != self.cod_base:
+        if dom_space.base != self.base or cod_space.base != self.cod_base:
             raise ValueError("space/base mismatch")
         return LinOp(dom_space, cod_space, 0,
                      lambda w: self.apply_word(w, cod_space.weight_bound),
@@ -248,7 +279,7 @@ class TaylorMorphism:
     def compose(self, inner: "TaylorMorphism", arity_bound: int | None = None) -> "TaylorMorphism":
         """Taylor coefficients of self o inner, computed through weight-n words."""
         bound = arity_bound if arity_bound is not None else min(self.arity_bound, inner.arity_bound)
-        if self.dom_base != inner.cod_base:
+        if self.base != inner.cod_base:
             raise ValueError("composition base mismatch")
 
         def fn(n, word):
@@ -257,61 +288,30 @@ class TaylorMorphism:
                 out.add_scaled(self.component(len(w), w), c)
             return out
 
-        return TaylorMorphism(inner.dom_base, self.cod_base, fn, bound,
+        return TaylorMorphism(inner.base, self.cod_base, fn, bound,
                               self.exact_beyond and inner.exact_beyond,
                               f"({self.label})o({inner.label})")
 
 
-class TaylorCoderivation:
+class TaylorCoderivation(_TaylorData):
     """Coderivation data: tables q_n : V^{on} -> V (n >= 1) plus constant term q0 in V."""
 
     def __init__(self, base, component_fn: Callable[[int, SymWord], Vector], arity_bound: int,
                  degree: int, q0: Vector | None = None, exact_beyond: bool = True, label: str = ""):
-        self.base = base
-        self._fn = component_fn
-        self._cache: dict = {}
-        self.arity_bound = arity_bound
+        super().__init__(base, component_fn, arity_bound, exact_beyond, label,
+                         q0 if q0 is not None else Vector.zero())
         self.degree = degree
-        self.q0 = q0 if q0 is not None else Vector.zero()
-        self.exact_beyond = exact_beyond
-        self.label = label
 
     @staticmethod
     def from_tables(base, tables: dict[int, dict[SymWord, Vector]], arity_bound: int, degree: int,
-                    q0: Vector | None = None, exact_beyond: bool = True, label: str = "") -> "TaylorCoderivation":
-        def fn(n, word):
-            return tables.get(n, {}).get(word, Vector.zero())
-        return TaylorCoderivation(base, fn, arity_bound, degree, q0, exact_beyond, label)
+                    label: str = "") -> "TaylorCoderivation":
+        return TaylorCoderivation(base, _table_fn(tables), arity_bound, degree, label=label)
 
     @staticmethod
     def from_linear(d: LinOp, arity_bound: int = 1, label: str = "") -> "TaylorCoderivation":
         """The linear coderivation extending d (no constant or higher terms)."""
-        def fn(n, word):
-            return d.on_key(word[0]) if n == 1 else Vector.zero()
-        return TaylorCoderivation(d.domain, fn, max(arity_bound, 1), d.degree,
+        return TaylorCoderivation(d.domain, _linear_fn(d), max(arity_bound, 1), d.degree,
                                   label=label or f"~{d.label}")
-
-    def component(self, n: int, word: SymWord) -> Vector:
-        if n != len(word):
-            raise ValueError("arity/word mismatch")
-        if n == 0:
-            return self.q0
-        if n > self.arity_bound:
-            if self.exact_beyond:
-                return Vector.zero()
-            raise Overflow(f"Taylor coefficient q_{n} beyond arity bound {self.arity_bound}")
-        v = self._cache.get(word)
-        if v is None:
-            v = self._fn(n, word)
-            self._cache[word] = v
-        return v
-
-    def eval_keys(self, keys: tuple) -> Vector:
-        cw = canonical_word(self.base, keys)
-        if cw is None:
-            return Vector.zero()
-        word, s = cw
-        return self.component(len(word), word).scale(s)
 
     def eval_mixed(self, lead: Vector, rest: tuple) -> Vector:
         """q_{1+len(rest)} evaluated on (lead, rest...) with lead a vector."""
@@ -374,29 +374,18 @@ class TaylorCoderivation:
                                   q.degree + r.degree, q0, True, f"[{q.label},{r.label}]")
 
 
-def taylor_morphism_from_map(F: LinOp, arity_bound: int, exact_beyond: bool = False,
-                             label: str = "") -> TaylorMorphism:
+def taylor_morphism_from_map(F: LinOp, arity_bound: int, label: str = "") -> TaylorMorphism:
     """Corestriction: extract Taylor coefficients of a word-level map (weight-1 parts)."""
-    dom: SymSpace = F.domain
-    cod: SymSpace = F.codomain
-
-    def fn(n, word):
-        img = F.on_key(word)
-        return Vector({w[0]: c for w, c in img.items() if len(w) == 1})
-
-    return TaylorMorphism(dom.base, cod.base, fn, arity_bound, exact_beyond, label or F.label)
+    return TaylorMorphism(F.domain.base, F.codomain.base, lambda n, word: _corestriction(F, word),
+                          arity_bound, False, label or F.label)
 
 
 def taylor_coderivation_from_map(Qm: LinOp, arity_bound: int, exact_beyond: bool = False,
                                  label: str = "") -> TaylorCoderivation:
-    space: SymSpace = Qm.domain
-
-    def fn(n, word):
-        img = Qm.on_key(word)
-        return Vector({w[0]: c for w, c in img.items() if len(w) == 1})
-
-    q0 = Vector({w[0]: c for w, c in Qm.on_key(()).items() if len(w) == 1})
-    return TaylorCoderivation(space.base, fn, arity_bound, Qm.degree, q0, exact_beyond, label or Qm.label)
+    """Corestriction of a word-level coderivation, its constant term included."""
+    return TaylorCoderivation(Qm.domain.base, lambda n, word: _corestriction(Qm, word),
+                              arity_bound, Qm.degree, _corestriction(Qm, ()), exact_beyond,
+                              label or Qm.label)
 
 
 def hat_extension(space: SymSpace, arity: int, table_fn: Callable[[SymWord], Vector],
@@ -549,7 +538,7 @@ def morphism_partition_oracle(F: TaylorMorphism, word: SymWord, cod_bound: int) 
     n = len(word)
     if n == 0:
         return Vector.basis(())
-    degs = tuple(F.dom_base.degree(k) for k in word)
+    degs = tuple(F.base.degree(k) for k in word)
     out = Vector()
     for part in set_partitions(n):
         flat = tuple(p for block in part for p in block)
@@ -617,9 +606,6 @@ class FiniteCoalgebra:
     def coproduct(self, key):
         return self.cop.get(key, ())
 
-    def counit(self, key) -> Q:
-        return ONE if key == self.unit_key else ZERO
-
     def reduced_coproduct(self, key):
         """Reduced coproduct on the complement of the coaugmentation."""
         if key == self.unit_key:
@@ -669,9 +655,10 @@ def _last_slot_coproduct(D, tensor: Vector) -> list:
             for l, r, s in D.reduced_coproduct(tup[-1])]
 
 
-def cocumulant_tilde(C, D, f: LinOp, n: int, op_degree: int = 0, _memo=None) -> Callable:
-    """Tensor-valued cocumulant recursion (reduced coproducts); returns key -> tensor."""
-    memo = _memo if _memo is not None else {}
+def cocumulant_tilde(C, D, f: LinOp, n: int) -> Callable:
+    """Tensor-valued cocumulant recursion (reduced coproducts) of a degree-0 map;
+    returns key -> tensor."""
+    memo: dict = {}
 
     def kt(m: int, key) -> Vector:
         got = memo.get((m, key))
@@ -690,9 +677,6 @@ def cocumulant_tilde(C, D, f: LinOp, n: int, op_degree: int = 0, _memo=None) -> 
                     b = kt(m - 1 - k, r)
                     if not b:
                         continue
-                    sgn0 = s
-                    if op_degree % 2 and C.degree(l) % 2:
-                        sgn0 = -sgn0
                     for ta, ca in a.items():
                         for tb, cb in b.items():
                             tup = ta + tb  # m slots total
@@ -708,7 +692,7 @@ def cocumulant_tilde(C, D, f: LinOp, n: int, op_degree: int = 0, _memo=None) -> 
                             for positions in _shuffles(k, m - 2 - k):
                                 s2 = koszul_sign(positions + (m - 2, m - 1), degs1)
                                 tup2 = tuple(tup1[p] for p in positions) + tup1[m - 2:]
-                                terms.append((tup2, -sgn0 * ca * cb * s1 * s2))
+                                terms.append((tup2, -s * ca * cb * s1 * s2))
             out = Vector(terms)
         memo[(m, key)] = out
         return out
@@ -735,14 +719,14 @@ def _projected(base, kt: Callable, n: int) -> Callable:
     return lambda key: canonical_sum(base, kt(key).items()).scale(Q(1, factorial(n)))
 
 
-def cocumulants_cofree(C, D, f: LinOp, n: int, memo=None) -> Callable:
+def cocumulants_cofree(C, D, f: LinOp, n: int) -> Callable:
     """kappa^co(f)_n = (1/n!) pi ktilde_n; zero for all n >= 2 iff f is a coalgebra morphism."""
-    return _projected(D, cocumulant_tilde(C, D, f, n, 0, memo), n)
+    return _projected(D, cocumulant_tilde(C, D, f, n), n)
 
 
-def koszul_cobracket_tilde(C, delta: LinOp, n: int, _memo=None) -> Callable:
+def koszul_cobracket_tilde(C, delta: LinOp, n: int) -> Callable:
     """Tensor-valued Koszul cobracket recursion (reduced coproducts)."""
-    memo = _memo if _memo is not None else {}
+    memo: dict = {}
 
     def kt(m: int, key) -> Vector:
         got = memo.get((m, key))
@@ -765,6 +749,6 @@ def koszul_cobracket_tilde(C, delta: LinOp, n: int, _memo=None) -> Callable:
     return lambda key: kt(n, key)
 
 
-def koszul_cobrackets_cofree(C, delta: LinOp, n: int, memo=None) -> Callable:
+def koszul_cobrackets_cofree(C, delta: LinOp, n: int) -> Callable:
     """K^co(delta)_n = (1/n!) pi Ktilde_n; zero for all n >= 2 iff delta is a coderivation."""
-    return _projected(C, koszul_cobracket_tilde(C, delta, n, _memo=memo), n)
+    return _projected(C, koszul_cobracket_tilde(C, delta, n), n)

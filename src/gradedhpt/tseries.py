@@ -33,9 +33,9 @@ class TOp:
     known_to: int | None = None
 
     @staticmethod
-    def lift(op: LinOp, t_degree: int, power: int = 0) -> "TOp":
-        return TOp({power: op} if power >= 0 else {}, op.domain, op.codomain,
-                   op.degree + power * t_degree, t_degree)
+    def lift(op: LinOp, t_degree: int) -> "TOp":
+        """The constant series with coefficient op at order 0."""
+        return TOp({0: op}, op.domain, op.codomain, op.degree, t_degree)
 
     def coeff(self, n: int) -> LinOp:
         got = self.coeffs.get(n)
@@ -101,9 +101,9 @@ class TOp:
         return TOp(coeffs, other.domain, self.codomain, self.degree + other.degree,
                    self.t_degree, known)
 
-    def bracket(self, other: "TOp", max_order: int | None = None) -> "TOp":
+    def bracket(self, other: "TOp") -> "TOp":
         sign = -1 if (self.degree % 2 and other.degree % 2) else 1
-        return self.compose(other, max_order) - other.compose(self, max_order).scale(sign)
+        return self.compose(other) - other.compose(self).scale(sign)
 
     def apply_key(self, key, max_order: int) -> dict:
         """Orderwise image of a basis key, as {n: Vector} over its nonzero
@@ -169,9 +169,7 @@ def laurent_mul(A: CommAlgebra, x: LaurentVec, y: LaurentVec) -> LaurentVec:
     out: dict = {}
     for i, v in x.coeffs.items():
         for j, w in y.coeffs.items():
-            p = A.mul(v, w)
-            if p:
-                out[i + j] = out.get(i + j, Vector.zero()) + p
+            out.setdefault(i + j, Vector()).add_scaled(A.mul(v, w))
     return LaurentVec(out)
 
 
@@ -182,15 +180,13 @@ def laurent_apply(op: TOp, x: LaurentVec) -> LaurentVec:
     out: dict = {}
     for j, f in op.coeffs.items():
         for i, v in x.coeffs.items():
-            w = f(v)
-            if w:
-                out[i + j] = out.get(i + j, Vector.zero()) + w
+            out.setdefault(i + j, Vector()).add_scaled(f(v))
     return LaurentVec(out)
 
 
 def laurent_exp(A: CommAlgebra, a: LaurentVec, nilpotency: int) -> LaurentVec:
     """e^a for a with vanishing a^m, m <= nilpotency (verified)."""
-    out = LaurentVec({0: A.unit()})
+    out = {0: Vector().add_scaled(A.unit())}
     term = LaurentVec({0: A.unit()})
     for j in range(1, nilpotency + 1):
         term = laurent_mul(A, term, a)
@@ -198,22 +194,21 @@ def laurent_exp(A: CommAlgebra, a: LaurentVec, nilpotency: int) -> LaurentVec:
             break
         if j == nilpotency:
             raise ValueError(f"Laurent element not nilpotent within {nilpotency}")
-        out = out + term.scale(Q(1, factorial(j)))
-    return out
+        for n, v in term.coeffs.items():
+            out.setdefault(n, Vector()).add_scaled(v, Q(1, factorial(j)))
+    return LaurentVec(out)
 
 
 class TSpace:
-    """Flattened truncated t-module: keys (n, base_key) for min_power <= n <= N."""
+    """Flattened truncated t-module: keys (n, base_key) for 0 <= n <= N."""
 
-    def __init__(self, base, N: int, t_degree: int, min_power: int = 0):
+    def __init__(self, base, N: int, t_degree: int):
         self.base = base
         self.N = N
         self.t_degree = t_degree
-        self.min_power = min_power
 
     def keys(self):
-        return tuple((n, k) for n in range(self.min_power, self.N + 1)
-                     for k in self.base.keys())
+        return tuple((n, k) for n in range(self.N + 1) for k in self.base.keys())
 
     def degree(self, key) -> int:
         n, k = key
@@ -221,10 +216,10 @@ class TSpace:
 
     def __eq__(self, other):
         return (isinstance(other, TSpace) and self.base == other.base and self.N == other.N
-                and self.t_degree == other.t_degree and self.min_power == other.min_power)
+                and self.t_degree == other.t_degree)
 
     def __hash__(self):
-        return hash(("TSpace", _space_token(self.base), self.N, self.t_degree, self.min_power))
+        return hash(("TSpace", _space_token(self.base), self.N, self.t_degree))
 
 
 class TruncatedTAlgebra(CommAlgebra):
@@ -266,29 +261,33 @@ def flat_unital_map(f: TOp, Bt: TruncatedTAlgebra) -> LinOp:
     return LinOp(f.domain, Bt.space, f.degree, lambda key: f.flat_image(0, key, Bt.N), "f~")
 
 
-def spl_t(C, delta_plus: TOp, N: int, corpus=None):
-    """Standard Perturbation Lemma for a t-adically small perturbation
-    (min t-power >= 1): all series are computed exactly up to order N.
+def spl_t(C, Delta: TOp, N: int, corpus=None):
+    """Standard Perturbation Lemma for a t-adically small perturbation: transfer
+    the structure series ``Delta`` along the contraction C, whose differential
+    d_A is Delta's order-zero coefficient.  The perturbation is the
+    positive-order part of Delta (with Delta's ``known_to``), and all series are
+    computed exactly up to order N.
 
-    Returns (delta_B, sigma, tau, h) as t-series.  They are flagged exact when
-    a power of h o delta_plus vanishes on every word of the given corpus, which
-    is sound only if the corpus spans every word the outputs are applied to
-    (the whole domain of h).  A power that cannot be evaluated on some corpus
-    word (Overflow) proves nothing, and the series are then computed to order
-    N, which is always sound since delta_plus has t-valuation >= 1.
+    Returns (Delta_B, sigma, tau, h) as t-series, where Delta_B is lift(d_B)
+    plus the transferred perturbation; with no positive order they are the
+    lifts of d_B, sigma, tau and h.  They are flagged exact when a power of
+    h o perturbation vanishes on every word of the given corpus, which is sound
+    only if the corpus spans every word the outputs are applied to (the whole
+    domain of h).  A power that cannot be evaluated on some corpus word
+    (Overflow) proves nothing, and the series are then computed to order N,
+    which is always sound since the perturbation has t-valuation >= 1.
     """
-    if not delta_plus.coeffs:
-        td = delta_plus.t_degree
-        zero = TOp({}, C.space_B, C.space_B, delta_plus.degree, td)
-        return (zero, TOp.lift(C.sigma, td), TOp.lift(C.tau, td), TOp.lift(C.h, td))
-    if delta_plus.min_power() < 1:
-        raise ValueError("t-adic perturbation needs positive t-valuation")
-    td = delta_plus.t_degree
+    td = Delta.t_degree
     h = TOp.lift(C.h, td)
     sigma = TOp.lift(C.sigma, td)
     tau = TOp.lift(C.tau, td)
+    d_B = TOp.lift(C.d_B, td)
+    delta_plus = TOp({n: op for n, op in Delta.coeffs.items() if n >= 1},
+                     Delta.domain, Delta.codomain, Delta.degree, td, Delta.known_to)
+    if not delta_plus.coeffs:
+        return d_B, sigma, tau, h
     hd = h.compose(delta_plus)
-    top_order = max(delta_plus.support(), default=1) * (N + 1)
+    top_order = max(delta_plus.support()) * (N + 1)
     powers = [TOp.lift(LinOp.identity(C.space_A), td)]
     exact = False
     for j in range(1, N + 1):
@@ -310,7 +309,7 @@ def spl_t(C, delta_plus: TOp, N: int, corpus=None):
                   geo.domain, geo.codomain, geo.degree, td, N)
         cap = N
     sd = sigma.compose(delta_plus, cap)
-    delta_B = sd.compose(geo.compose(tau, cap), cap)
+    delta_B = d_B + sd.compose(geo.compose(tau, cap), cap)
     tau_new = geo.compose(tau, cap)
     h_new = geo.compose(h, cap)
     sigma_new = sigma + sd.compose(geo.compose(h, cap), cap)

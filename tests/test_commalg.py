@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradedhpt.core import GradedBasis, LinOp, Overflow, RouteDisagreement, Vector, exp_series
 from gradedhpt.commalg import (
@@ -317,27 +317,31 @@ class TestExpEndomorphism:
         with pytest.raises(ValueError):
             exp_endomorphism(A, idm, 3)
 
-    def test_exp_koszul_equals_cumulant_exp(self):
-        # exp(Kos(delta)) = kappa(exp(delta)) as coalgebra morphisms, arity <= 3
-        rng = random.Random(41)
-        for template in (1, 3):
-            A = random_algebra(rng, template)
-            delta = random_nilpotent_operator(rng, A, 0)
-            m = 5
-            f = exp_endomorphism(A, delta, m)
-            kf = cumulant_lift(A, A, f, 3)
-            S = SymSpace(A.space, 3)
-            kd_map = kos_lift(A, delta, 3).as_map(S)
-            # exp of the coderivation as a map on words (nilpotent: weight-lowering + nilpotent linear part)
-            exp_map = LinOp.identity(S)
-            term = LinOp.identity(S)
-            for j in range(1, 3 * m):
-                term = Q(1, j) * (kd_map @ term)
-                exp_map = exp_map + term
-                if term.is_zero_on(S.keys()):
-                    break
-            kf_map = kf.as_map(S, S)
-            assert exp_map.equal_on(kf_map, S.keys())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), template=st.integers(0, 3))
+    @example(seed=41, template=1)
+    def test_exp_koszul_equals_cumulant_exp(self, seed, template):
+        # the exponential version: exp(Kos(delta)) = kappa(exp(delta)) as
+        # coalgebra morphisms, arity <= 3, for a random nilpotent degree-0 delta
+        # on a random algebra of each randgen template
+        rng = random.Random(seed)
+        A = random_algebra(rng, template)
+        delta = random_nilpotent_operator(rng, A, 0)
+        m = 5
+        f = exp_endomorphism(A, delta, m)
+        kf = cumulant_lift(A, A, f, 3)
+        S = SymSpace(A.space, 3)
+        kd_map = kos_lift(A, delta, 3).as_map(S)
+        # exp of the coderivation as a map on words (nilpotent: weight-lowering + nilpotent linear part)
+        exp_map = LinOp.identity(S)
+        term = LinOp.identity(S)
+        for j in range(1, 3 * m):
+            term = Q(1, j) * (kd_map @ term)
+            exp_map = exp_map + term
+            if term.is_zero_on(S.keys()):
+                break
+        kf_map = kf.as_map(S, S)
+        assert exp_map.equal_on(kf_map, S.keys())
 
 
 class TestMCEval:

@@ -2,8 +2,11 @@
 module-level import is used, no function or class imports locally, an
 Overflow is caught only where the allowlist below says, the diagonal
 (x,) * n of a Maurer-Cartan sum is written only in ``core.exp_series``, no
-scalar is formed by true division or by a power of -1, and only ``core``
-touches a Vector's coefficient dict (the attribute ``.c``)."""
+scalar is formed by true division or by a power of -1, only ``core``
+touches a Vector's coefficient dict (the attribute ``.c``), and every option
+has a setter: each defaulted parameter of a library function is passed by
+some call in ``src/``, ``tests/`` or ``perfbench/`` (an option no call sets
+is a constant, written as one)."""
 
 import ast
 from pathlib import Path
@@ -175,3 +178,85 @@ def coefficient_sites(path: Path) -> list:
 def test_coefficients_only_in_core(path):
     sites = coefficient_sites(path)
     assert not sites, f"{path.name}: a coefficient dict touched outside core at {sites}"
+
+
+# Every option has a setter.  The scope is every defaulted parameter of every
+# function or method in the library, nested functions and class ``__init__``s
+# included, except the input modules ``fixtures.py`` and ``randgen.py``, whose
+# size parameters are what the tests and the benchmark vary.  A call sets a
+# parameter when its callee name (the ``Name`` id or the ``Attribute`` attr; the
+# class name for ``__init__``) matches and it passes the parameter by keyword,
+# passes at least as many positional arguments as reach it, or uses ``*`` or
+# ``**``.
+
+ROOT = SRC.parents[1]
+INPUT_MODULES = {"fixtures.py", "randgen.py"}
+
+
+def options(path: Path) -> list:
+    """(callee name, parameter, positional index or None) of each defaulted
+    parameter; the index does not count ``self`` or ``cls``, and is None for a
+    keyword-only parameter."""
+    out = []
+
+    def function(fn, cls):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+        bound = cls is not None and not static
+        name = cls if cls is not None and fn.name == "__init__" else fn.name
+        first = len(positional) - len(args.defaults)
+        out.extend((name, p.arg, i - bound) for i, p in enumerate(positional[first:], first))
+        out.extend((name, p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                   if d is not None)
+        visit(fn)
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                for item in child.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        function(item, child.name)
+                    else:
+                        visit(item)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function(child, None)
+            else:
+                visit(child)
+
+    visit(_tree(path))
+    return out
+
+
+def calls_by_name() -> dict:
+    """Every call in the sources, the tests and the benchmark, by callee name."""
+    files = [*MODULES, *sorted((ROOT / "tests").rglob("*.py")),
+             *sorted((ROOT / "perfbench").rglob("*.py"))]
+    out: dict = {}
+    for path in files:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def sets(call: ast.Call, param: str, index) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def options_without_setter(paths) -> list:
+    calls = calls_by_name()
+    return [(path.stem, name, param) for path in paths
+            for name, param, index in options(path)
+            if not any(sets(call, param, index) for call in calls.get(name, ()))]
+
+
+def test_every_option_has_a_setter():
+    unset = options_without_setter(p for p in MODULES if p.name not in INPUT_MODULES)
+    assert not unset, f"options no call sets (make them constants): {unset}"

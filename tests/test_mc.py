@@ -2,13 +2,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gradedhpt.core import LinOp, Vector
+from gradedhpt.core import ConvergenceFault, LinOp, Vector
 from gradedhpt.fixtures import fix3, fix3_extended
 from gradedhpt.hpt import linf_transfer
 from gradedhpt.mc import (
     KuranishiData,
     NilpotentFiltration,
     enumerate_mc_lattice,
+    fixed_point,
     kuranishi_inverse,
     kuranishi_rho,
     kuranishi_roundtrip_report,
@@ -149,6 +150,30 @@ class TestKuranishi:
         x1 = kuranishi_inverse(data, Vector.basis(0), Vector.zero(), max_steps=5)
         x2 = kuranishi_inverse(data, Vector.basis(0), Vector.zero(), max_steps=9)
         assert x1 == x2
+
+
+def _truncated_product(xs, top=3):
+    """Product of polynomials in t, keyed by the power, with t^(top+1) = 0."""
+    out = Vector.basis(0)
+    for x in xs:
+        out = Vector((i + j, a * b) for i, a in out.items() for j, b in x.items() if i + j <= top)
+    return out
+
+
+class TestFixedPoint:
+    def test_stops_at_the_step_bound(self):
+        # x = t + x^2/2 mod t^4: the iterates from 0 are t, t + t^2/2 and then
+        # t + t^2/2 + t^3/2, which solves it, so the solution takes exactly 3 steps
+        head = Vector.basis(1)
+        solution = Vector({1: 1, 2: Q(1, 2), 3: Q(1, 2)})
+        assert fixed_point(head, _truncated_product, 2, 3) == solution
+        assert fixed_point(head, _truncated_product, 2, 7) == solution
+        with pytest.raises(ConvergenceFault):
+            fixed_point(head, _truncated_product, 2, 2)
+
+    def test_zero_correction_returns_head(self):
+        head = Vector({0: 2, 1: Q(-1, 3)})
+        assert fixed_point(head, lambda xs: Vector.zero(), 4, 1) == head
 
 
 class TestFiltration:

@@ -1,11 +1,13 @@
-"""Flattening of operator t-series onto the truncated spaces of (order, key) pairs."""
+"""Flattening of operator t-series onto the truncated spaces of (order, key) pairs,
+and the t-adic perturbation lemma ``spl_t``."""
 
 import pytest
 
 from gradedhpt.commalg import ExplicitFDAlgebra
 from gradedhpt.core import GradedBasis, LinOp, Overflow, Vector
+from gradedhpt.fixtures import fix2
 from gradedhpt.symcoalg import SymSpace
-from gradedhpt.tseries import TOp, TSpace, TruncatedTAlgebra, flat_unital_map, flatten_top
+from gradedhpt.tseries import TOp, TSpace, TruncatedTAlgebra, flat_unital_map, flatten_top, spl_t
 
 # 1, x with x^2 = 0; t has degree 2, so the order-n coefficient of a degree-0
 # series lowers degree by 2n
@@ -60,3 +62,27 @@ def test_tspace_hash_agrees_with_equality():
     assert hash(a1) == hash(a2)
     assert {a1: 1}.get(a2) == 1
     assert TSpace(SymSpace(BASIS, 3), 3, 2) != a1
+
+
+def test_spl_t_without_positive_order_lifts_the_contraction():
+    f = fix2(3)
+    C = f.contraction
+    DB, sigma, tau, h = spl_t(C, TOp.lift(C.d_A, 2), 2, corpus=f.A.space.keys())
+    for series, op in ((DB, C.d_B), (sigma, C.sigma), (tau, C.tau), (h, C.h)):
+        assert series.coeffs == {0: op} and series.is_exact()
+        assert series.t_degree == 2
+
+
+def test_spl_t_keeps_the_differential_at_order_zero():
+    # FIX-2 along its contraction: the transferred perturbation has t-valuation
+    # >= 1, so Delta_B = d_B + O(t); a truncated Delta keeps its known_to
+    f = fix2(3)
+    C = f.contraction
+    DB, _, _, _ = spl_t(C, f.delta_series(), 2, corpus=f.A.space.keys())
+    assert DB.coeff(0).first_difference(C.d_B, f.B.space.keys()) is None
+    assert DB.degree == 1 and DB.t_degree == 2
+    Delta = f.delta_series()
+    Delta.known_to = 1
+    DB, _, _, _ = spl_t(C, Delta, 2, corpus=f.A.space.keys())
+    assert DB.coeff(0).first_difference(C.d_B, f.B.space.keys()) is None
+    assert DB.reliable_to() is not None
