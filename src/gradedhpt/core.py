@@ -115,18 +115,6 @@ def unshuffle_sign(unshuffle: Unshuffle, degrees: tuple[int, ...] | list[int]) -
 
 
 @lru_cache(maxsize=None)
-def compositions(n: int, min_part: int = 1) -> tuple[tuple[int, ...], ...]:
-    """Ordered compositions of ``n`` into parts >= min_part."""
-    if n == 0:
-        return ((),)
-    out: list[tuple[int, ...]] = []
-    for first in range(min_part, n + 1):
-        for rest in compositions(n - first, min_part):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Unordered partitions of ``{0..n-1}``; blocks ascending, ordered by minimum."""
     if n == 0:

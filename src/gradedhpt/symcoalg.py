@@ -6,10 +6,14 @@ base, a cached component function, the arity bound with whether coefficients
 beyond it vanish, a label, and ``q0``, the coefficient on the empty word (the
 constant term of a coderivation, zero for a morphism).  Component functions are
 built from tables, from a linear map, or by corestriction of a word-level map
-(the weight-one part of F(word)).  The two reconstruction formulas, the
-coderivation bracket, the unshuffle coproduct and the convolution Hopf calculus
-(star product, exp/log, antipode) all live here, together with the dual
-cocumulant / Koszul cobracket recursions.
+(the weight-one part of F(word)).  The two reconstruction formulas live here:
+a morphism on a word is the sum over set partitions of the word of the
+Koszul-signed products of its coefficients on the blocks, and a coderivation
+on a word is the sum over (i, n-i)-unshuffles of its coefficient on the first
+block times the rest.  So do the coderivation bracket, the unshuffle coproduct
+and the convolution Hopf calculus (star product, exp/log, antipode), whose
+exp_* of the weight-one data rebuilds the same morphism, together with the
+dual cocumulant / Koszul cobracket recursions.
 
 A tensor (an element of C^{(x)n}, such as a coproduct image or a tilde
 recursion's value) is a `Vector` keyed by tuples of keys; ``canonical_sum``
@@ -19,7 +23,7 @@ projects one to canonical words of S(V).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import factorial
 from typing import Callable, Iterable
 
@@ -29,7 +33,6 @@ from .core import (
     Overflow,
     Q,
     Vector,
-    compositions,
     koszul_sign,
     multi_unshuffles,
     multilinear_terms,
@@ -231,42 +234,35 @@ class TaylorMorphism(_TaylorData):
         return TaylorMorphism(dom_base, cod_base, _table_fn(tables), arity_bound, True, label)
 
     @staticmethod
-    def from_linear(f: LinOp, arity_bound: int = 1, label: str = "") -> "TaylorMorphism":
+    def from_linear(f: LinOp, label: str = "") -> "TaylorMorphism":
         """S(f): the coalgebra morphism with f_1 = f and no higher coefficients."""
-        return TaylorMorphism(f.domain, f.codomain, _linear_fn(f), max(arity_bound, 1), True,
-                              label or f"S({f.label})")
+        return TaylorMorphism(f.domain, f.codomain, _linear_fn(f), 1, True, label or f"S({f.label})")
 
     @staticmethod
     def identity(base) -> "TaylorMorphism":
-        return TaylorMorphism.from_linear(LinOp.identity(base), 1, "id")
+        return TaylorMorphism.from_linear(LinOp.identity(base), "id")
 
     def apply_word(self, word: SymWord, cod_bound: int) -> Vector:
-        """Reconstruction of the full morphism on a canonical word."""
+        """The morphism on a canonical word, by the set-partition formula: the
+        sum over set partitions of the word of the symmetric product of the
+        coefficients on the blocks, with the Koszul sign of the partition.  A
+        block beyond the arity bound of non-exact data raises Overflow."""
         n = len(word)
         if n == 0:
             return Vector.basis(())
         degs = tuple(self.base.degree(k) for k in word)
         out = Vector()
-        for comp in compositions(n):
-            k = len(comp)
-            if not self.exact_beyond and max(comp) > self.arity_bound:
-                raise Overflow(f"need Taylor coefficient beyond bound {self.arity_bound}")
-            if max(comp) > self.arity_bound:
-                continue
-            coeff = Q(1, factorial(k))
-            for unsh in multi_unshuffles(comp):
-                s = unshuffle_sign(unsh, degs)
-                factors = []
-                dead = False
-                for block in unsh:
-                    fv = self.component(len(block), tuple(word[p] for p in block))
-                    if fv.is_zero():
-                        dead = True
-                        break
-                    factors.append(fv)
-                if dead:
-                    continue
-                out.add_scaled(assemble_word(self.cod_base, factors, cod_bound), coeff * s)
+        for part in set_partitions(n):
+            factors = []
+            for block in part:
+                fv = self.component(len(block), tuple(word[p] for p in block))
+                if not fv:
+                    break
+                factors.append(fv)
+            else:
+                flat = tuple(p for block in part for p in block)
+                out.add_scaled(assemble_word(self.cod_base, factors, cod_bound),
+                               koszul_sign(flat, degs))
         return out
 
     def as_map(self, dom_space: SymSpace, cod_space: SymSpace) -> LinOp:
@@ -308,10 +304,10 @@ class TaylorCoderivation(_TaylorData):
         return TaylorCoderivation(base, _table_fn(tables), arity_bound, degree, label=label)
 
     @staticmethod
-    def from_linear(d: LinOp, arity_bound: int = 1, label: str = "") -> "TaylorCoderivation":
+    def from_linear(d: LinOp, arity_bound: int = 1) -> "TaylorCoderivation":
         """The linear coderivation extending d (no constant or higher terms)."""
         return TaylorCoderivation(d.domain, _linear_fn(d), max(arity_bound, 1), d.degree,
-                                  label=label or f"~{d.label}")
+                                  label=f"~{d.label}")
 
     def eval_mixed(self, lead: Vector, rest: tuple) -> Vector:
         """q_{1+len(rest)} evaluated on (lead, rest...) with lead a vector."""
@@ -321,7 +317,8 @@ class TaylorCoderivation(_TaylorData):
         return out
 
     def apply_word(self, word: SymWord, bound: int) -> Vector:
-        """sum over (i, n-i)-unshuffles of q_i(block) o rest, q0 o word included."""
+        """The coderivation on a canonical word, by the unshuffle formula: the
+        sum over (i, n-i)-unshuffles of q_i(block) o rest, q0 o word included."""
         n = len(word)
         if self.q0 and n + 1 > bound:
             raise Overflow(f"coderivation output weight {n + 1} exceeds bound {bound}")
@@ -530,26 +527,6 @@ def coderivation_defect(Qm: LinOp, words=None):
     return None
 
 
-# -- brute-force oracles ----------------------------------------------------------
-
-
-def morphism_partition_oracle(F: TaylorMorphism, word: SymWord, cod_bound: int) -> Vector:
-    """Set-partition expansion of a coalgebra morphism on a word (independent of 1/k! route)."""
-    n = len(word)
-    if n == 0:
-        return Vector.basis(())
-    degs = tuple(F.base.degree(k) for k in word)
-    out = Vector()
-    for part in set_partitions(n):
-        flat = tuple(p for block in part for p in block)
-        s = koszul_sign(flat, degs)
-        factors = [F.component(len(block), tuple(word[p] for p in block)) for block in part]
-        if any(f.is_zero() for f in factors):
-            continue
-        out.add_scaled(assemble_word(F.cod_base, factors, cod_bound), s)
-    return out
-
-
 # -- cocumulants and Koszul cobrackets --------------------------------------------
 
 
@@ -688,8 +665,10 @@ def cocumulant_tilde(C, D, f: LinOp, n: int) -> Callable:
                             s1 = koszul_sign(tuple(perm), degs)
                             tup1 = tuple(tup[p] for p in perm)
                             degs1 = tuple(D.degree(x) for x in tup1)
-                            # shuffle the first k slots with the next m-2-k, last two fixed
-                            for positions in _shuffles(k, m - 2 - k):
+                            # shuffle the first k slots with the next m-2-k, last two fixed;
+                            # positions[p] is the slot placed at p, the inverse of the unshuffle
+                            for L, R in multi_unshuffles((k, m - 2 - k)):
+                                positions = tuple(map((L + R).index, range(m - 2)))
                                 s2 = koszul_sign(positions + (m - 2, m - 1), degs1)
                                 tup2 = tuple(tup1[p] for p in positions) + tup1[m - 2:]
                                 terms.append((tup2, -s * ca * cb * s1 * s2))
@@ -698,20 +677,6 @@ def cocumulant_tilde(C, D, f: LinOp, n: int) -> Callable:
         return out
 
     return lambda key: kt(n, key)
-
-
-def _shuffles(k: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Permutations of 0..k+m-1 interleaving block [0..k) with block [k..k+m)."""
-    out = []
-    for pos in combinations(range(k + m), k):
-        left = list(range(k))
-        right = list(range(k, k + m))
-        perm = []
-        for p in range(k + m):
-            perm.append(left.pop(0) if p in pos else right.pop(0))
-        # perm maps new position -> source slot; we need source order at new positions
-        out.append(tuple(perm))
-    return tuple(out)
 
 
 def _projected(base, kt: Callable, n: int) -> Callable:

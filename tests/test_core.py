@@ -12,7 +12,6 @@ from gradedhpt.core import (
     GradedBasis,
     LinOp,
     Vector,
-    compositions,
     koszul_sign,
     multi_unshuffles,
     set_partitions,
@@ -100,6 +99,13 @@ class TestUnshuffles:
 
     def test_multinomial_counts(self):
         from math import factorial
+
+        def compositions(n):
+            """Ordered compositions of n into positive parts."""
+            if n == 0:
+                return [()]
+            return [(first,) + rest for first in range(1, n + 1) for rest in compositions(n - first)]
+
         for n in range(0, 7):
             for comp in compositions(n):
                 expect = factorial(n)

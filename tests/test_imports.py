@@ -6,7 +6,8 @@ scalar is formed by true division or by a power of -1, only ``core``
 touches a Vector's coefficient dict (the attribute ``.c``), and every option
 has a setter: each defaulted parameter of a library function is passed by
 some call in ``src/``, ``tests/`` or ``perfbench/`` (an option no call sets
-is a constant, written as one)."""
+is a constant, written as one; a call ``X.m(...)`` through a library class X
+sets only the options of the ``m`` that X defines or inherits)."""
 
 import ast
 from pathlib import Path
@@ -187,16 +188,20 @@ def test_coefficients_only_in_core(path):
 # parameter when its callee name (the ``Name`` id or the ``Attribute`` attr; the
 # class name for ``__init__``) matches and it passes the parameter by keyword,
 # passes at least as many positional arguments as reach it, or uses ``*`` or
-# ``**``.
+# ``**``.  A call ``X.m(...)`` whose X names a library class reaches only the
+# ``m`` of X or of a library class X inherits from, so it sets no option of
+# another class's ``m`` of the same name; a call through an instance may reach
+# any of them.
 
 ROOT = SRC.parents[1]
 INPUT_MODULES = {"fixtures.py", "randgen.py"}
 
 
 def options(path: Path) -> list:
-    """(callee name, parameter, positional index or None) of each defaulted
-    parameter; the index does not count ``self`` or ``cls``, and is None for a
-    keyword-only parameter."""
+    """(class, callee name, parameter, positional index or None) of each
+    defaulted parameter; the class is None outside a class body, the index
+    does not count ``self`` or ``cls``, and is None for a keyword-only
+    parameter."""
     out = []
 
     def function(fn, cls):
@@ -206,8 +211,8 @@ def options(path: Path) -> list:
         bound = cls is not None and not static
         name = cls if cls is not None and fn.name == "__init__" else fn.name
         first = len(positional) - len(args.defaults)
-        out.extend((name, p.arg, i - bound) for i, p in enumerate(positional[first:], first))
-        out.extend((name, p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+        out.extend((cls, name, p.arg, i - bound) for i, p in enumerate(positional[first:], first))
+        out.extend((cls, name, p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
                    if d is not None)
         visit(fn)
 
@@ -242,6 +247,30 @@ def calls_by_name() -> dict:
     return out
 
 
+def library_classes() -> dict:
+    """Each library class by name, with the names of its library base classes."""
+    classes = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+               for path in MODULES for node in ast.walk(_tree(path)) if isinstance(node, ast.ClassDef)}
+    return {name: [b for b in bases if b in classes] for name, bases in classes.items()}
+
+
+def reached_classes(call: ast.Call, classes: dict):
+    """The library classes whose methods a call ``X.m(...)`` can reach, X and
+    its library ancestors, when X names a library class; None for any other
+    call."""
+    f = call.func
+    if not (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+            and f.value.id in classes):
+        return None
+    reached, todo = set(), [f.value.id]
+    while todo:
+        cls = todo.pop()
+        if cls not in reached:
+            reached.add(cls)
+            todo.extend(classes[cls])
+    return reached
+
+
 def sets(call: ast.Call, param: str, index) -> bool:
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
@@ -252,9 +281,16 @@ def sets(call: ast.Call, param: str, index) -> bool:
 
 def options_without_setter(paths) -> list:
     calls = calls_by_name()
+    classes = library_classes()
+
+    def reaches(call, cls) -> bool:
+        reached = reached_classes(call, classes)
+        return reached is None or cls in reached
+
     return [(path.stem, name, param) for path in paths
-            for name, param, index in options(path)
-            if not any(sets(call, param, index) for call in calls.get(name, ()))]
+            for cls, name, param, index in options(path)
+            if not any(sets(call, param, index) and reaches(call, cls)
+                       for call in calls.get(name, ()))]
 
 
 def test_every_option_has_a_setter():

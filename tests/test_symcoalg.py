@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedhpt.core import GradedBasis, LinOp, Overflow, Vector, koszul_sign, multi_unshuffles
 from gradedhpt.hpt import words_over
@@ -23,7 +24,6 @@ from gradedhpt.symcoalg import (
     counit_map,
     koszul_cobracket_tilde,
     koszul_cobrackets_cofree,
-    morphism_partition_oracle,
     star_exp,
     star_log,
     taylor_coderivation_from_map,
@@ -149,12 +149,30 @@ class TestMorphismReconstruction:
         F = rand_taylor_morphism(rng, BASIS, 3, S)
         assert F.apply_word((), 3) == Vector.basis(())
 
-    def test_weight3_against_partition_oracle(self):
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), arity_bound=st.integers(1, 4))
+    def test_partition_formula_equals_star_exp(self, seed, arity_bound):
+        # the exponential version: F = exp_*(phi) with phi(w) = f_{|w|}(w) the
+        # weight-one data, summed over ordered star powers with weight 1/k!
+        rng = random.Random(seed)
+        S = SymSpace(BASIS, 5)
+        F = rand_taylor_morphism(rng, BASIS, arity_bound, S)
+        phi = LinOp(S, S, 0,
+                    lambda w: Vector(((k,), c) for k, c in F.component(len(w), w).items())
+                    if w else Vector.zero(),
+                    "phi1")
+        assert F.as_map(S, S).equal_on(star_exp(phi, S.product, S.unit()), S.keys())
+
+    def test_corestriction_of_morphism(self):
+        # non-exact data: F agrees with M up to its arity bound and refuses a
+        # word beyond it rather than dropping the missing coefficient
         rng = random.Random(11)
         S = SymSpace(BASIS, 3)
-        F = rand_taylor_morphism(rng, BASIS, 2, S)
-        for w in S.words_of_weight(3):
-            assert F.apply_word(w, 3) == morphism_partition_oracle(F, w, 3), w
+        M = rand_taylor_morphism(rng, BASIS, 3, S).as_map(S, S)
+        F = taylor_morphism_from_map(M, 2)
+        assert F.as_map(S, S).equal_on(M, [w for w in S.keys() if len(w) <= 2])
+        with pytest.raises(Overflow):
+            F.apply_word((X, XI, ETA), 3)
 
     def test_is_coalgebra_morphism(self):
         rng = random.Random(13)
@@ -431,6 +449,46 @@ class TestCocumulants:
                                 expect[key] = expect.get(key, 0) + 2 * s * s2 * c1 * c2 * c3
             expect = {k: v for k, v in expect.items() if v}
             assert kt3(w) == Vector(expect), w
+
+    def test_tilde5_pinned(self):
+        # each shuffle places the slots by the inverse of its unshuffle, not by
+        # the unshuffle itself; the two differ only when three or more slots are
+        # shuffled (a shuffle of at most two is its own inverse), first at n = 5.
+        # The value is graded-symmetric: the Koszul-signed permutations of a few
+        # sorted keys, each with a pinned coefficient
+        S = SymSpace(BASIS, 5)
+        C = CofreeCoalgebra(S)
+        rng = random.Random(1)
+
+        def image(w):
+            # weight- and degree-preserving, at most two terms
+            same = [u for u in S.words_of_weight(len(w)) if S.degree(u) == S.degree(w)]
+            return Vector((u, rng.choice((-2, -1, 1, 2))) for u in rng.sample(same, min(2, len(same))))
+
+        F = LinOp(S, S, 0, lambda w: image(w) if w else Vector.basis(()), "F")
+        for w in S.keys():
+            F.on_key(w)
+        kt5 = cocumulant_tilde(C, C, F, 5)
+        x, xi, eta = (X,), (XI,), (ETA,)
+        pinned = {
+            (X, X, X, X, X): {(x, x, x, x, x): -257640},
+            (X, X, X, X, XI): {(x, x, x, x, xi): 45840, (x, x, x, x, eta): 23856},
+            (X, X, X, X, ETA): {(x, x, x, x, xi): -25200, (x, x, x, x, eta): -32904},
+            (X, X, X, XI, ETA): {(x, x, x, xi, eta): 1878},
+        }
+        assert S.words_of_weight(5) == tuple(pinned)
+
+        def symmetrized(key, coeff):
+            degs = [S.degree(u) for u in key]
+            return Vector({tuple(key[p] for p in perm): coeff * koszul_sign(perm, degs)
+                           for perm in itertools.permutations(range(len(key)))})
+
+        for w, terms in pinned.items():
+            expect = Vector()
+            for key, coeff in terms.items():
+                expect.add_scaled(symmetrized(key, coeff))
+            assert kt5(w) == expect, w
+        assert sum(len(kt5(w).keys()) for w in pinned) == 41
 
 
 class TestKoszulCobrackets:
