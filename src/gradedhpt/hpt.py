@@ -1,6 +1,10 @@
 """Contractions, the Standard Perturbation Lemma, semifullness certificates,
 the symmetrized tensor trick, and homotopy transfer for L-infinity[1] structures.
 
+The lemma is written once, in ``lemma_outputs``: ``perturb`` (a nilpotent
+perturbation) and ``tseries.spl_t`` (a t-adically small one) differ only in
+how they sum the geometric series sum_n (h delta)^n.
+
 Transfer results are always computed twice (explicit recursions vs perturbation
 series on the symmetrized contraction) and the two answers must agree exactly;
 this route duplication is an architectural feature, not a test convenience.
@@ -112,34 +116,37 @@ class Perturbation:
                 f"(h delta)^{self.certificate} != 0 at {w}; certificate exceeded")
 
 
+def lemma_outputs(sigma, tau, h, delta, geo):
+    """The Standard Perturbation Lemma's four outputs from the geometric series
+    ``geo`` = sum_n (h delta)^n: (sigma delta geo tau, sigma + sigma delta geo h,
+    geo tau, geo h), the transferred perturbation and the perturbed projection,
+    section and homotopy.  sigma (delta h)^n = sigma delta (h delta)^{n-1} h for
+    n >= 1, so the first two share (sigma delta) geo.  The one lemma for
+    ``LinOp`` (``perturb``) and ``TOp`` (``tseries.spl_t``) alike."""
+    sd_geo = (sigma @ delta) @ geo
+    return sd_geo @ tau, sigma + sd_geo @ h, geo @ tau, geo @ h
+
+
 def perturb(C: Contraction, p: Perturbation, verify_input=None,
             verify_output=None, verify_output_B=None) -> tuple[LinOp, Contraction]:
-    """Standard Perturbation Lemma: returns (delta_B, perturbed contraction).
+    """Standard Perturbation Lemma for a nilpotent perturbation: returns
+    (delta_B, perturbed contraction), built by ``lemma_outputs``.
 
-    All series are finite sums of length bounded by the nilpotency certificate,
-    summed in ascending order.  ``verify_input``/``verify_output*`` are corpora
-    of domain/codomain keys (None: the full basis, False: skip).
+    The geometric series sum_n (h delta)^n stops before the nilpotency
+    certificate; its image of a key is one sum over the cached images of the
+    powers.  ``verify_input``/``verify_output*`` are corpora of domain/codomain
+    keys (None: the full basis, False: skip).
     """
     if verify_input is not False:
         p.verify(C, None if verify_input is None else verify_input)
-    m = p.certificate
-    delta, h, sigma, tau = p.delta, C.h, C.sigma, C.tau
-    hd_pows = [LinOp.identity(C.space_A)]
-    for _ in range(m):
-        hd_pows.append((h @ delta) @ hd_pows[-1])
-
-    def series(build):
-        out = build(hd_pows[0])
-        for n in range(1, m):
-            out = out + build(hd_pows[n])
-        return out
-
-    delta_B = series(lambda pw: ((sigma @ delta) @ pw) @ tau)
-    tau_new = series(lambda pw: pw @ tau)
-    h_new = series(lambda pw: pw @ h)
-    # sigma (delta h)^n = sigma delta (h delta)^{n-1} h for n >= 1
-    sigma_new = sigma + series(lambda pw: ((sigma @ delta) @ pw) @ h)
-    out = Contraction(sigma_new, tau_new, h_new, C.d_A + delta, C.d_B + delta_B,
+    hd = C.h @ p.delta
+    powers = [LinOp.identity(C.space_A)]
+    for _ in range(1, p.certificate):
+        powers.append(hd @ powers[-1])
+    geo = LinOp(C.space_A, C.space_A, 0, lambda k: Vector(
+        term for pw in powers for term in pw.on_key(k).items()), "sum (h delta)^n")
+    delta_B, sigma_new, tau_new, h_new = lemma_outputs(C.sigma, C.tau, C.h, p.delta, geo)
+    out = Contraction(sigma_new, tau_new, h_new, C.d_A + p.delta, C.d_B + delta_B,
                       verify_on_init=False)
     if verify_output is not False:
         out.verify(keys_A=verify_output, keys_B=verify_output_B)

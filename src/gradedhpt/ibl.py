@@ -26,7 +26,7 @@ from .symcoalg import (
     star_log,
     taylor_coderivation_from_map,
 )
-from .tseries import TOp, TruncatedTAlgebra, flat_unital_map, flatten_top, spl_t
+from .tseries import LaurentVec, TOp, TruncatedTAlgebra, flat_unital_map, flatten_top, spl_t
 
 T_DEGREE = 2  # k = -1
 
@@ -150,15 +150,14 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
         rep.claim(f"degree of delta_{n} is {1 - 2 * n}", scope, degree_ok)
     rep.bounds["scope: delta"] = min(scopes.values(), default=S.weight_bound)
 
+    # every coefficient is odd, so sum_i [delta_i, delta_{n-i}] = 2 (delta o delta)_n
     flat_top = 2 * max(delta.support(), default=0) if delta.is_exact() else ibl.N
+    sq = delta @ delta
     for n in range(flat_top + 1):
-        acc = None
-        for i in range(n + 1):
-            term = delta.coeff(i).bracket(delta.coeff(n - i))
-            acc = term if acc is None else acc + term
-        scope = evaluable_scope(S, acc.on_key)
+        op = sq.coeff(n)
+        scope = evaluable_scope(S, op.on_key)
         rep.claim(f"flatness at order {n}", scope, lambda: witness_verdict(
-            next((w for w in _upto(S, scope) if not acc.on_key(w).is_zero()), None)))
+            next((w for w in _upto(S, scope) if not op.on_key(w).is_zero()), None)))
 
     s_map = antipode(S)
     alg = ibl.algebra()
@@ -174,17 +173,17 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
                     f"(c) Koszul brackets of delta_{n} on letters match (b), weights <= {n + 1}",
                     f"(d) sampled weighted bound for delta_{n}")
 
-    _component_square_checks(rep, ibl)
+    _component_square_checks(rep, ibl, sq)
     return rep
 
 
-def _component_square_checks(rep: Report, ibl: IBLStructure) -> None:
-    """Componentwise vanishing of delta^2: for inputs i, outputs j and orders m
-    up to 3, the (weight i -> weight j, t^m) block of delta o delta vanishes.  The
-    blocks of order m are checked for inputs up to the evaluable scope of that order."""
+def _component_square_checks(rep: Report, ibl: IBLStructure, sq: TOp) -> None:
+    """Componentwise vanishing of the square ``sq`` = delta o delta: for inputs i,
+    outputs j and orders m up to 3, its (weight i -> weight j, t^m) block
+    vanishes.  The blocks of order m are checked for inputs up to the evaluable
+    scope of that order."""
     max_block = 3
     S = ibl.space
-    sq = ibl.delta.compose(ibl.delta)
     ops = {m: sq.coeff(m) for m in range(0, min(ibl.N, max_block) + 1)}
     scopes = {m: evaluable_scope(S, op.on_key, max_block) for m, op in ops.items()}
     for m, scope in scopes.items():
@@ -294,7 +293,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
         ((n, w) for n in f.support() for w in _upto(SU, scope_f)
          if w and f.coeff(n).on_key(w)[()] != 0), None)))
 
-    inter = f.compose(source.delta) - target.delta.compose(f)
+    inter = f @ source.delta - target.delta @ f
     scope_i = evaluable_scope(SU, lambda w: inter.apply_key(w, N))
 
     def intertwines():
@@ -397,30 +396,10 @@ def _cod_basis(C: Contraction) -> GradedBasis:
 # -- Maurer-Cartan theory -------------------------------------------------------------------
 
 
-@dataclass
-class IBLElement:
-    """x = sum t^n x_n with x_n a reduced word vector of weight <= n+1."""
-
-    coeffs: dict
-
-    def __post_init__(self):
-        self.coeffs = {n: v for n, v in self.coeffs.items() if not v.is_zero()}
-
-    def flatten(self) -> Vector:
-        return Vector(((n, w), c) for n, v in self.coeffs.items() for w, c in v.items())
-
-    @staticmethod
-    def from_flat(v: Vector) -> "IBLElement":
-        terms: dict = {}
-        for (n, w), c in v.items():
-            terms.setdefault(n, []).append((w, c))
-        return IBLElement({n: Vector(t) for n, t in terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, IBLElement) and self.coeffs == other.coeffs
-
-
-def ibl_shape_defect(ibl_space: SymSpace, x: IBLElement):
+def ibl_shape_defect(ibl_space: SymSpace, x: LaurentVec):
+    """The first (n, word) where x = sum t^n x_n leaves the shape of an IBL
+    Maurer-Cartan element: x_n a reduced word vector of weight <= n+1 and of
+    total degree zero; None when there is none."""
     for n, v in x.coeffs.items():
         for w in v.keys():
             if len(w) > n + 1 or len(w) == 0:
@@ -430,15 +409,15 @@ def ibl_shape_defect(ibl_space: SymSpace, x: IBLElement):
     return None
 
 
-def ibl_mc_residual(ibl: IBLStructure, x: IBLElement, arity_cap: int) -> IBLElement:
+def ibl_mc_residual(ibl: IBLStructure, x: LaurentVec, arity_cap: int) -> LaurentVec:
     St = ibl.quotient()
     dflat = flatten_top(ibl.delta, ibl.N)
-    return IBLElement.from_flat(exp_series(lambda xs: koszul_recursion(St, dflat, xs),
+    return LaurentVec.from_flat(exp_series(lambda xs: koszul_recursion(St, dflat, xs),
                                            x.flatten(), range(1, arity_cap + 1)))
 
 
-def ibl_mc_check(ibl: IBLStructure, x: IBLElement,
-                 arity_cap: int) -> tuple[bool | None, IBLElement | None]:
+def ibl_mc_check(ibl: IBLStructure, x: LaurentVec,
+                 arity_cap: int) -> tuple[bool | None, LaurentVec | None]:
     """(whether x is Maurer-Cartan up to order N, its residual).  The verdict is
     None, with no residual, when computing the residual leaves the word bound:
     the sample is undetermined, neither Maurer-Cartan nor not."""
@@ -449,16 +428,16 @@ def ibl_mc_check(ibl: IBLStructure, x: IBLElement,
         res = ibl_mc_residual(ibl, x, arity_cap)
     except Overflow:
         return None, None
-    return (not res.coeffs), res
+    return res.is_zero(), res
 
 
 def ibl_mc_pushforward(f: TOp, source: IBLStructure, target: IBLStructure,
-                       x: IBLElement, arity_cap: int) -> IBLElement:
+                       x: LaurentVec, arity_cap: int) -> LaurentVec:
     Vt = target.quotient()
     # arguments live in the source quotient; cumulants are K[[t]]-multilinear
     St = source.quotient()
     f_t = flatten_top(f, Vt.N)
-    return IBLElement.from_flat(exp_series(lambda xs: cumulant_recursion(St, Vt, f_t, xs),
+    return LaurentVec.from_flat(exp_series(lambda xs: cumulant_recursion(St, Vt, f_t, xs),
                                            x.flatten(), range(1, arity_cap + 1)))
 
 
@@ -481,21 +460,21 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
     Fflat = flatten_top(res.F, ibl.N)
     Gflat = flatten_top(res.G, target.N)
 
-    def rho(x: IBLElement):
+    def rho(x: LaurentVec):
         return (ibl_mc_pushforward(res.G, ibl, target, x, arity_cap),
-                IBLElement.from_flat(Hflat(x.flatten())))
+                LaurentVec.from_flat(Hflat(x.flatten())))
 
     def correction(xs):
         return Hflat(koszul_recursion(St, dflat, xs)) - Fflat(cumulant_recursion(St, Vt, Gflat, xs))
 
-    def rho_inverse(y: IBLElement, hv: IBLElement) -> IBLElement:
+    def rho_inverse(y: LaurentVec, hv: LaurentVec) -> LaurentVec:
         head = Fflat(y.flatten()) - dflat(hv.flatten())
-        return IBLElement.from_flat(fixed_point(head, correction, arity_cap, 12))
+        return LaurentVec.from_flat(fixed_point(head, correction, arity_cap, 12))
 
     counts = {side: dict.fromkeys(("evaluated", "Maurer-Cartan", "undetermined"), 0)
               for side in "UV"}
 
-    def mc_sample(side: str, structure: IBLStructure, x: IBLElement) -> bool:
+    def mc_sample(side: str, structure: IBLStructure, x: LaurentVec) -> bool:
         """Whether x is an evaluated Maurer-Cartan sample; counts it either way."""
         ok, _ = ibl_mc_check(structure, x, arity_cap)
         counts[side]["undetermined" if ok is None else "evaluated"] += 1
@@ -527,7 +506,7 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
             continue
         key = f"V sample {i}"
         try:
-            x = rho_inverse(y, IBLElement({}))
+            x = rho_inverse(y, LaurentVec({}))
             direct = ibl_mc_pushforward(res.F, target, ibl, y, arity_cap)
             rep.add(f"inverse at zero homotopy datum is the push-forward along F ({key})",
                     x == direct)

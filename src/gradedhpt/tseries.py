@@ -17,6 +17,7 @@ from math import factorial
 
 from .core import LinOp, Overflow, Q, Vector
 from .commalg import CommAlgebra
+from .hpt import lemma_outputs
 from .symcoalg import _space_token
 
 
@@ -82,7 +83,7 @@ class TOp:
         return TOp({n: op.scale(a) for n, op in self.coeffs.items()}, self.domain,
                    self.codomain, self.degree, self.t_degree, self.known_to)
 
-    def compose(self, other: "TOp", max_order: int | None = None) -> "TOp":
+    def __matmul__(self, other: "TOp") -> "TOp":
         """self o other; coefficients beyond the reliable order are dropped."""
         if other.codomain != self.domain:
             raise ValueError("t-series composition mismatch")
@@ -93,17 +94,20 @@ class TOp:
                 n = i + j
                 if known is not None and n > known:
                     continue
-                if max_order is not None and n > max_order:
-                    continue
                 coeffs[n] = coeffs[n] + (a @ b) if n in coeffs else a @ b
-        if max_order is not None:
-            known = max_order if known is None else min(known, max_order)
         return TOp(coeffs, other.domain, self.codomain, self.degree + other.degree,
                    self.t_degree, known)
 
+    def truncated(self, N: int) -> "TOp":
+        """The series cut after order N: reliable to N at most.  The coefficients
+        are lazy, so one that is cut is never evaluated."""
+        return TOp({n: op for n, op in self.coeffs.items() if n <= N}, self.domain,
+                   self.codomain, self.degree, self.t_degree,
+                   N if self.known_to is None else min(self.known_to, N))
+
     def bracket(self, other: "TOp") -> "TOp":
         sign = -1 if (self.degree % 2 and other.degree % 2) else 1
-        return self.compose(other) - other.compose(self).scale(sign)
+        return self @ other - (other @ self).scale(sign)
 
     def apply_key(self, key, max_order: int) -> dict:
         """Orderwise image of a basis key, as {n: Vector} over its nonzero
@@ -163,6 +167,17 @@ class LaurentVec:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentVec) and self.coeffs == other.coeffs
+
+    def flatten(self) -> Vector:
+        """The element on the flattened space of (order, key) pairs."""
+        return Vector(((n, k), c) for n, v in self.coeffs.items() for k, c in v.items())
+
+    @staticmethod
+    def from_flat(v: Vector) -> "LaurentVec":
+        terms: dict = {}
+        for (n, k), c in v.items():
+            terms.setdefault(n, []).append((k, c))
+        return LaurentVec({n: Vector(t) for n, t in terms.items()})
 
 
 def laurent_mul(A: CommAlgebra, x: LaurentVec, y: LaurentVec) -> LaurentVec:
@@ -265,8 +280,9 @@ def spl_t(C, Delta: TOp, N: int, corpus=None):
     """Standard Perturbation Lemma for a t-adically small perturbation: transfer
     the structure series ``Delta`` along the contraction C, whose differential
     d_A is Delta's order-zero coefficient.  The perturbation is the
-    positive-order part of Delta (with Delta's ``known_to``), and all series are
-    computed exactly up to order N.
+    positive-order part of Delta (with Delta's ``known_to``), and the outputs
+    are ``hpt.lemma_outputs`` of the lifted contraction, the one lemma that
+    ``hpt.perturb`` states for a nilpotent perturbation.
 
     Returns (Delta_B, sigma, tau, h) as t-series, where Delta_B is lift(d_B)
     plus the transferred perturbation; with no positive order they are the
@@ -274,8 +290,9 @@ def spl_t(C, Delta: TOp, N: int, corpus=None):
     h o perturbation vanishes on every word of the given corpus, which is sound
     only if the corpus spans every word the outputs are applied to (the whole
     domain of h).  A power that cannot be evaluated on some corpus word
-    (Overflow) proves nothing, and the series are then computed to order N,
-    which is always sound since the perturbation has t-valuation >= 1.
+    (Overflow) proves nothing, and the geometric series and the outputs are
+    then cut after order N (``TOp.truncated``), which is always sound since
+    the perturbation has t-valuation >= 1.
     """
     td = Delta.t_degree
     h = TOp.lift(C.h, td)
@@ -286,12 +303,12 @@ def spl_t(C, Delta: TOp, N: int, corpus=None):
                      Delta.domain, Delta.codomain, Delta.degree, td, Delta.known_to)
     if not delta_plus.coeffs:
         return d_B, sigma, tau, h
-    hd = h.compose(delta_plus)
+    hd = h @ delta_plus
     top_order = max(delta_plus.support()) * (N + 1)
     powers = [TOp.lift(LinOp.identity(C.space_A), td)]
     exact = False
     for j in range(1, N + 1):
-        nxt = hd.compose(powers[-1])
+        nxt = hd @ powers[-1]
         if corpus is not None:
             try:
                 exact = nxt.is_zero_on(corpus, top_order)
@@ -303,14 +320,10 @@ def spl_t(C, Delta: TOp, N: int, corpus=None):
     geo = powers[0]
     for pw in powers[1:]:
         geo = geo + pw
-    cap = None
     if not exact:
-        geo = TOp({n: op for n, op in geo.coeffs.items() if n <= N},
-                  geo.domain, geo.codomain, geo.degree, td, N)
-        cap = N
-    sd = sigma.compose(delta_plus, cap)
-    delta_B = d_B + sd.compose(geo.compose(tau, cap), cap)
-    tau_new = geo.compose(tau, cap)
-    h_new = geo.compose(h, cap)
-    sigma_new = sigma + sd.compose(geo.compose(h, cap), cap)
-    return delta_B, sigma_new, tau_new, h_new
+        geo = geo.truncated(N)
+    outputs = lemma_outputs(sigma, tau, h, delta_plus, geo)
+    if not exact:
+        outputs = tuple(op.truncated(N) for op in outputs)
+    delta_B, sigma_new, tau_new, h_new = outputs
+    return d_B + delta_B, sigma_new, tau_new, h_new

@@ -17,7 +17,6 @@ from gradedhpt.bv import (
     bv_to_poisson,
     bv_transfer,
     cl_bijection,
-    cl_exp,
     cl_vanishing_defect,
     coalgebra_dual_algebra,
     cobv_check,
@@ -52,7 +51,7 @@ def keys2(f2):
 class TestTSeries:
     def test_compose_and_bracket(self, f2):
         D = f2.delta_series()
-        sq = D.compose(D)
+        sq = D @ D
         assert sq.is_zero_on(f2.A.space.keys(), 4)
         br = D.bracket(D)
         assert br.is_zero_on(f2.A.space.keys(), 4)
@@ -60,7 +59,7 @@ class TestTSeries:
     def test_truncation_tracking(self, f2):
         D = f2.delta_series()
         truncated = TOp(D.coeffs, D.domain, D.codomain, D.degree, D.t_degree, known_to=1)
-        comp = truncated.compose(D)
+        comp = truncated @ D
         assert comp.reliable_to() == 1
 
     def test_quotient_algebra(self, f2):
@@ -109,6 +108,25 @@ class TestBVCheck:
         names = [i.name for i in rep.items if i.verdict == "FAIL"]
         assert any("order(Delta_1) <= 2" in n for n in names)
         assert any("K(Delta)_3 = 0 mod t^2" in n for n in names)
+
+    def test_non_flat_series_fails_with_witness(self):
+        # Delta = d + t d/d(dy): (Delta o Delta)_1 = [d, d/d(dy)] = d/dy, so flatness
+        # fails at order 1 only, first on y, and it is the first FAIL
+        f = fix2(3)
+        A = f.A
+
+        def d_ddy(key):
+            a, b, c, e = key
+            return A.monomial({"y": a, "z": b, "dz": e}) if c == 1 else Vector.zero()
+
+        D = TOp({0: f.d, 1: LinOp(A.space, A.space, -1, d_ddy, "d/d(dy)")},
+                A.space, A.space, 1, 2)
+        rep = bv_check(A, D, -1, 2, 2, order_keys=f.low_keys(1))
+        items = {i.name: i for i in rep.items}
+        assert [items[f"flatness at order {n}"].verdict for n in range(3)] == ["PASS", "FAIL", "PASS"]
+        first = next(i for i in rep.items if i.verdict == "FAIL")
+        y = next(iter(A.monomial({"y": 1}).keys()))
+        assert (first.name, first.detail) == ("flatness at order 1", f"witness {y}")
 
     def test_even_k_rejected(self, f2):
         with pytest.raises(ValueError):
@@ -284,7 +302,7 @@ class TestBVMC:
     def test_leading_term_identity(self, f2):
         for poly in ({}, {"y": 1}, {"y": 1, "z": 2}):
             a = laurent_top_form(f2, poly) + LaurentVec({0: f2.A.monomial({"y": 2})})
-            assert bv_leading_term_identity(f2.A, f2.delta_series(), a, -1, 2)
+            assert bv_leading_term_identity(f2.A, f2.delta_series(), a, 2)
 
     def test_pole_and_degree_guards(self, f2):
         with pytest.raises(ValueError):
@@ -388,14 +406,14 @@ class TestCLBijection:
             phi = self.rand_phi(rng, cl_valid=True)
             out = cl_bijection(phi, self.SU, self.SU_alg, self.Bt, self.DU, self.DB, 4)
             assert out.report.ok, (trial, out.report.to_text())
-            assert cl_vanishing_defect(phi, self.SU, 3) is None
+            assert cl_vanishing_defect(phi, self.SU) is None
             assert "kappa=True" in self.equivalence(out).detail
 
     def test_corrupted_data_fails_both_routes(self):
         rng = random.Random(307)
         for trial in range(8):
             phi = self.rand_phi(rng, cl_valid=False)
-            if cl_vanishing_defect(phi, self.SU, 3) is None:
+            if cl_vanishing_defect(phi, self.SU) is None:
                 continue
             out = cl_bijection(phi, self.SU, self.SU_alg, self.Bt, self.DU, self.DB, 4)
             # equivalence item must still PASS (both sides false together)

@@ -160,7 +160,10 @@ class TestSPL:
         f = fix1()
         delta, cert = fix1_perturbation(f)
         C = f.contraction
-        delta_B, _ = perturb(C, Perturbation(delta, cert))
+        delta_B, pert = perturb(C, Perturbation(delta, cert))
+        # only h moves on FIX-1; sigma and tau move on the small complex below
+        moved = self.assert_defining_series(C, delta, cert, pert)
+        assert moved == {"sigma": False, "tau": False, "h": True}
         expect = LinOp.zero(SCALARS.space, degree=1)
         hd = C.h @ delta
         pw = LinOp.identity(f.A.space)
@@ -177,6 +180,40 @@ class TestSPL:
             rest = rest + ((C.sigma @ delta) @ pw) @ C.tau
             pw = hd @ pw
         assert tail.equal_on(rest, SCALARS.space.keys())
+
+    def test_series_shape_on_a_small_complex(self):
+        # a -> b contracted away, c and e survive; delta: a -> e, c -> b makes
+        # (h delta)(c) = -a, so tau, sigma and the transferred differential move
+        U = GradedBasis.make([("a", 0), ("b", 1), ("c", 0), ("e", 1)])
+        V = GradedBasis.make([("cbar", 0), ("ebar", 1)])
+        C = Contraction(
+            LinOp.from_dict(U, V, 0, {2: Vector.basis(0), 3: Vector.basis(1)}, "sigma"),
+            LinOp.from_dict(V, U, 0, {0: Vector.basis(2), 1: Vector.basis(3)}, "tau"),
+            LinOp.from_dict(U, U, -1, {1: Vector.basis(0, -1)}, "h"),
+            LinOp.from_dict(U, U, 1, {0: Vector.basis(1)}, "d"), LinOp.zero(V, degree=1))
+        delta = LinOp.from_dict(U, U, 1, {0: Vector.basis(3), 2: Vector.basis(1)}, "delta")
+        delta_B, pert = perturb(C, Perturbation(delta, 2))
+        assert delta_B.on_key(0) == Vector.basis(1, -1)
+        moved = self.assert_defining_series(C, delta, 2, pert)
+        assert moved == {"sigma": True, "tau": True, "h": False}
+
+    @staticmethod
+    def assert_defining_series(C, delta, cert, pert) -> dict:
+        """Check sigma' = sigma sum (delta h)^n, tau' = sum (h delta)^n tau and
+        h' = sum (h delta)^n h over n < cert, each power formed on its own, and
+        say which of the three differ from the unperturbed map."""
+        hd, dh = C.h @ delta, delta @ C.h
+        sigma, tau, h = C.sigma, C.tau, C.h
+        for n in range(1, cert):
+            sigma = sigma + C.sigma @ dh.power(n)
+            tau = tau + hd.power(n) @ C.tau
+            h = h + hd.power(n) @ C.h
+        keys_A, keys_B = C.space_A.keys(), C.space_B.keys()
+        assert pert.sigma.equal_on(sigma, keys_A)
+        assert pert.tau.equal_on(tau, keys_B)
+        assert pert.h.equal_on(h, keys_A)
+        return {"sigma": not C.sigma.equal_on(sigma, keys_A),
+                "tau": not C.tau.equal_on(tau, keys_B), "h": not C.h.equal_on(h, keys_A)}
 
     def test_bad_certificate_faults(self):
         f = fix1()

@@ -6,7 +6,6 @@ from gradedhpt.core import GradedBasis, LinOp, Vector
 from gradedhpt.fixtures import fix4
 from gradedhpt.hpt import Contraction, Perturbation, perturb
 from gradedhpt.ibl import (
-    IBLElement,
     IBLStructure,
     degree_audit,
     extract_p_components,
@@ -21,7 +20,7 @@ from gradedhpt.ibl import (
 from gradedhpt.report import evaluable_scope
 from gradedhpt.symcoalg import SymSpace, TaylorCoderivation, hat_extension
 from gradedhpt.commalg import SymWordAlgebra, koszul_recursion
-from gradedhpt.tseries import TOp, flatten_top
+from gradedhpt.tseries import LaurentVec, TOp, flatten_top
 
 
 @pytest.fixture(scope="module")
@@ -197,18 +196,18 @@ class TestIBLTransfer:
 
 class TestIBLMC:
     def test_zero_is_mc(self, ibl4):
-        ok, res = ibl_mc_check(ibl4, IBLElement({}), 3)
+        ok, res = ibl_mc_check(ibl4, LaurentVec({}), 3)
         assert ok
 
     def test_shape_guard(self, ibl4):
         with pytest.raises(ValueError):
-            ibl_mc_check(ibl4, IBLElement({0: Vector.basis((0, 2))}), 3)
+            ibl_mc_check(ibl4, LaurentVec({0: Vector.basis((0, 2))}), 3)
 
     def test_order_zero_candidates(self, f4, ibl4):
         # x supported at order zero in U: MC iff Maurer-Cartan for the
         # order-zero structure; here delta(u3) has only t^1-terms, so the
         # residual of c*u3 sits at order one unless it cancels
-        x = IBLElement({0: Vector.basis((2,), 1)})
+        x = LaurentVec({0: Vector.basis((2,), 1)})
         ok, res = ibl_mc_check(ibl4, x, 3)
         if not ok:
             assert all(n >= 1 for n in res.coeffs)
@@ -221,14 +220,14 @@ class TestIBLMC:
         for c in (0, 1, -1, 2):
             for a in (0, 1, -1):
                 for b in (0, 1):
-                    samples_U.append(IBLElement(
+                    samples_U.append(LaurentVec(
                         {0: Vector.basis((2,), c),
                          1: Vector({(0,): Q(a), (0, 2): Q(b)})}))
         mc_U = [x for x in samples_U if ibl_mc_check(ibl4, x, 4)[0]]
         assert mc_U, "expected at least one evaluated Maurer-Cartan sample"
         samples_V = []
         for c in (0, 1, -1, 2):
-            samples_V.append(IBLElement({0: Vector.basis((0,), c)}))
+            samples_V.append(LaurentVec({0: Vector.basis((0,), c)}))
         rep = ibl_kuranishi_report(ibl4, res, 4, samples_U, samples_V)
         assert rep.ok, rep.to_text()
         names = [item.name for item in rep.items]

@@ -9,13 +9,13 @@ from gradedhpt.core import LinOp, Vector
 from gradedhpt.fixtures import fix4
 from gradedhpt.hpt import Contraction
 from gradedhpt.ibl import (
-    IBLElement,
     extract_p_components,
     ibl_check,
     ibl_mc_check,
     ibl_transfer,
 )
 from gradedhpt.report import Report, evaluable_scope
+from gradedhpt.tseries import LaurentVec
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def test_no_overflow_escapes_and_nothing_fails(f4, W):
         reports.append(ibl_transfer(ibl, C, arity_bound=3).report)
     assert (1, 1, 0) in extract_p_components(ibl).triples()
     for c in (0, 1, -1):
-        x = IBLElement({0: Vector.basis((2,), c), 1: Vector.basis((0,))})
+        x = LaurentVec({0: Vector.basis((2,), c), 1: Vector.basis((0,))})
         ok, res = ibl_mc_check(ibl, x, 4)
         assert (ok is None) == (res is None)
     for rep in reports:

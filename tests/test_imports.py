@@ -7,7 +7,9 @@ touches a Vector's coefficient dict (the attribute ``.c``), and every option
 has a setter: each defaulted parameter of a library function is passed by
 some call in ``src/``, ``tests/`` or ``perfbench/`` (an option no call sets
 is a constant, written as one; a call ``X.m(...)`` through a library class X
-sets only the options of the ``m`` that X defines or inherits)."""
+sets only the options of the ``m`` that X defines or inherits), and every
+parameter is read: the body of each module-level function and method reads
+each of its parameters but a method's ``self`` or ``cls``."""
 
 import ast
 from pathlib import Path
@@ -296,3 +298,47 @@ def options_without_setter(paths) -> list:
 def test_every_option_has_a_setter():
     unset = options_without_setter(p for p in MODULES if p.name not in INPUT_MODULES)
     assert not unset, f"options no call sets (make them constants): {unset}"
+
+
+# Every parameter is read.  The scope is every module-level function and every
+# method; a nested function is a component whose signature its caller fixes,
+# and a body that only raises ``NotImplementedError`` is an interface.
+
+
+def _only_raises_not_implemented(fn) -> bool:
+    body = [node for node in fn.body if not (isinstance(node, ast.Expr)
+                                             and isinstance(node.value, ast.Constant))]
+    return len(body) == 1 and isinstance(body[0], ast.Raise) and any(
+        isinstance(n, ast.Name) and n.id == "NotImplementedError" for n in ast.walk(body[0]))
+
+
+def unread_parameters(path: Path) -> list:
+    """(owner, parameter) of each parameter its function's body never reads."""
+    out = []
+
+    def check(fn, owner, method):
+        if _only_raises_not_implemented(fn):
+            return
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+        if method and not static:
+            params = params[1:]
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out.extend((owner + fn.name, p.arg) for p in params if p.arg not in read)
+
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            check(node, f"{path.stem}.", False)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    check(item, f"{path.stem}.{node.name}.", True)
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [site for path in MODULES for site in unread_parameters(path)]
+    assert not unread, f"parameters no body reads (drop them): {unread}"

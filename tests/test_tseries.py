@@ -6,6 +6,7 @@ import pytest
 from gradedhpt.commalg import ExplicitFDAlgebra
 from gradedhpt.core import GradedBasis, LinOp, Overflow, Vector
 from gradedhpt.fixtures import fix2
+from gradedhpt.hpt import Contraction, Perturbation, perturb
 from gradedhpt.symcoalg import SymSpace
 from gradedhpt.tseries import TOp, TSpace, TruncatedTAlgebra, flat_unital_map, flatten_top, spl_t
 
@@ -86,3 +87,39 @@ def test_spl_t_keeps_the_differential_at_order_zero():
     DB, _, _, _ = spl_t(C, Delta, 2, corpus=f.A.space.keys())
     assert DB.coeff(0).first_difference(C.d_B, f.B.space.keys()) is None
     assert DB.reliable_to() is not None
+
+
+@pytest.mark.parametrize("N, with_corpus, branch", [
+    (2, True, "exact"), (3, True, "exact"), (2, False, "cut"), (3, False, "cut")])
+def test_spl_t_is_perturb_on_the_flattened_spaces(N, with_corpus, branch):
+    # one lemma: on A[t]/t^(N+1) the perturbation raises the t-order, so
+    # (h delta)^(N+1) = 0 and plain perturb applies; spl_t's series terminate
+    # on the corpus ("exact"), or without one are cut after order N ("cut")
+    f = fix2(3)
+    C = f.contraction
+    Delta = f.delta_series()
+    outputs = spl_t(C, Delta, N, corpus=f.A.space.keys() if with_corpus else None)
+    assert all(s.is_exact() == (branch == "exact") for s in outputs)
+
+    def flat(op):
+        return flatten_top(TOp.lift(op, Delta.t_degree), N)
+
+    flat_con = Contraction(flat(C.sigma), flat(C.tau), flat(C.h), flat(C.d_A), flat(C.d_B))
+    _, pert = perturb(flat_con, Perturbation(flatten_top(Delta, N) - flat(C.d_A), N + 1))
+    for series, op in zip(outputs, (pert.d_B, pert.sigma, pert.tau, pert.h)):
+        got = flatten_top(series, N)
+        for n in range(N + 1):
+            keys = [(n, k) for k in series.domain.keys()]
+            assert got.first_difference(op, keys) is None, n
+
+
+@pytest.mark.parametrize("with_corpus", [True, False])
+def test_spl_t_outputs_no_more_reliable_than_delta(with_corpus):
+    # Delta known only to order 1: no output may claim a higher order, since
+    # its order-2 coefficient would need Delta_2
+    f = fix2(3)
+    Delta = f.delta_series()
+    Delta.known_to = 1
+    for series in spl_t(f.contraction, Delta, 3,
+                        corpus=f.A.space.keys() if with_corpus else None):
+        assert series.reliable_to() == 1
