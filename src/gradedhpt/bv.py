@@ -90,7 +90,7 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
     keys = tuple(A.order_check_keys() if order_keys is None else order_keys)
     basis_keys = tuple(A.space.keys())
 
-    reliable = Delta.reliable_to()
+    reliable = Delta.known_to
     support = Delta.support()
     top = max(support, default=0)
 
@@ -183,13 +183,13 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
 
     inter = (f @ DeltaA - DeltaB @ f).truncated(N)
     bad = inter.first_nonzero(keys, N)
-    rel = inter.reliable_to()
+    rel = inter.known_to
     rep.add(f"f Delta = Delta' f (orders <= {N if rel is None else min(N, rel)})",
             bad is None, "" if bad is None else f"witness {bad[0]}")
     if rel is not None and rel < N:
         rep.add(f"f Delta = Delta' f beyond order {rel}", None, "series truncated")
 
-    reliable = f.reliable_to()
+    reliable = f.known_to
     Bt = TruncatedTAlgebra(B, N if reliable is None else min(N, reliable), td)
     f_flat = flat_unital_map(f, Bt)
     _congruence_claims(rep, "kappa(f)", keys, arity_bound, Bt.N, lambda tup: cumulant_recursion(

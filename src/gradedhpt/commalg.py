@@ -7,7 +7,10 @@ brackets measure the failure of an operator to be a derivation.  Both are
 computed here by (a) a closed partition/unshuffle formula, (b) a two-slot
 recursion, and (c) the composite through the symmetric coalgebra; agreement of
 the routes is a standing internal-consistency requirement, checked by one
-dispatch (``_agreeing_routes``) for both families.  Route (c) is one
+comparison (``_agreeing_routes``) for both families.  The route sets are fixed:
+``cumulants`` compares all three routes, and ``koszul_brackets`` compares (a)
+and (b), plus (c) when delta(1) = 0 (an operator with delta(1) != 0 keeps the
+unit correction of (a) and (b), which (c) has no room for).  Route (c) is one
 corestriction ``L o middle o E`` (``_corestriction``), with middle the
 coalgebra morphism S(f) for cumulants and the coderivation lift of delta for
 Koszul brackets: cumulants are the exponential version of Koszul brackets.
@@ -87,12 +90,6 @@ class CommAlgebra:
 
     def product_keys(self, keys: Iterable) -> Vector:
         return self.product_list([Vector.basis(k) for k in keys])
-
-    def power(self, a: Vector, n: int) -> Vector:
-        out = self.unit()
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
 
     def order_check_keys(self):
         """Keys spanning enough of the algebra to certify differential-operator order."""
@@ -311,19 +308,12 @@ def cumulant_recursion(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
     return expand_homogeneous(A.space, args, lambda *parts: rec(parts))
 
 
-def _corestriction(A: CommAlgebra, B: CommAlgebra, middle, args: tuple[Vector, ...],
-                   cache: dict | None) -> Vector:
+def _corestriction(A: CommAlgebra, B: CommAlgebra, middle, args: tuple[Vector, ...]) -> Vector:
     """The definition route of both families: the corestriction of L o middle o E
     applied to a_1 o ... o a_n, with E the exponential automorphism of A, L the
-    logarithmic one of B, and middle a map S(A) -> S(B) given by ``apply_word``.
-    ``cache`` keeps E and L by arity, for one pair (A, B)."""
+    logarithmic one of B, and middle a map S(A) -> S(B) given by ``apply_word``."""
     n = len(args)
-    if cache is not None and n in cache:
-        E, L = cache[n]
-    else:
-        E, L = exp_automorphism(A, n), log_automorphism(B, n)
-        if cache is not None:
-            cache[n] = (E, L)
+    E, L = exp_automorphism(A, n), log_automorphism(B, n)
     out = Vector.zero()
     for w, c in assemble_word(A.space, args, n).items():
         z = Vector.zero()
@@ -335,36 +325,29 @@ def _corestriction(A: CommAlgebra, B: CommAlgebra, middle, args: tuple[Vector, .
     return out
 
 
-def _agreeing_routes(family: str, routes: tuple[str, ...], evaluate: dict) -> Vector:
-    """Evaluate each requested route (``evaluate`` maps a route name to a thunk)
-    and require exact agreement."""
-    results = {}
-    for route in routes:
-        if route not in evaluate:
-            raise ValueError(f"unknown route {route!r}")
-        results[route] = evaluate[route]()
-    vals = list(results.values())
+def _agreeing_routes(family: str, *thunks) -> Vector:
+    """Evaluate each route (a thunk) and require exact agreement."""
+    vals = [route() for route in thunks]
     for other in vals[1:]:
         if other != vals[0]:
-            raise RouteDisagreement(f"{family} routes disagree: {sorted(results)}")
+            raise RouteDisagreement(f"{family} routes disagree")
     return vals[0]
 
 
-def cumulant_composite(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...],
-                       cache: dict | None = None) -> Vector:
+def cumulant_composite(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]) -> Vector:
     """Definition route: corestriction of L o S(f) o E applied to a_1 o ... o a_n."""
-    return _corestriction(A, B, TaylorMorphism.from_linear(f), args, cache)
+    return _corestriction(A, B, TaylorMorphism.from_linear(f), args)
 
 
-def cumulants(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...],
-              routes: tuple[str, ...] = ("partition", "recursion"), cache: dict | None = None) -> Vector:
-    """Evaluate kappa(f)_n on args by the requested routes; exact agreement required."""
+def cumulants(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]) -> Vector:
+    """Evaluate kappa(f)_n on args by the partition, recursion and composite
+    routes; exact agreement required."""
     if f(A.unit()) != B.unit():
         raise ValueError("cumulants need a unital map: f(1_A) = 1_B")
-    return _agreeing_routes("cumulant", routes, {
-        "partition": lambda: cumulant_partition(A, B, f, args),
-        "recursion": lambda: cumulant_recursion(A, B, f, args),
-        "composite": lambda: cumulant_composite(A, B, f, args, cache)})
+    return _agreeing_routes("cumulant",
+                            lambda: cumulant_partition(A, B, f, args),
+                            lambda: cumulant_recursion(A, B, f, args),
+                            lambda: cumulant_composite(A, B, f, args))
 
 
 # -- Koszul brackets ---------------------------------------------------------------
@@ -412,21 +395,20 @@ def koszul_recursion(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> 
     return expand_homogeneous(A.space, args, lambda *parts: rec(parts))
 
 
-def koszul_composite(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
-                     cache: dict | None = None) -> Vector:
+def koszul_composite(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vector:
     """Definition route: corestriction of L o delta~ o E (requires delta(1) = 0)."""
     if not delta(A.unit()).is_zero():
         raise ValueError("composite Koszul route needs delta(1) = 0")
-    return _corestriction(A, A, TaylorCoderivation.from_linear(delta), args, cache)
+    return _corestriction(A, A, TaylorCoderivation.from_linear(delta), args)
 
 
-def koszul_brackets(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
-                    routes: tuple[str, ...] = ("closed", "recursion"), cache: dict | None = None) -> Vector:
-    """Evaluate K(delta)_n on args by the requested routes; exact agreement required."""
-    return _agreeing_routes("Koszul bracket", routes, {
-        "closed": lambda: koszul_closed(A, delta, args),
-        "recursion": lambda: koszul_recursion(A, delta, args),
-        "composite": lambda: koszul_composite(A, delta, args, cache)})
+def koszul_brackets(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vector:
+    """Evaluate K(delta)_n on args by the closed and recursion routes, and by the
+    composite route when delta(1) = 0; exact agreement required."""
+    thunks = (lambda: koszul_closed(A, delta, args), lambda: koszul_recursion(A, delta, args))
+    if delta(A.unit()).is_zero():
+        thunks += (lambda: koszul_composite(A, delta, args),)
+    return _agreeing_routes("Koszul bracket", *thunks)
 
 
 def derivation_defect(A: CommAlgebra, delta: LinOp, keys=None):

@@ -285,8 +285,8 @@ class GradedBasis:
         except ValueError:
             raise KeyError(f"unknown basis symbol {symbol!r}") from None
 
-    def el(self, symbol: str, coeff=ONE) -> Vector:
-        return Vector.basis(self.index(symbol), coeff)
+    def el(self, symbol: str) -> Vector:
+        return Vector.basis(self.index(symbol))
 
 
 @dataclass(frozen=True)

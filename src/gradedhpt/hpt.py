@@ -268,7 +268,7 @@ def check_semifull_coalgebra(C: Contraction, coalg_C, coalg_D,
     on_C = [(k,) for k in keys_C]
     on_D = [(k,) for k in keys_D]
 
-    uC, uD = coalg_C.unit_key(), coalg_D.unit_key()
+    uC, uD = coalg_C.unit_key, coalg_D.unit_key
     _identity(rep, "sigma(1_C) = 1_D", [()], lambda: sigma.on_key(uC) != Vector.basis(uD))
     _identity(rep, "tau(1_D) = 1_C", [()], lambda: tau.on_key(uD) != Vector.basis(uC))
     _identity(rep, "h(1_C) = 0", [()], lambda: h.on_key(uC))
@@ -444,11 +444,7 @@ def linf_transfer(Qd: TaylorCoderivation, C: Contraction, arity_bound: int,
 
     # route 2: perturbation series on the symmetrized contraction
     sym = symmetrized_contraction(C, arity_bound, verify_keys_A=words_U, verify_keys_B=words_W)
-    SU: SymSpace = sym.space_A
-    SW: SymSpace = sym.space_B
-    Qm = Qd.as_map(SU)
-    Q_plus = Qm - sym.d_A
-    p = Perturbation(Q_plus, arity_bound + 1)
+    p = Perturbation(Qd.as_map(sym.space_A) - sym.d_A, arity_bound + 1)
     _, pert = perturb(sym, p, verify_input=words_U, verify_output=words_U,
                       verify_output_B=words_W)
     r2 = taylor_coderivation_from_map(pert.d_B, arity_bound, label="R(spl)")
@@ -471,23 +467,15 @@ def linf_transfer(Qd: TaylorCoderivation, C: Contraction, arity_bound: int,
             continue
         if g1.component(len(w), w) != g2.component(len(w), w):
             raise RouteDisagreement(f"transferred morphism G differs at arity {len(w)}, {w}")
-    R_map = pert.d_B
-    if not (R_map @ R_map).is_zero_on(words_W):
-        raise RouteDisagreement("[R, R] != 0")
+    # R^2 = 0, QF = FR and GQ = RG are the perturbed contraction's axioms
+    # "d_B^2 = 0", "tau chain map" and "sigma chain map", which ``perturb``
+    # has verified on words_W and words_U (its d_A is Q on words, its d_B is R)
     if coalgebra_morphism_defect(pert.tau, words_W) is not None:
         raise RouteDisagreement("F is not a coalgebra morphism")
     if coalgebra_morphism_defect(pert.sigma, words_U) is not None:
         raise RouteDisagreement("G is not a coalgebra morphism")
-    if coderivation_defect(R_map, words_W) is not None:
+    if coderivation_defect(pert.d_B, words_W) is not None:
         raise RouteDisagreement("R is not a coderivation")
-    lhs, rhs = Qm @ pert.tau, pert.tau @ R_map
-    w = lhs.first_difference(rhs, words_W)
-    if w is not None:
-        raise RouteDisagreement(f"QF != FR at {w}")
-    lhs, rhs = pert.sigma @ Qm, R_map @ pert.sigma
-    w = lhs.first_difference(rhs, words_U)
-    if w is not None:
-        raise RouteDisagreement(f"GQ != RG at {w}")
     # Remark-level facts: H preserves the weight filtration and restricts to h
     for word in words_U:
         img = pert.h.on_key(word)

@@ -81,15 +81,6 @@ def mc_pushforward(F: TaylorMorphism, x: Vector, arity_cap: int) -> Vector:
                       x, range(1, arity_cap + 1))
 
 
-def mc_pushforward_checked(F: TaylorMorphism, x: Vector, arity_cap: int,
-                           target_Q: TaylorCoderivation, target_filt: NilpotentFiltration) -> Vector:
-    y = mc_pushforward(F, x, arity_cap)
-    ok, res = mc_check(target_Q, target_filt, y)
-    if not ok:
-        raise AssertionError(f"push-forward is not Maurer-Cartan: residual {res!r}")
-    return y
-
-
 @dataclass
 class KuranishiData:
     """Everything the fixed-point correspondence needs."""

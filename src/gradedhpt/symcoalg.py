@@ -15,6 +15,10 @@ and the convolution Hopf calculus (star product, exp/log, antipode), whose
 exp_* of the weight-one data rebuilds the same morphism, together with the
 dual cocumulant / Koszul cobracket recursions.
 
+There is one coalgebra interface: ``unit_key``, ``keys``, ``reduced_keys``,
+``degree``, ``coproduct`` and ``reduced_coproduct``.  ``SymSpace`` is the
+cofree coalgebra with it, and ``FiniteCoalgebra`` an explicit one.
+
 A tensor (an element of C^{(x)n}, such as a coproduct image or a tilde
 recursion's value) is a `Vector` keyed by tuples of keys; ``canonical_sum``
 projects one to canonical words of S(V).
@@ -75,7 +79,11 @@ def words_over(base, keys, max_weight: int, min_weight: int = 0) -> list:
 
 
 class SymSpace:
-    """Weight-truncated symmetric power space: canonical words of weight <= W over ``base``."""
+    """Weight-truncated symmetric power space: canonical words of weight <= W over
+    ``base``, and with the unshuffle coproduct the cofree coalgebra, whose
+    ``unit_key`` is the empty word."""
+
+    unit_key: SymWord = ()
 
     def __init__(self, base, weight_bound: int):
         self.base = base
@@ -99,6 +107,9 @@ class SymSpace:
             self._keys = tuple(words_over(self.base, self.base.keys(), self.weight_bound))
         return self._keys
 
+    def reduced_keys(self) -> tuple[SymWord, ...]:
+        return tuple(w for w in self.keys() if w)
+
     def words_of_weight(self, n: int) -> tuple[SymWord, ...]:
         return tuple(w for w in self.keys() if len(w) == n)
 
@@ -106,7 +117,7 @@ class SymSpace:
         return Vector.basis(())
 
     # -- coproduct -------------------------------------------------------------
-    def coproduct_terms(self, word: SymWord) -> tuple[tuple[SymWord, SymWord, int], ...]:
+    def coproduct(self, word: SymWord) -> tuple[tuple[SymWord, SymWord, int], ...]:
         """Unshuffle coproduct: all splittings (left, right, Koszul sign)."""
         out = self._cop.get(word)
         if out is None:
@@ -123,10 +134,10 @@ class SymSpace:
             self._cop[word] = out
         return out
 
-    def reduced_coproduct_terms(self, word: SymWord) -> tuple[tuple[SymWord, SymWord, int], ...]:
+    def reduced_coproduct(self, word: SymWord) -> tuple[tuple[SymWord, SymWord, int], ...]:
         out = self._red.get(word)
         if out is None:
-            out = tuple(t for t in self.coproduct_terms(word) if t[0] and t[1])
+            out = tuple(t for t in self.coproduct(word) if t[0] and t[1])
             self._red[word] = out
         return out
 
@@ -272,9 +283,9 @@ class TaylorMorphism(_TaylorData):
                      lambda w: self.apply_word(w, cod_space.weight_bound),
                      self.label or "F")
 
-    def compose(self, inner: "TaylorMorphism", arity_bound: int | None = None) -> "TaylorMorphism":
-        """Taylor coefficients of self o inner, computed through weight-n words."""
-        bound = arity_bound if arity_bound is not None else min(self.arity_bound, inner.arity_bound)
+    def compose(self, inner: "TaylorMorphism") -> "TaylorMorphism":
+        """Taylor coefficients of self o inner, computed through weight-n words,
+        up to the smaller of the two arity bounds."""
         if self.base != inner.cod_base:
             raise ValueError("composition base mismatch")
 
@@ -284,7 +295,8 @@ class TaylorMorphism(_TaylorData):
                 out.add_scaled(self.component(len(w), w), c)
             return out
 
-        return TaylorMorphism(inner.base, self.cod_base, fn, bound,
+        return TaylorMorphism(inner.base, self.cod_base, fn,
+                              min(self.arity_bound, inner.arity_bound),
                               self.exact_beyond and inner.exact_beyond,
                               f"({self.label})o({inner.label})")
 
@@ -304,10 +316,9 @@ class TaylorCoderivation(_TaylorData):
         return TaylorCoderivation(base, _table_fn(tables), arity_bound, degree, label=label)
 
     @staticmethod
-    def from_linear(d: LinOp, arity_bound: int = 1) -> "TaylorCoderivation":
+    def from_linear(d: LinOp) -> "TaylorCoderivation":
         """The linear coderivation extending d (no constant or higher terms)."""
-        return TaylorCoderivation(d.domain, _linear_fn(d), max(arity_bound, 1), d.degree,
-                                  label=f"~{d.label}")
+        return TaylorCoderivation(d.domain, _linear_fn(d), 1, d.degree, label=f"~{d.label}")
 
     def eval_mixed(self, lead: Vector, rest: tuple) -> Vector:
         """q_{1+len(rest)} evaluated on (lead, rest...) with lead a vector."""
@@ -427,7 +438,7 @@ def convolution(F: LinOp, G: LinOp, mul: Callable[[Vector, Vector], Vector]) -> 
 
     def fn(word):
         out = Vector()
-        for left, right, s in dom.coproduct_terms(word):
+        for left, right, s in dom.coproduct(word):
             sgn = s
             if gdeg % 2 and dom.degree(left) % 2:
                 sgn = -sgn
@@ -496,7 +507,7 @@ def star_log(F: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vector
 
 def _coproduct_of(space: SymSpace, v: Vector) -> Vector:
     """Delta(v) as a tensor on pairs of words."""
-    return Vector(((l, r), c * s) for u, c in v.items() for l, r, s in space.coproduct_terms(u))
+    return Vector(((l, r), c * s) for u, c in v.items() for l, r, s in space.coproduct(u))
 
 
 def coalgebra_morphism_defect(F: LinOp, words=None):
@@ -505,7 +516,7 @@ def coalgebra_morphism_defect(F: LinOp, words=None):
     cod: SymSpace = F.codomain
     for w in (dom.keys() if words is None else words):
         lhs = _coproduct_of(cod, F.on_key(w))
-        if lhs != Vector(((u1, u2), s * c1 * c2) for l, r, s in dom.coproduct_terms(w)
+        if lhs != Vector(((u1, u2), s * c1 * c2) for l, r, s in dom.coproduct(w)
                          for u1, c1 in F.on_key(l).items() for u2, c2 in F.on_key(r).items()):
             return w
     return None
@@ -518,7 +529,7 @@ def coderivation_defect(Qm: LinOp, words=None):
     for w in (space.keys() if words is None else words):
         lhs = _coproduct_of(space, Qm.on_key(w))
         rhs = []
-        for l, r, s in space.coproduct_terms(w):
+        for l, r, s in space.coproduct(w):
             rhs += [((u1, r), s * c1) for u1, c1 in Qm.on_key(l).items()]
             sgn = -s if (qdeg % 2 and space.degree(l) % 2) else s
             rhs += [((l, u2), sgn * c2) for u2, c2 in Qm.on_key(r).items()]
@@ -528,31 +539,6 @@ def coderivation_defect(Qm: LinOp, words=None):
 
 
 # -- cocumulants and Koszul cobrackets --------------------------------------------
-
-
-class CofreeCoalgebra:
-    """S_{<=W}(U) as a coaugmented cocommutative coalgebra (the cofree backend)."""
-
-    def __init__(self, space: SymSpace):
-        self.space = space
-
-    def keys(self):
-        return self.space.keys()
-
-    def reduced_keys(self):
-        return tuple(w for w in self.space.keys() if len(w) >= 1)
-
-    def degree(self, key):
-        return self.space.degree(key)
-
-    def unit_key(self):
-        return ()
-
-    def coproduct(self, key):
-        return self.space.coproduct_terms(key)
-
-    def reduced_coproduct(self, key):
-        return self.space.reduced_coproduct_terms(key)
 
 
 @dataclass

@@ -24,7 +24,8 @@ from .symcoalg import _space_token
 @dataclass
 class TOp:
     """Sum_n t^n op_n with op_n : domain -> codomain homogeneous of degree
-    (degree - n * t_degree)."""
+    (degree - n * t_degree); ``known_to`` is the largest order with exact
+    coefficients (None: all orders)."""
 
     coeffs: dict
     domain: object
@@ -52,10 +53,6 @@ class TOp:
 
     def is_exact(self) -> bool:
         return self.known_to is None
-
-    def reliable_to(self) -> int | None:
-        """Largest order with exact coefficients (None = all orders)."""
-        return self.known_to
 
     def _join(self, other: "TOp", shift_self: int = 0, shift_other: int = 0) -> int | None:
         if self.is_exact() and other.is_exact():

@@ -60,7 +60,7 @@ class TestTSeries:
         D = f2.delta_series()
         truncated = TOp(D.coeffs, D.domain, D.codomain, D.degree, D.t_degree, known_to=1)
         comp = truncated @ D
-        assert comp.reliable_to() == 1
+        assert comp.known_to == 1
 
     def test_quotient_algebra(self, f2):
         At = TruncatedTAlgebra(f2.A, 2, 2)

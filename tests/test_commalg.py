@@ -160,7 +160,7 @@ class TestCumulants:
         for n in (2, 3, 4):
             for keys in [(1, 2), (1, 2, 3), (1, 1, 2, 3)][n - 2:n - 1]:
                 args = tuple(Vector.basis(k) for k in keys)
-                assert cumulants(A, A, f, args, ("partition", "recursion", "composite")).is_zero()
+                assert cumulants(A, A, f, args).is_zero()
 
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -168,10 +168,8 @@ class TestCumulants:
         rng = random.Random(seed)
         A, B = random_algebra_pair(rng)
         f = random_unital_map(rng, A, B)
-        cache = {}
         for n in (2, 3, 4):
-            cumulants(A, B, f, random_args(rng, A.space, n),
-                      ("partition", "recursion", "composite"), cache)
+            cumulants(A, B, f, random_args(rng, A.space, n))
 
     def test_route_disagreement_raises(self):
         # a deliberately broken route comparison: tamper with f between routes is not
@@ -193,7 +191,7 @@ class TestCumulants:
         kf = cumulant_lift(A, B, f, 4)
         kg = cumulant_lift(B, C, g, 4)
         kgf = cumulant_lift(A, C, g @ f, 4)
-        comp = kg.compose(kf, 4)
+        comp = kg.compose(kf)
         S = SymSpace(A.space, 4)
         for n in range(1, 5):
             for w in S.words_of_weight(n):
@@ -231,10 +229,8 @@ class TestKoszulBrackets:
         rng = random.Random(seed)
         A = random_algebra(rng)
         delta = random_unital_operator(rng, A, rng.choice([-1, 0, 1]))
-        cache = {}
         for n in (2, 3, 4):
-            koszul_brackets(A, delta, random_args(rng, A.space, n),
-                            ("closed", "recursion", "composite"), cache)
+            koszul_brackets(A, delta, random_args(rng, A.space, n))
 
     def test_unit_corrected_multiplication_operator(self):
         A = exterior_two()

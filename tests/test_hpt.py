@@ -5,8 +5,9 @@ from math import factorial
 
 import pytest
 
+from gradedhpt.bv import algebra_dual_coalgebra
 from gradedhpt.core import ConvergenceFault, GradedBasis, LinOp, RouteDisagreement, Vector, koszul_sign
-from gradedhpt.commalg import GuardedFreeAlgebra, SymWordAlgebra, cumulant_recursion, exp_endomorphism, kos_lift
+from gradedhpt.commalg import ExplicitFDAlgebra, GuardedFreeAlgebra, SymWordAlgebra, cumulant_recursion, exp_endomorphism, kos_lift
 from gradedhpt.fixtures import (
     SCALARS,
     fix1,
@@ -32,7 +33,7 @@ from gradedhpt.hpt import (
     words_over,
 )
 from gradedhpt.randgen import random_homogeneous
-from gradedhpt.symcoalg import CofreeCoalgebra, SymSpace, TaylorCoderivation, assemble_word
+from gradedhpt.symcoalg import SymSpace, TaylorCoderivation, assemble_word
 
 
 def small_complex():
@@ -245,6 +246,20 @@ class TestSemifullStability:
             assert rep.ok, (trial, rep.to_text())
 
 
+def test_semifull_coalgebra_on_a_finite_coalgebra():
+    # the identity contraction of the dual of the exterior algebra on u, v: a
+    # FiniteCoalgebra, whose unit_key is an attribute as it is on SymSpace
+    basis = GradedBasis.make([("1", 0), ("u", 1), ("v", 1), ("uv", 2)])
+    ext = ExplicitFDAlgebra(basis, {(1, 1): Vector.zero(), (2, 2): Vector.zero(),
+                                    (1, 2): Vector.basis(3)}, 0)
+    coalg = algebra_dual_coalgebra(ext)
+    idm = LinOp.identity(coalg.basis)
+    C = Contraction(idm, idm, LinOp.zero(coalg.basis, degree=-1),
+                    LinOp.zero(coalg.basis, degree=1), LinOp.zero(coalg.basis, degree=1))
+    rep = check_semifull_coalgebra(C, coalg, coalg)
+    assert len(rep.items) == 12 and rep.ok, rep.to_text()
+
+
 def _hat_homotopy_oracle(C, space, word):
     """h^ by its definition: the 1/n! sum over all n!*n placements, tau-sigma factors
     to the left of the single h slot (h counts as an odd symbol)."""
@@ -333,8 +348,7 @@ class TestSymmetrizedContraction:
         keysV = [w for w in SV.keys() if len(w) <= 2]
         rep = check_semifull_algebra(self.sym, algU, algV, keys_A=keysU, keys_B=keysV)
         assert rep.ok and rep.bounds["dg_strength"] == "checked"
-        repc = check_semifull_coalgebra(self.sym, CofreeCoalgebra(SU), CofreeCoalgebra(SV),
-                                        keys_C=keysU, keys_D=keysV)
+        repc = check_semifull_coalgebra(self.sym, SU, SV, keys_C=keysU, keys_D=keysV)
         assert repc.ok
 
     def test_coalgebra_stability_under_coderivation_perturbation(self):
@@ -356,8 +370,7 @@ class TestSymmetrizedContraction:
         _, pert = perturb(self.sym, Perturbation(Q_plus, self.W + 1))
         keysU = [w for w in SU.keys() if len(w) <= 2]
         keysV = [w for w in SV.keys() if len(w) <= 2]
-        repc = check_semifull_coalgebra(pert, CofreeCoalgebra(SU), CofreeCoalgebra(SV),
-                                        keys_C=keysU, keys_D=keysV)
+        repc = check_semifull_coalgebra(pert, SU, SV, keys_C=keysU, keys_D=keysV)
         assert repc.ok
 
 
@@ -394,7 +407,7 @@ def gauss_solve(rows, rhs):
 class TestLinfTransfer:
     def test_linear_case_reduces_to_contraction(self):
         C = small_complex()
-        Qd = TaylorCoderivation.from_linear(C.d_A, 3)
+        Qd = TaylorCoderivation.from_linear(C.d_A)
         res = linf_transfer(Qd, C, 3)
         V, Wb = C.space_A, C.space_B
         for k in Wb.keys():
@@ -416,6 +429,18 @@ class TestLinfTransfer:
             assert res.g.component(1, (k,)) == C.sigma.on_key(k)
         # known value: f_2(w o w) = h(q_2(tau w, tau w)) = h(c) = -x'
         assert res.f.component(2, (0, 0)) == Vector.basis(1, -1)
+
+    def test_refuses_a_structure_that_does_not_square_to_zero(self):
+        # FIX-3X plus q_2(a, x) = x': Q^2(a o x) = q_1(x') = c.  The perturbation
+        # lemma's input check decides Q^2 = 0 once, before either route runs
+        fx = fix3_extended()
+        A, X, XP = 0, 1, 2
+        tables = {n: {w: fx.Q.component(n, w) for w in SymSpace(fx.basis, 2).words_of_weight(n)}
+                  for n in (1, 2)}
+        tables[2][(A, X)] = Vector.basis(XP)
+        Qd = TaylorCoderivation.from_tables(fx.basis, tables, 2, 1)
+        with pytest.raises(ValueError, match=r"^\(d \+ delta\)\^2 != 0 at \(0, 1\)$"):
+            linf_transfer(Qd, fx.contraction, 3)
 
     def test_fix3_extended_weight_seven(self):
         # route agreement at W=7 is a runtime invariant: linf_transfer raises if it fails

@@ -70,8 +70,8 @@ def test_inexact_series_when_the_test_cannot_cover_the_corpus(f4):
     # all of S_{<=4}: the series must not be flagged exact
     ibl = f4.structure(W=4, N=2)
     res = ibl_transfer(ibl, isomorphism_contraction(f4), arity_bound=2)
-    assert res.target.delta.reliable_to() == 2
-    assert res.F.reliable_to() == 2 and res.G.reliable_to() == 2
+    assert res.target.delta.known_to == 2
+    assert res.F.known_to == 2 and res.G.known_to == 2
 
 
 def test_merged_bounds_keep_their_prefix():

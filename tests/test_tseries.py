@@ -86,7 +86,7 @@ def test_spl_t_keeps_the_differential_at_order_zero():
     Delta.known_to = 1
     DB, _, _, _ = spl_t(C, Delta, 2, corpus=f.A.space.keys())
     assert DB.coeff(0).first_difference(C.d_B, f.B.space.keys()) is None
-    assert DB.reliable_to() is not None
+    assert DB.known_to is not None
 
 
 @pytest.mark.parametrize("N, with_corpus, branch", [
@@ -122,4 +122,4 @@ def test_spl_t_outputs_no_more_reliable_than_delta(with_corpus):
     Delta.known_to = 1
     for series in spl_t(f.contraction, Delta, 3,
                         corpus=f.A.space.keys() if with_corpus else None):
-        assert series.reliable_to() == 1
+        assert series.known_to == 1
