@@ -27,7 +27,7 @@ from .commalg import (
     koszul_recursion,
     koszul_vanishes,
 )
-from .hpt import Contraction, check_semifull_algebra, linf_transfer
+from .hpt import Contraction, check_semifull_algebra, check_semifull_coalgebra, linf_transfer
 from .report import Report, scan, witness_verdict
 from .symcoalg import (
     FiniteCoalgebra,
@@ -579,9 +579,11 @@ def cobv_check(C: FiniteCoalgebra, delta: TOp, k: int, N: int, arity_bound: int)
 def cobv_transfer(C: FiniteCoalgebra, D: FiniteCoalgebra, delta: TOp, contraction: Contraction,
                   k: int, N: int, arity_bound: int):
     """Transfer a derived BV coalgebra structure along a semifull DG coalgebra
-    contraction; the output and the projection-side morphism are re-certified."""
+    contraction; the semifull identities are checked, and the output and the
+    projection-side morphism are re-certified."""
     _require_odd(k)
     rep = Report("derived BV coalgebra transfer", bounds={"N": N, "arity_bound": arity_bound})
+    rep.merge(check_semifull_coalgebra(contraction, C, D), prefix="semifull: ")
     delta_D, sigma_new, tau_new, h_new = spl_t(contraction, delta, N,
                                                corpus=contraction.space_A.keys())
     rep.merge(cobv_check(D, delta_D, k, N, arity_bound), prefix="transferred: ")

@@ -15,7 +15,9 @@ corestriction ``L o middle o E`` (``_corestriction``), with middle the
 coalgebra morphism S(f) for cumulants and the coderivation lift of delta for
 Koszul brackets: cumulants are the exponential version of Koszul brackets.
 The closed formulas ``cumulant_partition`` and ``koszul_closed`` stay the
-independent oracles.
+independent oracles.  The one memo here is the Koszul recursion's table of
+prefix brackets: at most n vectors, kept for one homogeneous argument tuple
+and dropped when it is done; nothing is memoized across calls.
 """
 
 from __future__ import annotations
@@ -376,23 +378,42 @@ def koszul_closed(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vec
 
 
 def koszul_recursion(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vector:
-    """Recursion K_{n+2}(..., b, c) = K_{n+1}(..., bc) - K_{n+1}(..., b)c -+ K_{n+1}(..., c)b."""
-    du = delta(A.unit())
+    """Recursion K_{n+2}(..., b, c) = K_{n+1}(..., bc) - K_{n+1}(..., b)c -+ K_{n+1}(..., c)b.
 
-    def rec(parts: tuple[Vector, ...]) -> Vector:
-        n = len(parts)
-        if n == 1:
-            return delta(parts[0]) - A.mul(du, parts[0])
-        rest, b, c = parts[:-2], parts[-2], parts[-1]
-        db = vector_degree(A.space, b) or 0
-        dc = vector_degree(A.space, c) or 0
-        out = Vector().add_scaled(rec(rest + (A.mul(b, c),)))
-        out.add_scaled(A.mul(rec(rest + (b,)), c), -1)
-        sign = -1 if (db % 2 and dc % 2) else 1
-        out.add_scaled(A.mul(rec(rest + (c,)), b), -sign)
+    On one homogeneous tuple a_1, ..., a_n (one kernel call) every state is
+    K_{m+1}(a_1, ..., a_m, c), with c a product of later arguments.  Only the
+    prefix brackets K_m(a_1, ..., a_m), the b branch, are reached from more
+    than one parent; they are memoized by m in a dict of at most n vectors
+    that the kernel call creates and drops, so delta is evaluated at 2^n - 1
+    leaves, not 3^(n-1).  Argument degrees are computed once per kernel call,
+    and the degree of c is carried down as a sum.
+    """
+    du = delta(A.unit())
+    unital = du.is_zero()
+
+    def rec(parts: tuple[Vector, ...], degs: tuple[int, ...], prefix: dict[int, Vector],
+            m: int, c: Vector, dc: int) -> Vector:
+        if m == 0:
+            return delta(c) if unital else delta(c) - A.mul(du, c)
+        b, db = parts[m - 1], degs[m - 1]
+        out = Vector().add_scaled(rec(parts, degs, prefix, m - 1, A.mul(b, c), db + dc))
+        if m not in prefix:
+            prefix[m] = rec(parts, degs, prefix, m - 1, b, db)
+        out.add_scaled(A.mul(prefix[m], c), -1)
+        out.add_scaled(A.mul(rec(parts, degs, prefix, m - 1, c, dc), b),
+                       1 if db % 2 and dc % 2 else -1)
         return out
 
-    return expand_homogeneous(A.space, args, lambda *parts: rec(parts))
+    def kernel(*parts):
+        degs = _args_degrees(A.space, parts)
+        return rec(parts, degs, {}, len(parts) - 1, parts[-1], degs[-1])
+
+    try:
+        return expand_homogeneous(A.space, args, kernel)
+    finally:
+        # rec's closure holds rec: emptying that cell breaks the cycle, so the
+        # closure is freed on return rather than by the garbage collector
+        del rec
 
 
 def koszul_composite(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vector:

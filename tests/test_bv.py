@@ -79,8 +79,12 @@ class TestBVCheck:
         assert rep.ok, rep.to_text()
 
     def test_fix2_certified(self, f2, keys2):
-        rep = bv_check(f2.A, f2.delta_series(), -1, 3, 4, order_keys=keys2)
-        assert rep.ok, rep.to_text()
+        # at N=4 and arity 5 the report holds every claim of N=3 and arity 4,
+        # each on at least the same scope, plus K(Delta)_5; every claim passes
+        rep = bv_check(f2.A, f2.delta_series(), -1, 4, 5, order_keys=keys2)
+        names = {i.name for i in rep.items}
+        assert {"K(Delta)_5 = 0 mod t^4", "flatness at order 2"} <= names
+        assert len(rep.items) == 13 and rep.ok, rep.to_text()
 
     def test_delta1_has_order_exactly_two(self, f2, keys2):
         assert diff_order(f2.A, f2.delta1, 3, keys2) == 2
@@ -578,7 +582,24 @@ class TestCoBV:
         delta, delta_D, rep = self.cobv_identity_transfer({3: Vector.basis(4)})
         keys = delta.domain.keys()
         assert all(delta_D.coeff(n).equal_on(delta.coeff(n), keys) for n in range(3))
-        assert rep.ok and len(rep.items) == 22, rep.to_text()
+        semifull = [i for i in rep.items if i.name.startswith("semifull: ")]
+        assert len(semifull) == 12
+        assert rep.ok and len(rep.items) == 34, rep.to_text()
+
+    def test_cobv_transfer_reports_a_contraction_that_is_not_semifull(self):
+        # sigma = tau swaps the duals of u and v and fixes the rest: an isomorphism
+        # (h = 0) that respects the counit but not the coproduct of uv, uw, vw
+        C = algebra_dual_coalgebra(self.exterior_three())
+        dual = C.basis
+        swap = LinOp.from_dict(dual, dual, 0, {k: Vector.basis({1: 2, 2: 1}.get(k, k))
+                                               for k in dual.keys()}, "swap")
+        con = Contraction(swap, swap, LinOp.zero(dual, degree=-1), LinOp.zero(dual, degree=1),
+                          LinOp.zero(dual, degree=1))
+        delta = TOp({1: LinOp.zero(dual, degree=-1)}, dual, dual, 1, 2)
+        rep = cobv_transfer(C, C, delta, con, -1, 2, 3)[-1]
+        verdicts = {i.name: i.verdict for i in rep.items if i.name.startswith("semifull: ")}
+        assert verdicts.pop("semifull: (sigma(x)sigma) Delta tau = Delta_D") == "FAIL"
+        assert set(verdicts.values()) == {"PASS"}, rep.to_text()
 
     def test_cobv_transfer_detects_order_violation(self):
         # adding uvw -> uw (order three) fails both order routes and the cobracket route

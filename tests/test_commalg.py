@@ -229,8 +229,51 @@ class TestKoszulBrackets:
         rng = random.Random(seed)
         A = random_algebra(rng)
         delta = random_unital_operator(rng, A, rng.choice([-1, 0, 1]))
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             koszul_brackets(A, delta, random_args(rng, A.space, n))
+
+    def test_recursion_evaluates_delta_at_two_to_the_n_points(self):
+        # with each prefix bracket K_m(a_1, ..., a_m) computed once, the
+        # recursion on n basis arguments calls delta 2^n times: delta(1) and
+        # 2^n - 1 leaves (the unshared three-way tree calls it 1 + 3^(n-1) times)
+        A = GuardedFreeAlgebra([("y", 0, None), ("xi", 1, None)], 5)
+
+        class CountedOp(LinOp):
+            calls = 0
+
+            def __call__(self, v):
+                CountedOp.calls += 1
+                return super().__call__(v)
+
+        d_dy = CountedOp(A.space, A.space, 0,
+                         lambda k: Vector.basis((k[0] - 1, k[1]), k[0]) if k[0] else Vector.zero(),
+                         "d/dy")
+        y, xi = A.monomial({"y": 1}), A.monomial({"xi": 1})
+        for n in (2, 3, 4, 5):
+            CountedOp.calls = 0
+            koszul_recursion(A, d_dy, (xi,) + (y,) * (n - 1))
+            assert CountedOp.calls == 2 ** n, n
+
+    def test_unit_corrected_recursion_at_arity_five(self):
+        # delta = D + L_a with D(1) = 0 and a = 3 + y, so delta(1) = a != 0; the
+        # unit correction removes L_a, whose brackets vanish: K_5(delta) = K_5(D),
+        # by the recursion and by the closed formula
+        rng = random.Random(5)
+        A = GuardedFreeAlgebra([("y", 0, None), ("xi", 1, None), ("z", 2, None)], 6)
+        keys = A.space.keys()
+        images = {k: random_homogeneous(rng, A.space, A.space.degree(k),
+                                        [j for j in keys if sum(j) < sum(k)])
+                  for k in keys if k != A.unit_key}
+        D = LinOp.from_dict(A.space, A.space, 0, images, "D")
+        a = A.unit().scale(3) + A.monomial({"y": 1})
+        delta = D + LinOp(A.space, A.space, 0, lambda k: A.mul(a, Vector.basis(k)), "L_a")
+        assert delta(A.unit()) == a
+        low = [k for k in keys if sum(k) <= 1]
+        args = tuple(random_homogeneous(rng, A.space, d, low) for d in (0, 1, 2, 0, 2))
+        value = koszul_recursion(A, delta, args)
+        assert not value.is_zero()
+        assert value == koszul_closed(A, delta, args)
+        assert value == koszul_recursion(A, D, args)
 
     def test_unit_corrected_multiplication_operator(self):
         A = exterior_two()
