@@ -129,12 +129,14 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
                                         else f"K_{scope} != 0 at {witness}"), least=n + 2)
 
     # route B: K(Delta)_m = 0 mod t^{m-1}, computed in the truncated quotient
-    # to the order the series is reliable to
+    # to the order the series is reliable to; the scan over all arities shares
+    # one prefix memo of the recursion
     order = N if reliable is None else min(N, reliable)
     At = TruncatedTAlgebra(A, order, td)
     Dflat = flatten_top(Delta, order)
+    memo: dict = {}
     _congruence_claims(rep, "K(Delta)", keys, arity_bound, order, lambda tup: koszul_recursion(
-        At, Dflat, tuple(Vector.basis((0, kk)) for kk in tup)))
+        At, Dflat, tuple(Vector.basis((0, kk)) for kk in tup), memo=memo))
     return rep
 
 

@@ -16,14 +16,19 @@ coalgebra morphism S(f) for cumulants and the coderivation lift of delta for
 Koszul brackets: cumulants are the exponential version of Koszul brackets.
 The closed formulas ``cumulant_partition`` and ``koszul_closed`` stay the
 independent oracles.  The one memo here is the Koszul recursion's table of
-prefix brackets: at most n vectors, kept for one homogeneous argument tuple
-and dropped when it is done; nothing is memoized across calls.
+prefix brackets K_m(a_1, ..., a_m): at most n vectors, each entry with the
+argument prefix it was built from.  It lives for one scan over tuples of one
+(A, delta), an order check's walk over multisets, where each tuple reuses
+the brackets of the prefix it shares with the tuple before; an entry whose
+prefix differs from the current tuple's is dropped, never used, and the scan
+drops the memo when it returns.  Nothing is memoized across scans.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import factorial
+from operator import add
 from typing import Iterable, Sequence
 
 from .core import (
@@ -164,6 +169,7 @@ class GuardedFreeAlgebra(CommAlgebra):
             else:
                 nil.append(n)
         self.nilpotency = tuple(nil)
+        self._odd_desc = tuple(i for i in reversed(range(len(nil))) if self.gen_degrees[i] % 2)
         self.length_bound = length_bound
         self.unit_key = (0,) * len(generators)
         keys = self._enumerate()
@@ -187,21 +193,19 @@ class GuardedFreeAlgebra(CommAlgebra):
         return sum(key)
 
     def mul_keys(self, k1, k2) -> Vector:
-        out = tuple(a + b for a, b in zip(k1, k2))
+        out = tuple(map(add, k1, k2))
         for e, n in zip(out, self.nilpotency):
             if n is not None and e >= n:
                 return Vector.zero()
-        if sum(out) > self.length_bound:
-            raise Overflow(
-                f"monomial length {sum(out)} exceeds guard {self.length_bound}")
-        sign = 1
-        for i in range(len(out)):
-            if not self.gen_degrees[i] % 2 or not k2[i]:
-                continue
-            crossings = sum(k1[j] for j in range(i + 1, len(out)) if self.gen_degrees[j] % 2)
-            if (k2[i] * crossings) % 2:
-                sign = -sign
-        return Vector.basis(out, sign)
+        length = sum(out)
+        if length > self.length_bound:
+            raise Overflow(f"monomial length {length} exceeds guard {self.length_bound}")
+        # each odd letter of k2 moves left past the odd letters of k1 after it
+        crossings = later = 0
+        for i in self._odd_desc:
+            crossings += k2[i] * later
+            later += k1[i]
+        return Vector.basis(out, -1 if crossings % 2 else 1)
 
     def monomial(self, exponents: dict[str, int], coeff=ONE) -> Vector:
         key = tuple(exponents.get(s, 0) for s in self.gen_symbols)
@@ -377,36 +381,45 @@ def koszul_closed(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vec
     return expand_homogeneous(A.space, args, kernel)
 
 
-def koszul_recursion(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vector:
+def koszul_recursion(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
+                     memo: dict | None = None) -> Vector:
     """Recursion K_{n+2}(..., b, c) = K_{n+1}(..., bc) - K_{n+1}(..., b)c -+ K_{n+1}(..., c)b.
 
     On one homogeneous tuple a_1, ..., a_n (one kernel call) every state is
     K_{m+1}(a_1, ..., a_m, c), with c a product of later arguments.  Only the
     prefix brackets K_m(a_1, ..., a_m), the b branch, are reached from more
-    than one parent; they are memoized by m in a dict of at most n vectors
-    that the kernel call creates and drops, so delta is evaluated at 2^n - 1
-    leaves, not 3^(n-1).  Argument degrees are computed once per kernel call,
-    and the degree of c is carried down as a sum.
+    than one parent; they are memoized by m, each entry with the argument
+    prefix it was built from, so delta is evaluated at 2^n - 1 leaves, not
+    3^(n-1).  The memo is ``memo`` when given, else a dict of this call: a
+    scan over many tuples of one (A, delta) passes one dict, so a tuple
+    reuses the brackets of the prefix it shares with the tuple before it.  At
+    each kernel call the entries whose prefix differs from the new tuple's
+    are dropped, so any order of tuples gives the same values, and the memo
+    holds at most n vectors.  Argument degrees are computed once per kernel
+    call, and the degree of c is carried down as a sum.
     """
     du = delta(A.unit())
     unital = du.is_zero()
+    memo = {} if memo is None else memo
 
-    def rec(parts: tuple[Vector, ...], degs: tuple[int, ...], prefix: dict[int, Vector],
-            m: int, c: Vector, dc: int) -> Vector:
+    def rec(parts: tuple[Vector, ...], degs: tuple[int, ...], m: int, c: Vector,
+            dc: int) -> Vector:
         if m == 0:
             return delta(c) if unital else delta(c) - A.mul(du, c)
         b, db = parts[m - 1], degs[m - 1]
-        out = Vector().add_scaled(rec(parts, degs, prefix, m - 1, A.mul(b, c), db + dc))
-        if m not in prefix:
-            prefix[m] = rec(parts, degs, prefix, m - 1, b, db)
-        out.add_scaled(A.mul(prefix[m], c), -1)
-        out.add_scaled(A.mul(rec(parts, degs, prefix, m - 1, c, dc), b),
+        out = Vector().add_scaled(rec(parts, degs, m - 1, A.mul(b, c), db + dc))
+        if m not in memo:
+            memo[m] = (parts[:m], rec(parts, degs, m - 1, b, db))
+        out.add_scaled(A.mul(memo[m][1], c), -1)
+        out.add_scaled(A.mul(rec(parts, degs, m - 1, c, dc), b),
                        1 if db % 2 and dc % 2 else -1)
         return out
 
     def kernel(*parts):
+        for m in [m for m, (prefix, _) in memo.items() if prefix != parts[:m]]:
+            del memo[m]
         degs = _args_degrees(A.space, parts)
-        return rec(parts, degs, {}, len(parts) - 1, parts[-1], degs[-1])
+        return rec(parts, degs, len(parts) - 1, parts[-1], degs[-1])
 
     try:
         return expand_homogeneous(A.space, args, kernel)
@@ -447,15 +460,21 @@ def derivation_defect(A: CommAlgebra, delta: LinOp, keys=None):
 
 
 def koszul_vanishes(A: CommAlgebra, delta: LinOp, n: int, keys=None) -> tuple | None:
-    """Witness tuple where K(delta)_n != 0 on the checking corpus, else None."""
+    """Witness tuple where K(delta)_n != 0 on the checking corpus, else None.
+
+    The multisets are walked in lexicographic order with one prefix memo of
+    ``koszul_recursion`` for the whole walk, so consecutive tuples share
+    their common prefix brackets; each entry is used only while its stored
+    prefix equals the current tuple's, and the memo is dropped on return.
+    """
     keys = A.order_check_keys() if keys is None else keys
+    memo: dict = {}
     # canonical multisets of size n span the arguments, by symmetry
     for tup in combinations_with_replacement(keys, n):
-        args = tuple(Vector.basis(k) for k in tup)
-        cw = canonical_word(A.space, tup)
-        if cw is None:
+        if canonical_word(A.space, tup) is None:
             continue
-        if not koszul_recursion(A, delta, args).is_zero():
+        args = tuple(Vector.basis(k) for k in tup)
+        if not koszul_recursion(A, delta, args, memo=memo).is_zero():
             return tup
     return None
 
@@ -467,7 +486,9 @@ def diff_order(A: CommAlgebra, delta: LinOp, max_order: int, keys=None) -> int |
 
     On a generating corpus this is sound: if K_m vanishes on generator tuples
     for every m > k, the two-slot recursion propagates the vanishing to all
-    product arguments, downward in product length.
+    product arguments, downward in product length.  Each arity is one
+    ``koszul_vanishes`` scan with a prefix memo of its own; no bracket is
+    kept from one arity to the next.
     """
     if koszul_vanishes(A, delta, max_order + 1, keys) is not None:
         return None

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -459,19 +459,11 @@ def expand_multilinear(args: tuple[Vector, ...], kernel: Callable[..., Vector]) 
     return out
 
 
-def expand_homogeneous(spaces, args: tuple[Vector, ...], kernel: Callable[..., Vector]) -> Vector:
+def expand_homogeneous(space, args: tuple[Vector, ...], kernel: Callable[..., Vector]) -> Vector:
     """Extend a kernel defined on homogeneous vectors multilinearly over degree parts."""
     out = Vector()
-
-    def rec(i: int, parts: tuple):
-        if i == len(args):
-            out.add_scaled(kernel(*parts))
-            return
-        space = spaces[i] if isinstance(spaces, (list, tuple)) else spaces
-        for part in homogeneous_parts(space, args[i]).values():
-            rec(i + 1, parts + (part,))
-
-    rec(0, ())
+    for parts in product(*(homogeneous_parts(space, a).values() for a in args)):
+        out.add_scaled(kernel(*parts))
     return out
 
 

@@ -1,10 +1,19 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gradedhpt.core import GradedBasis, LinOp, Overflow, RouteDisagreement, Vector, exp_series
+from gradedhpt.core import (
+    GradedBasis,
+    LinOp,
+    Overflow,
+    RouteDisagreement,
+    Vector,
+    exp_series,
+    koszul_sign,
+)
 from gradedhpt.commalg import (
     ExplicitFDAlgebra,
     GuardedFreeAlgebra,
@@ -36,7 +45,7 @@ from gradedhpt.randgen import (
     random_unital_map,
     random_unital_operator,
 )
-from gradedhpt.symcoalg import SymSpace
+from gradedhpt.symcoalg import SymSpace, canonical_word
 
 
 def random_args(rng, space, n: int) -> tuple:
@@ -92,6 +101,30 @@ class TestBackends:
         A = GuardedFreeAlgebra([("x", 2, 3)], 10)
         x2 = A.monomial({"x": 2})
         assert A.mul(x2, A.monomial({"x": 1})).is_zero()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_guarded_free_sign_is_the_sort_sign(self, data):
+        # three odd generators (of degrees 1, 3, -1) interleaved with even ones:
+        # the product of two monomials is the sorted concatenation of their
+        # letters, with the Koszul sign of that sort, and products associate
+        A = GuardedFreeAlgebra([("e", 1, None), ("y", 0, 3), ("f", 3, None), ("z", 2, None),
+                                ("g", -1, None), ("w", -2, 2)], 9)
+        keys = [k for k in A.space.keys() if sum(k) <= 3]
+        k1, k2, k3 = (data.draw(st.sampled_from(keys)) for _ in range(3))
+
+        def letters(key):
+            return [i for i, e in enumerate(key) for _ in range(e)]
+
+        word = letters(k1) + letters(k2)
+        order = tuple(sorted(range(len(word)), key=word.__getitem__))
+        degs = tuple(A.gen_degrees[i] for i in word)
+        out = tuple(map(sum, zip(k1, k2)))
+        vanishes = any(n is not None and e >= n for e, n in zip(out, A.nilpotency))
+        expect = Vector.zero() if vanishes else Vector.basis(out, koszul_sign(order, degs))
+        assert A.mul_keys(k1, k2) == expect
+        a, b, c = (Vector.basis(k) for k in (k1, k2, k3))
+        assert A.mul(A.mul(a, b), c) == A.mul(a, A.mul(b, c))
 
     def test_graded_commutativity_random(self):
         rng = random.Random(5)
@@ -254,6 +287,56 @@ class TestKoszulBrackets:
             koszul_recursion(A, d_dy, (xi,) + (y,) * (n - 1))
             assert CountedOp.calls == 2 ** n, n
 
+    def test_one_memo_over_a_walk_of_multisets(self):
+        # koszul_vanishes walks the 10 multisets of size 3 over 3 generators
+        # with one prefix memo: a tuple that shares its first two arguments
+        # with the one before evaluates delta at 4 leaves, one that shares
+        # only its first at 6, and one that shares none at 7; with delta(1)
+        # once per call, that is 55 + 10 = 65 calls (80 with a memo per tuple)
+        A = GuardedFreeAlgebra([("y", 0, None), ("z", 2, None), ("w", 0, None)], 6)
+
+        class CountedOp(LinOp):
+            calls = 0
+
+            def __call__(self, v):
+                CountedOp.calls += 1
+                return super().__call__(v)
+
+        d_dy = CountedOp(A.space, A.space, 0,
+                         lambda k: Vector.basis((k[0] - 1,) + k[1:], k[0]) if k[0] else Vector.zero(),
+                         "d/dy")
+        assert koszul_vanishes(A, d_dy, 3) is None
+        assert CountedOp.calls == 65
+
+    def test_shared_memo_in_any_order(self):
+        # one memo passed to calls on tuples in shuffled order, sharing prefixes
+        # of one to four arguments or none, with delta(1) != 0: every value
+        # equals that of a call with a memo of its own
+        rng = random.Random(43)
+        A = GuardedFreeAlgebra([("y", 0, None), ("xi", 1, None), ("z", 2, None)], 6)
+        keys = A.space.keys()
+        images = {k: random_homogeneous(rng, A.space, A.space.degree(k) + 1,
+                                        [j for j in keys if sum(j) <= sum(k) + 1])
+                  for k in keys if sum(k) < 6}
+        images[A.unit_key] = A.monomial({"xi": 1}, 2)
+        delta = LinOp.from_dict(A.space, A.space, 1, images, "delta")
+        low = [k for k in keys if 0 < sum(k) <= 1]
+        tuples = [tuple(Vector.basis(k) for k in tup)
+                  for n in (1, 2, 3) for tup in combinations_with_replacement(low, n)]
+
+        def mixed(n):
+            # arguments with parts of two degrees, so one call has several kernel calls
+            return tuple(Vector.basis(A.unit_key, rng.randint(1, 3))
+                         + random_homogeneous(rng, A.space, rng.choice([1, 2]), low)
+                         for _ in range(n))
+
+        heads = [mixed(2) for _ in range(3)]
+        tuples += [head + mixed(rng.randint(0, 2)) for head in heads * 3]
+        rng.shuffle(tuples)
+        memo: dict = {}
+        for args in tuples:
+            assert koszul_recursion(A, delta, args, memo=memo) == koszul_recursion(A, delta, args)
+
     def test_unit_corrected_recursion_at_arity_five(self):
         # delta = D + L_a with D(1) = 0 and a = 3 + y, so delta(1) = a != 0; the
         # unit correction removes L_a, whose brackets vanish: K_5(delta) = K_5(D),
@@ -324,6 +407,32 @@ class TestOrderFiltration:
         keys = [k for k in A.space.keys() if k[0] <= 1]
         assert koszul_vanishes(A, d2, 2, keys) is not None
         assert diff_order(A, d2, 4, keys) == 2
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_scan_memo_against_closed_formula(self, seed):
+        # the memoized scan finds the same first witness, or none, as the
+        # closed formula on each multiset, for operators with and without
+        # delta(1) = 0 and key orders that are not the basis order
+        rng = random.Random(seed)
+        A = random_algebra(rng)
+        degree = rng.choice([-1, 0, 1])
+        images = {k: random_homogeneous(rng, A.space, A.space.degree(k) + degree)
+                  for k in A.space.keys()}
+        if rng.random() < 0.5:
+            images[A.unit_key] = Vector.zero()
+        delta = LinOp.from_dict(A.space, A.space, degree, images, "delta")
+        keys = rng.sample(list(A.space.keys()), len(A.space.keys()))
+
+        def closed_scan(n):
+            for tup in combinations_with_replacement(keys, n):
+                if canonical_word(A.space, tup) is not None and not koszul_closed(
+                        A, delta, tuple(Vector.basis(k) for k in tup)).is_zero():
+                    return tup
+            return None
+
+        for n in (1, 2, 3, 4):
+            assert koszul_vanishes(A, delta, n, keys) == closed_scan(n), n
 
     def test_vanishing_propagates(self):
         rng = random.Random(31)

@@ -9,9 +9,11 @@ some call in ``src/``, ``tests/`` or ``perfbench/`` (an option no call sets
 is a constant, written as one; a call ``X.m(...)`` through a library class X
 sets only the options of the ``m`` that X defines or inherits), every option
 has a library setter: a call in ``src/`` or ``perfbench/`` sets it, unless an
-allowlist gives the one-line reason a test-only option stays, and every
+allowlist gives the one-line reason a test-only option stays, every
 parameter is read: the body of each module-level function and method reads
-each of its parameters but a method's ``self`` or ``cls``."""
+each of its parameters but a method's ``self`` or ``cls``, and no nested
+function that calls itself outlives its enclosing call as a reference cycle,
+unless an allowlist gives the one-line reason it stays."""
 
 import ast
 from pathlib import Path
@@ -375,3 +377,56 @@ def unread_parameters(path: Path) -> list:
 def test_every_parameter_is_read():
     unread = [site for path in MODULES for site in unread_parameters(path)]
     assert not unread, f"parameters no body reads (drop them): {unread}"
+
+
+# A nested function that calls itself by name holds itself through its closure
+# cell, so each call of the enclosing function leaves a reference cycle (the
+# function, its closure and whatever that holds) for the cyclic garbage
+# collector.  The enclosing function deletes it in a ``finally``, which empties
+# the cell, or the code is written without the self-call.  The allowlist gives
+# the reason a cycle stays.
+RECURSIVE_CLOSURES = {
+    "hpt._transfer_recursions.g_component": "the returned TaylorMorphism keeps it",
+    "core.multi_unshuffles.rec": "multi_unshuffles is lru_cached, so it runs once per block sizes",
+    "commalg.cumulant_recursion.rec": "breaking it lowered no peak RSS on widebase-prop, which runs it",
+    "symcoalg.cocumulant_tilde.kt": "the returned callable keeps it",
+    "symcoalg.koszul_cobracket_tilde.kt": "the returned callable keeps it",
+}
+
+
+def _deletes_in_finally(fn, name: str) -> bool:
+    return any(isinstance(target, ast.Name) and target.id == name
+               for node in ast.walk(fn) if isinstance(node, ast.Try)
+               for stmt in node.finalbody for d in ast.walk(stmt) if isinstance(d, ast.Delete)
+               for target in d.targets)
+
+
+def recursive_closures(path: Path) -> list:
+    """(qualified name, freed) of each nested function that calls itself by
+    name; freed says whether its enclosing function deletes it in a
+    ``finally``."""
+    out = []
+
+    def visit(node, qual, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{qual}.{child.name}"
+                function = not isinstance(child, ast.ClassDef)
+                if function and enclosing is not None and any(
+                        isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                        and n.func.id == child.name for n in ast.walk(child)):
+                    out.append((name, _deletes_in_finally(enclosing, child.name)))
+                visit(child, name, child if function else None)
+            else:
+                visit(child, qual, enclosing)
+
+    visit(_tree(path), path.stem, None)
+    return out
+
+
+def test_recursive_closures_are_freed():
+    kept = [name for path in MODULES for name, freed in recursive_closures(path) if not freed]
+    stray = [name for name in kept if name not in RECURSIVE_CLOSURES]
+    assert not stray, f"self-calling nested functions left as reference cycles: {stray}"
+    stale = sorted(set(RECURSIVE_CLOSURES) - set(kept))
+    assert not stale, f"allowlisted reference cycles that are gone: {stale}"
