@@ -444,12 +444,7 @@ def cl_intertwine_defect(F: LinOp, Delta_U: TOp, Delta_B: TOp, Bt: TruncatedTAlg
         return Vector(((n + m, kk), c) for (m, kk), c in F.on_key(word).items() if n + m <= N)
 
     Ft = LinOp(DU.domain, Bt.space, 0, F_t, "F~")
-    lhs = Ft @ DU
-    rhs = DB @ Ft
-    for key in DU.domain.keys():
-        if lhs.on_key(key) != rhs.on_key(key):
-            return key
-    return None
+    return (Ft @ DU).first_difference(DB @ Ft, DU.domain.keys())
 
 
 @dataclass
@@ -485,11 +480,11 @@ def cl_bijection(phi: LinOp, SU: SymSpace, SU_alg: CommAlgebra, Bt: TruncatedTAl
     rep.add("vanishing condition <=> cumulant congruence",
             None if cong_ok is None else cl_ok == cong_ok, f"cl={cl_ok}, kappa={cong_ok}")
     back = star_log(F, Bt.mul, Bt.unit())
-    round1 = next((w for w in SU.keys() if back.on_key(w) != phi.on_key(w)), None)
+    round1 = back.first_difference(phi, SU.keys())
     rep.add("log(exp(phi)) = phi", round1 is None,
             "" if round1 is None else f"witness {round1}")
     again = star_exp(back, Bt.mul, Bt.unit())
-    round2 = next((w for w in SU.keys() if again.on_key(w) != F.on_key(w)), None)
+    round2 = again.first_difference(F, SU.keys())
     rep.add("exp(log(F)) = F", round2 is None,
             "" if round2 is None else f"witness {round2}")
     return CLReport(rep, F, back)
@@ -564,15 +559,10 @@ def cobv_check(C: FiniteCoalgebra, delta: TOp, k: int, N: int, arity_bound: int)
             rep.add(f"coorder(delta_{n}) <= {n + 1} (direct recursion)", None,
                     "recursion needs a counit-killing operator")
             continue
-        bad = None
-        for key in C.reduced_keys():
-            for m in range(n + 2, arity_bound + 2):
-                kt = koszul_cobracket_tilde(C, op, m)
-                if kt(key):
-                    bad = (key, m)
-                    break
-            if bad:
-                break
+        # one recursion (and memo) per arity, shared by all keys
+        tildes = {m: koszul_cobracket_tilde(C, op, m) for m in range(n + 2, arity_bound + 2)}
+        bad = next(((key, m) for key in C.reduced_keys() for m, kt in tildes.items() if kt(key)),
+                   None)
         rep.add(f"coorder(delta_{n}) <= {n + 1} (direct recursion)", bad is None,
                 "" if bad is None else f"witness {bad}")
     return rep

@@ -11,9 +11,12 @@ comparison (``_agreeing_routes``) for both families.  The route sets are fixed:
 ``cumulants`` compares all three routes, and ``koszul_brackets`` compares (a)
 and (b), plus (c) when delta(1) = 0 (an operator with delta(1) != 0 keeps the
 unit correction of (a) and (b), which (c) has no room for).  Route (c) is one
-corestriction ``L o middle o E`` (``_corestriction``), with middle the
-coalgebra morphism S(f) for cumulants and the coderivation lift of delta for
-Koszul brackets: cumulants are the exponential version of Koszul brackets.
+composite ``L o middle o E`` (``_composite_route``), read off through the
+weight-one part ``symcoalg._corestriction``, with middle the coalgebra
+morphism S(f) for cumulants and the coderivation lift of delta for Koszul
+brackets: cumulants are the exponential version of Koszul brackets.  On the
+diagonal, sum_n K(delta)_n(a, ..., a)/n! = e^{-a} delta(e^a) is decided once,
+by ``bv.bv_mc_check`` with its ``nilpotency`` cross-check.
 The closed formulas ``cumulant_partition`` and ``koszul_closed`` stay the
 independent oracles.  The one memo here is the Koszul recursion's table of
 prefix brackets K_m(a_1, ..., a_m): at most n vectors, each entry with the
@@ -38,7 +41,6 @@ from .core import (
     Q,
     RouteDisagreement,
     Vector,
-    exp_series,
     expand_homogeneous,
     koszul_sign,
     multi_unshuffles,
@@ -46,7 +48,14 @@ from .core import (
     unshuffle_sign,
     vector_degree,
 )
-from .symcoalg import SymSpace, TaylorCoderivation, TaylorMorphism, assemble_word, canonical_word
+from .symcoalg import (
+    SymSpace,
+    TaylorCoderivation,
+    TaylorMorphism,
+    _corestriction,
+    assemble_word,
+    canonical_word,
+)
 
 
 class AlgebraSpace:
@@ -189,9 +198,6 @@ class GuardedFreeAlgebra(CommAlgebra):
     def _key_degree(self, key) -> int:
         return sum(e * d for e, d in zip(key, self.gen_degrees))
 
-    def key_length(self, key) -> int:
-        return sum(key)
-
     def mul_keys(self, k1, k2) -> Vector:
         out = tuple(map(add, k1, k2))
         for e, n in zip(out, self.nilpotency):
@@ -314,7 +320,7 @@ def cumulant_recursion(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
     return expand_homogeneous(A.space, args, lambda *parts: rec(parts))
 
 
-def _corestriction(A: CommAlgebra, B: CommAlgebra, middle, args: tuple[Vector, ...]) -> Vector:
+def _composite_route(A: CommAlgebra, B: CommAlgebra, middle, args: tuple[Vector, ...]) -> Vector:
     """The definition route of both families: the corestriction of L o middle o E
     applied to a_1 o ... o a_n, with E the exponential automorphism of A, L the
     logarithmic one of B, and middle a map S(A) -> S(B) given by ``apply_word``."""
@@ -326,8 +332,7 @@ def _corestriction(A: CommAlgebra, B: CommAlgebra, middle, args: tuple[Vector, .
         for u, cu in E.apply_word(w, n).items():
             z.add_scaled(middle.apply_word(u, n), cu)
         for u, cu in z.items():
-            img = L.apply_word(u, n)
-            out.add_scaled(Vector({v[0]: cv for v, cv in img.items() if len(v) == 1}), c * cu)
+            out.add_scaled(_corestriction(L.apply_word(u, n)), c * cu)
     return out
 
 
@@ -342,7 +347,7 @@ def _agreeing_routes(family: str, *thunks) -> Vector:
 
 def cumulant_composite(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]) -> Vector:
     """Definition route: corestriction of L o S(f) o E applied to a_1 o ... o a_n."""
-    return _corestriction(A, B, TaylorMorphism.from_linear(f), args)
+    return _composite_route(A, B, TaylorMorphism.from_linear(f), args)
 
 
 def cumulants(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]) -> Vector:
@@ -433,7 +438,7 @@ def koszul_composite(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> 
     """Definition route: corestriction of L o delta~ o E (requires delta(1) = 0)."""
     if not delta(A.unit()).is_zero():
         raise ValueError("composite Koszul route needs delta(1) = 0")
-    return _corestriction(A, A, TaylorCoderivation.from_linear(delta), args)
+    return _composite_route(A, A, TaylorCoderivation.from_linear(delta), args)
 
 
 def koszul_brackets(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vector:
@@ -524,7 +529,7 @@ def cumulant_lift(A: CommAlgebra, B: CommAlgebra, f: LinOp, arity_bound: int) ->
     return TaylorMorphism(A.space, B.space, fn, arity_bound, label=f"kappa({f.label})")
 
 
-# -- exponentials and Maurer-Cartan evaluation --------------------------------------
+# -- exponential endomorphisms ---------------------------------------------------
 
 
 def exp_endomorphism(A: CommAlgebra, delta: LinOp, certificate: int) -> LinOp:
@@ -545,33 +550,3 @@ def exp_endomorphism(A: CommAlgebra, delta: LinOp, certificate: int) -> LinOp:
         return out
 
     return LinOp(A.space, A.space, 0, fn, f"exp({delta.label})")
-
-
-def algebra_exponential(A: CommAlgebra, a: Vector, nilpotency: int) -> Vector:
-    """e^a = 1 + a + a^2/2! + ... for a with a^nilpotency = 0 (verified)."""
-    out = A.unit()
-    term = A.unit()
-    for j in range(1, nilpotency + 1):
-        term = A.mul(term, a)
-        if term.is_zero():
-            break
-        if j == nilpotency:
-            raise ValueError(f"element not nilpotent within {nilpotency}")
-        out.add_scaled(term, Q(1, factorial(j)))
-    return out
-
-
-def mc_koszul_eval(A: CommAlgebra, delta: LinOp, a: Vector, nilpotency: int) -> Vector:
-    """sum_n K(delta)_n(a,...,a)/n!, asserted equal to e^{-a} delta(e^a).
-
-    Only defined for degree-0 nilpotent a.
-    """
-    if vector_degree(A.space, a) not in (None, 0):
-        raise ValueError("Maurer-Cartan evaluation needs a degree-0 element")
-    series = exp_series(lambda xs: koszul_recursion(A, delta, xs), a, range(1, 2 * nilpotency - 1))
-    ea = algebra_exponential(A, a, nilpotency)
-    e_minus_a = algebra_exponential(A, -1 * a, nilpotency)
-    direct = A.mul(e_minus_a, delta(ea))
-    if series != direct:
-        raise RouteDisagreement("Koszul MC series != e^{-a} delta(e^a)")
-    return series

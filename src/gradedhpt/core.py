@@ -285,9 +285,6 @@ class GradedBasis:
         except ValueError:
             raise KeyError(f"unknown basis symbol {symbol!r}") from None
 
-    def el(self, symbol: str) -> Vector:
-        return Vector.basis(self.index(symbol))
-
 
 @dataclass(frozen=True)
 class ShiftedSpace:
@@ -420,9 +417,6 @@ class LinOp:
             if self.on_key(k) != other.on_key(k):
                 return k
         return None
-
-    def equal_on(self, other: "LinOp", keys) -> bool:
-        return self.first_difference(other, keys) is None
 
     def check_homogeneous(self, keys=None) -> None:
         keys = self.domain.keys() if keys is None else keys

@@ -5,11 +5,16 @@ The lemma is written once, in ``lemma_outputs``: ``perturb`` (a nilpotent
 perturbation) and ``tseries.spl_t`` (a t-adically small one) differ only in
 how they sum the geometric series sum_n (h delta)^n.
 
+The semifull-coalgebra identities compare tensors through
+``symcoalg.tensor_coproduct``, the one (left (x) right) o Delta.
+
 Transfer results are always computed twice (explicit recursions vs perturbation
 series on the symmetrized contraction) and the two answers must agree exactly;
 this route duplication is an architectural feature, not a test convenience.
 Verification corpora are explicit wherever a guarded backend makes full
 enumeration impossible; certificates record the corpus they were checked on.
+``perturb`` and ``symmetrized_contraction`` take a corpus per side, and an
+empty corpus checks nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .symcoalg import (
     coderivation_defect,
     taylor_coderivation_from_map,
     taylor_morphism_from_map,
+    tensor_coproduct,
     words_over,
 )
 
@@ -84,14 +90,11 @@ class Contraction:
             ("sigma h = 0", self.sigma @ self.h, LinOp.zero(self.space_A, self.space_B, -1)),
             ("h^2 = 0", self.h @ self.h, LinOp.zero(self.space_A, degree=-2)),
         ]
-        for name, lhs, rhs in checks_B:
-            w = lhs.first_difference(rhs, keys_B)
-            if w is not None:
-                raise ValueError(f"contraction axiom {name!r} fails at {w}")
-        for name, lhs, rhs in checks_A:
-            w = lhs.first_difference(rhs, keys_A)
-            if w is not None:
-                raise ValueError(f"contraction axiom {name!r} fails at {w}")
+        for keys, checks in ((keys_B, checks_B), (keys_A, checks_A)):
+            for name, lhs, rhs in checks:
+                w = lhs.first_difference(rhs, keys)
+                if w is not None:
+                    raise ValueError(f"contraction axiom {name!r} fails at {w}")
 
 
 @dataclass
@@ -127,18 +130,18 @@ def lemma_outputs(sigma, tau, h, delta, geo):
     return sd_geo @ tau, sigma + sd_geo @ h, geo @ tau, geo @ h
 
 
-def perturb(C: Contraction, p: Perturbation, verify_input=None,
-            verify_output=None, verify_output_B=None) -> tuple[LinOp, Contraction]:
+def perturb(C: Contraction, p: Perturbation, keys_A=None,
+            keys_B=None) -> tuple[LinOp, Contraction]:
     """Standard Perturbation Lemma for a nilpotent perturbation: returns
     (delta_B, perturbed contraction), built by ``lemma_outputs``.
 
     The geometric series sum_n (h delta)^n stops before the nilpotency
     certificate; its image of a key is one sum over the cached images of the
-    powers.  ``verify_input``/``verify_output*`` are corpora of domain/codomain
-    keys (None: the full basis, False: skip).
+    powers.  The input perturbation and the output contraction are verified
+    on the corpora ``keys_A`` of domain and ``keys_B`` of codomain keys (None:
+    the full basis; an empty corpus checks nothing).
     """
-    if verify_input is not False:
-        p.verify(C, None if verify_input is None else verify_input)
+    p.verify(C, keys_A)
     hd = C.h @ p.delta
     powers = [LinOp.identity(C.space_A)]
     for _ in range(1, p.certificate):
@@ -148,8 +151,7 @@ def perturb(C: Contraction, p: Perturbation, verify_input=None,
     delta_B, sigma_new, tau_new, h_new = lemma_outputs(C.sigma, C.tau, C.h, p.delta, geo)
     out = Contraction(sigma_new, tau_new, h_new, C.d_A + p.delta, C.d_B + delta_B,
                       verify_on_init=False)
-    if verify_output is not False:
-        out.verify(keys_A=verify_output, keys_B=verify_output_B)
+    out.verify(keys_A, keys_B)
     return delta_B, out
 
 
@@ -243,20 +245,6 @@ def semifull_failure_identities(C: Contraction, alg_A: CommAlgebra, alg_B: CommA
     return rep
 
 
-def _tensor_of(coalg, op_left: LinOp, op_right: LinOp, v: Vector) -> Vector:
-    """(op_left (x) op_right) applied to the coproduct of v, as a tensor on pairs."""
-    terms = []
-    rdeg = op_right.degree
-    for key, c in v.items():
-        for l, r, s in coalg.coproduct(key):
-            lv = op_left.on_key(l)
-            if lv:
-                sgn = -c * s if rdeg % 2 and coalg.degree(l) % 2 else c * s
-                rv = op_right.on_key(r)
-                terms += [((k1, k2), sgn * c1 * c2) for k1, c1 in lv.items() for k2, c2 in rv.items()]
-    return Vector(terms)
-
-
 def check_semifull_coalgebra(C: Contraction, coalg_C, coalg_D,
                              keys_C=None, keys_D=None) -> Report:
     """Verify the semifull-coalgebra identities plus counit/coaugmentation
@@ -279,17 +267,14 @@ def check_semifull_coalgebra(C: Contraction, coalg_C, coalg_D,
 
     pairs = (("h(x)h", h, h), ("h(x)sigma", h, sigma), ("sigma(x)sigma", sigma, sigma))
     for label, left, right in pairs:
-        _identity(rep, f"({label}) Delta h = 0", on_C,
-                  lambda k: _tensor_of(coalg_C, left, right, h.on_key(k)))
+        _identity(rep, f"({label}) Delta h = 0", on_C, lambda k: tensor_coproduct(
+            coalg_C, left.on_key, right.on_key, right.degree, h.on_key(k)))
     for label, left, right in pairs[:2]:
-        _identity(rep, f"({label}) Delta tau = 0", on_D,
-                  lambda k: _tensor_of(coalg_C, left, right, tau.on_key(k)))
-
-    def coproduct_D(k):
-        return Vector(((l, r), s) for l, r, s in coalg_D.coproduct(k))
-
-    _identity(rep, "(sigma(x)sigma) Delta tau = Delta_D", on_D,
-              lambda k: _tensor_of(coalg_C, sigma, sigma, tau.on_key(k)) != coproduct_D(k))
+        _identity(rep, f"({label}) Delta tau = 0", on_D, lambda k: tensor_coproduct(
+            coalg_C, left.on_key, right.on_key, right.degree, tau.on_key(k)))
+    _identity(rep, "(sigma(x)sigma) Delta tau = Delta_D", on_D, lambda k: tensor_coproduct(
+        coalg_C, sigma.on_key, sigma.on_key, sigma.degree, tau.on_key(k))
+        != tensor_coproduct(coalg_D, Vector.basis, Vector.basis, 0, Vector.basis(k)))
     return rep
 
 
@@ -341,11 +326,10 @@ def hat_homotopy(C: Contraction, space: SymSpace) -> LinOp:
 
 
 def symmetrized_contraction(C: Contraction, weight_bound: int,
-                            verify_keys_A=None, verify_keys_B=None) -> Contraction:
-    """Contraction (S(sigma), S(tau), h^) of S(U) onto S(V) induced by C.
-
-    ``verify_keys_*``: word corpora for exact verification (None: all words,
-    feasible only over small bases; False: skip).
+                            keys_A=None, keys_B=None) -> Contraction:
+    """Contraction (S(sigma), S(tau), h^) of S(U) onto S(V) induced by C,
+    verified on the word corpora ``keys_A`` and ``keys_B`` (None: all words,
+    feasible only over small bases; an empty corpus checks nothing).
     """
     SU = SymSpace(C.space_A, weight_bound)
     SV = SymSpace(C.space_B, weight_bound)
@@ -355,8 +339,7 @@ def symmetrized_contraction(C: Contraction, weight_bound: int,
     dU = TaylorCoderivation.from_linear(C.d_A).as_map(SU)
     dV = TaylorCoderivation.from_linear(C.d_B).as_map(SV)
     out = Contraction(Ssigma, Stau, hat, dU, dV, verify_on_init=False)
-    if verify_keys_A is not False:
-        out.verify(keys_A=verify_keys_A, keys_B=verify_keys_B)
+    out.verify(keys_A, keys_B)
     return out
 
 
@@ -443,10 +426,9 @@ def linf_transfer(Qd: TaylorCoderivation, C: Contraction, arity_bound: int,
     words_W = words_over(Wb, corpus_B, arity_bound)
 
     # route 2: perturbation series on the symmetrized contraction
-    sym = symmetrized_contraction(C, arity_bound, verify_keys_A=words_U, verify_keys_B=words_W)
+    sym = symmetrized_contraction(C, arity_bound, words_U, words_W)
     p = Perturbation(Qd.as_map(sym.space_A) - sym.d_A, arity_bound + 1)
-    _, pert = perturb(sym, p, verify_input=words_U, verify_output=words_U,
-                      verify_output_B=words_W)
+    _, pert = perturb(sym, p, words_U, words_W)
     r2 = taylor_coderivation_from_map(pert.d_B, arity_bound, label="R(spl)")
     f2 = taylor_morphism_from_map(pert.tau, arity_bound, label="F(spl)")
     g2 = taylor_morphism_from_map(pert.sigma, arity_bound, label="G(spl)")

@@ -211,9 +211,6 @@ class PComponents:
     def component(self, i: int, j: int, g: int) -> dict:
         return self.table.get((i, j, g), {})
 
-    def triples(self):
-        return sorted(self.table)
-
 
 def extract_p_components(ibl: IBLStructure) -> PComponents:
     """Read off p_{i,j,g} from delta_n * s via the t^{j+g-1} grading and weight-j

@@ -1,6 +1,9 @@
 """Maurer-Cartan sets of nilpotent L-infinity[1] structures, push-forwards, and
 the formal fixed-point (Kuranishi-type) bijection with its recursive inverse.
 
+The Maurer-Cartan residual of a coderivation and the push-forward along a
+morphism are one sum of Taylor data on the diagonal, ``mc_sum``.
+
 Only nilpotent filtrations are supported: convergence is literal stabilization,
 detected by exact equality.
 """
@@ -35,10 +38,6 @@ class NilpotentFiltration:
         if self.vector_level(v) < 1:
             raise ValueError("element not in filtration level >= 1")
 
-    def verify_coderivation(self, Qd: TaylorCoderivation, base, max_arity: int) -> None:
-        """q_i(F^{p_1},...,F^{p_i}) in F^{p_1+...+p_i}, on canonical basis words."""
-        self.verify_morphism(Qd, base, self, max_arity)
-
     def verify_morphism(self, F: TaylorMorphism | TaylorCoderivation, base,
                         target: "NilpotentFiltration", max_arity: int) -> None:
         """f_i(F^{p_1},...,F^{p_i}) in the target's F^{p_1+...+p_i}, on canonical
@@ -50,9 +49,11 @@ class NilpotentFiltration:
                 raise ValueError(f"filtration violated in arity {len(word)} at {word}")
 
 
-def mc_residual(Qd: TaylorCoderivation, x: Vector, arity_cap: int) -> Vector:
-    """sum_{n=1}^{cap} q_n(x,...,x)/n!."""
-    return exp_series(lambda xs: expand_multilinear(xs, lambda *keys: Qd.eval_keys(keys)),
+def mc_sum(T: TaylorCoderivation | TaylorMorphism, x: Vector, arity_cap: int) -> Vector:
+    """sum_{n=1}^{cap} t_n(x,...,x)/n! of Taylor data T: the Maurer-Cartan
+    residual of x for a coderivation, the push-forward of x along a morphism
+    (finite in the nilpotent regime)."""
+    return exp_series(lambda xs: expand_multilinear(xs, lambda *keys: T.eval_keys(keys)),
                       x, range(1, arity_cap + 1))
 
 
@@ -71,14 +72,8 @@ def mc_check(Qd: TaylorCoderivation, filt: NilpotentFiltration, x: Vector,
     cap = filt.vanishing - 1
     if not Qd.exact_beyond and Qd.arity_bound < cap:
         raise ValueError("arity data insufficient for the filtration's vanishing level")
-    res = mc_residual(Qd, x, min(cap, Qd.arity_bound))
+    res = mc_sum(Qd, x, min(cap, Qd.arity_bound))
     return res.is_zero(), res
-
-
-def mc_pushforward(F: TaylorMorphism, x: Vector, arity_cap: int) -> Vector:
-    """sum_n f_n(x,...,x)/n! (finite in the nilpotent regime)."""
-    return exp_series(lambda xs: expand_multilinear(xs, lambda *keys: F.eval_keys(keys)),
-                      x, range(1, arity_cap + 1))
 
 
 @dataclass
@@ -97,7 +92,7 @@ class KuranishiData:
 
 def kuranishi_rho(data: KuranishiData, x: Vector) -> tuple[Vector, Vector]:
     """x -> (push-forward along G, h(x))."""
-    return mc_pushforward(data.transfer.g, x, data.cap), data.contraction.h(x)
+    return mc_sum(data.transfer.g, x, data.cap), data.contraction.h(x)
 
 
 def kuranishi_inverse(data: KuranishiData, y: Vector, hv: Vector,
@@ -205,7 +200,7 @@ def kuranishi_roundtrip_report(data: KuranishiData, r_filt: NilpotentFiltration,
             if y2 != y or hx2 != hv:
                 failures.append(("rho rho^-1 != id", y, hv, y2, hx2))
         # rho^{-1}(y, 0) = MC(F)(y)
-        direct = mc_pushforward(data.transfer.f, y, data.cap)
+        direct = mc_sum(data.transfer.f, y, data.cap)
         if direct != kuranishi_inverse(data, y, Vector.zero()):
             failures.append(("rho^-1(-,0) != MC(F)", y))
         # restriction bijection: MC(F)(y) lies in Ker(h), g_1 restricts as inverse
@@ -215,7 +210,7 @@ def kuranishi_roundtrip_report(data: KuranishiData, r_filt: NilpotentFiltration,
             failures.append(("g_1 does not invert the restriction", y))
     for x in mc_V:
         if data.contraction.h(x).is_zero():
-            y = mc_pushforward(data.transfer.g, x, data.cap)
-            if mc_pushforward(data.transfer.f, y, data.cap) != x:
+            y = mc_sum(data.transfer.g, x, data.cap)
+            if mc_sum(data.transfer.f, y, data.cap) != x:
                 failures.append(("restriction bijection fails", x))
     return KuranishiReport(not failures, len(mc_V), len(mc_W), failures)

@@ -5,15 +5,20 @@ Taylor coefficients (corestrictions), and share one store of them: the domain
 base, a cached component function, the arity bound with whether coefficients
 beyond it vanish, a label, and ``q0``, the coefficient on the empty word (the
 constant term of a coderivation, zero for a morphism).  Component functions are
-built from tables, from a linear map, or by corestriction of a word-level map
-(the weight-one part of F(word)).  The two reconstruction formulas live here:
-a morphism on a word is the sum over set partitions of the word of the
+built from tables, from a linear map, or by corestriction of a word-level map;
+``_corestriction`` is the one weight-one part of an image on words, which the
+composite route of ``commalg`` uses too.  The two reconstruction formulas live
+here: a morphism on a word is the sum over set partitions of the word of the
 Koszul-signed products of its coefficients on the blocks, and a coderivation
 on a word is the sum over (i, n-i)-unshuffles of its coefficient on the first
 block times the rest.  So do the coderivation bracket, the unshuffle coproduct
 and the convolution Hopf calculus (star product, exp/log, antipode), whose
 exp_* of the weight-one data rebuilds the same morphism, together with the
-dual cocumulant / Koszul cobracket recursions.
+dual cocumulant / Koszul cobracket recursions.  exp_* and log_* are one sum
+c_k G^{*k} over cached convolution powers (``_star_series``), and
+``tensor_coproduct`` is the one (left (x) right) o Delta: the morphism and
+coderivation defects and the semifull-coalgebra identities of ``hpt`` all
+compare through it.
 
 There is one coalgebra interface: ``unit_key``, ``keys``, ``reduced_keys``,
 ``degree``, ``coproduct`` and ``reduced_coproduct``.  ``SymSpace`` is the
@@ -180,9 +185,10 @@ def _linear_fn(f: LinOp) -> Callable[[int, SymWord], Vector]:
     return lambda n, word: f.on_key(word[0]) if n == 1 else Vector.zero()
 
 
-def _corestriction(F: LinOp, word: SymWord) -> Vector:
-    """The weight-one part of F(word), as a vector over the base."""
-    return Vector((w[0], c) for w, c in F.on_key(word).items() if len(w) == 1)
+def _corestriction(v: Vector) -> Vector:
+    """The weight-one part of a vector on words, as a vector over the base: the
+    corestriction of a word-level map is this part of its image of a word."""
+    return Vector((w[0], c) for w, c in v.items() if len(w) == 1)
 
 
 class _TaylorData:
@@ -384,15 +390,16 @@ class TaylorCoderivation(_TaylorData):
 
 def taylor_morphism_from_map(F: LinOp, arity_bound: int, label: str = "") -> TaylorMorphism:
     """Corestriction: extract Taylor coefficients of a word-level map (weight-1 parts)."""
-    return TaylorMorphism(F.domain.base, F.codomain.base, lambda n, word: _corestriction(F, word),
+    return TaylorMorphism(F.domain.base, F.codomain.base,
+                          lambda n, word: _corestriction(F.on_key(word)),
                           arity_bound, False, label or F.label)
 
 
 def taylor_coderivation_from_map(Qm: LinOp, arity_bound: int, exact_beyond: bool = False,
                                  label: str = "") -> TaylorCoderivation:
     """Corestriction of a word-level coderivation, its constant term included."""
-    return TaylorCoderivation(Qm.domain.base, lambda n, word: _corestriction(Qm, word),
-                              arity_bound, Qm.degree, _corestriction(Qm, ()), exact_beyond,
+    return TaylorCoderivation(Qm.domain.base, lambda n, word: _corestriction(Qm.on_key(word)),
+                              arity_bound, Qm.degree, _corestriction(Qm.on_key(())), exact_beyond,
                               label or Qm.label)
 
 
@@ -460,64 +467,70 @@ def antipode(space: SymSpace) -> LinOp:
                  lambda w: Vector.basis(w, -ONE if len(w) % 2 else ONE), "s")
 
 
-def star_exp(phi: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vector) -> LinOp:
-    """exp_*(phi) = eps + sum 1/k! phi^{*k}; requires phi(1) = 0 (finite on each word)."""
-    if not phi.on_key(()).is_zero():
-        raise ValueError("star_exp needs phi(1) = 0")
-    dom: SymSpace = phi.domain
-    powers: list[LinOp] = [counit_map(dom, phi.codomain, unit_vec), phi]
-
-    def fn(word):
-        n = len(word)
-        while len(powers) <= n:
-            powers.append(convolution(powers[-1], phi, mul))
-        if n == 0:
-            return unit_vec
-        out = Vector()
-        for k in range(1, n + 1):
-            out.add_scaled(powers[k].on_key(word), Q(1, factorial(k)))
-        return out
-
-    return LinOp(dom, phi.codomain, phi.degree, fn, f"exp*({phi.label})")
-
-
-def star_log(F: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vector) -> LinOp:
-    """log_*(F) = sum (-1)^{k-1}/k (F - eps)^{*k}; requires F(1) = unit."""
-    if F.on_key(()) != unit_vec:
-        raise ValueError("star_log needs F(1) = 1")
-    dom: SymSpace = F.domain
-    eps = counit_map(dom, F.codomain, unit_vec)
-    G = F - eps
-    powers: list[LinOp] = [eps, G]
+def _star_series(G: LinOp, coeff: Callable[[int], object], mul: Callable[[Vector, Vector], Vector],
+                 unit_vec: Vector, label: str) -> LinOp:
+    """sum_k coeff(k) G^{*k} over cached convolution powers, G^{*0} the star-unit
+    eps; G(1) = 0, so on a word of weight n only k <= n contribute, and eps is
+    evaluated on the empty word only."""
+    dom: SymSpace = G.domain
+    powers: list[LinOp] = [counit_map(dom, G.codomain, unit_vec), G]
 
     def fn(word):
         n = len(word)
         while len(powers) <= n:
             powers.append(convolution(powers[-1], G, mul))
         out = Vector()
-        for k in range(1, n + 1):
-            out.add_scaled(powers[k].on_key(word), Q(-1 if (k - 1) % 2 else 1, k))
+        for k in range(1, n + 1) if n else (0,):
+            out.add_scaled(powers[k].on_key(word), coeff(k))
         return out
 
-    return LinOp(dom, F.codomain, 0, fn, f"log*({F.label})")
+    return LinOp(dom, G.codomain, G.degree, fn, label)
+
+
+def star_exp(phi: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vector) -> LinOp:
+    """exp_*(phi) = eps + sum 1/k! phi^{*k}; requires phi(1) = 0 (finite on each word)."""
+    if not phi.on_key(()).is_zero():
+        raise ValueError("star_exp needs phi(1) = 0")
+    return _star_series(phi, lambda k: Q(1, factorial(k)), mul, unit_vec, f"exp*({phi.label})")
+
+
+def star_log(F: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vector) -> LinOp:
+    """log_*(F) = sum (-1)^{k-1}/k (F - eps)^{*k}; requires F(1) = unit.  F - eps
+    is F on reduced words and zero on the empty word."""
+    if F.on_key(()) != unit_vec:
+        raise ValueError("star_log needs F(1) = 1")
+    G = LinOp(F.domain, F.codomain, F.degree, lambda w: F.on_key(w) if w else Vector.zero(),
+              f"{F.label}-eps")
+    return _star_series(G, lambda k: Q(1 if k % 2 else -1, k) if k else 0, mul, unit_vec,
+                        f"log*({F.label})")
 
 
 # -- morphism / coderivation certification ---------------------------------------
 
 
-def _coproduct_of(space: SymSpace, v: Vector) -> Vector:
-    """Delta(v) as a tensor on pairs of words."""
-    return Vector(((l, r), c * s) for u, c in v.items() for l, r, s in space.coproduct(u))
+def tensor_coproduct(coalg, left: Callable, right: Callable, right_degree: int,
+                     v: Vector) -> Vector:
+    """(left (x) right) o Delta applied to v, as a tensor on pairs of keys.
+    ``left`` and ``right`` map keys to vectors (``Vector.basis`` for the
+    identity), and right, of degree ``right_degree``, passes each left factor
+    with its Koszul sign.  The one tensor-coproduct of the coalgebra checks."""
+    terms = []
+    for key, c in v.items():
+        for l, r, s in coalg.coproduct(key):
+            lv = left(l)
+            if lv:
+                sgn = -c * s if right_degree % 2 and coalg.degree(l) % 2 else c * s
+                rv = right(r)
+                terms += [((k1, k2), sgn * c1 * c2) for k1, c1 in lv.items() for k2, c2 in rv.items()]
+    return Vector(terms)
 
 
 def coalgebra_morphism_defect(F: LinOp, words=None):
     """First word where Delta o F != (F (x) F) o Delta, or None (F degree 0)."""
     dom: SymSpace = F.domain
-    cod: SymSpace = F.codomain
     for w in (dom.keys() if words is None else words):
-        lhs = _coproduct_of(cod, F.on_key(w))
-        if lhs != Vector(((u1, u2), s * c1 * c2) for l, r, s in dom.coproduct(w)
-                         for u1, c1 in F.on_key(l).items() for u2, c2 in F.on_key(r).items()):
+        if (tensor_coproduct(F.codomain, Vector.basis, Vector.basis, 0, F.on_key(w))
+                != tensor_coproduct(dom, F.on_key, F.on_key, 0, Vector.basis(w))):
             return w
     return None
 
@@ -525,15 +538,11 @@ def coalgebra_morphism_defect(F: LinOp, words=None):
 def coderivation_defect(Qm: LinOp, words=None):
     """First word where Delta o Q != (Q (x) id + id (x) Q) o Delta, or None."""
     space: SymSpace = Qm.domain
-    qdeg = Qm.degree
     for w in (space.keys() if words is None else words):
-        lhs = _coproduct_of(space, Qm.on_key(w))
-        rhs = []
-        for l, r, s in space.coproduct(w):
-            rhs += [((u1, r), s * c1) for u1, c1 in Qm.on_key(l).items()]
-            sgn = -s if (qdeg % 2 and space.degree(l) % 2) else s
-            rhs += [((l, u2), sgn * c2) for u2, c2 in Qm.on_key(r).items()]
-        if lhs != Vector(rhs):
+        v = Vector.basis(w)
+        if (tensor_coproduct(space, Vector.basis, Vector.basis, 0, Qm.on_key(w))
+                != tensor_coproduct(space, Qm.on_key, Vector.basis, 0, v)
+                + tensor_coproduct(space, Vector.basis, Qm.on_key, Qm.degree, v)):
             return w
     return None
 

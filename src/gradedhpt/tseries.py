@@ -253,9 +253,6 @@ class TruncatedTAlgebra(CommAlgebra):
         prod = self.A.mul_keys(a1, a2)
         return Vector({(n, k): c for k, c in prod.items()})
 
-    def inject(self, v: Vector, power: int = 0) -> Vector:
-        return Vector({(power, k): c for k, c in v.items()})
-
     def order_check_keys(self):
         return tuple((0, k) for k in self.A.order_check_keys())
 

@@ -160,8 +160,8 @@ class TestVectorAndLinOp:
 
     def test_compose_identity_and_zero(self):
         b = two_dim_basis()
-        f = LinOp.from_dict(b, b, 1, {b.index("x"): b.el("xi").scale(2)})
-        assert (LinOp.identity(b) @ f).equal_on(f, b.keys())
+        f = LinOp.from_dict(b, b, 1, {b.index("x"): Vector.basis(b.index("xi")).scale(2)})
+        assert (LinOp.identity(b) @ f).first_difference(f, b.keys()) is None
         assert (f @ LinOp.zero(b)).is_zero_on(b.keys())
         g = f @ LinOp.identity(b)
         assert g.degree == 1
@@ -176,18 +176,18 @@ class TestVectorAndLinOp:
 
     def test_homogeneity_check(self):
         b = two_dim_basis()
-        bad = LinOp.from_dict(b, b, 0, {b.index("x"): b.el("xi")})
+        bad = LinOp.from_dict(b, b, 0, {b.index("x"): Vector.basis(b.index("xi"))})
         with pytest.raises(ValueError):
             bad.check_homogeneous()
 
     def test_bracket_degree_sign(self):
         b = two_dim_basis()
-        d = LinOp.from_dict(b, b, 1, {b.index("x"): b.el("xi")})
-        h = LinOp.from_dict(b, b, -1, {b.index("xi"): b.el("x")})
+        d = LinOp.from_dict(b, b, 1, {b.index("x"): Vector.basis(b.index("xi"))})
+        h = LinOp.from_dict(b, b, -1, {b.index("xi"): Vector.basis(b.index("x"))})
         # both odd: [d, h] = dh + hd
         dh = d.bracket(h)
         expect = d @ h + h @ d
-        assert dh.equal_on(expect, b.keys())
+        assert dh.first_difference(expect, b.keys()) is None
 
 
 # -- the scalar contract: int-first exact scalars, Fractions at the boundary --------

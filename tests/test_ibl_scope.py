@@ -35,7 +35,7 @@ def test_no_overflow_escapes_and_nothing_fails(f4, W):
     reports = [ibl_check(ibl, arity_bound=3)]
     for C in (f4.contraction, isomorphism_contraction(f4)):
         reports.append(ibl_transfer(ibl, C, arity_bound=3).report)
-    assert (1, 1, 0) in extract_p_components(ibl).triples()
+    assert (1, 1, 0) in extract_p_components(ibl).table
     for c in (0, 1, -1):
         x = LaurentVec({0: Vector.basis((2,), c), 1: Vector.basis((0,))})
         ok, res = ibl_mc_check(ibl, x, 4)

@@ -1,19 +1,22 @@
 """Lint over the package sources, using only the standard library: every
-module-level import is used, no function or class imports locally, an
-Overflow is caught only where the allowlist below says, the diagonal
-(x,) * n of a Maurer-Cartan sum is written only in ``core.exp_series``, no
-scalar is formed by true division or by a power of -1, only ``core``
-touches a Vector's coefficient dict (the attribute ``.c``), every option
-has a setter: each defaulted parameter of a library function is passed by
-some call in ``src/``, ``tests/`` or ``perfbench/`` (an option no call sets
+module-level import is used (in the tests too), no function or class imports
+locally, an Overflow is caught only where the allowlist below says, the
+diagonal (x,) * n of a Maurer-Cartan sum is written only in
+``core.exp_series``, no scalar is formed by true division or by a power of
+-1, only ``core`` touches a Vector's coefficient dict (the attribute ``.c``),
+every option has a setter: each defaulted parameter of a library function is
+passed by some call in ``src/``, ``tests/`` or ``perfbench/`` (an option no call sets
 is a constant, written as one; a call ``X.m(...)`` through a library class X
 sets only the options of the ``m`` that X defines or inherits), every option
 has a library setter: a call in ``src/`` or ``perfbench/`` sets it, unless an
 allowlist gives the one-line reason a test-only option stays, every
 parameter is read: the body of each module-level function and method reads
-each of its parameters but a method's ``self`` or ``cls``, and no nested
+each of its parameters but a method's ``self`` or ``cls``, no nested
 function that calls itself outlives its enclosing call as a reference cycle,
-unless an allowlist gives the one-line reason it stays."""
+unless an allowlist gives the one-line reason it stays, and every function
+has a library caller: each module-level function and method is referenced in
+``src/`` or ``perfbench/`` outside its own body, unless an allowlist gives the
+one-line reason only tests reach it."""
 
 import ast
 from pathlib import Path
@@ -22,6 +25,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gradedhpt"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -37,7 +41,7 @@ def _exported(tree: ast.Module) -> set:
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = _tree(path)
     bound = {}
@@ -303,11 +307,11 @@ def options_without_setter(paths, files) -> list:
                        for call in calls.get(name, ()))]
 
 
-LIBRARY_OPTIONS = [p for p in MODULES if p.name not in INPUT_MODULES]
+LIBRARY_MODULES = [p for p in MODULES if p.name not in INPUT_MODULES]
 
 
 def test_every_option_has_a_setter():
-    unset = options_without_setter(LIBRARY_OPTIONS, python_files("src", "tests", "perfbench"))
+    unset = options_without_setter(LIBRARY_MODULES, python_files("src", "tests", "perfbench"))
     assert not unset, f"options no call sets (make them constants): {unset}"
 
 
@@ -323,12 +327,11 @@ TEST_ONLY_OPTIONS = {
     ("hpt", "check_semifull_coalgebra", "keys_D"): "key corpus; the default is the whole basis",
     ("bv", "bv_mc_check", "nilpotency"): "the input's nilpotency order; set, it adds the e^a cross-check",
     ("mc", "kuranishi_inverse", "max_steps"): "the step bound; tests run past stabilization to show idempotence",
-    ("tseries", "inject", "power"): "the t-power of the injected element, part of the input",
 }
 
 
 def test_every_option_has_a_library_setter():
-    unset = options_without_setter(LIBRARY_OPTIONS, python_files("src", "perfbench"))
+    unset = options_without_setter(LIBRARY_MODULES, python_files("src", "perfbench"))
     stray = [site for site in unset if site not in TEST_ONLY_OPTIONS]
     assert not stray, f"options only tests set (make them constants): {stray}"
     stale = sorted(set(TEST_ONLY_OPTIONS) - set(unset))
@@ -430,3 +433,76 @@ def test_recursive_closures_are_freed():
     assert not stray, f"self-calling nested functions left as reference cycles: {stray}"
     stale = sorted(set(RECURSIVE_CLOSURES) - set(kept))
     assert not stale, f"allowlisted reference cycles that are gone: {stale}"
+
+
+# Every function has a library caller.  The scope is each module-level function
+# and each method but a dunder of the library modules (all but the input
+# modules).  A function is referenced when its name is a ``Name`` id or an
+# ``Attribute`` attr somewhere in ``src/`` or ``perfbench/`` outside the lines
+# of its own definition; a call through an instance counts for every method of
+# that name.  The allowlist gives the reason a function only tests reach stays.
+TEST_ONLY_FUNCTIONS = {
+    "bv.verify_poisson": "public checker; a command-line check will run it",
+    "bv.bv_transfer": "public checker; a command-line check will run it",
+    "bv.cobv_transfer": "public checker; a command-line check will run it",
+    "bv.cl_bijection": "public checker; a command-line check will run it",
+    "bv.bv_kuranishi_report": "public checker; a command-line check will run it",
+    "ibl.ibl_kuranishi_report": "public checker; a command-line check will run it",
+    "commalg.diff_order": "public checker; a command-line check will run it",
+    "commalg.cumulants": "route-agreement entry point: every cumulant route, compared",
+    "commalg.koszul_brackets": "route-agreement entry point: every Koszul-bracket route, compared",
+    "report.Report.exit_status": "the exit code of the command-line entry point",
+    "report.Report.to_text": "the text output of the command-line entry point",
+    "report.Report.to_json": "the machine output of the command-line entry point",
+    "ibl.extract_p_components": "the paper's p_{i,j,g} components of an IBL structure",
+    "ibl.reassemble_defect": "the paper's reassembly of delta from its components",
+    "ibl.degree_audit": "the paper's degrees of the components",
+    "hpt.semifull_failure_identities": "the paper's defect identities of a semifull contraction",
+    "bv.bv_leading_term_identity": "the paper's leading term of the Maurer-Cartan residual",
+    "symcoalg.TaylorMorphism.compose": "composition of infinity-morphisms through their Taylor data",
+    "symcoalg.cocumulants_cofree": "the paper's cocumulants, dual to cumulants",
+    "symcoalg.koszul_cobrackets_cofree": "the paper's Koszul cobrackets, dual to Koszul brackets",
+    "bv.algebra_dual_coalgebra": "the dual coalgebra, inverse of coalgebra_dual_algebra",
+    "mc.NilpotentFiltration.verify_morphism": "the filtration condition mc_check assumes of its data",
+}
+
+
+def library_functions(path: Path) -> list:
+    """(qualified name, definition) of each module-level function and each
+    method but a dunder."""
+    out = []
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((f"{path.stem}.{node.name}", node))
+        elif isinstance(node, ast.ClassDef):
+            out.extend((f"{path.stem}.{node.name}.{item.name}", item) for item in node.body
+                       if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not (item.name.startswith("__") and item.name.endswith("__")))
+    return out
+
+
+def name_references(files) -> dict:
+    """(path, line) of each ``Name`` id and ``Attribute`` attr, by name."""
+    out: dict = {}
+    for path in files:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                out.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                out.setdefault(node.attr, []).append((path, node.lineno))
+    return out
+
+
+def functions_without_library_caller() -> list:
+    refs = name_references(python_files("src", "perfbench"))
+    return [qual for path in LIBRARY_MODULES for qual, fn in library_functions(path)
+            if not any(where != path or not fn.lineno <= line <= fn.end_lineno
+                       for where, line in refs.get(fn.name, ()))]
+
+
+def test_every_function_has_a_library_caller():
+    uncalled = functions_without_library_caller()
+    stray = [name for name in uncalled if name not in TEST_ONLY_FUNCTIONS]
+    assert not stray, f"functions only tests reach (cut them or give a library caller): {stray}"
+    stale = sorted(set(TEST_ONLY_FUNCTIONS) - set(uncalled))
+    assert not stale, f"allowlisted functions that now have a library caller or are gone: {stale}"
