@@ -254,7 +254,7 @@ def verify_poisson(A: CommAlgebra, Delta: TOp, k: int, arity_bound: int,
         head, b, c = tup[:-2], tup[-2], tup[-1]
         args = tuple(Vector.basis(kk) for kk in head)
         op = Delta.coeff(len(tup) - 2)
-        lhs = koszul_recursion(A, op, args + (A.mul_keys(b, c),))
+        lhs = koszul_recursion(A, op, args + (Vector(A.mul_keys(b, c)),))
         sign = -1 if (A.space.degree(b) % 2 and A.space.degree(c) % 2) else 1
         rhs = (A.mul(koszul_recursion(A, op, args + (Vector.basis(b),)), Vector.basis(c))
                + A.mul(koszul_recursion(A, op, args + (Vector.basis(c),)),
@@ -515,7 +515,7 @@ def algebra_dual_coalgebra(A: ExplicitFDAlgebra) -> FiniteCoalgebra:
         terms = []
         for j in A.basis.keys():
             for kk in A.basis.keys():
-                c = A.mul_keys(j, kk)[i]
+                c = Vector(A.mul_keys(j, kk))[i]
                 if c:
                     sign = -1 if (A.basis.degree(j) % 2 and A.basis.degree(kk) % 2) else 1
                     terms.append((j, kk, sign * c))

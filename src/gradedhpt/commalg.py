@@ -18,20 +18,21 @@ brackets: cumulants are the exponential version of Koszul brackets.  On the
 diagonal, sum_n K(delta)_n(a, ..., a)/n! = e^{-a} delta(e^a) is decided once,
 by ``bv.bv_mc_check`` with its ``nilpotency`` cross-check.
 The closed formulas ``cumulant_partition`` and ``koszul_closed`` stay the
-independent oracles.  The one memo here is the Koszul recursion's table of
-prefix brackets K_m(a_1, ..., a_m): at most n vectors, each entry with the
-argument prefix it was built from.  It lives for one scan over tuples of one
-(A, delta), an order check's walk over multisets, where each tuple reuses
-the brackets of the prefix it shares with the tuple before; an entry whose
-prefix differs from the current tuple's is dropped, never used, and the scan
-drops the memo when it returns.  Nothing is memoized across scans.
+independent oracles.  The one memo here is the Koszul recursion's, one table
+per level m of the states K_{m+1}(a_1, ..., a_m, c), keyed by the basis key
+of c (so at most dim A entries) and stored with the argument prefix
+a_1, ..., a_m they were built from.  It lives for one scan over tuples of
+one (A, delta), an order check's walk over multisets, where each tuple
+reuses the tables of the prefix it shares with the tuple before; a level
+whose prefix differs from the current tuple's is replaced, never used, and
+the scan drops the memo when it returns.  Nothing is memoized across scans.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import factorial
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .core import (
@@ -42,6 +43,7 @@ from .core import (
     RouteDisagreement,
     Vector,
     expand_homogeneous,
+    expand_multilinear,
     koszul_sign,
     multi_unshuffles,
     set_partitions,
@@ -54,7 +56,6 @@ from .symcoalg import (
     TaylorMorphism,
     _corestriction,
     assemble_word,
-    canonical_word,
 )
 
 
@@ -80,23 +81,28 @@ class AlgebraSpace:
 
 
 class CommAlgebra:
-    """Interface shared by the algebra backends; products are exact, Overflow is loud."""
+    """Interface shared by the algebra backends; products are exact, Overflow is loud.
+
+    ``mul_keys(k1, k2)`` is the one key-level product: it yields the
+    ``(key, coeff)`` terms of k1 * k2, none when the product vanishes.  The
+    monomial backends yield at most one term and build no Vector; an
+    explicit structure table yields the items of its entry.  A caller that
+    needs a vector wraps the terms in ``Vector(...)``.
+    """
 
     space: object
     unit_key: object
 
-    def mul_keys(self, k1, k2) -> Vector:
+    def mul_keys(self, k1, k2) -> Iterable:
         raise NotImplementedError
 
     def unit(self) -> Vector:
         return Vector.basis(self.unit_key)
 
     def mul(self, a: Vector, b: Vector) -> Vector:
-        out = Vector()
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                out.add_scaled(self.mul_keys(k1, k2), c1 * c2)
-        return out
+        mul_keys = self.mul_keys
+        return Vector([(k, c1 * c2 * c) for k1, c1 in a.items() for k2, c2 in b.items()
+                       for k, c in mul_keys(k1, k2)])
 
     def product_list(self, vectors: Sequence[Vector]) -> Vector:
         out = self.unit()
@@ -132,8 +138,9 @@ class ExplicitFDAlgebra(CommAlgebra):
         self.table = table
         self._verify()
 
-    def mul_keys(self, k1, k2) -> Vector:
-        return self.table.get((k1, k2), Vector.zero())
+    def mul_keys(self, k1, k2) -> Iterable:
+        v = self.table.get((k1, k2))
+        return () if v is None else v.items()
 
     def _verify(self):
         b = self.basis
@@ -141,19 +148,19 @@ class ExplicitFDAlgebra(CommAlgebra):
             raise ValueError("unit must have degree 0")
         for i in b.keys():
             for j in b.keys():
-                v = self.mul_keys(i, j)
+                v = Vector(self.mul_keys(i, j))
                 d = b.degree(i) + b.degree(j)
                 for k in v.keys():
                     if b.degree(k) != d:
                         raise ValueError(f"product not graded: {i}*{j}")
                 s = -1 if (b.degree(i) % 2 and b.degree(j) % 2) else 1
-                if self.mul_keys(j, i) != v.scale(s):
+                if Vector(self.mul_keys(j, i)) != v.scale(s):
                     raise ValueError(f"product not graded-commutative on ({i},{j})")
         for i in b.keys():
             for j in b.keys():
                 for k in b.keys():
-                    left = self.mul(self.mul_keys(i, j), Vector.basis(k))
-                    right = self.mul(Vector.basis(i), self.mul_keys(j, k))
+                    left = self.mul(Vector(self.mul_keys(i, j)), Vector.basis(k))
+                    right = self.mul(Vector.basis(i), Vector(self.mul_keys(j, k)))
                     if left != right:
                         raise ValueError(f"product not associative on ({i},{j},{k})")
 
@@ -196,13 +203,13 @@ class GuardedFreeAlgebra(CommAlgebra):
         return keys
 
     def _key_degree(self, key) -> int:
-        return sum(e * d for e, d in zip(key, self.gen_degrees))
+        return sum(map(mul, key, self.gen_degrees))
 
-    def mul_keys(self, k1, k2) -> Vector:
+    def mul_keys(self, k1, k2) -> Iterable:
         out = tuple(map(add, k1, k2))
         for e, n in zip(out, self.nilpotency):
             if n is not None and e >= n:
-                return Vector.zero()
+                return ()
         length = sum(out)
         if length > self.length_bound:
             raise Overflow(f"monomial length {length} exceeds guard {self.length_bound}")
@@ -211,7 +218,7 @@ class GuardedFreeAlgebra(CommAlgebra):
         for i in self._odd_desc:
             crossings += k2[i] * later
             later += k1[i]
-        return Vector.basis(out, -1 if crossings % 2 else 1)
+        return ((out, -1 if crossings % 2 else 1),)
 
     def monomial(self, exponents: dict[str, int], coeff=ONE) -> Vector:
         key = tuple(exponents.get(s, 0) for s in self.gen_symbols)
@@ -243,12 +250,9 @@ class SymWordAlgebra(CommAlgebra):
         self.space = sym_space
         self.unit_key = ()
 
-    def mul_keys(self, k1, k2) -> Vector:
+    def mul_keys(self, k1, k2) -> Iterable:
         cw = self.sym_space.product_words(k1, k2)
-        if cw is None:
-            return Vector.zero()
-        word, s = cw
-        return Vector.basis(word, s)
+        return () if cw is None else (cw,)
 
     def order_check_keys(self):
         return self.sym_space.words_of_weight(1)
@@ -390,44 +394,63 @@ def koszul_recursion(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
                      memo: dict | None = None) -> Vector:
     """Recursion K_{n+2}(..., b, c) = K_{n+1}(..., bc) - K_{n+1}(..., b)c -+ K_{n+1}(..., c)b.
 
-    On one homogeneous tuple a_1, ..., a_n (one kernel call) every state is
-    K_{m+1}(a_1, ..., a_m, c), with c a product of later arguments.  Only the
-    prefix brackets K_m(a_1, ..., a_m), the b branch, are reached from more
-    than one parent; they are memoized by m, each entry with the argument
-    prefix it was built from, so delta is evaluated at 2^n - 1 leaves, not
-    3^(n-1).  The memo is ``memo`` when given, else a dict of this call: a
-    scan over many tuples of one (A, delta) passes one dict, so a tuple
-    reuses the brackets of the prefix it shares with the tuple before it.  At
-    each kernel call the entries whose prefix differs from the new tuple's
-    are dropped, so any order of tuples gives the same values, and the memo
-    holds at most n vectors.  Argument degrees are computed once per kernel
-    call, and the degree of c is carried down as a sum.
+    The arguments are expanded over basis keys (one kernel call per key tuple
+    a_1, ..., a_n), and every state is K_{m+1}(a_1, ..., a_m, c) with c a
+    basis key: K is linear in c, so the bc branch runs over the terms of
+    ``mul_keys(b, c)``, and a vanishing product prunes its whole branch.  The
+    states are memoized in one table per level,
+    ``memo[m] = ((a_1, ..., a_m), {c: K_{m+1}(a_1, ..., a_m, c)})``, so each
+    is evaluated once however many branches reach it; the prefix brackets
+    K_m(a_1, ..., a_m) are the entries with c = a_m.  On n arguments delta is
+    evaluated at most once per product of a nonempty sub-multiset of them,
+    and a table holds at most dim A entries.  The memo is ``memo`` when
+    given, else a dict of this call: a scan over many tuples of one
+    (A, delta) passes one dict, so a tuple reuses the tables of the prefix
+    it shares with the tuple before it.  At each kernel call a level whose
+    prefix differs from the new tuple's is replaced by an empty one, so any
+    order of tuples gives the same values.  Table values are shared: they,
+    like ``LinOp.on_key`` images, are read and never mutated.  Argument
+    degrees are computed once per kernel call; the degree of c is carried.
     """
     du = delta(A.unit())
     unital = du.is_zero()
     memo = {} if memo is None else memo
+    degree, mul_keys = A.space.degree, A.mul_keys
+    keys = degs = tables = ()
 
-    def rec(parts: tuple[Vector, ...], degs: tuple[int, ...], m: int, c: Vector,
-            dc: int) -> Vector:
+    def rec(m: int, ck, dc: int) -> Vector:
+        table = tables[m]
+        v = table.get(ck)
+        if v is not None:
+            return v
         if m == 0:
-            return delta(c) if unital else delta(c) - A.mul(du, c)
-        b, db = parts[m - 1], degs[m - 1]
-        out = Vector().add_scaled(rec(parts, degs, m - 1, A.mul(b, c), db + dc))
-        if m not in memo:
-            memo[m] = (parts[:m], rec(parts, degs, m - 1, b, db))
-        out.add_scaled(A.mul(memo[m][1], c), -1)
-        out.add_scaled(A.mul(rec(parts, degs, m - 1, c, dc), b),
-                       1 if db % 2 and dc % 2 else -1)
-        return out
+            v = delta.on_key(ck)
+            if not unital:
+                v = v - A.mul(du, Vector.basis(ck))
+        else:
+            b, db = keys[m - 1], degs[m - 1]
+            s = 1 if db % 2 and dc % 2 else -1
+            v = Vector([(k, x * y) for kc, x in mul_keys(b, ck)
+                        for k, y in rec(m - 1, kc, db + dc).items()]
+                       + [(k, -x * y) for kb, x in rec(m - 1, b, db).items()
+                          for k, y in mul_keys(kb, ck)]
+                       + [(k, s * x * y) for kc, x in rec(m - 1, ck, dc).items()
+                          for k, y in mul_keys(kc, b)])
+        table[ck] = v
+        return v
 
-    def kernel(*parts):
-        for m in [m for m, (prefix, _) in memo.items() if prefix != parts[:m]]:
-            del memo[m]
-        degs = _args_degrees(A.space, parts)
-        return rec(parts, degs, len(parts) - 1, parts[-1], degs[-1])
+    def kernel(*tup):
+        nonlocal keys, degs, tables
+        for m in range(len(tup)):
+            level = memo.get(m)
+            if level is None or level[0] != tup[:m]:
+                memo[m] = (tup[:m], {})
+        keys, degs = tup, tuple(map(degree, tup))
+        tables = [memo[m][1] for m in range(len(tup))]
+        return rec(len(tup) - 1, tup[-1], degs[-1])
 
     try:
-        return expand_homogeneous(A.space, args, kernel)
+        return expand_multilinear(args, kernel)
     finally:
         # rec's closure holds rec: emptying that cell breaks the cycle, so the
         # closure is freed on return rather than by the garbage collector
@@ -467,16 +490,18 @@ def derivation_defect(A: CommAlgebra, delta: LinOp, keys=None):
 def koszul_vanishes(A: CommAlgebra, delta: LinOp, n: int, keys=None) -> tuple | None:
     """Witness tuple where K(delta)_n != 0 on the checking corpus, else None.
 
-    The multisets are walked in lexicographic order with one prefix memo of
-    ``koszul_recursion`` for the whole walk, so consecutive tuples share
-    their common prefix brackets; each entry is used only while its stored
+    The multisets are walked in lexicographic order with one memo of
+    ``koszul_recursion`` for the whole walk, so consecutive tuples share the
+    tables of their common prefix; each table is used only while its stored
     prefix equals the current tuple's, and the memo is dropped on return.
     """
-    keys = A.order_check_keys() if keys is None else keys
+    keys = tuple(dict.fromkeys(A.order_check_keys() if keys is None else keys))
+    degree = A.space.degree
     memo: dict = {}
-    # canonical multisets of size n span the arguments, by symmetry
+    # multisets of size n span the arguments, by symmetry; the walk puts equal
+    # keys next to each other, and one that repeats an odd key vanishes
     for tup in combinations_with_replacement(keys, n):
-        if canonical_word(A.space, tup) is None:
+        if any(k1 == k2 and degree(k1) % 2 for k1, k2 in zip(tup, tup[1:])):
             continue
         args = tuple(Vector.basis(k) for k in tup)
         if not koszul_recursion(A, delta, args, memo=memo).is_zero():
@@ -492,8 +517,8 @@ def diff_order(A: CommAlgebra, delta: LinOp, max_order: int, keys=None) -> int |
     On a generating corpus this is sound: if K_m vanishes on generator tuples
     for every m > k, the two-slot recursion propagates the vanishing to all
     product arguments, downward in product length.  Each arity is one
-    ``koszul_vanishes`` scan with a prefix memo of its own; no bracket is
-    kept from one arity to the next.
+    ``koszul_vanishes`` scan with a memo of its own; no bracket is kept
+    from one arity to the next.
     """
     if koszul_vanishes(A, delta, max_order + 1, keys) is not None:
         return None

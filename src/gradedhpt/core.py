@@ -21,12 +21,12 @@ tensor is a Vector too, keyed by tuples of keys.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
-from typing import Callable, Iterable, Iterator, Mapping
 
 
 def Q(value, denominator=None) -> int | Fraction:

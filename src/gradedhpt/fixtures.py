@@ -124,9 +124,8 @@ class Fix2:
         for k1 in keys:
             for k2 in keys:
                 if sum(k1) + sum(k2) <= max_len:
-                    v = self.A.mul_keys(k1, k2)
                     prods[(index[k1], index[k2])] = Vector(
-                        {index[k]: c for k, c in v.items()})
+                        (index[k], c) for k, c in self.A.mul_keys(k1, k2))
                 else:
                     prods[(index[k1], index[k2])] = Vector.zero()
         alg = ExplicitFDAlgebra(basis, prods, index[self.A.unit_key])

@@ -219,7 +219,7 @@ def check_semifull_algebra(C: Contraction, alg_A: CommAlgebra, alg_B: CommAlgebr
     _identity(rep, "sigma(h(a)tau(x)) = 0", pairs_AB, lambda a, x: sigma(mul(hA[a], tB[x])))
     _identity(rep, "h(tau(x)tau(y)) = 0", pairs_BB, lambda x, y: h(mul(tB[x], tB[y])))
     _identity(rep, "sigma(tau(x)tau(y)) = xy", pairs_BB,
-              lambda x, y: sigma(mul(tB[x], tB[y])) - alg_B.mul_keys(x, y))
+              lambda x, y: sigma(mul(tB[x], tB[y])) - Vector(alg_B.mul_keys(x, y)))
 
     scope, not_derivation = scan([(0, [None])], lambda _: derivation_defect(alg_A, C.d_A, keys_A))
     rep.bounds["dg_strength"] = ("beyond the guard" if scope < 0 else "checked" if

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gradedhpt import commalg
 from gradedhpt.bv import bv_mc_check
 from gradedhpt.core import (
     GradedBasis,
@@ -52,6 +53,41 @@ def random_args(rng, space, n: int) -> tuple:
     return tuple(Vector([kc for d in rng.sample(degrees, rng.randint(1, min(2, len(degrees))))
                          for kc in random_homogeneous(rng, space, d).items()])
                  for _ in range(n))
+
+
+class OnKeyCounted(LinOp):
+    """A LinOp that counts its ``on_key`` calls, cached images included."""
+
+    calls = 0
+
+    def on_key(self, key):
+        self.calls += 1
+        return super().on_key(key)
+
+
+def rebased(rng, A: ExplicitFDAlgebra) -> ExplicitFDAlgebra:
+    """A on the basis e'_i = e_i + sum_j r_ij e_j, with j < i running over the
+    basis keys of the degree of e_i (the unit among them when e_i has degree
+    0) and random r_ij: the same algebra, with products of basis keys that
+    have several terms."""
+    keys = list(A.space.keys())
+    new = {i: Vector.basis(i) + Vector({j: rng.randint(-2, 2) for j in keys[:n]
+                                        if A.space.degree(j) == A.space.degree(i)})
+           if i != A.unit_key else Vector.basis(i) for n, i in enumerate(keys)}
+
+    def in_new_basis(v: Vector) -> Vector:
+        # new is unitriangular, so peel off its top keys first
+        out = Vector()
+        for i in reversed(keys):
+            c = v[i]
+            if c:
+                out.add_scaled(Vector.basis(i), c)
+                v = v - new[i].scale(c)
+        return out
+
+    prods = {(i, j): in_new_basis(A.mul(new[i], new[j]))
+             for i in keys for j in keys if A.unit_key not in (i, j)}
+    return ExplicitFDAlgebra(A.basis, prods, A.unit_key)
 
 
 def exterior_two() -> ExplicitFDAlgebra:
@@ -118,7 +154,7 @@ class TestBackends:
         out = tuple(map(sum, zip(k1, k2)))
         vanishes = any(n is not None and e >= n for e, n in zip(out, A.nilpotency))
         expect = Vector.zero() if vanishes else Vector.basis(out, koszul_sign(order, degs))
-        assert A.mul_keys(k1, k2) == expect
+        assert Vector(A.mul_keys(k1, k2)) == expect
         a, b, c = (Vector.basis(k) for k in (k1, k2, k3))
         assert A.mul(A.mul(a, b), c) == A.mul(a, A.mul(b, c))
 
@@ -129,7 +165,7 @@ class TestBackends:
             for i in A.space.keys():
                 for j in A.space.keys():
                     s = -1 if (A.space.degree(i) % 2 and A.space.degree(j) % 2) else 1
-                    assert A.mul_keys(j, i) == A.mul_keys(i, j).scale(s)
+                    assert Vector(A.mul_keys(j, i)) == Vector(A.mul_keys(i, j)).scale(s)
 
 
 class TestExpLog:
@@ -261,48 +297,105 @@ class TestKoszulBrackets:
         for n in (2, 3, 4, 5):
             koszul_brackets(A, delta, random_args(rng, A.space, n))
 
-    def test_recursion_evaluates_delta_at_two_to_the_n_points(self):
-        # with each prefix bracket K_m(a_1, ..., a_m) computed once, the
-        # recursion on n basis arguments calls delta 2^n times: delta(1) and
-        # 2^n - 1 leaves (the unshared three-way tree calls it 1 + 3^(n-1) times)
+    def test_recursion_evaluates_delta_at_two_n_points(self):
+        # each state K_{m+1}(a_1, ..., a_m, c) is evaluated once, with c a basis
+        # key; the leaves (m = 0) are the products of nonempty sub-multisets of
+        # xi, y, ..., y: y^j for 1 <= j <= n-1 and xi y^j for 0 <= j <= n-1, so
+        # delta.on_key is called 2n - 1 times there and once more for delta(1)
+        # (a memo of prefix brackets only called it 2^n times)
         A = GuardedFreeAlgebra([("y", 0, None), ("xi", 1, None)], 5)
-
-        class CountedOp(LinOp):
-            calls = 0
-
-            def __call__(self, v):
-                CountedOp.calls += 1
-                return super().__call__(v)
-
-        d_dy = CountedOp(A.space, A.space, 0,
-                         lambda k: Vector.basis((k[0] - 1, k[1]), k[0]) if k[0] else Vector.zero(),
-                         "d/dy")
+        d_dy = OnKeyCounted(A.space, A.space, 0,
+                            lambda k: Vector.basis((k[0] - 1, k[1]), k[0]) if k[0] else Vector.zero(),
+                            "d/dy")
         y, xi = A.monomial({"y": 1}), A.monomial({"xi": 1})
         for n in (2, 3, 4, 5):
-            CountedOp.calls = 0
+            d_dy.calls = 0
             koszul_recursion(A, d_dy, (xi,) + (y,) * (n - 1))
-            assert CountedOp.calls == 2 ** n, n
+            assert d_dy.calls == 2 * n, n
 
     def test_one_memo_over_a_walk_of_multisets(self):
-        # koszul_vanishes walks the 10 multisets of size 3 over 3 generators
-        # with one prefix memo: a tuple that shares its first two arguments
-        # with the one before evaluates delta at 4 leaves, one that shares
-        # only its first at 6, and one that shares none at 7; with delta(1)
-        # once per call, that is 55 + 10 = 65 calls (80 with a memo per tuple)
+        # koszul_vanishes walks the 10 multisets of size 3 over the generators
+        # y, z, w with one memo.  Its level-0 table (empty prefix) lives for the
+        # whole walk, and every leaf key is a monomial of length 1 to 3 in
+        # y, z, w, so delta.on_key is called once per such monomial (3 + 6 + 10
+        # = 19) and once per tuple for delta(1): 19 + 10 = 29 calls (a memo of
+        # prefix brackets only called delta 65 times)
         A = GuardedFreeAlgebra([("y", 0, None), ("z", 2, None), ("w", 0, None)], 6)
-
-        class CountedOp(LinOp):
-            calls = 0
-
-            def __call__(self, v):
-                CountedOp.calls += 1
-                return super().__call__(v)
-
-        d_dy = CountedOp(A.space, A.space, 0,
-                         lambda k: Vector.basis((k[0] - 1,) + k[1:], k[0]) if k[0] else Vector.zero(),
-                         "d/dy")
+        d_dy = OnKeyCounted(A.space, A.space, 0,
+                            lambda k: Vector.basis((k[0] - 1,) + k[1:], k[0]) if k[0] else Vector.zero(),
+                            "d/dy")
         assert koszul_vanishes(A, d_dy, 3) is None
-        assert CountedOp.calls == 65
+        assert d_dy.calls == 29
+
+    def test_zero_product_prunes_its_branch(self):
+        # on (xi, xi, y) the products xi * xi and xi * (xi y) vanish, so no state
+        # is evaluated below them: the tables hold K_3(xi, xi, y), the three
+        # states of prefix (xi,) and the three leaves xi, y, xi y
+        A = GuardedFreeAlgebra([("y", 0, None), ("xi", 1, None)], 5)
+        d_dy = OnKeyCounted(A.space, A.space, 0,
+                            lambda k: Vector.basis((k[0] - 1, k[1]), k[0]) if k[0] else Vector.zero(),
+                            "d/dy")
+        y, xi = (1, 0), (0, 1)
+        memo: dict = {}
+        args = tuple(Vector.basis(k) for k in (xi, xi, y))
+        value = koszul_recursion(A, d_dy, args, memo=memo)
+        assert d_dy.calls == 4
+        assert {m: (prefix, set(table)) for m, (prefix, table) in memo.items()} == {
+            0: ((), {xi, y, (1, 1)}),
+            1: ((xi,), {xi, y, (1, 1)}),
+            2: ((xi, xi), {y}),
+        }
+        assert value == koszul_closed(A, d_dy, args)
+
+    def test_tables_hold_at_most_dim_a_entries(self, monkeypatch):
+        # the states of one level are keyed by basis keys, so across a
+        # koszul_vanishes scan no table outgrows the basis
+        A = GuardedFreeAlgebra([("y", 0, None), ("xi", 1, None), ("z", 2, None)], 6)
+        rng = random.Random(3)
+        keys = A.space.keys()
+        delta = LinOp.from_dict(A.space, A.space, 1, {
+            k: random_homogeneous(rng, A.space, A.space.degree(k) + 1,
+                                  [j for j in keys if sum(j) <= sum(k)])
+            for k in keys if k != A.unit_key}, "delta")
+        sizes = []
+
+        def recorded(A, delta, args, memo=None):
+            out = koszul_recursion(A, delta, args, memo=memo)
+            sizes.extend(len(table) for _, table in memo.values())
+            return out
+
+        monkeypatch.setattr(commalg, "koszul_recursion", recorded)
+        for n in (2, 3):
+            koszul_vanishes(A, delta, n, [k for k in keys if sum(k) <= 2])
+        assert sizes and max(sizes) <= len(A.space.keys())
+        assert max(sizes) > 1
+
+    def test_walk_skips_what_canonical_word_drops(self, monkeypatch):
+        # koszul_vanishes skips a multiset when two adjacent keys are one odd
+        # key; over distinct keys in any order, that is exactly the multisets
+        # canonical_word drops, a corpus given with repeats included
+        A = GuardedFreeAlgebra([("y", 0, None), ("xi", 1, None), ("z", 2, None),
+                                ("eta", -1, None)], 4)
+        delta = LinOp.zero(A.space)
+        seen = []
+
+        def recorded(A, delta, args, memo=None):
+            seen.append(tuple(next(iter(a.keys())) for a in args))
+            return Vector.zero()
+
+        monkeypatch.setattr(commalg, "koszul_recursion", recorded)
+        rng = random.Random(11)
+        for _ in range(4):
+            keys = [k for k in A.space.keys() if 0 < sum(k) <= 2]
+            rng.shuffle(keys)
+            corpus = keys + keys[:3]
+            for n in (2, 3):
+                seen.clear()
+                assert koszul_vanishes(A, delta, n, corpus) is None
+                kept = [tup for tup in combinations_with_replacement(keys, n)
+                        if canonical_word(A.space, tup) is not None]
+                assert seen == kept
+                assert len(kept) < len(list(combinations_with_replacement(keys, n)))
 
     def test_shared_memo_in_any_order(self):
         # one memo passed to calls on tuples in shuffled order, sharing prefixes
@@ -332,6 +425,32 @@ class TestKoszulBrackets:
         memo: dict = {}
         for args in tuples:
             assert koszul_recursion(A, delta, args, memo=memo) == koszul_recursion(A, delta, args)
+
+    def test_shared_memo_over_multi_term_products(self):
+        # on random algebras rebased so that products of basis keys have
+        # several terms, with delta(1) != 0 and inhomogeneous multi-term
+        # arguments: one memo shared by calls in shuffled order gives the value
+        # of a memo per call and of the closed formula
+        rng = random.Random(29)
+        multi_term = False
+        for _ in range(6):
+            A = rebased(rng, random_algebra(rng))
+            keys = A.space.keys()
+            multi_term |= any(len(tuple(A.mul_keys(i, j))) > 1 for i in keys for j in keys)
+            images = {k: random_homogeneous(rng, A.space, A.space.degree(k)) for k in keys}
+            images[A.unit_key] += Vector.basis(A.unit_key, rng.randint(1, 3))
+            delta = LinOp.from_dict(A.space, A.space, 0, images, "delta")
+            assert not delta(A.unit()).is_zero()
+            heads = [random_args(rng, A.space, 2) for _ in range(2)]
+            tuples = [random_args(rng, A.space, n) for n in (1, 2, 3, 4)]
+            tuples += [head + random_args(rng, A.space, rng.randint(0, 2)) for head in heads * 2]
+            rng.shuffle(tuples)
+            memo: dict = {}
+            for args in tuples:
+                value = koszul_recursion(A, delta, args, memo=memo)
+                assert value == koszul_recursion(A, delta, args)
+                assert value == koszul_closed(A, delta, args)
+        assert multi_term
 
     def test_unit_corrected_recursion_at_arity_five(self):
         # delta = D + L_a with D(1) = 0 and a = 3 + y, so delta(1) = a != 0; the

@@ -232,7 +232,7 @@ class TestScalarContract:
                          fraction_reference((1 + a, x))),
             "f(x)": (f(x), fraction_reference(*((c, f.on_key(k)) for k, c in x.items()))),
             "x y": (A.mul(x, y), fraction_reference(*(
-                (c1 * c2, A.mul_keys(k1, k2)) for k1, c1 in x.items() for k2, c2 in y.items()))),
+                (c1 * c2, Vector(A.mul_keys(k1, k2))) for k1, c1 in x.items() for k2, c2 in y.items()))),
         }
         for name, (got, expect) in cases.items():
             assert as_fractions(got) == expect, name
