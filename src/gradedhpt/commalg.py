@@ -17,19 +17,24 @@ morphism S(f) for cumulants and the coderivation lift of delta for Koszul
 brackets: cumulants are the exponential version of Koszul brackets.  On the
 diagonal, sum_n K(delta)_n(a, ..., a)/n! = e^{-a} delta(e^a) is decided once,
 by ``bv.bv_mc_check`` with its ``nilpotency`` cross-check.
+Routes (a) and (b) are kernels on tuples of basis keys, extended to vectors by
+``core.expand_multilinear``, that multiply keys by ``CommAlgebra.mul_keys``.
 The closed formulas ``cumulant_partition`` and ``koszul_closed`` stay the
-independent oracles.  The one memo here is the Koszul recursion's, one table
-per level m of the states K_{m+1}(a_1, ..., a_m, c), keyed by the basis key
-of c (so at most dim A entries) and stored with the argument prefix
-a_1, ..., a_m they were built from.  It lives for one scan over tuples of
-one (A, delta), an order check's walk over multisets, where each tuple
-reuses the tables of the prefix it shares with the tuple before; a level
-whose prefix differs from the current tuple's is replaced, never used, and
-the scan drops the memo when it returns.  Nothing is memoized across scans.
+independent oracles.  With delta(1) = 0, delta is a derivation where K(delta)_2
+vanishes: the arity-2 scan ``koszul_vanishes(A, delta, 2)`` decides it.  The
+one memo here is the Koszul recursion's, one table per level m of the states
+K_{m+1}(a_1, ..., a_m, c), keyed by the basis key of c (so at most dim A
+entries) and stored with the argument prefix a_1, ..., a_m they were built
+from.  It lives for one scan over tuples of one (A, delta), an order check's
+walk over multisets, where each tuple reuses the tables of the prefix it
+shares with the tuple before; a level whose prefix differs from the current
+tuple's is replaced, never used, and the scan drops the memo when it returns.
+Nothing is memoized across scans.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import factorial
 from operator import add, mul
@@ -42,13 +47,11 @@ from .core import (
     Q,
     RouteDisagreement,
     Vector,
-    expand_homogeneous,
     expand_multilinear,
     koszul_sign,
     multi_unshuffles,
     set_partitions,
     unshuffle_sign,
-    vector_degree,
 )
 from .symcoalg import (
     SymSpace,
@@ -104,14 +107,12 @@ class CommAlgebra:
         return Vector([(k, c1 * c2 * c) for k1, c1 in a.items() for k2, c2 in b.items()
                        for k, c in mul_keys(k1, k2)])
 
-    def product_list(self, vectors: Sequence[Vector]) -> Vector:
-        out = self.unit()
-        for v in vectors:
-            out = self.mul(out, v)
-        return out
-
     def product_keys(self, keys: Iterable) -> Vector:
-        return self.product_list([Vector.basis(k) for k in keys])
+        """The product of basis keys, folded through ``mul_keys``."""
+        out = self.unit()
+        for k in keys:
+            out = Vector([(kk, c * x) for k1, c in out.items() for kk, x in self.mul_keys(k1, k)])
+        return out
 
     def order_check_keys(self):
         """Keys spanning enough of the algebra to certify differential-operator order."""
@@ -279,49 +280,46 @@ def log_automorphism(A: CommAlgebra, arity_bound: int) -> TaylorMorphism:
 # -- cumulants ---------------------------------------------------------------------
 
 
-def _args_degrees(space, parts: tuple[Vector, ...]) -> tuple[int, ...]:
-    return tuple(vector_degree(space, p) or 0 for p in parts)
-
-
 def cumulant_partition(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]) -> Vector:
     """Closed formula: sum over unordered set partitions with (-1)^{k-1}(k-1)! weights."""
-    def kernel(*parts):
-        n = len(parts)
-        degs = _args_degrees(A.space, parts)
-        out = Vector.zero()
-        for part in set_partitions(n):
+    def kernel(*keys):
+        degs = tuple(map(A.space.degree, keys))
+        out = Vector()
+        for part in set_partitions(len(keys)):
             flat = tuple(p for block in part for p in block)
-            s = koszul_sign(flat, degs)
             k = len(part)
-            coeff = (-1 if (k - 1) % 2 else 1) * factorial(k - 1) * s
-            images = [f(A.product_list([parts[p] for p in block])) for block in part]
-            out.add_scaled(B.product_list(images), coeff)
+            coeff = (-1 if (k - 1) % 2 else 1) * factorial(k - 1) * koszul_sign(flat, degs)
+            images = [f(A.product_keys(keys[p] for p in block)) for block in part]
+            out.add_scaled(reduce(B.mul, images), coeff)
         return out
 
-    return expand_homogeneous(A.space, args, kernel)
+    return expand_multilinear(args, kernel)
 
 
 def cumulant_recursion(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]) -> Vector:
-    """Two-slot recursion: kappa_{n+2}(..., b, c) from kappa_{n+1}(..., bc) and products."""
-    def rec(parts: tuple[Vector, ...]) -> Vector:
-        n = len(parts)
-        if n == 1:
-            return f(parts[0])
-        rest, b, c = parts[:-2], parts[-2], parts[-1]
-        out = Vector().add_scaled(rec(rest + (A.mul(b, c),)))
+    """Two-slot recursion: kappa_{n+2}(..., b, c) from kappa_{n+1}(..., bc) and
+    products, on basis keys; the bc branch runs over the terms of b * c."""
+    def rec(keys: tuple) -> Vector:
+        if len(keys) == 1:
+            return f.on_key(keys[0])
+        rest, b, c = keys[:-2], keys[-2], keys[-1]
+        out = Vector()
+        for kc, x in A.mul_keys(b, c):
+            out.add_scaled(rec(rest + (kc,)), x)
         m = len(rest)
-        degs = _args_degrees(A.space, rest) + (vector_degree(A.space, b) or 0,
-                                               vector_degree(A.space, c) or 0)
+        degs = tuple(map(A.space.degree, keys))
         for i in range(m + 1):
             for unsh in multi_unshuffles((i, m - i)):
                 perm = unsh[0] + (m,) + unsh[1] + (m + 1,)
-                s = koszul_sign(perm, degs)
                 left = rec(tuple(rest[p] for p in unsh[0]) + (b,))
                 right = rec(tuple(rest[p] for p in unsh[1]) + (c,))
-                out.add_scaled(B.mul(left, right), -s)
+                out.add_scaled(B.mul(left, right), -koszul_sign(perm, degs))
         return out
 
-    return expand_homogeneous(A.space, args, lambda *parts: rec(parts))
+    try:
+        return expand_multilinear(args, lambda *keys: rec(keys))
+    finally:
+        del rec
 
 
 def _composite_route(A: CommAlgebra, B: CommAlgebra, middle, args: tuple[Vector, ...]) -> Vector:
@@ -372,22 +370,21 @@ def koszul_closed(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vec
     """Unshuffle formula; the i = 0 block carries the delta(1)-correction terms."""
     du = delta(A.unit())
 
-    def kernel(*parts):
-        n = len(parts)
-        degs = _args_degrees(A.space, parts)
-        out = Vector.zero()
+    def kernel(*keys):
+        n = len(keys)
+        degs = tuple(map(A.space.degree, keys))
+        out = Vector()
         for i in range(0, n + 1):
             sign_i = -1 if (n - i) % 2 else 1
             for unsh in multi_unshuffles((i, n - i)):
-                s = unshuffle_sign(unsh, degs)
-                head = delta(A.product_list([parts[p] for p in unsh[0]])) if i else du
+                head = delta(A.product_keys(keys[p] for p in unsh[0])) if i else du
                 if head.is_zero():
                     continue
-                tail = A.product_list([parts[p] for p in unsh[1]])
-                out.add_scaled(A.mul(head, tail), sign_i * s)
+                tail = A.product_keys(keys[p] for p in unsh[1])
+                out.add_scaled(A.mul(head, tail), sign_i * unshuffle_sign(unsh, degs))
         return out
 
-    return expand_homogeneous(A.space, args, kernel)
+    return expand_multilinear(args, kernel)
 
 
 def koszul_recursion(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
@@ -471,17 +468,6 @@ def koszul_brackets(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> V
     if delta(A.unit()).is_zero():
         thunks += (lambda: koszul_composite(A, delta, args),)
     return _agreeing_routes("Koszul bracket", *thunks)
-
-
-def derivation_defect(A: CommAlgebra, delta: LinOp, keys=None):
-    """First basis pair where K(delta)_2 != 0, or None if delta is a derivation there."""
-    keys = tuple(A.space.keys() if keys is None else keys)
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i:]:
-            val = koszul_closed(A, delta, (Vector.basis(k1), Vector.basis(k2)))
-            if not val.is_zero():
-                return (k1, k2)
-    return None
 
 
 # -- order filtration --------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything downstream (symmetric coalgebras, cumulants, perturbation theory)
 is built on the three primitives defined here: `koszul_sign`, `multi_unshuffles`
-and the `Vector`/`LinOp` pair.
+and the `Vector`/`LinOp` pair.  `expand_multilinear` is the one multilinear
+extension: a family given by a kernel on tuples of basis keys, on vectors.
 
 Scalars are exact and int-first: `Q` returns an ``int`` when a value is
 integral and a `fractions.Fraction` otherwise, and it raises `TypeError` on a
@@ -25,7 +26,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial
 
 
@@ -300,23 +301,6 @@ class ShiftedSpace:
         return self.base.degree(key) + self.shift
 
 
-def vector_degree(space, v: Vector) -> int | None:
-    """Degree of a homogeneous vector, None for 0; raises if inhomogeneous."""
-    degs = {space.degree(k) for k in v.keys()}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValueError(f"inhomogeneous vector (degrees {sorted(degs)}): {v!r}")
-    return degs.pop()
-
-
-def homogeneous_parts(space, v: Vector) -> dict[int, Vector]:
-    parts: dict[int, Vector] = {}
-    for k, c in v.items():
-        parts.setdefault(space.degree(k), Vector()).c[k] = c
-    return parts
-
-
 class LinOp:
     """Homogeneous linear map between spaces, given on basis keys and extended linearly.
 
@@ -450,14 +434,6 @@ def expand_multilinear(args: tuple[Vector, ...], kernel: Callable[..., Vector]) 
     out = Vector()
     for keys, coeff in multilinear_terms(args):
         out.add_scaled(kernel(*keys), coeff)
-    return out
-
-
-def expand_homogeneous(space, args: tuple[Vector, ...], kernel: Callable[..., Vector]) -> Vector:
-    """Extend a kernel defined on homogeneous vectors multilinearly over degree parts."""
-    out = Vector()
-    for parts in product(*(homogeneous_parts(space, a).values() for a in args)):
-        out.add_scaled(kernel(*parts))
     return out
 
 

@@ -32,7 +32,7 @@ from .core import (
     Vector,
     koszul_sign,
 )
-from .commalg import CommAlgebra, cumulant_lift, derivation_defect, kos_lift, koszul_closed
+from .commalg import CommAlgebra, cumulant_lift, kos_lift, koszul_closed, koszul_vanishes
 from .report import PASS, Report, scan, witness_verdict
 from .symcoalg import (
     SymSpace,
@@ -162,7 +162,7 @@ def _identity(rep: Report, name: str, cases, defect) -> None:
     """Claim that ``defect(*case)`` vanishes on every case, all or nothing: a case
     beyond the guard leaves the claim UNDETERMINED unless another is a witness."""
     scope, witness = scan([(0, cases)], lambda case: case if defect(*case) else None)
-    rep.claim(name, scope, lambda: witness_verdict(witness), least=0)
+    rep.add(name, *((None, "beyond the guard") if scope < 0 else witness_verdict(witness)))
 
 
 def _bis_identities(rep: Report, C: Contraction, alg_A: CommAlgebra, alg_B: CommAlgebra,
@@ -221,7 +221,7 @@ def check_semifull_algebra(C: Contraction, alg_A: CommAlgebra, alg_B: CommAlgebr
     _identity(rep, "sigma(tau(x)tau(y)) = xy", pairs_BB,
               lambda x, y: sigma(mul(tB[x], tB[y])) - Vector(alg_B.mul_keys(x, y)))
 
-    scope, not_derivation = scan([(0, [None])], lambda _: derivation_defect(alg_A, C.d_A, keys_A))
+    scope, not_derivation = scan([(0, [None])], lambda _: koszul_vanishes(alg_A, C.d_A, 2, keys_A))
     rep.bounds["dg_strength"] = ("beyond the guard" if scope < 0 else "checked" if
                                  not_derivation is None else "d_A not a derivation on the corpus")
     if rep.bounds["dg_strength"] == "checked":

@@ -170,10 +170,14 @@ def kuranishi_roundtrip_report(data: KuranishiData, r_filt: NilpotentFiltration,
     Checks rho^{-1} o rho = id on the MC lattice upstairs, rho o rho^{-1} = id on
     (MC lattice downstairs) x (lattice of homotopy images), rho^{-1}(-, 0) = MC(F),
     and the restriction bijection onto Ker(h) with inverse the linear part of G.
+    The filtrations ``mc_check`` assumes, ``data.filt`` for Q and ``r_filt`` for r,
+    are verified first up to the arity bounds; a violation raises ValueError.
     """
     failures = []
     V = data.Q.base
     Wb = data.transfer.r.base
+    data.filt.verify_morphism(data.Q, V, data.filt, data.Q.arity_bound)
+    r_filt.verify_morphism(data.transfer.r, Wb, r_filt, data.transfer.r.arity_bound)
     mc_V = enumerate_mc_lattice(data.Q, data.filt, V, height)
     mc_W = enumerate_mc_lattice(data.transfer.r, r_filt, Wb, height)
     for x in mc_V:

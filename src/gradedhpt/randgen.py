@@ -2,7 +2,9 @@
 
 Random graded commutative algebras are drawn from verified templates (free
 graded-commutative quotients), so associativity holds by construction and is
-still re-checked exhaustively by the ExplicitFD constructor.
+still re-checked exhaustively by the ExplicitFD constructor.  Each template is
+returned on a random unitriangular basis, so products of basis keys may have
+several terms.
 """
 
 from __future__ import annotations
@@ -23,8 +25,38 @@ def random_homogeneous(rng: random.Random, space, degree: int, keys=None) -> Vec
     return Vector({k: _rand_coeff(rng) for k in keys if space.degree(k) == degree})
 
 
+def _rebased(rng: random.Random, A: ExplicitFDAlgebra) -> ExplicitFDAlgebra:
+    """A on the basis e'_i = e_i + sum_{j<i} r_ij e_j, with random integers r_ij
+    and j running over the non-unit keys of the degree of e_i: the same algebra,
+    its unit unchanged.  The change of basis is unitriangular, so its inverse is
+    integral."""
+    unit, degree = A.unit_key, A.space.degree
+    keys = [k for k in A.space.keys() if k != unit]
+    new = {i: Vector([(i, 1)] + [(j, rng.randint(-2, 2)) for j in keys[:n]
+                                 if degree(j) == degree(i)])
+           for n, i in enumerate(keys)}
+
+    def in_new_basis(v: Vector) -> Vector:
+        # peel off the top keys first
+        out = []
+        for i in reversed(keys):
+            c = v[i]
+            if c:
+                out.append((i, c))
+                v = v - new[i].scale(c)
+        return Vector(out + [(unit, v[unit])])
+
+    prods = {(i, j): in_new_basis(A.mul(new[i], new[j])) for i in keys for j in keys}
+    return ExplicitFDAlgebra(A.basis, prods, unit)
+
+
 def random_algebra(rng: random.Random, template: int | None = None) -> ExplicitFDAlgebra:
-    """A 3- or 4-dimensional graded commutative unitary algebra from a verified template."""
+    """A 3- or 4-dimensional graded commutative unitary algebra from a verified
+    template, on a random unitriangular basis."""
+    return _rebased(rng, _template_algebra(rng, template))
+
+
+def _template_algebra(rng: random.Random, template: int | None) -> ExplicitFDAlgebra:
     t = rng.randrange(4) if template is None else template
     if t == 0:
         # K[x]/(x^3), deg x even

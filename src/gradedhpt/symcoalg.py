@@ -642,6 +642,14 @@ def cocumulant_tilde(C, D, f: LinOp, n: int) -> Callable:
             terms = _last_slot_coproduct(D, kt(m - 1, key))
             # subtract shuffled products of lower cocumulants
             for k in range(m - 1):
+                # tau_k moves slot k (the last output of a) to position m-2; then
+                # the first k slots shuffle with the next m-2-k, the last two
+                # fixed (positions[p] is the slot placed at p, the inverse of the
+                # unshuffle).  order[p] is the slot of a + b placed at p by both.
+                perm = list(range(m))
+                perm.insert(m - 2, perm.pop(k))
+                orders = [tuple(perm[p] for p in map((L + R).index, range(m - 2)))
+                          + tuple(perm[m - 2:]) for L, R in multi_unshuffles((k, m - 2 - k))]
                 for l, r, s in C.reduced_coproduct(key):
                     a = kt(k + 1, l)
                     if not a:
@@ -652,21 +660,10 @@ def cocumulant_tilde(C, D, f: LinOp, n: int) -> Callable:
                     for ta, ca in a.items():
                         for tb, cb in b.items():
                             tup = ta + tb  # m slots total
-                            degs = tuple(D.degree(x) for x in tup)
-                            # tau_k: move slot k (the last output of a) to position m-2
-                            perm = list(range(m))
-                            moved = perm.pop(k)
-                            perm.insert(m - 2, moved)
-                            s1 = koszul_sign(tuple(perm), degs)
-                            tup1 = tuple(tup[p] for p in perm)
-                            degs1 = tuple(D.degree(x) for x in tup1)
-                            # shuffle the first k slots with the next m-2-k, last two fixed;
-                            # positions[p] is the slot placed at p, the inverse of the unshuffle
-                            for L, R in multi_unshuffles((k, m - 2 - k)):
-                                positions = tuple(map((L + R).index, range(m - 2)))
-                                s2 = koszul_sign(positions + (m - 2, m - 1), degs1)
-                                tup2 = tuple(tup1[p] for p in positions) + tup1[m - 2:]
-                                terms.append((tup2, -s * ca * cb * s1 * s2))
+                            degs = tuple(map(D.degree, tup))
+                            for order in orders:
+                                terms.append((tuple(tup[p] for p in order),
+                                              -s * ca * cb * koszul_sign(order, degs)))
             out = Vector(terms)
         memo[(m, key)] = out
         return out

@@ -151,6 +151,18 @@ class TestSemifullAlgebra:
         assert not rep.ok and not rep.has_fail, rep.to_text()
         assert rep.has_undetermined
 
+    def test_bounds_are_corpus_and_dg_strength(self):
+        # each identity is one all-or-nothing stage: it states no scope bound,
+        # and one beyond the guard says so in its detail
+        f = fix1()
+        keys = [k for k in f.A.space.keys() if sum(k) <= 3]
+        rep = check_semifull_algebra(f.contraction, f.A, SCALARS, keys_A=keys)
+        assert rep.bounds == {"corpus": (len(keys), 1), "dg_strength": "checked"}
+        guarded = check_semifull_algebra(fix1(3).contraction, fix1(3).A, SCALARS)
+        assert set(guarded.bounds) == {"corpus", "dg_strength"}
+        undetermined = [i for i in guarded.items if i.verdict == "UNDETERMINED"]
+        assert undetermined and all(i.detail == "beyond the guard" for i in undetermined)
+
 
 class TestSPL:
     def test_zero_perturbation(self):
@@ -263,6 +275,7 @@ def test_semifull_coalgebra_on_a_finite_coalgebra():
                     LinOp.zero(coalg.basis, degree=1), LinOp.zero(coalg.basis, degree=1))
     rep = check_semifull_coalgebra(C, coalg, coalg)
     assert len(rep.items) == 12 and rep.ok, rep.to_text()
+    assert rep.bounds == {"corpus": (4, 4)}
 
 
 def _hat_homotopy_oracle(C, space, word):

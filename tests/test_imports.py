@@ -391,7 +391,6 @@ def test_every_parameter_is_read():
 RECURSIVE_CLOSURES = {
     "hpt._transfer_recursions.g_component": "the returned TaylorMorphism keeps it",
     "core.multi_unshuffles.rec": "multi_unshuffles is lru_cached, so it runs once per block sizes",
-    "commalg.cumulant_recursion.rec": "breaking it lowered no peak RSS on widebase-prop, which runs it",
     "symcoalg.cocumulant_tilde.kt": "the returned callable keeps it",
     "symcoalg.koszul_cobracket_tilde.kt": "the returned callable keeps it",
 }
@@ -463,7 +462,6 @@ TEST_ONLY_FUNCTIONS = {
     "symcoalg.cocumulants_cofree": "the paper's cocumulants, dual to cumulants",
     "symcoalg.koszul_cobrackets_cofree": "the paper's Koszul cobrackets, dual to Koszul brackets",
     "bv.algebra_dual_coalgebra": "the dual coalgebra, inverse of coalgebra_dual_algebra",
-    "mc.NilpotentFiltration.verify_morphism": "the filtration condition mc_check assumes of its data",
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -182,6 +183,22 @@ class TestFiltration:
         bad = NilpotentFiltration({0: 2, 1: 2, 2: 2}, 3)
         with pytest.raises(ValueError):
             bad.verify_morphism(f.Q, f.basis, bad, 2)
+
+    def test_roundtrip_report_checks_the_filtrations(self):
+        # FIX-3 with every level raised to 2: q_2 of two level-2 keys must land
+        # in level 4 >= the vanishing level 3, that is vanish, and it does not,
+        # so mc_check's truncation would not be exact and the report refuses
+        f, _, res = fix3_data()
+        bad = NilpotentFiltration({0: 2, 1: 2, 2: 2}, 3)
+        with pytest.raises(ValueError, match="filtration violated"):
+            kuranishi_roundtrip_report(KuranishiData(f.Q, res, f.contraction, bad),
+                                       trivial_w_filtration(res), height=1)
+        # r is checked against r_filt: r is zero on FIX-3, so stand Q in for it
+        filt = NilpotentFiltration(f.levels, f.vanishing_level)
+        q_as_r = dataclasses.replace(res, r=f.Q)
+        with pytest.raises(ValueError, match="filtration violated"):
+            kuranishi_roundtrip_report(KuranishiData(f.Q, q_as_r, f.contraction, filt),
+                                       bad, height=1)
 
     def test_morphism_filtration(self):
         f, filt, res = fix3_data()
