@@ -35,7 +35,7 @@ Nothing is memoized across scans.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -280,17 +280,28 @@ def log_automorphism(A: CommAlgebra, arity_bound: int) -> TaylorMorphism:
 # -- cumulants ---------------------------------------------------------------------
 
 
+def _block_products(A: CommAlgebra, keys: tuple) -> dict:
+    """The product of the keys at each ascending tuple of positions, every one
+    formed from the block without its last position: one table per kernel call
+    of the closed formulas, whose unshuffle or partition blocks share it."""
+    out = {(): A.unit()}
+    for size in range(1, len(keys) + 1):
+        for block in combinations(range(len(keys)), size):
+            out[block] = A.mul(out[block[:-1]], Vector.basis(keys[block[-1]]))
+    return out
+
+
 def cumulant_partition(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]) -> Vector:
     """Closed formula: sum over unordered set partitions with (-1)^{k-1}(k-1)! weights."""
     def kernel(*keys):
         degs = tuple(map(A.space.degree, keys))
+        images = {block: f(v) for block, v in _block_products(A, keys).items()}
         out = Vector()
         for part in set_partitions(len(keys)):
             flat = tuple(p for block in part for p in block)
             k = len(part)
             coeff = (-1 if (k - 1) % 2 else 1) * factorial(k - 1) * koszul_sign(flat, degs)
-            images = [f(A.product_keys(keys[p] for p in block)) for block in part]
-            out.add_scaled(reduce(B.mul, images), coeff)
+            out.add_scaled(reduce(B.mul, [images[block] for block in part]), coeff)
         return out
 
     return expand_multilinear(args, kernel)
@@ -373,15 +384,15 @@ def koszul_closed(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vec
     def kernel(*keys):
         n = len(keys)
         degs = tuple(map(A.space.degree, keys))
+        products = _block_products(A, keys)
         out = Vector()
         for i in range(0, n + 1):
             sign_i = -1 if (n - i) % 2 else 1
             for unsh in multi_unshuffles((i, n - i)):
-                head = delta(A.product_keys(keys[p] for p in unsh[0])) if i else du
+                head = delta(products[unsh[0]]) if i else du
                 if head.is_zero():
                     continue
-                tail = A.product_keys(keys[p] for p in unsh[1])
-                out.add_scaled(A.mul(head, tail), sign_i * unshuffle_sign(unsh, degs))
+                out.add_scaled(A.mul(head, products[unsh[1]]), sign_i * unshuffle_sign(unsh, degs))
         return out
 
     return expand_multilinear(args, kernel)

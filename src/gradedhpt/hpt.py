@@ -297,7 +297,9 @@ def hat_homotopy(C: Contraction, space: SymSpace) -> LinOp:
     h^(x_1..x_n) = sum_i sum_{S in [n]-i} |S|!(n-1-|S|)!/n! e (tau sigma x_S) o h(x_i) o x_R,
     R = [n]-S-i.  Each (i, S) term stands for the |S|!(n-1-|S|)! placements of the 1/n!
     symmetrization that give it.  h is an odd symbol placed just before its slot i, and
-    e is the Koszul sign of reordering x_1..x_n into (x_S, h, x_i, x_R)."""
+    e is the Koszul sign of reordering x_1..x_n into (x_S, h, x_i, x_R).  A slot p with
+    tau sigma x_p = 0 makes every term with p in S vanish, so S ranges over the slots
+    whose tau-sigma image is nonzero, and the others always go to R."""
     tau_sigma = C.tau @ C.sigma
     h = C.h
     base = space.base
@@ -312,9 +314,10 @@ def hat_homotopy(C: Contraction, space: SymSpace) -> LinOp:
             if hv.is_zero():
                 continue
             others = tuple(p for p in range(1, n + 1) if p != i)
-            for size in range(n):
+            live = tuple(p for p in others if tau_sigma.on_key(word[p - 1]))
+            for size in range(len(live) + 1):
                 coeff = Q(factorial(size) * factorial(n - 1 - size), factorial(n))
-                for S in itertools.combinations(others, size):
+                for S in itertools.combinations(live, size):
                     R = tuple(p for p in others if p not in S)
                     s = koszul_sign(S + (0, i) + R, degs)
                     factors = ([tau_sigma.on_key(word[p - 1]) for p in S] + [hv]
@@ -358,8 +361,9 @@ class LinfTransfer:
 
 
 def _transfer_recursions(Qd: TaylorCoderivation, C: Contraction, bound: int,
-                         words_W, hat: LinOp):
-    """Explicit transfer recursions for f_i, r_i, and the h^-based one for g_i (lazy)."""
+                         words_W, hat: LinOp, Qmap: LinOp):
+    """Explicit transfer recursions for f_i, r_i, and the h^-based one for g_i (lazy).
+    ``Qmap`` is Q on the words of S(V), whose cached images the g recursion reads."""
     V = C.space_A
     Wb = C.space_B
     f_tables: dict[int, dict] = {1: {}}
@@ -391,7 +395,7 @@ def _transfer_recursions(Qd: TaylorCoderivation, C: Contraction, bound: int,
             return got
         acc = Vector()
         for u, c in hat.on_key(word).items():
-            for u2, c2 in Qd.apply_word(u, bound).items():
+            for u2, c2 in Qmap.on_key(u).items():
                 k = len(u2)
                 if 1 <= k <= n - 1:
                     acc.add_scaled(g_component(k, u2), c * c2)
@@ -427,14 +431,15 @@ def linf_transfer(Qd: TaylorCoderivation, C: Contraction, arity_bound: int,
 
     # route 2: perturbation series on the symmetrized contraction
     sym = symmetrized_contraction(C, arity_bound, words_U, words_W)
-    p = Perturbation(Qd.as_map(sym.space_A) - sym.d_A, arity_bound + 1)
+    Qmap = Qd.as_map(sym.space_A)
+    p = Perturbation(Qmap - sym.d_A, arity_bound + 1)
     _, pert = perturb(sym, p, words_U, words_W)
     r2 = taylor_coderivation_from_map(pert.d_B, arity_bound, label="R(spl)")
     f2 = taylor_morphism_from_map(pert.tau, arity_bound, label="F(spl)")
     g2 = taylor_morphism_from_map(pert.sigma, arity_bound, label="G(spl)")
 
     # route 1: explicit recursions
-    r1, f1, g1 = _transfer_recursions(Qd, C, arity_bound, words_W, sym.h)
+    r1, f1, g1 = _transfer_recursions(Qd, C, arity_bound, words_W, sym.h, Qmap)
 
     for w in words_W:
         if not w:

@@ -31,6 +31,7 @@ projects one to canonical words of S(V).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
@@ -62,6 +63,20 @@ def canonical_word(base, keys: Iterable) -> tuple[SymWord, int] | None:
         if a == b and base.degree(a) % 2:
             return None
     return word, koszul_sign(order, degs)
+
+
+def insert_letter(base, k, word: SymWord) -> tuple[SymWord, int] | None:
+    """``canonical_word(base, (k,) + word)`` for a canonical ``word``: k moves to
+    its sorted slot, found by bisection, past the letters x before it with the
+    sign (-1)^(|k| sum |x|); None if k is odd and already in the word."""
+    j = bisect_left(word, k)
+    s = 1
+    if base.degree(k) % 2:
+        if j < len(word) and word[j] == k:
+            return None
+        if sum(base.degree(x) for x in word[:j]) % 2:
+            s = -1
+    return word[:j] + (k,) + word[j:], s
 
 
 def canonical_sum(base, terms: Iterable) -> Vector:
@@ -335,26 +350,28 @@ class TaylorCoderivation(_TaylorData):
 
     def apply_word(self, word: SymWord, bound: int) -> Vector:
         """The coderivation on a canonical word, by the unshuffle formula: the
-        sum over (i, n-i)-unshuffles of q_i(block) o rest, q0 o word included."""
+        sum over (i, n-i)-unshuffles of q_i(block) o rest, i = 0 giving
+        q0 o word.  ``rest`` is canonical, so each output letter is inserted
+        into it (``insert_letter``) rather than the whole word re-sorted."""
         n = len(word)
         if self.q0 and n + 1 > bound:
             raise Overflow(f"coderivation output weight {n + 1} exceeds bound {bound}")
-        degs = tuple(self.base.degree(k) for k in word)
+        base = self.base
+        degs = tuple(base.degree(k) for k in word)
         top = min(n, self.arity_bound) if self.exact_beyond else n
 
         def terms():
-            for k, c in self.q0.items():
-                yield (k,) + word, c
-            for i in range(1, top + 1):
+            for i in range(top + 1):
                 for unsh in multi_unshuffles((i, n - i)):
-                    s = unshuffle_sign(unsh, degs)
                     qv = self.component(i, tuple(word[p] for p in unsh[0]))
                     if qv:
+                        s = unshuffle_sign(unsh, degs)
                         rest = tuple(word[p] for p in unsh[1])
                         for k, c in qv.items():
-                            yield (k,) + rest, c * s
+                            if (cw := insert_letter(base, k, rest)) is not None:
+                                yield cw[0], c * (s * cw[1])
 
-        return canonical_sum(self.base, terms())
+        return Vector(terms())
 
     def as_map(self, space: SymSpace) -> LinOp:
         return LinOp(space, space, self.degree,

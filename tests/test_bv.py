@@ -345,6 +345,41 @@ class TestBVMC:
             assert b == LaurentVec({0: A.monomial({"x": 1}, c) + A.monomial({"x": 2}, Q(c ** 2, 2))})
             assert laurent_exp(A, b, 3) == LaurentVec({0: f0(laurent_exp(A, a, 3).coeff(0))})
 
+    def test_mixed_power_weights(self):
+        # as above with an even z, |z| = -2, z^2 = 0, and a = c x + t x z: the
+        # multisets {0, ..., 0, 1} of powers have weight 1/(n-1)!, not 1/n!, and
+        # their brackets z K_n(x, ..., x) are nonzero
+        A = GuardedFreeAlgebra([("x", 0, 3), ("z", -2, 2), ("eta", -1, None)], 5)
+
+        def d2_fn(key):
+            e, f, eta = key
+            if e >= 2 and eta == 0:
+                return A.monomial({"x": e - 2, "z": f, "eta": 1}, e * (e - 1))
+            return Vector.zero()
+
+        Delta = TOp({1: LinOp(A.space, A.space, -1, d2_fn, "eta d2")}, A.space, A.space, 1, 2)
+        f0 = LinOp(A.space, A.space, 0, lambda k: Vector.basis(k, 2 if k[0] == 2 else 1), "f")
+        f = TOp({0: f0}, A.space, A.space, 0, 2)
+        for c in (1, 3):
+            a = LaurentVec({0: A.monomial({"x": 1}, c), 1: A.monomial({"x": 1, "z": 1})})
+            # e^{-a} Delta(e^a) = t (c^2 - c^3 x + c^4/2 x^2) eta
+            #                     + t^2 (2c - 3c^2 x + 2c^3 x^2) z eta, cross-checked
+            ok, res = bv_mc_check(A, Delta, a, -1, 3, 4, nilpotency=3)
+            assert not ok
+            assert res == LaurentVec({
+                1: A.monomial({"eta": 1}, c ** 2) + A.monomial({"x": 1, "eta": 1}, -c ** 3)
+                + A.monomial({"x": 2, "eta": 1}, Q(c ** 4, 2)),
+                2: A.monomial({"z": 1, "eta": 1}, 2 * c) + A.monomial({"x": 1, "z": 1, "eta": 1}, -3 * c ** 2)
+                + A.monomial({"x": 2, "z": 1, "eta": 1}, 2 * c ** 3)})
+            assert bv_mc_residual(A, Delta, a, 4) == res
+            # f0 doubles x^2 and x^2 z, so kappa(f0)_2(x, x z) = x^2 z: the push-forward
+            # is b = c x + c^2/2 x^2 + t (x z + c x^2 z), with e^b = f0(e^a)
+            b = bv_mc_pushforward(f, A, A, a, -1, 3, 4)
+            assert b == LaurentVec({0: A.monomial({"x": 1}, c) + A.monomial({"x": 2}, Q(c ** 2, 2)),
+                                    1: A.monomial({"x": 1, "z": 1}) + A.monomial({"x": 2, "z": 1}, c)})
+            ea = laurent_exp(A, a, 3)
+            assert laurent_exp(A, b, 3) == LaurentVec({n: f0(v) for n, v in ea.coeffs.items()})
+
     def test_pushforward_and_kuranishi(self, f2, keys2):
         D = f2.delta_series()
         res = bv_transfer(f2.A, f2.B, D, f2.contraction, -1, 3, 3, keys_A=keys2)

@@ -1,5 +1,8 @@
 import itertools
 import random
+import sys
+import types
+from collections import Counter
 from fractions import Fraction as Q
 from math import factorial
 
@@ -24,6 +27,7 @@ from gradedhpt.fixtures import (
     fix3_extended,
     fix4,
 )
+from gradedhpt import hpt
 from gradedhpt.hpt import (
     Contraction,
     Perturbation,
@@ -37,7 +41,7 @@ from gradedhpt.hpt import (
     verify_prop_transfer,
 )
 from gradedhpt.randgen import random_homogeneous
-from gradedhpt.symcoalg import SymSpace, TaylorCoderivation, assemble_word
+from gradedhpt.symcoalg import SymSpace, TaylorCoderivation, assemble_word, canonical_word, words_over
 
 
 def small_complex():
@@ -298,16 +302,53 @@ def _hat_homotopy_oracle(C, space, word):
     return out
 
 
-@pytest.mark.parametrize("make, W", [(lambda: fix3_extended().contraction, 5),
-                                     (lambda: fix4().contraction, 6),
-                                     (small_complex, 4)],
-                         ids=["FIX-3X", "FIX-4", "small_complex"])
+def _fix2_mid_on_its_corpus():
+    # 8 of the 13 corpus keys have tau sigma = 0, so most S of h^ are pruned
+    f = fix2_mid()
+    return f.contraction, f.keys_A
+
+
+@pytest.mark.parametrize("make, W", [(lambda: (fix3_extended().contraction, None), 5),
+                                     (lambda: (fix4().contraction, None), 6),
+                                     (lambda: (small_complex(), None), 4),
+                                     (_fix2_mid_on_its_corpus, 3)],
+                         ids=["FIX-3X", "FIX-4", "small_complex", "FIX-2M"])
 def test_hat_homotopy_matches_placement_oracle(make, W):
-    C = make()
+    C, letters = make()
     space = SymSpace(C.space_A, W)
     hat = hat_homotopy(C, space)
-    for w in space.keys():
+    words = space.keys() if letters is None else words_over(C.space_A, letters, W)
+    for w in words:
         assert hat.on_key(w) == _hat_homotopy_oracle(C, space, w), w
+
+
+def test_transfer_does_no_dead_work(monkeypatch):
+    # FIX-3X at W=5: each image of a coderivation on a word is computed once (the
+    # g recursion reads the images the perturbation cached), and h^ assembles no
+    # term with a zero factor
+    runs = Counter()
+    apply_word = TaylorCoderivation.apply_word
+
+    def counted(self, word, bound):
+        runs[self, word] += 1
+        return apply_word(self, word, bound)
+
+    hat_fn = next(c for c in hat_homotopy.__code__.co_consts
+                  if isinstance(c, types.CodeType) and c.co_name == "fn")
+    zero_factors = []
+    assemble = hpt.assemble_word
+
+    def checked(base, factors, bound):
+        if sys._getframe(1).f_code is hat_fn and not all(factors):
+            zero_factors.append(factors)
+        return assemble(base, factors, bound)
+
+    monkeypatch.setattr(TaylorCoderivation, "apply_word", counted)
+    monkeypatch.setattr(hpt, "assemble_word", checked)
+    fx = fix3_extended()
+    linf_transfer(fx.Q, fx.contraction, 5)
+    assert runs and max(runs.values()) == 1, [key for key, n in runs.items() if n > 1][:3]
+    assert not zero_factors, len(zero_factors)
 
 
 class TestSymmetrizedContraction:
@@ -330,9 +371,6 @@ class TestSymmetrizedContraction:
         x = Vector.basis(0) + Vector.basis(2, 2)  # degree-0 combination
         SU = SymSpace(U, 4)
         for n in (2, 3):
-            word_el = Vector.basis(()) if False else None
-            from gradedhpt.core import expand_multilinear
-            from gradedhpt.symcoalg import canonical_word
             # assemble x^{on}
             power = Vector()
             def rec(i, keys, coeff):
@@ -354,7 +392,6 @@ class TestSymmetrizedContraction:
             expect = Vector.zero()
             for i in range(n):
                 factors = [hx] + [ts] * i + [x] * (n - 1 - i)
-                from gradedhpt.symcoalg import assemble_word
                 expect = expect + assemble_word(U, factors, 4)
             assert got == expect, n
 

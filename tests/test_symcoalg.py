@@ -20,6 +20,7 @@ from gradedhpt.symcoalg import (
     coderivation_defect,
     convolution,
     counit_map,
+    insert_letter,
     koszul_cobracket_tilde,
     koszul_cobrackets_cofree,
     star_exp,
@@ -63,6 +64,19 @@ class TestWords:
 
     def test_odd_swap_sign(self):
         assert canonical_word(BASIS, (ETA, XI)) == ((XI, ETA), -1)
+
+    @pytest.mark.parametrize("base", [BASIS, GradedBasis.make([("a", 0), ("xi", 1), ("b", 2), ("eta", 1)])],
+                             ids=["x-xi-eta", "a-xi-b-eta"])
+    def test_insert_letter_is_canonical_word(self, base):
+        # every letter into every canonical word of weight <= 3: the same word and
+        # sign as sorting (k,) + w, and None where an odd k is already there
+        outcomes = set()
+        for w in SymSpace(base, 3).keys():
+            for k in base.keys():
+                got = insert_letter(base, k, w)
+                assert got == canonical_word(base, (k,) + w), (k, w)
+                outcomes.add(None if got is None else got[1])
+        assert outcomes == {None, 1, -1}
 
     def test_space_enumeration(self):
         S = SymSpace(BASIS, 3)
