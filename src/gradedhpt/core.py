@@ -306,6 +306,9 @@ class LinOp:
 
     Lazy: images are computed on demand and cached, so operator algebra
     (composition, perturbation series) stays affordable on large word spaces.
+    An operator caches its own images only.  A certificate evaluates its
+    identity key by key on the images of the maps it certifies and builds no
+    operator of its own, and ``power`` iterates on vectors.
     """
 
     __slots__ = ("domain", "codomain", "degree", "_fn", "_cache", "label")
@@ -371,17 +374,25 @@ class LinOp:
 
     def scale(self, a) -> "LinOp":
         a = Q(a)
-        return LinOp(self.domain, self.codomain, self.degree, lambda k: self.on_key(k).scale(a))
+        return LinOp(self.domain, self.codomain, self.degree, lambda k: self.on_key(k).scale(a),
+                     f"{a}*{self.label}")
 
     __rmul__ = scale
 
     def power(self, n: int) -> "LinOp":
+        """self^n: self applied n times to a key, stopping at zero."""
         if self.domain != self.codomain:
             raise ValueError("powers need an endomorphism")
-        out = LinOp.identity(self.domain)
-        for _ in range(n):
-            out = self @ out
-        return out
+
+        def fn(k):
+            v = Vector.basis(k)
+            for _ in range(n):
+                if not v:
+                    break
+                v = self(v)
+            return v
+
+        return LinOp(self.domain, self.domain, n * self.degree, fn, f"({self.label})^{n}")
 
     def bracket(self, other: "LinOp") -> "LinOp":
         """Graded commutator [self, other] = s o - (-1)^{|s||o|} o s."""

@@ -189,6 +189,36 @@ class TestVectorAndLinOp:
         expect = d @ h + h @ d
         assert dh.first_difference(expect, b.keys()) is None
 
+    def test_scale_keeps_the_label(self):
+        b = two_dim_basis()
+        f = LinOp.from_dict(b, b, 1, {b.index("x"): Vector.basis(b.index("xi"))}, "f")
+        assert f.scale(Q(-1, 2)).label == "-1/2*f"
+
+    def test_power_iterates(self, monkeypatch):
+        # op^5 is one operator that applies op five times to a key; it builds
+        # no chain of composites, and agrees with that chain on every key
+        b = GradedBasis.make([("x", 0), ("y", 0), ("z", 0)])
+        op = LinOp.from_dict(b, b, 0, {0: Vector({0: 1, 1: 2}), 1: Vector({2: 1, 0: -1}),
+                                       2: Vector({0: Q(1, 3)})}, "op")
+        chain = LinOp.identity(b)
+        for _ in range(5):
+            chain = op @ chain
+        built = []
+        init = LinOp.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinOp, "__init__", counted)
+        power = op.power(5)
+        assert len(built) == 1
+        assert power.degree == 0
+        assert power.first_difference(chain, b.keys()) is None
+        nilpotent = LinOp.from_dict(b, b, 0, {0: Vector.basis(1), 1: Vector.basis(2)}, "n")
+        assert nilpotent.power(2).on_key(0) == Vector.basis(2)
+        assert nilpotent.power(3).is_zero_on(b.keys())
+
 
 # -- the scalar contract: int-first exact scalars, Fractions at the boundary --------
 

@@ -55,6 +55,46 @@ def small_complex():
     return Contraction(sigma, tau, h, d, LinOp.zero(V, degree=1))
 
 
+def _hand_built(U_degrees, V_degrees, sigma, tau, h, d_A, d_B):
+    """An unverified contraction between bases of the given degrees, each map
+    a table {key: {key: coefficient}}."""
+    U = GradedBasis.make([(f"u{i}", d) for i, d in enumerate(U_degrees)])
+    V = GradedBasis.make([(f"v{i}", d) for i, d in enumerate(V_degrees)])
+
+    def op(dom, cod, degree, table, label):
+        return LinOp.from_dict(dom, cod, degree, {k: Vector(v) for k, v in table.items()}, label)
+
+    return Contraction(op(U, V, 0, sigma, "sigma"), op(V, U, 0, tau, "tau"), op(U, U, -1, h, "h"),
+                       op(U, U, 1, d_A, "d_A"), op(V, V, 1, d_B, "d_B"), verify_on_init=False)
+
+
+# (axiom, contraction, keys_A, keys_B, witness): each corruption makes its axiom
+# the first to fail, and an empty B corpus skips the four B axioms.  _SMALL is
+# small_complex's bases and sigma (u0 -> u1 contracted away, u2 onto v0); _ID2
+# and _ID3 contract a complex onto itself.
+_SMALL = ((0, 1, 0), (0,), {2: {0: 1}})
+_TAU = {0: {2: 1}}
+_ID2 = ((0, 1), (0, 1), {k: {k: 1} for k in range(2)}, {k: {k: 1} for k in range(2)})
+_ID3 = ((0, 1, 2), (0, 1, 2), {k: {k: 1} for k in range(3)}, {k: {k: 1} for k in range(3)})
+_CHAIN3 = {0: {1: 1}, 1: {2: 1}}
+BROKEN_AXIOMS = [
+    ("sigma tau = id", lambda: _hand_built(*_SMALL, {0: {2: 2}}, {1: {0: -1}}, {0: {1: 1}}, {}),
+     None, None, 0),
+    ("d_B^2 = 0", lambda: _hand_built(*_ID3, {}, _CHAIN3, _CHAIN3), None, None, 0),
+    ("tau chain map", lambda: _hand_built(*_ID2, {}, {0: {1: 1}}, {}), None, None, 0),
+    ("h tau = 0", lambda: _hand_built(*_SMALL, _TAU, {1: {0: -1}, 2: {0: 1}}, {0: {1: 1}}, {}),
+     None, None, 0),
+    ("homotopy identity", lambda: _hand_built(*_SMALL, _TAU, {}, {0: {1: 1}}, {}), None, None, 0),
+    ("d_A^2 = 0", lambda: _hand_built(*_ID3, {}, _CHAIN3, _CHAIN3), None, (), 0),
+    ("sigma chain map", lambda: _hand_built(*_ID2, {}, {0: {1: 1}}, {}), None, (), 0),
+    ("sigma h = 0", lambda: _hand_built((0, 1), (0,), {0: {0: 1}}, {}, {1: {0: -1}},
+                                        {0: {1: 1}}, {}), None, (), 1),
+    # u0 of degree -1 is h(u1), outside the A corpus, where h^2(u2) = -u0
+    ("h^2 = 0", lambda: _hand_built((-1, 0, 1), (), {}, {}, {1: {0: 1}, 2: {1: -1}},
+                                    {1: {2: 1}}, {}), (1, 2), (), 2),
+]
+
+
 class TestContraction:
     def test_fix1_axioms_hold(self):
         f = fix1()
@@ -70,6 +110,27 @@ class TestContraction:
                                       {f.A.space.keys()[2]: f.A.unit()})
         with pytest.raises(ValueError):
             Contraction(C.sigma, C.tau, bad_h, C.d_A, C.d_B)
+
+    @pytest.mark.parametrize("axiom, make, keys_A, keys_B, witness", BROKEN_AXIOMS,
+                             ids=[case[0] for case in BROKEN_AXIOMS])
+    def test_first_failing_axiom_is_reported(self, axiom, make, keys_A, keys_B, witness):
+        C = make()
+        with pytest.raises(ValueError) as err:
+            C.verify(keys_A, keys_B)
+        assert str(err.value) == f"contraction axiom {axiom!r} fails at {witness}"
+
+    def test_perturbation_failures_are_reported(self):
+        C = small_complex()
+        # (d + delta)(a) = b and (d + delta)(b) = a
+        back = LinOp.from_dict(C.space_A, C.space_A, 1, {1: Vector.basis(0)}, "delta")
+        with pytest.raises(ValueError) as err:
+            perturb(C, Perturbation(back, 2))
+        assert str(err.value) == "(d + delta)^2 != 0 at 0"
+        f = fix1()
+        delta, _ = fix1_perturbation(f)
+        with pytest.raises(ConvergenceFault) as err:
+            perturb(f.contraction, Perturbation(delta, 1))
+        assert str(err.value) == "(h delta)^1 != 0 at (3, 0); certificate exceeded"
 
 
 class TestSemifullAlgebra:
@@ -349,6 +410,39 @@ def test_transfer_does_no_dead_work(monkeypatch):
     linf_transfer(fx.Q, fx.contraction, 5)
     assert runs and max(runs.values()) == 1, [key for key, n in runs.items() if n > 1][:3]
     assert not zero_factors, len(zero_factors)
+
+
+def test_one_h_delta_serves_certificate_and_lemma(monkeypatch):
+    # FIX-3X at W=5: the nilpotency certificate and the lemma's geometric
+    # series read one h o delta, so its image of each word is computed once
+    certified = []
+    perturb_ = hpt.perturb
+
+    def recorded(C, p, keys_A, keys_B):
+        certified.append((C.h, p.delta))
+        return perturb_(C, p, keys_A, keys_B)
+
+    runs = Counter()
+    matmul = LinOp.__matmul__
+
+    def counted(self, other):
+        op = matmul(self, other)
+        if any(self is h and other is delta for h, delta in certified):
+            fn = op._fn
+
+            def image(word):
+                runs[word] += 1
+                return fn(word)
+
+            op._fn = image
+        return op
+
+    monkeypatch.setattr(hpt, "perturb", recorded)
+    monkeypatch.setattr(LinOp, "__matmul__", counted)
+    fx = fix3_extended()
+    linf_transfer(fx.Q, fx.contraction, 5)
+    assert len(certified) == 1 and runs
+    assert max(runs.values()) == 1, [word for word, n in runs.items() if n > 1][:3]
 
 
 class TestSymmetrizedContraction:

@@ -13,10 +13,12 @@ allowlist gives the one-line reason a test-only option stays, every
 parameter is read: the body of each module-level function and method reads
 each of its parameters but a method's ``self`` or ``cls``, no nested
 function that calls itself outlives its enclosing call as a reference cycle,
-unless an allowlist gives the one-line reason it stays, and every function
+unless an allowlist gives the one-line reason it stays, every function
 has a library caller: each module-level function and method is referenced in
 ``src/`` or ``perfbench/`` outside its own body, unless an allowlist gives the
-one-line reason only tests reach it."""
+one-line reason only tests reach it, and no certificate compares an operator
+with a freshly built ``LinOp.zero`` or ``LinOp.identity`` through
+``first_difference``."""
 
 import ast
 from pathlib import Path
@@ -504,3 +506,29 @@ def test_every_function_has_a_library_caller():
     assert not stray, f"functions only tests reach (cut them or give a library caller): {stray}"
     stale = sorted(set(TEST_ONLY_FUNCTIONS) - set(uncalled))
     assert not stale, f"allowlisted functions that now have a library caller or are gone: {stale}"
+
+
+# A certificate evaluates its identity key by key on the images of the maps it
+# certifies.  A zero or identity operator built only to be compared caches an
+# empty or a basis vector for every key it is compared on, read once.
+
+
+def fresh_comparison_sites(path: Path) -> list:
+    """(owner, line) of each ``first_difference`` call whose receiver or an
+    argument is a call ``LinOp.zero(...)`` or ``LinOp.identity(...)``."""
+    def fresh(node) -> bool:
+        f = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(f, ast.Attribute) and f.attr in ("zero", "identity")
+                and isinstance(f.value, ast.Name) and f.value.id == "LinOp")
+
+    return [(owner, node.lineno) for owner, node in owned_nodes(path)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "first_difference"
+            and any(fresh(a) for a in (node.func.value, *node.args,
+                                       *(k.value for k in node.keywords)))]
+
+
+@pytest.mark.parametrize("path", LIBRARY_MODULES, ids=lambda p: p.name)
+def test_no_comparison_with_a_fresh_zero_or_identity(path):
+    sites = fresh_comparison_sites(path)
+    assert not sites, f"{path.name}: compare with a defect key by key, not a built operator, at {sites}"
