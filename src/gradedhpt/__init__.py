@@ -9,7 +9,7 @@ from .core import (
     RouteDisagreement,
     Vector,
     koszul_sign,
-    multi_unshuffles,
+    unshuffles,
 )
 
 __all__ = [
@@ -21,5 +21,5 @@ __all__ = [
     "RouteDisagreement",
     "Vector",
     "koszul_sign",
-    "multi_unshuffles",
+    "unshuffles",
 ]

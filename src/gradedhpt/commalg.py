@@ -48,10 +48,8 @@ from .core import (
     RouteDisagreement,
     Vector,
     expand_multilinear,
-    koszul_sign,
-    multi_unshuffles,
     set_partitions,
-    unshuffle_sign,
+    unshuffles,
 )
 from .symcoalg import (
     SymSpace,
@@ -297,11 +295,10 @@ def cumulant_partition(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
         degs = tuple(map(A.space.degree, keys))
         images = {block: f(v) for block, v in _block_products(A, keys).items()}
         out = Vector()
-        for part in set_partitions(len(keys)):
-            flat = tuple(p for block in part for p in block)
-            k = len(part)
-            coeff = (-1 if (k - 1) % 2 else 1) * factorial(k - 1) * koszul_sign(flat, degs)
-            out.add_scaled(reduce(B.mul, [images[block] for block in part]), coeff)
+        for factors, sign in set_partitions(degs, images.__getitem__):
+            k = len(factors)
+            coeff = (-1 if (k - 1) % 2 else 1) * factorial(k - 1) * sign
+            out.add_scaled(reduce(B.mul, factors), coeff)
         return out
 
     return expand_multilinear(args, kernel)
@@ -317,14 +314,16 @@ def cumulant_recursion(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
         out = Vector()
         for kc, x in A.mul_keys(b, c):
             out.add_scaled(rec(rest + (kc,)), x)
-        m = len(rest)
-        degs = tuple(map(A.space.degree, keys))
-        for i in range(m + 1):
-            for unsh in multi_unshuffles((i, m - i)):
-                perm = unsh[0] + (m,) + unsh[1] + (m + 1,)
-                left = rec(tuple(rest[p] for p in unsh[0]) + (b,))
-                right = rec(tuple(rest[p] for p in unsh[1]) + (c,))
-                out.add_scaled(B.mul(left, right), -koszul_sign(perm, degs))
+        # (left, b, right, c): b passes the right block, c stays last
+        degs = tuple(map(A.space.degree, rest))
+        b_odd = A.space.degree(b) % 2
+        for i in range(len(rest) + 1):
+            for left, right, s in unshuffles(degs, i):
+                if b_odd and sum(degs[p] for p in right) % 2:
+                    s = -s
+                lv = rec(tuple(map(rest.__getitem__, left)) + (b,))
+                rv = rec(tuple(map(rest.__getitem__, right)) + (c,))
+                out.add_scaled(B.mul(lv, rv), -s)
         return out
 
     try:
@@ -388,11 +387,11 @@ def koszul_closed(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vec
         out = Vector()
         for i in range(0, n + 1):
             sign_i = -1 if (n - i) % 2 else 1
-            for unsh in multi_unshuffles((i, n - i)):
-                head = delta(products[unsh[0]]) if i else du
+            for left, right, s in unshuffles(degs, i):
+                head = delta(products[left]) if i else du
                 if head.is_zero():
                     continue
-                out.add_scaled(A.mul(head, products[unsh[1]]), sign_i * unshuffle_sign(unsh, degs))
+                out.add_scaled(A.mul(head, products[right]), sign_i * s)
         return out
 
     return expand_multilinear(args, kernel)

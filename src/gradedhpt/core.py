@@ -1,8 +1,11 @@
 """Exact graded linear algebra: bases, sparse vectors, homogeneous maps, Koszul signs.
 
 Everything downstream (symmetric coalgebras, cumulants, perturbation theory)
-is built on the three primitives defined here: `koszul_sign`, `multi_unshuffles`
-and the `Vector`/`LinOp` pair.  `expand_multilinear` is the one multilinear
+is built on the three primitives defined here: `koszul_sign`, the two-block
+`unshuffles` with their running Koszul sign, and the `Vector`/`LinOp` pair.
+`set_partitions` builds each partition block by block through `unshuffles`
+and prunes at a block whose factor is None.  Both enumerate on demand and keep
+no table between calls.  `expand_multilinear` is the one multilinear
 extension: a family given by a kernel on tuples of basis keys, on vectors.
 
 Scalars are exact and int-first: `Q` returns an ``int`` when a value is
@@ -25,8 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial
 
 
@@ -80,53 +82,49 @@ def koszul_sign(perm: tuple[int, ...], degrees: tuple[int, ...] | list[int]) -> 
     return s
 
 
-Unshuffle = tuple[tuple[int, ...], ...]
+def unshuffles(degrees, i: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(left, right, sign) for each (i, n-i)-unshuffle of the positions 0..n-1,
+    n = len(degrees): left runs through ``combinations(range(n), i)`` in order,
+    right holds the other positions ascending (the (n-i)-combinations in
+    reverse order are these complements), and sign is the Koszul sign of
+    placing left before right.  The sign is a running count, one pass over
+    left: each odd left position flips it once for every odd right position
+    before it, the odd positions before it less the odd left ones."""
+    odd = [d % 2 for d in degrees]
+    odd_before = list(accumulate(odd, initial=0))
+    positions = range(len(odd))
+    rights = list(combinations(positions, len(odd) - i)) if i <= len(odd) else []
+    rights.reverse()
+    for left, right in zip(combinations(positions, i), rights):
+        flips = t = 0
+        for p in left:
+            if odd[p]:
+                flips += odd_before[p] - t
+                t += 1
+        yield left, right, -1 if flips % 2 else 1
 
 
-@lru_cache(maxsize=None)
-def multi_unshuffles(sizes: tuple[int, ...]) -> tuple[Unshuffle, ...]:
-    """All partitions of ``{0..n-1}`` into ordered blocks of the given sizes.
-
-    Positions increase within each block; blocks keep their role order, so the
-    result enumerates S(i_1,...,i_k) with n!/(i_1!...i_k!) entries, in a fixed
-    lexicographic order.
-    """
-    if any(s < 0 for s in sizes):
-        raise ValueError(f"negative block size in {sizes}")
-    n = sum(sizes)
-
-    def rec(positions: tuple[int, ...], rest: tuple[int, ...]) -> Iterator[Unshuffle]:
+def set_partitions(degrees, factor: Callable[[tuple[int, ...]], object]) -> Iterator[tuple[tuple, int]]:
+    """(factors, sign) for each set partition of the positions 0..n-1 into
+    blocks ordered by their least position, n = len(degrees): factors holds
+    ``factor(block)`` for each block and sign is the Koszul sign of placing
+    the blocks one after another.  A partition is built block by block, each
+    the first remaining position together with a subset of the rest, split
+    off by `unshuffles` with its sign; a factor of None prunes every partition
+    that contains its block, so no block after it is evaluated."""
+    stack = [(tuple(range(len(degrees))), (), 1)]
+    while stack:
+        rest, factors, sign = stack.pop()
         if not rest:
-            yield ()
-            return
-        size, tail = rest[0], rest[1:]
-        for block in combinations(positions, size):
-            block_set = set(block)
-            remaining = tuple(p for p in positions if p not in block_set)
-            for sub in rec(remaining, tail):
-                yield (block,) + sub
-
-    return tuple(rec(tuple(range(n)), tuple(sizes)))
-
-
-def unshuffle_sign(unshuffle: Unshuffle, degrees: tuple[int, ...] | list[int]) -> int:
-    """Koszul sign of the permutation obtained by concatenating the blocks."""
-    flat = tuple(p for block in unshuffle for p in block)
-    return koszul_sign(flat, degrees)
-
-
-@lru_cache(maxsize=None)
-def set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Unordered partitions of ``{0..n-1}``; blocks ascending, ordered by minimum."""
-    if n == 0:
-        return ((),)
-    out: list[tuple[tuple[int, ...], ...]] = []
-    # element n-1 joins an existing block or forms a new one
-    for part in set_partitions(n - 1):
-        for i in range(len(part)):
-            out.append(part[:i] + (part[i] + (n - 1,),) + part[i + 1:])
-        out.append(part + ((n - 1,),))
-    return tuple(sorted(out))
+            yield factors, sign
+            continue
+        first, tail = rest[0], rest[1:]
+        tail_degrees = [degrees[p] for p in tail]
+        for i in range(len(tail) + 1):
+            for left, right, s in unshuffles(tail_degrees, i):
+                value = factor((first,) + tuple(map(tail.__getitem__, left)))
+                if value is not None:
+                    stack.append((tuple(map(tail.__getitem__, right)), factors + (value,), sign * s))
 
 
 class Vector:

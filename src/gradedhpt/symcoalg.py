@@ -22,7 +22,10 @@ compare through it.
 
 There is one coalgebra interface: ``unit_key``, ``keys``, ``reduced_keys``,
 ``degree``, ``coproduct`` and ``reduced_coproduct``.  ``SymSpace`` is the
-cofree coalgebra with it, and ``FiniteCoalgebra`` an explicit one.
+cofree coalgebra with it, whose coproduct yields the splits of a word and
+stores none, and ``FiniteCoalgebra`` an explicit one, whose coproduct table is
+its definition.  The splits of a word, here and in the reconstruction
+formulas, are `core.unshuffles` read off its letters (``_word_unshuffles``).
 
 A tensor (an element of C^{(x)n}, such as a coproduct image or a tilde
 recursion's value) is a `Vector` keyed by tuples of keys; ``canonical_sum``
@@ -33,9 +36,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     LinOp,
@@ -44,10 +47,9 @@ from .core import (
     Q,
     Vector,
     koszul_sign,
-    multi_unshuffles,
     multilinear_terms,
     set_partitions,
-    unshuffle_sign,
+    unshuffles,
 )
 
 SymWord = tuple  # ascending tuple of base keys
@@ -87,6 +89,16 @@ def canonical_sum(base, terms: Iterable) -> Vector:
                   if (cw := canonical_word(base, keys)) is not None)
 
 
+def _word_unshuffles(word: SymWord, degs: tuple, i: int):
+    """`unshuffles` of ``word`` (letter degrees ``degs``) read off its letters:
+    (left, right, sign) with left and right sub-words.  Combinations of the
+    letters run in the order of those of the positions."""
+    rights = list(combinations(word, len(word) - i)) if i <= len(word) else []
+    rights.reverse()
+    for left, right, (_, _, s) in zip(combinations(word, i), rights, unshuffles(degs, i)):
+        yield left, right, s
+
+
 def words_over(base, keys, max_weight: int, min_weight: int = 0) -> list:
     """Canonical words with letters from a key subset, in increasing weight from
     min_weight to max_weight and lexicographic within a weight (scopes, samples
@@ -109,8 +121,6 @@ class SymSpace:
         self.base = base
         self.weight_bound = weight_bound
         self._keys: tuple[SymWord, ...] | None = None
-        self._cop: dict = {}
-        self._red: dict = {}
 
     def __eq__(self, other):
         return (isinstance(other, SymSpace) and self.base == other.base
@@ -137,29 +147,15 @@ class SymSpace:
         return Vector.basis(())
 
     # -- coproduct -------------------------------------------------------------
-    def coproduct(self, word: SymWord) -> tuple[tuple[SymWord, SymWord, int], ...]:
-        """Unshuffle coproduct: all splittings (left, right, Koszul sign)."""
-        out = self._cop.get(word)
-        if out is None:
-            degs = tuple(self.base.degree(k) for k in word)
-            n = len(word)
-            terms = []
-            for i in range(n + 1):
-                for unsh in multi_unshuffles((i, n - i)):
-                    s = unshuffle_sign(unsh, degs)
-                    left = tuple(word[p] for p in unsh[0])
-                    right = tuple(word[p] for p in unsh[1])
-                    terms.append((left, right, s))
-            out = tuple(terms)
-            self._cop[word] = out
-        return out
+    def coproduct(self, word: SymWord) -> Iterator[tuple[SymWord, SymWord, int]]:
+        """Unshuffle coproduct: all splittings (left, right, Koszul sign),
+        yielded one by one and stored nowhere."""
+        degs = tuple(map(self.base.degree, word))
+        for i in range(len(word) + 1):
+            yield from _word_unshuffles(word, degs, i)
 
-    def reduced_coproduct(self, word: SymWord) -> tuple[tuple[SymWord, SymWord, int], ...]:
-        out = self._red.get(word)
-        if out is None:
-            out = tuple(t for t in self.coproduct(word) if t[0] and t[1])
-            self._red[word] = out
-        return out
+    def reduced_coproduct(self, word: SymWord) -> Iterator[tuple[SymWord, SymWord, int]]:
+        return (t for t in self.coproduct(word) if t[0] and t[1])
 
     # -- product ---------------------------------------------------------------
     def product_words(self, w1: SymWord, w2: SymWord) -> tuple[SymWord, int] | None:
@@ -278,23 +274,15 @@ class TaylorMorphism(_TaylorData):
         """The morphism on a canonical word, by the set-partition formula: the
         sum over set partitions of the word of the symmetric product of the
         coefficients on the blocks, with the Koszul sign of the partition.  A
-        block beyond the arity bound of non-exact data raises Overflow."""
-        n = len(word)
-        if n == 0:
-            return Vector.basis(())
-        degs = tuple(self.base.degree(k) for k in word)
+        zero coefficient prunes every partition that contains its block (see
+        `set_partitions`).  A block beyond the arity bound of non-exact data
+        raises Overflow."""
+        def factor(block):
+            return self.component(len(block), tuple(map(word.__getitem__, block))) or None
+
         out = Vector()
-        for part in set_partitions(n):
-            factors = []
-            for block in part:
-                fv = self.component(len(block), tuple(word[p] for p in block))
-                if not fv:
-                    break
-                factors.append(fv)
-            else:
-                flat = tuple(p for block in part for p in block)
-                out.add_scaled(assemble_word(self.cod_base, factors, cod_bound),
-                               koszul_sign(flat, degs))
+        for factors, sign in set_partitions(tuple(map(self.base.degree, word)), factor):
+            out.add_scaled(assemble_word(self.cod_base, factors, cod_bound), sign)
         return out
 
     def as_map(self, dom_space: SymSpace, cod_space: SymSpace) -> LinOp:
@@ -357,16 +345,14 @@ class TaylorCoderivation(_TaylorData):
         if self.q0 and n + 1 > bound:
             raise Overflow(f"coderivation output weight {n + 1} exceeds bound {bound}")
         base = self.base
-        degs = tuple(base.degree(k) for k in word)
+        degs = tuple(map(base.degree, word))
         top = min(n, self.arity_bound) if self.exact_beyond else n
 
         def terms():
             for i in range(top + 1):
-                for unsh in multi_unshuffles((i, n - i)):
-                    qv = self.component(i, tuple(word[p] for p in unsh[0]))
+                for left, rest, s in _word_unshuffles(word, degs, i):
+                    qv = self.component(i, left)
                     if qv:
-                        s = unshuffle_sign(unsh, degs)
-                        rest = tuple(word[p] for p in unsh[1])
                         for k, c in qv.items():
                             if (cw := insert_letter(base, k, rest)) is not None:
                                 yield cw[0], c * (s * cw[1])
@@ -385,13 +371,10 @@ class TaylorCoderivation(_TaylorData):
         sign = -1 if (q.degree % 2) and (r.degree % 2) else 1
 
         def fn(n, word):
-            degs = tuple(q.base.degree(k) for k in word)
+            degs = tuple(map(q.base.degree, word))
             out = Vector()
             for i in range(n + 1):
-                for unsh in multi_unshuffles((i, n - i)):
-                    s = unshuffle_sign(unsh, degs)
-                    block = tuple(word[p] for p in unsh[0])
-                    rest = tuple(word[p] for p in unsh[1])
+                for block, rest, s in _word_unshuffles(word, degs, i):
                     rv = r.component(i, block) if i else r.q0
                     if not rv.is_zero():
                         out.add_scaled(q.eval_mixed(rv, rest), s)
@@ -427,18 +410,12 @@ def hat_extension(space: SymSpace, arity: int, table_fn: Callable[[SymWord], Vec
     base = space.base
 
     def fn(word):
-        k = len(word)
-        if k < arity:
-            return Vector.zero()
-        degs = tuple(base.degree(x) for x in word)
         out = Vector()
-        for unsh in multi_unshuffles((arity, k - arity)):
-            s = unshuffle_sign(unsh, degs)
-            val = table_fn(tuple(word[p] for p in unsh[0]))
+        for block, rest, s in _word_unshuffles(word, tuple(map(base.degree, word)), arity):
+            val = table_fn(block)
             if val.is_zero():
                 continue
-            rest = Vector.basis(tuple(word[p] for p in unsh[1]))
-            out.add_scaled(space.product(val, rest), s)
+            out.add_scaled(space.product(val, Vector.basis(rest)), s)
         return out
 
     return LinOp(space, space, degree, fn, label or "hat")
@@ -657,17 +634,19 @@ def cocumulant_tilde(C, D, f: LinOp, n: int) -> Callable:
             out = Vector(((k,), c) for k, c in f.on_key(key).items())
         else:
             terms = _last_slot_coproduct(D, kt(m - 1, key))
+            splits = tuple(C.reduced_coproduct(key))
             # subtract shuffled products of lower cocumulants
             for k in range(m - 1):
                 # tau_k moves slot k (the last output of a) to position m-2; then
                 # the first k slots shuffle with the next m-2-k, the last two
                 # fixed (positions[p] is the slot placed at p, the inverse of the
-                # unshuffle).  order[p] is the slot of a + b placed at p by both.
+                # unshuffle).  order[p] is the slot of a + b placed at p by both;
+                # the unshuffles are of positions only, their signs unused.
                 perm = list(range(m))
                 perm.insert(m - 2, perm.pop(k))
                 orders = [tuple(perm[p] for p in map((L + R).index, range(m - 2)))
-                          + tuple(perm[m - 2:]) for L, R in multi_unshuffles((k, m - 2 - k))]
-                for l, r, s in C.reduced_coproduct(key):
+                          + tuple(perm[m - 2:]) for L, R, _ in unshuffles((0,) * (m - 2), k)]
+                for l, r, s in splits:
                     a = kt(k + 1, l)
                     if not a:
                         continue

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from fractions import Fraction as Q
 
@@ -13,9 +14,8 @@ from gradedhpt.core import (
     LinOp,
     Vector,
     koszul_sign,
-    multi_unshuffles,
     set_partitions,
-    unshuffle_sign,
+    unshuffles,
 )
 from gradedhpt.randgen import (
     random_algebra_pair,
@@ -82,13 +82,32 @@ class TestKoszulSign:
         assert koszul_sign(p, degs) == sign_by_transpositions(p, degs, "ltr")
 
 
+def iterated_unshuffles(sizes):
+    """Each unshuffle of the positions 0..n-1 into ordered blocks of the given
+    sizes: each block is split off the remaining positions by the two-block
+    `unshuffles`."""
+    layer = [((), tuple(range(sum(sizes))))]
+    for size in sizes:
+        layer = [(blocks + (tuple(rest[p] for p in left),), tuple(rest[p] for p in right))
+                 for blocks, rest in layer
+                 for left, right, _ in unshuffles((0,) * len(rest), size)]
+    return [blocks for blocks, _ in layer]
+
+
+def parity_patterns(n):
+    """Degree tuples of length n, one for every pattern of parities (all-even
+    and all-odd included), mixing the signs and sizes of the degrees."""
+    for bits in itertools.product((0, 1), repeat=n):
+        yield tuple((3 if b else 2) if p % 2 else (-1 if b else 0) for p, b in enumerate(bits))
+
+
 class TestUnshuffles:
     def test_small_counts(self):
-        assert len(multi_unshuffles((1, 1))) == 2
-        assert len(multi_unshuffles((2, 1))) == 3
+        assert len(list(unshuffles((0, 0), 1))) == 2
+        assert len(list(unshuffles((0, 0, 0), 2))) == 3
 
     def test_221_against_exhaustive_filter(self):
-        got = set(multi_unshuffles((2, 2, 1)))
+        got = set(iterated_unshuffles((2, 2, 1)))
         brute = set()
         for perm in itertools.permutations(range(5)):
             blocks = (perm[0:2], perm[2:4], perm[4:5])
@@ -111,35 +130,88 @@ class TestUnshuffles:
                 expect = factorial(n)
                 for part in comp:
                     expect //= factorial(part)
-                assert len(multi_unshuffles(comp)) == expect
-        assert len(multi_unshuffles((3, 3, 2))) == 560
+                assert len(iterated_unshuffles(comp)) == expect
+        assert len(iterated_unshuffles((3, 3, 2))) == 560
 
     def test_blocks_increasing_and_disjoint(self):
-        for unsh in multi_unshuffles((2, 3)):
-            flat = [p for block in unsh for p in block]
-            assert sorted(flat) == list(range(5))
-            for block in unsh:
+        for left, right, _ in unshuffles((0,) * 5, 2):
+            assert sorted(left + right) == list(range(5))
+            for block in (left, right):
                 assert list(block) == sorted(block)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
-            multi_unshuffles((2, -1))
+            list(unshuffles((0, 0), -1))
 
     def test_unshuffle_sign(self):
         # splitting (x0, x1) odd/odd as ((1), (0)) crosses once
-        assert unshuffle_sign(((1,), (0,)), (1, 1)) == -1
-        assert unshuffle_sign(((0,), (1,)), (1, 1)) == 1
+        assert list(unshuffles((1, 1), 1)) == [((0,), (1,), 1), ((1,), (0,), -1)]
+
+    def test_signs_and_order_match_koszul_sign(self):
+        # every i, n <= 7, every parity pattern: left in the order of
+        # combinations, right the rest ascending, and the running sign the
+        # Koszul sign of left + right
+        for n in range(8):
+            for degs in parity_patterns(n):
+                for i in range(n + 1):
+                    got = list(unshuffles(degs, i))
+                    assert [left for left, _, _ in got] == list(itertools.combinations(range(n), i))
+                    for left, right, s in got:
+                        assert right == tuple(p for p in range(n) if p not in left)
+                        assert s == koszul_sign(left + right, degs), (degs, left)
+
+
+def brute_partitions(n):
+    """Unordered partitions of {0..n-1}, blocks ascending and ordered by their
+    least element: n-1 joins a block of a partition of {0..n-2} or starts one."""
+    if n == 0:
+        return [()]
+    out = []
+    for part in brute_partitions(n - 1):
+        out += [part[:i] + (part[i] + (n - 1,),) + part[i + 1:] for i in range(len(part))]
+        out.append(part + ((n - 1,),))
+    return out
 
 
 class TestSetPartitions:
     def test_bell_numbers(self):
         for n, bell in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
-            assert len(set_partitions(n)) == bell
+            assert len(list(set_partitions((0,) * n, tuple))) == bell
 
     def test_blocks_cover(self):
-        for part in set_partitions(4):
+        for part, _ in set_partitions((0,) * 4, tuple):
             flat = sorted(p for block in part for p in block)
             assert flat == [0, 1, 2, 3]
+
+    def test_partitions_and_signs_match_brute_force(self):
+        # blocks ordered by least position; the carried sign is the Koszul
+        # sign of the blocks placed one after another
+        for n in range(7):
+            for degs in parity_patterns(n):
+                got = list(set_partitions(degs, tuple))
+                assert sorted(part for part, _ in got) == sorted(brute_partitions(n))
+                for part, sign in got:
+                    assert sign == koszul_sign(sum(part, ()), degs), (degs, part)
+
+    def test_none_factor_prunes_its_block(self):
+        # a None factor on every block holding 0 and 1 removes the partitions
+        # that keep them together; the blocks evaluated are exactly the last
+        # blocks of the prefixes whose earlier blocks all have a factor
+        def pruned(block):
+            return {0, 1} <= set(block)
+
+        seen = Counter()
+
+        def factor(block):
+            seen[block] += 1
+            return None if pruned(block) else block
+
+        got = [part for part, _ in set_partitions((0,) * 5, factor)]
+        assert sorted(got) == sorted(p for p in brute_partitions(5) if not any(map(pruned, p)))
+        assert len(got) == 52 - 15
+        prefixes = {part[:j] for part in brute_partitions(5) for j in range(1, len(part) + 1)
+                    if not any(map(pruned, part[:j - 1]))}
+        assert seen == Counter(prefix[-1] for prefix in prefixes)
 
 
 def two_dim_basis():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -410,6 +411,17 @@ def test_transfer_does_no_dead_work(monkeypatch):
     linf_transfer(fx.Q, fx.contraction, 5)
     assert runs and max(runs.values()) == 1, [key for key, n in runs.items() if n > 1][:3]
     assert not zero_factors, len(zero_factors)
+
+
+def test_no_symspace_keeps_a_word_table():
+    # FIX-3X at W=5: the cofree coproduct yields its splits and stores none, so
+    # after the transfer and its certificates no SymSpace holds a table
+    fx = fix3_extended()
+    result = linf_transfer(fx.Q, fx.contraction, 5)
+    spaces = [obj for obj in gc.get_objects() if isinstance(obj, SymSpace)]
+    assert result and spaces
+    tables = [(S, name) for S in spaces for name, value in vars(S).items() if isinstance(value, dict)]
+    assert not tables, tables[:3]
 
 
 def test_one_h_delta_serves_certificate_and_lemma(monkeypatch):

@@ -13,12 +13,13 @@ allowlist gives the one-line reason a test-only option stays, every
 parameter is read: the body of each module-level function and method reads
 each of its parameters but a method's ``self`` or ``cls``, no nested
 function that calls itself outlives its enclosing call as a reference cycle,
-unless an allowlist gives the one-line reason it stays, every function
-has a library caller: each module-level function and method is referenced in
-``src/`` or ``perfbench/`` outside its own body, unless an allowlist gives the
-one-line reason only tests reach it, and no certificate compares an operator
-with a freshly built ``LinOp.zero`` or ``LinOp.identity`` through
-``first_difference``."""
+unless an allowlist gives the one-line reason it stays, no library function
+reads a ``functools`` cache (``lru_cache``, ``cache``, ``cached_property``),
+every function has a library caller: each module-level function and method
+is referenced in ``src/`` or ``perfbench/`` outside its own body, unless an
+allowlist gives the one-line reason only tests reach it, and no certificate
+compares an operator with a freshly built ``LinOp.zero`` or
+``LinOp.identity`` through ``first_difference``."""
 
 import ast
 from pathlib import Path
@@ -392,7 +393,6 @@ def test_every_parameter_is_read():
 # the reason a cycle stays.
 RECURSIVE_CLOSURES = {
     "hpt._transfer_recursions.g_component": "the returned TaylorMorphism keeps it",
-    "core.multi_unshuffles.rec": "multi_unshuffles is lru_cached, so it runs once per block sizes",
     "symcoalg.cocumulant_tilde.kt": "the returned callable keeps it",
     "symcoalg.koszul_cobracket_tilde.kt": "the returned callable keeps it",
 }
@@ -434,6 +434,33 @@ def test_recursive_closures_are_freed():
     assert not stray, f"self-calling nested functions left as reference cycles: {stray}"
     stale = sorted(set(RECURSIVE_CLOSURES) - set(kept))
     assert not stale, f"allowlisted reference cycles that are gone: {stale}"
+
+
+# No table outlives its call: a ``functools`` cache keeps every argument and
+# result for the life of the process.  Each function that reads ``lru_cache``,
+# ``cache`` or ``cached_property`` of ``functools`` (as a decorator or in a
+# call), by a name it imported or as an attribute of the module, is flagged.
+FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def functools_cache_sites(path: Path) -> list:
+    """The owners (module-level function or method, decorators included) that
+    read a ``functools`` cache."""
+    tree = _tree(path)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in FUNCTOOLS_CACHES}
+    modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "functools"}
+    return sorted({owner for owner, node in owned_nodes(path)
+                   if isinstance(node, ast.Name) and node.id in names
+                   or isinstance(node, ast.Attribute) and node.attr in FUNCTOOLS_CACHES
+                   and isinstance(node.value, ast.Name) and node.value.id in modules})
+
+
+def test_no_functools_cache_in_library():
+    sites = [site for path in LIBRARY_MODULES for site in functools_cache_sites(path)]
+    assert not sites, f"functools caches outlive their calls (drop them): {sites}"
 
 
 # Every function has a library caller.  The scope is each module-level function

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from math import factorial
 
@@ -113,7 +114,7 @@ class TestWords:
 class TestCoproduct:
     def test_unit_and_primitives(self):
         S = SymSpace(BASIS, 3)
-        assert S.coproduct(()) == ((() , (), 1),)
+        assert tuple(S.coproduct(())) == ((() , (), 1),)
         terms = S.coproduct((XI,))
         assert set(terms) == {((), (XI,), 1), ((XI,), (), 1)}
 
@@ -211,6 +212,70 @@ class TestMorphismReconstruction:
         Sf = TaylorMorphism.from_linear(f)
         out = Sf.as_map(S, S)(Vector.basis((X, X, XI)))
         assert out == Vector.basis((X, X, ETA), 4)
+
+
+def brute_partitions(n):
+    """Unordered partitions of {0..n-1}, blocks ascending and ordered by their
+    least element: n-1 joins a block of a partition of {0..n-2} or starts one."""
+    if n == 0:
+        return [()]
+    out = []
+    for part in brute_partitions(n - 1):
+        out += [part[:i] + (part[i] + (n - 1,),) + part[i + 1:] for i in range(len(part))]
+        out.append(part + ((n - 1,),))
+    return out
+
+
+class TestMorphismPartitionSum:
+    BASE = GradedBasis.make([("x", 0), ("y", 2), ("xi", 1), ("eta", -1)])
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), arity_bound=st.integers(1, 4),
+           zeros=st.sampled_from([0.25, 0.5, 0.75]))
+    def test_apply_word_is_the_bell_sum(self, seed, arity_bound, zeros):
+        # F on a word is the sum over all Bell(n) set partitions of the signed
+        # symmetric products of its coefficients on the blocks; a zero
+        # coefficient prunes, so the blocks F evaluates are exactly the last
+        # blocks of the partition prefixes whose earlier blocks are nonzero
+        rng = random.Random(seed)
+        base = self.BASE
+        S = SymSpace(base, 5)
+        tables = {n: {w: Vector() if rng.random() < zeros else rand_vector(rng, base, S.degree(w))
+                      for w in S.words_of_weight(n)} for n in range(1, arity_bound + 1)}
+        F = TaylorMorphism.from_tables(base, base, tables, arity_bound)
+        evaluated = Counter()
+        component = F.component
+
+        def counted(n, word):
+            evaluated[word] += 1
+            return component(n, word)
+
+        F.component = counted
+
+        def coeff(word):
+            return tables.get(len(word), {}).get(word, Vector())
+
+        for w in S.keys():
+            degs = tuple(map(base.degree, w))
+            terms, prefixes = [], set()
+            for part in brute_partitions(len(w)):
+                blocks = [tuple(w[p] for p in block) for block in part]
+                factors = [coeff(b) for b in blocks]
+                sign = koszul_sign(sum(part, ()), degs)
+                for choice in itertools.product(*(f.items() for f in factors)):
+                    cw = canonical_word(base, tuple(k for k, _ in choice))
+                    if cw is not None:
+                        c = sign * cw[1]
+                        for _, x in choice:
+                            c *= x
+                        terms.append((cw[0], c))
+                nonzero = 0
+                while nonzero < len(part) and factors[nonzero]:
+                    nonzero += 1
+                prefixes.update(part[:j] for j in range(1, min(nonzero + 1, len(part)) + 1))
+            evaluated.clear()
+            assert F.apply_word(w, 5) == Vector(terms), w
+            assert evaluated == Counter(tuple(w[p] for p in prefix[-1]) for prefix in prefixes), w
 
 
 class TestCoderivation:
