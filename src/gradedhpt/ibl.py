@@ -4,7 +4,8 @@ and genus, morphism certification by three independent routes, the two-stage
 homotopy transfer, and the Maurer-Cartan correspondence.
 
 The central variable t has degree 2 here (k = -1 is hard-wired); general odd k
-lives in the derived BV module.
+lives in the derived BV module.  Maurer-Cartan elements are flat (order, key)
+Vectors, and their sums go through ``exp_series`` in the quotient cut after N.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .symcoalg import (
     star_log,
     taylor_coderivation_from_map,
 )
-from .tseries import LaurentVec, TOp, TruncatedTAlgebra, flat_unital_map, flatten_top, spl_t
+from .tseries import TOp, TruncatedTAlgebra, flat_unital_map, flatten_top, spl_t
 
 T_DEGREE = 2  # k = -1
 
@@ -393,28 +394,22 @@ def _cod_basis(C: Contraction) -> GradedBasis:
 # -- Maurer-Cartan theory -------------------------------------------------------------------
 
 
-def ibl_shape_defect(ibl_space: SymSpace, x: LaurentVec):
+def ibl_shape_defect(ibl_space: SymSpace, x: Vector):
     """The first (n, word) where x = sum t^n x_n leaves the shape of an IBL
     Maurer-Cartan element: x_n a reduced word vector of weight <= n+1 and of
     total degree zero; None when there is none."""
-    for n, v in x.coeffs.items():
-        for w in v.keys():
-            if len(w) > n + 1 or len(w) == 0:
-                return (n, w)
-            if ibl_space.degree(w) + T_DEGREE * n != 0:
-                return (n, w)
-    return None
+    return next(((n, w) for n, w in x.keys() if len(w) > n + 1 or len(w) == 0
+                 or ibl_space.degree(w) + T_DEGREE * n != 0), None)
 
 
-def ibl_mc_residual(ibl: IBLStructure, x: LaurentVec, arity_cap: int) -> LaurentVec:
+def ibl_mc_residual(ibl: IBLStructure, x: Vector, arity_cap: int) -> Vector:
     St = ibl.quotient()
     dflat = flatten_top(ibl.delta, ibl.N)
-    return LaurentVec.from_flat(exp_series(lambda xs: koszul_recursion(St, dflat, xs),
-                                           x.flatten(), range(1, arity_cap + 1)))
+    return exp_series(lambda xs: koszul_recursion(St, dflat, xs), x, range(1, arity_cap + 1))
 
 
-def ibl_mc_check(ibl: IBLStructure, x: LaurentVec,
-                 arity_cap: int) -> tuple[bool | None, LaurentVec | None]:
+def ibl_mc_check(ibl: IBLStructure, x: Vector,
+                 arity_cap: int) -> tuple[bool | None, Vector | None]:
     """(whether x is Maurer-Cartan up to order N, its residual).  The verdict is
     None, with no residual, when computing the residual leaves the word bound:
     the sample is undetermined, neither Maurer-Cartan nor not."""
@@ -429,13 +424,12 @@ def ibl_mc_check(ibl: IBLStructure, x: LaurentVec,
 
 
 def ibl_mc_pushforward(f: TOp, source: IBLStructure, target: IBLStructure,
-                       x: LaurentVec, arity_cap: int) -> LaurentVec:
+                       x: Vector, arity_cap: int) -> Vector:
     Vt = target.quotient()
     # arguments live in the source quotient; cumulants are K[[t]]-multilinear
     St = source.quotient()
     f_t = flatten_top(f, Vt.N)
-    return LaurentVec.from_flat(exp_series(lambda xs: cumulant_recursion(St, Vt, f_t, xs),
-                                           x.flatten(), range(1, arity_cap + 1)))
+    return exp_series(lambda xs: cumulant_recursion(St, Vt, f_t, xs), x, range(1, arity_cap + 1))
 
 
 def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
@@ -457,21 +451,19 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
     Fflat = flatten_top(res.F, ibl.N)
     Gflat = flatten_top(res.G, target.N)
 
-    def rho(x: LaurentVec):
-        return (ibl_mc_pushforward(res.G, ibl, target, x, arity_cap),
-                LaurentVec.from_flat(Hflat(x.flatten())))
+    def rho(x: Vector):
+        return ibl_mc_pushforward(res.G, ibl, target, x, arity_cap), Hflat(x)
 
     def correction(xs):
         return Hflat(koszul_recursion(St, dflat, xs)) - Fflat(cumulant_recursion(St, Vt, Gflat, xs))
 
-    def rho_inverse(y: LaurentVec, hv: LaurentVec) -> LaurentVec:
-        head = Fflat(y.flatten()) - dflat(hv.flatten())
-        return LaurentVec.from_flat(fixed_point(head, correction, arity_cap, 12))
+    def rho_inverse(y: Vector, hv: Vector) -> Vector:
+        return fixed_point(Fflat(y) - dflat(hv), correction, arity_cap, 12)
 
     counts = {side: dict.fromkeys(("evaluated", "Maurer-Cartan", "undetermined"), 0)
               for side in "UV"}
 
-    def mc_sample(side: str, structure: IBLStructure, x: LaurentVec) -> bool:
+    def mc_sample(side: str, structure: IBLStructure, x: Vector) -> bool:
         """Whether x is an evaluated Maurer-Cartan sample; counts it either way."""
         ok, _ = ibl_mc_check(structure, x, arity_cap)
         counts[side]["undetermined" if ok is None else "evaluated"] += 1
@@ -481,7 +473,7 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
     def residual_detail(ok, residual) -> str:
         if ok is None:
             return "residual beyond the word bound"
-        return "" if ok else f"residual orders {sorted(residual.coeffs)}"
+        return "" if ok else f"residual orders {sorted({n for n, _ in residual.keys()})}"
 
     for i, x in enumerate(samples_U):
         if not mc_sample("U", ibl, x):
@@ -493,7 +485,7 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
             rep.add(f"push-forward of {key} is Maurer-Cartan", ok_y,
                     residual_detail(ok_y, res_y))
             rep.add(f"inverse recovers {key}", rho_inverse(y, hx) == x)
-            if not hx.coeffs:
+            if not hx:
                 x2 = ibl_mc_pushforward(res.F, target, ibl, y, arity_cap)
                 rep.add(f"restriction bijection round-trip on {key}", x2 == x)
         except Overflow as exc:
@@ -503,13 +495,13 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
             continue
         key = f"V sample {i}"
         try:
-            x = rho_inverse(y, LaurentVec({}))
+            x = rho_inverse(y, Vector())
             direct = ibl_mc_pushforward(res.F, target, ibl, y, arity_cap)
             rep.add(f"inverse at zero homotopy datum is the push-forward along F ({key})",
                     x == direct)
             ok_x, res_x = ibl_mc_check(ibl, x, arity_cap)
             rep.add(f"lifted {key} is Maurer-Cartan", ok_x, residual_detail(ok_x, res_x))
-            rep.add(f"lift of {key} lies in Ker(H)", not Hflat(x.flatten()))
+            rep.add(f"lift of {key} lies in Ker(H)", not Hflat(x))
             y2, _ = rho(x)
             rep.add(f"round-trip returns {key}", y2 == y)
         except Overflow as exc:

@@ -5,17 +5,17 @@ The central variable t is even; a series knows either its exact finite support
 reliable.  Congruence claims beyond the reliable order are the caller's
 responsibility to report UNDETERMINED.
 
-``TOp.flat_image`` is the one flattening of an operator series onto the
-truncated spaces of (order, key) pairs; ``flatten_top`` and
-``flat_unital_map`` are built on it.
+An element sum_n t^n v_n, poles allowed, is a flat ``Vector`` on (order, key)
+pairs.  ``TOp.flat_image`` is the one flattening of an operator series onto
+them; ``flatten_top`` and ``flat_unital_map`` are built on it.  With a pole,
+``TruncatedTAlgebra`` is only used at an order that no term reaches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import factorial
+from dataclasses import dataclass
 
-from .core import LinOp, Overflow, Q, Vector
+from .core import LinOp, Overflow, Vector
 from .commalg import CommAlgebra
 from .hpt import lemma_outputs
 from .symcoalg import _space_token
@@ -129,88 +129,6 @@ class TOp:
         return None
 
 
-@dataclass
-class LaurentVec:
-    """Finite exact Laurent element sum_n t^n v_n (poles allowed)."""
-
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs = {n: v for n, v in self.coeffs.items() if not v.is_zero()}
-
-    def coeff(self, n: int) -> Vector:
-        return self.coeffs.get(n, Vector.zero())
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def min_power(self) -> int:
-        return min(self.coeffs, default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LaurentVec") -> "LaurentVec":
-        out = dict(self.coeffs)
-        for n, v in other.coeffs.items():
-            out[n] = out.get(n, Vector.zero()) + v
-        return LaurentVec(out)
-
-    def __sub__(self, other: "LaurentVec") -> "LaurentVec":
-        return self + other.scale(-1)
-
-    def scale(self, a) -> "LaurentVec":
-        return LaurentVec({n: v.scale(a) for n, v in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentVec) and self.coeffs == other.coeffs
-
-    def flatten(self) -> Vector:
-        """The element on the flattened space of (order, key) pairs."""
-        return Vector(((n, k), c) for n, v in self.coeffs.items() for k, c in v.items())
-
-    @staticmethod
-    def from_flat(v: Vector) -> "LaurentVec":
-        terms: dict = {}
-        for (n, k), c in v.items():
-            terms.setdefault(n, []).append((k, c))
-        return LaurentVec({n: Vector(t) for n, t in terms.items()})
-
-
-def laurent_mul(A: CommAlgebra, x: LaurentVec, y: LaurentVec) -> LaurentVec:
-    out: dict = {}
-    for i, v in x.coeffs.items():
-        for j, w in y.coeffs.items():
-            out.setdefault(i + j, Vector()).add_scaled(A.mul(v, w))
-    return LaurentVec(out)
-
-
-def laurent_apply(op: TOp, x: LaurentVec) -> LaurentVec:
-    """Exact application; requires an exact operator series."""
-    if not op.is_exact():
-        raise ValueError("need an exact operator series for Laurent application")
-    out: dict = {}
-    for j, f in op.coeffs.items():
-        for i, v in x.coeffs.items():
-            out.setdefault(i + j, Vector()).add_scaled(f(v))
-    return LaurentVec(out)
-
-
-def laurent_exp(A: CommAlgebra, a: LaurentVec, nilpotency: int) -> LaurentVec:
-    """e^a for a with vanishing a^m, m <= nilpotency (verified)."""
-    out = {0: Vector().add_scaled(A.unit())}
-    term = LaurentVec({0: A.unit()})
-    for j in range(1, nilpotency + 1):
-        term = laurent_mul(A, term, a)
-        if term.is_zero():
-            break
-        if j == nilpotency:
-            raise ValueError(f"Laurent element not nilpotent within {nilpotency}")
-        for n, v in term.coeffs.items():
-            out.setdefault(n, Vector()).add_scaled(v, Q(1, factorial(j)))
-    return LaurentVec(out)
-
-
 class TSpace:
     """Flattened truncated t-module: keys (n, base_key) for 0 <= n <= N."""
 
@@ -235,8 +153,9 @@ class TSpace:
 
 
 class TruncatedTAlgebra(CommAlgebra):
-    """A[t]/(t^{N+1}): an honest quotient ring, so all algebra computations in it
-    are exact; claims about orders <= N read off its coefficients."""
+    """A[t]/(t^{N+1}) on (order, key) pairs.  Without poles it is a quotient
+    ring, and claims about orders <= N read off its coefficients; with a pole
+    it is not associative (a cut product times t^-1 returns below N)."""
 
     def __init__(self, A: CommAlgebra, N: int, t_degree: int):
         self.A = A

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as Q
+from functools import reduce
 
 import pytest
 
-from gradedhpt.core import GradedBasis, LinOp, Vector
+from gradedhpt.core import GradedBasis, LinOp, Vector, exp_series
 from gradedhpt.bv import (
     algebra_dual_coalgebra,
     bv_check,
@@ -34,7 +35,26 @@ from gradedhpt.commalg import (
 from gradedhpt.fixtures import fix2
 from gradedhpt.hpt import Contraction, words_over
 from gradedhpt.symcoalg import SymSpace, TaylorCoderivation
-from gradedhpt.tseries import LaurentVec, TOp, TruncatedTAlgebra, laurent_apply, laurent_exp
+from gradedhpt.tseries import TOp, TruncatedTAlgebra, flatten_top
+
+
+def flat(parts: dict) -> Vector:
+    """The flat element sum_n t^n parts[n], on (order, key) pairs."""
+    return Vector(((n, k), c) for n, v in parts.items() for k, c in v.items())
+
+
+def at_order(x: Vector, n: int) -> Vector:
+    """The coefficient of t^n in a flat element."""
+    return Vector((k, c) for (m, k), c in x.items() if m == n)
+
+
+def exp_in(A, a: Vector, nilpotency: int) -> Vector:
+    """e^a = sum_{n < nilpotency} a^n/n! in the algebra A, for a with a^nilpotency = 0."""
+    def power(xs):
+        return reduce(A.mul, xs, A.unit())
+
+    assert not power((a,) * nilpotency), "not nilpotent"
+    return exp_series(power, a, range(nilpotency))
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +83,11 @@ class TestTSeries:
 
     def test_quotient_algebra(self, f2):
         At = TruncatedTAlgebra(f2.A, 2, 2)
-        y = LaurentVec({0: f2.A.monomial({"y": 1})}).flatten()
-        ty = LaurentVec({1: f2.A.monomial({"y": 1})}).flatten()
+        y = flat({0: f2.A.monomial({"y": 1})})
+        ty = flat({1: f2.A.monomial({"y": 1})})
         prod = At.mul(y, ty)
         assert all(n == 1 for (n, _) in prod.keys())
-        t3 = LaurentVec({2: f2.A.unit()}).flatten()
+        t3 = flat({2: f2.A.unit()})
         assert At.mul(t3, ty).is_zero()
 
 
@@ -281,38 +301,38 @@ class TestBVTransfer:
         assert res.tau.coeff(0).first_difference(f2.contraction.tau, f2.B.space.keys()) is None
 
 
-def laurent_top_form(f2, poly: dict, coeff=1) -> LaurentVec:
+def laurent_top_form(f2, poly: dict, coeff=1) -> Vector:
     v = f2.A.monomial({**poly, "dy": 1, "dz": 1}, coeff)
-    return LaurentVec({-1: v})
+    return flat({-1: v})
 
 
 class TestBVMC:
     def test_zero_candidate(self, f2):
-        ok, res = bv_mc_check(f2.A, f2.delta_series(), LaurentVec({}), -1, 3, 2)
+        ok, res = bv_mc_check(f2.A, f2.delta_series(), Vector(), -1, 3, 2)
         assert ok and res.is_zero()
 
     def test_constant_dydz_is_mc(self, f2):
         a = laurent_top_form(f2, {}, 3)
         ok, res = bv_mc_check(f2.A, f2.delta_series(), a, -1, 3, 2, nilpotency=2)
-        assert ok, res.coeffs
+        assert ok, res
 
     def test_nonconstant_fails(self, f2):
         a = laurent_top_form(f2, {"y": 1})
         ok, res = bv_mc_check(f2.A, f2.delta_series(), a, -1, 3, 2, nilpotency=2)
         assert not ok
-        assert res.coeff(0) == f2.delta1(a.coeff(-1))
+        assert at_order(res, 0) == f2.delta1(at_order(a, -1))
 
     def test_leading_term_identity(self, f2):
         for poly in ({}, {"y": 1}, {"y": 1, "z": 2}):
-            a = laurent_top_form(f2, poly) + LaurentVec({0: f2.A.monomial({"y": 2})})
+            a = laurent_top_form(f2, poly) + flat({0: f2.A.monomial({"y": 2})})
             assert bv_leading_term_identity(f2.A, f2.delta_series(), a, 2)
 
     def test_pole_and_degree_guards(self, f2):
         with pytest.raises(ValueError):
-            bv_mc_check(f2.A, f2.delta_series(), LaurentVec({-2: f2.A.unit()}), -1, 3, 2)
+            bv_mc_check(f2.A, f2.delta_series(), flat({-2: f2.A.unit()}), -1, 3, 2)
         with pytest.raises(ValueError):
             bv_mc_check(f2.A, f2.delta_series(),
-                        LaurentVec({-1: f2.A.monomial({"y": 1})}), -1, 3, 2)
+                        flat({-1: f2.A.monomial({"y": 1})}), -1, 3, 2)
 
     def test_repeated_power_weights(self):
         # K[x]/(x^3) (x) Lambda(eta), |x| = 0, |eta| = -1, Delta = t eta d^2/dx^2 and
@@ -331,19 +351,19 @@ class TestBVMC:
         f0 = LinOp(A.space, A.space, 0, lambda k: Vector.basis(k, 2 if k == (2, 0) else 1), "f")
         f = TOp({0: f0}, A.space, A.space, 0, 2)
         for c in (1, 3):
-            a = LaurentVec({0: A.monomial({"x": 1}, c)})
+            a = flat({0: A.monomial({"x": 1}, c)})
             # e^{-a} Delta(e^a) = t (c^2 eta - c^3 x eta + c^4/2 x^2 eta), cross-checked
             ok, res = bv_mc_check(A, Delta, a, -1, 3, 4, nilpotency=3)
             assert not ok
-            assert res == LaurentVec({1: A.monomial({"eta": 1}, c ** 2)
-                                      + A.monomial({"x": 1, "eta": 1}, -c ** 3)
-                                      + A.monomial({"x": 2, "eta": 1}, Q(c ** 4, 2))})
+            assert res == flat({1: A.monomial({"eta": 1}, c ** 2)
+                                + A.monomial({"x": 1, "eta": 1}, -c ** 3)
+                                + A.monomial({"x": 2, "eta": 1}, Q(c ** 4, 2))})
             assert bv_mc_residual(A, Delta, a, 4) == res
             # kappa(f0)_2(x, x) = x^2: the push-forward is b = c x + c^2/2 x^2, with
             # e^b = f0(e^a)
             b = bv_mc_pushforward(f, A, A, a, -1, 3, 4)
-            assert b == LaurentVec({0: A.monomial({"x": 1}, c) + A.monomial({"x": 2}, Q(c ** 2, 2))})
-            assert laurent_exp(A, b, 3) == LaurentVec({0: f0(laurent_exp(A, a, 3).coeff(0))})
+            assert b == flat({0: A.monomial({"x": 1}, c) + A.monomial({"x": 2}, Q(c ** 2, 2))})
+            assert exp_in(A, at_order(b, 0), 3) == f0(exp_in(A, at_order(a, 0), 3))
 
     def test_mixed_power_weights(self):
         # as above with an even z, |z| = -2, z^2 = 0, and a = c x + t x z: the
@@ -361,12 +381,12 @@ class TestBVMC:
         f0 = LinOp(A.space, A.space, 0, lambda k: Vector.basis(k, 2 if k[0] == 2 else 1), "f")
         f = TOp({0: f0}, A.space, A.space, 0, 2)
         for c in (1, 3):
-            a = LaurentVec({0: A.monomial({"x": 1}, c), 1: A.monomial({"x": 1, "z": 1})})
+            a = flat({0: A.monomial({"x": 1}, c), 1: A.monomial({"x": 1, "z": 1})})
             # e^{-a} Delta(e^a) = t (c^2 - c^3 x + c^4/2 x^2) eta
             #                     + t^2 (2c - 3c^2 x + 2c^3 x^2) z eta, cross-checked
             ok, res = bv_mc_check(A, Delta, a, -1, 3, 4, nilpotency=3)
             assert not ok
-            assert res == LaurentVec({
+            assert res == flat({
                 1: A.monomial({"eta": 1}, c ** 2) + A.monomial({"x": 1, "eta": 1}, -c ** 3)
                 + A.monomial({"x": 2, "eta": 1}, Q(c ** 4, 2)),
                 2: A.monomial({"z": 1, "eta": 1}, 2 * c) + A.monomial({"x": 1, "z": 1, "eta": 1}, -3 * c ** 2)
@@ -375,10 +395,42 @@ class TestBVMC:
             # f0 doubles x^2 and x^2 z, so kappa(f0)_2(x, x z) = x^2 z: the push-forward
             # is b = c x + c^2/2 x^2 + t (x z + c x^2 z), with e^b = f0(e^a)
             b = bv_mc_pushforward(f, A, A, a, -1, 3, 4)
-            assert b == LaurentVec({0: A.monomial({"x": 1}, c) + A.monomial({"x": 2}, Q(c ** 2, 2)),
-                                    1: A.monomial({"x": 1, "z": 1}) + A.monomial({"x": 2, "z": 1}, c)})
-            ea = laurent_exp(A, a, 3)
-            assert laurent_exp(A, b, 3) == LaurentVec({n: f0(v) for n, v in ea.coeffs.items()})
+            assert b == flat({0: A.monomial({"x": 1}, c) + A.monomial({"x": 2}, Q(c ** 2, 2)),
+                              1: A.monomial({"x": 1, "z": 1}) + A.monomial({"x": 2, "z": 1}, c)})
+            At = TruncatedTAlgebra(A, 6, 2)
+            assert exp_in(At, b, 3) == flatten_top(f, 6)(exp_in(At, a, 3))
+
+    def test_residual_above_N_is_not_cut(self):
+        # the A and Delta of test_repeated_power_weights with a = c x and N = 0:
+        # the residual lives only at order 1, above N, and an exact route must
+        # still see it; a quotient cut at N would call a Maurer-Cartan
+        A = GuardedFreeAlgebra([("x", 0, 3), ("eta", -1, None)], 4)
+
+        def d2_fn(key):
+            e, eta = key
+            if e >= 2 and eta == 0:
+                return A.monomial({"x": e - 2, "eta": 1}, e * (e - 1))
+            return Vector.zero()
+
+        Delta = TOp({1: LinOp(A.space, A.space, -1, d2_fn, "eta d2")}, A.space, A.space, 1, 2)
+        for c in (1, 3):
+            ok, res = bv_mc_check(A, Delta, flat({0: A.monomial({"x": 1}, c)}), -1, 0, 4,
+                                  nilpotency=3)
+            assert not ok
+            assert {n for n, _ in res.keys()} == {1}
+
+    def test_pole_pushforward_needs_an_exact_morphism(self):
+        # f = id + t f1 with f1(x) = y and a = x/t: the pole moves order 1 of f
+        # down to order 0, so a cut f cannot give the push-forward at N = 0
+        A = GuardedFreeAlgebra([("x", 2, 2), ("y", 0, 2)], 4)
+        f1 = LinOp(A.space, A.space, -2,
+                   lambda k: A.monomial({"y": 1}) if k == (1, 0) else Vector.zero(), "f1")
+        f = TOp({0: LinOp.identity(A.space), 1: f1}, A.space, A.space, 0, 2)
+        a = flat({-1: A.monomial({"x": 1})})
+        b = bv_mc_pushforward(f, A, A, a, -1, 0, 1)
+        assert b == flat({-1: A.monomial({"x": 1}), 0: A.monomial({"y": 1})})
+        with pytest.raises(ValueError):
+            bv_mc_pushforward(f.truncated(0), A, A, a, -1, 0, 1)
 
     def test_pushforward_and_kuranishi(self, f2, keys2):
         D = f2.delta_series()
@@ -388,8 +440,8 @@ class TestBVMC:
         for c in (0, 1, -2):
             for c0 in (0, 2):
                 samples_A.append(laurent_top_form(f2, {}, c)
-                                 + LaurentVec({0: f2.A.unit().scale(c0)}))
-        samples_B = [LaurentVec({0: f2.B.unit().scale(c)}) for c in (0, 1, -1, 3)]
+                                 + flat({0: f2.A.unit().scale(c0)}))
+        samples_B = [flat({0: f2.B.unit().scale(c)}) for c in (0, 1, -1, 3)]
         rep = bv_kuranishi_report(f2.A, f2.B, D, res, -1, 3, 2, samples_B, samples_A)
         assert rep.ok, rep.to_text()
         names = [item.name for item in rep.items]
@@ -398,7 +450,7 @@ class TestBVMC:
         a = laurent_top_form(f2, {}, 1)
         ok, _ = bv_mc_check(f2.A, D, a, -1, 3, 2)
         assert ok
-        assert not laurent_apply(res.h, a).is_zero()
+        assert not flatten_top(res.h, max(res.h.support()))(a).is_zero()
 
 
 class TestCLBijection:

@@ -19,9 +19,12 @@ every function has a library caller: each module-level function and method
 is referenced in ``src/`` or ``perfbench/`` outside its own body, unless an
 allowlist gives the one-line reason only tests reach it, and no certificate
 compares an operator with a freshly built ``LinOp.zero`` or
-``LinOp.identity`` through ``first_difference``."""
+``LinOp.identity`` through ``first_difference``, and every script that
+``pyproject.toml`` declares names a module that imports and has the named
+attribute."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -559,3 +562,23 @@ def fresh_comparison_sites(path: Path) -> list:
 def test_no_comparison_with_a_fresh_zero_or_identity(path):
     sites = fresh_comparison_sites(path)
     assert not sites, f"{path.name}: compare with a defect key by key, not a built operator, at {sites}"
+
+
+# Every script that ``pyproject.toml`` declares resolves: an installed command
+# whose module or attribute is missing fails the moment it is run.  ``tomllib``
+# is in the standard library from Python 3.11 on.
+
+
+def test_every_declared_script_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    broken = []
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        try:
+            found = hasattr(importlib.import_module(module), attr)
+        except ImportError:
+            found = False
+        if not found:
+            broken.append((name, target))
+    assert not broken, f"declared scripts that do not resolve: {broken}"
