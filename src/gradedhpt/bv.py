@@ -208,8 +208,12 @@ def bv_to_poisson(A: CommAlgebra, Delta: TOp, k: int, arity_bound: int) -> Taylo
 
 def bv_morphism_to_poisson(f: TOp, A: CommAlgebra, B: CommAlgebra, k: int,
                            arity_bound: int, N: int) -> TaylorMorphism:
-    """P(f)_n = coefficient of t^{n-1} in kappa(f)_n."""
+    """P(f)_n = coefficient of t^{n-1} in kappa(f)_n.  It reads f up to order
+    arity_bound - 1, and raises ValueError when f is known only below that."""
     _require_odd(k)
+    if f.known_to is not None and f.known_to < arity_bound - 1:
+        raise ValueError(f"P(f) to arity {arity_bound} needs f to order {arity_bound - 1}, "
+                         f"known to order {f.known_to}")
     td = _t_degree(k)
     Bt = TruncatedTAlgebra(B, max(N, arity_bound), td)
     f_flat = flat_unital_map(f, Bt)
@@ -280,7 +284,8 @@ def bv_transfer(A: CommAlgebra, B: CommAlgebra, Delta: TOp, C: Contraction, k: i
     re-certify everything, and verify that the Poisson image commutes with the
     L-infinity[1] transfer.  That last claim is decided by one ``report.scan``
     over word weights, the transfer itself at weight 0: beyond the guard it is
-    UNDETERMINED."""
+    UNDETERMINED, and so it is when tau is known below order arity_bound - 1,
+    the order P(tau) reads."""
     _require_odd(k)
     keys_A = tuple(A.space.keys() if keys_A is None else keys_A)
     keys_B = tuple(B.space.keys() if keys_B is None else keys_B)
@@ -300,6 +305,11 @@ def bv_transfer(A: CommAlgebra, B: CommAlgebra, Delta: TOp, C: Contraction, k: i
     rep.merge(bv_morphism_check(tau_new, B, A, DeltaB, Delta, k, N, arity_bound, keys_B),
               prefix="tau: ")
 
+    claim = "Poisson image commutes with transfer"
+    if tau_new.known_to is not None and tau_new.known_to < arity_bound - 1:
+        rep.add(claim, None, f"tau known to order {tau_new.known_to}, "
+                             f"P(tau) reads order {arity_bound - 1}")
+        return BVTransfer(DeltaB, tau_new, sigma_new, h_new, rep)
     shifted = Contraction(
         _reshift(C.sigma, 1 - k), _reshift(C.tau, 1 - k), _reshift(C.h, 1 - k),
         _reshift(C.d_A, 1 - k), _reshift(C.d_B, 1 - k), verify_on_init=False)
@@ -323,7 +333,7 @@ def bv_transfer(A: CommAlgebra, B: CommAlgebra, Delta: TOp, C: Contraction, k: i
 
     scope, bad = scan(((m, words_over(B.space, keys_B, m, min_weight=m))
                        for m in range(arity_bound + 1)), commutes)
-    rep.claim("Poisson image commutes with transfer", scope, lambda: witness_verdict(bad))
+    rep.claim(claim, scope, lambda: witness_verdict(bad))
     return BVTransfer(DeltaB, tau_new, sigma_new, h_new, rep)
 
 

@@ -2,7 +2,11 @@
 the formal fixed-point (Kuranishi-type) bijection with its recursive inverse.
 
 The Maurer-Cartan residual of a coderivation and the push-forward along a
-morphism are one sum of Taylor data on the diagonal, ``mc_sum``.
+morphism are one sum of Taylor data on the diagonal, ``mc_sum``: the part of
+Taylor data on the grouplike e^x = sum x^n/n!, which lives on canonical words.
+Each diagonal t_n(x, ..., x) is ``_TaylorData.diagonal``, a sum over the
+canonical words of weight n over the support of x with multinomial weights,
+and the Kuranishi fixed point reads its corrections through the same method.
 
 Only nilpotent filtrations are supported: convergence is literal stabilization,
 detected by exact equality.
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .core import ConvergenceFault, Vector, exp_series, expand_multilinear
+from .core import ConvergenceFault, Vector, exp_series
 from .hpt import Contraction, LinfTransfer
 from .symcoalg import TaylorCoderivation, TaylorMorphism, words_over
 
@@ -52,9 +56,11 @@ class NilpotentFiltration:
 def mc_sum(T: TaylorCoderivation | TaylorMorphism, x: Vector, arity_cap: int) -> Vector:
     """sum_{n=1}^{cap} t_n(x,...,x)/n! of Taylor data T: the Maurer-Cartan
     residual of x for a coderivation, the push-forward of x along a morphism
-    (finite in the nilpotent regime)."""
-    return exp_series(lambda xs: expand_multilinear(xs, lambda *keys: T.eval_keys(keys)),
-                      x, range(1, arity_cap + 1))
+    (finite in the nilpotent regime).  Each t_n(x,...,x) is a sum over the
+    canonical words of weight n over the support of x, each read once and
+    weighted by its multinomial n!/prod m_k! times prod c_k^{m_k}
+    (``_TaylorData.diagonal``)."""
+    return exp_series(lambda xs: T.diagonal(xs[0], len(xs)), x, range(1, arity_cap + 1))
 
 
 def mc_check(Qd: TaylorCoderivation, filt: NilpotentFiltration, x: Vector,
@@ -105,8 +111,7 @@ def kuranishi_inverse(data: KuranishiData, y: Vector, hv: Vector,
     steps = max_steps if max_steps is not None else data.filt.vanishing + 1
 
     def correction(xs):
-        return (C.h(expand_multilinear(xs, lambda *keys: Qd.eval_keys(keys)))
-                - C.tau(expand_multilinear(xs, lambda *keys: g.eval_keys(keys))))
+        return C.h(Qd.diagonal(xs[0], len(xs))) - C.tau(g.diagonal(xs[0], len(xs)))
 
     return fixed_point(C.tau(y) - C.d_A(hv), correction, data.cap, steps)
 

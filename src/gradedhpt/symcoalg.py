@@ -7,11 +7,13 @@ beyond it vanish, a label, and ``q0``, the coefficient on the empty word (the
 constant term of a coderivation, zero for a morphism).  Component functions are
 built from tables, from a linear map, or by corestriction of a word-level map;
 ``_corestriction`` is the one weight-one part of an image on words, which the
-composite route of ``commalg`` uses too.  The two reconstruction formulas live
-here: a morphism on a word is the sum over set partitions of the word of the
-Koszul-signed products of its coefficients on the blocks, and a coderivation
-on a word is the sum over (i, n-i)-unshuffles of its coefficient on the first
-block times the rest.  So do the coderivation bracket, the unshuffle coproduct
+composite route of ``commalg`` uses too.  The store also gives the data on the
+diagonal, t_n(x, ..., x), one read per canonical word with its multinomial
+weight (``diagonal``).  The two reconstruction formulas live here: a morphism
+on a word is the sum over set partitions of the word of the Koszul-signed
+products of its coefficients on the blocks, and a coderivation on a word is
+the sum over (i, n-i)-unshuffles of its coefficient on the first block times
+the rest.  So do the coderivation bracket, the unshuffle coproduct
 and the convolution Hopf calculus (star product, exp/log, antipode), whose
 exp_* of the weight-one data rebuilds the same morphism, together with the
 dual cocumulant / Koszul cobracket recursions.  exp_* and log_* are one sum
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
@@ -239,12 +241,39 @@ class _TaylorData:
 
     def eval_keys(self, keys: tuple) -> Vector:
         """The coefficient on any tuple of keys: the canonical word's, with the
-        Koszul sign of sorting (zero if an odd key repeats)."""
+        Koszul sign of sorting (zero if an odd key repeats).  Its caller is
+        ``eval_mixed``; a diagonal reads ``diagonal``."""
         cw = canonical_word(self.base, keys)
         if cw is None:
             return Vector.zero()
         word, s = cw
         return self.component(len(word), word).scale(s)
+
+    def diagonal(self, x: Vector, n: int) -> Vector:
+        """t_n(x, ..., x), the multilinear extension on n copies of x, as a sum
+        over the canonical words M of weight n over the support of x: t_n(M)
+        times the multinomial n!/prod m_k! and prod c_k^{m_k}, for the letters
+        k of M with multiplicities m_k and coefficients c_k in x.  Every
+        ordering of a word with at most one odd letter sorts with sign +1, and
+        the orderings of a word with two or more odd letters cancel in pairs
+        (swap two of them), so that word drops out; so does a word whose
+        coefficient is zero, before its weight is formed."""
+        coeffs = dict(x.items())
+        odd = {k for k in coeffs if self.base.degree(k) % 2}
+        out = Vector()
+        for word in words_over(self.base, coeffs, n, min_weight=n):
+            if odd and len(odd.intersection(word)) > 1:
+                continue
+            t = self.component(n, word)
+            if not t:
+                continue
+            multinomial, coeff = factorial(n), ONE
+            for k, run in groupby(word):
+                m = sum(1 for _ in run)
+                multinomial //= factorial(m)
+                coeff *= coeffs[k] ** m
+            out.add_scaled(t, multinomial * coeff)
+        return out
 
 
 class TaylorMorphism(_TaylorData):

@@ -14,6 +14,7 @@ from gradedhpt.bv import (
     bv_mc_pushforward,
     bv_mc_residual,
     bv_morphism_check,
+    bv_morphism_to_poisson,
     bv_to_poisson,
     bv_transfer,
     cl_bijection,
@@ -263,6 +264,18 @@ class TestPoisson:
         rep = verify_poisson(f2.A, f2.delta_series(), -1, 3, keys=keys2)
         assert rep.ok, rep.to_text()
 
+    def test_morphism_image_needs_the_orders_it_reads(self):
+        # f = id + t f1 with f1(x^2) = y: P(f)_2(x, x) is the order-1 part of
+        # kappa(f)_2(x, x) = f(x^2) - f(x) f(x), so a cut f cannot give it
+        A = GuardedFreeAlgebra([("x", 2, 3), ("y", 2, 3)], 6)
+        f1 = LinOp(A.space, A.space, -2,
+                   lambda k: A.monomial({"y": 1}) if k == (2, 0) else Vector.zero(), "f1")
+        f = TOp({0: LinOp.identity(A.space), 1: f1}, A.space, A.space, 0, 2)
+        x = (1, 0)
+        assert bv_morphism_to_poisson(f, A, A, -1, 2, 0).component(2, (x, x)) == A.monomial({"y": 1})
+        with pytest.raises(ValueError):
+            bv_morphism_to_poisson(f.truncated(0), A, A, -1, 2, 0)
+
     def test_lie_morphism_on_candidates(self, f2, keys2):
         # P([Delta, Delta']) = [P(Delta), P(Delta')] for order-filtered candidates
         A = f2.A
@@ -291,6 +304,16 @@ class TestBVTransfer:
         # collapse case: h Delta_1 tau = 0 here, so Delta'_1 = sigma Delta_1 tau
         lead = (f2.contraction.sigma @ f2.delta1) @ f2.contraction.tau
         assert res.delta_B.coeff(1).first_difference(lead, f2.B.space.keys()) is None
+
+    def test_poisson_claim_needs_tau_to_order_arity_minus_one(self, f2, keys2):
+        # at N = 1 the geometric series of FIX-2 is cut, so tau is known to
+        # order 1 only, and P(tau)_3 reads order 2
+        res = bv_transfer(f2.A, f2.B, f2.delta_series(), f2.contraction, -1, 1, 3,
+                          keys_A=keys2)
+        assert res.tau.known_to == 1
+        item, = [i for i in res.report.items if i.name == "Poisson image commutes with transfer"]
+        assert item.verdict == "UNDETERMINED"
+        assert "tau known to order 1" in item.detail
 
     def test_zero_higher_part(self, f2):
         D = TOp({0: f2.d}, f2.A.space, f2.A.space, 1, 2)

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedhpt.core import GradedBasis, LinOp, Overflow, Vector, koszul_sign
+from gradedhpt.core import GradedBasis, LinOp, Overflow, Vector, expand_multilinear, koszul_sign
 from gradedhpt.hpt import words_over
 from gradedhpt.symcoalg import (
     SymSpace,
@@ -276,6 +276,23 @@ class TestMorphismPartitionSum:
             evaluated.clear()
             assert F.apply_word(w, 5) == Vector(terms), w
             assert evaluated == Counter(tuple(w[p] for p in prefix[-1]) for prefix in prefixes), w
+
+
+class TestDiagonal:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           degrees=st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=1, max_size=4),
+           n=st.integers(1, 4))
+    def test_diagonal_is_the_multilinear_extension(self, seed, degrees, n):
+        # one read per canonical word with its multinomial weight, against the
+        # sum over all ordered key tuples with the Koszul sign of sorting
+        rng = random.Random(seed)
+        base = GradedBasis.make([(f"e{i}", d) for i, d in enumerate(degrees)])
+        F = rand_taylor_morphism(rng, base, 4, SymSpace(base, 4))
+        x = Vector({k: Q(rng.randint(-3, 3), rng.randint(1, 3)) for k in base.keys()
+                    if rng.random() < 0.8})
+        expected = expand_multilinear((x,) * n, lambda *ks: F.eval_keys(ks))
+        assert F.diagonal(x, n) == expected
 
 
 class TestCoderivation:

@@ -51,7 +51,9 @@ def test_reliability_guard():
     with pytest.raises(ValueError):
         flatten_top(f, 1)
     # bv_morphism_to_poisson flattens tau into B[t]/t^(max(N, arity_bound)+1),
-    # past its reliable order, so the order-zero restriction must not refuse
+    # past its reliable order (it reads orders up to arity_bound - 1 only, and
+    # refuses a tau known below that), so the order-zero restriction must not
+    # refuse
     restricted = flat_unital_map(f, TruncatedTAlgebra(B, 1, 2))
     assert restricted.on_key(X) == Vector.basis((0, X))
 
