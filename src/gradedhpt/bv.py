@@ -11,9 +11,12 @@ t^{m-1} are written once (``_congruence_claims``) and computed to the order the
 series is reliable to.  A claim with nothing of its own evaluated, or beyond
 that order, is UNDETERMINED, never PASS, and no Overflow escapes a checker.
 
-Maurer-Cartan candidates are flat (order, key) Vectors, their sums go
-through ``exp_series`` as in ``ibl``, and each t-quotient is taken at an
-order no term reaches (``_reach``), so the sums are exact.
+Maurer-Cartan candidates are flat (order, key) Vectors.  Their residuals and
+push-forwards are ``mc.mc_sum`` of the Koszul-bracket and cumulant lifts
+(``commalg.kos_lift``, ``commalg.cumulant_lift``) of the flattened series, as
+in ``ibl``, and each t-quotient is taken at an order no term reaches
+(``_reach``), so the sums are exact.  The e^a route of ``bv_mc_check`` is
+independent of them.
 """
 
 from __future__ import annotations
@@ -26,11 +29,14 @@ from .core import GradedBasis, LinOp, RouteDisagreement, ShiftedSpace, Vector, e
 from .commalg import (
     CommAlgebra,
     ExplicitFDAlgebra,
+    cumulant_lift,
     cumulant_recursion,
+    kos_lift,
     koszul_recursion,
     koszul_vanishes,
 )
 from .hpt import Contraction, check_semifull_algebra, check_semifull_coalgebra, linf_transfer
+from .mc import mc_sum
 from .report import Report, scan, witness_verdict
 from .symcoalg import (
     FiniteCoalgebra,
@@ -387,13 +393,13 @@ def _exp(At: TruncatedTAlgebra, a: Vector, nilpotency: int) -> Vector:
 
 
 def bv_mc_residual(A: CommAlgebra, Delta: TOp, a: Vector, arity_cap: int) -> Vector:
-    """sum_n K(Delta)_n(a,...,a)/n! as an exact flat element."""
+    """sum_n K(Delta)_n(a,...,a)/n! as an exact flat element: the Maurer-Cartan
+    sum of the Koszul-bracket lift of Delta, which needs Delta(1) = 0."""
     if not Delta.is_exact():
         raise ValueError("Maurer-Cartan residuals need an exact structure series")
     order = _reach(a, arity_cap, max(Delta.support(), default=0))
     At = TruncatedTAlgebra(A, order, Delta.t_degree)
-    Dflat = flatten_top(Delta, order)
-    return exp_series(lambda xs: koszul_recursion(At, Dflat, xs), a, range(1, arity_cap + 1))
+    return mc_sum(kos_lift(At, flatten_top(Delta, order), arity_cap), a, arity_cap)
 
 
 def bv_mc_check(A: CommAlgebra, Delta: TOp, a: Vector, k: int, N: int,
@@ -417,7 +423,8 @@ def bv_mc_check(A: CommAlgebra, Delta: TOp, a: Vector, k: int, N: int,
 
 def bv_mc_pushforward(f: TOp, A: CommAlgebra, B: CommAlgebra, a: Vector, k: int,
                       N: int, arity_cap: int) -> Vector:
-    """b = sum kappa(f)_n(a,...,a)/n! up to order N, computed exactly: an
+    """b = sum kappa(f)_n(a,...,a)/n! up to order N, computed exactly as the
+    Maurer-Cartan sum of the cumulant lift of f, which needs f(1) = 1: an
     inexact f raises ValueError, since its missing coefficients, moved down by
     the pole, would reach orders <= N."""
     if not f.is_exact():
@@ -425,17 +432,15 @@ def bv_mc_pushforward(f: TOp, A: CommAlgebra, B: CommAlgebra, a: Vector, k: int,
     td = _t_degree(k)
     order = _reach(a, arity_cap, arity_cap * max(f.support(), default=0))
     At, Bt = TruncatedTAlgebra(A, order, td), TruncatedTAlgebra(B, order, td)
-    f_t = flatten_top(f, order)
-    b = exp_series(lambda xs: cumulant_recursion(At, Bt, f_t, xs), a, range(1, arity_cap + 1))
+    b = mc_sum(cumulant_lift(At, Bt, flatten_top(f, order), arity_cap), a, arity_cap)
     return Vector((key, c) for key, c in b.items() if key[0] <= N)
 
 
 def bv_leading_term_identity(A: CommAlgebra, Delta: TOp, a: Vector, arity_cap: int) -> bool:
     """The t^{-1} coefficient of the residual equals the Poisson residual of a_{-1}."""
     res = bv_mc_residual(A, Delta, a, arity_cap)
-    expect = exp_series(lambda xs: koszul_recursion(A, Delta.coeff(len(xs) - 1), xs),
-                        _at_order(a, -1), range(1, arity_cap + 1))
-    return _at_order(res, -1) == expect
+    P = bv_to_poisson(A, Delta, 1 - Delta.t_degree, arity_cap)
+    return _at_order(res, -1) == mc_sum(P, _at_order(a, -1), arity_cap)
 
 
 # -- comparison of morphism notions (free source) ---------------------------------------
@@ -464,15 +469,8 @@ def cl_intertwine_defect(F: LinOp, Delta_U: TOp, Delta_B: TOp, Bt: TruncatedTAlg
     return (Ft @ DU).first_difference(DB @ Ft, DU.domain.keys())
 
 
-@dataclass
-class CLReport:
-    report: Report
-    exp_map: LinOp | None = None
-    log_map: LinOp | None = None
-
-
 def cl_bijection(phi: LinOp, SU: SymSpace, SU_alg: CommAlgebra, Bt: TruncatedTAlgebra,
-                 Delta_U: TOp, Delta_B: TOp, arity_bound: int) -> CLReport:
+                 Delta_U: TOp, Delta_B: TOp, arity_bound: int) -> Report:
     """Both directions of the exp/log correspondence between the two morphism notions.
 
     Scope rule as in ``bv_check``: the congruences kappa(F)_m = 0 mod t^{m-1}
@@ -501,7 +499,7 @@ def cl_bijection(phi: LinOp, SU: SymSpace, SU_alg: CommAlgebra, Bt: TruncatedTAl
     again = star_exp(back, Bt.mul, Bt.unit())
     round2 = again.first_difference(F, SU.keys())
     rep.add("exp(log(F)) = F", *witness_verdict(round2))
-    return CLReport(rep, F, back)
+    return rep
 
 
 # -- derived BV coalgebras (finite-dimensional dualization backend) ---------------------

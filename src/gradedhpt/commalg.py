@@ -14,9 +14,12 @@ unit correction of (a) and (b), which (c) has no room for).  Route (c) is one
 composite ``L o middle o E`` (``_composite_route``), read off through the
 weight-one part ``symcoalg._corestriction``, with middle the coalgebra
 morphism S(f) for cumulants and the coderivation lift of delta for Koszul
-brackets: cumulants are the exponential version of Koszul brackets.  On the
-diagonal, sum_n K(delta)_n(a, ..., a)/n! = e^{-a} delta(e^a) is decided once,
-by ``bv.bv_mc_check`` with its ``nilpotency`` cross-check.
+brackets: cumulants are the exponential version of Koszul brackets.  Their
+lifts, ``kos_lift`` and ``cumulant_lift``, are the Taylor data whose
+Maurer-Cartan sums ``mc.mc_sum`` forms for ``bv`` and ``ibl``, one recursion
+per canonical word of the diagonal.  On the diagonal,
+sum_n K(delta)_n(a, ..., a)/n! = e^{-a} delta(e^a) is decided once, by
+``bv.bv_mc_check`` with its ``nilpotency`` cross-check.
 Routes (a) and (b) are kernels on tuples of basis keys, extended to vectors by
 ``core.expand_multilinear``, that multiply keys by ``CommAlgebra.mul_keys``.
 The closed formulas ``cumulant_partition`` and ``koszul_closed`` stay the

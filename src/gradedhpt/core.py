@@ -447,9 +447,9 @@ def expand_multilinear(args: tuple[Vector, ...], kernel: Callable[..., Vector]) 
 
 
 def exp_series(evaluate: Callable[[tuple], Vector], x, arities: Iterable[int]) -> Vector:
-    """sum over n in ``arities`` of evaluate((x,)*n)/n!: the Maurer-Cartan sum of a
-    family of multilinear operations (Koszul brackets, cumulants, Taylor
-    coefficients), or of a push-forward along one, on the diagonal of x."""
+    """sum over n in ``arities`` of evaluate((x,)*n)/n! on the diagonal of x: the
+    Maurer-Cartan sums of Taylor data in ``mc`` and the exponential e^x of the
+    BV e^a route call it."""
     out = Vector()
     for n in arities:
         out.add_scaled(evaluate((x,) * n), Q(1, factorial(n)))

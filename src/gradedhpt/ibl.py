@@ -5,7 +5,10 @@ homotopy transfer, and the Maurer-Cartan correspondence.
 
 The central variable t has degree 2 here (k = -1 is hard-wired); general odd k
 lives in the derived BV module.  Maurer-Cartan elements are flat (order, key)
-Vectors, and their sums go through ``exp_series`` in the quotient cut after N.
+Vectors in the quotient cut after N.  Their residuals are ``mc.mc_sum`` of the
+Koszul-bracket lift of the flattened delta, and the Maurer-Cartan
+correspondence is ``mc``'s, read through the Koszul-bracket and cumulant lifts
+of the flattened transfer (``ibl_kuranishi_report``).
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .core import GradedBasis, LinOp, Overflow, Vector, exp_series
-from .commalg import SymWordAlgebra, cumulant_recursion, koszul_recursion
+from .core import ConvergenceFault, GradedBasis, LinOp, Overflow, Vector
+from .commalg import SymWordAlgebra, cumulant_lift, cumulant_recursion, kos_lift, koszul_recursion
 from .hpt import Contraction, LinfTransfer, linf_transfer
-from .mc import fixed_point
+from .mc import KuranishiData, NilpotentFiltration, kuranishi_inverse, kuranishi_rho, mc_sum
 from .report import Report, evaluable_scope, witness_verdict
 from .symcoalg import (
     SymSpace,
@@ -402,63 +405,46 @@ def ibl_shape_defect(ibl_space: SymSpace, x: Vector):
                  or ibl_space.degree(w) + T_DEGREE * n != 0), None)
 
 
-def ibl_mc_residual(ibl: IBLStructure, x: Vector, arity_cap: int) -> Vector:
-    St = ibl.quotient()
-    dflat = flatten_top(ibl.delta, ibl.N)
-    return exp_series(lambda xs: koszul_recursion(St, dflat, xs), x, range(1, arity_cap + 1))
-
-
 def ibl_mc_check(ibl: IBLStructure, x: Vector,
                  arity_cap: int) -> tuple[bool | None, Vector | None]:
     """(whether x is Maurer-Cartan up to order N, its residual).  The verdict is
     None, with no residual, when computing the residual leaves the word bound:
-    the sample is undetermined, neither Maurer-Cartan nor not."""
+    the sample is undetermined, neither Maurer-Cartan nor not.  The residual is
+    the Maurer-Cartan sum of the Koszul-bracket lift of the flattened delta."""
     bad = ibl_shape_defect(ibl.space, x)
     if bad is not None:
         raise ValueError(f"candidate violates the weight-shift shape at {bad}")
     try:
-        res = ibl_mc_residual(ibl, x, arity_cap)
+        res = mc_sum(kos_lift(ibl.quotient(), flatten_top(ibl.delta, ibl.N), arity_cap), x, arity_cap)
     except Overflow:
         return None, None
     return res.is_zero(), res
-
-
-def ibl_mc_pushforward(f: TOp, source: IBLStructure, target: IBLStructure,
-                       x: Vector, arity_cap: int) -> Vector:
-    Vt = target.quotient()
-    # arguments live in the source quotient; cumulants are K[[t]]-multilinear
-    St = source.quotient()
-    f_t = flatten_top(f, Vt.N)
-    return exp_series(lambda xs: cumulant_recursion(St, Vt, f_t, xs), x, range(1, arity_cap + 1))
 
 
 def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
                          samples_U, samples_V) -> Report:
     """Both correspondences of the Maurer-Cartan theorem on sampled elements:
     x -> (push-forward along G, H(x)) with its recursive inverse, and the
-    restriction bijection onto Ker(H).
+    restriction bijection onto Ker(H).  They are ``mc``'s, on the flattened
+    transfer: (G, F, H) as a contraction of the flattened deltas, with the
+    Koszul-bracket lifts of the deltas and the cumulant lifts of F and G, and
+    every sum cut at ``arity_cap``.
 
     Samples that are not Maurer-Cartan are skipped, and so are undetermined ones
     (``ibl_mc_check`` gives None); the bounds count, for U and for V, the samples
     evaluated, the Maurer-Cartan ones and the undetermined ones.  A claim on a
-    Maurer-Cartan sample that cannot be evaluated within the word bound is
-    UNDETERMINED."""
+    Maurer-Cartan sample that cannot be evaluated within the word bound, or
+    whose inverse does not stabilize within 12 steps, is UNDETERMINED."""
     rep = Report("IBL Maurer-Cartan correspondence", bounds={"arity_cap": arity_cap})
     target = res.target
     St, Vt = ibl.quotient(), target.quotient()
-    dflat = flatten_top(ibl.delta, ibl.N)
-    Hflat = flatten_top(res.H, ibl.N)
-    Fflat = flatten_top(res.F, ibl.N)
-    Gflat = flatten_top(res.G, target.N)
-
-    def rho(x: Vector):
-        return ibl_mc_pushforward(res.G, ibl, target, x, arity_cap), Hflat(x)
-
-    def correction(xs):
-        return Hflat(koszul_recursion(St, dflat, xs)) - Fflat(cumulant_recursion(St, Vt, Gflat, xs))
-
-    def rho_inverse(y: Vector, hv: Vector) -> Vector:
-        return fixed_point(Fflat(y) - dflat(hv), correction, arity_cap, 12)
+    dflat, dVflat = flatten_top(ibl.delta, ibl.N), flatten_top(target.delta, target.N)
+    Gflat, Fflat = flatten_top(res.G, target.N), flatten_top(res.F, ibl.N)
+    C = Contraction(Gflat, Fflat, flatten_top(res.H, ibl.N), dflat, dVflat, verify_on_init=False)
+    lifts = LinfTransfer(kos_lift(Vt, dVflat, arity_cap), cumulant_lift(Vt, St, Fflat, arity_cap),
+                         cumulant_lift(St, Vt, Gflat, arity_cap), C, arity_cap)
+    data = KuranishiData(kos_lift(St, dflat, arity_cap), lifts, C,
+                         NilpotentFiltration({}, arity_cap + 1))
 
     counts = {side: dict.fromkeys(("evaluated", "Maurer-Cartan", "undetermined"), 0)
               for side in "UV"}
@@ -475,37 +461,36 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
             return "residual beyond the word bound"
         return "" if ok else f"residual orders {sorted({n for n, _ in residual.keys()})}"
 
-    for i, x in enumerate(samples_U):
-        if not mc_sample("U", ibl, x):
-            continue
-        key = f"U sample {i}"
-        try:
-            y, hx = rho(x)
-            ok_y, res_y = ibl_mc_check(target, y, arity_cap)
-            rep.add(f"push-forward of {key} is Maurer-Cartan", ok_y,
-                    residual_detail(ok_y, res_y))
-            rep.add(f"inverse recovers {key}", rho_inverse(y, hx) == x)
-            if not hx:
-                x2 = ibl_mc_pushforward(res.F, target, ibl, y, arity_cap)
-                rep.add(f"restriction bijection round-trip on {key}", x2 == x)
-        except Overflow as exc:
-            rep.add(f"remaining claims on {key}", None, f"beyond the word bound: {exc}")
-    for i, y in enumerate(samples_V):
-        if not mc_sample("V", target, y):
-            continue
-        key = f"V sample {i}"
-        try:
-            x = rho_inverse(y, Vector())
-            direct = ibl_mc_pushforward(res.F, target, ibl, y, arity_cap)
-            rep.add(f"inverse at zero homotopy datum is the push-forward along F ({key})",
-                    x == direct)
-            ok_x, res_x = ibl_mc_check(ibl, x, arity_cap)
-            rep.add(f"lifted {key} is Maurer-Cartan", ok_x, residual_detail(ok_x, res_x))
-            rep.add(f"lift of {key} lies in Ker(H)", not Hflat(x))
-            y2, _ = rho(x)
-            rep.add(f"round-trip returns {key}", y2 == y)
-        except Overflow as exc:
-            rep.add(f"remaining claims on {key}", None, f"beyond the word bound: {exc}")
+    def claims_on_U(key: str, x: Vector) -> None:
+        y, hx = kuranishi_rho(data, x)
+        ok_y, res_y = ibl_mc_check(target, y, arity_cap)
+        rep.add(f"push-forward of {key} is Maurer-Cartan", ok_y, residual_detail(ok_y, res_y))
+        rep.add(f"inverse recovers {key}", kuranishi_inverse(data, y, hx, max_steps=12) == x)
+        if not hx:
+            rep.add(f"restriction bijection round-trip on {key}",
+                    mc_sum(lifts.f, y, arity_cap) == x)
+
+    def claims_on_V(key: str, y: Vector) -> None:
+        x = kuranishi_inverse(data, y, Vector(), max_steps=12)
+        rep.add(f"inverse at zero homotopy datum is the push-forward along F ({key})",
+                x == mc_sum(lifts.f, y, arity_cap))
+        ok_x, res_x = ibl_mc_check(ibl, x, arity_cap)
+        rep.add(f"lifted {key} is Maurer-Cartan", ok_x, residual_detail(ok_x, res_x))
+        rep.add(f"lift of {key} lies in Ker(H)", not C.h(x))
+        rep.add(f"round-trip returns {key}", kuranishi_rho(data, x)[0] == y)
+
+    for side, structure, samples, claims in (("U", ibl, samples_U, claims_on_U),
+                                             ("V", target, samples_V, claims_on_V)):
+        for i, x in enumerate(samples):
+            if not mc_sample(side, structure, x):
+                continue
+            key = f"{side} sample {i}"
+            try:
+                claims(key, x)
+            except Overflow as exc:
+                rep.add(f"remaining claims on {key}", None, f"beyond the word bound: {exc}")
+            except ConvergenceFault as exc:
+                rep.add(f"remaining claims on {key}", None, f"fixed point did not stabilize: {exc}")
     for side, tally in counts.items():
         for what, k in tally.items():
             rep.bounds[f"{side} samples {what}"] = k

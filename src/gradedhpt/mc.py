@@ -7,6 +7,11 @@ Taylor data on the grouplike e^x = sum x^n/n!, which lives on canonical words.
 Each diagonal t_n(x, ..., x) is ``_TaylorData.diagonal``, a sum over the
 canonical words of weight n over the support of x with multinomial weights,
 and the Kuranishi fixed point reads its corrections through the same method.
+This module is the one place that sums a Maurer-Cartan series or inverts one:
+the derived BV and IBL sums are ``mc_sum`` of the Koszul-bracket and cumulant
+lifts (``commalg.kos_lift``, ``commalg.cumulant_lift``) of flattened t-series,
+and the IBL correspondence is ``kuranishi_rho`` and ``kuranishi_inverse`` on
+such lifts.
 
 Only nilpotent filtrations are supported: convergence is literal stabilization,
 detected by exact equality.

@@ -41,8 +41,9 @@ from gradedhpt.randgen import (
     random_unital_map,
     random_unital_operator,
 )
+from gradedhpt.mc import mc_sum
 from gradedhpt.symcoalg import SymSpace, canonical_word
-from gradedhpt.tseries import TOp
+from gradedhpt.tseries import TOp, TruncatedTAlgebra, flatten_top
 
 
 def random_args(rng, space, n: int) -> tuple:
@@ -615,6 +616,44 @@ class TestExpEndomorphism:
                 break
         kf_map = kf.as_map(S, S)
         assert exp_map.first_difference(kf_map, S.keys()) is None
+
+
+class TestLiftedMCSums:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), pole=st.booleans())
+    def test_lifted_sums_are_the_ordered_tuple_sums(self, seed, n, pole):
+        # mc_sum of the Koszul-bracket and cumulant lifts reads one canonical word
+        # per multiset of the support of a, against exp_series over the
+        # recursions, which visits every ordered tuple of it.  a lives at orders
+        # 0 and 1, or has a key at the pole order -1, and the quotient
+        # A[t]/(t^{M+1}) is taken at an order M that no term reaches
+        rng = random.Random(seed)
+        A, B = random_algebra_pair(rng)
+        td, top = rng.choice([0, 2]), rng.randint(0, 2)
+        D = TOp({m: random_unital_operator(rng, A, 1 - m * td) for m in range(top + 1)},
+                A.space, A.space, 1, td)
+
+        def coefficient(m):
+            # f_0 is unital, and every higher coefficient kills the unit
+            if m == 0:
+                return random_unital_map(rng, A, B)
+            return LinOp.from_dict(A.space, B.space, -m * td, {
+                k: random_homogeneous(rng, B.space, A.space.degree(k) - m * td)
+                for k in A.space.keys() if k != A.unit_key})
+
+        f = TOp({m: coefficient(m) for m in range(top + 1)}, A.space, B.space, 0, td)
+        support = rng.sample([(m, k) for m in range(2) for k in A.space.keys()], rng.randint(1, 4))
+        if pole:
+            support[0] = (-1, support[0][1])
+        a = Vector({key: Q(rng.randint(-3, 3), rng.randint(1, 3)) for key in support})
+        M = n * (1 + top)
+        At, Bt = TruncatedTAlgebra(A, M, td), TruncatedTAlgebra(B, M, td)
+        Dflat, fflat = flatten_top(D, M), flatten_top(f, M)
+        arities = range(1, n + 1)
+        assert mc_sum(kos_lift(At, Dflat, n), a, n) == exp_series(
+            lambda xs: koszul_recursion(At, Dflat, xs), a, arities)
+        assert mc_sum(cumulant_lift(At, Bt, fflat, n), a, n) == exp_series(
+            lambda xs: cumulant_recursion(At, Bt, fflat, xs), a, arities)
 
 
 def koszul_mc_series(A, delta, a, nilpotency):

@@ -239,3 +239,16 @@ class TestIBLMC:
         for side, samples in (("U", samples_U), ("V", samples_V)):
             assert (rep.bounds[f"{side} samples evaluated"]
                     + rep.bounds[f"{side} samples undetermined"] == len(samples)), side
+
+    def test_unstable_inverse_is_undetermined(self, f4, ibl4):
+        # at arity cap 2 the V samples c v, c = 1, -1, 2, are Maurer-Cartan, but the
+        # fixed point of their inverse does not stabilize within 12 steps: the
+        # claims on them are UNDETERMINED, and the ConvergenceFault does not escape
+        res = ibl_transfer(ibl4, f4.contraction, arity_bound=3)
+        samples_V = [flat({0: Vector.basis((0,), c)}) for c in (1, -1, 2)]
+        assert all(ibl_mc_check(res.target, y, 2)[0] for y in samples_V)
+        rep = ibl_kuranishi_report(ibl4, res, 2, [], samples_V)
+        assert [(i.name, i.verdict) for i in rep.items] == [
+            (f"remaining claims on V sample {i}", "UNDETERMINED") for i in range(3)]
+        assert all(i.detail.startswith("fixed point did not stabilize: ") for i in rep.items)
+        assert rep.bounds["V samples Maurer-Cartan"] == 3

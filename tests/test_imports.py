@@ -2,7 +2,8 @@
 module-level import is used (in the tests too), no function or class imports
 locally, an Overflow is caught only where the allowlist below says, the
 diagonal (x,) * n of a Maurer-Cartan sum is written only in
-``core.exp_series``, no scalar is formed by true division or by a power of
+``core.exp_series``, which only the Maurer-Cartan sums of ``mc`` and the BV
+e^a call, no scalar is formed by true division or by a power of
 -1, only ``core`` touches a Vector's coefficient dict (the attribute ``.c``),
 every option has a setter: each defaulted parameter of a library function is
 passed by some call in ``src/``, ``tests/`` or ``perfbench/`` (an option no call sets
@@ -149,6 +150,28 @@ def test_diagonal_sums_only_in_exp_series(path):
     stray = [(owner, line) for owner, line in diagonal_sites(path)
              if owner not in DIAGONAL_SUMS]
     assert not stray, f"{path.name}: a diagonal (x,) * n outside core.exp_series at {stray}"
+
+
+# ``core.exp_series`` has three callers: the Maurer-Cartan sum of Taylor data
+# and the Kuranishi fixed point of ``mc``, which read each canonical word of the
+# diagonal once, and the e^a of the BV exponential route.  A Maurer-Cartan sum
+# of Koszul brackets or cumulants is ``mc.mc_sum`` of their lift, never
+# ``exp_series`` over a recursion, which visits every ordered key tuple.
+EXP_SERIES_CALLERS = {"mc.mc_sum", "mc.fixed_point", "bv._exp"}
+
+
+def exp_series_calls(path: Path) -> list:
+    """(owner, line) of each call of ``exp_series``, by name or as an attribute."""
+    return [(owner, node.lineno) for owner, node in owned_nodes(path)
+            if isinstance(node, ast.Call) and "exp_series" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exp_series_only_in_mc_sums(path):
+    stray = [(owner, line) for owner, line in exp_series_calls(path)
+             if owner not in EXP_SERIES_CALLERS]
+    assert not stray, f"{path.name}: exp_series called outside {sorted(EXP_SERIES_CALLERS)} at {stray}"
 
 
 # Scalars are exact and int-first (``core.Q``): ``/`` on ints makes a float, and
@@ -332,7 +355,6 @@ TEST_ONLY_OPTIONS = {
     ("hpt", "check_semifull_coalgebra", "keys_C"): "key corpus; the default is the whole basis",
     ("hpt", "check_semifull_coalgebra", "keys_D"): "key corpus; the default is the whole basis",
     ("bv", "bv_mc_check", "nilpotency"): "the input's nilpotency order; set, it adds the e^a cross-check",
-    ("mc", "kuranishi_inverse", "max_steps"): "the step bound; tests run past stabilization to show idempotence",
 }
 
 
