@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
 
-from .core import GradedBasis, LinOp, RouteDisagreement, ShiftedSpace, Vector, exp_series
+from .core import (GradedBasis, LinOp, RouteDisagreement, ShiftedSpace, Vector, exp_series,
+                   expand_multilinear)
 from .commalg import (
     CommAlgebra,
     ExplicitFDAlgebra,
@@ -128,14 +129,15 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
                                         else f"K_{scope} != 0 at {witness}"), least=n + 2)
 
     # route B: K(Delta)_m = 0 mod t^{m-1}, computed in the truncated quotient
-    # to the order the series is reliable to; the scan over all arities shares
-    # one prefix memo of the recursion
+    # to the order the series is reliable to; each multiset is one tuple of
+    # order-0 keys for the key-tuple kernel, the scan over all arities shares
+    # one prefix memo of it, and the shared values it returns are only read
     order = N if reliable is None else min(N, reliable)
     At = TruncatedTAlgebra(A, order, td)
     Dflat = flatten_top(Delta, order)
     memo: dict = {}
     _congruence_claims(rep, "K(Delta)", keys, arity_bound, order, lambda tup: koszul_recursion(
-        At, Dflat, tuple(Vector.basis((0, kk)) for kk in tup), memo=memo))
+        At, Dflat, tuple((0, kk) for kk in tup), memo))
     return rep
 
 
@@ -193,8 +195,8 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
     reliable = f.known_to
     Bt = TruncatedTAlgebra(B, N if reliable is None else min(N, reliable), td)
     f_flat = flat_unital_map(f, Bt)
-    _congruence_claims(rep, "kappa(f)", keys, arity_bound, Bt.N, lambda tup: cumulant_recursion(
-        A, Bt, f_flat, tuple(Vector.basis(kk) for kk in tup)))
+    _congruence_claims(rep, "kappa(f)", keys, arity_bound, Bt.N,
+                       lambda tup: cumulant_recursion(A, Bt, f_flat, tup))
     return rep
 
 
@@ -207,7 +209,7 @@ def bv_to_poisson(A: CommAlgebra, Delta: TOp, k: int, arity_bound: int) -> Taylo
     shifted = ShiftedSpace(A.space, 1 - k)
 
     def fn(n, word):
-        return koszul_recursion(A, Delta.coeff(n - 1), tuple(Vector.basis(kk) for kk in word))
+        return koszul_recursion(A, Delta.coeff(n - 1), word)
 
     return TaylorCoderivation(shifted, fn, arity_bound, 1, label="P(Delta)")
 
@@ -225,8 +227,7 @@ def bv_morphism_to_poisson(f: TOp, A: CommAlgebra, B: CommAlgebra, k: int,
     f_flat = flat_unital_map(f, Bt)
 
     def fn(n, word):
-        val = cumulant_recursion(A, Bt, f_flat, tuple(Vector.basis(kk) for kk in word))
-        return _at_order(val, n - 1)
+        return _at_order(cumulant_recursion(A, Bt, f_flat, word), n - 1)
 
     return TaylorMorphism(ShiftedSpace(A.space, 1 - k), ShiftedSpace(B.space, 1 - k),
                           fn, arity_bound, label="P(f)")
@@ -255,13 +256,12 @@ def verify_poisson(A: CommAlgebra, Delta: TOp, k: int, arity_bound: int,
 
     def multiderivation_witness(tup):
         head, b, c = tup[:-2], tup[-2], tup[-1]
-        args = tuple(Vector.basis(kk) for kk in head)
-        op = Delta.coeff(len(tup) - 2)
-        lhs = koszul_recursion(A, op, args + (Vector(A.mul_keys(b, c)),))
+        op, memo = Delta.coeff(len(tup) - 2), {}
+        lhs = expand_multilinear(tuple(map(Vector.basis, head)) + (Vector(A.mul_keys(b, c)),),
+                                 lambda *keys: koszul_recursion(A, op, keys, memo))
         sign = -1 if (A.space.degree(b) % 2 and A.space.degree(c) % 2) else 1
-        rhs = (A.mul(koszul_recursion(A, op, args + (Vector.basis(b),)), Vector.basis(c))
-               + A.mul(koszul_recursion(A, op, args + (Vector.basis(c),)),
-                       Vector.basis(b)).scale(sign))
+        rhs = (A.mul(koszul_recursion(A, op, head + (b,), memo), Vector.basis(c))
+               + A.mul(koszul_recursion(A, op, head + (c,), memo), Vector.basis(b)).scale(sign))
         return None if lhs == rhs else tup
 
     scope, bad = scan(((n, combinations_with_replacement(keys, n + 1))
@@ -488,8 +488,7 @@ def cl_bijection(phi: LinOp, SU: SymSpace, SU_alg: CommAlgebra, Bt: TruncatedTAl
     rep.add("chain condition for exp data", *witness_verdict(inter))
     kappa = Report("cumulant congruence")
     _congruence_claims(kappa, "kappa(F)", SU_alg.order_check_keys(), arity_bound, N,
-                       lambda tup: cumulant_recursion(SU_alg, Bt, F,
-                                                      tuple(Vector.basis(w) for w in tup)))
+                       lambda tup: cumulant_recursion(SU_alg, Bt, F, tup))
     cong_ok = False if kappa.has_fail else (True if kappa.ok else None)
     rep.add("vanishing condition <=> cumulant congruence",
             None if cong_ok is None else cl_ok == cong_ok, f"cl={cl_ok}, kappa={cong_ok}")

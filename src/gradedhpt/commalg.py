@@ -20,18 +20,20 @@ Maurer-Cartan sums ``mc.mc_sum`` forms for ``bv`` and ``ibl``, one recursion
 per canonical word of the diagonal.  On the diagonal,
 sum_n K(delta)_n(a, ..., a)/n! = e^{-a} delta(e^a) is decided once, by
 ``bv.bv_mc_check`` with its ``nilpotency`` cross-check.
-Routes (a) and (b) are kernels on tuples of basis keys, extended to vectors by
-``core.expand_multilinear``, that multiply keys by ``CommAlgebra.mul_keys``.
-The closed formulas ``cumulant_partition`` and ``koszul_closed`` stay the
-independent oracles.  With delta(1) = 0, delta is a derivation where K(delta)_2
+Routes (a) and (b) multiply keys by ``CommAlgebra.mul_keys``.  The recursions
+of route (b) are kernels on one tuple of basis keys, which a caller with
+vectors extends by ``core.expand_multilinear``; the values they return are
+shared (memo entries, ``on_key`` images), read and never mutated.  The closed
+formulas ``cumulant_partition`` and ``koszul_closed`` stay the independent
+oracles.  With delta(1) = 0, delta is a derivation where K(delta)_2
 vanishes: the arity-2 scan ``koszul_vanishes(A, delta, 2)`` decides it.  The
 one memo here is the Koszul recursion's, one table per level m of the states
 K_{m+1}(a_1, ..., a_m, c), keyed by the basis key of c (so at most dim A
-entries) and stored with the argument prefix a_1, ..., a_m they were built
-from.  It lives for one scan over tuples of one (A, delta), an order check's
-walk over multisets, where each tuple reuses the tables of the prefix it
-shares with the tuple before; a level whose prefix differs from the current
-tuple's is replaced, never used, and the scan drops the memo when it returns.
+entries) and stored with the key prefix a_1, ..., a_m they were built from.
+It lives for one scan over key tuples of one (A, delta), an order check's
+walk over multisets or one multilinear expansion, where each tuple reuses the
+tables of the prefix it shares with the tuple before; a level whose prefix
+differs is replaced, never used, and the scan drops the memo when it returns.
 Nothing is memoized across scans.
 """
 
@@ -307,9 +309,11 @@ def cumulant_partition(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
     return expand_multilinear(args, kernel)
 
 
-def cumulant_recursion(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]) -> Vector:
-    """Two-slot recursion: kappa_{n+2}(..., b, c) from kappa_{n+1}(..., bc) and
-    products, on basis keys; the bc branch runs over the terms of b * c."""
+def cumulant_recursion(A: CommAlgebra, B: CommAlgebra, f: LinOp, keys: tuple) -> Vector:
+    """Two-slot recursion on one tuple of basis keys, vectors going through
+    ``core.expand_multilinear``: kappa_{n+2}(..., b, c) from kappa_{n+1}(..., bc)
+    and products; the bc branch runs over the terms of b * c.  The value on
+    one key is f's ``on_key`` image, shared: read, never mutated."""
     def rec(keys: tuple) -> Vector:
         if len(keys) == 1:
             return f.on_key(keys[0])
@@ -330,7 +334,7 @@ def cumulant_recursion(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vec
         return out
 
     try:
-        return expand_multilinear(args, lambda *keys: rec(keys))
+        return rec(keys)
     finally:
         del rec
 
@@ -372,7 +376,8 @@ def cumulants(A: CommAlgebra, B: CommAlgebra, f: LinOp, args: tuple[Vector, ...]
         raise ValueError("cumulants need a unital map: f(1_A) = 1_B")
     return _agreeing_routes("cumulant",
                             lambda: cumulant_partition(A, B, f, args),
-                            lambda: cumulant_recursion(A, B, f, args),
+                            lambda: expand_multilinear(
+                                args, lambda *keys: cumulant_recursion(A, B, f, keys)),
                             lambda: cumulant_composite(A, B, f, args))
 
 
@@ -400,33 +405,38 @@ def koszul_closed(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vec
     return expand_multilinear(args, kernel)
 
 
-def koszul_recursion(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
+def koszul_recursion(A: CommAlgebra, delta: LinOp, keys: tuple,
                      memo: dict | None = None) -> Vector:
-    """Recursion K_{n+2}(..., b, c) = K_{n+1}(..., bc) - K_{n+1}(..., b)c -+ K_{n+1}(..., c)b.
+    """K_n(a_1, ..., a_n) on one tuple of basis keys, by the recursion
+    K_{n+2}(..., b, c) = K_{n+1}(..., bc) - K_{n+1}(..., b)c -+ K_{n+1}(..., c)b.
 
-    The arguments are expanded over basis keys (one kernel call per key tuple
-    a_1, ..., a_n), and every state is K_{m+1}(a_1, ..., a_m, c) with c a
-    basis key: K is linear in c, so the bc branch runs over the terms of
-    ``mul_keys(b, c)``, and a vanishing product prunes its whole branch.  The
-    states are memoized in one table per level,
+    Vectors go through ``core.expand_multilinear``.  Every state is
+    K_{m+1}(a_1, ..., a_m, c) with c a basis key: K is linear in c, so the bc
+    branch runs over the terms of ``mul_keys(b, c)``, and a vanishing product
+    prunes its whole branch.  The states are memoized in one table per level,
     ``memo[m] = ((a_1, ..., a_m), {c: K_{m+1}(a_1, ..., a_m, c)})``, so each
     is evaluated once however many branches reach it; the prefix brackets
-    K_m(a_1, ..., a_m) are the entries with c = a_m.  On n arguments delta is
+    K_m(a_1, ..., a_m) are the entries with c = a_m.  On n keys delta is
     evaluated at most once per product of a nonempty sub-multiset of them,
     and a table holds at most dim A entries.  The memo is ``memo`` when
     given, else a dict of this call: a scan over many tuples of one
     (A, delta) passes one dict, so a tuple reuses the tables of the prefix
-    it shares with the tuple before it.  At each kernel call a level whose
-    prefix differs from the new tuple's is replaced by an empty one, so any
-    order of tuples gives the same values.  Table values are shared: they,
-    like ``LinOp.on_key`` images, are read and never mutated.  Argument
-    degrees are computed once per kernel call; the degree of c is carried.
+    it shares with the tuple before it.  A level whose prefix differs from
+    this tuple's is replaced by an empty one, so any order of tuples gives
+    the same values.  delta(1) is read as ``delta.on_key(A.unit_key)``.
+    The value returned is shared (a table entry, or delta's own ``on_key``
+    image): like an ``on_key`` image, it is read and never mutated.
     """
-    du = delta(A.unit())
+    du = delta.on_key(A.unit_key)
     unital = du.is_zero()
     memo = {} if memo is None else memo
-    degree, mul_keys = A.space.degree, A.mul_keys
-    keys = degs = tables = ()
+    mul_keys = A.mul_keys
+    degs = tuple(map(A.space.degree, keys))
+    tables = []
+    for m in range(len(keys)):
+        if m not in memo or memo[m][0] != keys[:m]:
+            memo[m] = (keys[:m], {})
+        tables.append(memo[m][1])
 
     def rec(m: int, ck, dc: int) -> Vector:
         table = tables[m]
@@ -449,18 +459,8 @@ def koszul_recursion(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...],
         table[ck] = v
         return v
 
-    def kernel(*tup):
-        nonlocal keys, degs, tables
-        for m in range(len(tup)):
-            level = memo.get(m)
-            if level is None or level[0] != tup[:m]:
-                memo[m] = (tup[:m], {})
-        keys, degs = tup, tuple(map(degree, tup))
-        tables = [memo[m][1] for m in range(len(tup))]
-        return rec(len(tup) - 1, tup[-1], degs[-1])
-
     try:
-        return expand_multilinear(args, kernel)
+        return rec(len(keys) - 1, keys[-1], degs[-1])
     finally:
         # rec's closure holds rec: emptying that cell breaks the cycle, so the
         # closure is freed on return rather than by the garbage collector
@@ -477,7 +477,9 @@ def koszul_composite(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> 
 def koszul_brackets(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> Vector:
     """Evaluate K(delta)_n on args by the closed and recursion routes, and by the
     composite route when delta(1) = 0; exact agreement required."""
-    thunks = (lambda: koszul_closed(A, delta, args), lambda: koszul_recursion(A, delta, args))
+    memo: dict = {}
+    thunks = (lambda: koszul_closed(A, delta, args), lambda: expand_multilinear(
+        args, lambda *keys: koszul_recursion(A, delta, keys, memo)))
     if delta(A.unit()).is_zero():
         thunks += (lambda: koszul_composite(A, delta, args),)
     return _agreeing_routes("Koszul bracket", *thunks)
@@ -489,21 +491,21 @@ def koszul_brackets(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> V
 def koszul_vanishes(A: CommAlgebra, delta: LinOp, n: int, keys=None) -> tuple | None:
     """Witness tuple where K(delta)_n != 0 on the checking corpus, else None.
 
-    The multisets are walked in lexicographic order with one memo of
-    ``koszul_recursion`` for the whole walk, so consecutive tuples share the
-    tables of their common prefix; each table is used only while its stored
-    prefix equals the current tuple's, and the memo is dropped on return.
+    Each multiset is a tuple of basis keys for the kernel ``koszul_recursion``,
+    whose shared values are only tested for zero.  The multisets are walked in
+    lexicographic order with one memo for the whole walk, so consecutive tuples
+    share the tables of their common prefix; each table is used only while its
+    stored prefix equals the current tuple's, and the memo is dropped on return.
     """
     keys = tuple(dict.fromkeys(A.order_check_keys() if keys is None else keys))
-    degree = A.space.degree
+    odd = {k for k in keys if A.space.degree(k) % 2}
     memo: dict = {}
     # multisets of size n span the arguments, by symmetry; the walk puts equal
     # keys next to each other, and one that repeats an odd key vanishes
     for tup in combinations_with_replacement(keys, n):
-        if any(k1 == k2 and degree(k1) % 2 for k1, k2 in zip(tup, tup[1:])):
+        if any(k1 == k2 and k1 in odd for k1, k2 in zip(tup, tup[1:])):
             continue
-        args = tuple(Vector.basis(k) for k in tup)
-        if not koszul_recursion(A, delta, args, memo=memo).is_zero():
+        if not koszul_recursion(A, delta, tup, memo).is_zero():
             return tup
     return None
 
@@ -536,10 +538,8 @@ def kos_lift(A: CommAlgebra, delta: LinOp, arity_bound: int) -> TaylorCoderivati
     if not delta(A.unit()).is_zero():
         raise ValueError("kos_lift needs delta(1) = 0")
 
-    def fn(n, word):
-        return koszul_recursion(A, delta, tuple(Vector.basis(k) for k in word))
-
-    return TaylorCoderivation(A.space, fn, arity_bound, delta.degree, label=f"Kos({delta.label})")
+    return TaylorCoderivation(A.space, lambda n, word: koszul_recursion(A, delta, word),
+                              arity_bound, delta.degree, label=f"Kos({delta.label})")
 
 
 def cumulant_lift(A: CommAlgebra, B: CommAlgebra, f: LinOp, arity_bound: int) -> TaylorMorphism:
@@ -547,10 +547,8 @@ def cumulant_lift(A: CommAlgebra, B: CommAlgebra, f: LinOp, arity_bound: int) ->
     if f(A.unit()) != B.unit():
         raise ValueError("cumulant_lift needs f(1_A) = 1_B")
 
-    def fn(n, word):
-        return cumulant_recursion(A, B, f, tuple(Vector.basis(k) for k in word))
-
-    return TaylorMorphism(A.space, B.space, fn, arity_bound, label=f"kappa({f.label})")
+    return TaylorMorphism(A.space, B.space, lambda n, word: cumulant_recursion(A, B, f, word),
+                          arity_bound, label=f"kappa({f.label})")
 
 
 # -- exponential endomorphisms ---------------------------------------------------

@@ -23,6 +23,7 @@ from .mc import KuranishiData, NilpotentFiltration, kuranishi_inverse, kuranishi
 from .report import Report, evaluable_scope, witness_verdict
 from .symcoalg import (
     SymSpace,
+    TaylorCoderivation,
     antipode,
     coderivation_defect,
     convolution,
@@ -85,17 +86,17 @@ def _sampled_tuples(space: SymSpace, arity_bound: int, scope: int, limit: int):
 def _routes_c_d(rep: Report, S: SymSpace, bracket, reference: LinOp, excess, scope: int,
                 arity_bound: int, d_samples: int, name_c: str, name_d: str) -> None:
     """Routes (c) and (d), one for structures and morphisms alike.  ``bracket``
-    is the family the claims are about on tuples of word vectors (the Koszul
-    brackets of delta_n, or the cumulants of f), ``reference`` its route-(b)
-    operator, and ``excess(key)`` how far an output key lies beyond the weight
-    bound for weight-one arguments.  (c) evaluates the family on letters and
-    matches ``reference`` exactly; (d) samples words of higher weight, whose
-    bound rises by the extra weight of the arguments.  Both are decided on
-    ``scope``."""
+    is the family the claims are about, a kernel on tuples of word keys whose
+    shared values are only read (the Koszul brackets of delta_n, or the
+    cumulants of f), ``reference`` its route-(b) operator, and ``excess(key)``
+    how far an output key lies beyond the weight bound for weight-one
+    arguments.  (c) evaluates the family on letters and matches ``reference``
+    exactly; (d) samples words of higher weight, whose bound rises by the
+    extra weight of the arguments.  Both are decided on ``scope``."""
     def route_c():
         for k in range(1, min(arity_bound, scope) + 1):
             for word in S.words_of_weight(k):
-                val = bracket(tuple(Vector.basis((x,)) for x in word))
+                val = bracket(tuple((x,) for x in word))
                 if any(excess(key) > 0 for key in val.keys()):
                     return witness_verdict(("weight", word))
                 if val != reference.on_key(word):
@@ -105,7 +106,7 @@ def _routes_c_d(rep: Report, S: SymSpace, bracket, reference: LinOp, excess, sco
     def route_d():
         drawn, beyond = _sampled_tuples(S, arity_bound, scope, d_samples)
         for tup, total in drawn:
-            val = bracket(tuple(Vector.basis(w) for w in tup))
+            val = bracket(tup)
             if any(excess(key) > total - len(tup) for key in val.keys()):
                 return witness_verdict(tup)
         return True, f"{len(drawn)} sampled" + (
@@ -172,7 +173,7 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
                   scope, lambda: witness_verdict(next(
                       (w for w in _upto(S, scope)
                        if any(len(u) > n + 1 for u in phi_n.on_key(w).keys())), None)))
-        _routes_c_d(rep, S, lambda args: koszul_recursion(alg, op, args), phi_n,
+        _routes_c_d(rep, S, lambda keys: koszul_recursion(alg, op, keys), phi_n,
                     lambda u: len(u) - n - 1, scope, arity_bound, 12,
                     f"(c) Koszul brackets of delta_{n} on letters match (b), weights <= {n + 1}",
                     f"(d) sampled weighted bound for delta_{n}")
@@ -314,7 +315,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
          if len(u) > m + 1), None)))
 
     SU_alg = SymWordAlgebra(SU)
-    _routes_c_d(rep, SU, lambda args: cumulant_recursion(SU_alg, Vt, f_flat, args), logf,
+    _routes_c_d(rep, SU, lambda keys: cumulant_recursion(SU_alg, Vt, f_flat, keys), logf,
                 lambda key: len(key[1]) - key[0] - 1, scope, arity_bound, 8,
                 "(c) cumulants on letters match (b) and the weight bound",
                 "(d) sampled weighted cumulant bound")
@@ -406,16 +407,17 @@ def ibl_shape_defect(ibl_space: SymSpace, x: Vector):
 
 
 def ibl_mc_check(ibl: IBLStructure, x: Vector,
-                 arity_cap: int) -> tuple[bool | None, Vector | None]:
+                 lift: TaylorCoderivation) -> tuple[bool | None, Vector | None]:
     """(whether x is Maurer-Cartan up to order N, its residual).  The verdict is
     None, with no residual, when computing the residual leaves the word bound:
     the sample is undetermined, neither Maurer-Cartan nor not.  The residual is
-    the Maurer-Cartan sum of the Koszul-bracket lift of the flattened delta."""
+    the Maurer-Cartan sum, cut at its arity bound, of ``lift``: the report's
+    Koszul-bracket lift of the flattened delta, whose words all samples share."""
     bad = ibl_shape_defect(ibl.space, x)
     if bad is not None:
         raise ValueError(f"candidate violates the weight-shift shape at {bad}")
     try:
-        res = mc_sum(kos_lift(ibl.quotient(), flatten_top(ibl.delta, ibl.N), arity_cap), x, arity_cap)
+        res = mc_sum(lift, x, lift.arity_bound)
     except Overflow:
         return None, None
     return res.is_zero(), res
@@ -449,9 +451,9 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
     counts = {side: dict.fromkeys(("evaluated", "Maurer-Cartan", "undetermined"), 0)
               for side in "UV"}
 
-    def mc_sample(side: str, structure: IBLStructure, x: Vector) -> bool:
+    def mc_sample(side: str, structure: IBLStructure, lift, x: Vector) -> bool:
         """Whether x is an evaluated Maurer-Cartan sample; counts it either way."""
-        ok, _ = ibl_mc_check(structure, x, arity_cap)
+        ok, _ = ibl_mc_check(structure, x, lift)
         counts[side]["undetermined" if ok is None else "evaluated"] += 1
         counts[side]["Maurer-Cartan"] += bool(ok)
         return bool(ok)
@@ -463,7 +465,7 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
 
     def claims_on_U(key: str, x: Vector) -> None:
         y, hx = kuranishi_rho(data, x)
-        ok_y, res_y = ibl_mc_check(target, y, arity_cap)
+        ok_y, res_y = ibl_mc_check(target, y, lifts.r)
         rep.add(f"push-forward of {key} is Maurer-Cartan", ok_y, residual_detail(ok_y, res_y))
         rep.add(f"inverse recovers {key}", kuranishi_inverse(data, y, hx, max_steps=12) == x)
         if not hx:
@@ -474,15 +476,15 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
         x = kuranishi_inverse(data, y, Vector(), max_steps=12)
         rep.add(f"inverse at zero homotopy datum is the push-forward along F ({key})",
                 x == mc_sum(lifts.f, y, arity_cap))
-        ok_x, res_x = ibl_mc_check(ibl, x, arity_cap)
+        ok_x, res_x = ibl_mc_check(ibl, x, data.Q)
         rep.add(f"lifted {key} is Maurer-Cartan", ok_x, residual_detail(ok_x, res_x))
         rep.add(f"lift of {key} lies in Ker(H)", not C.h(x))
         rep.add(f"round-trip returns {key}", kuranishi_rho(data, x)[0] == y)
 
-    for side, structure, samples, claims in (("U", ibl, samples_U, claims_on_U),
-                                             ("V", target, samples_V, claims_on_V)):
+    for side, structure, lift, samples, claims in (("U", ibl, data.Q, samples_U, claims_on_U),
+                                                   ("V", target, lifts.r, samples_V, claims_on_V)):
         for i, x in enumerate(samples):
-            if not mc_sample(side, structure, x):
+            if not mc_sample(side, structure, lift, x):
                 continue
             key = f"{side} sample {i}"
             try:

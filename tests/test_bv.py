@@ -109,8 +109,7 @@ class TestBVCheck:
     def test_delta1_has_order_exactly_two(self, f2, keys2):
         assert diff_order(f2.A, f2.delta1, 3, keys2) == 2
         # the specific nonvanishing bracket on (y, dz)
-        y = f2.A.monomial({"y": 1})
-        dz = f2.A.monomial({"dz": 1})
+        y, dz = (1, 0, 0, 0), (0, 0, 0, 1)
         val = koszul_recursion(f2.A, f2.delta1, (y, dz))
         assert not val.is_zero()
 
@@ -257,7 +256,7 @@ class TestPoisson:
         y = (1, 0, 0, 0)
         pair = tuple(sorted([y, dz]))
         val = P.component(2, pair)
-        expect = koszul_recursion(f2.A, f2.delta1, (Vector.basis(pair[0]), Vector.basis(pair[1])))
+        expect = koszul_recursion(f2.A, f2.delta1, pair)
         assert val == expect and not val.is_zero()
 
     def test_verify_poisson(self, f2, keys2):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gradedhpt import commalg
-from gradedhpt.bv import bv_mc_check
+from gradedhpt.bv import bv_check, bv_mc_check
 from gradedhpt.core import (
     GradedBasis,
     LinOp,
     Overflow,
     Vector,
+    expand_multilinear,
     exp_series,
     koszul_sign,
 )
@@ -33,6 +34,7 @@ from gradedhpt.commalg import (
     koszul_vanishes,
     log_automorphism,
 )
+from gradedhpt.fixtures import fix1, fix1_perturbation, fix2
 from gradedhpt.randgen import (
     random_algebra,
     random_algebra_pair,
@@ -54,6 +56,18 @@ def random_args(rng, space, n: int) -> tuple:
     return tuple(Vector([kc for d in rng.sample(degrees, rng.randint(1, min(2, len(degrees))))
                          for kc in random_homogeneous(rng, space, d).items()])
                  for _ in range(n))
+
+
+def koszul_on(A, delta, args: tuple, memo=None):
+    """The key-tuple kernel ``koszul_recursion`` on vectors: its multilinear
+    extension, one memo over the expansion (``memo`` when given)."""
+    memo = {} if memo is None else memo
+    return expand_multilinear(args, lambda *keys: koszul_recursion(A, delta, keys, memo))
+
+
+def cumulant_on(A, B, f, args: tuple):
+    """The key-tuple kernel ``cumulant_recursion`` on vectors."""
+    return expand_multilinear(args, lambda *keys: cumulant_recursion(A, B, f, keys))
 
 
 class OnKeyCounted(LinOp):
@@ -254,7 +268,7 @@ class TestCumulants:
         f = LinOp.from_dict(A.space, A.space, 0, {0: Vector.basis(0)})
         args = (Vector.basis(1), Vector.basis(2))
         r1 = cumulant_partition(A, A, f, args)
-        r2 = cumulant_recursion(A, A, f, args)
+        r2 = cumulant_on(A, A, f, args)
         assert r1 == r2
 
     def test_composition_compatibility(self):
@@ -318,7 +332,7 @@ class TestKoszulBrackets:
         d_dy = OnKeyCounted(A.space, A.space, 0,
                             lambda k: Vector.basis((k[0] - 1, k[1]), k[0]) if k[0] else Vector.zero(),
                             "d/dy")
-        y, xi = A.monomial({"y": 1}), A.monomial({"xi": 1})
+        y, xi = (1, 0), (0, 1)
         for n in (2, 3, 4, 5):
             d_dy.calls = 0
             koszul_recursion(A, d_dy, (xi,) + (y,) * (n - 1))
@@ -348,15 +362,14 @@ class TestKoszulBrackets:
                             "d/dy")
         y, xi = (1, 0), (0, 1)
         memo: dict = {}
-        args = tuple(Vector.basis(k) for k in (xi, xi, y))
-        value = koszul_recursion(A, d_dy, args, memo=memo)
+        value = koszul_recursion(A, d_dy, (xi, xi, y), memo)
         assert d_dy.calls == 4
         assert {m: (prefix, set(table)) for m, (prefix, table) in memo.items()} == {
             0: ((), {xi, y, (1, 1)}),
             1: ((xi,), {xi, y, (1, 1)}),
             2: ((xi, xi), {y}),
         }
-        assert value == koszul_closed(A, d_dy, args)
+        assert value == koszul_closed(A, d_dy, tuple(Vector.basis(k) for k in (xi, xi, y)))
 
     def test_tables_hold_at_most_dim_a_entries(self, monkeypatch):
         # the states of one level are keyed by basis keys, so across a
@@ -370,8 +383,8 @@ class TestKoszulBrackets:
             for k in keys if k != A.unit_key}, "delta")
         sizes = []
 
-        def recorded(A, delta, args, memo=None):
-            out = koszul_recursion(A, delta, args, memo=memo)
+        def recorded(A, delta, keys, memo=None):
+            out = koszul_recursion(A, delta, keys, memo)
             sizes.extend(len(table) for _, table in memo.values())
             return out
 
@@ -390,8 +403,8 @@ class TestKoszulBrackets:
         delta = LinOp.zero(A.space)
         seen = []
 
-        def recorded(A, delta, args, memo=None):
-            seen.append(tuple(next(iter(a.keys())) for a in args))
+        def recorded(A, delta, keys, memo=None):
+            seen.append(keys)
             return Vector.zero()
 
         monkeypatch.setattr(commalg, "koszul_recursion", recorded)
@@ -435,7 +448,7 @@ class TestKoszulBrackets:
         rng.shuffle(tuples)
         memo: dict = {}
         for args in tuples:
-            assert koszul_recursion(A, delta, args, memo=memo) == koszul_recursion(A, delta, args)
+            assert koszul_on(A, delta, args, memo) == koszul_on(A, delta, args)
 
     def test_shared_memo_over_multi_term_products(self):
         # on random algebras rebased so that products of basis keys have
@@ -458,8 +471,8 @@ class TestKoszulBrackets:
             rng.shuffle(tuples)
             memo: dict = {}
             for args in tuples:
-                value = koszul_recursion(A, delta, args, memo=memo)
-                assert value == koszul_recursion(A, delta, args)
+                value = koszul_on(A, delta, args, memo)
+                assert value == koszul_on(A, delta, args)
                 assert value == koszul_closed(A, delta, args)
         assert multi_term
 
@@ -479,17 +492,17 @@ class TestKoszulBrackets:
         assert delta(A.unit()) == a
         low = [k for k in keys if sum(k) <= 1]
         args = tuple(random_homogeneous(rng, A.space, d, low) for d in (0, 1, 2, 0, 2))
-        value = koszul_recursion(A, delta, args)
+        value = koszul_on(A, delta, args)
         assert not value.is_zero()
         assert value == koszul_closed(A, delta, args)
-        assert value == koszul_recursion(A, D, args)
+        assert value == koszul_on(A, D, args)
 
     def test_unit_corrected_multiplication_operator(self):
         A = exterior_two()
         a = Vector.basis(1, 3)
         mult = LinOp(A.space, A.space, 1, lambda k: A.mul(a, Vector.basis(k)), "a*")
         for k in A.space.keys():
-            assert koszul_recursion(A, mult, (Vector.basis(k),)).is_zero()
+            assert koszul_recursion(A, mult, (k,)).is_zero()
             assert koszul_closed(A, mult, (Vector.basis(k),)).is_zero()
         assert diff_order(A, mult, 3) == 0
 
@@ -651,9 +664,59 @@ class TestLiftedMCSums:
         Dflat, fflat = flatten_top(D, M), flatten_top(f, M)
         arities = range(1, n + 1)
         assert mc_sum(kos_lift(At, Dflat, n), a, n) == exp_series(
-            lambda xs: koszul_recursion(At, Dflat, xs), a, arities)
+            lambda xs: koszul_on(At, Dflat, xs), a, arities)
         assert mc_sum(cumulant_lift(At, Bt, fflat, n), a, n) == exp_series(
-            lambda xs: cumulant_recursion(At, Bt, fflat, xs), a, arities)
+            lambda xs: cumulant_on(At, Bt, fflat, xs), a, arities)
+
+
+def cached_images(ops) -> list:
+    """A copy of each operator's cached images, coefficient by coefficient."""
+    return [{k: dict(v.items()) for k, v in op._cache.items()} for op in ops]
+
+
+def assert_images_unmutated(ops, work) -> None:
+    """Run ``work`` twice: the first run fills the operators' caches, and the
+    second, which is handed the cached images (through ``koszul_recursion``'s
+    shared values), must leave every one of them as it found it."""
+    work()
+    before = cached_images(ops)
+    assert any(before)
+    work()
+    assert cached_images(ops) == before
+
+
+class TestSharedValues:
+    # koszul_recursion returns its memo entries and delta's own on_key images
+    # without copying them; no caller may mutate what it is handed
+
+    def test_bv_check_on_fix2(self):
+        f2 = fix2()
+        Delta = f2.delta_series()
+        assert_images_unmutated([Delta.coeff(n) for n in Delta.support()], lambda: bv_check(
+            f2.A, Delta, -1, 3, 4, order_keys=f2.low_keys(2)))
+
+    def test_kos_lift_mc_sum_on_fix1(self):
+        f = fix1()
+        delta, _ = fix1_perturbation(f)
+        D = f.contraction.d_A + delta
+        y, ydy = f.A.monomial({"y": 1}), f.A.monomial({"y": 1, "dy": 1})
+        a = y.scale(2) + ydy
+        for op in (delta, D):
+            assert_images_unmutated([op], lambda: mc_sum(kos_lift(f.A, op, 3), a, 3))
+        assert not mc_sum(kos_lift(f.A, delta, 3), a, 3).is_zero()
+
+    def test_koszul_brackets_on_random_vectors(self):
+        rng = random.Random(31)
+        for _ in range(8):
+            A = random_algebra(rng)
+            degree = rng.choice([-1, 0, 1])
+            # delta(1) random too, so the unit-corrected leaves are exercised
+            delta = LinOp.from_dict(A.space, A.space, degree, {
+                k: random_homogeneous(rng, A.space, A.space.degree(k) + degree)
+                for k in A.space.keys()}, "delta")
+            tuples = [random_args(rng, A.space, n) for n in (1, 2, 3, 4)]
+            assert_images_unmutated([delta], lambda: [koszul_brackets(A, delta, args)
+                                                      for args in tuples])
 
 
 def koszul_mc_series(A, delta, a, nilpotency):
@@ -714,7 +777,7 @@ class TestMCEval:
         f = LinOp(A.space, B.space, 0, lambda k: g.on_key(k) if k == A.unit_key else Vector(
             {kk: c for kk, c in g.on_key(k).items() if kk != B.unit_key}), "f")
         a = random_homogeneous(rng, A.space, 0, [k for k in A.space.keys() if k != A.unit_key])
-        lhs = exp_series(lambda xs: cumulant_recursion(A, B, f, xs), a, range(1, 6))
+        lhs = exp_series(lambda xs: cumulant_on(A, B, f, xs), a, range(1, 6))
         # log(1 + x) for the nilpotent x = f(e^a) - 1
         cube = reduce(A.mul, (a, a, a), A.unit())
         assert cube.is_zero()

@@ -697,7 +697,6 @@ class TestPropTransfer:
         rep = verify_prop_transfer(f.A, f.B, pert, 3, keys_A=f.keys_A, keys_B=f.keys_B)
         assert rep.ok, rep.mismatches[:3]
         # content check: the transferred binary cumulant is nonzero somewhere
-        vals = [cumulant_recursion(f.B, f.A, pert.tau,
-                                   (Vector.basis(k1), Vector.basis(k2)))
+        vals = [cumulant_recursion(f.B, f.A, pert.tau, (k1, k2))
                 for k1 in f.keys_B for k2 in f.keys_B]
         assert any(not v.is_zero() for v in vals)

@@ -18,13 +18,27 @@ from gradedhpt.ibl import (
 )
 from gradedhpt.report import evaluable_scope
 from gradedhpt.symcoalg import SymSpace, TaylorCoderivation, hat_extension
-from gradedhpt.commalg import koszul_recursion
+from gradedhpt import commalg
+from gradedhpt.commalg import kos_lift, koszul_recursion
 from gradedhpt.tseries import TOp, flatten_top
 
 
 def flat(parts: dict) -> Vector:
     """The flat element sum_n t^n parts[n], on (order, key) pairs."""
     return Vector(((n, k), c) for n, v in parts.items() for k, c in v.items())
+
+
+def mc_lift(ibl: IBLStructure, arity_cap: int) -> TaylorCoderivation:
+    """The Koszul-bracket lift whose Maurer-Cartan sums ``ibl_mc_check`` reads."""
+    return kos_lift(ibl.quotient(), flatten_top(ibl.delta, ibl.N), arity_cap)
+
+
+def lattice_samples() -> tuple[list, list]:
+    """Candidates x = c u3 + t(a u1 + b u1 o u3) in U and c v in V."""
+    samples_U = [flat({0: Vector.basis((2,), c), 1: Vector({(0,): Q(a), (0, 2): Q(b)})})
+                 for c in (0, 1, -1, 2) for a in (0, 1, -1) for b in (0, 1)]
+    samples_V = [flat({0: Vector.basis((0,), c)}) for c in (0, 1, -1, 2)]
+    return samples_U, samples_V
 
 
 @pytest.fixture(scope="module")
@@ -190,8 +204,7 @@ class TestIBLTransfer:
             for a in members:
                 for b in members:
                     try:
-                        val = koszul_recursion(St, dflat, (Vector.basis(a), Vector.basis(b))
-                                               if k == 2 else (Vector.basis(a),))
+                        val = koszul_recursion(St, dflat, (a, b) if k == 2 else (a,))
                     except Exception:
                         continue
                     for (n, w) in val.keys():
@@ -200,38 +213,28 @@ class TestIBLTransfer:
 
 class TestIBLMC:
     def test_zero_is_mc(self, ibl4):
-        ok, res = ibl_mc_check(ibl4, Vector(), 3)
+        ok, res = ibl_mc_check(ibl4, Vector(), mc_lift(ibl4, 3))
         assert ok
 
     def test_shape_guard(self, ibl4):
         with pytest.raises(ValueError):
-            ibl_mc_check(ibl4, flat({0: Vector.basis((0, 2))}), 3)
+            ibl_mc_check(ibl4, flat({0: Vector.basis((0, 2))}), mc_lift(ibl4, 3))
 
     def test_order_zero_candidates(self, f4, ibl4):
         # x supported at order zero in U: MC iff Maurer-Cartan for the
         # order-zero structure; here delta(u3) has only t^1-terms, so the
         # residual of c*u3 sits at order one unless it cancels
         x = flat({0: Vector.basis((2,), 1)})
-        ok, res = ibl_mc_check(ibl4, x, 3)
+        ok, res = ibl_mc_check(ibl4, x, mc_lift(ibl4, 3))
         if not ok:
             assert all(n >= 1 for n, _ in res.keys())
 
     def test_mc_lattice_and_kuranishi(self, f4, ibl4):
         res = ibl_transfer(ibl4, f4.contraction, arity_bound=3)
-        # enumerate candidates x = c u3 + t(a u1 + b u1 o u3)
-        S = ibl4.space
-        samples_U = []
-        for c in (0, 1, -1, 2):
-            for a in (0, 1, -1):
-                for b in (0, 1):
-                    samples_U.append(flat(
-                        {0: Vector.basis((2,), c),
-                         1: Vector({(0,): Q(a), (0, 2): Q(b)})}))
-        mc_U = [x for x in samples_U if ibl_mc_check(ibl4, x, 4)[0]]
+        samples_U, samples_V = lattice_samples()
+        lift = mc_lift(ibl4, 4)
+        mc_U = [x for x in samples_U if ibl_mc_check(ibl4, x, lift)[0]]
         assert mc_U, "expected at least one evaluated Maurer-Cartan sample"
-        samples_V = []
-        for c in (0, 1, -1, 2):
-            samples_V.append(flat({0: Vector.basis((0,), c)}))
         rep = ibl_kuranishi_report(ibl4, res, 4, samples_U, samples_V)
         assert rep.ok, rep.to_text()
         names = [item.name for item in rep.items]
@@ -240,13 +243,34 @@ class TestIBLMC:
             assert (rep.bounds[f"{side} samples evaluated"]
                     + rep.bounds[f"{side} samples undetermined"] == len(samples)), side
 
+    def test_kuranishi_report_reuses_its_koszul_lifts(self, f4, ibl4, monkeypatch):
+        # every residual the report forms is a Maurer-Cartan sum of its own
+        # Koszul-bracket lifts (data.Q on U, lifts.r on V), which cache each
+        # word: no (space, word) is bracketed twice over all the samples.  A
+        # word beyond the word bound raises Overflow, caches nothing and is
+        # tried again by the next sample, so only brackets that return count
+        res = ibl_transfer(ibl4, f4.contraction, arity_bound=3)
+        samples_U, samples_V = lattice_samples()
+        calls = []
+
+        def recorded(A, delta, keys, memo=None):
+            out = koszul_recursion(A, delta, keys, memo)
+            calls.append((A.space, keys))
+            return out
+
+        monkeypatch.setattr(commalg, "koszul_recursion", recorded)
+        assert ibl_kuranishi_report(ibl4, res, 4, samples_U, samples_V).ok
+        assert calls
+        assert len(calls) == len(set(calls)), (len(calls), len(set(calls)))
+
     def test_unstable_inverse_is_undetermined(self, f4, ibl4):
         # at arity cap 2 the V samples c v, c = 1, -1, 2, are Maurer-Cartan, but the
         # fixed point of their inverse does not stabilize within 12 steps: the
         # claims on them are UNDETERMINED, and the ConvergenceFault does not escape
         res = ibl_transfer(ibl4, f4.contraction, arity_bound=3)
         samples_V = [flat({0: Vector.basis((0,), c)}) for c in (1, -1, 2)]
-        assert all(ibl_mc_check(res.target, y, 2)[0] for y in samples_V)
+        lift = mc_lift(res.target, 2)
+        assert all(ibl_mc_check(res.target, y, lift)[0] for y in samples_V)
         rep = ibl_kuranishi_report(ibl4, res, 2, [], samples_V)
         assert [(i.name, i.verdict) for i in rep.items] == [
             (f"remaining claims on V sample {i}", "UNDETERMINED") for i in range(3)]

@@ -5,6 +5,7 @@ every word."""
 
 import pytest
 
+from gradedhpt.commalg import kos_lift
 from gradedhpt.core import LinOp, Vector
 from gradedhpt.fixtures import fix4
 from gradedhpt.hpt import Contraction
@@ -15,6 +16,7 @@ from gradedhpt.ibl import (
     ibl_transfer,
 )
 from gradedhpt.report import Report, evaluable_scope
+from gradedhpt.tseries import flatten_top
 
 
 def flat(parts: dict) -> Vector:
@@ -40,9 +42,10 @@ def test_no_overflow_escapes_and_nothing_fails(f4, W):
     for C in (f4.contraction, isomorphism_contraction(f4)):
         reports.append(ibl_transfer(ibl, C, arity_bound=3).report)
     assert (1, 1, 0) in extract_p_components(ibl).table
+    lift = kos_lift(ibl.quotient(), flatten_top(ibl.delta, ibl.N), 4)
     for c in (0, 1, -1):
         x = flat({0: Vector.basis((2,), c), 1: Vector.basis((0,))})
-        ok, res = ibl_mc_check(ibl, x, 4)
+        ok, res = ibl_mc_check(ibl, x, lift)
         assert (ok is None) == (res is None)
     for rep in reports:
         assert not rep.has_fail, rep.to_text()
