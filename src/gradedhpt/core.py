@@ -448,8 +448,8 @@ def expand_multilinear(args: tuple[Vector, ...], kernel: Callable[..., Vector]) 
 
 def exp_series(evaluate: Callable[[tuple], Vector], x, arities: Iterable[int]) -> Vector:
     """sum over n in ``arities`` of evaluate((x,)*n)/n! on the diagonal of x: the
-    Maurer-Cartan sums of Taylor data in ``mc`` and the exponential e^x of the
-    BV e^a route call it."""
+    exponential e^x of the BV e^a route.  Sums of Taylor data read canonical
+    words instead, through ``mc.mc_sum``."""
     out = Vector()
     for n in arities:
         out.add_scaled(evaluate((x,) * n), Q(1, factorial(n)))

@@ -4,9 +4,9 @@ the formal fixed-point (Kuranishi-type) bijection with its recursive inverse.
 The Maurer-Cartan residual of a coderivation and the push-forward along a
 morphism are one sum of Taylor data on the diagonal, ``mc_sum``: the part of
 Taylor data on the grouplike e^x = sum x^n/n!, which lives on canonical words.
-Each diagonal t_n(x, ..., x) is ``_TaylorData.diagonal``, a sum over the
-canonical words of weight n over the support of x with multinomial weights,
-and the Kuranishi fixed point reads its corrections through the same method.
+It is a polynomial in the coefficients of x, formed once over a key set by
+``_TaylorData.diagonal_polynomial`` and evaluated per point: over the support
+of x in ``mc_sum``, over all candidates once per ``enumerate_mc_lattice``.
 This module is the one place that sums a Maurer-Cartan series or inverts one:
 the derived BV and IBL sums are ``mc_sum`` of the Koszul-bracket and cumulant
 lifts (``commalg.kos_lift``, ``commalg.cumulant_lift``) of flattened t-series,
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .core import ConvergenceFault, Vector, exp_series
+from .core import ConvergenceFault, Vector
 from .hpt import Contraction, LinfTransfer
 from .symcoalg import TaylorCoderivation, TaylorMorphism, words_over
 
@@ -58,32 +58,37 @@ class NilpotentFiltration:
                 raise ValueError(f"filtration violated in arity {len(word)} at {word}")
 
 
-def mc_sum(T: TaylorCoderivation | TaylorMorphism, x: Vector, arity_cap: int) -> Vector:
-    """sum_{n=1}^{cap} t_n(x,...,x)/n! of Taylor data T: the Maurer-Cartan
-    residual of x for a coderivation, the push-forward of x along a morphism
-    (finite in the nilpotent regime).  Each t_n(x,...,x) is a sum over the
-    canonical words of weight n over the support of x, each read once and
-    weighted by its multinomial n!/prod m_k! times prod c_k^{m_k}
-    (``_TaylorData.diagonal``)."""
-    return exp_series(lambda xs: T.diagonal(xs[0], len(xs)), x, range(1, arity_cap + 1))
+def mc_sum(T: TaylorCoderivation | TaylorMorphism, x: Vector, arity_cap: int,
+           min_arity: int = 1) -> Vector:
+    """sum_{n=min_arity}^{cap} t_n(x,...,x)/n! of Taylor data T, the residual of
+    x for a coderivation, the push-forward of x along a morphism (finite in the
+    nilpotent regime): its polynomial over the support of x, evaluated at x."""
+    return T.evaluate_polynomial(T.diagonal_polynomial(x.keys(), min_arity, arity_cap), x)
 
 
-def mc_check(Qd: TaylorCoderivation, filt: NilpotentFiltration, x: Vector,
-             space=None) -> tuple[bool, Vector]:
-    """Exact Maurer-Cartan residual; True iff zero.
-
-    The sum is finite: terms of arity >= the vanishing level lie in F^P = 0,
-    which requires the filtration to be verified for Q beforehand.
-    """
+def _check_candidate(filt: NilpotentFiltration, x: Vector, space) -> None:
+    """A Maurer-Cartan candidate has degree 0 (given a space) and lies in F^1."""
     if space is not None:
         for k in x.keys():
             if space.degree(k) != 0:
                 raise ValueError("Maurer-Cartan candidates must have degree 0")
     filt.check_element(x)
+
+
+def _residual_cap(Qd: TaylorCoderivation, filt: NilpotentFiltration) -> int:
+    """The top arity of a residual: terms of arity >= the vanishing level lie in
+    F^P = 0 once the filtration is verified for Q, whose data must reach it."""
     cap = filt.vanishing - 1
     if not Qd.exact_beyond and Qd.arity_bound < cap:
         raise ValueError("arity data insufficient for the filtration's vanishing level")
-    res = mc_sum(Qd, x, min(cap, Qd.arity_bound))
+    return min(cap, Qd.arity_bound)
+
+
+def mc_check(Qd: TaylorCoderivation, filt: NilpotentFiltration, x: Vector,
+             space=None) -> tuple[bool, Vector]:
+    """Exact Maurer-Cartan residual; True iff zero."""
+    _check_candidate(filt, x, space)
+    res = mc_sum(Qd, x, _residual_cap(Qd, filt))
     return res.is_zero(), res
 
 
@@ -115,20 +120,20 @@ def kuranishi_inverse(data: KuranishiData, y: Vector, hv: Vector,
     C, Qd, g = data.contraction, data.Q, data.transfer.g
     steps = max_steps if max_steps is not None else data.filt.vanishing + 1
 
-    def correction(xs):
-        return C.h(Qd.diagonal(xs[0], len(xs))) - C.tau(g.diagonal(xs[0], len(xs)))
+    def correction(x):
+        return C.h(mc_sum(Qd, x, data.cap, 2)) - C.tau(mc_sum(g, x, data.cap, 2))
 
-    return fixed_point(C.tau(y) - C.d_A(hv), correction, data.cap, steps)
+    return fixed_point(C.tau(y) - C.d_A(hv), correction, steps)
 
 
-def fixed_point(head: Vector, correction, cap: int, steps: int) -> Vector:
-    """The solution of x = head + sum_{2 <= i <= cap} correction((x,)*i)/i!,
-    iterated from x = 0.  It stops when an iterate equals the one before it
-    exactly, and raises ConvergenceFault when ``steps`` steps have not reached
-    such an iterate: a solution reached in s steps needs ``steps >= s``."""
+def fixed_point(head: Vector, correction, steps: int) -> Vector:
+    """The solution of x = head + correction(x), iterated from x = 0.  It stops
+    when an iterate equals the one before it exactly, and raises
+    ConvergenceFault when ``steps`` steps have not reached such an iterate: a
+    solution reached in s steps needs ``steps >= s``."""
     x = Vector.zero()
     for _ in range(steps + 1):
-        nxt = exp_series(correction, x, range(2, cap + 1)) + head
+        nxt = correction(x) + head
         if nxt == x:
             return x
         x = nxt
@@ -155,12 +160,15 @@ def lattice_vectors(keys, height: int):
 
 def enumerate_mc_lattice(Qd: TaylorCoderivation, filt: NilpotentFiltration, space,
                          height: int = 2) -> list[Vector]:
-    """Exhaustive Maurer-Cartan search over degree-0 lattice vectors."""
+    """Exhaustive Maurer-Cartan search over degree-0 lattice vectors, with the
+    verdicts of ``mc_check``: the residual's polynomial over the candidate keys
+    is formed once and evaluated at each point that passes the guards."""
     keys = [k for k in space.keys() if space.degree(k) == 0]
+    residual = Qd.diagonal_polynomial(keys, 1, _residual_cap(Qd, filt))
     out = []
     for x in lattice_vectors(keys, height):
-        ok, _ = mc_check(Qd, filt, x, space)
-        if ok:
+        _check_candidate(filt, x, space)
+        if Qd.evaluate_polynomial(residual, x).is_zero():
             out.append(x)
     return out
 
@@ -192,7 +200,7 @@ def kuranishi_roundtrip_report(data: KuranishiData, r_filt: NilpotentFiltration,
     mc_W = enumerate_mc_lattice(data.transfer.r, r_filt, Wb, height)
     for x in mc_V:
         y, hx = kuranishi_rho(data, x)
-        ok, res = mc_check(data.transfer.r, r_filt, y)
+        ok, res = mc_check(data.transfer.r, r_filt, y, Wb)
         if not ok:
             failures.append(("pushforward not MC", x, res))
             continue
@@ -206,7 +214,7 @@ def kuranishi_roundtrip_report(data: KuranishiData, r_filt: NilpotentFiltration,
     for y in mc_W:
         for hv in h_lattice:
             x = kuranishi_inverse(data, y, hv)
-            ok, res = mc_check(data.Q, data.filt, x)
+            ok, res = mc_check(data.Q, data.filt, x, V)
             if not ok:
                 failures.append(("inverse not MC", y, hv, res))
                 continue

@@ -8,8 +8,9 @@ constant term of a coderivation, zero for a morphism).  Component functions are
 built from tables, from a linear map, or by corestriction of a word-level map;
 ``_corestriction`` is the one weight-one part of an image on words, which the
 composite route of ``commalg`` uses too.  The store also gives the data on the
-diagonal, t_n(x, ..., x), one read per canonical word with its multinomial
-weight (``diagonal``).  The two reconstruction formulas live here: a morphism
+grouplike e^x, sum_n t_n(x, ..., x)/n!, as a polynomial in the coefficients of
+x with one term per canonical word and its multinomial weight
+(``diagonal_polynomial``).  The two reconstruction formulas live here: a morphism
 on a word is the sum over set partitions of the word of the Koszul-signed
 products of its coefficients on the blocks, and a coderivation on a word is
 the sum over (i, n-i)-unshuffles of its coefficient on the first block times
@@ -39,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, groupby
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -242,38 +243,48 @@ class _TaylorData:
     def eval_keys(self, keys: tuple) -> Vector:
         """The coefficient on any tuple of keys: the canonical word's, with the
         Koszul sign of sorting (zero if an odd key repeats).  Its caller is
-        ``eval_mixed``; a diagonal reads ``diagonal``."""
+        ``eval_mixed``; a diagonal reads ``diagonal_polynomial``."""
         cw = canonical_word(self.base, keys)
         if cw is None:
             return Vector.zero()
         word, s = cw
         return self.component(len(word), word).scale(s)
 
-    def diagonal(self, x: Vector, n: int) -> Vector:
-        """t_n(x, ..., x), the multilinear extension on n copies of x, as a sum
-        over the canonical words M of weight n over the support of x: t_n(M)
-        times the multinomial n!/prod m_k! and prod c_k^{m_k}, for the letters
-        k of M with multiplicities m_k and coefficients c_k in x.  Every
-        ordering of a word with at most one odd letter sorts with sign +1, and
-        the orderings of a word with two or more odd letters cancel in pairs
-        (swap two of them), so that word drops out; so does a word whose
-        coefficient is zero, before its weight is formed."""
+    def diagonal_polynomial(self, keys, min_arity: int, max_arity: int) -> list:
+        """sum_n t_n(x, ..., x)/n! for min_arity <= n <= max_arity as a
+        polynomial in the coefficients c_k of x on the given keys, formed once
+        and evaluated per x by ``evaluate_polynomial``.  A canonical word M
+        of weight n over the keys, with letter multiplicities m_k, gives a term
+        (j, a/prod m_k!, ((k, m_k), ...)) per key j with coefficient a in
+        t_n(M), as the multilinear extension on n copies of x reads M
+        n!/prod m_k! times.  Every ordering of a word with at most one odd
+        letter sorts with sign +1, and the orderings of a word with two or more
+        odd letters cancel in pairs (swap two of them), so it drops out."""
+        odd = {k for k in keys if self.base.degree(k) % 2}
+        terms = []
+        for word in words_over(self.base, keys, max_arity, min_weight=min_arity):
+            if len(odd.intersection(word)) > 1:
+                continue
+            powers = tuple((k, sum(1 for _ in run)) for k, run in groupby(word))
+            d = prod(factorial(m) for _, m in powers)
+            terms.extend((j, Q(a, d), powers) for j, a in self.component(len(word), word).items())
+        return terms
+
+    @staticmethod
+    def evaluate_polynomial(terms: list, x: Vector) -> Vector:
+        """A polynomial of ``diagonal_polynomial`` at x: the sum of its terms
+        a * prod c_k^{m_k} j, zero for a letter k outside the support of x."""
         coeffs = dict(x.items())
-        odd = {k for k in coeffs if self.base.degree(k) % 2}
-        out = Vector()
-        for word in words_over(self.base, coeffs, n, min_weight=n):
-            if odd and len(odd.intersection(word)) > 1:
-                continue
-            t = self.component(n, word)
-            if not t:
-                continue
-            multinomial, coeff = factorial(n), ONE
-            for k, run in groupby(word):
-                m = sum(1 for _ in run)
-                multinomial //= factorial(m)
-                coeff *= coeffs[k] ** m
-            out.add_scaled(t, multinomial * coeff)
-        return out
+        out = []
+        for j, a, powers in terms:
+            for k, m in powers:
+                c = coeffs.get(k)
+                if c is None:
+                    break
+                a *= c ** m
+            else:
+                out.append((j, a))
+        return Vector(out)
 
 
 class TaylorMorphism(_TaylorData):

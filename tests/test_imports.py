@@ -1,9 +1,8 @@
 """Lint over the package sources, using only the standard library: every
 module-level import is used (in the tests too), no function or class imports
-locally, an Overflow is caught only where the allowlist below says, the
-diagonal (x,) * n of a Maurer-Cartan sum is written only in
-``core.exp_series``, which only the Maurer-Cartan sums of ``mc`` and the BV
-e^a call, no scalar is formed by true division or by a power of
+locally, an Overflow is caught only where the allowlist below says, a
+diagonal (x,) * n is written only in ``core.exp_series``, which only the BV
+e^a calls, no scalar is formed by true division or by a power of
 -1, only ``core`` touches a Vector's coefficient dict (the attribute ``.c``),
 every option has a setter: each defaulted parameter of a library function is
 passed by some call in ``src/``, ``tests/`` or ``perfbench/`` (an option no call sets
@@ -120,9 +119,10 @@ def test_overflow_caught_only_on_the_allowlist(path):
     assert not stray, f"{path.name}: Overflow caught outside the scope rule at {stray}"
 
 
-# Every sum over the diagonal, sum_n phi((x,) * n)/n!, goes through this one
-# function, so the Maurer-Cartan sums of structures (Koszul brackets) and their
-# push-forwards (cumulants) are written once.
+# A sum over the diagonal, sum_n phi((x,) * n)/n!, is written in this one
+# function.  The Maurer-Cartan sums of structures (Koszul brackets) and their
+# push-forwards (cumulants) form no diagonal: ``mc.mc_sum`` evaluates the
+# polynomial ``_TaylorData.diagonal_polynomial`` forms on canonical words.
 DIAGONAL_SUMS = {"core.exp_series"}
 
 
@@ -152,12 +152,12 @@ def test_diagonal_sums_only_in_exp_series(path):
     assert not stray, f"{path.name}: a diagonal (x,) * n outside core.exp_series at {stray}"
 
 
-# ``core.exp_series`` has three callers: the Maurer-Cartan sum of Taylor data
-# and the Kuranishi fixed point of ``mc``, which read each canonical word of the
-# diagonal once, and the e^a of the BV exponential route.  A Maurer-Cartan sum
-# of Koszul brackets or cumulants is ``mc.mc_sum`` of their lift, never
+# ``core.exp_series`` has one caller: the e^a of the BV exponential route.  The
+# Maurer-Cartan sums of Taylor data, the Kuranishi corrections among them, are
+# ``mc.mc_sum``, which reads each canonical word of the diagonal once; a sum of
+# Koszul brackets or cumulants is ``mc.mc_sum`` of their lift, never
 # ``exp_series`` over a recursion, which visits every ordered key tuple.
-EXP_SERIES_CALLERS = {"mc.mc_sum", "mc.fixed_point", "bv._exp"}
+EXP_SERIES_CALLERS = {"bv._exp"}
 
 
 def exp_series_calls(path: Path) -> list:

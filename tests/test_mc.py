@@ -1,9 +1,12 @@
 import dataclasses
+import random
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gradedhpt.core import ConvergenceFault, Vector
+from gradedhpt.core import ConvergenceFault, Vector, expand_multilinear
 from gradedhpt.fixtures import fix3, fix3_extended
 from gradedhpt.hpt import linf_transfer
 from gradedhpt.mc import (
@@ -15,10 +18,11 @@ from gradedhpt.mc import (
     kuranishi_rho,
     kuranishi_roundtrip_report,
     lattice_coefficients,
+    lattice_vectors,
     mc_check,
     mc_sum,
 )
-from gradedhpt.symcoalg import TaylorCoderivation
+from gradedhpt.symcoalg import TaylorCoderivation, words_over
 
 
 def fix3_data(bound=4):
@@ -67,6 +71,52 @@ class TestMCCheck:
         f, filt, _ = fix3_data()
         with pytest.raises(ValueError):
             mc_check(f.Q, filt, Vector.basis(2), f.basis)
+
+
+def test_lattice_matches_mc_check():
+    # the residual's polynomial over every candidate key, formed once, against
+    # mc_check's polynomial over the support of each point: FIX-3 at height 2
+    # and FIX-3X with the benchmark's filtration at height 3, in lattice order
+    for fx, height in ((fix3(), 2), (fix3_extended(), 3)):
+        filt = NilpotentFiltration(fx.levels, fx.vanishing_level)
+        keys = [k for k in fx.basis.keys() if fx.basis.degree(k) == 0]
+        expected = [x for x in lattice_vectors(keys, height)
+                    if mc_check(fx.Q, filt, x, fx.basis)[0]]
+        assert enumerate_mc_lattice(fx.Q, filt, fx.basis, height) == expected
+
+
+def mc_sum_data():
+    """Taylor data for the mc_sum oracle: FIX-3's Q, the FIX-3X transfer's g
+    and f, and a coderivation on the FIX-3X base that is nonzero on every
+    canonical word of weight <= 3, so that every multinomial weight shows."""
+    f, fx = fix3(), fix3_extended()
+    res = linf_transfer(fx.Q, fx.contraction, 4)
+    V = fx.basis
+    tables = {n: {w: Vector({k: Q(len(w) + i + 1, i + 2) for i, k in enumerate(w)})
+                  for w in words_over(V, V.keys(), n, min_weight=n)} for n in (1, 2, 3)}
+    dense = TaylorCoderivation.from_tables(V, tables, 3, 1, label="dense")
+    return [f.Q, res.g, res.f, dense]
+
+
+MC_SUM_DATA = mc_sum_data()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(which=st.integers(0, len(MC_SUM_DATA) - 1), seed=st.integers(0, 2 ** 32 - 1),
+       cap=st.integers(1, 4))
+def test_mc_sum_is_the_ordered_tuple_expansion(which, seed, cap):
+    # one read per canonical word with weight 1/prod m_k!, against
+    # sum_n (1/n!) * the multilinear extension on n copies of x over ordered
+    # key tuples, for x with non-unit coefficients on even and odd letters
+    T = MC_SUM_DATA[which]
+    rng = random.Random(seed)
+    coeffs = (Q(-3, 2), Q(2, 3), Q(-1, 5), Q(5, 2), Q(-4, 3), 2, -3)
+    x = Vector({k: rng.choice(coeffs) for k in T.base.keys() if rng.random() < 0.75})
+    expected = Vector()
+    for n in range(1, cap + 1):
+        expected.add_scaled(expand_multilinear((x,) * n, lambda *ks: T.eval_keys(ks)),
+                            Q(1, factorial(n)))
+    assert mc_sum(T, x, cap) == expected
 
 
 class TestPushforward:
@@ -167,14 +217,18 @@ class TestFixedPoint:
         # t + t^2/2 + t^3/2, which solves it, so the solution takes exactly 3 steps
         head = Vector.basis(1)
         solution = Vector({1: 1, 2: Q(1, 2), 3: Q(1, 2)})
-        assert fixed_point(head, _truncated_product, 2, 3) == solution
-        assert fixed_point(head, _truncated_product, 2, 7) == solution
+
+        def half_square(x):
+            return _truncated_product((x, x)).scale(Q(1, 2))
+
+        assert fixed_point(head, half_square, 3) == solution
+        assert fixed_point(head, half_square, 7) == solution
         with pytest.raises(ConvergenceFault):
-            fixed_point(head, _truncated_product, 2, 2)
+            fixed_point(head, half_square, 2)
 
     def test_zero_correction_returns_head(self):
         head = Vector({0: 2, 1: Q(-1, 3)})
-        assert fixed_point(head, lambda xs: Vector.zero(), 4, 1) == head
+        assert fixed_point(head, lambda x: Vector.zero(), 1) == head
 
 
 class TestFiltration:

@@ -285,14 +285,16 @@ class TestDiagonal:
            n=st.integers(1, 4))
     def test_diagonal_is_the_multilinear_extension(self, seed, degrees, n):
         # one read per canonical word with its multinomial weight, against the
-        # sum over all ordered key tuples with the Koszul sign of sorting
+        # sum over all ordered key tuples with the Koszul sign of sorting; the
+        # polynomial at arity n alone is t_n(x, ..., x)/n!
         rng = random.Random(seed)
         base = GradedBasis.make([(f"e{i}", d) for i, d in enumerate(degrees)])
         F = rand_taylor_morphism(rng, base, 4, SymSpace(base, 4))
         x = Vector({k: Q(rng.randint(-3, 3), rng.randint(1, 3)) for k in base.keys()
                     if rng.random() < 0.8})
         expected = expand_multilinear((x,) * n, lambda *ks: F.eval_keys(ks))
-        assert F.diagonal(x, n) == expected
+        assert F.evaluate_polynomial(F.diagonal_polynomial(x.keys(), n, n), x) == \
+            expected.scale(Q(1, factorial(n)))
 
 
 class TestCoderivation:
