@@ -305,7 +305,7 @@ def bv_transfer(A: CommAlgebra, B: CommAlgebra, Delta: TOp, C: Contraction, k: i
     rep.add("d_A is an algebra derivation",
             None if strength == "beyond the guard" else strength == "checked")
 
-    DeltaB, sigma_new, tau_new, h_new = spl_t(C, Delta, N, corpus=A.space.keys())
+    DeltaB, sigma_new, tau_new, h_new = spl_t(C, Delta, N)
 
     rep.merge(bv_check(B, DeltaB, k, N, arity_bound, keys_B), prefix="transferred: ")
     rep.merge(bv_morphism_check(tau_new, B, A, DeltaB, Delta, k, N, arity_bound, keys_B),
@@ -586,8 +586,7 @@ def cobv_transfer(C: FiniteCoalgebra, D: FiniteCoalgebra, delta: TOp, contractio
     _require_odd(k)
     rep = Report("derived BV coalgebra transfer", bounds={"N": N, "arity_bound": arity_bound})
     rep.merge(check_semifull_coalgebra(contraction, C, D), prefix="semifull: ")
-    delta_D, sigma_new, tau_new, h_new = spl_t(contraction, delta, N,
-                                               corpus=contraction.space_A.keys())
+    delta_D, sigma_new, tau_new, h_new = spl_t(contraction, delta, N)
     rep.merge(cobv_check(D, delta_D, k, N, arity_bound), prefix="transferred: ")
     # sigma-side morphism certificate, on the dual algebras
     A_dual, D_dual = coalgebra_dual_algebra(C), coalgebra_dual_algebra(D)

@@ -367,9 +367,6 @@ class LinOp:
         return LinOp(self.domain, self.codomain, self.degree,
                      lambda k: self.on_key(k) - other.on_key(k), f"{self.label}-{other.label}")
 
-    def __neg__(self) -> "LinOp":
-        return LinOp(self.domain, self.codomain, self.degree, lambda k: -self.on_key(k), f"-{self.label}")
-
     def scale(self, a) -> "LinOp":
         a = Q(a)
         return LinOp(self.domain, self.codomain, self.degree, lambda k: self.on_key(k).scale(a),

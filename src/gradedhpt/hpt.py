@@ -489,7 +489,6 @@ def linf_transfer(Qd: TaylorCoderivation, C: Contraction, arity_bound: int,
 @dataclass
 class PropTransferReport:
     ok: bool
-    semifull: Report
     mismatches: list
     words_checked: int = 0
 
@@ -503,7 +502,7 @@ def verify_prop_transfer(alg_A: CommAlgebra, alg_B: CommAlgebra, C: Contraction,
     semifull = check_semifull_algebra(C, alg_A, alg_B, keys_A, keys_B)
     if not semifull.ok:
         first = next(i for i in semifull.items if i.verdict != PASS)
-        return PropTransferReport(False, semifull, [("semifull", first.line())])
+        return PropTransferReport(False, [("semifull", first.line())])
     Qd = kos_lift(alg_A, C.d_A, arity_bound)
     res = linf_transfer(Qd, C, arity_bound, corpus_A=keys_A, corpus_B=keys_B)
     expect_r = kos_lift(alg_B, C.d_B, arity_bound)
@@ -517,4 +516,4 @@ def verify_prop_transfer(alg_A: CommAlgebra, alg_B: CommAlgebra, C: Contraction,
             mismatches.append(("structure", n, w))
         if res.f.component(n, w) != expect_f.component(n, w):
             mismatches.append(("morphism", n, w))
-    return PropTransferReport(not mismatches, semifull, mismatches, checked)
+    return PropTransferReport(not mismatches, mismatches, checked)

@@ -7,19 +7,21 @@ The central variable t has degree 2 here (k = -1 is hard-wired); general odd k
 lives in the derived BV module.  Maurer-Cartan elements are flat (order, key)
 Vectors in the quotient cut after N.  Their residuals are ``mc.mc_sum`` of the
 Koszul-bracket lift of the flattened delta, and the Maurer-Cartan
-correspondence is ``mc``'s, read through the Koszul-bracket and cumulant lifts
-of the flattened transfer (``ibl_kuranishi_report``).
+correspondence is ``mc.correspondence_claims`` on sampled elements, read
+through the Koszul-bracket and cumulant lifts of the flattened transfer
+(``ibl_kuranishi_report``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
-from .core import ConvergenceFault, GradedBasis, LinOp, Overflow, Vector
+from .core import GradedBasis, LinOp, Overflow, Vector
 from .commalg import SymWordAlgebra, cumulant_lift, cumulant_recursion, kos_lift, koszul_recursion
 from .hpt import Contraction, LinfTransfer, linf_transfer
-from .mc import KuranishiData, NilpotentFiltration, kuranishi_inverse, kuranishi_rho, mc_sum
+from .mc import KuranishiData, NilpotentFiltration, correspondence_claims, mc_sum
 from .report import Report, evaluable_scope, witness_verdict
 from .symcoalg import (
     SymSpace,
@@ -40,7 +42,6 @@ T_DEGREE = 2  # k = -1
 class IBLStructure:
     """delta = sum t^n delta_n on S_{<=W}(U); coefficient n has degree 1 - 2n."""
 
-    basis: GradedBasis
     space: SymSpace
     delta: TOp
     N: int
@@ -50,7 +51,7 @@ class IBLStructure:
                         coefficients: dict[int, LinOp]) -> "IBLStructure":
         space = SymSpace(basis, W)
         delta = TOp(coefficients, space, space, 1, T_DEGREE)
-        return IBLStructure(basis, space, delta, N)
+        return IBLStructure(space, delta, N)
 
     def algebra(self) -> SymWordAlgebra:
         return SymWordAlgebra(self.space)
@@ -331,7 +332,6 @@ class IBLTransfer:
     F: TOp                     # S(V)[[t]] -> S(U)[[t]]
     G: TOp                     # S(U)[[t]] -> S(V)[[t]]
     H: TOp
-    stage1: LinfTransfer
     report: Report
 
 
@@ -355,16 +355,15 @@ def ibl_transfer(ibl: IBLStructure, C: Contraction, arity_bound: int = 3) -> IBL
     rep.claim("order-zero part is a coderivation", scope,
               lambda: (coderivation_defect(delta0, _upto(S, scope)) is None, ""))
     Qd = taylor_coderivation_from_map(delta0, W, exact_beyond=True, label="delta0")
-    stage1 = linf_transfer(Qd, C, W)
-    word_con = stage1.word_contraction
+    word_con = linf_transfer(Qd, C, W).word_contraction
     SV: SymSpace = word_con.space_B
 
     # Remark-level: the positive part preserves the weight-shifted subspace
     delta_plus = TOp({n: op for n, op in ibl.delta.coeffs.items() if n >= 1}, S, S, 1, T_DEGREE)
     _shift_claim(rep, "positive part preserves the weight-shifted subspace", S, delta_plus)
 
-    deltaV, G, F, H = spl_t(word_con, ibl.delta, ibl.N, corpus=S.keys())
-    target = IBLStructure(_cod_basis(C), SV, deltaV, ibl.N)
+    deltaV, G, F, H = spl_t(word_con, ibl.delta, ibl.N)
+    target = IBLStructure(SV, deltaV, ibl.N)
     rep.merge(ibl_check(target, arity_bound), prefix="transferred: ")
     rep.merge(ibl_morphism_check(F, target, ibl, arity_bound, title="F"), prefix="F: ")
     rep.merge(ibl_morphism_check(G, ibl, target, arity_bound, title="G"), prefix="G: ")
@@ -376,7 +375,7 @@ def ibl_transfer(ibl: IBLStructure, C: Contraction, arity_bound: int = 3) -> IBL
     ok_lin_g = all(G.coeff(0).on_key((k,)) == Vector({(k2,): c for k2, c in C.sigma.on_key(k).items()})
                    for k in C.space_A.keys())
     rep.add("linear part of G is the projection", ok_lin_g)
-    return IBLTransfer(target, F, G, H, stage1, rep)
+    return IBLTransfer(target, F, G, H, rep)
 
 
 def _shift_claim(rep: Report, name: str, S: SymSpace, series: TOp) -> None:
@@ -386,13 +385,6 @@ def _shift_claim(rep: Report, name: str, S: SymSpace, series: TOp) -> None:
     rep.claim(name, min(scopes.values(), default=S.weight_bound), lambda: witness_verdict(next(
         ((n, w) for n, op in series.coeffs.items() for w in _upto(S, scopes[n])
          if any(len(u) > len(w) + n for u in op.on_key(w).keys())), None)))
-
-
-def _cod_basis(C: Contraction) -> GradedBasis:
-    space = C.space_B
-    if isinstance(space, GradedBasis):
-        return space
-    raise ValueError("contraction target must be a graded basis")
 
 
 # -- Maurer-Cartan theory -------------------------------------------------------------------
@@ -425,18 +417,15 @@ def ibl_mc_check(ibl: IBLStructure, x: Vector,
 
 def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
                          samples_U, samples_V) -> Report:
-    """Both correspondences of the Maurer-Cartan theorem on sampled elements:
-    x -> (push-forward along G, H(x)) with its recursive inverse, and the
-    restriction bijection onto Ker(H).  They are ``mc``'s, on the flattened
-    transfer: (G, F, H) as a contraction of the flattened deltas, with the
-    Koszul-bracket lifts of the deltas and the cumulant lifts of F and G, and
-    every sum cut at ``arity_cap``.
+    """``mc.correspondence_claims`` on the sampled Maurer-Cartan elements of U
+    and V, with zero as the one homotopy datum and 12 steps for the inverse,
+    on the flattened transfer: (G, F, H) as a contraction of the flattened
+    deltas, with the Koszul-bracket lifts of the deltas and the cumulant lifts
+    of F and G, and every sum cut at ``arity_cap``.
 
     Samples that are not Maurer-Cartan are skipped, and so are undetermined ones
     (``ibl_mc_check`` gives None); the bounds count, for U and for V, the samples
-    evaluated, the Maurer-Cartan ones and the undetermined ones.  A claim on a
-    Maurer-Cartan sample that cannot be evaluated within the word bound, or
-    whose inverse does not stabilize within 12 steps, is UNDETERMINED."""
+    evaluated, the Maurer-Cartan ones and the undetermined ones."""
     rep = Report("IBL Maurer-Cartan correspondence", bounds={"arity_cap": arity_cap})
     target = res.target
     St, Vt = ibl.quotient(), target.quotient()
@@ -447,53 +436,17 @@ def ibl_kuranishi_report(ibl: IBLStructure, res: IBLTransfer, arity_cap: int,
                          cumulant_lift(St, Vt, Gflat, arity_cap), C, arity_cap)
     data = KuranishiData(kos_lift(St, dflat, arity_cap), lifts, C,
                          NilpotentFiltration({}, arity_cap + 1))
+    mc_U = partial(ibl_mc_check, ibl, lift=data.Q)
+    mc_V = partial(ibl_mc_check, target, lift=lifts.r)
 
-    counts = {side: dict.fromkeys(("evaluated", "Maurer-Cartan", "undetermined"), 0)
-              for side in "UV"}
+    def mc_points(side: str, mc, samples) -> list:
+        """The named Maurer-Cartan samples of one side; its counts go to the bounds."""
+        verdicts = [mc(x)[0] for x in samples]
+        rep.bounds[f"{side} samples evaluated"] = len(verdicts) - verdicts.count(None)
+        rep.bounds[f"{side} samples Maurer-Cartan"] = verdicts.count(True)
+        rep.bounds[f"{side} samples undetermined"] = verdicts.count(None)
+        return [(f"{side} sample {i}", x) for i, x in enumerate(samples) if verdicts[i]]
 
-    def mc_sample(side: str, structure: IBLStructure, lift, x: Vector) -> bool:
-        """Whether x is an evaluated Maurer-Cartan sample; counts it either way."""
-        ok, _ = ibl_mc_check(structure, x, lift)
-        counts[side]["undetermined" if ok is None else "evaluated"] += 1
-        counts[side]["Maurer-Cartan"] += bool(ok)
-        return bool(ok)
-
-    def residual_detail(ok, residual) -> str:
-        if ok is None:
-            return "residual beyond the word bound"
-        return "" if ok else f"residual orders {sorted({n for n, _ in residual.keys()})}"
-
-    def claims_on_U(key: str, x: Vector) -> None:
-        y, hx = kuranishi_rho(data, x)
-        ok_y, res_y = ibl_mc_check(target, y, lifts.r)
-        rep.add(f"push-forward of {key} is Maurer-Cartan", ok_y, residual_detail(ok_y, res_y))
-        rep.add(f"inverse recovers {key}", kuranishi_inverse(data, y, hx, max_steps=12) == x)
-        if not hx:
-            rep.add(f"restriction bijection round-trip on {key}",
-                    mc_sum(lifts.f, y, arity_cap) == x)
-
-    def claims_on_V(key: str, y: Vector) -> None:
-        x = kuranishi_inverse(data, y, Vector(), max_steps=12)
-        rep.add(f"inverse at zero homotopy datum is the push-forward along F ({key})",
-                x == mc_sum(lifts.f, y, arity_cap))
-        ok_x, res_x = ibl_mc_check(ibl, x, data.Q)
-        rep.add(f"lifted {key} is Maurer-Cartan", ok_x, residual_detail(ok_x, res_x))
-        rep.add(f"lift of {key} lies in Ker(H)", not C.h(x))
-        rep.add(f"round-trip returns {key}", kuranishi_rho(data, x)[0] == y)
-
-    for side, structure, lift, samples, claims in (("U", ibl, data.Q, samples_U, claims_on_U),
-                                                   ("V", target, lifts.r, samples_V, claims_on_V)):
-        for i, x in enumerate(samples):
-            if not mc_sample(side, structure, lift, x):
-                continue
-            key = f"{side} sample {i}"
-            try:
-                claims(key, x)
-            except Overflow as exc:
-                rep.add(f"remaining claims on {key}", None, f"beyond the word bound: {exc}")
-            except ConvergenceFault as exc:
-                rep.add(f"remaining claims on {key}", None, f"fixed point did not stabilize: {exc}")
-    for side, tally in counts.items():
-        for what, k in tally.items():
-            rep.bounds[f"{side} samples {what}"] = k
+    correspondence_claims(rep, data, mc_points("U", mc_U, samples_U),
+                          mc_points("V", mc_V, samples_V), [Vector()], mc_U, mc_V, 12)
     return rep

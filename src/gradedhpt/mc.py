@@ -9,9 +9,11 @@ It is a polynomial in the coefficients of x, formed once over a key set by
 of x in ``mc_sum``, over all candidates once per ``enumerate_mc_lattice``.
 This module is the one place that sums a Maurer-Cartan series or inverts one:
 the derived BV and IBL sums are ``mc_sum`` of the Koszul-bracket and cumulant
-lifts (``commalg.kos_lift``, ``commalg.cumulant_lift``) of flattened t-series,
-and the IBL correspondence is ``kuranishi_rho`` and ``kuranishi_inverse`` on
-such lifts.
+lifts (``commalg.kos_lift``, ``commalg.cumulant_lift``) of flattened t-series.
+The Maurer-Cartan correspondence of a transfer is written once, as the claims
+``correspondence_claims`` adds to a report; the L-infinity lattice report
+``kuranishi_roundtrip_report`` and the IBL sample report
+``ibl.ibl_kuranishi_report`` (on such lifts) both call it.
 
 Only nilpotent filtrations are supported: convergence is literal stabilization,
 detected by exact equality.
@@ -23,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .core import ConvergenceFault, Vector
+from .core import ConvergenceFault, Overflow, Vector
 from .hpt import Contraction, LinfTransfer
+from .report import PASS, Report
 from .symcoalg import TaylorCoderivation, TaylorMorphism, words_over
 
 
@@ -181,58 +184,77 @@ class KuranishiReport:
     failures: list
 
 
+def correspondence_claims(rep: Report, data: KuranishiData, points_V, points_W, homotopy,
+                          mc_V, mc_W, steps: int) -> None:
+    """Add the Maurer-Cartan correspondence to ``rep`` on named Maurer-Cartan
+    points, (name, x) upstairs and (name, y) downstairs, and on the homotopy
+    data ``homotopy``, zero among them.  ``mc_V`` and ``mc_W`` give (ok,
+    residual) of an element, ok None where it cannot be evaluated; every
+    inverse has ``steps`` steps.  rho = (G_*, h) is a bijection MC(V) ->
+    MC(W) x h(V) inverted by ``kuranishi_inverse``, and F_* restricts to a
+    bijection MC(W) -> MC(V) n Ker(h), the inverse at h = 0.  A point that
+    leaves a bound (Overflow) or whose inverse does not stabilize
+    (ConvergenceFault) has its remaining claims UNDETERMINED."""
+    C, f = data.contraction, data.transfer.f
+
+    def add_mc(name: str, checked: tuple) -> None:
+        ok, residual = checked
+        rep.add(name, ok, "" if ok else "residual beyond the word bound" if ok is None
+                else f"residual on {sorted(residual.keys(), key=repr)}")
+
+    def on_V(key: str, x: Vector) -> None:
+        y, hx = kuranishi_rho(data, x)
+        add_mc(f"push-forward of {key} is Maurer-Cartan", mc_W(y))
+        rep.add(f"inverse recovers {key}", kuranishi_inverse(data, y, hx, steps) == x)
+        if not hx:
+            rep.add(f"restriction bijection round-trip on {key}", mc_sum(f, y, data.cap) == x)
+
+    def on_W(key: str, y: Vector) -> None:
+        for j, hv in enumerate(homotopy):
+            x = kuranishi_inverse(data, y, hv, steps)
+            add_mc(f"lift of {key} at homotopy datum {j} is Maurer-Cartan", mc_V(x))
+            rep.add(f"round-trip returns {key} and homotopy datum {j}",
+                    kuranishi_rho(data, x) == (y, hv))
+            if not hv:
+                rep.add(f"inverse at zero homotopy datum is the push-forward along F ({key})",
+                        x == mc_sum(f, y, data.cap))
+                rep.add(f"lift of {key} at zero homotopy datum lies in Ker(h)", not C.h(x))
+
+    for claims, points in ((on_V, points_V), (on_W, points_W)):
+        for key, x in points:
+            try:
+                claims(key, x)
+            except Overflow as exc:
+                rep.add(f"remaining claims on {key}", None, f"beyond the word bound: {exc}")
+            except ConvergenceFault as exc:
+                rep.add(f"remaining claims on {key}", None, f"fixed point did not stabilize: {exc}")
+
+
 def kuranishi_roundtrip_report(data: KuranishiData, r_filt: NilpotentFiltration,
                                height: int = 2) -> KuranishiReport:
-    """Round-trips of the correspondence on exhaustively enumerated lattices.
-
-    Checks rho^{-1} o rho = id on the MC lattice upstairs, rho o rho^{-1} = id on
-    (MC lattice downstairs) x (lattice of homotopy images), rho^{-1}(-, 0) = MC(F),
-    and the restriction bijection onto Ker(h) with inverse the linear part of G.
-    The filtrations ``mc_check`` assumes, ``data.filt`` for Q and ``r_filt`` for r,
-    are verified first up to the arity bounds; a violation raises ValueError.
+    """``correspondence_claims`` on the Maurer-Cartan lattices of height <=
+    ``height``, with the h-images of the degree-0 lattice of height 1 as
+    homotopy data, and g_1 = sigma inverting the restriction; ``failures`` are
+    the lines of the claims that do not PASS.  The filtrations ``mc_check``
+    assumes, ``data.filt`` for Q and ``r_filt`` for r, are verified first up to
+    the arity bounds; a violation raises ValueError.
     """
-    failures = []
     V = data.Q.base
     Wb = data.transfer.r.base
     data.filt.verify_morphism(data.Q, V, data.filt, data.Q.arity_bound)
     r_filt.verify_morphism(data.transfer.r, Wb, r_filt, data.transfer.r.arity_bound)
     mc_V = enumerate_mc_lattice(data.Q, data.filt, V, height)
     mc_W = enumerate_mc_lattice(data.transfer.r, r_filt, Wb, height)
-    for x in mc_V:
-        y, hx = kuranishi_rho(data, x)
-        ok, res = mc_check(data.transfer.r, r_filt, y, Wb)
-        if not ok:
-            failures.append(("pushforward not MC", x, res))
-            continue
-        back = kuranishi_inverse(data, y, hx)
-        if back != x:
-            failures.append(("rho^-1 rho != id", x, back))
-    # lattice of homotopy data: h applied to degree-0 lattice vectors
     zero_keys = [k for k in V.keys() if V.degree(k) == 0]
-    h_images = {data.contraction.h(v) for v in lattice_vectors(zero_keys, 1)}
-    h_lattice = sorted(h_images, key=repr)
-    for y in mc_W:
-        for hv in h_lattice:
-            x = kuranishi_inverse(data, y, hv)
-            ok, res = mc_check(data.Q, data.filt, x, V)
-            if not ok:
-                failures.append(("inverse not MC", y, hv, res))
-                continue
-            y2, hx2 = kuranishi_rho(data, x)
-            if y2 != y or hx2 != hv:
-                failures.append(("rho rho^-1 != id", y, hv, y2, hx2))
-        # rho^{-1}(y, 0) = MC(F)(y)
-        direct = mc_sum(data.transfer.f, y, data.cap)
-        if direct != kuranishi_inverse(data, y, Vector.zero()):
-            failures.append(("rho^-1(-,0) != MC(F)", y))
-        # restriction bijection: MC(F)(y) lies in Ker(h), g_1 restricts as inverse
-        if not data.contraction.h(direct).is_zero():
-            failures.append(("MC(F) image not in Ker(h)", y))
-        if data.contraction.sigma(direct) != y:
-            failures.append(("g_1 does not invert the restriction", y))
-    for x in mc_V:
-        if data.contraction.h(x).is_zero():
-            y = mc_sum(data.transfer.g, x, data.cap)
-            if mc_sum(data.transfer.f, y, data.cap) != x:
-                failures.append(("restriction bijection fails", x))
-    return KuranishiReport(not failures, len(mc_V), len(mc_W), failures)
+    h_lattice = sorted({data.contraction.h(v) for v in lattice_vectors(zero_keys, 1)}, key=repr)
+    points_W = [(f"W point {j}", y) for j, y in enumerate(mc_W)]
+    rep = Report("L-infinity Maurer-Cartan correspondence")
+    correspondence_claims(rep, data, [(f"V point {i}", x) for i, x in enumerate(mc_V)], points_W,
+                          h_lattice, lambda x: mc_check(data.Q, data.filt, x, V),
+                          lambda y: mc_check(data.transfer.r, r_filt, y, Wb),
+                          data.filt.vanishing + 1)
+    for key, y in points_W:
+        rep.add(f"g_1 = sigma inverts the restriction at {key}",
+                data.contraction.sigma(mc_sum(data.transfer.f, y, data.cap)) == y)
+    return KuranishiReport(rep.ok, len(mc_V), len(mc_W),
+                           [i.line() for i in rep.items if i.verdict != PASS])

@@ -3,8 +3,11 @@
 A claim is evaluated level by level (word weight, arity, ...) until a level
 leaves the guard of a backend (an ``Overflow``).  The claim is decided on the
 levels below, and that scope is recorded in the report's bounds; a claim whose
-scope holds nothing it is about is UNDETERMINED, never PASS.  ``scan`` is the
-only place where a checker catches an ``Overflow``.
+scope holds nothing it is about is UNDETERMINED, never PASS.  ``scan`` is how
+a checker decides a scope; the few other places that catch an ``Overflow``
+(a sample or a Maurer-Cartan point beyond the bounds, the t-adic series'
+exactness test, the cache of Taylor data) are listed in
+``tests/test_imports.py::OVERFLOW_CATCHERS``.
 """
 
 from __future__ import annotations

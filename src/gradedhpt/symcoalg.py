@@ -209,7 +209,9 @@ class _TaylorData:
     """Taylor coefficients of a coalgebra morphism or coderivation of S(V).
 
     ``component_fn(n, word)`` gives the coefficient of arity n >= 1 on a
-    canonical word over ``base`` (the domain base); it is cached per word.
+    canonical word over ``base`` (the domain base); it is cached per word, and
+    so is its refusal: a word whose coefficient raised Overflow raises it again
+    without being evaluated.
     ``q0`` is the coefficient on the empty word: the constant term of a
     coderivation, zero for a morphism.  ``exact_beyond`` asserts that every
     coefficient above ``arity_bound`` vanishes (as opposed to merely unknown).
@@ -236,8 +238,13 @@ class _TaylorData:
             raise Overflow(f"Taylor coefficient of arity {n} beyond arity bound {self.arity_bound}")
         v = self._cache.get(word)
         if v is None:
-            v = self._fn(n, word)
+            try:
+                v = self._fn(n, word)
+            except Overflow as exc:
+                v = str(exc)  # not exc: its traceback would keep the frames alive
             self._cache[word] = v
+        if isinstance(v, str):
+            raise Overflow(v)
         return v
 
     def eval_keys(self, keys: tuple) -> Vector:

@@ -173,9 +173,6 @@ class TruncatedTAlgebra(CommAlgebra):
         # one) raised the peak RSS of bv_check on FIX-2 by about 0.1 MB
         return [((n, k), c) for k, c in self.A.mul_keys(a1, a2)]
 
-    def order_check_keys(self):
-        return tuple((0, k) for k in self.A.order_check_keys())
-
 
 def flatten_top(op: TOp, N: int) -> LinOp:
     """K[[t]]-linear extension of a t-series of operators to the flattened spaces."""
@@ -190,7 +187,7 @@ def flat_unital_map(f: TOp, Bt: TruncatedTAlgebra) -> LinOp:
     return LinOp(f.domain, Bt.space, f.degree, lambda key: f.flat_image(0, key, Bt.N), "f~")
 
 
-def spl_t(C, Delta: TOp, N: int, corpus=None):
+def spl_t(C, Delta: TOp, N: int):
     """Standard Perturbation Lemma for a t-adically small perturbation: transfer
     the structure series ``Delta`` along the contraction C, whose differential
     d_A is Delta's order-zero coefficient.  The perturbation is the
@@ -201,12 +198,11 @@ def spl_t(C, Delta: TOp, N: int, corpus=None):
     Returns (Delta_B, sigma, tau, h) as t-series, where Delta_B is lift(d_B)
     plus the transferred perturbation; with no positive order they are the
     lifts of d_B, sigma, tau and h.  They are flagged exact when a power of
-    h o perturbation vanishes on every word of the given corpus, which is sound
-    only if the corpus spans every word the outputs are applied to (the whole
-    domain of h).  A power that cannot be evaluated on some corpus word
-    (Overflow) proves nothing, and the geometric series and the outputs are
-    then cut after order N (``TOp.truncated``), which is always sound since
-    the perturbation has t-valuation >= 1.
+    h o perturbation vanishes on every basis key of C's A side, the whole
+    domain of h.  A power that cannot be evaluated on some key (Overflow)
+    proves nothing, and the geometric series and the outputs are then cut
+    after order N (``TOp.truncated``), which is always sound since the
+    perturbation has t-valuation >= 1.
     """
     td = Delta.t_degree
     h = TOp.lift(C.h, td)
@@ -220,6 +216,7 @@ def spl_t(C, Delta: TOp, N: int, corpus=None):
     hd = h @ delta_plus
     top_order = max(delta_plus.support()) * (N + 1)
     powers = [TOp.lift(LinOp.identity(C.space_A), td)]
+    corpus = C.space_A.keys()
     exact = False
     for j in range(1, N + 1):
         nxt = hd @ powers[-1]

@@ -247,16 +247,15 @@ class TestIBLMC:
         # every residual the report forms is a Maurer-Cartan sum of its own
         # Koszul-bracket lifts (data.Q on U, lifts.r on V), which cache each
         # word: no (space, word) is bracketed twice over all the samples.  A
-        # word beyond the word bound raises Overflow, caches nothing and is
-        # tried again by the next sample, so only brackets that return count
+        # word beyond the word bound raises Overflow, and the lift keeps that
+        # refusal too, so brackets that raise count as well
         res = ibl_transfer(ibl4, f4.contraction, arity_bound=3)
         samples_U, samples_V = lattice_samples()
         calls = []
 
         def recorded(A, delta, keys, memo=None):
-            out = koszul_recursion(A, delta, keys, memo)
             calls.append((A.space, keys))
-            return out
+            return koszul_recursion(A, delta, keys, memo)
 
         monkeypatch.setattr(commalg, "koszul_recursion", recorded)
         assert ibl_kuranishi_report(ibl4, res, 4, samples_U, samples_V).ok

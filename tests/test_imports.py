@@ -15,9 +15,11 @@ each of its parameters but a method's ``self`` or ``cls``, no nested
 function that calls itself outlives its enclosing call as a reference cycle,
 unless an allowlist gives the one-line reason it stays, no library function
 reads a ``functools`` cache (``lru_cache``, ``cache``, ``cached_property``),
-every function has a library caller: each module-level function and method
-is referenced in ``src/`` or ``perfbench/`` outside its own body, unless an
-allowlist gives the one-line reason only tests reach it, and no certificate
+every dataclass field is read: some expression in ``src/``, ``tests/`` or
+``perfbench/`` loads an attribute of its name, every function has a library
+caller: each module-level function and method is referenced in ``src/`` or
+``perfbench/`` outside its own body, unless an allowlist gives the one-line
+reason only tests reach it, and no certificate
 compares an operator with a freshly built ``LinOp.zero`` or
 ``LinOp.identity`` through ``first_difference``, and every script that
 ``pyproject.toml`` declares names a module that imports and has the named
@@ -73,11 +75,13 @@ def test_no_local_imports(path):
 
 
 # The functions that may catch an Overflow: the scope rule's scan, the t-adic
-# perturbation series (whose exactness test must not leave the word bound), and
-# the IBL Maurer-Cartan samples, which count an undetermined sample.  Every
-# other checker decides its scope through ``report.scan``.
+# perturbation series (whose exactness test must not leave the word bound), the
+# IBL Maurer-Cartan samples, which count an undetermined sample, the
+# Maurer-Cartan correspondence, whose claims on a point beyond the bounds are
+# UNDETERMINED, and the cache of Taylor data, which keeps a refusal and raises
+# it again.  Every other checker decides its scope through ``report.scan``.
 OVERFLOW_CATCHERS = {"report.scan", "tseries.spl_t", "ibl.ibl_mc_check",
-                     "ibl.ibl_kuranishi_report"}
+                     "mc.correspondence_claims", "symcoalg._TaylorData.component"}
 
 
 def _catches_overflow(handler: ast.ExceptHandler) -> bool:
@@ -486,6 +490,33 @@ def functools_cache_sites(path: Path) -> list:
 def test_no_functools_cache_in_library():
     sites = [site for path in LIBRARY_MODULES for site in functools_cache_sites(path)]
     assert not sites, f"functools caches outlive their calls (drop them): {sites}"
+
+
+# Every dataclass field is read.  The scope is each annotated field of each
+# ``@dataclass`` class of the package; a field is read when some expression in
+# ``src/``, ``tests/`` or ``perfbench/`` loads an attribute of its name.  A field
+# nothing reads is data that every constructor fills for no one.
+
+
+def dataclass_fields(path: Path) -> list:
+    """(class, field) of each annotated field of each ``@dataclass`` class."""
+    def is_dataclass(decorator) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(target, ast.Name) and target.id == "dataclass"
+
+    return [(f"{path.stem}.{node.name}", item.target.id) for node in ast.walk(_tree(path))
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def test_every_dataclass_field_is_read():
+    read = {node.attr for path in python_files("src", "tests", "perfbench")
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls}.{name}" for path in MODULES for cls, name in dataclass_fields(path)
+              if name not in read]
+    assert not unread, f"dataclass fields nothing reads (drop them): {unread}"
 
 
 # Every function has a library caller.  The scope is each module-level function

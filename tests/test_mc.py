@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction as Q
 from math import factorial
 
@@ -22,7 +23,7 @@ from gradedhpt.mc import (
     mc_check,
     mc_sum,
 )
-from gradedhpt.symcoalg import TaylorCoderivation, words_over
+from gradedhpt.symcoalg import TaylorCoderivation, TaylorMorphism, words_over
 
 
 def fix3_data(bound=4):
@@ -194,6 +195,47 @@ class TestKuranishi:
         assert y2 == y and hx2 == hv
         rep = kuranishi_roundtrip_report(data, trivial_w_filtration(res), height=1)
         assert rep.ok, rep.failures[:3]
+
+    @pytest.mark.parametrize("side, n, word, extra, failing", [
+        # f_2(x, x) gains x': F_* is no longer the inverse at zero, nor the
+        # inverse of the restriction; sigma(x') = 0 keeps g_1 its inverse
+        ("f", 2, (0, 0), Vector.basis(1),
+         {"restriction bijection round-trip on V point #",
+          "inverse at zero homotopy datum is the push-forward along F (W point #)"}),
+        # g_1(x) = 2w: rho is no longer inverted by the fixed point
+        ("g", 1, (0,), Vector.basis(0),
+         {"inverse recovers V point #", "restriction bijection round-trip on V point #",
+          "round-trip returns W point # and homotopy datum #"}),
+    ], ids=["f_2", "g_1"])
+    def test_a_corrupted_transfer_fails_the_correspondence(self, side, n, word, extra, failing):
+        f, filt, res = fix3_data()
+        T = getattr(res, side)
+        bad = TaylorMorphism(T.base, T.cod_base, lambda m, w: T.component(m, w) + (
+            extra if (m, w) == (n, word) else Vector.zero()), T.arity_bound, T.exact_beyond)
+        data = KuranishiData(f.Q, dataclasses.replace(res, **{side: bad}), f.contraction, filt)
+        rep = kuranishi_roundtrip_report(data, trivial_w_filtration(res), height=2)
+        assert not rep.ok and (rep.mc_count_V, rep.mc_count_W) == (5, 7)
+        assert all(line.startswith("FAIL ") for line in rep.failures), rep.failures
+        claims = {re.sub(r"(point|datum) \d+", r"\1 #", line.split(None, 1)[1])
+                  for line in rep.failures}
+        assert claims == failing
+
+    def test_an_unstable_inverse_is_undetermined(self):
+        # g_2(x, x) = w: the fixed point of the inverse runs away on every
+        # nonzero W point; the claims on it are UNDETERMINED, and the
+        # ConvergenceFault does not escape the report
+        f, filt, res = fix3_data()
+        g = res.g
+        bad = TaylorMorphism(g.base, g.cod_base, lambda m, w: g.component(m, w) + (
+            Vector.basis(0) if (m, w) == (2, (0, 0)) else Vector.zero()), g.arity_bound)
+        data = KuranishiData(f.Q, dataclasses.replace(res, g=bad), f.contraction, filt)
+        w_filt = trivial_w_filtration(res)
+        rep = kuranishi_roundtrip_report(data, w_filt, height=2)
+        mc_W = enumerate_mc_lattice(res.r, w_filt, res.r.base, 2)
+        on_W = [line for line in rep.failures if " W point " in line]
+        assert on_W == [f"UNDETERMINED remaining claims on W point {j}  [fixed point did not "
+                        "stabilize: fixed-point recursion did not stabilize within the bound]"
+                        for j, y in enumerate(mc_W) if y]
 
     def test_idempotence_past_stabilization(self):
         f, filt, res = fix3_data()

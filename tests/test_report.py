@@ -1,4 +1,4 @@
-"""Report output: the exit status and the JSON form of a verdict list."""
+"""Report output: the exit status, and the text and JSON forms of a verdict list."""
 
 import json
 
@@ -42,3 +42,26 @@ def test_to_json_round_trips(verdicts, summary):
                                  for i in rep.items]
     assert [c["verdict"] for c in payload["checks"]] == list(verdicts)
     assert payload["summary"] == summary
+
+
+@pytest.mark.parametrize("verdicts, summary", [
+    ((PASS,), "all PASS"),
+    ((PASS, UNDETERMINED), "UNDETERMINED"),
+    ((UNDETERMINED, FAIL, PASS), "FAIL"),
+])
+def test_to_text_lists_bounds_lines_and_summary(verdicts, summary):
+    rep = report_with(*verdicts)
+    lines = rep.to_text().split("\n")
+    assert lines[0] == "== verdicts =="
+    assert lines[1] == "bounds: N=2, W=3, corpus=(2, 1)"
+    assert lines[2:-1] == [i.line() for i in rep.items]
+    assert lines[-1] == f"-- {summary} ({len(verdicts)} checks)"
+
+
+def test_check_item_line_pads_the_verdict_and_brackets_the_detail():
+    rep = report_with(PASS, FAIL, UNDETERMINED)
+    assert [i.line() for i in rep.items] == [
+        "PASS         claim 0",
+        "FAIL         claim 1  [detail 1]",
+        "UNDETERMINED claim 2  [detail 2]",
+    ]

@@ -70,7 +70,7 @@ def test_tspace_hash_agrees_with_equality():
 def test_spl_t_without_positive_order_lifts_the_contraction():
     f = fix2(3)
     C = f.contraction
-    DB, sigma, tau, h = spl_t(C, TOp.lift(C.d_A, 2), 2, corpus=f.A.space.keys())
+    DB, sigma, tau, h = spl_t(C, TOp.lift(C.d_A, 2), 2)
     for series, op in ((DB, C.d_B), (sigma, C.sigma), (tau, C.tau), (h, C.h)):
         assert series.coeffs == {0: op} and series.is_exact()
         assert series.t_degree == 2
@@ -81,26 +81,26 @@ def test_spl_t_keeps_the_differential_at_order_zero():
     # >= 1, so Delta_B = d_B + O(t); a truncated Delta keeps its known_to
     f = fix2(3)
     C = f.contraction
-    DB, _, _, _ = spl_t(C, f.delta_series(), 2, corpus=f.A.space.keys())
+    DB, _, _, _ = spl_t(C, f.delta_series(), 2)
     assert DB.coeff(0).first_difference(C.d_B, f.B.space.keys()) is None
     assert DB.degree == 1 and DB.t_degree == 2
     Delta = f.delta_series()
     Delta.known_to = 1
-    DB, _, _, _ = spl_t(C, Delta, 2, corpus=f.A.space.keys())
+    DB, _, _, _ = spl_t(C, Delta, 2)
     assert DB.coeff(0).first_difference(C.d_B, f.B.space.keys()) is None
     assert DB.known_to is not None
 
 
-@pytest.mark.parametrize("N, with_corpus, branch", [
-    (2, True, "exact"), (3, True, "exact"), (2, False, "cut"), (3, False, "cut")])
-def test_spl_t_is_perturb_on_the_flattened_spaces(N, with_corpus, branch):
+@pytest.mark.parametrize("N, branch", [(2, "exact"), (3, "exact"), (0, "cut"), (1, "cut")])
+def test_spl_t_is_perturb_on_the_flattened_spaces(N, branch):
     # one lemma: on A[t]/t^(N+1) the perturbation raises the t-order, so
     # (h delta)^(N+1) = 0 and plain perturb applies; spl_t's series terminate
-    # on the corpus ("exact"), or without one are cut after order N ("cut")
+    # on the whole domain of h within N steps when N >= 2 ("exact"), and are
+    # cut after order N otherwise ("cut")
     f = fix2(3)
     C = f.contraction
     Delta = f.delta_series()
-    outputs = spl_t(C, Delta, N, corpus=f.A.space.keys() if with_corpus else None)
+    outputs = spl_t(C, Delta, N)
     assert all(s.is_exact() == (branch == "exact") for s in outputs)
 
     def flat(op):
@@ -115,13 +115,13 @@ def test_spl_t_is_perturb_on_the_flattened_spaces(N, with_corpus, branch):
             assert got.first_difference(op, keys) is None, n
 
 
-@pytest.mark.parametrize("with_corpus", [True, False])
-def test_spl_t_outputs_no_more_reliable_than_delta(with_corpus):
+@pytest.mark.parametrize("exact", [True, False])
+def test_spl_t_outputs_no_more_reliable_than_delta(exact):
     # Delta known only to order 1: no output may claim a higher order, since
-    # its order-2 coefficient would need Delta_2
+    # its order-2 coefficient would need Delta_2, whether the series terminate
+    # (N = 3) or are cut after order N (N = 1)
     f = fix2(3)
     Delta = f.delta_series()
     Delta.known_to = 1
-    for series in spl_t(f.contraction, Delta, 3,
-                        corpus=f.A.space.keys() if with_corpus else None):
-        assert series.known_to == 1
+    outputs = spl_t(f.contraction, Delta, 3 if exact else 1)
+    assert all(series.known_to == 1 for series in outputs)
