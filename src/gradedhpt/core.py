@@ -422,23 +422,18 @@ class LinOp:
         return f"LinOp({self.label or 'anon'}, degree={self.degree})"
 
 
-def multilinear_terms(args) -> list[tuple[tuple, int | Fraction]]:
-    """(keys, coeff) for each choice of one basis key from every vector in
-    ``args``, in lexicographic order, with the product of their coefficients
-    (each prefix product is formed once)."""
-    terms = [((), ONE)]
-    for v in args:
-        terms = [(keys + (k,), coeff * c) for keys, coeff in terms for k, c in v.items()]
-    return terms
-
-
 def expand_multilinear(args: tuple[Vector, ...], kernel: Callable[..., Vector]) -> Vector:
-    """Multilinear extension of a kernel defined on tuples of basis keys.
+    """Multilinear extension of a kernel defined on tuples of basis keys: the
+    kernel on each choice of one key from every vector in ``args``, times the
+    product of their coefficients (each prefix product is formed once).
 
     Coefficients are degree-0 scalars, so no Koszul signs arise here.
     """
+    terms = [((), ONE)]
+    for v in args:
+        terms = [(keys + (k,), coeff * c) for keys, coeff in terms for k, c in v.items()]
     out = Vector()
-    for keys, coeff in multilinear_terms(args):
+    for keys, coeff in terms:
         out.add_scaled(kernel(*keys), coeff)
     return out
 

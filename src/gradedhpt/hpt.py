@@ -42,6 +42,7 @@ from .symcoalg import (
     assemble_word,
     coalgebra_morphism_defect,
     coderivation_defect,
+    insert_factors,
     taylor_coderivation_from_map,
     taylor_morphism_from_map,
     tensor_coproduct,
@@ -292,12 +293,8 @@ def check_semifull_coalgebra(C: Contraction, coalg_C, coalg_D,
 def sym_extension(f: LinOp, dom_space: SymSpace, cod_space: SymSpace, label: str = "") -> LinOp:
     """S(f): word -> f(x_1) o ... o f(x_n), the functorial coalgebra morphism."""
     def fn(word):
-        if not word:
-            return Vector.basis(())
         factors = [f.on_key(k) for k in word]
-        if not all(factors):
-            return Vector()
-        return assemble_word(cod_space.base, factors, cod_space.weight_bound)
+        return assemble_word(cod_space.base, factors, cod_space.weight_bound) if all(factors) else Vector()
 
     return LinOp(dom_space, cod_space, 0, fn, label or f"S({f.label})")
 
@@ -310,7 +307,9 @@ def hat_homotopy(C: Contraction, space: SymSpace) -> LinOp:
     symmetrization that give it.  h is an odd symbol placed just before its slot i, and
     e is the Koszul sign of reordering x_1..x_n into (x_S, h, x_i, x_R).  A slot p with
     tau sigma x_p = 0 makes every term with p in S vanish, so S ranges over the slots
-    whose tau-sigma image is nonzero, and the others always go to R."""
+    whose tau-sigma image is nonzero, and the others always go to R.  A term inserts h(x_i),
+    then tau sigma x_S, into the canonical sub-word x_R (``insert_factors``), and its weight
+    e |S|!(n-1-|S|)!/n! scales the sum of those insertions once."""
     tau_sigma = C.tau @ C.sigma
     h = C.h
     base = space.base
@@ -331,9 +330,9 @@ def hat_homotopy(C: Contraction, space: SymSpace) -> LinOp:
                 for S in itertools.combinations(live, size):
                     R = tuple(p for p in others if p not in S)
                     s = koszul_sign(S + (0, i) + R, degs)
-                    factors = ([tau_sigma.on_key(word[p - 1]) for p in S] + [hv]
-                               + [Vector.basis(word[p - 1]) for p in R])
-                    out.add_scaled(assemble_word(base, factors, space.weight_bound), coeff * s)
+                    factors = [tau_sigma.on_key(word[p - 1]) for p in S] + [hv]
+                    rest = tuple(word[p - 1] for p in R)
+                    out.add_scaled(Vector(insert_factors(base, factors, rest)), coeff * s)
         return out
 
     return LinOp(space, space, -1, fn, "h^")
@@ -374,7 +373,8 @@ class LinfTransfer:
 def _transfer_recursions(Qd: TaylorCoderivation, C: Contraction, bound: int,
                          words_W, hat: LinOp, Qmap: LinOp):
     """Explicit transfer recursions for f_i, r_i, and the h^-based one for g_i (lazy).
-    ``Qmap`` is Q on the words of S(V), whose cached images the g recursion reads."""
+    ``Qmap`` is Q on the words of S(V) (route 2's perturbed differential), whose
+    cached images the g recursion reads."""
     V = C.space_A
     Wb = C.space_B
     f_tables: dict[int, dict] = {1: {}}
@@ -440,17 +440,21 @@ def linf_transfer(Qd: TaylorCoderivation, C: Contraction, arity_bound: int,
     words_U = words_over(V, corpus_A, arity_bound)
     words_W = words_over(Wb, corpus_B, arity_bound)
 
-    # route 2: perturbation series on the symmetrized contraction
+    # route 2: perturbation series on the symmetrized contraction, perturbed by
+    # delta = Q - S(d_A) as Taylor data (its linear part vanishes on corpus_A);
+    # pert.d_A = S(d_A) + delta is Q on words, whose images route 1 reads
     sym = symmetrized_contraction(C, arity_bound, words_U, words_W)
-    Qmap = Qd.as_map(sym.space_A)
-    p = Perturbation(Qmap - sym.d_A, arity_bound + 1)
-    _, pert = perturb(sym, p, words_U, words_W)
+    delta = TaylorCoderivation(V, lambda n, w: Qd.component(1, w) - C.d_A.on_key(w[0]) if n == 1
+                               else Qd.component(n, w), Qd.arity_bound, 1, None,
+                               Qd.exact_beyond, "Q-S(d)")
+    _, pert = perturb(sym, Perturbation(delta.as_map(sym.space_A), arity_bound + 1),
+                      words_U, words_W)
     r2 = taylor_coderivation_from_map(pert.d_B, arity_bound, label="R(spl)")
     f2 = taylor_morphism_from_map(pert.tau, arity_bound, label="F(spl)")
     g2 = taylor_morphism_from_map(pert.sigma, arity_bound, label="G(spl)")
 
     # route 1: explicit recursions
-    r1, f1, g1 = _transfer_recursions(Qd, C, arity_bound, words_W, sym.h, Qmap)
+    r1, f1, g1 = _transfer_recursions(Qd, C, arity_bound, words_W, sym.h, pert.d_A)
 
     for w in words_W:
         if not w:

@@ -114,14 +114,12 @@ def kuranishi_rho(data: KuranishiData, x: Vector) -> tuple[Vector, Vector]:
     return mc_sum(data.transfer.g, x, data.cap), data.contraction.h(x)
 
 
-def kuranishi_inverse(data: KuranishiData, y: Vector, hv: Vector,
-                      max_steps: int | None = None) -> Vector:
+def kuranishi_inverse(data: KuranishiData, y: Vector, hv: Vector, steps: int) -> Vector:
     """Fixed-point recursion x_{k+1} = f_1(y) - q_1(hv) + sum (h q_i - f_1 g_i)(x_k^oi)/i!.
 
-    Stabilization is exact equality; exceeding the step bound is a fault.
+    Stabilization is exact equality; exceeding ``steps`` steps is a fault.
     """
     C, Qd, g = data.contraction, data.Q, data.transfer.g
-    steps = max_steps if max_steps is not None else data.filt.vanishing + 1
 
     def correction(x):
         return C.h(mc_sum(Qd, x, data.cap, 2)) - C.tau(mc_sum(g, x, data.cap, 2))

@@ -32,7 +32,9 @@ formulas, are `core.unshuffles` read off its letters (``_word_unshuffles``).
 
 A tensor (an element of C^{(x)n}, such as a coproduct image or a tilde
 recursion's value) is a `Vector` keyed by tuples of keys; ``canonical_sum``
-projects one to canonical words of S(V).
+projects one to canonical words of S(V).  ``insert_factors`` multiplies
+weight-one vectors into a canonical word letter by letter (``insert_letter``),
+re-sorting no key tuple; ``assemble_word`` is that product on the empty word.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .core import (
     Q,
     Vector,
     koszul_sign,
-    multilinear_terms,
     set_partitions,
     unshuffles,
 )
@@ -182,11 +183,23 @@ def _space_token(base) -> object:
     return base if base.__hash__ else id(base)
 
 
+def insert_factors(base, factors, word: SymWord) -> list:
+    """The symmetric product f_1 ... f_m o ``word`` of weight-1 vectors with a
+    canonical word as (word, coefficient) terms, equal words not merged: the
+    letters of f_m, then f_(m-1), ..., go into the canonical word built so far
+    (``insert_letter``); a term repeating an odd letter drops out."""
+    terms = [(word, ONE)]
+    for f in reversed(factors):
+        terms = [(cw[0], a * c if cw[1] > 0 else -a * c) for k, a in f.items() for w, c in terms
+                 if (cw := insert_letter(base, k, w)) is not None]
+    return terms
+
+
 def assemble_word(base, factors: list[Vector], bound: int) -> Vector:
     """Symmetric product of weight-1 vectors: canonical weight-k words with signs."""
     if len(factors) > bound:
         raise Overflow(f"assembled word weight {len(factors)} exceeds bound {bound}")
-    return canonical_sum(base, multilinear_terms(factors))
+    return Vector(insert_factors(base, factors, ()))
 
 
 def _table_fn(tables: dict[int, dict[SymWord, Vector]]) -> Callable[[int, SymWord], Vector]:

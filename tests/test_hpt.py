@@ -5,7 +5,7 @@ import sys
 import types
 from collections import Counter
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -360,7 +360,12 @@ def _hat_homotopy_oracle(C, space, word):
             factors = [tau_sigma.on_key(word[p - 1]) for p in perm[:j - 1]]
             factors.append(hv)
             factors.extend(Vector.basis(word[p - 1]) for p in perm[j:])
-            out = out + assemble_word(space.base, factors, space.weight_bound).scale(Q(s, factorial(n)))
+            # each key tuple of the multilinear expansion is sorted on its own
+            for choice in itertools.product(*(f.items() for f in factors)):
+                cw = canonical_word(space.base, tuple(k for k, _ in choice))
+                if cw is not None:
+                    coeff = Q(s * cw[1], factorial(n)) * prod(c for _, c in choice)
+                    out = out + Vector.basis(cw[0], coeff)
     return out
 
 
@@ -370,11 +375,33 @@ def _fix2_mid_on_its_corpus():
     return f.contraction, f.keys_A
 
 
+def _fix2_mid_perturbed_on_its_corpus():
+    # the contraction the Koszul-bracket structure is transferred along in the
+    # FIX-2M propagation check: tau sigma has an image of two terms on the corpus
+    f = fix2_mid()
+    return perturb(f.contraction, Perturbation(*fix2_mid_perturbation(f)))[1], f.keys_A
+
+
+def _fix3_extended_conjugated():
+    # FIX-3X conjugated by phi = id + N, N(x') = x + x'', N^2 = 0: h(c) = -x'
+    # becomes -x - x' - x'', an image of three terms
+    C = fix3_extended().contraction
+    V = C.space_A
+    N = {2: Vector({1: 1, 3: 1})}
+    phi = LinOp(V, V, 0, lambda k: Vector.basis(k) + N.get(k, Vector.zero()), "phi")
+    phi_inv = LinOp(V, V, 0, lambda k: Vector.basis(k) - N.get(k, Vector.zero()), "phi^-1")
+    return Contraction(C.sigma @ phi_inv, phi @ C.tau, (phi @ C.h) @ phi_inv,
+                       (phi @ C.d_A) @ phi_inv, C.d_B), None
+
+
 @pytest.mark.parametrize("make, W", [(lambda: (fix3_extended().contraction, None), 5),
                                      (lambda: (fix4().contraction, None), 6),
                                      (lambda: (small_complex(), None), 4),
-                                     (_fix2_mid_on_its_corpus, 3)],
-                         ids=["FIX-3X", "FIX-4", "small_complex", "FIX-2M"])
+                                     (_fix2_mid_on_its_corpus, 3),
+                                     (_fix2_mid_perturbed_on_its_corpus, 3),
+                                     (_fix3_extended_conjugated, 5)],
+                         ids=["FIX-3X", "FIX-4", "small_complex", "FIX-2M", "FIX-2M perturbed",
+                              "FIX-3X conjugated"])
 def test_hat_homotopy_matches_placement_oracle(make, W):
     C, letters = make()
     space = SymSpace(C.space_A, W)
@@ -398,19 +425,33 @@ def test_transfer_does_no_dead_work(monkeypatch):
     hat_fn = next(c for c in hat_homotopy.__code__.co_consts
                   if isinstance(c, types.CodeType) and c.co_name == "fn")
     zero_factors = []
-    assemble = hpt.assemble_word
+    insert = hpt.insert_factors
 
-    def checked(base, factors, bound):
+    def checked(base, factors, word):
         if sys._getframe(1).f_code is hat_fn and not all(factors):
             zero_factors.append(factors)
-        return assemble(base, factors, bound)
+        return insert(base, factors, word)
 
     monkeypatch.setattr(TaylorCoderivation, "apply_word", counted)
-    monkeypatch.setattr(hpt, "assemble_word", checked)
+    monkeypatch.setattr(hpt, "insert_factors", checked)
     fx = fix3_extended()
     linf_transfer(fx.Q, fx.contraction, 5)
     assert runs and max(runs.values()) == 1, [key for key, n in runs.items() if n > 1][:3]
     assert not zero_factors, len(zero_factors)
+
+
+def test_perturbed_differential_is_q_on_words():
+    # FIX-3X at W=5: the perturbation route perturbs S(d) by Q - S(d) as Taylor
+    # data, so its perturbed differential is Q on every word of the corpus
+    fx = fix3_extended()
+    result = linf_transfer(fx.Q, fx.contraction, 5)
+    SU = SymSpace(fx.contraction.space_A, 5)
+    Qmap = fx.Q.as_map(SU)
+    words = SU.keys()
+    linear = TaylorCoderivation.from_linear(fx.contraction.d_A).as_map(SU)
+    assert any(Qmap.on_key(w) != linear.on_key(w) for w in words)
+    for w in words:
+        assert result.word_contraction.d_A.on_key(w) == Qmap.on_key(w), w
 
 
 def test_no_symspace_keeps_a_word_table():

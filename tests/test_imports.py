@@ -156,9 +156,10 @@ def test_diagonal_sums_only_in_exp_series(path):
     assert not stray, f"{path.name}: a diagonal (x,) * n outside core.exp_series at {stray}"
 
 
-# ``core.exp_series`` has one caller: the e^a of the BV exponential route.  The
-# Maurer-Cartan sums of Taylor data, the Kuranishi corrections among them, are
-# ``mc.mc_sum``, which reads each canonical word of the diagonal once; a sum of
+# ``core.exp_series`` has one caller, ``bv._exp``: the e^a of the BV exponential
+# route, and the only allowlist entry.  The Maurer-Cartan sums of Taylor data,
+# the Kuranishi corrections among them, are ``mc.mc_sum``, which reads each
+# canonical word of the diagonal once and calls no ``exp_series``; a sum of
 # Koszul brackets or cumulants is ``mc.mc_sum`` of their lift, never
 # ``exp_series`` over a recursion, which visits every ordered key tuple.
 EXP_SERIES_CALLERS = {"bv._exp"}

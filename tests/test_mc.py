@@ -166,13 +166,13 @@ class TestKuranishi:
     def test_trivial_inverse(self):
         f, filt, res = fix3_data()
         data = KuranishiData(f.Q, res, f.contraction, filt)
-        assert kuranishi_inverse(data, Vector.zero(), Vector.zero()).is_zero()
+        assert kuranishi_inverse(data, Vector.zero(), Vector.zero(), data.filt.vanishing + 1).is_zero()
 
     def test_inverse_is_parabola_lift(self):
         f, filt, res = fix3_data()
         data = KuranishiData(f.Q, res, f.contraction, filt)
         y = Vector.basis(0, 2)
-        x = kuranishi_inverse(data, y, Vector.zero())
+        x = kuranishi_inverse(data, y, Vector.zero(), data.filt.vanishing + 1)
         # MC(F)(y): tau(y) + f_2(y,y)/2 = 2x - 2x'
         assert x == Vector.basis(0, 2) - Vector.basis(1, 2)
         ok, _ = mc_check(f.Q, filt, x)
@@ -188,7 +188,7 @@ class TestKuranishi:
         hv = fx.contraction.h(Vector.basis(3))
         assert not hv.is_zero()
         y = Vector.basis(0)
-        x = kuranishi_inverse(data, y, hv)
+        x = kuranishi_inverse(data, y, hv, data.filt.vanishing + 1)
         ok, _ = mc_check(fx.Q, filt, x)
         assert ok
         y2, hx2 = kuranishi_rho(data, x)
@@ -240,8 +240,8 @@ class TestKuranishi:
     def test_idempotence_past_stabilization(self):
         f, filt, res = fix3_data()
         data = KuranishiData(f.Q, res, f.contraction, filt)
-        x1 = kuranishi_inverse(data, Vector.basis(0), Vector.zero(), max_steps=5)
-        x2 = kuranishi_inverse(data, Vector.basis(0), Vector.zero(), max_steps=9)
+        x1 = kuranishi_inverse(data, Vector.basis(0), Vector.zero(), steps=5)
+        x2 = kuranishi_inverse(data, Vector.basis(0), Vector.zero(), steps=9)
         assert x1 == x2
 
 

@@ -2,7 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +14,7 @@ from gradedhpt.symcoalg import (
     TaylorCoderivation,
     TaylorMorphism,
     antipode,
+    canonical_sum,
     canonical_word,
     coalgebra_morphism_defect,
     cocumulant_tilde,
@@ -21,6 +22,7 @@ from gradedhpt.symcoalg import (
     coderivation_defect,
     convolution,
     counit_map,
+    insert_factors,
     insert_letter,
     koszul_cobracket_tilde,
     koszul_cobrackets_cofree,
@@ -78,6 +80,25 @@ class TestWords:
                 assert got == canonical_word(base, (k,) + w), (k, w)
                 outcomes.add(None if got is None else got[1])
         assert outcomes == {None, 1, -1}
+
+    @pytest.mark.parametrize("base", [BASIS, GradedBasis.make([("a", 0), ("xi", 1), ("b", 2), ("eta", 1)])],
+                             ids=["x-xi-eta", "a-xi-b-eta"])
+    def test_insert_factors_is_the_canonical_sum(self, base):
+        # one to three two-term factors before every canonical tail of weight <= 2
+        # (the empty one included): the inserted terms sum to the canonical sum of
+        # the whole multilinear expansion, whose key tuples repeating an odd key
+        # drop out
+        pairs = [Vector({k: 1, l: Q(-3, 2)}) for k, l in itertools.combinations(base.keys(), 2)]
+        dropped = 0
+        for tail in SymSpace(base, 2).keys():
+            for m in (1, 2, 3):
+                for factors in itertools.product(pairs, repeat=m):
+                    expansion = [(tuple(k for k, _ in choice) + tail, prod(c for _, c in choice))
+                                 for choice in itertools.product(*(f.items() for f in factors))]
+                    dropped += sum(canonical_word(base, keys) is None for keys, _ in expansion)
+                    got = Vector(insert_factors(base, factors, tail))
+                    assert got == canonical_sum(base, expansion), (factors, tail)
+        assert dropped
 
     def test_space_enumeration(self):
         S = SymSpace(BASIS, 3)
