@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
 
-from .core import (GradedBasis, LinOp, RouteDisagreement, ShiftedSpace, Vector, exp_series,
-                   expand_multilinear)
+from .core import (CommAlgebra, GradedBasis, LinOp, RouteDisagreement, ShiftedSpace, Vector,
+                   exp_series, expand_multilinear)
 from .commalg import (
-    CommAlgebra,
     ExplicitFDAlgebra,
     cumulant_lift,
     cumulant_recursion,
@@ -469,7 +468,7 @@ def cl_intertwine_defect(F: LinOp, Delta_U: TOp, Delta_B: TOp, Bt: TruncatedTAlg
     return (Ft @ DU).first_difference(DB @ Ft, DU.domain.keys())
 
 
-def cl_bijection(phi: LinOp, SU: SymSpace, SU_alg: CommAlgebra, Bt: TruncatedTAlgebra,
+def cl_bijection(phi: LinOp, SU: SymSpace, Bt: TruncatedTAlgebra,
                  Delta_U: TOp, Delta_B: TOp, arity_bound: int) -> Report:
     """Both directions of the exp/log correspondence between the two morphism notions.
 
@@ -487,8 +486,8 @@ def cl_bijection(phi: LinOp, SU: SymSpace, SU_alg: CommAlgebra, Bt: TruncatedTAl
     inter = cl_intertwine_defect(F, Delta_U, Delta_B, Bt, N)
     rep.add("chain condition for exp data", *witness_verdict(inter))
     kappa = Report("cumulant congruence")
-    _congruence_claims(kappa, "kappa(F)", SU_alg.order_check_keys(), arity_bound, N,
-                       lambda tup: cumulant_recursion(SU_alg, Bt, F, tup))
+    _congruence_claims(kappa, "kappa(F)", SU.order_check_keys(), arity_bound, N,
+                       lambda tup: cumulant_recursion(SU, Bt, F, tup))
     cong_ok = False if kappa.has_fail else (True if kappa.ok else None)
     rep.add("vanishing condition <=> cumulant congruence",
             None if cong_ok is None else cl_ok == cong_ok, f"cl={cl_ok}, kappa={cong_ok}")

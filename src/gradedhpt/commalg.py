@@ -20,7 +20,10 @@ Maurer-Cartan sums ``mc.mc_sum`` forms for ``bv`` and ``ibl``, one recursion
 per canonical word of the diagonal.  On the diagonal,
 sum_n K(delta)_n(a, ..., a)/n! = e^{-a} delta(e^a) is decided once, by
 ``bv.bv_mc_check`` with its ``nilpotency`` cross-check.
-Routes (a) and (b) multiply keys by ``CommAlgebra.mul_keys``.  The recursions
+Routes (a) and (b) multiply keys by ``core.CommAlgebra.mul_keys``, the one
+algebra interface: the explicit table backend and the guarded free algebra
+(its own key space) implement it here, and S(V) is ``symcoalg.SymSpace``
+itself, so every family runs on S(V) as it stands.  The recursions
 of route (b) are kernels on one tuple of basis keys, which a caller with
 vectors extends by ``core.expand_multilinear``; the values they return are
 shared (memo entries, ``on_key`` images), read and never mutated.  The closed
@@ -46,6 +49,7 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .core import (
+    CommAlgebra,
     LinOp,
     ONE,
     Overflow,
@@ -57,69 +61,11 @@ from .core import (
     unshuffles,
 )
 from .symcoalg import (
-    SymSpace,
     TaylorCoderivation,
     TaylorMorphism,
     _corestriction,
     assemble_word,
 )
-
-
-class AlgebraSpace:
-    """Key space of an algebra backend (keys may be ints, tuples, ...)."""
-
-    def __init__(self, keys: Sequence, degree_fn, token):
-        self._keys = tuple(keys)
-        self._degree = degree_fn
-        self._token = token
-
-    def keys(self):
-        return self._keys
-
-    def degree(self, key):
-        return self._degree(key)
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraSpace) and self._token == other._token
-
-    def __hash__(self):
-        return hash(self._token)
-
-
-class CommAlgebra:
-    """Interface shared by the algebra backends; products are exact, Overflow is loud.
-
-    ``mul_keys(k1, k2)`` is the one key-level product: it yields the
-    ``(key, coeff)`` terms of k1 * k2, none when the product vanishes.  The
-    monomial backends yield at most one term and build no Vector; an
-    explicit structure table yields the items of its entry.  A caller that
-    needs a vector wraps the terms in ``Vector(...)``.
-    """
-
-    space: object
-    unit_key: object
-
-    def mul_keys(self, k1, k2) -> Iterable:
-        raise NotImplementedError
-
-    def unit(self) -> Vector:
-        return Vector.basis(self.unit_key)
-
-    def mul(self, a: Vector, b: Vector) -> Vector:
-        mul_keys = self.mul_keys
-        return Vector([(k, c1 * c2 * c) for k1, c1 in a.items() for k2, c2 in b.items()
-                       for k, c in mul_keys(k1, k2)])
-
-    def product_keys(self, keys: Iterable) -> Vector:
-        """The product of basis keys, folded through ``mul_keys``."""
-        out = self.unit()
-        for k in keys:
-            out = Vector([(kk, c * x) for k1, c in out.items() for kk, x in self.mul_keys(k1, k)])
-        return out
-
-    def order_check_keys(self):
-        """Keys spanning enough of the algebra to certify differential-operator order."""
-        return self.space.keys()
 
 
 class ExplicitFDAlgebra(CommAlgebra):
@@ -129,9 +75,7 @@ class ExplicitFDAlgebra(CommAlgebra):
         self.basis = basis
         self.unit_key = unit_index
         self.space = basis
-        table: dict = {}
-        for (i, j), v in products.items():
-            table[(i, j)] = v
+        table = dict(products)
         for (i, j), v in list(table.items()):
             if (j, i) not in table:
                 s = -1 if (basis.degree(i) % 2 and basis.degree(j) % 2) else 1
@@ -174,7 +118,9 @@ class GuardedFreeAlgebra(CommAlgebra):
 
     Keys are exponent tuples; odd generators square to zero, even generators may
     carry a nilpotency exponent, and any product whose total word length would
-    exceed the guard raises Overflow instead of truncating.
+    exceed the guard raises Overflow instead of truncating.  The algebra is its
+    own key space (``keys``, ``degree``), equal to another built from the same
+    generators and guard.
     """
 
     def __init__(self, generators: Sequence[tuple[str, int, int | None]], length_bound: int):
@@ -192,21 +138,27 @@ class GuardedFreeAlgebra(CommAlgebra):
         self._odd_desc = tuple(i for i in reversed(range(len(nil))) if self.gen_degrees[i] % 2)
         self.length_bound = length_bound
         self.unit_key = (0,) * len(generators)
-        keys = self._enumerate()
-        self.space = AlgebraSpace(keys, self._key_degree,
-                                  ("guarded", self.gen_symbols, self.gen_degrees,
-                                   self.nilpotency, length_bound))
-
-    def _enumerate(self):
         keys = [()]
-        for i, _ in enumerate(self.gen_symbols):
-            cap = self.nilpotency[i] - 1 if self.nilpotency[i] is not None else self.length_bound
-            keys = [k + (e,) for k in keys for e in range(cap + 1)]
-        keys = [k for k in keys if sum(k) <= self.length_bound]
-        keys.sort(key=lambda k: (sum(k), k))
-        return keys
+        for n in self.nilpotency:
+            keys = [k + (e,) for k in keys for e in range(length_bound + 1 if n is None else n)]
+        keys = (k for k in keys if sum(k) <= length_bound)
+        self._keys = tuple(sorted(keys, key=lambda k: (sum(k), k)))
+        self._token = (self.gen_symbols, self.gen_degrees, self.nilpotency, length_bound)
 
-    def _key_degree(self, key) -> int:
+    @property
+    def space(self) -> "GuardedFreeAlgebra":
+        return self
+
+    def __eq__(self, other):
+        return isinstance(other, GuardedFreeAlgebra) and self._token == other._token
+
+    def __hash__(self):
+        return hash(self._token)
+
+    def keys(self) -> tuple:
+        return self._keys
+
+    def degree(self, key) -> int:
         return sum(map(mul, key, self.gen_degrees))
 
     def mul_keys(self, k1, k2) -> Iterable:
@@ -238,28 +190,9 @@ class GuardedFreeAlgebra(CommAlgebra):
         return "*".join(parts) if parts else "1"
 
     def order_check_keys(self):
-        gens = []
-        for i in range(len(self.gen_symbols)):
-            k = tuple(1 if j == i else 0 for j in range(len(self.gen_symbols)))
-            if k in set(self.space.keys()):
-                gens.append(k)
-        return tuple(gens)
-
-
-class SymWordAlgebra(CommAlgebra):
-    """S_{<=W}(U) with the symmetric product, as an algebra backend."""
-
-    def __init__(self, sym_space: SymSpace):
-        self.sym_space = sym_space
-        self.space = sym_space
-        self.unit_key = ()
-
-    def mul_keys(self, k1, k2) -> Iterable:
-        cw = self.sym_space.product_words(k1, k2)
-        return () if cw is None else (cw,)
-
-    def order_check_keys(self):
-        return self.sym_space.words_of_weight(1)
+        n = len(self.gen_symbols)
+        return tuple(k for k in (tuple(int(i == j) for j in range(n)) for i in range(n))
+                     if k in self._keys)
 
 
 # -- exponential / logarithmic automorphisms --------------------------------------

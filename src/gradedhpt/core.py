@@ -7,6 +7,11 @@ is built on the three primitives defined here: `koszul_sign`, the two-block
 and prunes at a block whose factor is None.  Both enumerate on demand and keep
 no table between calls.  `expand_multilinear` is the one multilinear
 extension: a family given by a kernel on tuples of basis keys, on vectors.
+`CommAlgebra` is the one algebra interface, with the one key-level product
+``mul_keys``: the explicit and monomial algebras of ``commalg``, the
+truncated t-quotients of ``tseries`` and ``symcoalg.SymSpace`` (the
+truncated free algebra S(V), which is also the cofree coalgebra) implement
+it.
 
 Scalars are exact and int-first: `Q` returns an ``int`` when a value is
 integral and a `fractions.Fraction` otherwise, and it raises `TypeError` on a
@@ -420,6 +425,44 @@ class LinOp:
 
     def __repr__(self):
         return f"LinOp({self.label or 'anon'}, degree={self.degree})"
+
+
+class CommAlgebra:
+    """The one algebra interface: graded-commutative unital algebras whose
+    products are exact and whose Overflow is loud.
+
+    ``mul_keys(k1, k2)`` is the one key-level product: it yields the
+    ``(key, coeff)`` terms of k1 * k2, none when the product vanishes.  The
+    monomial backends yield at most one term and build no Vector; an
+    explicit structure table yields the items of its entry.  A caller that
+    needs a vector wraps the terms in ``Vector(...)``.  ``space`` is the key
+    space (keys and degrees) of the algebra.
+    """
+
+    space: object
+    unit_key: object
+
+    def mul_keys(self, k1, k2) -> Iterable:
+        raise NotImplementedError
+
+    def unit(self) -> Vector:
+        return Vector.basis(self.unit_key)
+
+    def mul(self, a: Vector, b: Vector) -> Vector:
+        mul_keys = self.mul_keys
+        return Vector([(k, c1 * c2 * c) for k1, c1 in a.items() for k2, c2 in b.items()
+                       for k, c in mul_keys(k1, k2)])
+
+    def product_keys(self, keys: Iterable) -> Vector:
+        """The product of basis keys, folded through ``mul_keys``."""
+        out = self.unit()
+        for k in keys:
+            out = Vector([(kk, c * x) for k1, c in out.items() for kk, x in self.mul_keys(k1, k)])
+        return out
+
+    def order_check_keys(self):
+        """Keys spanning enough of the algebra to certify differential-operator order."""
+        return self.space.keys()
 
 
 def expand_multilinear(args: tuple[Vector, ...], kernel: Callable[..., Vector]) -> Vector:

@@ -119,7 +119,7 @@ class Fix2:
         """Finite-dimensional quotient by monomials longer than max_len."""
         keys = self.low_keys(max_len)
         index = {k: i for i, k in enumerate(keys)}
-        basis = GradedBasis.make([(self.A.show_key(k), self.A._key_degree(k)) for k in keys])
+        basis = GradedBasis.make([(self.A.show_key(k), self.A.degree(k)) for k in keys])
         prods = {}
         for k1 in keys:
             for k2 in keys:
@@ -279,16 +279,7 @@ def fix3() -> Fix3:
     return Fix3(V, Qd, C, {X: 1, XP: 2, CC: 2}, 3)
 
 
-@dataclass
-class Fix3X:
-    basis: GradedBasis
-    Q: TaylorCoderivation
-    contraction: Contraction
-    levels: dict
-    vanishing_level: int
-
-
-def fix3_extended() -> Fix3X:
+def fix3_extended() -> Fix3:
     """Five-dimensional extension of FIX-3 with an extra contractible pair in
     degrees (-1, 0), so the contracting homotopy is nonzero on degree zero."""
     V = GradedBasis.make([("a", -1), ("x", 0), ("xp", 0), ("xpp", 0), ("c", 1)])
@@ -302,7 +293,7 @@ def fix3_extended() -> Fix3X:
     tau = LinOp.from_dict(Wb, V, 0, {0: Vector.basis(X)}, "tau")
     h = LinOp.from_dict(V, V, -1, {CC: Vector.basis(XP, -1), XPP: Vector.basis(Aa, -1)}, "h")
     C = Contraction(sigma, tau, h, d_V, LinOp.zero(Wb, degree=1))
-    return Fix3X(V, Qd, C, {Aa: 1, X: 1, XP: 1, XPP: 1, CC: 2}, 3)
+    return Fix3(V, Qd, C, {Aa: 1, X: 1, XP: 1, XPP: 1, CC: 2}, 3)
 
 
 # -- FIX-4 --------------------------------------------------------------------------

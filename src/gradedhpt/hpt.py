@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .core import (
+    CommAlgebra,
     ConvergenceFault,
     LinOp,
     ONE,
@@ -33,7 +34,7 @@ from .core import (
     Vector,
     koszul_sign,
 )
-from .commalg import CommAlgebra, cumulant_lift, kos_lift, koszul_closed, koszul_vanishes
+from .commalg import cumulant_lift, kos_lift, koszul_closed, koszul_vanishes
 from .report import PASS, Report, scan, witness_verdict
 from .symcoalg import (
     SymSpace,

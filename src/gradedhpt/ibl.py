@@ -1,7 +1,10 @@
 """IBL-infinity[1] algebras: degree -1 derived BV coalgebra structures on a
 cofree symmetric coalgebra, their component calculus indexed by inputs, outputs
 and genus, morphism certification by three independent routes, the two-stage
-homotopy transfer, and the Maurer-Cartan correspondence.
+homotopy transfer, and the Maurer-Cartan correspondence.  S(U) is one object,
+the ``SymSpace``: route (b) convolves with its product ``S.mul``, and routes
+(c) and (d) take Koszul brackets and cumulants over S itself.  No claim reads
+a series above the order it is known to.
 
 The central variable t has degree 2 here (k = -1 is hard-wired); general odd k
 lives in the derived BV module.  Maurer-Cartan elements are flat (order, key)
@@ -19,7 +22,7 @@ from functools import partial
 from itertools import combinations_with_replacement
 
 from .core import GradedBasis, LinOp, Overflow, Vector
-from .commalg import SymWordAlgebra, cumulant_lift, cumulant_recursion, kos_lift, koszul_recursion
+from .commalg import cumulant_lift, cumulant_recursion, kos_lift, koszul_recursion
 from .hpt import Contraction, LinfTransfer, linf_transfer
 from .mc import KuranishiData, NilpotentFiltration, correspondence_claims, mc_sum
 from .report import Report, evaluable_scope, witness_verdict
@@ -53,11 +56,15 @@ class IBLStructure:
         delta = TOp(coefficients, space, space, 1, T_DEGREE)
         return IBLStructure(space, delta, N)
 
-    def algebra(self) -> SymWordAlgebra:
-        return SymWordAlgebra(self.space)
-
     def quotient(self) -> TruncatedTAlgebra:
-        return TruncatedTAlgebra(self.algebra(), self.N, T_DEGREE)
+        return TruncatedTAlgebra(self.space, self.N, T_DEGREE)
+
+
+def _undetermined(rep: Report, known: int, names) -> None:
+    """The named claims, each of which reads a series above ``known``, the
+    last order it is known to."""
+    for name in names:
+        rep.add(name, None, f"series known to order {known}")
 
 
 def _upto(space: SymSpace, k: int) -> list:
@@ -131,12 +138,17 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
     ``evaluable_scope`` of the operator it evaluates, recorded in the bounds as
     ``scope: <claim>``; ``scope: delta`` is the scope shared by all the
     coefficients.  A claim whose scope holds no reduced word is UNDETERMINED,
-    never PASS, and no Overflow escapes.
+    never PASS, and no Overflow escapes.  The coefficients, flatness orders and
+    square blocks above the order a series is known to are UNDETERMINED.
     """
     rep = Report("IBL structure", bounds={"W": ibl.space.weight_bound, "N": ibl.N,
                                           "arity_bound": arity_bound})
     S = ibl.space
-    delta = ibl.delta
+    delta, known = ibl.delta, ibl.delta.known_to
+    if known is not None:
+        _undetermined(rep, known, [f"claims on delta_{n}" for n in delta.support() if n > known]
+                      + [f"flatness at order {n}" for n in range(known + 1, ibl.N + 1)])
+        delta = delta.truncated(known)
 
     scopes = {}
     for n, op in sorted(delta.coeffs.items()):
@@ -157,7 +169,7 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
     rep.bounds["scope: delta"] = min(scopes.values(), default=S.weight_bound)
 
     # every coefficient is odd, so sum_i [delta_i, delta_{n-i}] = 2 (delta o delta)_n
-    flat_top = 2 * max(delta.support(), default=0) if delta.is_exact() else ibl.N
+    flat_top = 2 * max(delta.support(), default=0) if delta.is_exact() else min(ibl.N, known)
     sq = delta @ delta
     for n in range(flat_top + 1):
         op = sq.coeff(n)
@@ -166,15 +178,14 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
             next((w for w in _upto(S, scope) if not op.on_key(w).is_zero()), None)))
 
     s_map = antipode(S)
-    alg = ibl.algebra()
     for n, op in sorted(delta.coeffs.items()):
-        phi_n = convolution(op, s_map, S.product)
+        phi_n = convolution(op, s_map, S.mul)
         scope = evaluable_scope(S, phi_n.on_key)
         rep.claim(f"(b) image of delta_{n} * s in weights <= {n + 1} (inputs <= {scope})",
                   scope, lambda: witness_verdict(next(
                       (w for w in _upto(S, scope)
                        if any(len(u) > n + 1 for u in phi_n.on_key(w).keys())), None)))
-        _routes_c_d(rep, S, lambda keys: koszul_recursion(alg, op, keys), phi_n,
+        _routes_c_d(rep, S, lambda keys: koszul_recursion(S, op, keys), phi_n,
                     lambda u: len(u) - n - 1, scope, arity_bound, 12,
                     f"(c) Koszul brackets of delta_{n} on letters match (b), weights <= {n + 1}",
                     f"(d) sampled weighted bound for delta_{n}")
@@ -187,10 +198,14 @@ def _component_square_checks(rep: Report, ibl: IBLStructure, sq: TOp) -> None:
     """Componentwise vanishing of the square ``sq`` = delta o delta: for inputs i,
     outputs j and orders m up to 3, its (weight i -> weight j, t^m) block
     vanishes.  The blocks of order m are checked for inputs up to the evaluable
-    scope of that order."""
+    scope of that order; an order above the one ``sq`` is known to is
+    UNDETERMINED."""
     max_block = 3
     S = ibl.space
-    ops = {m: sq.coeff(m) for m in range(0, min(ibl.N, max_block) + 1)}
+    top = min(ibl.N, max_block)
+    known = top if sq.known_to is None else min(top, sq.known_to)
+    _undetermined(rep, known, [f"square blocks at order {m} vanish" for m in range(known + 1, top + 1)])
+    ops = {m: sq.coeff(m) for m in range(known + 1)}
     scopes = {m: evaluable_scope(S, op.on_key, max_block) for m, op in ops.items()}
     for m, scope in scopes.items():
         rep.bounds[f"scope: square blocks at order {m}"] = scope
@@ -226,7 +241,7 @@ def extract_p_components(ibl: IBLStructure) -> PComponents:
     s_map = antipode(S)
     table: dict = {}
     for n, op in sorted(ibl.delta.coeffs.items()):
-        phi_n = convolution(op, s_map, S.product)
+        phi_n = convolution(op, s_map, S.mul)
         top = evaluable_scope(S, phi_n.on_key)
         for i in range(1, top + 1):
             for word in S.words_of_weight(i):
@@ -283,11 +298,16 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
     Scope rule as in ``ibl_check``: the counit claim runs on the evaluable scope
     of f, the intertwining claim on that of f delta - delta' f (named in the
     claim), and routes (b)-(d) on that of log_* f; a claim whose scope holds no
-    reduced word is UNDETERMINED, and no Overflow escapes.
+    reduced word is UNDETERMINED, and no Overflow escapes.  f and routes (b)-(d)
+    read f to the order it is known to, and the intertwining claim reads its
+    defect to the order that is known to; the orders above are UNDETERMINED.
     """
     rep = Report(title, bounds={"N": target.N, "arity_bound": arity_bound})
     SU = source.space
     N = min(source.N, target.N)
+    if not f.is_exact():
+        rep.bounds["f known to order"] = f.known_to
+        f = f.truncated(f.known_to)
     scope_f = evaluable_scope(SU, lambda w: [f.coeff(n).on_key(w) for n in f.support()])
     rep.add("f(1) = 1", f.coeff(0).on_key(()) == Vector.basis(())
             and all(f.coeff(n).on_key(()).is_zero() for n in f.support() if n >= 1)
@@ -297,16 +317,19 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
          if w and f.coeff(n).on_key(w)[()] != 0), None)))
 
     inter = f @ source.delta - target.delta @ f
-    scope_i = evaluable_scope(SU, lambda w: inter.apply_key(w, N))
+    order = N if inter.known_to is None else min(N, inter.known_to)
+    scope_i = evaluable_scope(SU, lambda w: inter.apply_key(w, order))
 
     def intertwines():
-        bad = inter.first_nonzero(_upto(SU, scope_i), N)
+        bad = inter.first_nonzero(_upto(SU, scope_i), order)
         return witness_verdict(None if bad is None else bad[0])
 
-    rep.claim(f"f delta = delta' f (orders <= {N}, weights <= {scope_i})", scope_i,
+    rep.claim(f"f delta = delta' f (orders <= {order}, weights <= {scope_i})", scope_i,
               intertwines)
+    _undetermined(rep, order, [f"f delta = delta' f beyond order {order}"] if order < N else [])
 
-    Vt = target.quotient()
+    Vt = target.quotient() if f.is_exact() else TruncatedTAlgebra(
+        target.space, min(target.N, f.known_to), T_DEGREE)
     f_flat = flat_unital_map(f, Vt)
     # (b): log of f lands in the shifted weight bound
     logf = star_log(f_flat, Vt.mul, Vt.unit())
@@ -315,8 +338,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
         ((w, m) for w in _upto(SU, scope) for (m, u) in logf.on_key(w).keys()
          if len(u) > m + 1), None)))
 
-    SU_alg = SymWordAlgebra(SU)
-    _routes_c_d(rep, SU, lambda keys: cumulant_recursion(SU_alg, Vt, f_flat, keys), logf,
+    _routes_c_d(rep, SU, lambda keys: cumulant_recursion(SU, Vt, f_flat, keys), logf,
                 lambda key: len(key[1]) - key[0] - 1, scope, arity_bound, 8,
                 "(c) cumulants on letters match (b) and the weight bound",
                 "(d) sampled weighted cumulant bound")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import GradedBasis, LinOp, Q, Vector
-from .commalg import CommAlgebra, ExplicitFDAlgebra
+from .core import CommAlgebra, GradedBasis, LinOp, Q, Vector
+from .commalg import ExplicitFDAlgebra
 
 
 def _rand_coeff(rng: random.Random) -> int | Fraction:

@@ -29,6 +29,10 @@ cofree coalgebra with it, whose coproduct yields the splits of a word and
 stores none, and ``FiniteCoalgebra`` an explicit one, whose coproduct table is
 its definition.  The splits of a word, here and in the reconstruction
 formulas, are `core.unshuffles` read off its letters (``_word_unshuffles``).
+``SymSpace`` is also the truncated free algebra: it implements the one algebra
+interface ``core.CommAlgebra``, its ``mul_keys`` the symmetric product of two
+words, so one object carries both structures, and ``mul`` is the product
+that ``hat_extension`` and the convolutions of ``ibl`` use.
 
 A tensor (an element of C^{(x)n}, such as a coproduct image or a tilde
 recursion's value) is a `Vector` keyed by tuples of keys; ``canonical_sum``
@@ -46,6 +50,7 @@ from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .core import (
+    CommAlgebra,
     LinOp,
     ONE,
     Overflow,
@@ -114,10 +119,12 @@ def words_over(base, keys, max_weight: int, min_weight: int = 0) -> list:
             if not any(a == b and base.degree(a) % 2 for a, b in zip(w, w[1:]))]
 
 
-class SymSpace:
+class SymSpace(CommAlgebra):
     """Weight-truncated symmetric power space: canonical words of weight <= W over
-    ``base``, and with the unshuffle coproduct the cofree coalgebra, whose
-    ``unit_key`` is the empty word."""
+    ``base``.  With the unshuffle coproduct it is the cofree coalgebra, and
+    with the symmetric product (``mul_keys``, which raises Overflow past W) the
+    truncated free algebra; the empty word is the unit and the counit's dual.
+    Its order-check keys are the letters."""
 
     unit_key: SymWord = ()
 
@@ -125,6 +132,10 @@ class SymSpace:
         self.base = base
         self.weight_bound = weight_bound
         self._keys: tuple[SymWord, ...] | None = None
+
+    @property
+    def space(self) -> "SymSpace":
+        return self
 
     def __eq__(self, other):
         return (isinstance(other, SymSpace) and self.base == other.base
@@ -147,8 +158,8 @@ class SymSpace:
     def words_of_weight(self, n: int) -> tuple[SymWord, ...]:
         return tuple(w for w in self.keys() if len(w) == n)
 
-    def unit(self) -> Vector:
-        return Vector.basis(())
+    def order_check_keys(self):
+        return self.words_of_weight(1)
 
     # -- coproduct -------------------------------------------------------------
     def coproduct(self, word: SymWord) -> Iterator[tuple[SymWord, SymWord, int]]:
@@ -167,19 +178,13 @@ class SymSpace:
             raise Overflow(f"word weight {len(w1) + len(w2)} exceeds bound {self.weight_bound}")
         return canonical_word(self.base, w1 + w2)
 
-    def product(self, a: Vector, b: Vector) -> Vector:
-        if a and b:
-            weight = max(map(len, a.keys())) + max(map(len, b.keys()))
-            if weight > self.weight_bound:
-                raise Overflow(f"word weight {weight} exceeds bound {self.weight_bound}")
-        return canonical_sum(self.base, ((w1 + w2, c1 * c2)
-                                         for w1, c1 in a.items() for w2, c2 in b.items()))
+    def mul_keys(self, w1: SymWord, w2: SymWord) -> Iterable:
+        cw = self.product_words(w1, w2)
+        return () if cw is None else (cw,)
 
 
 def _space_token(base) -> object:
     # stable identity token for hashing spaces built over bases or other spaces
-    if isinstance(base, SymSpace):
-        return ("S", base.weight_bound, _space_token(base.base))
     return base if base.__hash__ else id(base)
 
 
@@ -475,7 +480,7 @@ def hat_extension(space: SymSpace, arity: int, table_fn: Callable[[SymWord], Vec
             val = table_fn(block)
             if val.is_zero():
                 continue
-            out.add_scaled(space.product(val, Vector.basis(rest)), s)
+            out.add_scaled(space.mul(val, Vector.basis(rest)), s)
         return out
 
     return LinOp(space, space, degree, fn, label or "hat")

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import LinOp, Overflow, Vector
-from .commalg import CommAlgebra
+from .core import CommAlgebra, LinOp, Overflow, Vector
 from .hpt import lemma_outputs
 from .symcoalg import _space_token
 
@@ -197,12 +196,13 @@ def spl_t(C, Delta: TOp, N: int):
 
     Returns (Delta_B, sigma, tau, h) as t-series, where Delta_B is lift(d_B)
     plus the transferred perturbation; with no positive order they are the
-    lifts of d_B, sigma, tau and h.  They are flagged exact when a power of
-    h o perturbation vanishes on every basis key of C's A side, the whole
-    domain of h.  A power that cannot be evaluated on some key (Overflow)
-    proves nothing, and the geometric series and the outputs are then cut
-    after order N (``TOp.truncated``), which is always sound since the
-    perturbation has t-valuation >= 1.
+    lifts of d_B, sigma, tau and h.  They are flagged exact when Delta is
+    exact and a power of h o perturbation vanishes on every basis key of C's
+    A side, the whole domain of h.  A power that cannot be evaluated on some
+    key (Overflow) proves nothing, nor does one of an inexact Delta, whose
+    coefficients above its known order are dropped, and the geometric series
+    and the outputs are then cut after order N (``TOp.truncated``), which is
+    always sound since the perturbation has t-valuation >= 1.
     """
     td = Delta.t_degree
     h = TOp.lift(C.h, td)
@@ -216,7 +216,7 @@ def spl_t(C, Delta: TOp, N: int):
     hd = h @ delta_plus
     top_order = max(delta_plus.support()) * (N + 1)
     powers = [TOp.lift(LinOp.identity(C.space_A), td)]
-    corpus = C.space_A.keys()
+    corpus = C.space_A.keys() if Delta.is_exact() else None
     exact = False
     for j in range(1, N + 1):
         nxt = hd @ powers[-1]

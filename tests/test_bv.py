@@ -28,7 +28,6 @@ from gradedhpt.bv import (
 from gradedhpt.commalg import (
     ExplicitFDAlgebra,
     GuardedFreeAlgebra,
-    SymWordAlgebra,
     diff_order,
     koszul_recursion,
     koszul_vanishes,
@@ -493,7 +492,6 @@ class TestCLBijection:
     def setup_method(self):
         self.U = GradedBasis.make([("p", 0), ("q", 1)])
         self.SU = SymSpace(self.U, 4)
-        self.SU_alg = SymWordAlgebra(self.SU)
         self.B = GradedBasis.make([("1", 0), ("m", 0), ("n", 1)])
         self.B_alg = ExplicitFDAlgebra(self.B, {(1, 1): Vector.zero(), (1, 2): Vector.zero(),
                                                 (2, 2): Vector.zero()}, 0)
@@ -520,7 +518,7 @@ class TestCLBijection:
 
     def test_zero_data(self):
         phi = LinOp.zero(self.SU, self.Bt.space, 0)
-        out = cl_bijection(phi, self.SU, self.SU_alg, self.Bt, self.DU, self.DB, 4)
+        out = cl_bijection(phi, self.SU, self.Bt, self.DU, self.DB, 4)
         assert out.ok
         F = star_exp(phi, self.Bt.mul, self.Bt.unit())
         assert F.on_key(()) == self.Bt.unit()
@@ -530,7 +528,7 @@ class TestCLBijection:
         rng = random.Random(301)
         for trial in range(6):
             phi = self.rand_phi(rng, cl_valid=True)
-            out = cl_bijection(phi, self.SU, self.SU_alg, self.Bt, self.DU, self.DB, 4)
+            out = cl_bijection(phi, self.SU, self.Bt, self.DU, self.DB, 4)
             assert out.ok, (trial, out.to_text())
             assert cl_vanishing_defect(phi, self.SU) is None
             assert "kappa=True" in self.equivalence(out).detail
@@ -541,7 +539,7 @@ class TestCLBijection:
             phi = self.rand_phi(rng, cl_valid=False)
             if cl_vanishing_defect(phi, self.SU) is None:
                 continue
-            out = cl_bijection(phi, self.SU, self.SU_alg, self.Bt, self.DU, self.DB, 4)
+            out = cl_bijection(phi, self.SU, self.Bt, self.DU, self.DB, 4)
             # equivalence item must still PASS (both sides false together)
             assert out.ok, (trial, out.to_text())
             assert "kappa=False" in self.equivalence(out).detail
@@ -558,7 +556,7 @@ class TestCLBijection:
         # be decided, though the arities it can decide agree with cl
         Bt = TruncatedTAlgebra(self.B_alg, 2, 2)
         phi = LinOp.zero(self.SU, Bt.space, 0)
-        out = cl_bijection(phi, self.SU, self.SU_alg, Bt, self.DU, self.DB, 4)
+        out = cl_bijection(phi, self.SU, Bt, self.DU, self.DB, 4)
         item = self.equivalence(out)
         assert (item.verdict, item.detail) == ("UNDETERMINED", "cl=True, kappa=None")
         assert not out.has_fail, out.to_text()
@@ -567,7 +565,6 @@ class TestCLBijection:
         # exp data of S(g) for a chain map g intertwines the induced structures
         U = GradedBasis.make([("a", 0), ("b", 1)])
         SU = SymSpace(U, 3)
-        SU_alg = SymWordAlgebra(SU)
         V = GradedBasis.make([("1", 0), ("abar", 0)])
         V_alg = ExplicitFDAlgebra(V, {(1, 1): Vector.zero()}, 0)
         Vt = TruncatedTAlgebra(V_alg, 2, 2)
@@ -583,7 +580,7 @@ class TestCLBijection:
             return Vector.zero()
 
         phi = LinOp(SU, Vt.space, 0, phi_fn, "phi")
-        out = cl_bijection(phi, SU, SU_alg, Vt, DU, DV, 3)
+        out = cl_bijection(phi, SU, Vt, DU, DV, 3)
         assert out.ok, out.to_text()
 
 

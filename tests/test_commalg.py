@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as Q
 from functools import reduce
 from itertools import combinations_with_replacement
@@ -191,6 +193,41 @@ class TestBackends:
                 for j in A.space.keys():
                     s = -1 if (A.space.degree(i) % 2 and A.space.degree(j) % 2) else 1
                     assert Vector(A.mul_keys(j, i)) == Vector(A.mul_keys(i, j)).scale(s)
+
+
+class TestReferenceCounting:
+    """A dropped algebra or word space is freed at once, with the cyclic
+    collector off: its key space is itself, a property, never a stored
+    attribute that would hold it in a reference cycle."""
+
+    @staticmethod
+    def freed_on_drop(make) -> bool:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ref = weakref.ref(make())
+            return ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_guarded_free_algebra(self):
+        def make():
+            A = GuardedFreeAlgebra([("y", 0, None), ("dy", 1, None)], 4)
+            assert A.space is A and A == GuardedFreeAlgebra([("y", 0, None), ("dy", 1, None)], 4)
+            A.mul(A.monomial({"y": 1}), A.monomial({"dy": 1}))
+            return A
+
+        assert self.freed_on_drop(make)
+
+    def test_sym_space_after_keys(self):
+        def make():
+            S = SymSpace(GradedBasis.make([("x", 0), ("xi", 1)]), 3)
+            assert S.space is S and S.keys()
+            S.mul(Vector.basis((0,)), Vector.basis((1,)))
+            return S
+
+        assert self.freed_on_drop(make)
 
 
 class TestExpLog:

@@ -14,7 +14,6 @@ from gradedhpt.core import ConvergenceFault, GradedBasis, LinOp, Vector, koszul_
 from gradedhpt.commalg import (
     ExplicitFDAlgebra,
     GuardedFreeAlgebra,
-    SymWordAlgebra,
     cumulant_recursion,
     exp_endomorphism,
 )
@@ -545,10 +544,9 @@ class TestSymmetrizedContraction:
     def test_semifull_both_structures(self):
         SU = SymSpace(self.C.space_A, self.W)
         SV = SymSpace(self.C.space_B, self.W)
-        algU, algV = SymWordAlgebra(SU), SymWordAlgebra(SV)
         keysU = [w for w in SU.keys() if len(w) <= 2]
         keysV = [w for w in SV.keys() if len(w) <= 2]
-        rep = check_semifull_algebra(self.sym, algU, algV, keys_A=keysU, keys_B=keysV)
+        rep = check_semifull_algebra(self.sym, SU, SV, keys_A=keysU, keys_B=keysV)
         assert rep.ok and rep.bounds["dg_strength"] == "checked"
         repc = check_semifull_coalgebra(self.sym, SU, SV, keys_C=keysU, keys_D=keysV)
         assert repc.ok

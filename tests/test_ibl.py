@@ -211,6 +211,74 @@ class TestIBLTransfer:
                         assert len(w) <= n + 1, (a, b, n, w)
 
 
+def known_to(ibl: IBLStructure, known) -> IBLStructure:
+    """The same structure with its delta flagged as known to order ``known``."""
+    d = ibl.delta
+    return IBLStructure(ibl.space, TOp(dict(d.coeffs), d.domain, d.codomain, d.degree,
+                                       d.t_degree, known), ibl.N)
+
+
+def verdicts(rep) -> dict:
+    return {item.name: item.verdict for item in rep.items}
+
+
+class TestReliableOrder:
+    """No claim is decided on coefficients above the order a series is known to."""
+
+    def test_flatness_and_square_blocks_above_the_known_order(self, f4):
+        # p(u2) = u1 u3 breaks flatness at order 1; flagged as known only to
+        # order 0, the series cannot show it, and orders 1 and 2 are undecided
+        S = SymSpace(f4.basis, 4)
+        bad_p = dict(f4.p)
+        bad_p[1] = Vector.basis((0, 2))
+        bad_map = hat_extension(S, 1, lambda w: bad_p.get(w[0], Vector.zero()), -1)
+        exact = IBLStructure.from_components(
+            f4.basis, 4, 2, {0: f4.coderivation().as_map(S), 1: bad_map})
+        control = ibl_check(exact, arity_bound=3)
+        assert verdicts(control)["flatness at order 1"] == "FAIL"
+        assert any(i.name == "flatness at order 1" and i.detail == "witness (0,)"
+                   for i in control.items)
+        rep = ibl_check(known_to(exact, 0), arity_bound=3)
+        got = verdicts(rep)
+        for n in (1, 2):
+            assert got[f"flatness at order {n}"] == "UNDETERMINED"
+            assert got[f"square blocks at order {n} vanish"] == "UNDETERMINED"
+            assert not any(f"order {n})" in name for name in got), n
+        assert got["claims on delta_1"] == "UNDETERMINED"
+        assert not any("delta_1" in name for name, v in got.items() if v == "PASS")
+        assert got["flatness at order 0"] == "PASS"
+
+    def test_transfer_of_a_series_known_to_order_zero(self, f4):
+        ibl = f4.structure(W=3, N=2)
+        control = ibl_transfer(ibl, f4.contraction, arity_bound=3).report
+        res = ibl_transfer(known_to(ibl, 0), f4.contraction, arity_bound=3)
+        assert res.target.delta.known_to == 0
+        assert res.F.known_to == 0 and res.G.known_to == 0
+        exact, got = verdicts(control), verdicts(res.report)
+        for n in (1, 2):
+            assert exact[f"transferred: flatness at order {n}"] == "PASS"
+            assert got[f"transferred: flatness at order {n}"] == "UNDETERMINED"
+            assert got[f"transferred: square blocks at order {n} vanish"] == "UNDETERMINED"
+        for side in ("F", "G"):
+            assert exact[f"{side}: f delta = delta' f (orders <= 2, weights <= 1)"] == "PASS"
+            assert got[f"{side}: f delta = delta' f beyond order 0"] == "UNDETERMINED"
+            assert got[f"{side}: f delta = delta' f (orders <= 0, weights <= 3)"] == "PASS"
+            assert res.report.bounds[f"{side}: f known to order"] == 0
+        assert not any("orders <= 2" in name or "order 1" in name or "order 2" in name
+                       for name, v in got.items() if v == "PASS")
+
+    def test_morphism_coefficients_above_the_known_order_are_not_read(self, ibl4):
+        # f_3(1) = u1^3 breaks f(1) = 1 at an order the quotient at N = 2 never
+        # reads; flagged as known only to order 2, f is read to order 2
+        S = ibl4.space
+        f_3 = LinOp(S, S, -6, lambda w: Vector() if w else Vector.basis((0, 0, 0)), "1->u1^3")
+        f = TOp({0: LinOp.identity(S), 3: f_3}, S, S, 0, 2)
+        assert verdicts(ibl_morphism_check(f, ibl4, ibl4))["f(1) = 1"] == "FAIL"
+        f.known_to = 2
+        rep = ibl_morphism_check(f, ibl4, ibl4)
+        assert verdicts(rep)["f(1) = 1"] == "PASS" and rep.bounds["f known to order"] == 2
+
+
 class TestIBLMC:
     def test_zero_is_mc(self, ibl4):
         ok, res = ibl_mc_check(ibl4, Vector(), mc_lift(ibl4, 3))

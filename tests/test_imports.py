@@ -21,9 +21,11 @@ caller: each module-level function and method is referenced in ``src/`` or
 ``perfbench/`` outside its own body, unless an allowlist gives the one-line
 reason only tests reach it, and no certificate
 compares an operator with a freshly built ``LinOp.zero`` or
-``LinOp.identity`` through ``first_difference``, and every script that
+``LinOp.identity`` through ``first_difference``, every script that
 ``pyproject.toml`` declares names a module that imports and has the named
-attribute."""
+attribute, and ``core.CommAlgebra.mul`` is the one vector product: no other
+library class defines ``mul`` or ``product``, and each one that defines
+``mul_keys`` is a ``CommAlgebra``."""
 
 import ast
 import importlib
@@ -616,6 +618,51 @@ def fresh_comparison_sites(path: Path) -> list:
 def test_no_comparison_with_a_fresh_zero_or_identity(path):
     sites = fresh_comparison_sites(path)
     assert not sites, f"{path.name}: compare with a defect key by key, not a built operator, at {sites}"
+
+
+# One vector product.  ``core.CommAlgebra.mul`` is the one product of two
+# vectors: no other library class defines a member named ``mul`` or
+# ``product``, and every library class with a key-level product ``mul_keys``
+# has ``CommAlgebra`` among its library ancestors, so it inherits that ``mul``.
+VECTOR_PRODUCTS = {"mul", "product"}
+
+
+def class_members(path: Path) -> list:
+    """(class, member names) of each class of a module: its methods and the
+    names its body assigns."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ClassDef):
+            names = {item.name for item in node.body
+                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            names |= {t.id for item in node.body if isinstance(item, (ast.Assign, ast.AnnAssign))
+                      for t in (item.targets if isinstance(item, ast.Assign) else [item.target])
+                      if isinstance(t, ast.Name)}
+            out.append((node.name, names))
+    return out
+
+
+def test_one_vector_product():
+    classes = library_classes()
+
+    def ancestors(name) -> set:
+        found, todo = set(), list(classes[name])
+        while todo:
+            cls = todo.pop()
+            if cls not in found:
+                found.add(cls)
+                todo.extend(classes[cls])
+        return found
+
+    members = [(f"{path.stem}.{cls}", cls, names) for path in MODULES
+               for cls, names in class_members(path)]
+    products = [(qual, sorted(names & VECTOR_PRODUCTS)) for qual, _, names in members
+                if names & VECTOR_PRODUCTS and qual != "core.CommAlgebra"]
+    assert not products, f"vector products outside core.CommAlgebra.mul: {products}"
+    strays = [qual for qual, cls, names in members
+              if "mul_keys" in names and qual != "core.CommAlgebra"
+              and "CommAlgebra" not in ancestors(cls)]
+    assert not strays, f"key-level products outside the CommAlgebra interface: {strays}"
 
 
 # Every script that ``pyproject.toml`` declares resolves: an installed command

@@ -29,6 +29,7 @@ from gradedhpt.symcoalg import (
     star_exp,
     star_log,
     taylor_morphism_from_map,
+    tensor_coproduct,
 )
 
 BASIS = GradedBasis.make([("x", 0), ("xi", 1), ("eta", 1)])
@@ -169,6 +170,48 @@ class TestCoproduct:
             assert all(v == 0 for v in acc.values()), w
 
 
+# even letters of degrees 0 and 2, odd letters of degrees 1 and -1
+BIALGEBRA_BASIS = GradedBasis.make([("x", 0), ("y", 2), ("xi", 1), ("eta", -1)])
+
+
+class TestBialgebra:
+    """S(V) carries the unshuffle coproduct and the symmetric product at once,
+    and they are compatible: the coproduct and the counit are algebra maps,
+    S (x) S multiplying by (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd."""
+
+    W = 4
+
+    @staticmethod
+    def tensor_mul(S, x, y):
+        return Vector(((ac, bd), (-1 if S.degree(b) % 2 and S.degree(c) % 2 else 1) * c1 * c2 * e * f)
+                      for (a, b), c1 in x.items() for (c, d), c2 in y.items()
+                      for ac, e in S.mul_keys(a, c) for bd, f in S.mul_keys(b, d))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_coproduct_and_counit_are_multiplicative(self, data):
+        S = SymSpace(BIALGEBRA_BASIS, self.W)
+        u = data.draw(st.sampled_from(S.keys()))
+        w = data.draw(st.sampled_from([v for v in S.keys() if len(u) + len(v) <= self.W]))
+        a, b = Vector.basis(u), Vector.basis(w)
+
+        def cop(v):
+            return tensor_coproduct(S, Vector.basis, Vector.basis, 0, v)
+
+        assert cop(S.mul(a, b)) == self.tensor_mul(S, cop(a), cop(b)), (u, w)
+        eps = counit_map(S, S, S.unit())
+        assert eps(S.mul(a, b)) == S.mul(eps(a), eps(b)), (u, w)
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_product_beyond_the_weight_bound_overflows(self, data):
+        S = SymSpace(BIALGEBRA_BASIS, self.W)
+        u = data.draw(st.sampled_from([v for v in S.keys() if v]))
+        w = data.draw(st.sampled_from([v for v in S.keys() if len(u) + len(v) > self.W]))
+        with pytest.raises(Overflow):
+            S.mul(Vector.basis(u), Vector.basis(w))
+
+
 class TestMorphismReconstruction:
     def test_identity_taylor_is_identity(self):
         S = SymSpace(BASIS, 4)
@@ -194,7 +237,7 @@ class TestMorphismReconstruction:
                     lambda w: Vector(((k,), c) for k, c in F.component(len(w), w).items())
                     if w else Vector.zero(),
                     "phi1")
-        assert F.as_map(S, S).first_difference(star_exp(phi, S.product, S.unit()), S.keys()) is None
+        assert F.as_map(S, S).first_difference(star_exp(phi, S.mul, S.unit()), S.keys()) is None
 
     def test_corestriction_of_morphism(self):
         # non-exact data: F agrees with M up to its arity bound and refuses a
@@ -430,7 +473,7 @@ class TestCoderBracket:
 class TestConvolution:
     def setup_method(self):
         self.S = SymSpace(BASIS, 4)
-        self.mul = self.S.product
+        self.mul = self.S.mul
         self.unit = self.S.unit()
 
     def test_counit_is_star_unit(self):
@@ -674,6 +717,6 @@ class TestKoszulCobrackets:
     def test_non_coderivation_detected(self):
         # the symmetric product against a fixed element is not a coderivation
         S = self.S
-        mul_by = LinOp(S, S, 0, lambda w: S.product(Vector.basis(w), Vector.basis((X,))) if len(w) < 4 else Vector.zero(), "mx")
+        mul_by = LinOp(S, S, 0, lambda w: S.mul(Vector.basis(w), Vector.basis((X,))) if len(w) < 4 else Vector.zero(), "mx")
         kco = koszul_cobrackets_cofree(self.C, mul_by, 2)
         assert any(not kco(w).is_zero() for w in S.keys() if w)
