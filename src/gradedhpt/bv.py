@@ -77,7 +77,8 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
     leaves the algebra's guard.  Each claim is decided on the arities evaluated
     below that, recorded in the bounds as ``scope: <claim>``; a claim with no
     arity of its own in scope is UNDETERMINED, never PASS, and no Overflow
-    escapes.
+    escapes.  The coefficients and flatness orders above the order the series
+    is known to are UNDETERMINED, one claim each.
     """
     _require_odd(k)
     rep = Report(title, bounds={"N": N, "arity_bound": arity_bound, "k": k})
@@ -92,6 +93,10 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
     reliable = Delta.known_to
     support = Delta.support()
     top = max(support, default=0)
+    if reliable is not None:
+        rep.add_beyond(reliable, [f"claims on Delta_{n}" for n in support if n > reliable]
+                       + [f"flatness at order {n}" for n in range(reliable + 1, N + 1)])
+        support = [n for n in support if n <= reliable]
 
     for n in support:
         op = Delta.coeff(n)

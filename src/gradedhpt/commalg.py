@@ -278,9 +278,9 @@ def _composite_route(A: CommAlgebra, B: CommAlgebra, middle, args: tuple[Vector,
     logarithmic one of B, and middle a map S(A) -> S(B) given by ``apply_word``."""
     n = len(args)
     E, L = exp_automorphism(A, n), log_automorphism(B, n)
-    out = Vector.zero()
+    out = Vector()
     for w, c in assemble_word(A.space, args, n).items():
-        z = Vector.zero()
+        z = Vector()
         for u, cu in E.apply_word(w, n).items():
             z.add_scaled(middle.apply_word(u, n), cu)
         for u, cu in z.items():

@@ -25,7 +25,8 @@ here is on ints.  A scalar handed out to a caller (`Vector.__getitem__`) is a
 `Vector` owns its coefficient dict: no other code reads or writes it, and
 coefficients are summed in two places only, ``Vector(terms)`` for
 ``(key, scalar)`` terms and ``Vector.add_scaled`` for a scaled vector.  A
-tensor is a Vector too, keyed by tuples of keys.
+tensor is a Vector too, keyed by tuples of keys.  ``Vector.zero()`` is one
+shared, read-only vector, and every cache stores it for an empty image.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import factorial
+from types import MappingProxyType
 
 
 def Q(value, denominator=None) -> int | Fraction:
@@ -144,6 +146,11 @@ class Vector:
     keys, and ``add_scaled``, which adds a scaled vector in place; every other
     operation returns a new vector.  Callers read through ``items()``,
     ``keys()`` and ``v[key]``.
+
+    ``Vector.zero()`` is the library's one zero: a single shared vector whose
+    ``c`` is a read-only mapping, so a write to it raises TypeError instead of
+    changing every image that shares it.  An accumulator starts from
+    ``Vector()``.
     """
 
     __slots__ = ("c",)
@@ -177,7 +184,8 @@ class Vector:
 
     @staticmethod
     def zero() -> "Vector":
-        return Vector()
+        """The shared, read-only zero vector (not an accumulator)."""
+        return _ZERO
 
     def is_zero(self) -> bool:
         return not self.c
@@ -187,7 +195,8 @@ class Vector:
 
     def add_scaled(self, other: "Vector", a=ONE) -> "Vector":
         """self += a * other, in place; returns self.  Call it only on a vector
-        the caller created: ``LinOp.on_key`` hands out cached, shared vectors."""
+        the caller created: ``LinOp.on_key`` hands out cached, shared vectors,
+        and on ``Vector.zero()`` it raises TypeError."""
         if type(a) is not int:
             a = Q(a)
         if not a:
@@ -256,6 +265,10 @@ class Vector:
         return " + ".join(f"({v})*{k}" for k, v in sorted(self.c.items(), key=lambda t: repr(t[0])))
 
 
+_ZERO = Vector()
+_ZERO.c = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class GradedBasis:
     """Finite ordered basis of a graded space; index order is the canonical order."""
@@ -309,7 +322,9 @@ class LinOp:
 
     Lazy: images are computed on demand and cached, so operator algebra
     (composition, perturbation series) stays affordable on large word spaces.
-    An operator caches its own images only.  A certificate evaluates its
+    An operator caches its own images only.  A cached image is shared and
+    read-only, and an empty one is ``Vector.zero()``, so a cache holds no
+    empty vectors of its own.  A certificate evaluates its
     identity key by key on the images of the maps it certifies and builds no
     operator of its own, and ``power`` iterates on vectors.
     """
@@ -343,7 +358,7 @@ class LinOp:
     def on_key(self, key) -> Vector:
         v = self._cache.get(key)
         if v is None:
-            v = self._fn(key)
+            v = self._fn(key) or Vector.zero()
             self._cache[key] = v
         return v
 

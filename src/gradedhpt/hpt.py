@@ -128,13 +128,16 @@ class Perturbation:
 
 def lemma_outputs(sigma, tau, h, delta, geo):
     """The Standard Perturbation Lemma's four outputs from the geometric series
-    ``geo`` = sum_n (h delta)^n: (sigma delta geo tau, sigma + sigma delta geo h,
-    geo tau, geo h), the transferred perturbation and the perturbed projection,
-    section and homotopy.  sigma (delta h)^n = sigma delta (h delta)^{n-1} h for
-    n >= 1, so the first two share (sigma delta) geo.  The one lemma for
-    ``LinOp`` (``perturb``) and ``TOp`` (``tseries.spl_t``) alike."""
-    sd_geo = (sigma @ delta) @ geo
-    return sd_geo @ tau, sigma + sd_geo @ h, geo @ tau, geo @ h
+    ``geo`` = sum_n (h delta)^n: (sigma delta tau', sigma + sigma delta h',
+    tau', h') with tau' = geo tau and h' = geo h, the transferred perturbation
+    and the perturbed projection, section and homotopy.  sigma (delta h)^n =
+    sigma delta (h delta)^{n-1} h for n >= 1, so the sigma side reads the
+    cached images of tau' and h' through sigma delta, and no operator relays
+    them through sigma delta geo.  The one lemma for ``LinOp`` (``perturb``)
+    and ``TOp`` (``tseries.spl_t``) alike."""
+    tau_new, h_new = geo @ tau, geo @ h
+    sd = sigma @ delta
+    return sd @ tau_new, sigma + sd @ h_new, tau_new, h_new
 
 
 def perturb(C: Contraction, p: Perturbation, keys_A=None,
@@ -411,8 +414,8 @@ def _transfer_recursions(Qd: TaylorCoderivation, C: Contraction, bound: int,
                 k = len(u2)
                 if 1 <= k <= n - 1:
                     acc.add_scaled(g_component(k, u2), c * c2)
-        g_cache[word] = acc
-        return acc
+        got = g_cache[word] = acc or Vector.zero()
+        return got
 
     f = TaylorMorphism.from_tables(Wb, V, f_tables, bound, label="F")
     r = TaylorCoderivation.from_tables(Wb, r_tables, bound, 1, label="R")

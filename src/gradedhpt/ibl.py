@@ -60,13 +60,6 @@ class IBLStructure:
         return TruncatedTAlgebra(self.space, self.N, T_DEGREE)
 
 
-def _undetermined(rep: Report, known: int, names) -> None:
-    """The named claims, each of which reads a series above ``known``, the
-    last order it is known to."""
-    for name in names:
-        rep.add(name, None, f"series known to order {known}")
-
-
 def _upto(space: SymSpace, k: int) -> list:
     return [w for w in space.keys() if len(w) <= k]
 
@@ -146,8 +139,8 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
     S = ibl.space
     delta, known = ibl.delta, ibl.delta.known_to
     if known is not None:
-        _undetermined(rep, known, [f"claims on delta_{n}" for n in delta.support() if n > known]
-                      + [f"flatness at order {n}" for n in range(known + 1, ibl.N + 1)])
+        rep.add_beyond(known, [f"claims on delta_{n}" for n in delta.support() if n > known]
+                       + [f"flatness at order {n}" for n in range(known + 1, ibl.N + 1)])
         delta = delta.truncated(known)
 
     scopes = {}
@@ -204,7 +197,7 @@ def _component_square_checks(rep: Report, ibl: IBLStructure, sq: TOp) -> None:
     S = ibl.space
     top = min(ibl.N, max_block)
     known = top if sq.known_to is None else min(top, sq.known_to)
-    _undetermined(rep, known, [f"square blocks at order {m} vanish" for m in range(known + 1, top + 1)])
+    rep.add_beyond(known, [f"square blocks at order {m} vanish" for m in range(known + 1, top + 1)])
     ops = {m: sq.coeff(m) for m in range(known + 1)}
     scopes = {m: evaluable_scope(S, op.on_key, max_block) for m, op in ops.items()}
     for m, scope in scopes.items():
@@ -301,6 +294,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
     reduced word is UNDETERMINED, and no Overflow escapes.  f and routes (b)-(d)
     read f to the order it is known to, and the intertwining claim reads its
     defect to the order that is known to; the orders above are UNDETERMINED.
+    log_* needs f(1) = 1, so routes (b)-(d) are UNDETERMINED unless that PASSes.
     """
     rep = Report(title, bounds={"N": target.N, "arity_bound": arity_bound})
     SU = source.space
@@ -309,9 +303,10 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
         rep.bounds["f known to order"] = f.known_to
         f = f.truncated(f.known_to)
     scope_f = evaluable_scope(SU, lambda w: [f.coeff(n).on_key(w) for n in f.support()])
-    rep.add("f(1) = 1", f.coeff(0).on_key(()) == Vector.basis(())
-            and all(f.coeff(n).on_key(()).is_zero() for n in f.support() if n >= 1)
-            if scope_f >= 0 else None)
+    unital = (f.coeff(0).on_key(()) == Vector.basis(())
+              and all(f.coeff(n).on_key(()).is_zero() for n in f.support() if n >= 1)
+              if scope_f >= 0 else None)
+    rep.add("f(1) = 1", unital)
     rep.claim("counit compatibility", scope_f, lambda: witness_verdict(next(
         ((n, w) for n in f.support() for w in _upto(SU, scope_f)
          if w and f.coeff(n).on_key(w)[()] != 0), None)))
@@ -326,22 +321,27 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
 
     rep.claim(f"f delta = delta' f (orders <= {order}, weights <= {scope_i})", scope_i,
               intertwines)
-    _undetermined(rep, order, [f"f delta = delta' f beyond order {order}"] if order < N else [])
+    rep.add_beyond(order, [f"f delta = delta' f beyond order {order}"] if order < N else [])
 
+    routes = ("(b) log_* of f lands in t^m S_{<=m+1}",
+              "(c) cumulants on letters match (b) and the weight bound",
+              "(d) sampled weighted cumulant bound")
+    if not unital:
+        for name in routes:
+            rep.add(name, None, "needs f(1) = 1")
+        return rep
     Vt = target.quotient() if f.is_exact() else TruncatedTAlgebra(
         target.space, min(target.N, f.known_to), T_DEGREE)
     f_flat = flat_unital_map(f, Vt)
     # (b): log of f lands in the shifted weight bound
     logf = star_log(f_flat, Vt.mul, Vt.unit())
     scope = evaluable_scope(SU, logf.on_key)
-    rep.claim("(b) log_* of f lands in t^m S_{<=m+1}", scope, lambda: witness_verdict(next(
+    rep.claim(routes[0], scope, lambda: witness_verdict(next(
         ((w, m) for w in _upto(SU, scope) for (m, u) in logf.on_key(w).keys()
          if len(u) > m + 1), None)))
 
     _routes_c_d(rep, SU, lambda keys: cumulant_recursion(SU, Vt, f_flat, keys), logf,
-                lambda key: len(key[1]) - key[0] - 1, scope, arity_bound, 8,
-                "(c) cumulants on letters match (b) and the weight bound",
-                "(d) sampled weighted cumulant bound")
+                lambda key: len(key[1]) - key[0] - 1, scope, arity_bound, 8, *routes[1:])
     return rep
 
 

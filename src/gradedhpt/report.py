@@ -96,6 +96,12 @@ class Report:
         verdict = UNDETERMINED if ok is None else (PASS if ok else FAIL)
         self.items.append(CheckItem(name, verdict, detail))
 
+    def add_beyond(self, known: int, names: Iterable[str]) -> None:
+        """The named claims UNDETERMINED: each reads a series above ``known``,
+        the last order it is known to."""
+        for name in names:
+            self.add(name, None, f"series known to order {known}")
+
     def claim(self, name: str, scope: int, decide: Callable, least: int = 1) -> None:
         """Add the claim ``name``, decided by ``decide() -> (ok, detail)`` on the
         levels up to ``scope``, and record the scope in the bounds.  ``least`` is

@@ -227,9 +227,10 @@ class _TaylorData:
     """Taylor coefficients of a coalgebra morphism or coderivation of S(V).
 
     ``component_fn(n, word)`` gives the coefficient of arity n >= 1 on a
-    canonical word over ``base`` (the domain base); it is cached per word, and
-    so is its refusal: a word whose coefficient raised Overflow raises it again
-    without being evaluated.
+    canonical word over ``base`` (the domain base); it is cached per word, a
+    zero coefficient as the shared ``Vector.zero()``, and so is its refusal: a
+    word whose coefficient raised Overflow raises it again without being
+    evaluated.
     ``q0`` is the coefficient on the empty word: the constant term of a
     coderivation, zero for a morphism.  ``exact_beyond`` asserts that every
     coefficient above ``arity_bound`` vanishes (as opposed to merely unknown).
@@ -257,7 +258,7 @@ class _TaylorData:
         v = self._cache.get(word)
         if v is None:
             try:
-                v = self._fn(n, word)
+                v = self._fn(n, word) or Vector.zero()
             except Overflow as exc:
                 v = str(exc)  # not exc: its traceback would keep the frames alive
             self._cache[word] = v
@@ -404,8 +405,9 @@ class TaylorCoderivation(_TaylorData):
     def apply_word(self, word: SymWord, bound: int) -> Vector:
         """The coderivation on a canonical word, by the unshuffle formula: the
         sum over (i, n-i)-unshuffles of q_i(block) o rest, i = 0 giving
-        q0 o word.  ``rest`` is canonical, so each output letter is inserted
-        into it (``insert_letter``) rather than the whole word re-sorted."""
+        q0 o word (skipped when q0 is zero).  ``rest`` is canonical, so each
+        output letter is inserted into it (``insert_letter``) rather than the
+        whole word re-sorted."""
         n = len(word)
         if self.q0 and n + 1 > bound:
             raise Overflow(f"coderivation output weight {n + 1} exceeds bound {bound}")
@@ -414,7 +416,7 @@ class TaylorCoderivation(_TaylorData):
         top = min(n, self.arity_bound) if self.exact_beyond else n
 
         def terms():
-            for i in range(top + 1):
+            for i in range(0 if self.q0 else 1, top + 1):
                 for left, rest, s in _word_unshuffles(word, degs, i):
                     qv = self.component(i, left)
                     if qv:

@@ -177,6 +177,24 @@ class TestBVCheck:
         assert [verdicts[n] for n in congruences] == ["PASS", "PASS", "UNDETERMINED"]
         assert not rep.has_fail, rep.to_text()
 
+    def test_claims_above_the_known_order_are_undetermined(self):
+        # FIX-2's series flagged as known only to order 0: coefficient 1 and
+        # flatness at orders 1 and 2 get one UNDETERMINED claim each, and no
+        # claim on coefficient 1 is decided; the exact series decides them all
+        f = fix2(6)
+        D = f.delta_series()
+        known0 = TOp(D.coeffs, D.domain, D.codomain, D.degree, D.t_degree, known_to=0)
+        items = {i.name: i for i in bv_check(f.A, known0, -1, 2, 3).items}
+        for name in ("claims on Delta_1", "flatness at order 1", "flatness at order 2"):
+            assert (items[name].verdict, items[name].detail) == ("UNDETERMINED",
+                                                                 "series known to order 0")
+        assert not any(name.startswith("degree of coefficient 1") or
+                       name.startswith("coefficient 1") for name in items)
+        assert items["flatness at order 0"].verdict == "PASS"
+        exact = {i.name: i.verdict for i in bv_check(f.A, D, -1, 2, 3).items}
+        assert "claims on Delta_1" not in exact
+        assert set(exact.values()) == {"PASS"} and "flatness at order 2" in exact
+
     def test_congruences_computed_to_the_reliable_order(self):
         # a series reliable only to order 1 still decides the arity-2 congruence
         # mod t, which needs order 1; the higher arities name the order they

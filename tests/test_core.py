@@ -230,6 +230,21 @@ class TestVectorAndLinOp:
         assert (v - v).is_zero()
         assert (-2 * v) == Vector({0: -2, 1: -6})
 
+    def test_zero_is_one_shared_read_only_vector(self):
+        zero = Vector.zero()
+        assert zero is Vector.zero() and zero == Vector() and not zero
+        with pytest.raises(TypeError):
+            zero.add_scaled(Vector.basis(0))
+        assert zero.is_zero()
+        assert zero + Vector.basis(0) == Vector.basis(0) and zero.is_zero()
+        acc = Vector()
+        assert acc is not zero and acc.add_scaled(Vector.basis(0)) == Vector.basis(0)
+
+    def test_an_empty_image_is_cached_as_the_shared_zero(self):
+        b = two_dim_basis()
+        f = LinOp(b, b, 0, lambda k: Vector(), "fresh zero")
+        assert all(f.on_key(k) is Vector.zero() for k in b.keys())
+
     def test_compose_identity_and_zero(self):
         b = two_dim_basis()
         f = LinOp.from_dict(b, b, 1, {b.index("x"): Vector.basis(b.index("xi")).scale(2)})

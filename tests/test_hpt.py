@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import random
 import sys
@@ -16,6 +17,7 @@ from gradedhpt.commalg import (
     GuardedFreeAlgebra,
     cumulant_recursion,
     exp_endomorphism,
+    kos_lift,
 )
 from gradedhpt.fixtures import (
     SCALARS,
@@ -34,6 +36,7 @@ from gradedhpt.hpt import (
     check_semifull_algebra,
     check_semifull_coalgebra,
     hat_homotopy,
+    lemma_outputs,
     linf_transfer,
     perturb,
     semifull_failure_identities,
@@ -41,7 +44,14 @@ from gradedhpt.hpt import (
     verify_prop_transfer,
 )
 from gradedhpt.randgen import random_homogeneous
-from gradedhpt.symcoalg import SymSpace, TaylorCoderivation, assemble_word, canonical_word, words_over
+from gradedhpt.symcoalg import (
+    SymSpace,
+    TaylorCoderivation,
+    _TaylorData,
+    assemble_word,
+    canonical_word,
+    words_over,
+)
 
 
 def small_complex():
@@ -495,6 +505,83 @@ def test_one_h_delta_serves_certificate_and_lemma(monkeypatch):
     linf_transfer(fx.Q, fx.contraction, 5)
     assert len(certified) == 1 and runs
     assert max(runs.values()) == 1, [word for word, n in runs.items() if n > 1][:3]
+
+
+def _fix2_mid_transfer_input():
+    # FIX-2M as widebase-prop transfers it: the Koszul brackets of the perturbed
+    # differential along the perturbed contraction, on its corpora at W=4
+    f = fix2_mid()
+    pert = perturb(f.contraction, Perturbation(*fix2_mid_perturbation(f)))[1]
+    return kos_lift(f.A, pert.d_A, 4), pert, 4, f.keys_A, f.keys_B
+
+
+def _fix3_extended_transfer_input():
+    fx = fix3_extended()
+    return fx.Q, fx.contraction, 5, None, None
+
+
+def _cubic_transfer_input():
+    # U = (w, c, a, b), d a = b, h b = -a, contracted onto (w, c), with
+    # q_2(w, w) = b and q_2(w, a) = c: the transferred r_3(w, w, w) is a
+    # multiple of sigma q_2(h q_2(w, w), w) = -c, so sigma delta is not zero
+    ident = {0: {0: 1}, 1: {1: 1}}
+    C = _hand_built((0, 1, 0, 1), (0, 1), ident, ident, {3: {2: -1}}, {2: {3: 1}}, {})
+    Qd = TaylorCoderivation.from_tables(C.space_A, {1: {(2,): Vector.basis(3)},
+                                                    2: {(0, 0): Vector.basis(3),
+                                                        (0, 2): Vector.basis(1)}}, 2, 1)
+    return Qd, C, 4, None, None
+
+
+def test_empty_cached_images_are_the_shared_zero():
+    # after the FIX-2M perturb and its linf_transfer, no LinOp, Taylor data or
+    # g recursion caches an empty vector of its own
+    Qd, C, W, keys_A, keys_B = _fix2_mid_transfer_input()
+    result = linf_transfer(Qd, C, W, keys_A, keys_B)
+    caches = [obj._cache for obj in gc.get_objects() if isinstance(obj, (LinOp, _TaylorData))]
+    caches.append(inspect.getclosurevars(result.g._fn).nonlocals["g_cache"])
+    images = [v for cache in caches for v in cache.values() if isinstance(v, Vector)]
+    empty = [v for v in images if not v]
+    assert len(empty) > 1000 and len(images) > len(empty)
+    assert all(v is Vector.zero() for v in empty)
+
+
+@pytest.mark.parametrize("make, sigma_side", [(_fix2_mid_transfer_input, False),
+                                              (_fix3_extended_transfer_input, False),
+                                              (_cubic_transfer_input, True)],
+                         ids=["FIX-2M", "FIX-3X", "cubic"])
+def test_lemma_outputs_match_the_relayed_form(make, sigma_side):
+    # the lemma reads sigma delta off tau' = geo tau and h' = geo h; the form
+    # that relays through (sigma delta) geo gives the same four outputs on every
+    # word of the transfer's corpora.  The transferred perturbation is zero on
+    # the FIX-2M and FIX-3X corpora, and not on the cubic one
+    Qd, C, W, keys_A, keys_B = make()
+    keys_A = tuple(C.space_A.keys()) if keys_A is None else keys_A
+    keys_B = tuple(C.space_B.keys()) if keys_B is None else keys_B
+    words_U, words_W = words_over(C.space_A, keys_A, W), words_over(C.space_B, keys_B, W)
+    sym = symmetrized_contraction(C, W, (), ())
+    delta = TaylorCoderivation(C.space_A, lambda n, w: Qd.component(n, w) - C.d_A.on_key(w[0])
+                               if n == 1 else Qd.component(n, w), W, 1).as_map(sym.space_A)
+    hd = sym.h @ delta
+    geo = LinOp.identity(sym.space_A)
+    for n in range(1, W + 1):
+        geo = geo + hd.power(n)
+    new = lemma_outputs(sym.sigma, sym.tau, sym.h, delta, geo)
+    sd_geo = (sym.sigma @ delta) @ geo
+    old = (sd_geo @ sym.tau, sym.sigma + sd_geo @ sym.h, geo @ sym.tau, geo @ sym.h)
+    for i, words in enumerate((words_W, words_U, words_W, words_U)):
+        assert new[i].first_difference(old[i], words) is None, i
+    assert sym.tau.first_difference(new[2], words_W) is not None
+    assert any(new[0].on_key(w) for w in words_W) == sigma_side
+
+
+def test_a_cubic_transfer_reads_sigma_delta():
+    # a transferred structure with a nonzero higher bracket: r_3(w, w, w) is a
+    # multiple of c, and both routes of linf_transfer agree on it
+    Qd, C, W, _, _ = _cubic_transfer_input()
+    res = linf_transfer(Qd, C, W)
+    assert res.f.component(2, (0, 0)) == Vector.basis(2, -1)
+    r3 = res.r.component(3, (0, 0, 0))
+    assert r3 and set(r3.keys()) == {1}
 
 
 class TestSymmetrizedContraction:

@@ -279,6 +279,19 @@ class TestReliableOrder:
         assert verdicts(rep)["f(1) = 1"] == "PASS" and rep.bounds["f known to order"] == 2
 
 
+    def test_a_non_unital_morphism_leaves_the_log_routes_undetermined(self, ibl4):
+        # f_1(1) = u1: log_* needs f(1) = 1, so routes (b)-(d) are not run
+        S = ibl4.space
+        f_1 = LinOp(S, S, -2, lambda w: Vector() if w else Vector.basis((0,)), "1->u1")
+        f = TOp({0: LinOp.identity(S), 1: f_1}, S, S, 0, 2)
+        items = {i.name: i for i in ibl_morphism_check(f, ibl4, ibl4).items}
+        assert items["f(1) = 1"].verdict == "FAIL"
+        routes = [name for name in items if name[:3] in ("(b)", "(c)", "(d)")]
+        assert len(routes) == 3
+        for name in routes:
+            assert (items[name].verdict, items[name].detail) == ("UNDETERMINED", "needs f(1) = 1")
+
+
 class TestIBLMC:
     def test_zero_is_mc(self, ibl4):
         ok, res = ibl_mc_check(ibl4, Vector(), mc_lift(ibl4, 3))

@@ -19,7 +19,9 @@ every dataclass field is read: some expression in ``src/``, ``tests/`` or
 ``perfbench/`` loads an attribute of its name, every function has a library
 caller: each module-level function and method is referenced in ``src/`` or
 ``perfbench/`` outside its own body, unless an allowlist gives the one-line
-reason only tests reach it, and no certificate
+reason only tests reach it, no accumulator
+starts from the shared, read-only ``Vector.zero()`` (no ``add_scaled`` on a
+name bound to it), and no certificate
 compares an operator with a freshly built ``LinOp.zero`` or
 ``LinOp.identity`` through ``first_difference``, every script that
 ``pyproject.toml`` declares names a module that imports and has the named
@@ -592,6 +594,35 @@ def test_every_function_has_a_library_caller():
     assert not stray, f"functions only tests reach (cut them or give a library caller): {stray}"
     stale = sorted(set(TEST_ONLY_FUNCTIONS) - set(uncalled))
     assert not stale, f"allowlisted functions that now have a library caller or are gone: {stale}"
+
+
+# ``Vector.zero()`` is one shared, read-only vector.  An accumulator starts from
+# ``Vector()``: a name bound to ``Vector.zero()`` is never the target of an
+# ``add_scaled``.
+
+
+def shared_zero_accumulators(path: Path) -> list:
+    """(owner, line) of each ``name.add_scaled(...)`` call whose name the same
+    function binds to ``Vector.zero()``."""
+    def is_zero_call(node) -> bool:
+        f = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(f, ast.Attribute) and f.attr == "zero"
+                and isinstance(f.value, ast.Name) and f.value.id == "Vector")
+
+    nodes = owned_nodes(path)
+    zero_names = {(owner, t.id) for owner, node in nodes
+                  if isinstance(node, ast.Assign) and is_zero_call(node.value)
+                  for t in node.targets if isinstance(t, ast.Name)}
+    return [(owner, node.lineno) for owner, node in nodes
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_scaled" and isinstance(node.func.value, ast.Name)
+            and (owner, node.func.value.id) in zero_names]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_accumulation_into_the_shared_zero(path):
+    sites = shared_zero_accumulators(path)
+    assert not sites, f"{path.name}: start an accumulator from Vector(), not Vector.zero(), at {sites}"
 
 
 # A certificate evaluates its identity key by key on the images of the maps it
