@@ -48,7 +48,8 @@ from .symcoalg import (
     star_log,
     words_over,
 )
-from .tseries import TOp, TruncatedTAlgebra, flat_unital_map, flatten_top, spl_t
+from .tseries import (TOp, TruncatedTAlgebra, flat_unital_map, flatten_top, known_order, spl_t,
+                      unflatten)
 
 
 def _require_odd(k: int) -> None:
@@ -77,8 +78,10 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
     leaves the algebra's guard.  Each claim is decided on the arities evaluated
     below that, recorded in the bounds as ``scope: <claim>``; a claim with no
     arity of its own in scope is UNDETERMINED, never PASS, and no Overflow
-    escapes.  The coefficients and flatness orders above the order the series
-    is known to are UNDETERMINED, one claim each.
+    escapes.  The degree, unit and flatness claims are decided on all basis
+    keys at once (``Report.decide``): a key beyond the guard leaves one with no
+    witness UNDETERMINED.  The coefficients and flatness orders above the
+    order the series is known to are UNDETERMINED, one claim each.
     """
     _require_odd(k)
     rep = Report(title, bounds={"N": N, "arity_bound": arity_bound, "k": k})
@@ -98,24 +101,24 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
                        + [f"flatness at order {n}" for n in range(reliable + 1, N + 1)])
         support = [n for n in support if n <= reliable]
 
+    degree = A.space.degree
     for n in support:
-        op = Delta.coeff(n)
-        ok = True
-        detail = ""
-        try:
-            op.check_homogeneous(basis_keys)
-        except ValueError as exc:
-            ok, detail = False, str(exc)
-        rep.add(f"degree of coefficient {n} is {1 + n * (k - 1)}", ok, detail)
-        rep.add(f"coefficient {n} kills the unit", op.on_key(A.unit_key).is_zero())
+        op, want = Delta.coeff(n), 1 + n * (k - 1)
+        name = f"degree of coefficient {n} is {want}"
+        if op.degree != want:
+            rep.add(name, False, f"declared degree {op.degree}")
+        else:
+            rep.decide(name, basis_keys, lambda kk: next(
+                (kk for k2 in op.on_key(kk).keys() if degree(k2) != degree(kk) + want), None))
+        rep.decide(f"coefficient {n} kills the unit", (A.unit_key,),
+                   lambda u: None if op.on_key(u).is_zero() else u)
 
-    # every coefficient is odd, so sum_i [Delta_i, Delta_{n-i}] = 2 (Delta o Delta)_n
-    flat_top = 2 * top if Delta.is_exact() else min(N, reliable)
-    sq = Delta @ Delta
-    for n in range(0, flat_top + 1):
-        op = sq.coeff(n)
-        w = next((kk for kk in basis_keys if not op.on_key(kk).is_zero()), None)
-        rep.add(f"flatness at order {n}", *witness_verdict(w))
+    # route B's flattening serves the square when their orders agree; a
+    # flattening of the square's own is freed before routes A and B run
+    order = known_order(N, Delta)
+    flat_top = 2 * top if Delta.is_exact() else order
+    Dflat = flatten_top(Delta, order)
+    _flatness_claims(rep, Dflat if flat_top == order else flatten_top(Delta, flat_top), basis_keys)
 
     # route A: coefficient n is a differential operator of order <= n+1; on a
     # generating corpus, vanishing must hold at every arity above the order
@@ -136,13 +139,23 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
     # to the order the series is reliable to; each multiset is one tuple of
     # order-0 keys for the key-tuple kernel, the scan over all arities shares
     # one prefix memo of it, and the shared values it returns are only read
-    order = N if reliable is None else min(N, reliable)
     At = TruncatedTAlgebra(A, order, td)
-    Dflat = flatten_top(Delta, order)
     memo: dict = {}
     _congruence_claims(rep, "K(Delta)", keys, arity_bound, order, lambda tup: koszul_recursion(
         At, Dflat, tuple((0, kk) for kk in tup), memo))
     return rep
+
+
+def _flatness_claims(rep: Report, Dflat: LinOp, basis_keys) -> None:
+    """The claims "flatness at order n" for every order n of the flattened
+    structure series ``Dflat``: every coefficient is odd, so
+    sum_i [Delta_i, Delta_{n-i}] = 2 (Delta o Delta)_n.  The square's caches
+    go with the call."""
+    top = Dflat.domain.N
+    sq = unflatten(Dflat @ Dflat, range(top + 1), None)
+    for n in range(top + 1):
+        rep.decide(f"flatness at order {n}", basis_keys,
+                   lambda kk: None if sq.coeff(n).on_key(kk).is_zero() else kk)
 
 
 def _congruence_claims(rep: Report, label: str, keys, arity_bound: int, order: int,
@@ -176,7 +189,9 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
     Scope rule as in ``bv_check``: the congruences kappa(f)_m = 0 mod t^{m-1}
     are computed to the order f is reliable to and decided by one
     ``report.scan`` over the arities; an arity beyond the guard or beyond that
-    order is UNDETERMINED, never PASS, and no Overflow escapes.
+    order is UNDETERMINED, never PASS, and no Overflow escapes.  The defect
+    f Delta - Delta' f is taken at ``known_order`` of the three series and
+    decided on all keys at once, like ``bv_check``'s degree claims.
     """
     _require_odd(k)
     td = _t_degree(k)
@@ -188,16 +203,14 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
         if n >= 1:
             rep.add(f"f_{n}(1_A) = 0", f.coeff(n).on_key(A.unit_key).is_zero())
 
-    inter = (f @ DeltaA - DeltaB @ f).truncated(N)
-    bad = inter.first_nonzero(keys, N)
-    rel = inter.known_to
-    rep.add(f"f Delta = Delta' f (orders <= {N if rel is None else min(N, rel)})",
-            *witness_verdict(None if bad is None else bad[0]))
-    if rel is not None and rel < N:
-        rep.add(f"f Delta = Delta' f beyond order {rel}", None, "series truncated")
+    order = known_order(N, f, DeltaA, DeltaB)
+    f_ord = flatten_top(f, order)
+    lhs, rhs = f_ord @ flatten_top(DeltaA, order), flatten_top(DeltaB, order) @ f_ord
+    rep.decide(f"f Delta = Delta' f (orders <= {order})", keys,
+               lambda kk: None if lhs.on_key((0, kk)) == rhs.on_key((0, kk)) else kk)
+    rep.add_beyond(order, [f"f Delta = Delta' f beyond order {order}"] if order < N else [])
 
-    reliable = f.known_to
-    Bt = TruncatedTAlgebra(B, N if reliable is None else min(N, reliable), td)
+    Bt = TruncatedTAlgebra(B, known_order(N, f), td)
     f_flat = flat_unital_map(f, Bt)
     _congruence_claims(rep, "kappa(f)", keys, arity_bound, Bt.N,
                        lambda tup: cumulant_recursion(A, Bt, f_flat, tup))

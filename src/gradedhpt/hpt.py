@@ -1,10 +1,11 @@
 """Contractions, the Standard Perturbation Lemma, semifullness certificates,
 the symmetrized tensor trick, and homotopy transfer for L-infinity[1] structures.
 
-The lemma is written once, in ``lemma_outputs``: ``perturb`` (a nilpotent
-perturbation) and ``tseries.spl_t`` (a t-adically small one) differ only in
-how they sum the geometric series sum_n (h delta)^n.  ``perturb`` iterates the
-h o delta that ``Perturbation.verify`` certified, so both share its images.
+The lemma is written once, in ``lemma_outputs``, and its geometric series
+sum_n (h delta)^n once, in ``perturb``, which iterates the h o delta that
+``Perturbation.verify`` certified, so the certificate and the series share its
+images.  A t-adically small perturbation is nilpotent on the flattened spaces
+A[t]/t^{N+1}, and ``tseries.spl_t`` is ``perturb`` there.
 
 The semifull-coalgebra identities compare tensors through
 ``symcoalg.tensor_coproduct``, the one (left (x) right) o Delta.
@@ -35,7 +36,7 @@ from .core import (
     koszul_sign,
 )
 from .commalg import cumulant_lift, kos_lift, koszul_closed, koszul_vanishes
-from .report import PASS, Report, scan, witness_verdict
+from .report import PASS, Report, scan
 from .symcoalg import (
     SymSpace,
     TaylorCoderivation,
@@ -133,8 +134,7 @@ def lemma_outputs(sigma, tau, h, delta, geo):
     and the perturbed projection, section and homotopy.  sigma (delta h)^n =
     sigma delta (h delta)^{n-1} h for n >= 1, so the sigma side reads the
     cached images of tau' and h' through sigma delta, and no operator relays
-    them through sigma delta geo.  The one lemma for ``LinOp`` (``perturb``)
-    and ``TOp`` (``tseries.spl_t``) alike."""
+    them through sigma delta geo.  ``perturb`` is its one caller."""
     tau_new, h_new = geo @ tau, geo @ h
     sd = sigma @ delta
     return sd @ tau_new, sigma + sd @ h_new, tau_new, h_new
@@ -174,8 +174,7 @@ def perturb(C: Contraction, p: Perturbation, keys_A=None,
 def _identity(rep: Report, name: str, cases, defect) -> None:
     """Claim that ``defect(*case)`` vanishes on every case, all or nothing: a case
     beyond the guard leaves the claim UNDETERMINED unless another is a witness."""
-    scope, witness = scan([(0, cases)], lambda case: case if defect(*case) else None)
-    rep.add(name, *((None, "beyond the guard") if scope < 0 else witness_verdict(witness)))
+    rep.decide(name, cases, lambda case: case if defect(*case) else None)
 
 
 def _bis_identities(rep: Report, C: Contraction, alg_A: CommAlgebra, alg_B: CommAlgebra,

@@ -36,7 +36,8 @@ from .symcoalg import (
     star_log,
     taylor_coderivation_from_map,
 )
-from .tseries import TOp, TruncatedTAlgebra, flat_unital_map, flatten_top, spl_t
+from .tseries import (TOp, TruncatedTAlgebra, flat_unital_map, flatten_top, known_order, spl_t,
+                      unflatten)
 
 T_DEGREE = 2  # k = -1
 
@@ -137,14 +138,14 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
     rep = Report("IBL structure", bounds={"W": ibl.space.weight_bound, "N": ibl.N,
                                           "arity_bound": arity_bound})
     S = ibl.space
-    delta, known = ibl.delta, ibl.delta.known_to
+    known = ibl.delta.known_to
+    coeffs = {n: op for n, op in ibl.delta.coeffs.items() if known is None or n <= known}
     if known is not None:
-        rep.add_beyond(known, [f"claims on delta_{n}" for n in delta.support() if n > known]
+        rep.add_beyond(known, [f"claims on delta_{n}" for n in ibl.delta.support() if n > known]
                        + [f"flatness at order {n}" for n in range(known + 1, ibl.N + 1)])
-        delta = delta.truncated(known)
 
     scopes = {}
-    for n, op in sorted(delta.coeffs.items()):
+    for n, op in sorted(coeffs.items()):
         scope = scopes[n] = evaluable_scope(S, op.on_key)
         words = _upto(S, scope)
         rep.add(f"delta_{n}(1) = 0", op.on_key(()).is_zero() if scope >= 0 else None)
@@ -162,8 +163,9 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
     rep.bounds["scope: delta"] = min(scopes.values(), default=S.weight_bound)
 
     # every coefficient is odd, so sum_i [delta_i, delta_{n-i}] = 2 (delta o delta)_n
-    flat_top = 2 * max(delta.support(), default=0) if delta.is_exact() else min(ibl.N, known)
-    sq = delta @ delta
+    flat_top = 2 * max(coeffs, default=0) if known is None else known_order(ibl.N, ibl.delta)
+    dflat = flatten_top(ibl.delta, flat_top)
+    sq = unflatten(dflat @ dflat, range(flat_top + 1), known)
     for n in range(flat_top + 1):
         op = sq.coeff(n)
         scope = evaluable_scope(S, op.on_key)
@@ -171,7 +173,7 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
             next((w for w in _upto(S, scope) if not op.on_key(w).is_zero()), None)))
 
     s_map = antipode(S)
-    for n, op in sorted(delta.coeffs.items()):
+    for n, op in sorted(coeffs.items()):
         phi_n = convolution(op, s_map, S.mul)
         scope = evaluable_scope(S, phi_n.on_key)
         rep.claim(f"(b) image of delta_{n} * s in weights <= {n + 1} (inputs <= {scope})",
@@ -192,7 +194,8 @@ def _component_square_checks(rep: Report, ibl: IBLStructure, sq: TOp) -> None:
     outputs j and orders m up to 3, its (weight i -> weight j, t^m) block
     vanishes.  The blocks of order m are checked for inputs up to the evaluable
     scope of that order; an order above the one ``sq`` is known to is
-    UNDETERMINED."""
+    UNDETERMINED.  ``sq`` holds every coefficient up to that order (zero above
+    twice delta's top order)."""
     max_block = 3
     S = ibl.space
     top = min(ibl.N, max_block)
@@ -261,11 +264,11 @@ def reassemble_defect(ibl: IBLStructure, comps: PComponents):
                            1 - 2 * (j + g - 1), f"p^{i},{j},{g}")
         n = j + g - 1
         coeffs[n] = coeffs[n] + op if n in coeffs else op
-    rebuilt = TOp(coeffs, S, S, 1, T_DEGREE)
-    diff = rebuilt - ibl.delta
-    order = max(ibl.N, max(coeffs, default=0))
-    scope = evaluable_scope(S, lambda w: diff.apply_key(w, order))
-    return diff.first_nonzero(_upto(S, scope), order)
+    order = known_order(max(ibl.N, max(coeffs, default=0)), ibl.delta)
+    diff = (flatten_top(TOp(coeffs, S, S, 1, T_DEGREE), order)
+            - flatten_top(ibl.delta, order))
+    scope = evaluable_scope(S, lambda w: diff.on_key((0, w)))
+    return next(((w, diff.on_key((0, w))) for w in _upto(S, scope) if diff.on_key((0, w))), None)
 
 
 def degree_audit(ibl: IBLStructure, comps: PComponents):
@@ -301,26 +304,23 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
     N = min(source.N, target.N)
     if not f.is_exact():
         rep.bounds["f known to order"] = f.known_to
-        f = f.truncated(f.known_to)
-    scope_f = evaluable_scope(SU, lambda w: [f.coeff(n).on_key(w) for n in f.support()])
+    support = [n for n in f.support() if f.is_exact() or n <= f.known_to]
+    scope_f = evaluable_scope(SU, lambda w: [f.coeff(n).on_key(w) for n in support])
     unital = (f.coeff(0).on_key(()) == Vector.basis(())
-              and all(f.coeff(n).on_key(()).is_zero() for n in f.support() if n >= 1)
+              and all(f.coeff(n).on_key(()).is_zero() for n in support if n >= 1)
               if scope_f >= 0 else None)
     rep.add("f(1) = 1", unital)
     rep.claim("counit compatibility", scope_f, lambda: witness_verdict(next(
-        ((n, w) for n in f.support() for w in _upto(SU, scope_f)
+        ((n, w) for n in support for w in _upto(SU, scope_f)
          if w and f.coeff(n).on_key(w)[()] != 0), None)))
 
-    inter = f @ source.delta - target.delta @ f
-    order = N if inter.known_to is None else min(N, inter.known_to)
-    scope_i = evaluable_scope(SU, lambda w: inter.apply_key(w, order))
-
-    def intertwines():
-        bad = inter.first_nonzero(_upto(SU, scope_i), order)
-        return witness_verdict(None if bad is None else bad[0])
-
+    order = known_order(N, f, source.delta, target.delta)
+    f_ord = flatten_top(f, order)
+    inter = f_ord @ flatten_top(source.delta, order) - flatten_top(target.delta, order) @ f_ord
+    scope_i = evaluable_scope(SU, lambda w: inter.on_key((0, w)))
     rep.claim(f"f delta = delta' f (orders <= {order}, weights <= {scope_i})", scope_i,
-              intertwines)
+              lambda: witness_verdict(next((w for w in _upto(SU, scope_i)
+                                            if inter.on_key((0, w))), None)))
     rep.add_beyond(order, [f"f delta = delta' f beyond order {order}"] if order < N else [])
 
     routes = ("(b) log_* of f lands in t^m S_{<=m+1}",
@@ -330,8 +330,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
         for name in routes:
             rep.add(name, None, "needs f(1) = 1")
         return rep
-    Vt = target.quotient() if f.is_exact() else TruncatedTAlgebra(
-        target.space, min(target.N, f.known_to), T_DEGREE)
+    Vt = TruncatedTAlgebra(target.space, known_order(target.N, f), T_DEGREE)
     f_flat = flat_unital_map(f, Vt)
     # (b): log of f lands in the shifted weight bound
     logf = star_log(f_flat, Vt.mul, Vt.unit())

@@ -328,13 +328,9 @@ class TaylorMorphism(_TaylorData):
         return TaylorMorphism(dom_base, cod_base, _table_fn(tables), arity_bound, True, label)
 
     @staticmethod
-    def from_linear(f: LinOp, label: str = "") -> "TaylorMorphism":
+    def from_linear(f: LinOp) -> "TaylorMorphism":
         """S(f): the coalgebra morphism with f_1 = f and no higher coefficients."""
-        return TaylorMorphism(f.domain, f.codomain, _linear_fn(f), 1, True, label or f"S({f.label})")
-
-    @staticmethod
-    def identity(base) -> "TaylorMorphism":
-        return TaylorMorphism.from_linear(LinOp.identity(base), "id")
+        return TaylorMorphism(f.domain, f.codomain, _linear_fn(f), 1, True, f"S({f.label})")
 
     def apply_word(self, word: SymWord, cod_bound: int) -> Vector:
         """The morphism on a canonical word, by the set-partition formula: the

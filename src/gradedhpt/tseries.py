@@ -9,14 +9,20 @@ An element sum_n t^n v_n, poles allowed, is a flat ``Vector`` on (order, key)
 pairs.  ``TOp.flat_image`` is the one flattening of an operator series onto
 them; ``flatten_top`` and ``flat_unital_map`` are built on it.  With a pole,
 ``TruncatedTAlgebra`` is only used at an order that no term reaches.
+
+``TOp`` only stores coefficients.  A composite of series (a square, an
+intertwining defect, a difference) is ``LinOp`` algebra on the flattened
+spaces, taken at ``known_order``, and ``unflatten`` reads a flattened operator
+back as a series.  ``spl_t`` is ``hpt.perturb`` on the flattened contraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core import CommAlgebra, LinOp, Overflow, Vector
-from .hpt import lemma_outputs
+from .hpt import Contraction, Perturbation, perturb
 from .symcoalg import _space_token
 
 
@@ -24,7 +30,8 @@ from .symcoalg import _space_token
 class TOp:
     """Sum_n t^n op_n with op_n : domain -> codomain homogeneous of degree
     (degree - n * t_degree); ``known_to`` is the largest order with exact
-    coefficients (None: all orders)."""
+    coefficients (None: all orders).  A store of coefficients with no algebra
+    of its own: series are composed as ``LinOp``s on the flattened spaces."""
 
     coeffs: dict
     domain: object
@@ -47,68 +54,8 @@ class TOp:
     def support(self):
         return sorted(self.coeffs)
 
-    def min_power(self) -> int:
-        return min(self.coeffs, default=0)
-
     def is_exact(self) -> bool:
         return self.known_to is None
-
-    def _join(self, other: "TOp", shift_self: int = 0, shift_other: int = 0) -> int | None:
-        if self.is_exact() and other.is_exact():
-            return None
-        outs = []
-        if not self.is_exact():
-            outs.append(self.known_to + shift_other)
-        if not other.is_exact():
-            outs.append(other.known_to + shift_self)
-        return min(outs)
-
-    def __add__(self, other: "TOp") -> "TOp":
-        if self.degree != other.degree:
-            raise ValueError("adding t-series of different degree")
-        coeffs = dict(self.coeffs)
-        for n, op in other.coeffs.items():
-            coeffs[n] = coeffs[n] + op if n in coeffs else op
-        known = self._join(other)
-        return TOp(coeffs, self.domain, self.codomain, self.degree, self.t_degree, known)
-
-    def __sub__(self, other: "TOp") -> "TOp":
-        return self + other.scale(-1)
-
-    def scale(self, a) -> "TOp":
-        return TOp({n: op.scale(a) for n, op in self.coeffs.items()}, self.domain,
-                   self.codomain, self.degree, self.t_degree, self.known_to)
-
-    def __matmul__(self, other: "TOp") -> "TOp":
-        """self o other; coefficients beyond the reliable order are dropped."""
-        if other.codomain != self.domain:
-            raise ValueError("t-series composition mismatch")
-        known = self._join(other, shift_self=self.min_power(), shift_other=other.min_power())
-        coeffs: dict = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                n = i + j
-                if known is not None and n > known:
-                    continue
-                coeffs[n] = coeffs[n] + (a @ b) if n in coeffs else a @ b
-        return TOp(coeffs, other.domain, self.codomain, self.degree + other.degree,
-                   self.t_degree, known)
-
-    def truncated(self, N: int) -> "TOp":
-        """The series cut after order N: reliable to N at most.  The coefficients
-        are lazy, so one that is cut is never evaluated."""
-        return TOp({n: op for n, op in self.coeffs.items() if n <= N}, self.domain,
-                   self.codomain, self.degree, self.t_degree,
-                   N if self.known_to is None else min(self.known_to, N))
-
-    def bracket(self, other: "TOp") -> "TOp":
-        sign = -1 if (self.degree % 2 and other.degree % 2) else 1
-        return self @ other - (other @ self).scale(sign)
-
-    def apply_key(self, key, max_order: int) -> dict:
-        """Orderwise image of a basis key, as {n: Vector} over its nonzero
-        orders n <= max_order; the vectors are the coefficients' cached images."""
-        return {n: v for n, op in self.coeffs.items() if n <= max_order and (v := op.on_key(key))}
 
     def flat_image(self, n: int, key, N: int) -> Vector:
         """Image of t^n key on the flattened spaces: the sum over m of
@@ -116,16 +63,6 @@ class TOp:
         is never evaluated."""
         return Vector(((n + m, k2), c) for m, op in self.coeffs.items() if n + m <= N
                       for k2, c in op.on_key(key).items())
-
-    def is_zero_on(self, keys, max_order: int) -> bool:
-        return all(not self.apply_key(k, max_order) for k in keys)
-
-    def first_nonzero(self, keys, max_order: int):
-        for k in keys:
-            img = self.apply_key(k, max_order)
-            if img:
-                return k, img
-        return None
 
 
 class TSpace:
@@ -186,55 +123,92 @@ def flat_unital_map(f: TOp, Bt: TruncatedTAlgebra) -> LinOp:
     return LinOp(f.domain, Bt.space, f.degree, lambda key: f.flat_image(0, key, Bt.N), "f~")
 
 
+def known_order(order: int, *series: TOp) -> int:
+    """The one order rule for composites of series: a claim that reads ``order``
+    takes the composite at the least of it and the order each factor is known to."""
+    return min([order] + [s.known_to for s in series if not s.is_exact()])
+
+
+def _coefficient_image(flat: LinOp, n: int, key) -> Vector:
+    """The t^n coefficient of a flattened map on ``key``: the order-N part of the
+    image of t^(N-n) key, which reads no coefficient of a factor above n."""
+    N = flat.domain.N
+    return Vector((k, c) for (m, k), c in flat.on_key((N - n, key)).items() if m == N)
+
+
+def unflatten(flat: LinOp, support, known_to: int | None) -> TOp:
+    """The series that the t-linear map ``flat`` of flattened spaces flattens,
+    with coefficients at the orders ``support`` (each at most the order N of the
+    spaces); the others are zero.  Coefficient n evaluates ``flat`` at order
+    N - n, so it reads no order above n."""
+    dom, cod = flat.domain, flat.codomain
+    return TOp({n: LinOp(dom.base, cod.base, flat.degree - n * dom.t_degree,
+                         partial(_coefficient_image, flat, n), f"({flat.label})_{n}")
+                for n in support}, dom.base, cod.base, flat.degree, dom.t_degree, known_to)
+
+
+def _nilpotency(hd: LinOp, key, N: int) -> int:
+    """The least j <= N with hd^j(key) = 0, and N + 1 when there is none."""
+    v = Vector.basis(key)
+    for j in range(1, N + 1):
+        v = hd(v)
+        if not v:
+            return j
+    return N + 1
+
+
+def _sums(parts, count: int, top: int) -> list:
+    """The orders up to ``top`` that are sums of at most ``count`` of ``parts``."""
+    orders = {0}
+    for _ in range(count):
+        orders |= {a + p for a in orders for p in parts if a + p <= top}
+    return sorted(orders)
+
+
 def spl_t(C, Delta: TOp, N: int):
     """Standard Perturbation Lemma for a t-adically small perturbation: transfer
     the structure series ``Delta`` along the contraction C, whose differential
-    d_A is Delta's order-zero coefficient.  The perturbation is the
-    positive-order part of Delta (with Delta's ``known_to``), and the outputs
-    are ``hpt.lemma_outputs`` of the lifted contraction, the one lemma that
-    ``hpt.perturb`` states for a nilpotent perturbation.
+    d_A is Delta's order-zero coefficient.  The perturbation delta_+ is the
+    positive-order part of Delta (with Delta's ``known_to``).  The outputs are
+    ``hpt.perturb`` of the lifted contraction flattened at one order, by the
+    flattened delta_+, with empty corpora (every caller certifies the outputs),
+    read back by ``unflatten``.
 
-    Returns (Delta_B, sigma, tau, h) as t-series, where Delta_B is lift(d_B)
-    plus the transferred perturbation; with no positive order they are the
-    lifts of d_B, sigma, tau and h.  They are flagged exact when Delta is
-    exact and a power of h o perturbation vanishes on every basis key of C's
-    A side, the whole domain of h.  A power that cannot be evaluated on some
-    key (Overflow) proves nothing, nor does one of an inexact Delta, whose
-    coefficients above its known order are dropped, and the geometric series
-    and the outputs are then cut after order N (``TOp.truncated``), which is
-    always sound since the perturbation has t-valuation >= 1.
+    Returns (Delta_B, sigma, tau, h) as t-series; with no positive order they
+    are the lifts of d_B, sigma, tau and h.  An exact Delta is flattened at N
+    times delta_+'s top order, which holds every term of (h delta_+)^j for
+    j <= N, and an inexact one at ``known_order(N, Delta)``.  The outputs are
+    exact when Delta is exact and a power (h delta_+)^j with j <= N vanishes
+    on every basis key of C's A side, the whole domain of h; j is then the
+    certificate.  A power that cannot be evaluated on some key (Overflow)
+    proves nothing, nor does one of an inexact Delta: the certificate is then
+    one above the flattening order, which is sound since delta_+ has
+    t-valuation >= 1, and the outputs are known to that order or N, the
+    lesser.  The supports are the orders of the lemma's terms: sums of at
+    most j - 1 orders of delta_+ for tau and h, and of at most j for sigma and
+    Delta_B (j = N + 1 when cut).
     """
     td = Delta.t_degree
-    h = TOp.lift(C.h, td)
-    sigma = TOp.lift(C.sigma, td)
-    tau = TOp.lift(C.tau, td)
-    d_B = TOp.lift(C.d_B, td)
-    delta_plus = TOp({n: op for n, op in Delta.coeffs.items() if n >= 1},
-                     Delta.domain, Delta.codomain, Delta.degree, td, Delta.known_to)
-    if not delta_plus.coeffs:
-        return d_B, sigma, tau, h
-    hd = h @ delta_plus
-    top_order = max(delta_plus.support()) * (N + 1)
-    powers = [TOp.lift(LinOp.identity(C.space_A), td)]
-    corpus = C.space_A.keys() if Delta.is_exact() else None
-    exact = False
-    for j in range(1, N + 1):
-        nxt = hd @ powers[-1]
-        if corpus is not None:
-            try:
-                exact = nxt.is_zero_on(corpus, top_order)
-            except Overflow:
-                corpus = None
-            if exact:
-                break
-        powers.append(nxt)
-    geo = powers[0]
-    for pw in powers[1:]:
-        geo = geo + pw
-    if not exact:
-        geo = geo.truncated(N)
-    outputs = lemma_outputs(sigma, tau, h, delta_plus, geo)
-    if not exact:
-        outputs = tuple(op.truncated(N) for op in outputs)
-    delta_B, sigma_new, tau_new, h_new = outputs
-    return d_B + delta_B, sigma_new, tau_new, h_new
+    plus = TOp({n: op for n, op in Delta.coeffs.items() if n >= 1}, Delta.domain,
+               Delta.codomain, Delta.degree, td, Delta.known_to)
+    if not plus.coeffs:
+        return tuple(TOp.lift(op, td) for op in (C.d_B, C.sigma, C.tau, C.h))
+    parts = plus.support()
+    order = N * parts[-1] if Delta.is_exact() else known_order(N, Delta)
+    flat = Contraction(*(flatten_top(TOp.lift(op, td), order)
+                         for op in (C.sigma, C.tau, C.h, C.d_A, C.d_B)), verify_on_init=False)
+    delta = flatten_top(plus, order)
+    steps = N + 1
+    if Delta.is_exact():
+        hd = flat.h @ delta
+        try:
+            steps = max((_nilpotency(hd, (0, k), N) for k in C.space_A.keys()), default=1)
+        except Overflow:
+            pass
+    exact = steps <= N
+    _, out = perturb(flat, Perturbation(delta, steps if exact else order + 1), (), ())
+    cap = order if exact else min(order, N)
+    known = None if exact else cap
+    outer, inner = _sums(parts, steps, cap), _sums(parts, steps - 1, cap)
+    return (unflatten(out.d_B, outer, known), unflatten(out.sigma, outer, known),
+            unflatten(out.tau, inner, known), unflatten(out.h, inner, known))

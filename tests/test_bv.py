@@ -32,7 +32,7 @@ from gradedhpt.commalg import (
     koszul_recursion,
     koszul_vanishes,
 )
-from gradedhpt.fixtures import fix2
+from gradedhpt.fixtures import fix2, fix4
 from gradedhpt.hpt import Contraction, words_over
 from gradedhpt.symcoalg import SymSpace, TaylorCoderivation, star_exp
 from gradedhpt.tseries import TOp, TruncatedTAlgebra, flatten_top
@@ -68,19 +68,6 @@ def keys2(f2):
 
 
 class TestTSeries:
-    def test_compose_and_bracket(self, f2):
-        D = f2.delta_series()
-        sq = D @ D
-        assert sq.is_zero_on(f2.A.space.keys(), 4)
-        br = D.bracket(D)
-        assert br.is_zero_on(f2.A.space.keys(), 4)
-
-    def test_truncation_tracking(self, f2):
-        D = f2.delta_series()
-        truncated = TOp(D.coeffs, D.domain, D.codomain, D.degree, D.t_degree, known_to=1)
-        comp = truncated @ D
-        assert comp.known_to == 1
-
     def test_quotient_algebra(self, f2):
         At = TruncatedTAlgebra(f2.A, 2, 2)
         y = flat({0: f2.A.monomial({"y": 1})})
@@ -149,6 +136,32 @@ class TestBVCheck:
         first = next(i for i in rep.items if i.verdict == "FAIL")
         y = next(iter(A.monomial({"y": 1}).keys()))
         assert (first.name, first.detail) == ("flatness at order 1", f"witness {y}")
+
+    def test_degree_claim_compares_the_declared_degree(self):
+        # Delta = d + t d is flat and of order <= 2, but its coefficient 1 has
+        # degree +1, not 1 + (k - 1) = -1: that claim, and only that one, FAILs
+        f = fix2(6)
+        D = TOp({0: f.d, 1: f.d}, f.A.space, f.A.space, 1, 2)
+        rep = bv_check(f.A, D, -1, 2, 3)
+        assert len(rep.items) == 11
+        assert [(i.name, i.detail) for i in rep.items if i.verdict != "PASS"] == \
+            [("degree of coefficient 1 is -1", "declared degree 1")]
+
+    @pytest.mark.parametrize("W", [4, 5, 6])
+    def test_no_overflow_escapes_the_preamble(self, W):
+        # FIX-4's IBL structure on S_{<=W}(U) is a legal input: delta_1 leaves
+        # the word bound on the top weight, so its degree claim and the flatness
+        # orders that read it are UNDETERMINED.  It is no derived BV structure
+        # (IBL's filtration bounds outputs, not inputs), and two order claims FAIL
+        ibl = fix4().structure(W, 2)
+        verdicts = {i.name: (i.verdict, i.detail)
+                    for i in bv_check(ibl.space, ibl.delta, -1, 2, 3).items}
+        assert len(verdicts) == 11
+        for name in ("degree of coefficient 1 is -1", "flatness at order 1", "flatness at order 2"):
+            assert verdicts[name] == ("UNDETERMINED", "beyond the guard"), name
+        assert [n for n, (v, _) in verdicts.items() if v == "FAIL"] == \
+            ["order(Delta_0) <= 1", "K(Delta)_2 = 0 mod t^1"]
+        assert verdicts["flatness at order 0"][0] == "PASS"
 
     def test_even_k_rejected(self, f2):
         with pytest.raises(ValueError):
@@ -245,6 +258,17 @@ class TestScopeRule:
         assert transfer.items[-1].name == "Poisson image commutes with transfer"
         assert transfer.items[-1].verdict == "UNDETERMINED"
 
+    def test_no_overflow_escapes_the_intertwining_defect(self):
+        # on FIX-4's S_{<=4}(U), delta_1 leaves the word bound on the top
+        # weight, so f Delta - Delta' f cannot be evaluated on every key
+        ibl = fix4().structure(4, 2)
+        S = ibl.space
+        ident = TOp({0: LinOp.identity(S)}, S, S, 0, 2)
+        items = {i.name: (i.verdict, i.detail)
+                 for i in bv_morphism_check(ident, S, S, ibl.delta, ibl.delta, -1, 2, 3).items}
+        assert items["f Delta = Delta' f (orders <= 2)"] == ("UNDETERMINED", "beyond the guard")
+        assert "FAIL" not in {v for v, _ in items.values()}
+
 
 class TestBVMorphism:
     def test_identity_morphism(self, f2, keys2):
@@ -252,6 +276,24 @@ class TestBVMorphism:
         ident = TOp({0: LinOp.identity(f2.A.space)}, f2.A.space, f2.A.space, 0, 2)
         rep = bv_morphism_check(ident, f2.A, f2.A, D, D, -1, 3, 4, keys=keys2)
         assert rep.ok, rep.to_text()
+
+    def test_intertwining_read_to_the_order_every_factor_is_known_to(self, f2, keys2):
+        # Delta' known only to order 1 at N = 3: the defect f Delta - Delta' f is
+        # taken at order 1, where a wrong coefficient 1 shows, and the orders
+        # above are UNDETERMINED; the exact Delta' decides all three orders
+        D = f2.delta_series()
+        ident = TOp({0: LinOp.identity(f2.A.space)}, f2.A.space, f2.A.space, 0, 2)
+
+        def intertwining(DeltaB):
+            rep = bv_morphism_check(ident, f2.A, f2.A, D, DeltaB, -1, 3, 3, keys=keys2)
+            return {i.name: i.verdict for i in rep.items if i.name.startswith("f Delta")}
+
+        known1 = TOp(D.coeffs, D.domain, D.codomain, D.degree, D.t_degree, known_to=1)
+        assert intertwining(known1) == {"f Delta = Delta' f (orders <= 1)": "PASS",
+                                        "f Delta = Delta' f beyond order 1": "UNDETERMINED"}
+        assert intertwining(D) == {"f Delta = Delta' f (orders <= 3)": "PASS"}
+        wrong = TOp({0: f2.d, 1: f2.delta1.scale(2)}, D.domain, D.codomain, 1, 2, known_to=1)
+        assert intertwining(wrong)["f Delta = Delta' f (orders <= 1)"] == "FAIL"
 
     def test_isomorphism_case(self, f2, keys2):
         # f_0 scaling by units is an algebra iso only when it preserves products;
@@ -290,7 +332,7 @@ class TestPoisson:
         x = (1, 0)
         assert bv_morphism_to_poisson(f, A, A, -1, 2, 0).component(2, (x, x)) == A.monomial({"y": 1})
         with pytest.raises(ValueError):
-            bv_morphism_to_poisson(f.truncated(0), A, A, -1, 2, 0)
+            bv_morphism_to_poisson(TOp(f.coeffs, A.space, A.space, 0, 2, known_to=0), A, A, -1, 2, 0)
 
     def test_lie_morphism_on_candidates(self, f2, keys2):
         # P([Delta, Delta']) = [P(Delta), P(Delta')] for order-filtered candidates
@@ -300,8 +342,12 @@ class TestPoisson:
         delta1_alt = f2.d.bracket(yP)
         D1 = f2.delta_series()
         D2 = TOp({0: f2.d, 1: delta1_alt}, A.space, A.space, 1, 2)
-        br = D1.bracket(D2)
-        P_br = bv_to_poisson(A, br.scale(Q(1, 1)), -1, 3)
+        # [D1, D2]_n = sum_{i+j=n} [D1_i, D2_j], one LinOp.bracket per pair
+        coeffs = {}
+        for i, a in D1.coeffs.items():
+            for j, b in D2.coeffs.items():
+                coeffs[i + j] = coeffs[i + j] + a.bracket(b) if i + j in coeffs else a.bracket(b)
+        P_br = bv_to_poisson(A, TOp(coeffs, A.space, A.space, 2, 2), -1, 3)
         P1 = bv_to_poisson(A, D1, -1, 3)
         P2 = bv_to_poisson(A, D2, -1, 3)
         lhs_tables = P1.bracket(P2)
@@ -483,7 +529,7 @@ class TestBVMC:
         b = bv_mc_pushforward(f, A, A, a, -1, 0, 1)
         assert b == flat({-1: A.monomial({"x": 1}), 0: A.monomial({"y": 1})})
         with pytest.raises(ValueError):
-            bv_mc_pushforward(f.truncated(0), A, A, a, -1, 0, 1)
+            bv_mc_pushforward(TOp(f.coeffs, A.space, A.space, 0, 2, known_to=0), A, A, a, -1, 0, 1)
 
     def test_pushforward_and_kuranishi(self, f2, keys2):
         D = f2.delta_series()

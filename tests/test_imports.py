@@ -27,7 +27,9 @@ compares an operator with a freshly built ``LinOp.zero`` or
 ``pyproject.toml`` declares names a module that imports and has the named
 attribute, and ``core.CommAlgebra.mul`` is the one vector product: no other
 library class defines ``mul`` or ``product``, and each one that defines
-``mul_keys`` is a ``CommAlgebra``."""
+``mul_keys`` is a ``CommAlgebra``, and ``LinOp`` is the one operator algebra:
+``tseries.TOp`` defines no arithmetic, so two t-series meet only as
+``LinOp``s on the flattened spaces (``tseries.flatten_top``)."""
 
 import ast
 import importlib
@@ -79,7 +81,7 @@ def test_no_local_imports(path):
 
 
 # The functions that may catch an Overflow: the scope rule's scan, the t-adic
-# perturbation series (whose exactness test must not leave the word bound), the
+# perturbation lemma (whose exactness test must not leave the word bound), the
 # IBL Maurer-Cartan samples, which count an undetermined sample, the
 # Maurer-Cartan correspondence, whose claims on a point beyond the bounds are
 # UNDETERMINED, and the cache of Taylor data, which keeps a refusal and raises
@@ -552,6 +554,7 @@ TEST_ONLY_FUNCTIONS = {
     "symcoalg.cocumulants_cofree": "the paper's cocumulants, dual to cumulants",
     "symcoalg.koszul_cobrackets_cofree": "the paper's Koszul cobrackets, dual to Koszul brackets",
     "bv.algebra_dual_coalgebra": "the dual coalgebra, inverse of coalgebra_dual_algebra",
+    "core.LinOp.identity": "the identity of the operator algebra, a constructor the tests build maps from",
 }
 
 
@@ -694,6 +697,21 @@ def test_one_vector_product():
               if "mul_keys" in names and qual != "core.CommAlgebra"
               and "CommAlgebra" not in ancestors(cls)]
     assert not strays, f"key-level products outside the CommAlgebra interface: {strays}"
+
+
+# One operator algebra.  ``tseries.TOp`` only stores coefficients: a composite
+# of t-series (a square, an intertwining defect, a difference) is ``LinOp``
+# algebra on the flattened spaces, taken at ``tseries.known_order``, so TOp
+# defines no operator, reflected or in place, and no scale or bracket.
+SERIES_ARITHMETIC = {"__add__", "__radd__", "__iadd__", "__sub__", "__rsub__", "__isub__",
+                     "__mul__", "__rmul__", "__imul__", "__matmul__", "__rmatmul__",
+                     "__imatmul__", "__neg__", "__truediv__", "scale", "bracket"}
+
+
+def test_one_operator_algebra():
+    members = dict(class_members(SRC / "tseries.py"))
+    arithmetic = sorted(members["TOp"] & SERIES_ARITHMETIC)
+    assert not arithmetic, f"t-series arithmetic outside LinOp (flatten first): {arithmetic}"
 
 
 # Every script that ``pyproject.toml`` declares resolves: an installed command

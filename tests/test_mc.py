@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedhpt.core import ConvergenceFault, Vector, expand_multilinear
+from gradedhpt.core import ConvergenceFault, LinOp, Vector, expand_multilinear
 from gradedhpt.fixtures import fix3, fix3_extended
 from gradedhpt.hpt import linf_transfer
 from gradedhpt.mc import (
@@ -122,9 +122,8 @@ def test_mc_sum_is_the_ordered_tuple_expansion(which, seed, cap):
 
 class TestPushforward:
     def test_identity_morphism(self):
-        from gradedhpt.symcoalg import TaylorMorphism
         f, filt, _ = fix3_data()
-        idm = TaylorMorphism.identity(f.basis)
+        idm = TaylorMorphism.from_linear(LinOp.identity(f.basis))
         x = Vector.basis(0) + Vector.basis(1, 2)
         assert mc_sum(idm, x, 2) == x
 

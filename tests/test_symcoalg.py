@@ -215,7 +215,7 @@ class TestBialgebra:
 class TestMorphismReconstruction:
     def test_identity_taylor_is_identity(self):
         S = SymSpace(BASIS, 4)
-        F = TaylorMorphism.identity(BASIS)
+        F = TaylorMorphism.from_linear(LinOp.identity(BASIS))
         M = F.as_map(S, S)
         assert M.first_difference(LinOp.identity(S), S.keys()) is None
 

@@ -8,7 +8,8 @@ from gradedhpt.core import GradedBasis, LinOp, Overflow, Vector
 from gradedhpt.fixtures import fix2
 from gradedhpt.hpt import Contraction, Perturbation, perturb
 from gradedhpt.symcoalg import SymSpace
-from gradedhpt.tseries import TOp, TSpace, TruncatedTAlgebra, flat_unital_map, flatten_top, spl_t
+from gradedhpt.tseries import (TOp, TSpace, TruncatedTAlgebra, flat_unital_map, flatten_top, spl_t,
+                               unflatten)
 
 # 1, x with x^2 = 0; t has degree 2, so the order-n coefficient of a degree-0
 # series lowers degree by 2n
@@ -34,6 +35,18 @@ def test_cut_order_is_never_evaluated():
     assert flat.on_key((2, X)) == Vector.basis((2, X))
     with pytest.raises(Overflow):
         flat.on_key((0, X))
+
+
+def test_unflatten_reads_no_order_above_the_coefficient():
+    # coefficient n of a series flattened at N is read off t^(N-n) key, so the
+    # coefficients 0 and 1 come back without evaluating the one at order 2
+    flat = flatten_top(series(), 2)
+    back = unflatten(flat, [0, 1], 2)
+    assert back.coeff(0).on_key(X) == Vector.basis(X)
+    assert back.coeff(1).on_key(X) == Vector.basis(ONE_KEY)
+    assert back.coeff(1).degree == -2 and back.known_to == 2
+    with pytest.raises(Overflow):
+        unflatten(flat, [2], 2).coeff(2).on_key(X)
 
 
 def test_unital_map_is_the_order_zero_restriction():
