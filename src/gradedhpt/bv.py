@@ -499,7 +499,7 @@ def cl_bijection(phi: LinOp, SU: SymSpace, Bt: TruncatedTAlgebra,
     rep = Report("morphism-notion comparison", bounds={"N": N, "arity_bound": arity_bound})
     if not phi.on_key(()).is_zero():
         raise ValueError("comparison data must kill the coalgebra unit")
-    F = star_exp(phi, Bt.mul, Bt.unit())
+    F = star_exp(phi, Bt)
     cl_ok = cl_vanishing_defect(phi, SU) is None
     inter = cl_intertwine_defect(F, Delta_U, Delta_B, Bt, N)
     rep.add("chain condition for exp data", *witness_verdict(inter))
@@ -509,10 +509,10 @@ def cl_bijection(phi: LinOp, SU: SymSpace, Bt: TruncatedTAlgebra,
     cong_ok = False if kappa.has_fail else (True if kappa.ok else None)
     rep.add("vanishing condition <=> cumulant congruence",
             None if cong_ok is None else cl_ok == cong_ok, f"cl={cl_ok}, kappa={cong_ok}")
-    back = star_log(F, Bt.mul, Bt.unit())
+    back = star_log(F, Bt)
     round1 = back.first_difference(phi, SU.keys())
     rep.add("log(exp(phi)) = phi", *witness_verdict(round1))
-    again = star_exp(back, Bt.mul, Bt.unit())
+    again = star_exp(back, Bt)
     round2 = again.first_difference(F, SU.keys())
     rep.add("exp(log(F)) = F", *witness_verdict(round2))
     return rep
@@ -552,15 +552,15 @@ def algebra_dual_coalgebra(A: ExplicitFDAlgebra) -> FiniteCoalgebra:
 
 
 def coalgebra_dual_algebra(C: FiniteCoalgebra) -> ExplicitFDAlgebra:
-    basis = dual_basis_of(C.basis)
-    prods: dict = {}
-    keys = list(C.basis.keys())
-    for j in keys:
-        for kk in keys:
-            sign = -1 if (C.basis.degree(j) % 2 and C.basis.degree(kk) % 2) else 1
-            prods[(j, kk)] = Vector((i, sign * c) for i in keys for l, r, c in C.coproduct(i)
-                                    if l == j and r == kk)
-    return ExplicitFDAlgebra(basis, prods, C.unit_key)
+    """Dual of a finite-dimensional coalgebra: <j' k', i> = (-1)^{|j||k|} times
+    the coefficient of j (x) k in Delta(i), read in one pass over the table."""
+    terms: dict = {}
+    for i in C.keys():
+        for l, r, c in C.coproduct(i):
+            sign = -1 if (C.degree(l) % 2 and C.degree(r) % 2) else 1
+            terms.setdefault((l, r), []).append((i, sign * c))
+    prods = {pair: Vector(t) for pair, t in terms.items()}
+    return ExplicitFDAlgebra(dual_basis_of(C.basis), prods, C.unit_key)
 
 
 def _dual_series(op: TOp, dual_dom: GradedBasis, dual_cod: GradedBasis) -> TOp:

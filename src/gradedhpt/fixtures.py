@@ -48,15 +48,27 @@ def _dirac_sigma(A: GuardedFreeAlgebra, B) -> LinOp:
                  lambda k: Vector.basis(0) if k == unit else Vector.zero(), "sigma")
 
 
+def _de_rham(A: GuardedFreeAlgebra, label: str) -> LinOp:
+    """The de Rham differential sum_i dx_i d/dx_i of K[x_1..x_m] (x) Lambda(dx_1..dx_m),
+    whose generators are the m variables followed by their m differentials:
+    a monomial with x_i to the power a gives a dx_i times it with one x_i fewer."""
+    m = len(A.gen_symbols) // 2
+    dx = [tuple(int(j == m + i) for j in range(2 * m)) for i in range(m)]
+
+    def d_fn(key):
+        terms = []
+        for i in range(m):
+            if key[i]:
+                lower = key[:i] + (key[i] - 1,) + key[i + 1:]
+                terms += [(k, key[i] * s) for k, s in A.mul_keys(dx[i], lower)]
+        return Vector(terms)
+
+    return LinOp(A.space, A.space, 1, d_fn, label)
+
+
 def fix1(bound: int = 8) -> Fix1:
     """K[y] (x) Lambda(dy) with the de Rham differential, contracted onto scalars."""
     A = GuardedFreeAlgebra([("y", 0, None), ("dy", 1, None)], bound)
-
-    def d_fn(key):
-        a, c = key
-        if a >= 1 and c == 0:
-            return A.monomial({"y": a - 1, "dy": 1}, a)
-        return Vector.zero()
 
     def h_fn(key):
         a, c = key
@@ -64,7 +76,7 @@ def fix1(bound: int = 8) -> Fix1:
             return A.monomial({"y": a + 1}, Q(-1, a + 1))
         return Vector.zero()
 
-    d = LinOp(A.space, A.space, 1, d_fn, "d")
+    d = _de_rham(A, "d")
     h = LinOp(A.space, A.space, -1, h_fn, "h")
     sigma = _dirac_sigma(A, SCALARS)
     tau = LinOp(SCALARS.space, A.space, 0, lambda k: A.unit(), "tau")
@@ -137,15 +149,6 @@ def fix2(bound: int = 10) -> Fix2:
     A = GuardedFreeAlgebra([("y", 0, None), ("z", 0, None), ("dy", 1, None), ("dz", 1, None)],
                            bound)
 
-    def d_fn(key):
-        a, b, c, e = key
-        out = Vector.zero()
-        if a >= 1:
-            out = out + A.mul(A.monomial({"dy": 1}), A.monomial({"y": a - 1, "z": b, "dy": c, "dz": e}, a))
-        if b >= 1:
-            out = out + A.mul(A.monomial({"dz": 1}), A.monomial({"y": a, "z": b - 1, "dy": c, "dz": e}, b))
-        return out
-
     def p_fn(key):
         a, b, c, e = key
         if c == 1 and e == 1:
@@ -161,7 +164,7 @@ def fix2(bound: int = 10) -> Fix2:
             out = out + A.monomial({"z": b + 1}, Q(-1, b + 1))
         return out
 
-    d = LinOp(A.space, A.space, 1, d_fn, "d")
+    d = _de_rham(A, "d")
     P = LinOp(A.space, A.space, -2, p_fn, "P")
     h = LinOp(A.space, A.space, -1, h_fn, "h")
     sigma = _dirac_sigma(A, SCALARS)
@@ -187,21 +190,6 @@ def fix2_mid(bound_A: int = 16, key_len_A: int = 2, key_len_B: int = 2) -> Fix2M
                            bound_A)
     B = GuardedFreeAlgebra([("z", 0, None), ("dz", 1, None)], bound_A)
 
-    def d_fn(key):
-        a, b, c, e = key
-        out = Vector.zero()
-        if a >= 1:
-            out = out + A.mul(A.monomial({"dy": 1}), A.monomial({"y": a - 1, "z": b, "dy": c, "dz": e}, a))
-        if b >= 1:
-            out = out + A.mul(A.monomial({"dz": 1}), A.monomial({"y": a, "z": b - 1, "dy": c, "dz": e}, b))
-        return out
-
-    def dB_fn(key):
-        b, e = key
-        if b >= 1 and e == 0:
-            return B.monomial({"z": b - 1, "dz": 1}, b)
-        return Vector.zero()
-
     def sigma_fn(key):
         a, b, c, e = key
         if a == 0 and c == 0:
@@ -218,8 +206,8 @@ def fix2_mid(bound_A: int = 16, key_len_A: int = 2, key_len_B: int = 2) -> Fix2M
             return A.monomial({"y": a + 1, "z": b, "dz": e}, Q(-1, a + 1))
         return Vector.zero()
 
-    d = LinOp(A.space, A.space, 1, d_fn, "d")
-    d_B = LinOp(B.space, B.space, 1, dB_fn, "d_B")
+    d = _de_rham(A, "d")
+    d_B = _de_rham(B, "d_B")
     sigma = LinOp(A.space, B.space, 0, sigma_fn, "sigma")
     tau = LinOp(B.space, A.space, 0, tau_fn, "tau")
     h = LinOp(A.space, A.space, -1, h_fn, "h")

@@ -174,7 +174,7 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
 
     s_map = antipode(S)
     for n, op in sorted(coeffs.items()):
-        phi_n = convolution(op, s_map, S.mul)
+        phi_n = convolution(op, s_map, S)
         scope = evaluable_scope(S, phi_n.on_key)
         rep.claim(f"(b) image of delta_{n} * s in weights <= {n + 1} (inputs <= {scope})",
                   scope, lambda: witness_verdict(next(
@@ -237,7 +237,7 @@ def extract_p_components(ibl: IBLStructure) -> PComponents:
     s_map = antipode(S)
     table: dict = {}
     for n, op in sorted(ibl.delta.coeffs.items()):
-        phi_n = convolution(op, s_map, S.mul)
+        phi_n = convolution(op, s_map, S)
         top = evaluable_scope(S, phi_n.on_key)
         for i in range(1, top + 1):
             for word in S.words_of_weight(i):
@@ -333,7 +333,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
     Vt = TruncatedTAlgebra(target.space, known_order(target.N, f), T_DEGREE)
     f_flat = flat_unital_map(f, Vt)
     # (b): log of f lands in the shifted weight bound
-    logf = star_log(f_flat, Vt.mul, Vt.unit())
+    logf = star_log(f_flat, Vt)
     scope = evaluable_scope(SU, logf.on_key)
     rep.claim(routes[0], scope, lambda: witness_verdict(next(
         ((w, m) for w in _upto(SU, scope) for (m, u) in logf.on_key(w).keys()

@@ -18,8 +18,11 @@ the rest.  So do the coderivation bracket, the unshuffle coproduct
 and the convolution Hopf calculus (star product, exp/log, antipode), whose
 exp_* of the weight-one data rebuilds the same morphism, together with the
 dual cocumulant / Koszul cobracket recursions.  exp_* and log_* are one sum
-c_k G^{*k} over cached convolution powers (``_star_series``), and
-``tensor_coproduct`` is the one (left (x) right) o Delta: the morphism and
+c_k G^{*k} over cached convolution powers (``_star_series``) with values in
+a ``core.CommAlgebra`` they take whole, and ``tensor_coproduct`` is the one
+(left (x) right) o Delta with its Koszul sign: convolution multiplies its
+pairs by the algebra's ``mul_keys``, the coderivation bracket evaluates one
+coderivation on the tensor (other (x) id) Delta, and the morphism and
 coderivation defects and the semifull-coalgebra identities of ``hpt`` all
 compare through it.
 
@@ -28,11 +31,13 @@ There is one coalgebra interface: ``unit_key``, ``keys``, ``reduced_keys``,
 cofree coalgebra with it, whose coproduct yields the splits of a word and
 stores none, and ``FiniteCoalgebra`` an explicit one, whose coproduct table is
 its definition.  The splits of a word, here and in the reconstruction
-formulas, are `core.unshuffles` read off its letters (``_word_unshuffles``).
-``SymSpace`` is also the truncated free algebra: it implements the one algebra
-interface ``core.CommAlgebra``, its ``mul_keys`` the symmetric product of two
-words, so one object carries both structures, and ``mul`` is the product
-that ``hat_extension`` and the convolutions of ``ibl`` use.
+formulas, are `core.unshuffles` read off its letters (``_word_unshuffles``):
+``TaylorCoderivation.apply_word`` and ``hat_extension`` read them one arity
+at a time, and every other job reads whole coproducts.  ``SymSpace`` is also
+the truncated free algebra: it implements the one algebra interface
+``core.CommAlgebra``, its ``mul_keys`` the symmetric product of two words, so
+one object carries both structures: ``hat_extension`` multiplies by its
+``mul``, and the convolutions of ``ibl`` take it as their algebra.
 
 A tensor (an element of C^{(x)n}, such as a coproduct image or a tilde
 recursion's value) is a `Vector` keyed by tuples of keys; ``canonical_sum``
@@ -269,7 +274,7 @@ class _TaylorData:
     def eval_keys(self, keys: tuple) -> Vector:
         """The coefficient on any tuple of keys: the canonical word's, with the
         Koszul sign of sorting (zero if an odd key repeats).  Its caller is
-        ``eval_mixed``; a diagonal reads ``diagonal_polynomial``."""
+        the coderivation ``bracket``; a diagonal reads ``diagonal_polynomial``."""
         cw = canonical_word(self.base, keys)
         if cw is None:
             return Vector.zero()
@@ -391,13 +396,6 @@ class TaylorCoderivation(_TaylorData):
         """The linear coderivation extending d (no constant or higher terms)."""
         return TaylorCoderivation(d.domain, _linear_fn(d), 1, d.degree, label=f"~{d.label}")
 
-    def eval_mixed(self, lead: Vector, rest: tuple) -> Vector:
-        """q_{1+len(rest)} evaluated on (lead, rest...) with lead a vector."""
-        out = Vector()
-        for k, c in lead.items():
-            out.add_scaled(self.eval_keys((k,) + rest), c)
-        return out
-
     def apply_word(self, word: SymWord, bound: int) -> Vector:
         """The coderivation on a canonical word, by the unshuffle formula: the
         sum over (i, n-i)-unshuffles of q_i(block) o rest, i = 0 giving
@@ -427,28 +425,31 @@ class TaylorCoderivation(_TaylorData):
                      lambda w: self.apply_word(w, space.weight_bound), self.label or "Q")
 
     def bracket(self, other: "TaylorCoderivation") -> "TaylorCoderivation":
-        """Componentwise coderivation bracket [q, r]."""
+        """Componentwise coderivation bracket [q, r]: on a word, q on the tensor
+        (r (x) id) Delta(word) of ``tensor_coproduct`` (r.q0 on the empty
+        split), minus the same with q and r exchanged; the constant term is
+        that on the empty word."""
         if not (self.exact_beyond and other.exact_beyond):
             raise Overflow("bracket needs exact arity data")
         q, r = self, other
         sign = -1 if (q.degree % 2) and (r.degree % 2) else 1
+        arity_bound = q.arity_bound + r.arity_bound - 1
+        space = SymSpace(q.base, arity_bound)
 
-        def fn(n, word):
-            degs = tuple(map(q.base.degree, word))
+        def after(a, b, word):
+            # a on (b (x) id) Delta(word): b's output letter, then the rest
+            tensor = tensor_coproduct(space, lambda w: b.component(len(w), w), Vector.basis, 0,
+                                      Vector.basis(word))
             out = Vector()
-            for i in range(n + 1):
-                for block, rest, s in _word_unshuffles(word, degs, i):
-                    rv = r.component(i, block) if i else r.q0
-                    if not rv.is_zero():
-                        out.add_scaled(q.eval_mixed(rv, rest), s)
-                    qv = q.component(i, block) if i else q.q0
-                    if not qv.is_zero():
-                        out.add_scaled(r.eval_mixed(qv, rest), -s * sign)
+            for (k, rest), c in tensor.items():
+                out.add_scaled(a.eval_keys((k,) + rest), c)
             return out
 
-        q0 = q.eval_mixed(r.q0, ()) - r.eval_mixed(q.q0, ()).scale(sign) if (q.q0 or r.q0) else Vector.zero()
-        return TaylorCoderivation(q.base, fn, q.arity_bound + r.arity_bound - 1,
-                                  q.degree + r.degree, q0, True, f"[{q.label},{r.label}]")
+        def fn(word):
+            return after(q, r, word) - after(r, q, word).scale(sign)
+
+        return TaylorCoderivation(q.base, lambda n, word: fn(word), arity_bound,
+                                  q.degree + r.degree, fn(()), True, f"[{q.label},{r.label}]")
 
 
 def taylor_morphism_from_map(F: LinOp, arity_bound: int, label: str = "") -> TaylorMorphism:
@@ -487,33 +488,24 @@ def hat_extension(space: SymSpace, arity: int, table_fn: Callable[[SymWord], Vec
 # -- convolutionalgebra ---------------------------------------------------------
 
 
-def counit_map(dom_space: SymSpace, codomain, unit_vec: Vector) -> LinOp:
-    """The star-unit: sends the empty word to the codomain unit, reduced words to 0."""
-    return LinOp(dom_space, codomain, 0,
-                 lambda w: unit_vec if len(w) == 0 else Vector.zero(), "eps")
+def counit_map(dom_space: SymSpace, alg: CommAlgebra) -> LinOp:
+    """The star-unit: sends the empty word to the unit of ``alg``, reduced words to 0."""
+    unit = alg.unit()
+    return LinOp(dom_space, alg.space, 0, lambda w: Vector.zero() if w else unit, "eps")
 
 
-def convolution(F: LinOp, G: LinOp, mul: Callable[[Vector, Vector], Vector]) -> LinOp:
-    """Convolution product F * G = mul o (F (x) G) o Delta on the unshuffle coproduct."""
+def convolution(F: LinOp, G: LinOp, alg: CommAlgebra) -> LinOp:
+    """Convolution product F * G = mul o (F (x) G) o Delta: on a word, the
+    products ``alg.mul_keys`` of the key pairs of its tensor from
+    ``tensor_coproduct``, whose sign carries G past each left factor."""
     dom: SymSpace = F.domain
     if G.domain != dom:
         raise ValueError("convolution factors need the same domain")
-    gdeg = G.degree
+    mul_keys = alg.mul_keys
 
     def fn(word):
-        out = Vector()
-        for left, right, s in dom.coproduct(word):
-            sgn = s
-            if gdeg % 2 and dom.degree(left) % 2:
-                sgn = -sgn
-            fv = F.on_key(left)
-            if fv.is_zero():
-                continue
-            gv = G.on_key(right)
-            if gv.is_zero():
-                continue
-            out.add_scaled(mul(fv, gv), sgn)
-        return out
+        tensor = tensor_coproduct(dom, F.on_key, G.on_key, G.degree, Vector.basis(word))
+        return Vector([(k, c * x) for (k1, k2), c in tensor.items() for k, x in mul_keys(k1, k2)])
 
     return LinOp(dom, F.codomain, F.degree + G.degree, fn, f"({F.label})*({G.label})")
 
@@ -524,18 +516,17 @@ def antipode(space: SymSpace) -> LinOp:
                  lambda w: Vector.basis(w, -ONE if len(w) % 2 else ONE), "s")
 
 
-def _star_series(G: LinOp, coeff: Callable[[int], object], mul: Callable[[Vector, Vector], Vector],
-                 unit_vec: Vector, label: str) -> LinOp:
-    """sum_k coeff(k) G^{*k} over cached convolution powers, G^{*0} the star-unit
-    eps; G(1) = 0, so on a word of weight n only k <= n contribute, and eps is
-    evaluated on the empty word only."""
+def _star_series(G: LinOp, coeff: Callable[[int], object], alg: CommAlgebra, label: str) -> LinOp:
+    """sum_k coeff(k) G^{*k} over cached convolution powers in ``alg``, G^{*0}
+    the star-unit eps; G(1) = 0, so on a word of weight n only k <= n
+    contribute, and eps is evaluated on the empty word only."""
     dom: SymSpace = G.domain
-    powers: list[LinOp] = [counit_map(dom, G.codomain, unit_vec), G]
+    powers: list[LinOp] = [counit_map(dom, alg), G]
 
     def fn(word):
         n = len(word)
         while len(powers) <= n:
-            powers.append(convolution(powers[-1], G, mul))
+            powers.append(convolution(powers[-1], G, alg))
         out = Vector()
         for k in range(1, n + 1) if n else (0,):
             out.add_scaled(powers[k].on_key(word), coeff(k))
@@ -544,21 +535,23 @@ def _star_series(G: LinOp, coeff: Callable[[int], object], mul: Callable[[Vector
     return LinOp(dom, G.codomain, G.degree, fn, label)
 
 
-def star_exp(phi: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vector) -> LinOp:
-    """exp_*(phi) = eps + sum 1/k! phi^{*k}; requires phi(1) = 0 (finite on each word)."""
+def star_exp(phi: LinOp, alg: CommAlgebra) -> LinOp:
+    """exp_*(phi) = eps + sum 1/k! phi^{*k} in the convolution algebra with values
+    in ``alg``; requires phi(1) = 0 (finite on each word)."""
     if not phi.on_key(()).is_zero():
         raise ValueError("star_exp needs phi(1) = 0")
-    return _star_series(phi, lambda k: Q(1, factorial(k)), mul, unit_vec, f"exp*({phi.label})")
+    return _star_series(phi, lambda k: Q(1, factorial(k)), alg, f"exp*({phi.label})")
 
 
-def star_log(F: LinOp, mul: Callable[[Vector, Vector], Vector], unit_vec: Vector) -> LinOp:
-    """log_*(F) = sum (-1)^{k-1}/k (F - eps)^{*k}; requires F(1) = unit.  F - eps
-    is F on reduced words and zero on the empty word."""
-    if F.on_key(()) != unit_vec:
+def star_log(F: LinOp, alg: CommAlgebra) -> LinOp:
+    """log_*(F) = sum (-1)^{k-1}/k (F - eps)^{*k} in the convolution algebra with
+    values in ``alg``; requires F(1) = the unit of ``alg``.  F - eps is F on
+    reduced words and zero on the empty word."""
+    if F.on_key(()) != alg.unit():
         raise ValueError("star_log needs F(1) = 1")
     G = LinOp(F.domain, F.codomain, F.degree, lambda w: F.on_key(w) if w else Vector.zero(),
               f"{F.label}-eps")
-    return _star_series(G, lambda k: Q(1 if k % 2 else -1, k) if k else 0, mul, unit_vec,
+    return _star_series(G, lambda k: Q(1 if k % 2 else -1, k) if k else 0, alg,
                         f"log*({F.label})")
 
 
@@ -570,7 +563,8 @@ def tensor_coproduct(coalg, left: Callable, right: Callable, right_degree: int,
     """(left (x) right) o Delta applied to v, as a tensor on pairs of keys.
     ``left`` and ``right`` map keys to vectors (``Vector.basis`` for the
     identity), and right, of degree ``right_degree``, passes each left factor
-    with its Koszul sign.  The one tensor-coproduct of the coalgebra checks."""
+    with its Koszul sign.  The one tensor coproduct: convolution, the
+    coderivation bracket and the coalgebra checks all read it."""
     terms = []
     for key, c in v.items():
         for l, r, s in coalg.coproduct(key):

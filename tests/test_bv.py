@@ -584,7 +584,7 @@ class TestCLBijection:
         phi = LinOp.zero(self.SU, self.Bt.space, 0)
         out = cl_bijection(phi, self.SU, self.Bt, self.DU, self.DB, 4)
         assert out.ok
-        F = star_exp(phi, self.Bt.mul, self.Bt.unit())
+        F = star_exp(phi, self.Bt)
         assert F.on_key(()) == self.Bt.unit()
         assert all(F.on_key(w).is_zero() for w in self.SU.keys() if w)
 
@@ -656,6 +656,19 @@ class TestCoBV:
         for i in alg.basis.keys():
             for j in alg.basis.keys():
                 assert Vector(back.mul_keys(i, j)) == Vector(alg.mul_keys(i, j)), (i, j)
+
+    def test_dual_structure_constants_are_the_coproduct_table(self, f2):
+        # <j' k', i> = (-1)^{|j||k|} [coefficient of j (x) k in Delta(i)] on every
+        # pair, the unit's included, for the exterior algebra and a truncation
+        for alg in (self.exterior_three(), f2.truncation(2)[0]):
+            C = algebra_dual_coalgebra(alg)
+            back = coalgebra_dual_algebra(C)
+            for j in C.keys():
+                for k in C.keys():
+                    sign = -1 if (C.degree(j) % 2 and C.degree(k) % 2) else 1
+                    table = Vector((i, sign * c) for i in C.keys() for l, r, c in C.coproduct(i)
+                                   if (l, r) == (j, k))
+                    assert Vector(back.mul_keys(j, k)) == table, (j, k)
 
     def test_dual_map_contravariance(self, f2):
         alg, keys, index = f2.truncation(2)

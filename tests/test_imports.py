@@ -29,7 +29,10 @@ attribute, and ``core.CommAlgebra.mul`` is the one vector product: no other
 library class defines ``mul`` or ``product``, and each one that defines
 ``mul_keys`` is a ``CommAlgebra``, and ``LinOp`` is the one operator algebra:
 ``tseries.TOp`` defines no arithmetic, so two t-series meet only as
-``LinOp``s on the flattened spaces (``tseries.flatten_top``)."""
+``LinOp``s on the flattened spaces (``tseries.flatten_top``), and
+``symcoalg.tensor_coproduct`` is the one tensor coproduct: a library call of
+``coproduct`` or of the split generator ``_word_unshuffles`` sits only where
+an allowlist gives the reason."""
 
 import ast
 import importlib
@@ -732,3 +735,45 @@ def test_every_declared_script_resolves():
         if not found:
             broken.append((name, target))
     assert not broken, f"declared scripts that do not resolve: {broken}"
+
+
+# One tensor coproduct.  (F (x) G) o Delta with its Koszul sign is formed in
+# ``symcoalg.tensor_coproduct``: convolution and the coderivation bracket read
+# it, as the coalgebra checks do.  A library call ``.coproduct(...)`` sits only
+# where a coproduct is defined or read as a table, and the one-arity split
+# generator ``_word_unshuffles`` only where a whole coproduct would cost 2^n
+# splits per word for one arity's worth of terms.
+COPRODUCT_CALLERS = {
+    "symcoalg.tensor_coproduct": "the one (left (x) right) o Delta",
+    "symcoalg.SymSpace.reduced_coproduct": "the reduced coproduct filters the coproduct",
+    "symcoalg.FiniteCoalgebra.reduced_coproduct": "the reduced coproduct corrects the table",
+    "symcoalg.FiniteCoalgebra.verify": "the coalgebra axioms are checked on the table",
+    "bv.coalgebra_dual_algebra": "the dual's structure constants are the coproduct table",
+}
+WORD_UNSHUFFLES_CALLERS = {
+    "symcoalg.SymSpace.coproduct": "the unshuffle coproduct is every arity's splits",
+    "symcoalg.TaylorCoderivation.apply_word": "one arity at a time, zero coefficients skipped",
+    "symcoalg.hat_extension": "a one-block extension reads one arity only",
+}
+
+
+def call_sites(path: Path, name: str) -> list:
+    """(owner, line) of each call of ``name``, as a function or as a method."""
+    def called(f) -> bool:
+        return (isinstance(f, ast.Name) and f.id == name) or (
+            isinstance(f, ast.Attribute) and f.attr == name)
+
+    return [(owner, node.lineno) for owner, node in owned_nodes(path)
+            if isinstance(node, ast.Call) and called(node.func)]
+
+
+def test_one_tensor_coproduct():
+    allowlists = {"coproduct": COPRODUCT_CALLERS, "_word_unshuffles": WORD_UNSHUFFLES_CALLERS}
+    sites = [(name, site) for name in allowlists
+             for path in MODULES for site in call_sites(path, name)]
+    stray = [(name, site) for name, site in sites if site[0] not in allowlists[name]]
+    assert not stray, f"split loops outside tensor_coproduct (read it instead): {stray}"
+    callers = {(name, owner) for name, (owner, _) in sites}
+    stale = sorted((name, owner) for name, allowed in allowlists.items() for owner in allowed
+                   if (name, owner) not in callers)
+    assert not stale, f"allowlisted callers that no longer call: {stale}"
