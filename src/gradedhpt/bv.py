@@ -536,19 +536,17 @@ def dual_linop(f: LinOp, dual_dom: GradedBasis, dual_cod: GradedBasis) -> LinOp:
 
 
 def algebra_dual_coalgebra(A: ExplicitFDAlgebra) -> FiniteCoalgebra:
-    """Dual of a finite-dimensional augmented algebra (products never hit the unit)."""
-    basis = dual_basis_of(A.basis)
-    cop: dict = {}
-    for i in A.basis.keys():
-        terms = []
-        for j in A.basis.keys():
-            for kk in A.basis.keys():
-                c = Vector(A.mul_keys(j, kk))[i]
-                if c:
-                    sign = -1 if (A.basis.degree(j) % 2 and A.basis.degree(kk) % 2) else 1
-                    terms.append((j, kk, sign * c))
-        cop[i] = tuple(terms)
-    return FiniteCoalgebra(basis, cop, A.unit_key)
+    """Dual of a finite-dimensional augmented algebra (products never hit the unit):
+    (-1)^{|j||k|} <j k, i> is the coefficient of j' (x) k' in Delta(i'), read in
+    one pass over the products, which keeps the (j, k) order within each i."""
+    keys = A.basis.keys()
+    cop: dict = {i: [] for i in keys}
+    for j in keys:
+        for kk in keys:
+            sign = -1 if (A.basis.degree(j) % 2 and A.basis.degree(kk) % 2) else 1
+            for i, c in Vector(A.mul_keys(j, kk)).items():
+                cop[i].append((j, kk, sign * c))
+    return FiniteCoalgebra(dual_basis_of(A.basis), cop, A.unit_key)
 
 
 def coalgebra_dual_algebra(C: FiniteCoalgebra) -> ExplicitFDAlgebra:

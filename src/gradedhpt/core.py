@@ -26,7 +26,9 @@ here is on ints.  A scalar handed out to a caller (`Vector.__getitem__`) is a
 coefficients are summed in two places only, ``Vector(terms)`` for
 ``(key, scalar)`` terms and ``Vector.add_scaled`` for a scaled vector.  A
 tensor is a Vector too, keyed by tuples of keys.  ``Vector.zero()`` is one
-shared, read-only vector, and every cache stores it for an empty image.
+shared, read-only vector, and every cache stores it for an empty image.  A
+`LinOp` sum shares a summand's cached image where the other is zero, so a
+cached image may sit in several caches at once: no code writes into one.
 """
 
 from __future__ import annotations
@@ -324,9 +326,11 @@ class LinOp:
     (composition, perturbation series) stays affordable on large word spaces.
     An operator caches its own images only.  A cached image is shared and
     read-only, and an empty one is ``Vector.zero()``, so a cache holds no
-    empty vectors of its own.  A certificate evaluates its
-    identity key by key on the images of the maps it certifies and builds no
-    operator of its own, and ``power`` iterates on vectors.
+    empty vectors of its own.  A sum shares a summand's cached image where
+    the other is zero, so ``d + delta`` holds d's image object wherever delta
+    vanishes.  A certificate evaluates its identity key by key on the images
+    of the maps it certifies and builds no operator of its own, and ``power``
+    iterates on vectors.
     """
 
     __slots__ = ("domain", "codomain", "degree", "_fn", "_cache", "label")
@@ -376,16 +380,28 @@ class LinOp:
                      lambda k: self(other.on_key(k)), f"({self.label})o({other.label})")
 
     def __add__(self, other: "LinOp") -> "LinOp":
+        """Where one summand's image of a key is zero, the sum's image is the
+        other's cached image itself."""
         if self.degree != other.degree:
             raise ValueError("adding maps of different degree")
-        return LinOp(self.domain, self.codomain, self.degree,
-                     lambda k: self.on_key(k) + other.on_key(k), f"{self.label}+{other.label}")
+
+        def fn(k):
+            a, b = self.on_key(k), other.on_key(k)
+            return a + b if a and b else a or b
+
+        return LinOp(self.domain, self.codomain, self.degree, fn, f"{self.label}+{other.label}")
 
     def __sub__(self, other: "LinOp") -> "LinOp":
+        """Where other's image of a key is zero, the difference's image is
+        self's cached image itself; where only self's is, a fresh negation."""
         if self.degree != other.degree:
             raise ValueError("subtracting maps of different degree")
-        return LinOp(self.domain, self.codomain, self.degree,
-                     lambda k: self.on_key(k) - other.on_key(k), f"{self.label}-{other.label}")
+
+        def fn(k):
+            a, b = self.on_key(k), other.on_key(k)
+            return a - b if a and b else -b if b else a
+
+        return LinOp(self.domain, self.codomain, self.degree, fn, f"{self.label}-{other.label}")
 
     def scale(self, a) -> "LinOp":
         a = Q(a)

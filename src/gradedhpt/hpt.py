@@ -1,11 +1,14 @@
 """Contractions, the Standard Perturbation Lemma, semifullness certificates,
 the symmetrized tensor trick, and homotopy transfer for L-infinity[1] structures.
 
-The lemma is written once, in ``lemma_outputs``, and its geometric series
-sum_n (h delta)^n once, in ``perturb``, which iterates the h o delta that
-``Perturbation.verify`` certified, so the certificate and the series share its
-images.  A t-adically small perturbation is nilpotent on the flattened spaces
-A[t]/t^{N+1}, and ``tseries.spl_t`` is ``perturb`` there.
+The lemma is written once, in ``lemma_outputs``, and the nilpotent part
+N = sum_{n>=1} (h delta)^n of its geometric series once, in ``perturb``, which
+iterates the h o delta that ``Perturbation.verify`` certified, so the
+certificate and the series share its images.  The perturbed section and
+homotopy are tau' = (1 + N) tau and h' = (1 + N) h, and every perturbed
+operator holds its input's cached image itself wherever it leaves that image
+unchanged.  A t-adically small perturbation is nilpotent on the flattened
+spaces A[t]/t^{N+1}, and ``tseries.spl_t`` is ``perturb`` there.
 
 The semifull-coalgebra identities compare tensors through
 ``symcoalg.tensor_coproduct``, the one (left (x) right) o Delta.
@@ -127,15 +130,26 @@ class Perturbation:
         return d_new, hd
 
 
-def lemma_outputs(sigma, tau, h, delta, geo):
-    """The Standard Perturbation Lemma's four outputs from the geometric series
-    ``geo`` = sum_n (h delta)^n: (sigma delta tau', sigma + sigma delta h',
-    tau', h') with tau' = geo tau and h' = geo h, the transferred perturbation
-    and the perturbed projection, section and homotopy.  sigma (delta h)^n =
-    sigma delta (h delta)^{n-1} h for n >= 1, so the sigma side reads the
-    cached images of tau' and h' through sigma delta, and no operator relays
-    them through sigma delta geo.  ``perturb`` is its one caller."""
-    tau_new, h_new = geo @ tau, geo @ h
+def lemma_outputs(sigma, tau, h, delta, N):
+    """The Standard Perturbation Lemma's four outputs from the nilpotent part
+    ``N`` = sum_{n>=1} (h delta)^n of the geometric series: (sigma delta tau',
+    sigma + sigma delta h', tau', h') with tau' = (1 + N) tau and h' = (1 + N) h,
+    the transferred perturbation and the perturbed projection, section and
+    homotopy.  (1 + N) f maps k to f's cached image itself where N of it is
+    zero, and to that image plus N of it otherwise; no N f is cached.  sigma
+    (delta h)^n = sigma delta (h delta)^{n-1} h for n >= 1, so the sigma side
+    reads the cached images of tau' and h' through sigma delta, and no
+    operator relays them through sigma delta (1 + N).  ``perturb`` is its one
+    caller."""
+    def one_plus_N(f):
+        def fn(k):
+            v = f.on_key(k)
+            nv = N(v)
+            return v + nv if nv else v
+
+        return LinOp(f.domain, f.codomain, f.degree, fn, f"(1+N)({f.label})")
+
+    tau_new, h_new = one_plus_N(tau), one_plus_N(h)
     sd = sigma @ delta
     return sd @ tau_new, sigma + sd @ h_new, tau_new, h_new
 
@@ -145,24 +159,27 @@ def perturb(C: Contraction, p: Perturbation, keys_A=None,
     """Standard Perturbation Lemma for a nilpotent perturbation: returns
     (delta_B, perturbed contraction), built by ``lemma_outputs``.
 
-    The geometric series sum_n (h delta)^n stops before the nilpotency
-    certificate; its image of a key iterates the certified h delta and sums
-    the powers in one pass.  The input perturbation and the output contraction
-    are verified on the corpora ``keys_A`` of domain and ``keys_B`` of codomain
-    keys (None: the full basis; an empty corpus checks nothing).
+    The series N = sum_{n=1}^{m-1} (h delta)^n is the geometric series without
+    its identity term, stopping before the nilpotency certificate m (N is zero
+    when m = 1); its image of a key iterates the certified h delta and sums
+    the powers in one pass.  d_A + delta and d_B + delta_B share their
+    summands' images where the other vanishes.  The input perturbation and
+    the output contraction are verified on the corpora ``keys_A`` of domain
+    and ``keys_B`` of codomain keys (None: the full basis; an empty corpus
+    checks nothing).
     """
     d_new, hd = p.verify(C, keys_A)
 
     def series(k):
         v = Vector.basis(k)
-        terms = list(v.items())
+        terms = []
         for _ in range(1, p.certificate):
             v = hd(v)
             terms.extend(v.items())
         return Vector(terms)
 
-    geo = LinOp(C.space_A, C.space_A, 0, series, "sum (h delta)^n")
-    delta_B, sigma_new, tau_new, h_new = lemma_outputs(C.sigma, C.tau, C.h, p.delta, geo)
+    N = LinOp(C.space_A, C.space_A, 0, series, "sum_{n>=1} (h delta)^n")
+    delta_B, sigma_new, tau_new, h_new = lemma_outputs(C.sigma, C.tau, C.h, p.delta, N)
     out = Contraction(sigma_new, tau_new, h_new, d_new, C.d_B + delta_B, verify_on_init=False)
     out.verify(keys_A, keys_B)
     return delta_B, out

@@ -670,6 +670,18 @@ class TestCoBV:
                                    if (l, r) == (j, k))
                     assert Vector(back.mul_keys(j, k)) == table, (j, k)
 
+    def test_dual_coproduct_table_is_the_triple_loops(self, f2):
+        # the one pass over the products gives, key by key, the table that reads
+        # the coefficient of i off every product j k, in the same (j, k) order,
+        # with an entry for every key
+        for alg in (self.exterior_three(), f2.truncation(2)[0], f2.truncation(3)[0]):
+            keys, deg = alg.basis.keys(), alg.basis.degree
+            expect = {i: tuple((j, k, (-1 if deg(j) % 2 and deg(k) % 2 else 1) * c)
+                               for j in keys for k in keys
+                               for c in [Vector(alg.mul_keys(j, k))[i]] if c)
+                      for i in keys}
+            assert algebra_dual_coalgebra(alg).cop == expect
+
     def test_dual_map_contravariance(self, f2):
         alg, keys, index = f2.truncation(2)
         dual = algebra_dual_coalgebra(alg).basis

@@ -245,6 +245,26 @@ class TestVectorAndLinOp:
         f = LinOp(b, b, 0, lambda k: Vector(), "fresh zero")
         assert all(f.on_key(k) is Vector.zero() for k in b.keys())
 
+    def test_a_sum_shares_a_summands_image_where_the_other_is_zero(self):
+        # f and g are nonzero on x, z only on w: where one summand's image is
+        # zero the sum holds the other's cached image itself, z - f a fresh
+        # negation, and two zero images give the shared zero
+        b = GradedBasis.make([("x", 0), ("y", 0), ("w", 0)])
+        x, y, w = b.keys()
+        f = LinOp.from_dict(b, b, 0, {x: Vector({x: 1, y: 2})}, "f")
+        g = LinOp.from_dict(b, b, 0, {x: Vector.basis(y, -2)}, "g")
+        z = LinOp.from_dict(b, b, 0, {w: Vector.basis(x)}, "z")
+        assert (f + z).on_key(x) is f.on_key(x)
+        assert (z + f).on_key(x) is f.on_key(x)
+        assert (f - z).on_key(x) is f.on_key(x)
+        assert (z + f).on_key(w) is z.on_key(w)
+        neg = (z - f).on_key(x)
+        assert neg == Vector({x: -1, y: -2}) and neg is not f.on_key(x)
+        assert f.on_key(x) == Vector({x: 1, y: 2})
+        assert (f + z).on_key(y) is Vector.zero() and (f - z).on_key(y) is Vector.zero()
+        assert (f + g).on_key(x) == Vector.basis(x) and (f + g).on_key(x) is not f.on_key(x)
+        assert (f - f).on_key(x) is Vector.zero()
+
     def test_compose_identity_and_zero(self):
         b = two_dim_basis()
         f = LinOp.from_dict(b, b, 1, {b.index("x"): Vector.basis(b.index("xi")).scale(2)})

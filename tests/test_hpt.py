@@ -550,10 +550,11 @@ def test_empty_cached_images_are_the_shared_zero():
                                               (_cubic_transfer_input, True)],
                          ids=["FIX-2M", "FIX-3X", "cubic"])
 def test_lemma_outputs_match_the_relayed_form(make, sigma_side):
-    # the lemma reads sigma delta off tau' = geo tau and h' = geo h; the form
-    # that relays through (sigma delta) geo gives the same four outputs on every
-    # word of the transfer's corpora.  The transferred perturbation is zero on
-    # the FIX-2M and FIX-3X corpora, and not on the cubic one
+    # the lemma reads sigma delta off tau' = (1 + N) tau and h' = (1 + N) h,
+    # N = sum_{n>=1} (h delta)^n; the form that relays through (sigma delta) geo,
+    # geo = id + N, gives the same four outputs on every word of the transfer's
+    # corpora.  The transferred perturbation is zero on the FIX-2M and FIX-3X
+    # corpora, and not on the cubic one
     Qd, C, W, keys_A, keys_B = make()
     keys_A = tuple(C.space_A.keys()) if keys_A is None else keys_A
     keys_B = tuple(C.space_B.keys()) if keys_B is None else keys_B
@@ -562,16 +563,64 @@ def test_lemma_outputs_match_the_relayed_form(make, sigma_side):
     delta = TaylorCoderivation(C.space_A, lambda n, w: Qd.component(n, w) - C.d_A.on_key(w[0])
                                if n == 1 else Qd.component(n, w), W, 1).as_map(sym.space_A)
     hd = sym.h @ delta
-    geo = LinOp.identity(sym.space_A)
-    for n in range(1, W + 1):
-        geo = geo + hd.power(n)
-    new = lemma_outputs(sym.sigma, sym.tau, sym.h, delta, geo)
+    N = hd.power(1)
+    for n in range(2, W + 1):
+        N = N + hd.power(n)
+    geo = LinOp.identity(sym.space_A) + N
+    new = lemma_outputs(sym.sigma, sym.tau, sym.h, delta, N)
     sd_geo = (sym.sigma @ delta) @ geo
     old = (sd_geo @ sym.tau, sym.sigma + sd_geo @ sym.h, geo @ sym.tau, geo @ sym.h)
     for i, words in enumerate((words_W, words_U, words_W, words_U)):
         assert new[i].first_difference(old[i], words) is None, i
     assert sym.tau.first_difference(new[2], words_W) is not None
     assert any(new[0].on_key(w) for w in words_W) == sigma_side
+
+
+def test_perturbed_operators_share_the_images_they_leave_unchanged():
+    # on the FIX-2M transfer input, perturbed by linf_transfer's delta = Q - S(d):
+    # the perturbed d_A holds S(d_A)'s cached image itself wherever delta is
+    # zero, h' = (1 + N) h^ holds h^'s wherever N h^ is zero, and sigma' and d_B'
+    # hold sigma's and d_B's wherever they leave them unchanged.  A certificate-1
+    # perturbation has N = 0, so its tau' and h' share every image.  No cached
+    # image of the input contraction changes
+    Qd, C, W, keys_A, keys_B = _fix2_mid_transfer_input()
+    words_U, words_W = words_over(C.space_A, keys_A, W), words_over(C.space_B, keys_B, W)
+    sym = symmetrized_contraction(C, W, (), ())
+    delta = TaylorCoderivation(C.space_A, lambda n, w: Qd.component(n, w) - C.d_A.on_key(w[0])
+                               if n == 1 else Qd.component(n, w), W, 1).as_map(sym.space_A)
+    inputs = {"sigma": (sym.sigma, words_U), "tau": (sym.tau, words_W),
+              "h": (sym.h, words_U), "d_A": (sym.d_A, words_U), "d_B": (sym.d_B, words_W)}
+    shared = {name: {w: op.on_key(w) for w in words} for name, (op, words) in inputs.items()}
+    snapshot = {name: {w: dict(v.items()) for w, v in images.items()}
+                for name, images in shared.items()}
+
+    _, pert = perturb(sym, Perturbation(delta, W + 1), words_U, words_W)
+    quiet = [w for w in words_U if not delta.on_key(w)]
+    assert 0 < len(quiet) < len(words_U)
+    assert all(pert.d_A.on_key(w) is sym.d_A.on_key(w) for w in quiet)
+    hd = sym.h @ delta
+    N = hd.power(1)
+    for n in range(2, W + 1):
+        N = N + hd.power(n)
+    kept = [w for w in words_U if not N(sym.h.on_key(w))]
+    assert any(sym.h.on_key(w) for w in kept) and len(kept) < len(words_U)
+    assert all(pert.h.on_key(w) is sym.h.on_key(w) for w in kept)
+    assert all(pert.sigma.on_key(w) is sym.sigma.on_key(w) for w in words_U
+               if pert.sigma.on_key(w) == sym.sigma.on_key(w))
+    assert all(pert.d_B.on_key(w) is sym.d_B.on_key(w) for w in words_W)
+
+    # d_A tau sigma squares to zero with d_A, and h d_A tau sigma = 0 by the
+    # side conditions, so it is a perturbation with certificate 1
+    flat = sym.d_A @ sym.tau @ sym.sigma
+    assert any(flat.on_key(w) for w in words_U)
+    _, one = perturb(sym, Perturbation(flat, 1), words_U, words_W)
+    assert all(one.tau.on_key(w) is sym.tau.on_key(w) for w in words_W)
+    assert all(one.h.on_key(w) is sym.h.on_key(w) for w in words_U)
+
+    assert all(op.on_key(w) is shared[name][w] for name, (op, words) in inputs.items()
+               for w in words)
+    assert {name: {w: dict(v.items()) for w, v in images.items()}
+            for name, images in shared.items()} == snapshot
 
 
 def test_a_cubic_transfer_reads_sigma_delta():

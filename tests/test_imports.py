@@ -21,7 +21,8 @@ caller: each module-level function and method is referenced in ``src/`` or
 ``perfbench/`` outside its own body, unless an allowlist gives the one-line
 reason only tests reach it, no accumulator
 starts from the shared, read-only ``Vector.zero()`` (no ``add_scaled`` on a
-name bound to it), and no certificate
+name bound to it) or from a cached image (a name bound to an ``on_key`` or
+``component`` call), and no certificate
 compares an operator with a freshly built ``LinOp.zero`` or
 ``LinOp.identity`` through ``first_difference``, every script that
 ``pyproject.toml`` declares names a module that imports and has the named
@@ -629,6 +630,36 @@ def shared_zero_accumulators(path: Path) -> list:
 def test_no_accumulation_into_the_shared_zero(path):
     sites = shared_zero_accumulators(path)
     assert not sites, f"{path.name}: start an accumulator from Vector(), not Vector.zero(), at {sites}"
+
+
+# A cached image is shared: a LinOp sum holds a summand's image itself where the
+# other is zero, so a write into it would change two caches at once.  A name
+# bound to an ``on_key(...)`` or ``component(...)`` call is never the target of
+# an ``add_scaled``.
+CACHED_IMAGE_READS = {"on_key", "component"}
+
+
+def cached_image_accumulators(path: Path) -> list:
+    """(owner, line) of each ``name.add_scaled(...)`` call whose name the same
+    function binds to a ``.on_key(...)`` or ``.component(...)`` call."""
+    def is_image_read(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in CACHED_IMAGE_READS)
+
+    nodes = owned_nodes(path)
+    image_names = {(owner, t.id) for owner, node in nodes
+                   if isinstance(node, ast.Assign) and is_image_read(node.value)
+                   for t in node.targets if isinstance(t, ast.Name)}
+    return [(owner, node.lineno) for owner, node in nodes
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_scaled" and isinstance(node.func.value, ast.Name)
+            and (owner, node.func.value.id) in image_names]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_accumulation_into_a_cached_image(path):
+    sites = cached_image_accumulators(path)
+    assert not sites, f"{path.name}: accumulate into a Vector() of your own, not a cached image, at {sites}"
 
 
 # A certificate evaluates its identity key by key on the images of the maps it
