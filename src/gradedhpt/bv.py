@@ -4,12 +4,14 @@ contractions, Maurer-Cartan theory over Laurent candidates, the convolution
 exp/log comparison of morphism notions, and the dual coalgebra picture.
 
 Scope rule (see ``report.scan``): every checker here evaluates a claim level by
-level (arity or word weight) and decides it on the levels evaluated before the
-first witness or the first level that leaves the algebra's guard; that scope
-goes in the bounds.  The congruences K(Delta)_m = 0 and kappa(f)_m = 0 mod
-t^{m-1} are written once (``_congruence_claims``) and computed to the order the
-series is reliable to.  A claim with nothing of its own evaluated, or beyond
-that order, is UNDETERMINED, never PASS, and no Overflow escapes a checker.
+level (arity, word weight or key weight) and decides it on the levels evaluated
+before the first witness or the first level that leaves the algebra's guard;
+that scope goes in the bounds.  ``bv_check`` opens with the structure-series
+preamble of ``tseries``, as ``ibl.ibl_check`` does.  The congruences
+K(Delta)_m = 0 and kappa(f)_m = 0 mod t^{m-1} are written once
+(``_congruence_claims``) and computed to the order the series is reliable to.
+A claim with nothing of its own evaluated, or beyond that order, is
+UNDETERMINED, never PASS, and no Overflow escapes a checker.
 
 Maurer-Cartan candidates are flat (order, key) Vectors.  Their residuals and
 push-forwards are ``mc.mc_sum`` of the Koszul-bracket and cumulant lifts
@@ -37,7 +39,7 @@ from .commalg import (
 )
 from .hpt import Contraction, check_semifull_algebra, check_semifull_coalgebra, linf_transfer
 from .mc import mc_sum
-from .report import Report, scan, witness_verdict
+from .report import Report, evaluable_scope, scan, witness_verdict
 from .symcoalg import (
     FiniteCoalgebra,
     SymSpace,
@@ -48,8 +50,8 @@ from .symcoalg import (
     star_log,
     words_over,
 )
-from .tseries import (TOp, TruncatedTAlgebra, flat_unital_map, flatten_top, known_order, spl_t,
-                      unflatten)
+from .tseries import (TOp, TruncatedTAlgebra, degree_claim, flat_unital_map, flatness_claims,
+                      flatten_top, known_coefficients, known_order, spl_t, unit_claim)
 
 
 def _require_odd(k: int) -> None:
@@ -73,15 +75,9 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
     two independent routes: per-coefficient operator order, and the mod-t
     congruence of the Koszul brackets computed in A[t]/(t^{N+1}).
 
-    Scope rule (see ``report.scan``): both routes evaluate arity by arity on the
-    order corpus and stop at the first witness or after the first arity that
-    leaves the algebra's guard.  Each claim is decided on the arities evaluated
-    below that, recorded in the bounds as ``scope: <claim>``; a claim with no
-    arity of its own in scope is UNDETERMINED, never PASS, and no Overflow
-    escapes.  The degree, unit and flatness claims are decided on all basis
-    keys at once (``Report.decide``): a key beyond the guard leaves one with no
-    witness UNDETERMINED.  The coefficients and flatness orders above the
-    order the series is known to are UNDETERMINED, one claim each.
+    Scope rule as in the module docstring: both routes scan the order corpus
+    arity by arity, and the degree, unit and flatness claims are the
+    structure-series preamble of ``tseries``, as in ``ibl_check``.
     """
     _require_odd(k)
     rep = Report(title, bounds={"N": N, "arity_bound": arity_bound, "k": k})
@@ -91,34 +87,16 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
     if Delta.degree != 1:
         raise ValueError("a derived BV operator has total degree one")
     keys = tuple(A.order_check_keys() if order_keys is None else order_keys)
-    basis_keys = tuple(A.space.keys())
 
-    reliable = Delta.known_to
-    support = Delta.support()
-    top = max(support, default=0)
-    if reliable is not None:
-        rep.add_beyond(reliable, [f"claims on Delta_{n}" for n in support if n > reliable]
-                       + [f"flatness at order {n}" for n in range(reliable + 1, N + 1)])
-        support = [n for n in support if n <= reliable]
+    for n, op in known_coefficients(rep, Delta, "Delta", N).items():
+        scope, want = evaluable_scope(A, op.on_key), 1 + n * (k - 1)
+        degree_claim(rep, A, op, f"degree of coefficient {n} is {want}", want, scope)
+        unit_claim(rep, A, op, f"coefficient {n} kills the unit", scope)
 
-    degree = A.space.degree
-    for n in support:
-        op, want = Delta.coeff(n), 1 + n * (k - 1)
-        name = f"degree of coefficient {n} is {want}"
-        if op.degree != want:
-            rep.add(name, False, f"declared degree {op.degree}")
-        else:
-            rep.decide(name, basis_keys, lambda kk: next(
-                (kk for k2 in op.on_key(kk).keys() if degree(k2) != degree(kk) + want), None))
-        rep.decide(f"coefficient {n} kills the unit", (A.unit_key,),
-                   lambda u: None if op.on_key(u).is_zero() else u)
-
-    # route B's flattening serves the square when their orders agree; a
-    # flattening of the square's own is freed before routes A and B run
+    # route B's flattening serves the square when their orders agree
     order = known_order(N, Delta)
-    flat_top = 2 * top if Delta.is_exact() else order
     Dflat = flatten_top(Delta, order)
-    _flatness_claims(rep, Dflat if flat_top == order else flatten_top(Delta, flat_top), basis_keys)
+    flatness_claims(rep, A, Delta, Dflat)
 
     # route A: coefficient n is a differential operator of order <= n+1; on a
     # generating corpus, vanishing must hold at every arity above the order
@@ -126,7 +104,7 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
         if Delta.is_exact() and n not in Delta.coeffs:
             continue
         name = f"order(Delta_{n}) <= {n + 1}"
-        if not Delta.is_exact() and reliable is not None and n > reliable:
+        if not Delta.is_exact() and n > Delta.known_to:
             rep.add(name, None, "coefficient beyond reliable order")
             continue
         op = Delta.coeff(n)
@@ -144,18 +122,6 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
     _congruence_claims(rep, "K(Delta)", keys, arity_bound, order, lambda tup: koszul_recursion(
         At, Dflat, tuple((0, kk) for kk in tup), memo))
     return rep
-
-
-def _flatness_claims(rep: Report, Dflat: LinOp, basis_keys) -> None:
-    """The claims "flatness at order n" for every order n of the flattened
-    structure series ``Dflat``: every coefficient is odd, so
-    sum_i [Delta_i, Delta_{n-i}] = 2 (Delta o Delta)_n.  The square's caches
-    go with the call."""
-    top = Dflat.domain.N
-    sq = unflatten(Dflat @ Dflat, range(top + 1), None)
-    for n in range(top + 1):
-        rep.decide(f"flatness at order {n}", basis_keys,
-                   lambda kk: None if sq.coeff(n).on_key(kk).is_zero() else kk)
 
 
 def _congruence_claims(rep: Report, label: str, keys, arity_bound: int, order: int,
@@ -186,12 +152,10 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
                       k: int, N: int, arity_bound: int, keys=None) -> Report:
     """Certify f = sum t^n f_n as a morphism (A, Delta) -> (B, Delta').
 
-    Scope rule as in ``bv_check``: the congruences kappa(f)_m = 0 mod t^{m-1}
-    are computed to the order f is reliable to and decided by one
-    ``report.scan`` over the arities; an arity beyond the guard or beyond that
-    order is UNDETERMINED, never PASS, and no Overflow escapes.  The defect
-    f Delta - Delta' f is taken at ``known_order`` of the three series and
-    decided on all keys at once, like ``bv_check``'s degree claims.
+    Scope rule as in the module docstring: the congruences kappa(f)_m = 0 mod
+    t^{m-1} are one ``report.scan`` over the arities, computed to the order f
+    is reliable to.  The defect f Delta - Delta' f is taken at ``known_order``
+    of the three series and decided on all keys at once (``Report.decide``).
     """
     _require_odd(k)
     td = _t_degree(k)
@@ -254,11 +218,9 @@ def verify_poisson(A: CommAlgebra, Delta: TOp, k: int, arity_bound: int,
                    keys=None) -> Report:
     """The Poisson image squares to zero and its brackets are multiderivations.
 
-    Scope rule as in ``bv_check``: the square is decided by one ``report.scan``
-    over word weights, and the multiderivation claims by one scan over the
-    arities n, each a claim of its own (the key tuples of n + 1 letters are the
-    cases).  A claim with no level of its own in scope is UNDETERMINED, never
-    PASS, and no Overflow escapes.
+    Scope rule as in the module docstring: the square is one ``report.scan``
+    over word weights, and the multiderivation claims one scan over the arities
+    n, each a claim of its own (the key tuples of n + 1 letters are the cases).
     """
     rep = Report("derived Poisson image", bounds={"arity_bound": arity_bound, "k": k})
     keys = tuple(A.order_check_keys() if keys is None else keys)
@@ -575,13 +537,12 @@ def cobv_check(C: FiniteCoalgebra, delta: TOp, k: int, N: int, arity_bound: int)
     rep = bv_check(A_dual, _dual_series(delta, A_dual.basis, A_dual.basis), k, N, arity_bound,
                    title="derived BV coalgebra")
     # counit-killing membership, then the independent cobracket-recursion route
-    for n in sorted(delta.coeffs):
-        op = delta.coeffs[n]
-        kills_unit = op.on_key(C.unit_key).is_zero()
-        counit_free = all(op.on_key(key)[C.unit_key] == 0 for key in C.keys())
-        rep.add(f"delta_{n} kills the coaugmentation", kills_unit)
-        rep.add(f"counit kills delta_{n} images", counit_free)
-        if not (kills_unit and counit_free):
+    for n, op in sorted(delta.coeffs.items()):
+        unit_bad = None if op.on_key(C.unit_key).is_zero() else C.unit_key
+        counit_bad = next((key for key in C.keys() if op.on_key(key)[C.unit_key] != 0), None)
+        rep.add(f"delta_{n} kills the coaugmentation", *witness_verdict(unit_bad))
+        rep.add(f"counit kills delta_{n} images", *witness_verdict(counit_bad))
+        if unit_bad is not None or counit_bad is not None:
             rep.add(f"coorder(delta_{n}) <= {n + 1} (direct recursion)", None,
                     "recursion needs a counit-killing operator")
             continue

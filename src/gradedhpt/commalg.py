@@ -118,12 +118,12 @@ class GuardedFreeAlgebra(CommAlgebra):
 
     Keys are exponent tuples; odd generators square to zero, even generators may
     carry a nilpotency exponent, and any product whose total word length would
-    exceed the guard raises Overflow instead of truncating.  The algebra is its
-    own key space (``keys``, ``degree``), equal to another built from the same
-    generators and guard.
+    exceed the guard raises Overflow instead of truncating; a key's weight is
+    that length, its exponent sum.  The algebra is its own key space (``keys``,
+    ``degree``), equal to another built from the same generators and guard.
     """
 
-    def __init__(self, generators: Sequence[tuple[str, int, int | None]], length_bound: int):
+    def __init__(self, generators: Sequence[tuple[str, int, int | None]], weight_bound: int):
         self.gen_symbols = tuple(g[0] for g in generators)
         self.gen_degrees = tuple(int(g[1]) for g in generators)
         nil = []
@@ -136,14 +136,14 @@ class GuardedFreeAlgebra(CommAlgebra):
                 nil.append(n)
         self.nilpotency = tuple(nil)
         self._odd_desc = tuple(i for i in reversed(range(len(nil))) if self.gen_degrees[i] % 2)
-        self.length_bound = length_bound
+        self.weight_bound = weight_bound
         self.unit_key = (0,) * len(generators)
         keys = [()]
         for n in self.nilpotency:
-            keys = [k + (e,) for k in keys for e in range(length_bound + 1 if n is None else n)]
-        keys = (k for k in keys if sum(k) <= length_bound)
+            keys = [k + (e,) for k in keys for e in range(weight_bound + 1 if n is None else n)]
+        keys = (k for k in keys if sum(k) <= weight_bound)
         self._keys = tuple(sorted(keys, key=lambda k: (sum(k), k)))
-        self._token = (self.gen_symbols, self.gen_degrees, self.nilpotency, length_bound)
+        self._token = (self.gen_symbols, self.gen_degrees, self.nilpotency, weight_bound)
 
     @property
     def space(self) -> "GuardedFreeAlgebra":
@@ -161,14 +161,17 @@ class GuardedFreeAlgebra(CommAlgebra):
     def degree(self, key) -> int:
         return sum(map(mul, key, self.gen_degrees))
 
+    def weight(self, key) -> int:
+        return sum(key)
+
     def mul_keys(self, k1, k2) -> Iterable:
         out = tuple(map(add, k1, k2))
         for e, n in zip(out, self.nilpotency):
             if n is not None and e >= n:
                 return ()
         length = sum(out)
-        if length > self.length_bound:
-            raise Overflow(f"monomial length {length} exceeds guard {self.length_bound}")
+        if length > self.weight_bound:
+            raise Overflow(f"monomial length {length} exceeds guard {self.weight_bound}")
         # each odd letter of k2 moves left past the odd letters of k1 after it
         crossings = later = 0
         for i in self._odd_desc:
@@ -181,8 +184,8 @@ class GuardedFreeAlgebra(CommAlgebra):
         for e, n in zip(key, self.nilpotency):
             if n is not None and e >= n:
                 return Vector.zero()
-        if sum(key) > self.length_bound:
-            raise Overflow(f"monomial length {sum(key)} exceeds guard {self.length_bound}")
+        if sum(key) > self.weight_bound:
+            raise Overflow(f"monomial length {sum(key)} exceeds guard {self.weight_bound}")
         return Vector.basis(key, coeff)
 
     def show_key(self, key) -> str:

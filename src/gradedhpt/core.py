@@ -467,11 +467,17 @@ class CommAlgebra:
     monomial backends yield at most one term and build no Vector; an
     explicit structure table yields the items of its entry.  A caller that
     needs a vector wraps the terms in ``Vector(...)``.  ``space`` is the key
-    space (keys and degrees) of the algebra.
+    space (keys and degrees) of the algebra.  ``weight`` and ``weight_bound``
+    grade its keys for ``report.evaluable_scope``; the default (the unit 0, every
+    other key 1, bound 1) is one level, for a finite algebra that never overflows.
     """
 
     space: object
     unit_key: object
+    weight_bound = 1
+
+    def weight(self, key) -> int:
+        return 0 if key == self.unit_key else 1
 
     def mul_keys(self, k1, k2) -> Iterable:
         raise NotImplementedError

@@ -97,12 +97,12 @@ def fix1_perturbation(f: Fix1) -> tuple[LinOp, int]:
         return Vector.zero()
 
     nu = LinOp(A.space, A.space, 0, nu_fn, "nu")
-    cert = A.length_bound // 2 + 2
+    cert = A.weight_bound // 2 + 2
     e = exp_endomorphism(A, nu, cert)
     e_inv = exp_endomorphism(A, nu.scale(-1), cert)
     d_new = (e_inv @ f.d) @ e
     delta = d_new - f.d
-    return delta, A.length_bound + 1
+    return delta, A.weight_bound + 1
 
 
 # -- FIX-2 --------------------------------------------------------------------------
@@ -229,11 +229,11 @@ def fix2_mid_perturbation(f: Fix2Mid) -> tuple[LinOp, int]:
         return Vector.zero()
 
     nu = LinOp(A.space, A.space, 0, nu_fn, "nu")
-    cert = A.length_bound + 2
+    cert = A.weight_bound + 2
     e = exp_endomorphism(A, nu, cert)
     e_inv = exp_endomorphism(A, nu.scale(-1), cert)
     delta = ((e_inv @ f.contraction.d_A) @ e) - f.contraction.d_A
-    return delta, A.length_bound + 1
+    return delta, A.weight_bound + 1
 
 
 # -- FIX-3 --------------------------------------------------------------------------

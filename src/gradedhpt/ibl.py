@@ -25,7 +25,7 @@ from .core import GradedBasis, LinOp, Overflow, Vector
 from .commalg import cumulant_lift, cumulant_recursion, kos_lift, koszul_recursion
 from .hpt import Contraction, LinfTransfer, linf_transfer
 from .mc import KuranishiData, NilpotentFiltration, correspondence_claims, mc_sum
-from .report import Report, evaluable_scope, witness_verdict
+from .report import Report, evaluable_scope, keys_upto, witness_verdict
 from .symcoalg import (
     SymSpace,
     TaylorCoderivation,
@@ -36,8 +36,8 @@ from .symcoalg import (
     star_log,
     taylor_coderivation_from_map,
 )
-from .tseries import (TOp, TruncatedTAlgebra, flat_unital_map, flatten_top, known_order, spl_t,
-                      unflatten)
+from .tseries import (TOp, TruncatedTAlgebra, degree_claim, flat_unital_map, flatness_claims,
+                      flatten_top, known_coefficients, known_order, spl_t, unit_claim)
 
 T_DEGREE = 2  # k = -1
 
@@ -59,10 +59,6 @@ class IBLStructure:
 
     def quotient(self) -> TruncatedTAlgebra:
         return TruncatedTAlgebra(self.space, self.N, T_DEGREE)
-
-
-def _upto(space: SymSpace, k: int) -> list:
-    return [w for w in space.keys() if len(w) <= k]
 
 
 def _sampled_tuples(space: SymSpace, arity_bound: int, scope: int, limit: int):
@@ -128,57 +124,31 @@ def ibl_check(ibl: IBLStructure, arity_bound: int = 3) -> Report:
     plus flatness, unit/counit conditions, degrees, and componentwise vanishing
     of the square (the quadratic relations for small input/output/genus).
 
-    Scope rule: each claim is evaluated on the words of weight <= the
-    ``evaluable_scope`` of the operator it evaluates, recorded in the bounds as
-    ``scope: <claim>``; ``scope: delta`` is the scope shared by all the
-    coefficients.  A claim whose scope holds no reduced word is UNDETERMINED,
-    never PASS, and no Overflow escapes.  The coefficients, flatness orders and
-    square blocks above the order a series is known to are UNDETERMINED.
+    Scope rule: the structure-series preamble's (``tseries``), as in
+    ``bv.bv_check``, for every claim; ``scope: delta`` is the least scope of the
+    coefficients, and the square blocks above the known order are UNDETERMINED.
     """
     rep = Report("IBL structure", bounds={"W": ibl.space.weight_bound, "N": ibl.N,
                                           "arity_bound": arity_bound})
     S = ibl.space
-    known = ibl.delta.known_to
-    coeffs = {n: op for n, op in ibl.delta.coeffs.items() if known is None or n <= known}
-    if known is not None:
-        rep.add_beyond(known, [f"claims on delta_{n}" for n in ibl.delta.support() if n > known]
-                       + [f"flatness at order {n}" for n in range(known + 1, ibl.N + 1)])
-
+    coeffs = known_coefficients(rep, ibl.delta, "delta", ibl.N)
     scopes = {}
-    for n, op in sorted(coeffs.items()):
+    for n, op in coeffs.items():
         scope = scopes[n] = evaluable_scope(S, op.on_key)
-        words = _upto(S, scope)
-        rep.add(f"delta_{n}(1) = 0", op.on_key(()).is_zero() if scope >= 0 else None)
+        unit_claim(rep, S, op, f"delta_{n}(1) = 0", scope)
         rep.claim(f"counit kills delta_{n}", scope, lambda: witness_verdict(
-            next((w for w in words if op.on_key(w)[()] != 0), None)))
-
-        def degree_ok():
-            try:
-                op.check_homogeneous(words)
-            except ValueError as exc:
-                return False, str(exc)
-            return op.degree == 1 - 2 * n, ""
-
-        rep.claim(f"degree of delta_{n} is {1 - 2 * n}", scope, degree_ok)
+            next((w for w in keys_upto(S, scope) if op.on_key(w)[()] != 0), None)))
+        degree_claim(rep, S, op, f"degree of delta_{n} is {1 - 2 * n}", 1 - 2 * n, scope)
     rep.bounds["scope: delta"] = min(scopes.values(), default=S.weight_bound)
-
-    # every coefficient is odd, so sum_i [delta_i, delta_{n-i}] = 2 (delta o delta)_n
-    flat_top = 2 * max(coeffs, default=0) if known is None else known_order(ibl.N, ibl.delta)
-    dflat = flatten_top(ibl.delta, flat_top)
-    sq = unflatten(dflat @ dflat, range(flat_top + 1), known)
-    for n in range(flat_top + 1):
-        op = sq.coeff(n)
-        scope = evaluable_scope(S, op.on_key)
-        rep.claim(f"flatness at order {n}", scope, lambda: witness_verdict(
-            next((w for w in _upto(S, scope) if not op.on_key(w).is_zero()), None)))
+    sq = flatness_claims(rep, S, ibl.delta, flatten_top(ibl.delta, known_order(ibl.N, ibl.delta)))
 
     s_map = antipode(S)
-    for n, op in sorted(coeffs.items()):
+    for n, op in coeffs.items():
         phi_n = convolution(op, s_map, S)
         scope = evaluable_scope(S, phi_n.on_key)
         rep.claim(f"(b) image of delta_{n} * s in weights <= {n + 1} (inputs <= {scope})",
                   scope, lambda: witness_verdict(next(
-                      (w for w in _upto(S, scope)
+                      (w for w in keys_upto(S, scope)
                        if any(len(u) > n + 1 for u in phi_n.on_key(w).keys())), None)))
         _routes_c_d(rep, S, lambda keys: koszul_recursion(S, op, keys), phi_n,
                     lambda u: len(u) - n - 1, scope, arity_bound, 12,
@@ -268,7 +238,7 @@ def reassemble_defect(ibl: IBLStructure, comps: PComponents):
     diff = (flatten_top(TOp(coeffs, S, S, 1, T_DEGREE), order)
             - flatten_top(ibl.delta, order))
     scope = evaluable_scope(S, lambda w: diff.on_key((0, w)))
-    return next(((w, diff.on_key((0, w))) for w in _upto(S, scope) if diff.on_key((0, w))), None)
+    return next(((w, diff.on_key((0, w))) for w in keys_upto(S, scope) if diff.on_key((0, w))), None)
 
 
 def degree_audit(ibl: IBLStructure, comps: PComponents):
@@ -293,11 +263,10 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
 
     Scope rule as in ``ibl_check``: the counit claim runs on the evaluable scope
     of f, the intertwining claim on that of f delta - delta' f (named in the
-    claim), and routes (b)-(d) on that of log_* f; a claim whose scope holds no
-    reduced word is UNDETERMINED, and no Overflow escapes.  f and routes (b)-(d)
-    read f to the order it is known to, and the intertwining claim reads its
-    defect to the order that is known to; the orders above are UNDETERMINED.
-    log_* needs f(1) = 1, so routes (b)-(d) are UNDETERMINED unless that PASSes.
+    claim), and routes (b)-(d) on that of log_* f.  f and routes (b)-(d) read f
+    to the order it is known to, and the intertwining claim its defect to the
+    order that is known to; the orders above are UNDETERMINED.  log_* needs
+    f(1) = 1, so routes (b)-(d) are UNDETERMINED unless that PASSes.
     """
     rep = Report(title, bounds={"N": target.N, "arity_bound": arity_bound})
     SU = source.space
@@ -311,7 +280,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
               if scope_f >= 0 else None)
     rep.add("f(1) = 1", unital)
     rep.claim("counit compatibility", scope_f, lambda: witness_verdict(next(
-        ((n, w) for n in support for w in _upto(SU, scope_f)
+        ((n, w) for n in support for w in keys_upto(SU, scope_f)
          if w and f.coeff(n).on_key(w)[()] != 0), None)))
 
     order = known_order(N, f, source.delta, target.delta)
@@ -319,7 +288,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
     inter = f_ord @ flatten_top(source.delta, order) - flatten_top(target.delta, order) @ f_ord
     scope_i = evaluable_scope(SU, lambda w: inter.on_key((0, w)))
     rep.claim(f"f delta = delta' f (orders <= {order}, weights <= {scope_i})", scope_i,
-              lambda: witness_verdict(next((w for w in _upto(SU, scope_i)
+              lambda: witness_verdict(next((w for w in keys_upto(SU, scope_i)
                                             if inter.on_key((0, w))), None)))
     rep.add_beyond(order, [f"f delta = delta' f beyond order {order}"] if order < N else [])
 
@@ -336,7 +305,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
     logf = star_log(f_flat, Vt)
     scope = evaluable_scope(SU, logf.on_key)
     rep.claim(routes[0], scope, lambda: witness_verdict(next(
-        ((w, m) for w in _upto(SU, scope) for (m, u) in logf.on_key(w).keys()
+        ((w, m) for w in keys_upto(SU, scope) for (m, u) in logf.on_key(w).keys()
          if len(u) > m + 1), None)))
 
     _routes_c_d(rep, SU, lambda keys: cumulant_recursion(SU, Vt, f_flat, keys), logf,
@@ -361,12 +330,10 @@ def ibl_transfer(ibl: IBLStructure, C: Contraction, arity_bound: int = 3) -> IBL
     contraction; stage 2: perturb by the positive-order part, which preserves
     the weight-shifted subspace.  Outputs are re-certified.
 
-    Scope rule as in ``ibl_check``: every claim runs on the evaluable scope of
-    what it evaluates, recorded in the bounds (merged reports keep their
-    prefix; ``transferred: scope: delta`` is the scope of the transferred
-    structure); a claim whose scope holds no reduced word is UNDETERMINED, and
-    no Overflow escapes.  The perturbation series are flagged exact only when
-    they terminate on every word of S (see ``spl_t``).
+    Scope rule as in ``ibl_check``; merged reports keep their prefix in the
+    bounds (``transferred: scope: delta`` is the scope of the transferred
+    structure).  The perturbation series are flagged exact only when they
+    terminate on every word of S (see ``spl_t``).
     """
     rep = Report("IBL transfer", bounds={"W": ibl.space.weight_bound, "N": ibl.N})
     S = ibl.space
@@ -374,7 +341,7 @@ def ibl_transfer(ibl: IBLStructure, C: Contraction, arity_bound: int = 3) -> IBL
     delta0 = ibl.delta.coeff(0)
     scope = evaluable_scope(S, delta0.on_key)
     rep.claim("order-zero part is a coderivation", scope,
-              lambda: (coderivation_defect(delta0, _upto(S, scope)) is None, ""))
+              lambda: (coderivation_defect(delta0, keys_upto(S, scope)) is None, ""))
     Qd = taylor_coderivation_from_map(delta0, W, exact_beyond=True, label="delta0")
     word_con = linf_transfer(Qd, C, W).word_contraction
     SV: SymSpace = word_con.space_B
@@ -404,7 +371,7 @@ def _shift_claim(rep: Report, name: str, S: SymSpace, series: TOp) -> None:
     on its own evaluable scope; the claim's scope is the least of these."""
     scopes = {n: evaluable_scope(S, op.on_key) for n, op in series.coeffs.items()}
     rep.claim(name, min(scopes.values(), default=S.weight_bound), lambda: witness_verdict(next(
-        ((n, w) for n, op in series.coeffs.items() for w in _upto(S, scopes[n])
+        ((n, w) for n, op in series.coeffs.items() for w in keys_upto(S, scopes[n])
          if any(len(u) > len(w) + n for u in op.on_key(w).keys())), None)))
 
 

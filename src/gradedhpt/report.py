@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Any, Callable, Iterable
 
 from .core import Overflow
@@ -52,23 +51,30 @@ def scan(levels: Iterable, check: Callable) -> tuple[Any, Any]:
     return scope, None
 
 
-def evaluable_scope(space, evaluate: Callable, top: int | None = None) -> int:
-    """Weight-closed evaluable scope on a word space: the largest k <= top
-    (default: the word bound) such that ``evaluate(word)`` raises no Overflow on
-    any word of weight <= k; -1 if it fails on the empty word.
+def evaluable_scope(A, evaluate: Callable, top: int | None = None) -> int:
+    """Weight-closed evaluable scope on the keys of an algebra: the largest
+    k <= top (default: its ``weight_bound``) such that ``evaluate(key)`` raises
+    no Overflow on any key of ``A.weight`` <= k; -1 if it fails on the unit.
 
-    An operator that leaves the word bound only on some words of a weight is
-    scoped below that whole weight.  The images land in the LinOp caches, so a
-    claim evaluated on the scope afterwards recomputes nothing.
+    An operator that leaves the guard only on some keys of a weight is scoped
+    below that whole weight.  The images land in the LinOp caches, so a claim
+    evaluated on the scope afterwards recomputes nothing.
     """
-    top = space.weight_bound if top is None else top
-    by_weight = {k: tuple(ws) for k, ws in groupby(space.keys(), len)}
+    top = A.weight_bound if top is None else top
+    by_weight: dict = {}
+    for key in A.space.keys():
+        by_weight.setdefault(A.weight(key), []).append(key)
 
-    def holds(word):
-        evaluate(word)
+    def holds(key):
+        evaluate(key)
 
     scope, _ = scan(((k, by_weight.get(k, ())) for k in range(top + 1)), holds)
     return scope
+
+
+def keys_upto(A, k: int) -> list:
+    """The keys of the algebra ``A`` of weight <= k, in key order."""
+    return [key for key in A.space.keys() if A.weight(key) <= k]
 
 
 def witness_verdict(bad) -> tuple[bool, str]:

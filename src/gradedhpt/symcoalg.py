@@ -152,6 +152,9 @@ class SymSpace(CommAlgebra):
     def degree(self, word: SymWord) -> int:
         return sum(self.base.degree(k) for k in word)
 
+    def weight(self, word: SymWord) -> int:
+        return len(word)
+
     def keys(self) -> tuple[SymWord, ...]:
         if self._keys is None:
             self._keys = tuple(words_over(self.base, self.base.keys(), self.weight_bound))

@@ -14,6 +14,11 @@ them; ``flatten_top`` and ``flat_unital_map`` are built on it.  With a pole,
 intertwining defect, a difference) is ``LinOp`` algebra on the flattened
 spaces, taken at ``known_order``, and ``unflatten`` reads a flattened operator
 back as a series.  ``spl_t`` is ``hpt.perturb`` on the flattened contraction.
+
+A structure series (``bv.bv_check``, ``ibl.ibl_check``) opens with one
+preamble: the claims above its known order, each coefficient's degree and unit
+claims, and flatness at each order, each decided (``Report.claim``) on the keys
+of weight up to the ``report.evaluable_scope`` of its operator.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from functools import partial
 
 from .core import CommAlgebra, LinOp, Overflow, Vector
 from .hpt import Contraction, Perturbation, perturb
+from .report import Report, evaluable_scope, keys_upto, witness_verdict
 from .symcoalg import _space_token
 
 
@@ -145,6 +151,54 @@ def unflatten(flat: LinOp, support, known_to: int | None) -> TOp:
     return TOp({n: LinOp(dom.base, cod.base, flat.degree - n * dom.t_degree,
                          partial(_coefficient_image, flat, n), f"({flat.label})_{n}")
                 for n in support}, dom.base, cod.base, flat.degree, dom.t_degree, known_to)
+
+
+def known_coefficients(rep: Report, series: TOp, label: str, N: int) -> dict:
+    """The coefficients up to the order the series is known to; above it, the
+    claims on each ``label_n`` and flatness at each order <= N are UNDETERMINED."""
+    known = series.known_to
+    if known is not None:
+        rep.add_beyond(known, [f"claims on {label}_{n}" for n in series.support() if n > known]
+                       + [f"flatness at order {n}" for n in range(known + 1, N + 1)])
+    return {n: series.coeffs[n] for n in series.support() if known is None or n <= known}
+
+
+def degree_claim(rep: Report, A: CommAlgebra, op: LinOp, name: str, want: int,
+                 scope: int) -> None:
+    """``op`` has degree ``want``: declared, and homogeneous on the keys in scope."""
+    def decide():
+        if op.degree != want:
+            return False, f"declared degree {op.degree}"
+        try:
+            op.check_homogeneous(keys_upto(A, scope))
+        except ValueError as exc:
+            return False, str(exc)
+        return True, ""
+
+    rep.claim(name, scope, decide)
+
+
+def unit_claim(rep: Report, A: CommAlgebra, op: LinOp, name: str, scope: int) -> None:
+    """``op`` kills the unit, decided once the unit is in ``scope``."""
+    rep.claim(name, scope, lambda: witness_verdict(
+        None if op.on_key(A.unit_key).is_zero() else A.unit_key), least=0)
+
+
+def flatness_claims(rep: Report, A: CommAlgebra, series: TOp, flat: LinOp) -> TOp:
+    """The claims "flatness at order n", and the square as a series: every
+    coefficient is odd, so sum_i [D_i, D_{n-i}] = 2 (D o D)_n.  ``flat`` is
+    the series flattened at the order it is known to; an exact series is
+    squared to twice its top order, flattened anew where that differs."""
+    top = 2 * max(series.coeffs, default=0) if series.is_exact() else flat.domain.N
+    if top != flat.domain.N:
+        flat = flatten_top(series, top)
+    sq = unflatten(flat @ flat, range(top + 1), series.known_to)
+    for n in range(top + 1):
+        op = sq.coeff(n)
+        scope = evaluable_scope(A, op.on_key)
+        rep.claim(f"flatness at order {n}", scope, lambda: witness_verdict(next(
+            (key for key in keys_upto(A, scope) if not op.on_key(key).is_zero()), None)))
+    return sq
 
 
 def _nilpotency(hd: LinOp, key, N: int) -> int:

@@ -151,14 +151,17 @@ class TestBVCheck:
     def test_no_overflow_escapes_the_preamble(self, W):
         # FIX-4's IBL structure on S_{<=W}(U) is a legal input: delta_1 leaves
         # the word bound on the top weight, so its degree claim and the flatness
-        # orders that read it are UNDETERMINED.  It is no derived BV structure
-        # (IBL's filtration bounds outputs, not inputs), and two order claims FAIL
+        # orders that read it are decided on the weights below, which the bounds
+        # state.  It is no derived BV structure (IBL's filtration bounds outputs,
+        # not inputs), and two order claims FAIL
         ibl = fix4().structure(W, 2)
-        verdicts = {i.name: (i.verdict, i.detail)
-                    for i in bv_check(ibl.space, ibl.delta, -1, 2, 3).items}
+        rep = bv_check(ibl.space, ibl.delta, -1, 2, 3)
+        verdicts = {i.name: (i.verdict, i.detail) for i in rep.items}
         assert len(verdicts) == 11
-        for name in ("degree of coefficient 1 is -1", "flatness at order 1", "flatness at order 2"):
-            assert verdicts[name] == ("UNDETERMINED", "beyond the guard"), name
+        for name, scope in (("degree of coefficient 1 is -1", W - 1),
+                            ("flatness at order 1", W - 1), ("flatness at order 2", W - 2)):
+            assert verdicts[name] == ("PASS", ""), name
+            assert rep.bounds[f"scope: {name}"] == scope, name
         assert [n for n, (v, _) in verdicts.items() if v == "FAIL"] == \
             ["order(Delta_0) <= 1", "K(Delta)_2 = 0 mod t^1"]
         assert verdicts["flatness at order 0"][0] == "PASS"
@@ -843,3 +846,6 @@ class TestCoBV:
         dual_fails = {i.name for i in rep.items if i.verdict == "FAIL"}
         assert any("order(Delta_1)" in n for n in dual_fails)
         assert any("kills the coaugmentation" in n for n in dual_fails)
+        # the failing claim names its witness, the coaugmentation's key
+        items = {i.name: (i.verdict, i.detail) for i in rep.items}
+        assert items["delta_1 kills the coaugmentation"] == ("FAIL", f"witness {C.unit_key}")

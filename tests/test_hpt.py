@@ -330,10 +330,10 @@ class TestSemifullStability:
                         if A.space.degree(k2) == A.space.degree(key) and sum(k2) < sum(key) - 1]
                 images[key] = random_homogeneous(rng, A.space, A.space.degree(key), span)
             nu = LinOp.from_dict(A.space, A.space, 0, images, "nu")
-            e = exp_endomorphism(A, nu, A.length_bound + 1)
-            e_inv = exp_endomorphism(A, nu.scale(-1), A.length_bound + 1)
+            e = exp_endomorphism(A, nu, A.weight_bound + 1)
+            e_inv = exp_endomorphism(A, nu.scale(-1), A.weight_bound + 1)
             delta = ((e_inv @ f.d) @ e) - f.d
-            _, pert = perturb(f.contraction, Perturbation(delta, A.length_bound + 1))
+            _, pert = perturb(f.contraction, Perturbation(delta, A.weight_bound + 1))
             rep = check_semifull_algebra(pert, A, SCALARS, keys_A=keys)
             assert rep.ok, (trial, rep.to_text())
 

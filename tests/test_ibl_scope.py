@@ -5,6 +5,7 @@ every word."""
 
 import pytest
 
+from gradedhpt.bv import bv_check, bv_morphism_check, verify_poisson
 from gradedhpt.commalg import kos_lift
 from gradedhpt.core import LinOp, Vector
 from gradedhpt.fixtures import fix4
@@ -13,10 +14,11 @@ from gradedhpt.ibl import (
     extract_p_components,
     ibl_check,
     ibl_mc_check,
+    ibl_morphism_check,
     ibl_transfer,
 )
 from gradedhpt.report import Report, evaluable_scope
-from gradedhpt.tseries import flatten_top
+from gradedhpt.tseries import TOp, flatten_top
 
 
 def flat(parts: dict) -> Vector:
@@ -86,3 +88,45 @@ def test_merged_bounds_keep_their_prefix():
     for prefix, n in (("F: ", 2), ("G: ", 3)):
         rep.merge(Report("inner", bounds={"N": n}), prefix=prefix)
     assert rep.bounds == {"N": 1, "F: N": 2, "G: N": 3}
+
+
+def preamble_pairs(n: int) -> list:
+    """The claims of ``bv_check`` at k = -1 and of ``ibl_check`` on coefficient n."""
+    return [(f"degree of coefficient {n} is {1 - 2 * n}", f"degree of delta_{n} is {1 - 2 * n}"),
+            (f"coefficient {n} kills the unit", f"delta_{n}(1) = 0")]
+
+
+@pytest.mark.parametrize("W", [3, 4, 5, 6])
+def test_one_preamble_rule_for_bv_and_ibl(f4, W):
+    # delta_1 leaves S_{<=W}(U) on the top weight: both checkers decide the
+    # shared claims on the same evaluable scopes and state them in the bounds
+    ibl = f4.structure(W, 2)
+    bv, ib = bv_check(ibl.space, ibl.delta, -1, 2, 3), ibl_check(ibl, 3)
+    verdicts = [{i.name: i.verdict for i in rep.items} for rep in (bv, ib)]
+    pairs = preamble_pairs(0) + preamble_pairs(1) + [(f"flatness at order {m}",) * 2
+                                                     for m in range(3)]
+    for a, b in pairs:
+        assert verdicts[0][a] == verdicts[1][b] == "PASS", (a, b)
+        scopes = bv.bounds.get(f"scope: {a}"), ib.bounds.get(f"scope: {b}")
+        assert None in scopes or scopes[0] == scopes[1], (a, b)
+    assert bv.bounds["scope: flatness at order 2"] == W - 2
+
+
+@pytest.mark.parametrize("W", [3, 4, 5, 6])
+def test_every_public_checker_reports_beyond_the_guard(f4, W):
+    # with a coefficient that leaves the guard on the top weight, every public
+    # structure and morphism checker returns a report and no Overflow escapes
+    ibl = f4.structure(W, 2)
+    S = ibl.space
+    ident = TOp({0: LinOp.identity(S)}, S, S, 0, 2)
+    reports = {"bv_check": bv_check(S, ibl.delta, -1, 2, 3),
+               "ibl_check": ibl_check(ibl, 3),
+               "bv_morphism_check": bv_morphism_check(ident, S, S, ibl.delta, ibl.delta, -1, 2, 3),
+               "ibl_morphism_check": ibl_morphism_check(ident, ibl, ibl, 3),
+               "verify_poisson": verify_poisson(S, ibl.delta, -1, 3)}
+    # exit status 0 is all PASS, 1 a FAIL, 2 UNDETERMINED; the square blocks
+    # of ibl_check grow with the weights in scope
+    summary = {name: (rep.exit_status(), len(rep.items)) for name, rep in reports.items()}
+    assert summary == {"bv_check": (1, 11), "ibl_check": (0, {3: 33, 4: 39}.get(W, 42)),
+                       "bv_morphism_check": (2, 4), "ibl_morphism_check": (0, 6),
+                       "verify_poisson": (1, 4)}

@@ -183,7 +183,7 @@ def exp_series_calls(path: Path) -> list:
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_exp_series_only_in_mc_sums(path):
+def test_exp_series_only_in_the_bv_exponential(path):
     stray = [(owner, line) for owner, line in exp_series_calls(path)
              if owner not in EXP_SERIES_CALLERS]
     assert not stray, f"{path.name}: exp_series called outside {sorted(EXP_SERIES_CALLERS)} at {stray}"
@@ -808,3 +808,29 @@ def test_one_tensor_coproduct():
     stale = sorted((name, owner) for name, allowed in allowlists.items() for owner in allowed
                    if (name, owner) not in callers)
     assert not stale, f"allowlisted callers that no longer call: {stale}"
+
+
+# One structure square.  A t-series squares to zero through the one flatness
+# square of the structure-series preamble, ``tseries.flatness_claims``, which
+# ``bv_check`` and ``ibl_check`` both call; ``x @ x`` of one name elsewhere in
+# the library is a second flatness implementation.
+STRUCTURE_SQUARES = {
+    "tseries.flatness_claims": "the preamble's flatness square, read back by unflatten",
+    "bv.verify_poisson": "P(Delta)^2 squares a coderivation on words, not a t-series",
+}
+
+
+def squares(path: Path) -> list:
+    """(owner, line) of each ``x @ x`` with one name on both sides."""
+    return [(owner, node.lineno) for owner, node in owned_nodes(path)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and isinstance(node.left, ast.Name) and isinstance(node.right, ast.Name)
+            and node.left.id == node.right.id]
+
+
+def test_one_structure_square():
+    sites = [site for path in LIBRARY_MODULES for site in squares(path)]
+    stray = [site for site in sites if site[0] not in STRUCTURE_SQUARES]
+    assert not stray, f"a square outside the preamble (call tseries.flatness_claims): {stray}"
+    stale = sorted(set(STRUCTURE_SQUARES) - {owner for owner, _ in sites})
+    assert not stale, f"allowlisted squares that no longer square: {stale}"
