@@ -7,11 +7,12 @@ Scope rule (see ``report.scan``): every checker here evaluates a claim level by
 level (arity, word weight or key weight) and decides it on the levels evaluated
 before the first witness or the first level that leaves the algebra's guard;
 that scope goes in the bounds.  ``bv_check`` opens with the structure-series
-preamble of ``tseries``, as ``ibl.ibl_check`` does.  The congruences
-K(Delta)_m = 0 and kappa(f)_m = 0 mod t^{m-1} are written once
-(``_congruence_claims``) and computed to the order the series is reliable to.
-A claim with nothing of its own evaluated, or beyond that order, is
-UNDETERMINED, never PASS, and no Overflow escapes a checker.
+preamble of ``tseries``, and the morphism checks claim f Delta = Delta' f by
+its ``intertwining_claims``, as ``ibl`` does.  The congruences K(Delta)_m = 0
+and kappa(f)_m = 0 mod t^{m-1} are written once (``_congruence_claims``) and
+computed to the order the series is reliable to.  A claim with nothing of its
+own evaluated, or beyond that order, is UNDETERMINED, never PASS, and no
+Overflow escapes a checker.
 
 Maurer-Cartan candidates are flat (order, key) Vectors.  Their residuals and
 push-forwards are ``mc.mc_sum`` of the Koszul-bracket and cumulant lifts
@@ -51,7 +52,8 @@ from .symcoalg import (
     words_over,
 )
 from .tseries import (TOp, TruncatedTAlgebra, degree_claim, flat_unital_map, flatness_claims,
-                      flatten_top, known_coefficients, known_order, spl_t, unit_claim)
+                      flatten_top, intertwining_claims, known_coefficients, known_order, spl_t,
+                      unit_claim)
 
 
 def _require_odd(k: int) -> None:
@@ -153,9 +155,10 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
     """Certify f = sum t^n f_n as a morphism (A, Delta) -> (B, Delta').
 
     Scope rule as in the module docstring: the congruences kappa(f)_m = 0 mod
-    t^{m-1} are one ``report.scan`` over the arities, computed to the order f
-    is reliable to.  The defect f Delta - Delta' f is taken at ``known_order``
-    of the three series and decided on all keys at once (``Report.decide``).
+    t^{m-1} are one ``report.scan`` over the arities of the corpus ``keys``,
+    computed to the order f is known to, and the unit claims read it to that
+    order (the ones above are UNDETERMINED).  The intertwining claim is
+    ``tseries.intertwining_claims``, as in ``ibl.ibl_morphism_check``.
     """
     _require_odd(k)
     td = _t_degree(k)
@@ -164,16 +167,11 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
 
     rep.add("f_0(1_A) = 1_B", f.coeff(0).on_key(A.unit_key) == B.unit())
     for n in f.support():
-        if n >= 1:
+        if 1 <= n <= known_order(n, f):
             rep.add(f"f_{n}(1_A) = 0", f.coeff(n).on_key(A.unit_key).is_zero())
+    rep.add_beyond(f.known_to, [f"f_{n}(1_A) = 0" for n in f.support() if n > known_order(n, f)])
 
-    order = known_order(N, f, DeltaA, DeltaB)
-    f_ord = flatten_top(f, order)
-    lhs, rhs = f_ord @ flatten_top(DeltaA, order), flatten_top(DeltaB, order) @ f_ord
-    rep.decide(f"f Delta = Delta' f (orders <= {order})", keys,
-               lambda kk: None if lhs.on_key((0, kk)) == rhs.on_key((0, kk)) else kk)
-    rep.add_beyond(order, [f"f Delta = Delta' f beyond order {order}"] if order < N else [])
-
+    intertwining_claims(rep, A, f, DeltaA, DeltaB, N, "f Delta = Delta' f")
     Bt = TruncatedTAlgebra(B, known_order(N, f), td)
     f_flat = flat_unital_map(f, Bt)
     _congruence_claims(rep, "kappa(f)", keys, arity_bound, Bt.N,
@@ -435,19 +433,6 @@ def cl_vanishing_defect(phi: LinOp, SU: SymSpace):
     return None
 
 
-def cl_intertwine_defect(F: LinOp, Delta_U: TOp, Delta_B: TOp, Bt: TruncatedTAlgebra, N: int):
-    """exp-side chain condition F Delta = Delta' F on the flattened spaces."""
-    DU = flatten_top(Delta_U, N)
-    DB = flatten_top(Delta_B, N)
-
-    def F_t(key):
-        n, word = key
-        return Vector(((n + m, kk), c) for (m, kk), c in F.on_key(word).items() if n + m <= N)
-
-    Ft = LinOp(DU.domain, Bt.space, 0, F_t, "F~")
-    return (Ft @ DU).first_difference(DB @ Ft, DU.domain.keys())
-
-
 def cl_bijection(phi: LinOp, SU: SymSpace, Bt: TruncatedTAlgebra,
                  Delta_U: TOp, Delta_B: TOp, arity_bound: int) -> Report:
     """Both directions of the exp/log correspondence between the two morphism notions.
@@ -455,7 +440,9 @@ def cl_bijection(phi: LinOp, SU: SymSpace, Bt: TruncatedTAlgebra,
     Scope rule as in ``bv_check``: the congruences kappa(F)_m = 0 mod t^{m-1}
     on letters are decided arity by arity into a side report, and the
     equivalence claim is UNDETERMINED, never FAIL, when no arity fails there
-    and some arity is undecided (beyond the guard or beyond the order N).
+    and some arity is undecided (beyond the guard or beyond the order N).  The
+    chain condition is ``tseries.intertwining_claims`` of F, read as the
+    t-series of its coefficients, as in ``bv_morphism_check``.
     """
     N = Bt.N
     rep = Report("morphism-notion comparison", bounds={"N": N, "arity_bound": arity_bound})
@@ -463,8 +450,10 @@ def cl_bijection(phi: LinOp, SU: SymSpace, Bt: TruncatedTAlgebra,
         raise ValueError("comparison data must kill the coalgebra unit")
     F = star_exp(phi, Bt)
     cl_ok = cl_vanishing_defect(phi, SU) is None
-    inter = cl_intertwine_defect(F, Delta_U, Delta_B, Bt, N)
-    rep.add("chain condition for exp data", *witness_verdict(inter))
+    td = Bt.t_degree
+    F_t = TOp({m: LinOp(SU, Bt.A.space, -m * td, lambda w, m=m: _at_order(F.on_key(w), m),
+                        f"F_{m}") for m in range(N + 1)}, SU, Bt.A.space, 0, td)
+    intertwining_claims(rep, SU, F_t, Delta_U, Delta_B, N, "chain condition for exp data")
     kappa = Report("cumulant congruence")
     _congruence_claims(kappa, "kappa(F)", SU.order_check_keys(), arity_bound, N,
                        lambda tup: cumulant_recursion(SU, Bt, F, tup))
@@ -536,8 +525,11 @@ def cobv_check(C: FiniteCoalgebra, delta: TOp, k: int, N: int, arity_bound: int)
     A_dual = coalgebra_dual_algebra(C)
     rep = bv_check(A_dual, _dual_series(delta, A_dual.basis, A_dual.basis), k, N, arity_bound,
                    title="derived BV coalgebra")
-    # counit-killing membership, then the independent cobracket-recursion route
+    # counit-killing membership, then the independent cobracket-recursion route,
+    # on the coefficients whose claims bv_check does not leave UNDETERMINED
     for n, op in sorted(delta.coeffs.items()):
+        if n > known_order(n, delta):
+            continue
         unit_bad = None if op.on_key(C.unit_key).is_zero() else C.unit_key
         counit_bad = next((key for key in C.keys() if op.on_key(key)[C.unit_key] != 0), None)
         rep.add(f"delta_{n} kills the coaugmentation", *witness_verdict(unit_bad))

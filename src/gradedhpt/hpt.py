@@ -39,7 +39,7 @@ from .core import (
     koszul_sign,
 )
 from .commalg import cumulant_lift, kos_lift, koszul_closed, koszul_vanishes
-from .report import PASS, Report, scan
+from .report import PASS, Report, scan, witness_verdict
 from .symcoalg import (
     SymSpace,
     TaylorCoderivation,
@@ -189,9 +189,11 @@ def perturb(C: Contraction, p: Perturbation, keys_A=None,
 
 
 def _identity(rep: Report, name: str, cases, defect) -> None:
-    """Claim that ``defect(*case)`` vanishes on every case, all or nothing: a case
-    beyond the guard leaves the claim UNDETERMINED unless another is a witness."""
-    rep.decide(name, cases, lambda case: case if defect(*case) else None)
+    """Claim that ``defect(*case)`` vanishes on every case, all or nothing (one
+    level of ``report.scan``: key pairs have no weight grading): a case beyond
+    the guard leaves the claim UNDETERMINED unless another is a witness."""
+    scope, witness = scan([(0, cases)], lambda case: case if defect(*case) else None)
+    rep.add(name, *((None, "beyond the guard") if scope < 0 else witness_verdict(witness)))
 
 
 def _bis_identities(rep: Report, C: Contraction, alg_A: CommAlgebra, alg_B: CommAlgebra,

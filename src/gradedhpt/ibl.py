@@ -37,7 +37,8 @@ from .symcoalg import (
     taylor_coderivation_from_map,
 )
 from .tseries import (TOp, TruncatedTAlgebra, degree_claim, flat_unital_map, flatness_claims,
-                      flatten_top, known_coefficients, known_order, spl_t, unit_claim)
+                      flatten_top, intertwining_claims, known_coefficients, known_order, spl_t,
+                      unit_claim)
 
 T_DEGREE = 2  # k = -1
 
@@ -262,11 +263,10 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
     route (c) with exact route agreement, and 8 sampled arguments (d).
 
     Scope rule as in ``ibl_check``: the counit claim runs on the evaluable scope
-    of f, the intertwining claim on that of f delta - delta' f (named in the
-    claim), and routes (b)-(d) on that of log_* f.  f and routes (b)-(d) read f
-    to the order it is known to, and the intertwining claim its defect to the
-    order that is known to; the orders above are UNDETERMINED.  log_* needs
-    f(1) = 1, so routes (b)-(d) are UNDETERMINED unless that PASSes.
+    of f and routes (b)-(d) on that of log_* f, each reading f to the order it
+    is known to; the intertwining claim is ``tseries.intertwining_claims``, as
+    in ``bv.bv_morphism_check``.  The orders above are UNDETERMINED.  log_*
+    needs f(1) = 1, so routes (b)-(d) are UNDETERMINED unless that PASSes.
     """
     rep = Report(title, bounds={"N": target.N, "arity_bound": arity_bound})
     SU = source.space
@@ -283,14 +283,7 @@ def ibl_morphism_check(f: TOp, source: IBLStructure, target: IBLStructure,
         ((n, w) for n in support for w in keys_upto(SU, scope_f)
          if w and f.coeff(n).on_key(w)[()] != 0), None)))
 
-    order = known_order(N, f, source.delta, target.delta)
-    f_ord = flatten_top(f, order)
-    inter = f_ord @ flatten_top(source.delta, order) - flatten_top(target.delta, order) @ f_ord
-    scope_i = evaluable_scope(SU, lambda w: inter.on_key((0, w)))
-    rep.claim(f"f delta = delta' f (orders <= {order}, weights <= {scope_i})", scope_i,
-              lambda: witness_verdict(next((w for w in keys_upto(SU, scope_i)
-                                            if inter.on_key((0, w))), None)))
-    rep.add_beyond(order, [f"f delta = delta' f beyond order {order}"] if order < N else [])
+    intertwining_claims(rep, SU, f, source.delta, target.delta, N, "f delta = delta' f")
 
     routes = ("(b) log_* of f lands in t^m S_{<=m+1}",
               "(c) cumulants on letters match (b) and the weight bound",
@@ -341,7 +334,7 @@ def ibl_transfer(ibl: IBLStructure, C: Contraction, arity_bound: int = 3) -> IBL
     delta0 = ibl.delta.coeff(0)
     scope = evaluable_scope(S, delta0.on_key)
     rep.claim("order-zero part is a coderivation", scope,
-              lambda: (coderivation_defect(delta0, keys_upto(S, scope)) is None, ""))
+              lambda: witness_verdict(coderivation_defect(delta0, keys_upto(S, scope))))
     Qd = taylor_coderivation_from_map(delta0, W, exact_beyond=True, label="delta0")
     word_con = linf_transfer(Qd, C, W).word_contraction
     SV: SymSpace = word_con.space_B
@@ -356,13 +349,11 @@ def ibl_transfer(ibl: IBLStructure, C: Contraction, arity_bound: int = 3) -> IBL
     rep.merge(ibl_morphism_check(F, target, ibl, arity_bound, title="F"), prefix="F: ")
     rep.merge(ibl_morphism_check(G, ibl, target, arity_bound, title="G"), prefix="G: ")
     _shift_claim(rep, "perturbed homotopy preserves the weight-shifted subspace", S, H)
-    # linear parts
-    ok_lin = all(F.coeff(0).on_key((k,)) == Vector({(k2,): c for k2, c in C.tau.on_key(k).items()})
-                 for k in C.space_B.keys())
-    rep.add("linear part of F is the section", ok_lin)
-    ok_lin_g = all(G.coeff(0).on_key((k,)) == Vector({(k2,): c for k2, c in C.sigma.on_key(k).items()})
-                   for k in C.space_A.keys())
-    rep.add("linear part of G is the projection", ok_lin_g)
+    for name, series, op in (("linear part of F is the section", F, C.tau),
+                             ("linear part of G is the projection", G, C.sigma)):
+        lifted = {k: Vector(((k2,), c) for k2, c in op.on_key(k).items()) for k in op.domain.keys()}
+        rep.add(name, *witness_verdict(next(
+            (k for k, v in lifted.items() if series.coeff(0).on_key((k,)) != v), None)))
     return IBLTransfer(target, F, G, H, rep)
 
 

@@ -119,13 +119,6 @@ class Report:
         else:
             self.add(name, *decide())
 
-    def decide(self, name: str, cases, check: Callable) -> None:
-        """Add the claim ``name``, decided on all ``cases`` at once as one level
-        of ``scan``: a witness FAILs it, and a case beyond the guard with no
-        witness leaves it UNDETERMINED."""
-        scope, witness = scan([(0, cases)], check)
-        self.add(name, *((None, "beyond the guard") if scope < 0 else witness_verdict(witness)))
-
     def merge(self, other: "Report", prefix: str = "") -> None:
         """Append the other report's items and bounds, both under ``prefix``, so
         bounds of merged reports do not overwrite each other."""

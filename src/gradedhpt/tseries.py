@@ -18,7 +18,8 @@ back as a series.  ``spl_t`` is ``hpt.perturb`` on the flattened contraction.
 A structure series (``bv.bv_check``, ``ibl.ibl_check``) opens with one
 preamble: the claims above its known order, each coefficient's degree and unit
 claims, and flatness at each order, each decided (``Report.claim``) on the keys
-of weight up to the ``report.evaluable_scope`` of its operator.
+of weight up to the ``report.evaluable_scope`` of its operator.  So is the one
+morphism claim f D = D' f (``intertwining_claims``), on its flat defect.
 """
 
 from __future__ import annotations
@@ -199,6 +200,21 @@ def flatness_claims(rep: Report, A: CommAlgebra, series: TOp, flat: LinOp) -> TO
         rep.claim(f"flatness at order {n}", scope, lambda: witness_verdict(next(
             (key for key in keys_upto(A, scope) if not op.on_key(key).is_zero()), None)))
     return sq
+
+
+def intertwining_claims(rep: Report, A: CommAlgebra, f: TOp, source: TOp, target: TOp, N: int,
+                        label: str) -> None:
+    """The claim ``label`` that f source = target f at ``known_order`` of the
+    three series, decided on t^0 times the keys of ``A`` up to the evaluable
+    scope of the flat defect (named in the claim); the orders above, to N, are
+    UNDETERMINED."""
+    order = known_order(N, f, source, target)
+    f_ord = flatten_top(f, order)
+    defect = f_ord @ flatten_top(source, order) - flatten_top(target, order) @ f_ord
+    scope = evaluable_scope(A, lambda key: defect.on_key((0, key)))
+    rep.claim(f"{label} (orders <= {order}, weights <= {scope})", scope, lambda: witness_verdict(
+        next((key for key in keys_upto(A, scope) if defect.on_key((0, key))), None)))
+    rep.add_beyond(order, [f"{label} beyond order {order}"] if order < N else [])
 
 
 def _nilpotency(hd: LinOp, key, N: int) -> int:

@@ -263,13 +263,15 @@ class TestScopeRule:
 
     def test_no_overflow_escapes_the_intertwining_defect(self):
         # on FIX-4's S_{<=4}(U), delta_1 leaves the word bound on the top
-        # weight, so f Delta - Delta' f cannot be evaluated on every key
+        # weight, so f Delta - Delta' f is decided on the weights below it
         ibl = fix4().structure(4, 2)
         S = ibl.space
         ident = TOp({0: LinOp.identity(S)}, S, S, 0, 2)
-        items = {i.name: (i.verdict, i.detail)
-                 for i in bv_morphism_check(ident, S, S, ibl.delta, ibl.delta, -1, 2, 3).items}
-        assert items["f Delta = Delta' f (orders <= 2)"] == ("UNDETERMINED", "beyond the guard")
+        rep = bv_morphism_check(ident, S, S, ibl.delta, ibl.delta, -1, 2, 3)
+        items = {i.name: (i.verdict, i.detail) for i in rep.items}
+        name = "f Delta = Delta' f (orders <= 2, weights <= 3)"
+        assert items[name] == ("PASS", "")
+        assert rep.bounds[f"scope: {name}"] == 3
         assert "FAIL" not in {v for v, _ in items.values()}
 
 
@@ -289,14 +291,29 @@ class TestBVMorphism:
 
         def intertwining(DeltaB):
             rep = bv_morphism_check(ident, f2.A, f2.A, D, DeltaB, -1, 3, 3, keys=keys2)
-            return {i.name: i.verdict for i in rep.items if i.name.startswith("f Delta")}
+            return {i.name: (i.verdict, i.detail) for i in rep.items
+                    if i.name.startswith("f Delta")}
 
+        beyond = {"f Delta = Delta' f beyond order 1": ("UNDETERMINED", "series known to order 1")}
         known1 = TOp(D.coeffs, D.domain, D.codomain, D.degree, D.t_degree, known_to=1)
-        assert intertwining(known1) == {"f Delta = Delta' f (orders <= 1)": "PASS",
-                                        "f Delta = Delta' f beyond order 1": "UNDETERMINED"}
-        assert intertwining(D) == {"f Delta = Delta' f (orders <= 3)": "PASS"}
+        assert intertwining(known1) == {"f Delta = Delta' f (orders <= 1, weights <= 10)":
+                                        ("PASS", ""), **beyond}
+        assert intertwining(D) == {"f Delta = Delta' f (orders <= 3, weights <= 10)": ("PASS", "")}
         wrong = TOp({0: f2.d, 1: f2.delta1.scale(2)}, D.domain, D.codomain, 1, 2, known_to=1)
-        assert intertwining(wrong)["f Delta = Delta' f (orders <= 1)"] == "FAIL"
+        assert intertwining(wrong) == {"f Delta = Delta' f (orders <= 1, weights <= 10)":
+                                       ("FAIL", "witness (0, 1, 1, 0)"), **beyond}
+
+    def test_unit_claims_read_f_to_the_order_it_is_known_to(self, f2, keys2):
+        # f_2 sends 1_A to 1_A, but f is known only to order 1: its unit claim
+        # is UNDETERMINED, not FAIL, and nothing else reads it
+        A = f2.A
+        x = LinOp.from_dict(A.space, A.space, -4, {A.unit_key: A.unit()}, "x")
+        f = TOp({0: LinOp.identity(A.space), 2: x}, A.space, A.space, 0, 2, known_to=1)
+        D = f2.delta_series()
+        rep = bv_morphism_check(f, A, A, D, D, -1, 3, 3, keys=keys2)
+        item = next(i for i in rep.items if i.name == "f_2(1_A) = 0")
+        assert (item.verdict, item.detail) == ("UNDETERMINED", "series known to order 1")
+        assert not rep.has_fail, rep.to_text()
 
     def test_isomorphism_case(self, f2, keys2):
         # f_0 scaling by units is an algebra iso only when it preserves products;
@@ -628,6 +645,25 @@ class TestCLBijection:
         assert (item.verdict, item.detail) == ("UNDETERMINED", "cl=True, kappa=None")
         assert not out.has_fail, out.to_text()
 
+    def test_chain_condition_fails_on_its_first_word(self):
+        # d a = b on U and Delta' = 0 on V, with phi(b) = bbar at t^0: F(d a) =
+        # bbar but Delta' F(a) = 0, so the word (a,) is the first witness
+        U = GradedBasis.make([("a", 0), ("b", 1)])
+        SU = SymSpace(U, 3)
+        V = GradedBasis.make([("1", 0), ("abar", 0), ("bbar", 1)])
+        V_alg = ExplicitFDAlgebra(V, {(1, 1): Vector.zero(), (1, 2): Vector.zero(),
+                                      (2, 2): Vector.zero()}, 0)
+        Vt = TruncatedTAlgebra(V_alg, 2, 2)
+        d = LinOp.from_dict(U, U, 1, {0: Vector.basis(1)}, "d")
+        DU = TOp({0: TaylorCoderivation.from_linear(d).as_map(SU)}, SU, SU, 1, 2)
+        DV = TOp({}, V_alg.space, V_alg.space, 1, 2)
+        phi = LinOp.from_dict(SU, Vt.space, 0, {(1,): Vector.basis((0, 2))}, "phi")
+        out = cl_bijection(phi, SU, Vt, DU, DV, 3)
+        item = next(i for i in out.items if i.name.startswith("chain condition"))
+        assert (item.name, item.verdict, item.detail) == (
+            "chain condition for exp data (orders <= 2, weights <= 3)", "FAIL", "witness (0,)")
+        assert out.bounds["scope: chain condition for exp data (orders <= 2, weights <= 3)"] == 3
+
     def test_chain_map_instance(self):
         # exp data of S(g) for a chain map g intertwines the induced structures
         U = GradedBasis.make([("a", 0), ("b", 1)])
@@ -752,6 +788,19 @@ class TestCoBV:
         delta_dual = TOp({1: dual_linop(delta1, dual, dual)}, dual, dual, 1, 2)
         rep = cobv_check(C, delta_dual, -1, 2, 3)
         assert rep.ok, rep.to_text()
+
+    def test_cobv_reads_delta_to_the_order_it_is_known_to(self):
+        # delta_1 sends u' to 1', but delta is known only to order 0: the claims
+        # on Delta_1 are UNDETERMINED, and no direct claim on delta_1 is made
+        C = algebra_dual_coalgebra(self.exterior_three())
+        dual = C.basis
+        x = LinOp.from_dict(dual, dual, -1, {1: Vector.basis(0)}, "x")
+        delta = TOp({0: LinOp.zero(dual, degree=1), 1: x}, dual, dual, 1, 2, known_to=0)
+        rep = cobv_check(C, delta, -1, 2, 3)
+        verdicts = {i.name: (i.verdict, i.detail) for i in rep.items}
+        assert verdicts["claims on Delta_1"] == ("UNDETERMINED", "series known to order 0")
+        assert not [name for name in verdicts if "delta_1" in name], rep.to_text()
+        assert not rep.has_fail, rep.to_text()
 
     def test_cobv_detects_order_violation_both_routes(self):
         # corrupt the valid instance by a component sending the top word down

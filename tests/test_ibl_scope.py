@@ -113,6 +113,21 @@ def test_one_preamble_rule_for_bv_and_ibl(f4, W):
 
 
 @pytest.mark.parametrize("W", [3, 4, 5, 6])
+def test_one_intertwining_rule_for_both_morphism_checks(f4, W):
+    # delta_1 leaves S_{<=W}(U) on the top weight: the BV and the IBL morphism
+    # checks decide f D = D' f by one rule, on the same weights below it
+    ibl = f4.structure(W, 2)
+    S = ibl.space
+    ident = TOp({0: LinOp.identity(S)}, S, S, 0, 2)
+    reports = {"f Delta = Delta' f": bv_morphism_check(ident, S, S, ibl.delta, ibl.delta, -1, 2, 3),
+               "f delta = delta' f": ibl_morphism_check(ident, ibl, ibl, 3)}
+    for label, rep in reports.items():
+        name = f"{label} (orders <= 2, weights <= {W - 1})"
+        assert {i.name: i.verdict for i in rep.items}.get(name) == "PASS", rep.to_text()
+        assert rep.bounds[f"scope: {name}"] == W - 1
+
+
+@pytest.mark.parametrize("W", [3, 4, 5, 6])
 def test_every_public_checker_reports_beyond_the_guard(f4, W):
     # with a coefficient that leaves the guard on the top weight, every public
     # structure and morphism checker returns a report and no Overflow escapes

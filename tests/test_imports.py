@@ -33,7 +33,10 @@ library class defines ``mul`` or ``product``, and each one that defines
 ``LinOp``s on the flattened spaces (``tseries.flatten_top``), and
 ``symcoalg.tensor_coproduct`` is the one tensor coproduct: a library call of
 ``coproduct`` or of the split generator ``_word_unshuffles`` sits only where
-an allowlist gives the reason."""
+an allowlist gives the reason, ``tseries.flatness_claims`` is the one structure
+square, and ``tseries.intertwining_claims`` is the one intertwining defect: no
+other library function puts one operand on the left of one ``@`` and on the
+right of another, unless an allowlist gives the reason."""
 
 import ast
 import importlib
@@ -834,3 +837,33 @@ def test_one_structure_square():
     assert not stray, f"a square outside the preamble (call tseries.flatness_claims): {stray}"
     stale = sorted(set(STRUCTURE_SQUARES) - {owner for owner, _ in sites})
     assert not stale, f"allowlisted squares that no longer square: {stale}"
+
+
+# One intertwining claim.  f D = D' f of a morphism series is decided in
+# ``tseries.intertwining_claims``, which the BV and IBL morphism checks and the
+# exp data of ``bv.cl_bijection`` call; one operand on the left of one ``@`` and
+# on the right of another in the same function, the shape f D - D' f, is a
+# second intertwining defect.
+INTERTWINING_DEFECTS = {
+    "tseries.intertwining_claims": "the one flat defect f D - D' f of a morphism series",
+    "core.LinOp.bracket": "the graded commutator of two operators, s o - (-1)^{|s||o|} o s",
+}
+
+
+def intertwining_defects(path: Path) -> list:
+    """(owner, line) of each ``@`` whose left operand is the right operand of
+    another ``@`` of the same owner."""
+    products = [(owner, node) for owner, node in owned_nodes(path)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+    return [(owner, node.lineno) for owner, node in products
+            if any(other is not node and where == owner
+                   and ast.dump(other.right) == ast.dump(node.left) for where, other in products)]
+
+
+def test_one_intertwining_defect():
+    sites = [site for path in LIBRARY_MODULES for site in intertwining_defects(path)]
+    stray = [site for site in sites if site[0] not in INTERTWINING_DEFECTS]
+    assert not stray, f"an intertwining defect outside the one claim " \
+                      f"(call tseries.intertwining_claims): {stray}"
+    stale = sorted(set(INTERTWINING_DEFECTS) - {owner for owner, _ in sites})
+    assert not stale, f"allowlisted defects that no longer intertwine: {stale}"
