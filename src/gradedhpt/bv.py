@@ -10,9 +10,11 @@ that scope goes in the bounds.  ``bv_check`` opens with the structure-series
 preamble of ``tseries``, and the morphism checks claim f Delta = Delta' f by
 its ``intertwining_claims``, as ``ibl`` does.  The congruences K(Delta)_m = 0
 and kappa(f)_m = 0 mod t^{m-1} are written once (``_congruence_claims``) and
-computed to the order the series is reliable to.  A claim with nothing of its
-own evaluated, or beyond that order, is UNDETERMINED, never PASS, and no
-Overflow escapes a checker.
+computed to the order the series is reliable to; they and the multiderivation
+claims decide arity m on its multisets of total key weight <= s, the scope s
+(``symcoalg.multisets_by_weight``).  A claim with nothing of its own
+evaluated, or beyond that order, is UNDETERMINED, never PASS, and no Overflow
+escapes a checker.
 
 Maurer-Cartan candidates are flat (order, key) Vectors.  Their residuals and
 push-forwards are ``mc.mc_sum`` of the Koszul-bracket and cumulant lifts
@@ -26,10 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations_with_replacement
 
 from .core import (CommAlgebra, GradedBasis, LinOp, RouteDisagreement, ShiftedSpace, Vector,
-                   exp_series, expand_multilinear)
+                   exp_series)
 from .commalg import (
     ExplicitFDAlgebra,
     cumulant_lift,
@@ -47,6 +48,7 @@ from .symcoalg import (
     TaylorCoderivation,
     TaylorMorphism,
     koszul_cobracket_tilde,
+    multisets_by_weight,
     star_exp,
     star_log,
     words_over,
@@ -117,37 +119,33 @@ def bv_check(A: CommAlgebra, Delta: TOp, k: int, N: int, arity_bound: int,
 
     # route B: K(Delta)_m = 0 mod t^{m-1}, computed in the truncated quotient
     # to the order the series is reliable to; each multiset is one tuple of
-    # order-0 keys for the key-tuple kernel, the scan over all arities shares
+    # order-0 keys for the key-tuple kernel, the scans of all arities share
     # one prefix memo of it, and the shared values it returns are only read
     At = TruncatedTAlgebra(A, order, td)
     memo: dict = {}
-    _congruence_claims(rep, "K(Delta)", keys, arity_bound, order, lambda tup: koszul_recursion(
+    _congruence_claims(rep, "K(Delta)", A, keys, arity_bound, order, lambda tup: koszul_recursion(
         At, Dflat, tuple((0, kk) for kk in tup), memo))
     return rep
 
 
-def _congruence_claims(rep: Report, label: str, keys, arity_bound: int, order: int,
-                       value) -> None:
+def _congruence_claims(rep: Report, label: str, A: CommAlgebra, keys, arity_bound: int,
+                       order: int, value) -> None:
     """The claims ``label_m = 0 mod t^{m-1}`` for m = 2..arity_bound, where
     ``value(tup)`` is the flattened value of the family (Koszul brackets of a
-    structure, cumulants of a morphism) on a tuple of keys, computed to order
-    ``order``.  One ``scan`` over the arities m <= order + 1, with the key
-    multisets as cases, decides each arity as a claim of its own; an arity
-    above ``order + 1`` is UNDETERMINED, its detail naming the order it needs."""
+    structure, cumulants of a morphism) on a key tuple of A, computed to order
+    ``order``.  Arity m is one ``report.scan`` of its multisets by total weight
+    (``multisets_by_weight``); above ``order + 1`` it is UNDETERMINED."""
     def witness(tup):
         bad = [key for key in value(tup).keys() if key[0] < len(tup) - 1]
         return (tup, bad[0]) if bad else None
 
-    top = min(arity_bound, order + 1)
-    scope, found = scan(((m, combinations_with_replacement(keys, m))
-                         for m in range(2, top + 1)), witness)
     for m in range(2, arity_bound + 1):
         name = f"{label}_{m} = 0 mod t^{m - 1}"
-        if m > top:
+        if m > order + 1:
             rep.add(name, None, f"needs order {m - 1}, have {order}")
-        else:
-            rep.claim(name, scope, lambda: witness_verdict(found if scope == m else None),
-                      least=m)
+            continue
+        scope, found = scan(multisets_by_weight(A, keys, m), witness)
+        rep.claim(name, scope, lambda: witness_verdict(found), least=m)
 
 
 def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, DeltaB: TOp,
@@ -174,7 +172,7 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
     intertwining_claims(rep, A, f, DeltaA, DeltaB, N, "f Delta = Delta' f")
     Bt = TruncatedTAlgebra(B, known_order(N, f), td)
     f_flat = flat_unital_map(f, Bt)
-    _congruence_claims(rep, "kappa(f)", keys, arity_bound, Bt.N,
+    _congruence_claims(rep, "kappa(f)", A, keys, arity_bound, Bt.N,
                        lambda tup: cumulant_recursion(A, Bt, f_flat, tup))
     return rep
 
@@ -217,8 +215,9 @@ def verify_poisson(A: CommAlgebra, Delta: TOp, k: int, arity_bound: int,
     """The Poisson image squares to zero and its brackets are multiderivations.
 
     Scope rule as in the module docstring: the square is one ``report.scan``
-    over word weights, and the multiderivation claims one scan over the arities
-    n, each a claim of its own (the key tuples of n + 1 letters are the cases).
+    over word weights.  The defect K_n(..., bc) - K_n(..., b)c -+ K_n(..., c)b
+    of P(Delta)_n = K(Delta_{n-1})_n is the two-slot recursion's K_{n+1}(..., b,
+    c), so arity n is one scan of the multisets of n + 1 keys by total weight.
     """
     rep = Report("derived Poisson image", bounds={"arity_bound": arity_bound, "k": k})
     keys = tuple(A.order_check_keys() if keys is None else keys)
@@ -230,22 +229,12 @@ def verify_poisson(A: CommAlgebra, Delta: TOp, k: int, arity_bound: int,
                      for m in range(1, arity_bound + 1)),
                     lambda word: None if sq.on_key(word).is_zero() else word)
     rep.claim("P(Delta)^2 = 0", scope, lambda: witness_verdict(w))
-
-    def multiderivation_witness(tup):
-        head, b, c = tup[:-2], tup[-2], tup[-1]
-        op, memo = Delta.coeff(len(tup) - 2), {}
-        lhs = expand_multilinear(tuple(map(Vector.basis, head)) + (Vector(A.mul_keys(b, c)),),
-                                 lambda *keys: koszul_recursion(A, op, keys, memo))
-        sign = -1 if (A.space.degree(b) % 2 and A.space.degree(c) % 2) else 1
-        rhs = (A.mul(koszul_recursion(A, op, head + (b,), memo), Vector.basis(c))
-               + A.mul(koszul_recursion(A, op, head + (c,), memo), Vector.basis(b)).scale(sign))
-        return None if lhs == rhs else tup
-
-    scope, bad = scan(((n, combinations_with_replacement(keys, n + 1))
-                       for n in range(1, arity_bound + 1)), multiderivation_witness)
     for n in range(1, arity_bound + 1):
-        rep.claim(f"P(Delta)_{n} is a multiderivation", scope,
-                  lambda: witness_verdict(bad if scope == n else None), least=n)
+        op, memo = Delta.coeff(n - 1), {}
+        scope, bad = scan(multisets_by_weight(A, keys, n + 1),
+                          lambda tup: None if koszul_recursion(A, op, tup, memo).is_zero() else tup)
+        rep.claim(f"P(Delta)_{n} is a multiderivation", scope, lambda: witness_verdict(bad),
+                  least=n + 1)
     return rep
 
 
@@ -455,7 +444,7 @@ def cl_bijection(phi: LinOp, SU: SymSpace, Bt: TruncatedTAlgebra,
                         f"F_{m}") for m in range(N + 1)}, SU, Bt.A.space, 0, td)
     intertwining_claims(rep, SU, F_t, Delta_U, Delta_B, N, "chain condition for exp data")
     kappa = Report("cumulant congruence")
-    _congruence_claims(kappa, "kappa(F)", SU.order_check_keys(), arity_bound, N,
+    _congruence_claims(kappa, "kappa(F)", SU, SU.order_check_keys(), arity_bound, N,
                        lambda tup: cumulant_recursion(SU, Bt, F, tup))
     cong_ok = False if kappa.has_fail else (True if kappa.ok else None)
     rep.add("vanishing condition <=> cumulant congruence",

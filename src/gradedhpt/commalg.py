@@ -43,7 +43,7 @@ Nothing is memoized across scans.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import factorial
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -65,6 +65,7 @@ from .symcoalg import (
     TaylorMorphism,
     _corestriction,
     assemble_word,
+    multisets_by_weight,
 )
 
 
@@ -427,23 +428,16 @@ def koszul_brackets(A: CommAlgebra, delta: LinOp, args: tuple[Vector, ...]) -> V
 def koszul_vanishes(A: CommAlgebra, delta: LinOp, n: int, keys=None) -> tuple | None:
     """Witness tuple where K(delta)_n != 0 on the checking corpus, else None.
 
-    Each multiset is a tuple of basis keys for the kernel ``koszul_recursion``,
-    whose shared values are only tested for zero.  The multisets are walked in
-    lexicographic order with one memo for the whole walk, so consecutive tuples
-    share the tables of their common prefix; each table is used only while its
-    stored prefix equals the current tuple's, and the memo is dropped on return.
+    Multisets of n keys span the arguments, by symmetry: the walk is
+    ``multisets_by_weight``'s, lexicographic in the corpus order and without
+    those that repeat an odd key.  Each is a key tuple for ``koszul_recursion``
+    with one memo for the walk, so a tuple shares the tables of the prefix it
+    has in common with the one before; the values are only tested for zero.
     """
-    keys = tuple(dict.fromkeys(A.order_check_keys() if keys is None else keys))
-    odd = {k for k in keys if A.space.degree(k) % 2}
+    keys = A.order_check_keys() if keys is None else keys
     memo: dict = {}
-    # multisets of size n span the arguments, by symmetry; the walk puts equal
-    # keys next to each other, and one that repeats an odd key vanishes
-    for tup in combinations_with_replacement(keys, n):
-        if any(k1 == k2 and k1 in odd for k1, k2 in zip(tup, tup[1:])):
-            continue
-        if not koszul_recursion(A, delta, tup, memo).is_zero():
-            return tup
-    return None
+    return next((tup for _, cases in multisets_by_weight(A, keys, n) for tup in cases
+                 if not koszul_recursion(A, delta, tup, memo).is_zero()), None)
 
 
 def diff_order(A: CommAlgebra, delta: LinOp, max_order: int, keys=None) -> int | None:
@@ -454,16 +448,12 @@ def diff_order(A: CommAlgebra, delta: LinOp, max_order: int, keys=None) -> int |
     On a generating corpus this is sound: if K_m vanishes on generator tuples
     for every m > k, the two-slot recursion propagates the vanishing to all
     product arguments, downward in product length.  Each arity is one
-    ``koszul_vanishes`` scan with a memo of its own; no bracket is kept
-    from one arity to the next.
+    ``koszul_vanishes`` walk of its multisets, with a memo of its own.
     """
     if koszul_vanishes(A, delta, max_order + 1, keys) is not None:
         return None
-    order = 0
-    for m in range(1, max_order + 1):
-        if koszul_vanishes(A, delta, m, keys) is not None:
-            order = m
-    return order
+    return max((m for m in range(1, max_order + 1) if koszul_vanishes(A, delta, m, keys)),
+               default=0)
 
 
 # -- lifts to the symmetric coalgebra ----------------------------------------------

@@ -479,6 +479,16 @@ class CommAlgebra:
     def weight(self, key) -> int:
         return 0 if key == self.unit_key else 1
 
+    def keys_by_weight(self) -> tuple:
+        """The keys of each weight 0, 1, ..., ``weight_bound`` in key order, one
+        tuple per weight, grouped once per algebra for ``report``."""
+        if "_by_weight" not in self.__dict__:
+            groups: list = [[] for _ in range(self.weight_bound + 1)]
+            for key in self.space.keys():
+                groups[self.weight(key)].append(key)
+            self._by_weight = tuple(map(tuple, groups))
+        return self._by_weight
+
     def mul_keys(self, k1, k2) -> Iterable:
         raise NotImplementedError
 

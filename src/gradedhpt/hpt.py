@@ -459,8 +459,8 @@ def linf_transfer(Qd: TaylorCoderivation, C: Contraction, arity_bound: int,
     for k in corpus_A:
         if Qd.component(1, (k,)) != C.d_A.on_key(k):
             raise ValueError("linear part of Q must be the contraction differential")
-    words_U = words_over(V, corpus_A, arity_bound)
-    words_W = words_over(Wb, corpus_B, arity_bound)
+    words_U = list(words_over(V, corpus_A, arity_bound))
+    words_W = list(words_over(Wb, corpus_B, arity_bound))
 
     # route 2: perturbation series on the symmetrized contraction, perturbed by
     # delta = Q - S(d_A) as Taylor data (its linear part vanishes on corpus_A);

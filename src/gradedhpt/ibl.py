@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations_with_replacement
 
 from .core import GradedBasis, LinOp, Overflow, Vector
 from .commalg import cumulant_lift, cumulant_recursion, kos_lift, koszul_recursion
@@ -33,6 +32,7 @@ from .symcoalg import (
     coderivation_defect,
     convolution,
     hat_extension,
+    multisets_by_weight,
     star_log,
     taylor_coderivation_from_map,
 )
@@ -64,21 +64,18 @@ class IBLStructure:
 
 def _sampled_tuples(space: SymSpace, arity_bound: int, scope: int, limit: int):
     """Up to ``limit`` multisets of 2..arity_bound reduced words of total weight
-    above their number and at most ``scope``, with the count of those passed
-    over for lying beyond the scope."""
-    words = [w for w in space.keys() if w]
+    above their number and at most ``scope`` (``multisets_by_weight``), with
+    the count of those passed over for lying beyond the scope."""
     drawn, beyond = [], 0
     for k in range(2, arity_bound + 1):
-        for tup in combinations_with_replacement(words, k):
-            total = sum(len(w) for w in tup)
-            if total <= k:
-                continue
-            if total > scope:
-                beyond += 1
-                continue
-            drawn.append((tup, total))
-            if len(drawn) == limit:
-                return drawn, beyond
+        for total, cases in multisets_by_weight(space, space.reduced_keys(), k):
+            for tup in cases if total > k else ():
+                if total > scope:
+                    beyond += 1
+                    continue
+                drawn.append((tup, total))
+                if len(drawn) == limit:
+                    return drawn, beyond
     return drawn, beyond
 
 

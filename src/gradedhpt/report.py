@@ -1,19 +1,21 @@
 """Verdict bookkeeping shared by the structure checkers, and the one scope rule.
 
-A claim is evaluated level by level (word weight, arity, ...) until a level
-leaves the guard of a backend (an ``Overflow``).  The claim is decided on the
-levels below, and that scope is recorded in the report's bounds; a claim whose
-scope holds nothing it is about is UNDETERMINED, never PASS.  ``scan`` is how
-a checker decides a scope; the few other places that catch an ``Overflow``
-(a sample or a Maurer-Cartan point beyond the bounds, the t-adic series'
-exactness test, the cache of Taylor data) are listed in
-``tests/test_imports.py::OVERFLOW_CATCHERS``.
+A claim is evaluated level by level (word or key weight, arity, ...) until a
+level leaves the guard of a backend (an ``Overflow``).  The claim is decided on
+the levels below, and that scope is recorded in the report's bounds; a claim
+whose scope holds nothing it is about is UNDETERMINED, never PASS.  An arity-m
+claim on multisets of keys has the scope s of "arity m, total key weight <= s"
+(``symcoalg.multisets_by_weight``).  ``scan`` is how a checker decides a scope;
+the few other places that catch an ``Overflow`` (a sample or a Maurer-Cartan
+point beyond the bounds, the t-adic series' exactness test, the cache of
+Taylor data) are listed in ``tests/test_imports.py::OVERFLOW_CATCHERS``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Callable, Iterable
 
 from .core import Overflow
@@ -26,29 +28,28 @@ UNDETERMINED = "UNDETERMINED"
 def scan(levels: Iterable, check: Callable) -> tuple[Any, Any]:
     """Evaluate ``check(case)`` level by level; return ``(scope, witness)``.
 
-    ``levels`` yields ``(level, cases)`` for consecutive integer levels in
-    increasing order, and ``check`` returns a witness where a case fails, else
-    None.  The scan ends at the first witness, whose level is then the scope.
-    It also ends after the first level on which some case raises Overflow: that
-    level's other cases are still searched for a witness, and without one the
-    scope is the level below, the last one fully evaluated.  Otherwise the scope
-    is the last level (None when there is none).
+    ``levels`` yields ``(level, cases)``, integer levels in any order and
+    possibly repeated, and ``check`` returns a witness where a case fails,
+    else None.  The scope is the least level with a witness (returned with the
+    first found there), unless a case of a lower level raises Overflow: then
+    it is the least such level minus one.  Otherwise it is the greatest level
+    (None without levels).  Cases above the bound set so far are skipped.
     """
-    scope = None
+    top, found, bound, raised = None, None, inf, inf
     for level, cases in levels:
-        beyond = False
-        for case in cases:
+        top = level if top is None or level > top else top
+        for case in cases if level <= bound else ():
             try:
                 witness = check(case)
             except Overflow:
-                beyond = True
+                bound = raised = level
                 continue
             if witness is not None:
-                return level, witness
-        if beyond:
-            return level - 1, None
-        scope = level
-    return scope, None
+                found, bound = (level, witness), level - 1
+                break
+    if found is not None and found[0] <= raised:
+        return found
+    return (top if raised == inf else raised - 1), None
 
 
 def evaluable_scope(A, evaluate: Callable, top: int | None = None) -> int:
@@ -61,20 +62,17 @@ def evaluable_scope(A, evaluate: Callable, top: int | None = None) -> int:
     evaluated on the scope afterwards recomputes nothing.
     """
     top = A.weight_bound if top is None else top
-    by_weight: dict = {}
-    for key in A.space.keys():
-        by_weight.setdefault(A.weight(key), []).append(key)
+    levels = (A.keys_by_weight() + ((),) * top)[:top + 1]  # no key above the bound
 
     def holds(key):
         evaluate(key)
 
-    scope, _ = scan(((k, by_weight.get(k, ())) for k in range(top + 1)), holds)
-    return scope
+    return scan(enumerate(levels), holds)[0]
 
 
 def keys_upto(A, k: int) -> list:
-    """The keys of the algebra ``A`` of weight <= k, in key order."""
-    return [key for key in A.space.keys() if A.weight(key) <= k]
+    """The keys of the algebra ``A`` of weight <= k, by weight, in key order."""
+    return [key for keys in A.keys_by_weight()[:k + 1] for key in keys]
 
 
 def witness_verdict(bad) -> tuple[bool, str]:

@@ -56,6 +56,7 @@ from typing import Callable, Iterable, Iterator
 
 from .core import (
     CommAlgebra,
+    GradedBasis,
     LinOp,
     ONE,
     Overflow,
@@ -113,15 +114,29 @@ def _word_unshuffles(word: SymWord, degs: tuple, i: int):
         yield left, right, s
 
 
-def words_over(base, keys, max_weight: int, min_weight: int = 0) -> list:
-    """Canonical words with letters from a key subset, in increasing weight from
-    min_weight to max_weight and lexicographic within a weight (scopes, samples
-    and witnesses rely on this order): multisets of the sorted keys in which no
-    odd letter repeats."""
-    keys = sorted(keys)
-    return [w for n in range(min_weight, max_weight + 1)
+def words_over(base, keys, max_weight: int, min_weight: int = 0) -> Iterator[SymWord]:
+    """The one multiset enumerator: canonical words with letters from a key
+    subset, yielded in increasing weight from min_weight to max_weight and
+    lexicographic within a weight (scopes, samples and witnesses rely on this
+    order), multisets of the sorted keys in which no odd letter repeats."""
+    keys, odd_pairs = sorted(keys), {(k, k) for k in keys if base.degree(k) % 2}
+    return (w for n in range(min_weight, max_weight + 1)
             for w in combinations_with_replacement(keys, n)
-            if not any(a == b and base.degree(a) % 2 for a, b in zip(w, w[1:]))]
+            if odd_pairs.isdisjoint(zip(w, w[1:])))
+
+
+def multisets_by_weight(A: CommAlgebra, keys, m: int) -> Iterator:
+    """The arity-m multisets of the distinct ``keys`` of A as ``report.scan``
+    levels, a key tuple each at its total weight ``A.weight``, after an empty
+    level m (m non-unit keys): ``words_over`` their positions, so the walk is
+    lexicographic in the key order and leaves out a multiset that repeats an
+    odd key, where graded symmetry kills brackets and cumulants."""
+    corpus = tuple(dict.fromkeys(keys))
+    weights = tuple(map(A.weight, corpus))
+    positions = GradedBasis(tuple(map(str, range(len(corpus)))), tuple(map(A.space.degree, corpus)))
+    yield m, ()
+    for word in words_over(positions, positions.keys(), m, min_weight=m):
+        yield sum(map(weights.__getitem__, word)), (tuple(map(corpus.__getitem__, word)),)
 
 
 class SymSpace(CommAlgebra):
@@ -164,7 +179,7 @@ class SymSpace(CommAlgebra):
         return tuple(w for w in self.keys() if w)
 
     def words_of_weight(self, n: int) -> tuple[SymWord, ...]:
-        return tuple(w for w in self.keys() if len(w) == n)
+        return self.keys_by_weight()[n] if 0 <= n <= self.weight_bound else ()
 
     def order_check_keys(self):
         return self.words_of_weight(1)

@@ -178,13 +178,17 @@ class TestBVCheck:
 
     def test_scope_rule_under_a_low_guard(self):
         # at length bound 3, products of two length-2 keys leave the guard, and so
-        # do products of four letters: what was not evaluated is never PASS
+        # do products of four letters: what was not evaluated is never PASS.  An
+        # arity of the congruences is decided on its multisets of total weight
+        # <= 3, so arities 2 and 3 are scoped there and arity 4 holds nothing
         f = fix2(3)
         orders = ("order(Delta_0) <= 1", "order(Delta_1) <= 2")
         congruences = [f"K(Delta)_{m} = 0 mod t^{m - 1}" for m in (2, 3, 4)]
         rep = bv_check(f.A, f.delta_series(), -1, 3, 4, order_keys=f.low_keys(2))
         verdicts = {i.name: i.verdict for i in rep.items}
-        assert all(verdicts[n] == "UNDETERMINED" for n in orders + tuple(congruences))
+        assert all(verdicts[n] == "UNDETERMINED" for n in orders)
+        assert [verdicts[n] for n in congruences] == ["PASS", "PASS", "UNDETERMINED"]
+        assert [rep.bounds[f"scope: {n}"] for n in congruences] == [3, 3, 3]
         assert not rep.has_fail, rep.to_text()
         rep = bv_check(f.A, f.delta_series(), -1, 3, 4, order_keys=f.low_keys(1))
         verdicts = {i.name: i.verdict for i in rep.items}

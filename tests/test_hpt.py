@@ -558,7 +558,8 @@ def test_lemma_outputs_match_the_relayed_form(make, sigma_side):
     Qd, C, W, keys_A, keys_B = make()
     keys_A = tuple(C.space_A.keys()) if keys_A is None else keys_A
     keys_B = tuple(C.space_B.keys()) if keys_B is None else keys_B
-    words_U, words_W = words_over(C.space_A, keys_A, W), words_over(C.space_B, keys_B, W)
+    words_U = tuple(words_over(C.space_A, keys_A, W))
+    words_W = tuple(words_over(C.space_B, keys_B, W))
     sym = symmetrized_contraction(C, W, (), ())
     delta = TaylorCoderivation(C.space_A, lambda n, w: Qd.component(n, w) - C.d_A.on_key(w[0])
                                if n == 1 else Qd.component(n, w), W, 1).as_map(sym.space_A)
@@ -584,7 +585,8 @@ def test_perturbed_operators_share_the_images_they_leave_unchanged():
     # perturbation has N = 0, so its tau' and h' share every image.  No cached
     # image of the input contraction changes
     Qd, C, W, keys_A, keys_B = _fix2_mid_transfer_input()
-    words_U, words_W = words_over(C.space_A, keys_A, W), words_over(C.space_B, keys_B, W)
+    words_U = tuple(words_over(C.space_A, keys_A, W))
+    words_W = tuple(words_over(C.space_B, keys_B, W))
     sym = symmetrized_contraction(C, W, (), ())
     delta = TaylorCoderivation(C.space_A, lambda n, w: Qd.component(n, w) - C.d_A.on_key(w[0])
                                if n == 1 else Qd.component(n, w), W, 1).as_map(sym.space_A)

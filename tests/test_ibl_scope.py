@@ -140,8 +140,33 @@ def test_every_public_checker_reports_beyond_the_guard(f4, W):
                "ibl_morphism_check": ibl_morphism_check(ident, ibl, ibl, 3),
                "verify_poisson": verify_poisson(S, ibl.delta, -1, 3)}
     # exit status 0 is all PASS, 1 a FAIL, 2 UNDETERMINED; the square blocks
-    # of ibl_check grow with the weights in scope
+    # of ibl_check grow with the weights in scope, and the cumulant
+    # congruences of bv_morphism_check are scoped by total weight
     summary = {name: (rep.exit_status(), len(rep.items)) for name, rep in reports.items()}
     assert summary == {"bv_check": (1, 11), "ibl_check": (0, {3: 33, 4: 39}.get(W, 42)),
-                       "bv_morphism_check": (2, 4), "ibl_morphism_check": (0, 6),
+                       "bv_morphism_check": (0, 4), "ibl_morphism_check": (0, 6),
                        "verify_poisson": (1, 4)}
+
+
+@pytest.mark.parametrize("W", [3, 4, 5, 6])
+def test_multiset_claims_are_scoped_by_total_weight(f4, W):
+    # every word of S_{<=W}(U) is in the cumulant corpus, and the pairs and
+    # triples of total weight above W leave the guard: each arity is decided
+    # on its multisets of total weight <= W, stated in the bounds, as
+    # ibl_morphism_check decides the same cumulants
+    ibl = f4.structure(W, 2)
+    S = ibl.space
+    ident = TOp({0: LinOp.identity(S)}, S, S, 0, 2)
+    rep = bv_morphism_check(ident, S, S, ibl.delta, ibl.delta, -1, 2, 3)
+    verdicts = {i.name: i.verdict for i in rep.items}
+    for name in ("kappa(f)_2 = 0 mod t^1", "kappa(f)_3 = 0 mod t^2"):
+        assert verdicts[name] == "PASS" and rep.bounds[f"scope: {name}"] == W, rep.to_text()
+    # the multiderivation defect of P(Delta)_n is read on n + 1 letters, so its
+    # scope is their total weight: P(Delta)_1 fails (Q's q2 is a coderivation,
+    # not a derivation), and an arity whose letters leave the guard is
+    # UNDETERMINED, never PASS
+    rep = verify_poisson(S, ibl.delta, -1, 3)
+    names = [f"P(Delta)_{n} is a multiderivation" for n in (1, 2, 3)]
+    assert [i.verdict for i in rep.items if i.name in names] == (
+        ["FAIL", "UNDETERMINED", "UNDETERMINED"] if W == 3 else ["FAIL", "PASS", "PASS"])
+    assert [rep.bounds[f"scope: {name}"] for name in names] == ([2, 2, 3] if W == 3 else [2, 3, 4])

@@ -36,7 +36,9 @@ library class defines ``mul`` or ``product``, and each one that defines
 an allowlist gives the reason, ``tseries.flatness_claims`` is the one structure
 square, and ``tseries.intertwining_claims`` is the one intertwining defect: no
 other library function puts one operand on the left of one ``@`` and on the
-right of another, unless an allowlist gives the reason."""
+right of another, unless an allowlist gives the reason, and ``symcoalg.words_over`` is
+the one multiset enumerator: no other library function calls
+``combinations_with_replacement``."""
 
 import ast
 import importlib
@@ -811,6 +813,26 @@ def test_one_tensor_coproduct():
     stale = sorted((name, owner) for name, allowed in allowlists.items() for owner in allowed
                    if (name, owner) not in callers)
     assert not stale, f"allowlisted callers that no longer call: {stale}"
+
+
+# One multiset enumerator.  Multisets of keys are the canonical words of
+# ``symcoalg.words_over``, which leaves out those that repeat an odd key, and a
+# scan over the multisets of a key corpus reads them through
+# ``symcoalg.multisets_by_weight``, each at the level of its total weight.  A
+# library call of ``combinations_with_replacement`` anywhere else is a second
+# enumerator, with an odd-repeat rule and a scope of its own.
+MULTISET_ENUMERATORS = {
+    "symcoalg.words_over": "the one multiset enumerator",
+}
+
+
+def test_one_multiset_enumerator():
+    sites = [site for path in MODULES
+             for site in call_sites(path, "combinations_with_replacement")]
+    stray = [site for site in sites if site[0] not in MULTISET_ENUMERATORS]
+    assert not stray, f"multisets enumerated outside words_over (read it instead): {stray}"
+    stale = sorted(set(MULTISET_ENUMERATORS) - {owner for owner, _ in sites})
+    assert not stale, f"allowlisted enumerators that no longer enumerate: {stale}"
 
 
 # One structure square.  A t-series squares to zero through the one flatness

@@ -1,10 +1,12 @@
-"""Report output: the exit status, and the text and JSON forms of a verdict list."""
+"""Report output: the exit status, and the text and JSON forms of a verdict list;
+and the one scope rule, ``scan``."""
 
 import json
 
 import pytest
 
-from gradedhpt.report import FAIL, PASS, UNDETERMINED, Report
+from gradedhpt.core import Overflow
+from gradedhpt.report import FAIL, PASS, UNDETERMINED, Report, scan
 
 
 def report_with(*verdicts) -> Report:
@@ -65,3 +67,29 @@ def test_check_item_line_pads_the_verdict_and_brackets_the_detail():
         "FAIL         claim 1  [detail 1]",
         "UNDETERMINED claim 2  [detail 2]",
     ]
+
+
+@pytest.mark.parametrize("levels, result, evaluated", [
+    ([], (None, None), []),
+    ([(0, ["ok"]), (1, ["ok"])], (1, None), ["ok", "ok"]),
+    # levels in any order, repeated: the least level with a witness, its first
+    ([(2, ["ok", "bad2"]), (1, ["bad1", "bad1b"]), (1, ["bad1c"]), (3, ["bad3"])],
+     (1, "bad1"), ["ok", "bad2", "bad1"]),
+    # an Overflow below every witness: the levels below it, no witness
+    ([(2, ["bad2"]), (1, ["raise"]), (0, ["ok"]), (2, ["bad2b"])], (0, None),
+     ["bad2", "raise", "ok"]),
+    # a witness at the Overflow level counts, as in an increasing scan
+    ([(1, ["raise", "bad1"]), (0, ["ok"])], (1, "bad1"), ["raise", "bad1", "ok"]),
+    ([(2, ["raise"]), (3, ["ok", "bad3"]), (1, ["ok"])], (1, None), ["raise", "ok"]),
+])
+def test_scan_in_any_order(levels, result, evaluated):
+    seen = []
+
+    def check(case):
+        seen.append(case)
+        if case == "raise":
+            raise Overflow(case)
+        return case if case.startswith("bad") else None
+
+    assert scan(levels, check) == result
+    assert seen == evaluated

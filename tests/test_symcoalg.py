@@ -125,7 +125,7 @@ class TestWords:
             return sorted(words, key=lambda w: (len(w), w))
 
         assert list(SymSpace(base, 4).keys()) == brute(base.keys(), 4)
-        assert words_over(base, (3, 0, 1), 4, min_weight=2) == brute((0, 1, 3), 4, 2)
+        assert list(words_over(base, (3, 0, 1), 4, min_weight=2)) == brute((0, 1, 3), 4, 2)
 
     def test_product_overflow(self):
         S = SymSpace(BASIS, 2)
