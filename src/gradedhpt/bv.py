@@ -135,16 +135,13 @@ def _congruence_claims(rep: Report, label: str, A: CommAlgebra, keys, arity_boun
     structure, cumulants of a morphism) on a key tuple of A, computed to order
     ``order``.  Arity m is one ``report.scan`` of its multisets by total weight
     (``multisets_by_weight``); above ``order + 1`` it is UNDETERMINED."""
-    def witness(tup):
-        bad = [key for key in value(tup).keys() if key[0] < len(tup) - 1]
-        return (tup, bad[0]) if bad else None
-
     for m in range(2, arity_bound + 1):
         name = f"{label}_{m} = 0 mod t^{m - 1}"
         if m > order + 1:
             rep.add(name, None, f"needs order {m - 1}, have {order}")
             continue
-        scope, found = scan(multisets_by_weight(A, keys, m), witness)
+        scope, found = scan(multisets_by_weight(A, keys, m), lambda tup: next(
+            ((tup, key) for key in value(tup).keys() if key[0] < len(tup) - 1), None))
         rep.claim(name, scope, lambda: witness_verdict(found), least=m)
 
 
@@ -153,9 +150,9 @@ def bv_morphism_check(f: TOp, A: CommAlgebra, B: CommAlgebra, DeltaA: TOp, Delta
     """Certify f = sum t^n f_n as a morphism (A, Delta) -> (B, Delta').
 
     Scope rule as in the module docstring: the congruences kappa(f)_m = 0 mod
-    t^{m-1} are one ``report.scan`` over the arities of the corpus ``keys``,
-    computed to the order f is known to, and the unit claims read it to that
-    order (the ones above are UNDETERMINED).  The intertwining claim is
+    t^{m-1} are ``_congruence_claims`` on the corpus ``keys``, arity m decided
+    on "arity m, total weight <= s", computed to the order f is known to, and
+    the unit claims read f to that order (the ones above are UNDETERMINED).  The intertwining claim is
     ``tseries.intertwining_claims``, as in ``ibl.ibl_morphism_check``.
     """
     _require_odd(k)

@@ -29,27 +29,29 @@ def scan(levels: Iterable, check: Callable) -> tuple[Any, Any]:
     """Evaluate ``check(case)`` level by level; return ``(scope, witness)``.
 
     ``levels`` yields ``(level, cases)``, integer levels in any order and
-    possibly repeated, and ``check`` returns a witness where a case fails,
-    else None.  The scope is the least level with a witness (returned with the
-    first found there), unless a case of a lower level raises Overflow: then
-    it is the least such level minus one.  Otherwise it is the greatest level
-    (None without levels).  Cases above the bound set so far are skipped.
-    """
-    top, found, bound, raised = None, None, inf, inf
+    possibly repeated; ``check`` returns a witness where a case fails, else
+    None.  The scope is the least level with a witness (and its first one),
+    unless a case of a lower level raises Overflow: then that least level minus
+    one, or the least level minus one if no case below it was evaluated.
+    Otherwise the greatest level (None without levels).  Cases above the bound
+    set so far are skipped."""
+    seen, low, found, bound, raised = set(), inf, None, inf, inf
     for level, cases in levels:
-        top = level if top is None or level > top else top
+        seen.add(level)
         for case in cases if level <= bound else ():
             try:
                 witness = check(case)
             except Overflow:
                 bound = raised = level
                 continue
+            low = min(low, level)
             if witness is not None:
                 found, bound = (level, witness), level - 1
                 break
     if found is not None and found[0] <= raised:
         return found
-    return (top if raised == inf else raised - 1), None
+    return (max(seen, default=None) if raised == inf
+            else (raised if low < raised else min(seen)) - 1), None
 
 
 def evaluable_scope(A, evaluate: Callable, top: int | None = None) -> int:

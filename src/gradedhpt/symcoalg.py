@@ -127,16 +127,15 @@ def words_over(base, keys, max_weight: int, min_weight: int = 0) -> Iterator[Sym
 
 def multisets_by_weight(A: CommAlgebra, keys, m: int) -> Iterator:
     """The arity-m multisets of the distinct ``keys`` of A as ``report.scan``
-    levels, a key tuple each at its total weight ``A.weight``, after an empty
-    level m (m non-unit keys): ``words_over`` their positions, so the walk is
-    lexicographic in the key order and leaves out a multiset that repeats an
-    odd key, where graded symmetry kills brackets and cumulants."""
+    levels: an empty level m, where the arity starts, then each key tuple at its
+    total ``A.weight``, or at m where units weigh less; ``words_over`` the key
+    positions, lexicographic in key order, without those repeating an odd key."""
     corpus = tuple(dict.fromkeys(keys))
     weights = tuple(map(A.weight, corpus))
     positions = GradedBasis(tuple(map(str, range(len(corpus)))), tuple(map(A.space.degree, corpus)))
     yield m, ()
     for word in words_over(positions, positions.keys(), m, min_weight=m):
-        yield sum(map(weights.__getitem__, word)), (tuple(map(corpus.__getitem__, word)),)
+        yield max(m, sum(map(weights.__getitem__, word))), (tuple(map(corpus.__getitem__, word)),)
 
 
 class SymSpace(CommAlgebra):

@@ -329,6 +329,36 @@ class TestBVMorphism:
         rep = bv_morphism_check(f, f2.A, f2.A, D, D, -1, 2, 3, keys=keys2)
         assert rep.ok
 
+    def test_a_map_that_kills_the_unit_fails_the_congruences(self):
+        # on the dual numbers k[a]/(a^2), f_0(1) = 0, f_0(a) = a: kappa(f)_2(1, a)
+        # = f(a) - f(1)f(a) = a, and a multiset holding the unit weighs less
+        # than its arity, yet is decided wherever its arity is in scope
+        basis = GradedBasis(("1", "a"), (0, 0))
+        A = ExplicitFDAlgebra(basis, {(1, 1): Vector.zero()}, 0)
+        f = TOp({0: LinOp.from_dict(basis, basis, 0, {1: Vector.basis(1)}, "f")},
+                basis, basis, 0, 2)
+        D = TOp({1: LinOp.zero(basis)}, basis, basis, 1, 2)
+        rep = bv_morphism_check(f, A, A, D, D, -1, 2, 3)
+        verdicts = {i.name: i.verdict for i in rep.items}
+        for m in (2, 3):
+            name = f"kappa(f)_{m} = 0 mod t^{m - 1}"
+            assert (verdicts[name], rep.bounds[f"scope: {name}"]) == ("FAIL", m), rep.to_text()
+        assert verdicts["f_0(1_A) = 1_B"] == "FAIL"
+
+    def test_a_corpus_beyond_the_guard_holds_nothing(self):
+        # at length bound 3, every pair and triple of length-2 keys leaves the
+        # guard: the congruences are scoped below their arity, never a PASS on
+        # no multiset at all
+        f = fix2(3)
+        keys = tuple(k for k in f.A.space.keys() if sum(k) == 2)
+        ident = TOp({0: LinOp.identity(f.A.space)}, f.A.space, f.A.space, 0, 2)
+        D = f.delta_series()
+        rep = bv_morphism_check(ident, f.A, f.A, D, D, -1, 3, 3, keys=keys)
+        for m in (2, 3):
+            name = f"kappa(f)_{m} = 0 mod t^{m - 1}"
+            item = next(i for i in rep.items if i.name == name)
+            assert (item.verdict, rep.bounds[f"scope: {name}"]) == ("UNDETERMINED", m - 1)
+
 
 class TestPoisson:
     def test_components(self, f2, keys2):

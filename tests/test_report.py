@@ -81,6 +81,11 @@ def test_check_item_line_pads_the_verdict_and_brackets_the_detail():
     # a witness at the Overflow level counts, as in an increasing scan
     ([(1, ["raise", "bad1"]), (0, ["ok"])], (1, "bad1"), ["raise", "bad1", "ok"]),
     ([(2, ["raise"]), (3, ["ok", "bad3"]), (1, ["ok"])], (1, None), ["raise", "ok"]),
+    # a gap below the Overflow: the scope reaches it only over an evaluated case,
+    # else it is the least level minus one, and holds nothing
+    ([(2, []), (3, ["ok"]), (5, ["raise"])], (4, None), ["ok", "raise"]),
+    ([(2, []), (4, ["raise"]), (5, ["ok"])], (1, None), ["raise"]),
+    ([(0, ["raise"])], (-1, None), ["raise"]),
 ])
 def test_scan_in_any_order(levels, result, evaluated):
     seen = []

@@ -1,25 +1,29 @@
 """Verdict census: an opt-in pytest plugin that records, over a test run, the
-set of verdicts each (report title, claim name) pair received.
+set of verdicts each claim received in each test.
 
     python -m pytest -q -p tests.verdict_census --census=census.txt
 
-Digits in titles and claim names are read as ``#``, so claims that differ only
-in a bound or an arity share one line.  Each line of the file is
-``title | claim | verdicts``, sorted, so the census of two commits compares
-with ``diff``.  A run without ``--census`` records nothing.
+An entry is keyed by the test id, the report title and the claim name, as the
+suite and the report print them, so a verdict that moves between two arities,
+two bounds or two tests shows.  Each line of the file is
+``test | title | claim | verdicts``, sorted, so the census of two commits
+compares with ``diff``.  A run without ``--census`` records nothing.
 """
 
-import re
 from pathlib import Path
 
 from gradedhpt.report import Report
 
-_DIGITS = re.compile(r"\d+")
+_current = {"test": ""}
 
 
 def pytest_addoption(parser):
     parser.addoption("--census", default=None,
                      help="write the verdict census of the run to this file")
+
+
+def pytest_runtest_logstart(nodeid, location):
+    _current["test"] = nodeid
 
 
 def pytest_configure(config):
@@ -31,8 +35,7 @@ def pytest_configure(config):
 
     def recorded(self, name, ok, detail=""):
         add(self, name, ok, detail)
-        key = (_DIGITS.sub("#", self.title), _DIGITS.sub("#", name))
-        seen.setdefault(key, set()).add(self.items[-1].verdict)
+        seen.setdefault((_current["test"], self.title, name), set()).add(self.items[-1].verdict)
 
     Report.add = recorded
     config._census = (Path(path), seen, add)
@@ -44,5 +47,5 @@ def pytest_unconfigure(config):
         return
     path, seen, add = census
     Report.add = add
-    path.write_text("".join(f"{title} | {name} | {','.join(sorted(verdicts))}\n"
-                            for (title, name), verdicts in sorted(seen.items())))
+    path.write_text("".join(f"{' | '.join(key)} | {','.join(sorted(verdicts))}\n"
+                            for key, verdicts in sorted(seen.items())))
